@@ -57,25 +57,37 @@ def _load_problem_doc(path: str) -> tuple[Problem, Template, dict]:
     return prob, tmpl, doc
 
 
-def _run_config(doc: dict, args) -> engine.RunConfig:
+def _run_config(doc: dict, args, path: str) -> engine.RunConfig:
     run = doc.get("run", {})
+    if not isinstance(run, dict):
+        raise UserError(f"{path}: run: expected an object")
 
-    def pick(flag, key, default):
+    def pick(flag, key, default, kind=float):
         if flag is not None:
             return flag
-        return run.get(key, default)
+        value = run.get(key, default)
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            raise ProblemFormatError(
+                f"run.{key}", f"expected a number, got {value!r}") from None
 
-    return engine.RunConfig(
-        sigma=float(pick(args.sigma, "sigma", 0.5)),
-        bloat_factor=float(pick(args.bloat, "bloat", 1.1)),
-        starts=int(pick(args.starts, "starts", 16)),
-        max_iterations=int(pick(args.max_iter, "max_iter", 50)),
-        seed=int(pick(args.seed, "seed", 0)),
-        delta_min=float(pick(args.delta_min, "delta_min", 1e-6)),
-        min_width_frac=float(pick(args.min_box_width, "min_box_width", 1e-4)),
-        vertex_cap=int(run.get("vertex_cap", 256)),
-        verify=not args.no_verify,
-    )
+    try:
+        return engine.RunConfig(
+            sigma=pick(args.sigma, "sigma", 0.5),
+            bloat_factor=pick(args.bloat, "bloat", 1.1),
+            starts=pick(args.starts, "starts", 16, int),
+            max_iterations=pick(args.max_iter, "max_iter", 50, int),
+            seed=pick(args.seed, "seed", 0, int),
+            delta_min=pick(args.delta_min, "delta_min", 1e-6),
+            min_width_frac=pick(args.min_box_width, "min_box_width", 1e-4),
+            vertex_cap=pick(None, "vertex_cap", 256, int),
+            verify=not args.no_verify,
+        )
+    except ProblemFormatError as err:
+        raise UserError(f"{path}: {err}") from None
+    except ValueError as err:
+        raise UserError(f"{path}: run: {err}") from None
 
 
 def _barrier_json(prob: Problem, tmpl: Template, p: np.ndarray) -> dict:
@@ -150,7 +162,7 @@ def _write_report(doc: dict, path: str | None):
 
 def _cmd_synth(args) -> int:
     prob, tmpl, doc = _load_problem_doc(args.problem)
-    cfg = _run_config(doc, args)
+    cfg = _run_config(doc, args, args.problem)
     report = engine.run(prob, tmpl, cfg)
     out = _report_json(doc.get("name", Path(args.problem).stem), report,
                        prob, tmpl, cfg.seed)
@@ -202,7 +214,7 @@ def _cmd_bench(args) -> int:
     all_ok = True
     for path in paths:
         prob, tmpl, doc = _load_problem_doc(str(path))
-        cfg = _run_config(doc, args)
+        cfg = _run_config(doc, args, str(path))
         report = engine.run(prob, tmpl, cfg)
         ok = (report.status is engine.RunStatus.BARRIER_FOUND
               and (report.verdict is None or

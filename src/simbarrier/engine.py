@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import chebyshev, expr as ex, falsify, sim
+from . import chebyshev, falsify, sim
 from . import verify as rigor
 from .model import Problem, Segment, Template
 
@@ -80,25 +80,14 @@ def _witness_segment(prob: Problem, tmpl: Template, p: np.ndarray,
                      verdict: rigor.Verdict, cfg: RunConfig) -> Segment:
     """Turn a refutation witness into a counter-example segment."""
     mode, x, _d = verdict.witness
-    ride = dict(bloat_factor=cfg.bloat_factor, t_max=cfg.ride_horizon,
-                rtol=cfg.rtol, atol=cfg.atol)
-    cond = verdict.condition
-    if cond == 1:
-        end = sim.omega(prob, tmpl, p, (mode, x), **ride)
-        return Segment.classify(prob, mode, x, end[0], end[1])
-    if cond == 2:
-        begin = sim.alpha(prob, tmpl, p, (mode, x), **ride)
-        return Segment.classify(prob, begin[0], begin[1], mode, x)
-    if cond == 3:
-        begin = sim.alpha(prob, tmpl, p, (mode, x), **ride)
-        end = sim.omega(prob, tmpl, p, (mode, x), **ride)
-        return Segment.classify(prob, begin[0], begin[1], end[0], end[1])
-    rules = prob.mode_resets(mode)
-    rule = next((r for r in rules if r.guard.contains(x)), rules[0])
-    rx = [ex.evaluate(f, x) for f in rule.fwd]
-    begin = sim.alpha(prob, tmpl, p, (mode, x), **ride)
-    end = sim.omega(prob, tmpl, p, (rule.target, rx), **ride)
-    return Segment.classify(prob, begin[0], begin[1], end[0], end[1])
+    rule = None
+    if verdict.condition == 4:
+        rules = prob.mode_resets(mode)
+        rule = next((r for r in rules if r.guard.contains(x)), rules[0])
+    return falsify.point_segment(
+        prob, tmpl, p, falsify.KINDS[verdict.condition - 1], mode, x, rule,
+        bloat_factor=cfg.bloat_factor, t_max=cfg.ride_horizon,
+        rtol=cfg.rtol, atol=cfg.atol)
 
 
 def run(prob: Problem, tmpl: Template, cfg: RunConfig | None = None) -> RunReport:

@@ -482,14 +482,7 @@ def _codegen(e: Expr) -> str:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def compile_expr(e: Expr):
-    """Compile to a fast ``f(values) -> float``.
-
-    The compiled form raises the underlying math errors (ValueError,
-    ZeroDivisionError, OverflowError) on domain violations instead of
-    DomainError; hot-loop callers treat any of those as a failed step.
-    """
-    src = f"lambda _v: {_codegen(e)}"
+def _compile(src: str):
     namespace = {
         "_sin": math.sin,
         "_cos": math.cos,
@@ -498,6 +491,25 @@ def compile_expr(e: Expr):
         "_sqrt": math.sqrt,
     }
     return eval(src, namespace)  # noqa: S307 - source is generated locally
+
+
+def compile_expr(e: Expr):
+    """Compile to a fast ``f(values) -> float``.
+
+    The compiled form raises the underlying math errors (ValueError,
+    ZeroDivisionError, OverflowError) on domain violations instead of
+    DomainError; hot-loop callers treat any of those as a failed step.
+    """
+    return _compile(f"lambda _v: {_codegen(e)}")
+
+
+def compile_vector(es: Sequence[Expr]):
+    """Compile a tuple of expressions to one ``f(values) -> list``.
+
+    Entry i is computed exactly as ``compile_expr(es[i])`` computes it;
+    errors are raised as in ``compile_expr``.
+    """
+    return _compile(f"lambda _v: [{', '.join(_codegen(e) for e in es)}]")
 
 
 def variables_of(e: Expr) -> set[int]:

@@ -7,10 +7,17 @@ and the reset condition on guard boxes.  A negative minimum yields a
 counter-example point, which is extended to a simulation segment through
 the forward/backward drift rides; the segment is checked to actually
 refute the candidate before it is returned.
+
+The searches evaluate the certificate through code generated once per
+search (``model.compile_certificate``) and the flow and its Jacobians
+through ``expr.compile_vector``.  Both are bit-identical to the reference
+evaluators they replace, so every start, trajectory and counter-example
+is the same as with ``model.template_*`` and ``expr.compile_expr``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -72,16 +79,17 @@ def minimize_box(f: Callable[[np.ndarray], float],
     step = 1.0
     for _ in range(max_iters):
         g = grad(z)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             break
-        if np.linalg.norm(z - np.clip(z - g, lo, hi)) <= tol:
+        v = z - (z - g).clip(lo, hi)
+        if math.sqrt(v.dot(v)) <= tol:
             break
         alpha = step
         accepted = False
         for _ in range(60):
-            zn = np.clip(z - alpha * g, lo, hi)
+            zn = (z - alpha * g).clip(lo, hi)
             dz = zn - z
-            if not np.any(dz):
+            if not dz.any():
                 break
             fn = f(zn)
             if math.isfinite(fn) and fn <= fz + 1e-4 * float(g @ dz):
@@ -123,16 +131,31 @@ def min_unsafe(prob: Problem, tmpl: Template, p: np.ndarray,
     return _min_sign(prob, tmpl, p, prob.unsafe, 1.0, starts, seed, cfg)
 
 
+def _certificates(tmpl: Template, p: np.ndarray):
+    """mode -> compiled (value, grad_x, hess_x), each built on first use."""
+    return functools.cache(functools.partial(model.compile_certificate, tmpl, p))
+
+
+def _jacobian(fs, cols: range):
+    """Compiled Jacobian of ``fs`` in the variables ``cols``:
+    f(values) -> array of shape (len(fs), len(cols))."""
+    fn = ex.compile_vector([ex.differentiate(f, j) for f in fs for j in cols])
+    shape = (len(fs), len(cols))
+    return lambda vals: np.array(fn(vals)).reshape(shape)
+
+
 def _min_sign(prob, tmpl, p, regions, sign, starts, seed, cfg):
     cfg = cfg or FalsifyConfig()
     rng = np.random.default_rng(seed)
+    cert = _certificates(tmpl, p)
     results = []
     for _ in range(starts):
         mode, box = _pick_region(regions, rng)
         lo = np.asarray(box.lo)
         hi = np.asarray(box.hi)
-        f = lambda x, _m=mode: sign * model.template_value(tmpl, p, _m, x)
-        g = lambda x, _m=mode: sign * model.template_grad_x(tmpl, p, _m, x)
+        value, grad, _ = cert(mode)
+        f = lambda x, _v=value: sign * _v(x)
+        g = lambda x, _g=grad: sign * _g(x)
         x, fx = minimize_box(f, g, lo, hi, box.sample(rng),
                              cfg.max_iters, cfg.grad_tol)
         results.append((fx, mode, x))
@@ -141,41 +164,20 @@ def _min_sign(prob, tmpl, p, regions, sign, starts, seed, cfg):
 
 
 class _ModeGeometry:
-    """Compiled flow, Jacobians, and drift pieces for one mode."""
+    """Compiled certificate, flow and flow Jacobians for one mode.
 
-    def __init__(self, prob: Problem, tmpl: Template, p: np.ndarray, mode: int):
-        self.mode = mode
+    The flow pieces take the state values followed by the disturbance
+    values (``list(x) + list(d)``).
+    """
+
+    def __init__(self, prob: Problem, cert, mode: int):
         self.n = prob.dim
         self.l = prob.n_dist
         mdef = prob.modes[mode]
-        total = self.n + self.l
-        self.flow = sim.compile_flow(mdef, total)
-        self.jac_x = [[ex.compile_expr(ex.differentiate(f, j))
-                       for j in range(self.n)] for f in mdef.flow]
-        self.jac_d = [[ex.compile_expr(ex.differentiate(f, self.n + j))
-                       for j in range(self.l)] for f in mdef.flow]
-        self.tmpl = tmpl
-        self.p = p
-
-    def value(self, x):
-        return model.template_value(self.tmpl, self.p, self.mode, x)
-
-    def grad_v(self, x):
-        return model.template_grad_x(self.tmpl, self.p, self.mode, x)
-
-    def hess_v(self, x):
-        return model.template_hess_x(self.tmpl, self.p, self.mode, x)
-
-    def f(self, x, d):
-        return self.flow(list(x) + list(d))
-
-    def jx(self, x, d):
-        vals = list(x) + list(d)
-        return np.array([[fn(vals) for fn in row] for row in self.jac_x])
-
-    def jd(self, x, d):
-        vals = list(x) + list(d)
-        return np.array([[fn(vals) for fn in row] for row in self.jac_d])
+        self.value, self.grad_v, self.hess_v = cert(mode)
+        self.flow = sim.compile_flow(mdef, self.n + self.l)
+        self.jac_x = _jacobian(mdef.flow, range(self.n))
+        self.jac_d = _jacobian(mdef.flow, range(self.n, self.n + self.l))
 
 
 def _drift_objective(geo: _ModeGeometry):
@@ -187,10 +189,10 @@ def _drift_objective(geo: _ModeGeometry):
         x, d = z[:n], z[n:]
         gv = geo.grad_v(x)
         try:
-            fv = geo.f(x, d)
+            fv = np.array(geo.flow(list(x) + list(d)))
         except (ValueError, ZeroDivisionError, OverflowError):
             return math.inf  # flow undefined here
-        ng, nf = np.linalg.norm(gv), np.linalg.norm(fv)
+        ng, nf = math.sqrt(gv.dot(gv)), math.sqrt(fv.dot(fv))
         if ng < _NORM_FLOOR or nf < _NORM_FLOOR:
             return math.inf
         return -float(gv @ fv) / (ng * nf)
@@ -198,20 +200,21 @@ def _drift_objective(geo: _ModeGeometry):
     def gradient(z):
         x, d = z[:n], z[n:]
         gv = geo.grad_v(x)
+        vals = list(x) + list(d)
         try:
-            fv = geo.f(x, d)
+            fv = np.array(geo.flow(vals))
         except (ValueError, ZeroDivisionError, OverflowError):
             return np.zeros_like(z)
-        ng, nf = np.linalg.norm(gv), np.linalg.norm(fv)
+        ng, nf = math.sqrt(gv.dot(gv)), math.sqrt(fv.dot(fv))
         if ng < _NORM_FLOOR or nf < _NORM_FLOOR:
             return np.zeros_like(z)
         u = gv / ng
         w = fv / nf
         pu_w = w - u * float(u @ w)
         pw_u = u - w * float(w @ u)
-        gx = -(geo.hess_v(x) @ pu_w / ng + geo.jx(x, d).T @ pw_u / nf)
+        gx = -(geo.hess_v(x) @ pu_w / ng + geo.jac_x(vals).T @ pw_u / nf)
         if geo.l:
-            gd = -(geo.jd(x, d).T @ pw_u / nf)
+            gd = -(geo.jac_d(vals).T @ pw_u / nf)
             return np.concatenate([gx, gd])
         return gx
 
@@ -246,12 +249,13 @@ def min_transversality(prob: Problem, tmpl: Template, p: np.ndarray,
     cfg = cfg or FalsifyConfig()
     rng = np.random.default_rng(seed)
     band = _LEVEL_BAND * (1.0 + float(np.linalg.norm(p)))
+    cert = _certificates(tmpl, p)
     geos = {}
     results = []
     for _ in range(starts):
         mode = int(rng.integers(len(prob.modes)))
         if mode not in geos:
-            geos[mode] = _ModeGeometry(prob, tmpl, p, mode)
+            geos[mode] = _ModeGeometry(prob, cert, mode)
         geo = geos[mode]
         omega = prob.modes[mode].omega
         lo_x = np.asarray(omega.lo)
@@ -300,35 +304,31 @@ def min_reset(prob: Problem, tmpl: Template, p: np.ndarray,
     if not prob.resets:
         return None, math.inf
     rng = np.random.default_rng(seed)
+    cert = _certificates(tmpl, p)
     jac_cache = {}
     results = []
     for _ in range(starts):
         idx = int(rng.integers(len(prob.resets)))
         rule = prob.resets[idx]
         if idx not in jac_cache:
-            jac_cache[idx] = [[ex.compile_expr(ex.differentiate(f, j))
-                               for j in range(prob.dim)] for f in rule.fwd]
-        jac = jac_cache[idx]
+            jac_cache[idx] = _jacobian(rule.fwd, range(prob.dim))
+        source, target = cert(rule.source), cert(rule.target)
 
-        def f(x, _r=rule):
+        def f(x, _r=rule, _s=source, _t=target):
             try:
-                rx = [ex.evaluate(m, x) for m in _r.fwd]
+                rx = np.array([ex.evaluate(m, x) for m in _r.fwd])
             except ex.DomainError:
                 return math.inf
-            return max(model.template_value(tmpl, p, _r.source, x),
-                       -model.template_value(tmpl, p, _r.target, rx))
+            return max(_s[0](x), -_t[0](rx))
 
-        def g(x, _r=rule, _j=jac):
+        def g(x, _r=rule, _j=jac_cache[idx], _s=source, _t=target):
             try:
-                rx = [ex.evaluate(m, x) for m in _r.fwd]
+                rx = np.array([ex.evaluate(m, x) for m in _r.fwd])
             except ex.DomainError:
                 return np.zeros(len(x))
-            v1 = model.template_value(tmpl, p, _r.source, x)
-            v2 = -model.template_value(tmpl, p, _r.target, rx)
-            if v1 >= v2:
-                return model.template_grad_x(tmpl, p, _r.source, x)
-            jr = np.array([[fn(list(x)) for fn in row] for row in _j])
-            return -(jr.T @ model.template_grad_x(tmpl, p, _r.target, rx))
+            if _s[0](x) >= -_t[0](rx):
+                return _s[1](x)
+            return -(_j(list(x)).T @ _t[1](rx))
 
         lo = np.asarray(rule.guard.lo)
         hi = np.asarray(rule.guard.hi)
@@ -344,6 +344,35 @@ def segment_margin(prob: Problem, tmpl: Template, p: np.ndarray,
     """Worst normalized margin of p on the rows of one segment."""
     rows = chebyshev.build([seg], tmpl, prob)
     return chebyshev.margin(rows, p)
+
+
+KINDS = ("initial", "unsafe", "transversality", "reset")
+
+
+def point_segment(prob: Problem, tmpl: Template, p: np.ndarray, kind: str,
+                  mode: int, x, rule: model.ResetRule | None = None, *,
+                  bloat_factor: float, t_max: float, rtol: float,
+                  atol: float) -> Segment:
+    """Extend a counter-example point of ``kind`` (one of ``KINDS``, the
+    order of conditions 1-4) in ``mode`` to a simulation segment.
+
+    Initial points ride forward, unsafe points backward, drift points both
+    ways; a reset point rides backward in its source mode and forward from
+    its image under ``rule`` in the target mode.
+    """
+    ride = dict(bloat_factor=bloat_factor, t_max=t_max, rtol=rtol, atol=atol)
+    if kind == "initial":
+        return Segment.classify(prob, mode, x,
+                                *sim.omega(prob, tmpl, p, (mode, x), **ride))
+    begin = sim.alpha(prob, tmpl, p, (mode, x), **ride)
+    if kind == "unsafe":
+        return Segment.classify(prob, *begin, mode, x)
+    if kind == "reset":
+        rx = [ex.evaluate(f, x) for f in rule.fwd]
+        end = sim.omega(prob, tmpl, p, (rule.target, rx), **ride)
+    else:
+        end = sim.omega(prob, tmpl, p, (mode, x), **ride)
+    return Segment.classify(prob, *begin, *end)
 
 
 def find_counterexample(prob: Problem, tmpl: Template, p: np.ndarray,
@@ -380,30 +409,16 @@ def find_counterexample(prob: Problem, tmpl: Template, p: np.ndarray,
         if value == v:
             break
 
-    ride = dict(bloat_factor=cfg.bloat_factor, t_max=cfg.t_max,
-                rtol=cfg.rtol, atol=cfg.atol)
     t1 = time.perf_counter()
-    if kind == "initial":
-        mode, x = payload
-        end = sim.omega(prob, tmpl, p, (mode, x), **ride)
-        seg = Segment.classify(prob, mode, x, end[0], end[1])
-    elif kind == "unsafe":
-        mode, x = payload
-        begin = sim.alpha(prob, tmpl, p, (mode, x), **ride)
-        seg = Segment.classify(prob, begin[0], begin[1], mode, x)
-    elif kind == "transversality":
-        mode, x = payload
-        begin = sim.alpha(prob, tmpl, p, (mode, x), **ride)
-        end = sim.omega(prob, tmpl, p, (mode, x), **ride)
-        seg = Segment.classify(prob, begin[0], begin[1], end[0], end[1])
+    if kind == "reset":
+        rule = prob.resets[payload[0]]
+        mode, x = rule.source, payload[1]
     else:
-        idx, x = payload
-        rule = prob.resets[idx]
-        rx = [ex.evaluate(m, x) for m in rule.fwd]
-        begin = sim.alpha(prob, tmpl, p, (rule.source, x), **ride)
-        end = sim.omega(prob, tmpl, p, (rule.target, rx), **ride)
-        seg = Segment.classify(prob, begin[0], begin[1], end[0], end[1])
-        mode = rule.source
+        rule = None
+        mode, x = payload
+    seg = point_segment(prob, tmpl, p, kind, mode, x, rule,
+                        bloat_factor=cfg.bloat_factor, t_max=cfg.t_max,
+                        rtol=cfg.rtol, atol=cfg.atol)
     sim_time = time.perf_counter() - t1
 
     new_margin = segment_margin(prob, tmpl, p, seg)
@@ -413,9 +428,5 @@ def find_counterexample(prob: Problem, tmpl: Template, p: np.ndarray,
             f"with margin {new_margin:.3e} > 0; event localization or "
             "level-set landing is off")
 
-    if kind == "reset":
-        x_arr = np.asarray(x)
-    else:
-        x_arr = np.asarray(payload[1])
-    return CtrxplResult(kind, mode, x_arr, dist, value, seg,
+    return CtrxplResult(kind, mode, np.asarray(x), dist, value, seg,
                         search_time, sim_time)

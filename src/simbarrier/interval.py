@@ -67,14 +67,6 @@ class Interval:
     def contains_interval(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
 
 def _widened(lo: float, hi: float) -> Interval:
     return Interval(_down(lo), _up(hi))
@@ -195,10 +187,6 @@ def cos(x: Interval) -> Interval:
     else:
         lo = max(-1.0, _down(lo))
     return Interval(lo, hi)
-
-
-def hull(x: Interval, y: Interval) -> Interval:
-    return Interval(min(x.lo, y.lo), max(x.hi, y.hi))
 
 
 def scale(x: Interval, c: float) -> Interval:

@@ -8,6 +8,7 @@ in their parameters with a per-mode monomial basis.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -266,6 +267,77 @@ def _lower(mono: Monomial, j: int) -> Monomial:
     return tuple(out)
 
 
+_CERTIFICATE_SRC = """
+def {name}(x):
+    {unpack} = x.tolist()
+    try:
+        return {body}
+    except OverflowError:
+        return _{name}(x)
+"""
+
+
+def _factors_code(mono: Monomial, skip: int = -1) -> list[str]:
+    return [f"x{i}" if e == 1 else f"x{i} ** {e}"
+            for i, e in enumerate(mono) if e and i != skip]
+
+
+def _mono_grad_code(mono: Monomial, j: int) -> str | None:
+    """Source of ``_mono_grad(mono, x)[j]``; None for its constant 0.0."""
+    e = mono[j]
+    if e == 0:
+        return None
+    lead = [] if e == 1 else [f"{e}.0 * x{j}" + (f" ** {e - 1}" if e > 2 else "")]
+    return " * ".join(lead + _factors_code(mono, j)) or "1.0"
+
+
+def _sum_code(terms: list[tuple[float, str | None]]) -> str:
+    # c * 1.0 == c, so a bare coefficient stands for a unit factor
+    return " + ".join(["0.0"] + [f"({c!r})" if code == "1.0" else f"({c!r}) * ({code})"
+                                 for c, code in terms if code is not None])
+
+
+def compile_certificate(t: Template, p: np.ndarray, mode: int):
+    """Straight-line ``(value, grad_x, hess_x)`` of one mode's certificate.
+
+    Each function takes a float array ``x`` and returns bit for bit what
+    ``template_value``, ``template_grad_x`` and ``template_hess_x`` return:
+    the generated code performs the same float operations in the same
+    order.  Sums start from zero and run in monomial order; powers use
+    ``**`` (libm ``pow``); gradient factors multiply in ``_mono_grad``'s
+    order; Hessian terms are ``(c * e) * grad``; the gradient and Hessian
+    skip zero coefficients where the loops skip them, and drop the loops'
+    structural zero terms, which add exactly nothing for finite ``c * e``.
+    Where that or a float range does not hold (a power overflows, which
+    raises here instead of giving inf), the loops answer instead.
+    """
+    block = [float(c) for c in p[t.block_slice(mode)]]
+    monos = t.monomials[mode]
+    n = len(monos[0])
+    loops = tuple(functools.partial(fn, t, p, mode) for fn in
+                  (template_value, template_grad_x, template_hess_x))
+    if not all(math.isfinite(c * max(*m, 1)) for c, m in zip(block, monos)):
+        return loops
+    value = _sum_code([(c, " * ".join(_factors_code(m)) or "1.0")
+                       for c, m in zip(block, monos)])
+    grad = [_sum_code([(c, _mono_grad_code(m, j))
+                       for c, m in zip(block, monos) if c])
+            for j in range(n)]
+    hess = [[_sum_code([(c * m[j], _mono_grad_code(_lower(m, j), k))
+                        for c, m in zip(block, monos) if c and m[j]])
+             for k in range(n)] for j in range(n)]
+    rows = ", ".join(f"[{', '.join(row)}]" for row in hess)
+    bodies = {"value": value, "grad_x": f"_array([{', '.join(grad)}])",
+              "hess_x": f"_array([{rows}])"}
+    namespace = {"_array": np.array}
+    namespace.update((f"_{name}", fn) for name, fn in zip(bodies, loops))
+    unpack = ", ".join(f"x{i}" for i in range(n)) + ","
+    exec("".join(_CERTIFICATE_SRC.format(name=name, unpack=unpack, body=body)
+                 for name, body in bodies.items()),
+         namespace)  # noqa: S102 - source is generated locally
+    return tuple(namespace[name] for name in bodies)
+
+
 def template_expr(t: Template, p: np.ndarray, mode: int) -> Expr:
     """The certificate of mode ``mode`` as an expression over state vars."""
     terms: Expr = ex.Const(0.0)
@@ -317,17 +389,24 @@ def make_template(layout: str | Sequence[Sequence[Sequence[int]]],
     for block in layout:
         monos = []
         for m in block:
-            if len(m) != n or any(int(e) < 0 for e in m):
+            try:
+                mono = tuple(int(e) for e in m)
+            except (TypeError, ValueError):
+                mono = ()
+            if len(mono) != n or any(e < 0 for e in mono):
                 raise ProblemFormatError(
-                    "template", f"bad monomial exponent list {list(m)!r}")
-            monos.append(tuple(int(e) for e in m))
+                    "template", f"bad monomial exponent list {m!r}")
+            monos.append(mono)
         blocks.append(tuple(monos))
     if len(blocks) == 1 and modes > 1:
         blocks = blocks * modes
     if len(blocks) != modes:
         raise ProblemFormatError(
             "template", f"expected {modes} mode blocks, got {len(blocks)}")
-    return Template(tuple(blocks))
+    try:
+        return Template(tuple(blocks))
+    except ValueError as err:
+        raise ProblemFormatError("template", str(err)) from None
 
 
 def monomial_name(mono: Monomial, variables: Sequence[str]) -> str:

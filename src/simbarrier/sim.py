@@ -64,14 +64,9 @@ class _StepError(Exception):
     pass
 
 
-def compile_flow(mode: ModeDef, n_total: int) -> Callable[[Sequence[float]], np.ndarray]:
-    """Compile a mode's flow into f(state + disturbance values) -> array."""
-    fns = [ex.compile_expr(e) for e in mode.flow]
-
-    def rhs(vals: Sequence[float]) -> np.ndarray:
-        return np.array([f(vals) for f in fns])
-
-    return rhs
+def compile_flow(mode: ModeDef, n_total: int) -> Callable[[Sequence[float]], list]:
+    """Compile a mode's flow into f(state + disturbance values) -> list."""
+    return ex.compile_vector(mode.flow)
 
 
 def _rk_step(f, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:

@@ -111,6 +111,22 @@ class TestErrors:
         assert "unsafe" in err and "missing" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("change,location", [
+        ({"run": {"sigma": "abc"}}, "run.sigma"),
+        ({"run": {"seed": [1]}}, "run.seed"),
+        ({"run": {"max_iter": 0}}, "run"),
+        ({"template": [[[1, 0], [0, 1]]]}, "template"),
+    ])
+    def test_malformed_fields_are_diagnosed(self, tmp_path, capsys, change,
+                                            location):
+        doc = benchmarks.pendulum()
+        doc.update(change)
+        path = _write(tmp_path, "malformed.json", doc)
+        assert cli.main(["synth", path]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: {location}: " in err
+        assert "Traceback" not in err
+
     def test_invalid_json_reports_position(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"variables": [,]}')

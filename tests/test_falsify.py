@@ -224,3 +224,92 @@ class TestFindCounterexample:
         assert np.array_equal(a.x, b.x)
         assert a.value == b.value
         assert a.segment == b.segment
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+# find_counterexample on bundled problems, recorded before the certificate
+# evaluators were compiled to straight-line code.  The search must
+# reproduce every minimum, point and segment bit for bit.  Each case: the
+# problem, its candidate p and falsifier seed as the refinement loop
+# produced them, the ride horizon, the four search minima, and the
+# counter-example (kind, value, x, segment) or None for a miss.  Recorded
+# on x86-64 Linux with glibc's libm and OpenBLAS; a libm or BLAS that
+# rounds sin, pow or dot differently moves these values.
+GOLDEN_SEARCHES = {
+    "pendulum-round-1": (
+        "pendulum",
+        ["0x1.3659555109f31p-6", "-0x1.0a6c16aa83240p-7",
+         "-0x1.70a7ad4316f7dp-6", "-0x1.2d857f2a88510p-5",
+         "-0x1.0000000000000p+0", "-0x1.2f090420784d8p-1"],
+        2488343231644625808, 50.0,
+        {"min_initial": "0x1.c7a0d50735c0cp+2",
+         "min_unsafe": "0x1.ec369980a4f7ep+1",
+         "min_transversality": "-0x1.ff91a38fb420fp-1",
+         "min_reset": "inf"},
+        ("transversality", "-0x1.ff91a38fb420fp-1",
+         ["0x1.09d817e986e35p+3", "0x1.85d8642e3f2dfp-2"],
+         (0, ["-0x1.91b8b672126d7p+0", "0x1.5ffffffd0f2a3p+3"],
+          0, ["0x1.e6d3183d34429p+2", "-0x1.8cd8f7b99a3b8p-1"],
+          False, False, False, False)),
+    ),
+    "pendulum-final": (
+        "pendulum",
+        ["-0x1.6b12fc1fff1d1p-6", "-0x1.418dc1122ba09p-55",
+         "0x1.2d35314f2e12dp-4", "-0x1.8000000000000p-53",
+         "-0x1.adca1080dd025p-1", "-0x1.0000000000000p+0"],
+        5014055544817598431, 50.0,
+        {"min_initial": "0x1.0532ef2ab88b0p+1",
+         "min_unsafe": "0x1.68e74e2df0f2ep+1",
+         "min_transversality": "0x1.d881fb58a2482p-5",
+         "min_reset": "inf"},
+        None,
+    ),
+    "scalable-l3": (
+        "scalable-l3",
+        ["0x1.3ecbdde04e140p-3", "-0x1.0000000000000p+0",
+         "0x1.939ed7f499700p-11", "0x1.39ec34474e000p-11",
+         "0x1.93c34e7911f00p-11", "0x1.3a0ffbf9e0100p-11",
+         "0x1.93e7bdb1c5a00p-11", "0x1.3a33e378a5880p-11"],
+        2488343231644625808, 10.0,
+        {"min_initial": "0x1.19b45579c4d4fp+3",
+         "min_unsafe": "0x1.23aab468c7459p+3",
+         "min_transversality": "0x1.b8a00cd831254p-6",
+         "min_reset": "inf"},
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SEARCHES))
+def test_golden_counterexamples(case, monkeypatch):
+    name, p_hex, seed, t_max, minima, expected = GOLDEN_SEARCHES[case]
+    doc = benchmarks.corpus()[name]
+    prob = model.load_problem(doc)
+    tmpl = model.make_template(doc["template"], prob.dim, len(prob.modes))
+    p = np.array([float.fromhex(v) for v in p_hex])
+    seen = {}
+    for search in minima:
+        inner = getattr(falsify, search)
+
+        def recorded(*args, _inner=inner, _search=search, **kwargs):
+            result = _inner(*args, **kwargs)
+            seen[_search] = float(result[-1]).hex()
+            return result
+
+        monkeypatch.setattr(falsify, search, recorded)
+    res = find_counterexample(prob, tmpl, p, FalsifyConfig(
+        starts=16, seed=seed, bloat_factor=1.1, t_max=t_max))
+    assert seen == minima
+    if expected is None:
+        assert res is None
+        return
+    kind, value, x, (s_mode, s, sp_mode, sp, *flags) = expected
+    assert (res.kind, float(res.value).hex(), _hex(res.x)) == (kind, value, x)
+    seg = res.segment
+    assert (seg.s_mode, _hex(seg.s), seg.sp_mode, _hex(seg.sp)) == \
+        (s_mode, s, sp_mode, sp)
+    assert [seg.s_in_initial, seg.s_in_unsafe, seg.sp_in_initial,
+            seg.sp_in_unsafe] == flags

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from simbarrier.model import (
     monomial_from_name,
     monomial_name,
     template_grad_x,
+    template_hess_x,
     template_value,
     vertices,
 )
@@ -90,6 +93,13 @@ class TestTemplate:
     def test_missing_constant_rejected(self):
         with pytest.raises(ValueError, match="constant"):
             Template((((1, 0), (0, 1)),))
+        with pytest.raises(ProblemFormatError, match="template: .*constant"):
+            make_template([[[1, 0], [0, 1]]], 2, 1)
+
+    @pytest.mark.parametrize("mono", [[1], [1, "a"], 7, [1, -1]])
+    def test_bad_exponent_list_rejected(self, mono):
+        with pytest.raises(ProblemFormatError, match="bad monomial"):
+            make_template([[[0, 0], mono]], 2, 1)
 
     def test_duplicate_monomials_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -141,6 +151,67 @@ class TestTemplate:
                 fd = (template_value(t, p, 0, hi) -
                       template_value(t, p, 0, lo)) / (2 * h)
                 assert abs(g[j] - fd) <= 1e-6 * (1.0 + abs(fd))
+
+
+@st.composite
+def certificates(draw):
+    """A template of 1-3 modes over 1-4 variables with monomials of total
+    degree <= 4, coefficients with random zeros, one of its modes, and a
+    point with coordinates of magnitude 1e-3 to 1e3."""
+    n = draw(st.integers(1, 4))
+    monos = [m for m in itertools.product(range(5), repeat=n)
+             if 0 < sum(m) <= 4]
+    blocks = tuple(
+        ((0,) * n,) + tuple(draw(st.lists(st.sampled_from(monos),
+                                          unique=True, max_size=8)))
+        for _ in range(draw(st.integers(1, 3))))
+    tmpl = Template(blocks)
+    coeff = st.one_of(st.sampled_from([0.0, -0.0]),
+                      st.floats(-10.0, 10.0, allow_nan=False))
+    p = np.array(draw(st.lists(coeff, min_size=tmpl.size,
+                               max_size=tmpl.size)))
+    coord = st.builds(lambda sign, e: sign * 10.0 ** e,
+                      st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 3.0))
+    x = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    return tmpl, p, draw(st.integers(0, len(blocks) - 1)), x
+
+
+def _assert_compiled_equals_loops(tmpl, p, mode, x):
+    value, grad, hess = model.compile_certificate(tmpl, p, mode)
+    v = value(x)
+    assert type(v) is float
+    assert v.hex() == template_value(tmpl, p, mode, x).hex()
+    for compiled, loops in ((grad(x), template_grad_x(tmpl, p, mode, x)),
+                            (hess(x), template_hess_x(tmpl, p, mode, x))):
+        assert compiled.dtype == loops.dtype and compiled.shape == loops.shape
+        assert compiled.tobytes() == loops.tobytes()  # bit for bit
+
+
+class TestCompiledCertificate:
+    @given(certificates())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_loops(self, case):
+        _assert_compiled_equals_loops(*case)
+
+    def test_quadratic_2d(self):
+        t = make_template("quadratic-2d", 2, 1)
+        p = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        value, grad, hess = model.compile_certificate(t, p, 0)
+        x = np.array([1.0, -1.0])
+        assert value(x) == 1.0 - 2.0 + 3.0 + 4.0 - 5.0 + 6.0
+        assert list(grad(x)) == [2.0 - 2.0 + 4.0, 2.0 - 6.0 + 5.0]
+        assert hess(x).tolist() == [[2.0, 2.0], [2.0, 6.0]]
+
+    def test_outside_float_range_falls_back_to_loops(self):
+        t = make_template("quadratic-2d", 2, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a power overflows
+            _assert_compiled_equals_loops(
+                t, np.ones(t.size), 0, np.array([1e200, -1e200]))
+            # a coefficient times an exponent is not finite
+            _assert_compiled_equals_loops(
+                t, np.array([np.inf, 0.0, 1.0, np.nan, 0.0, 1.0]), 0,
+                np.array([0.5, 2.0]))
 
 
 class TestMonomialNames:
