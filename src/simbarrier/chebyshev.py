@@ -42,6 +42,8 @@ class SampledConstraint:
 class Candidate:
     p: np.ndarray
     delta: float
+    nodes: int = 0    # branch-and-bound nodes whose relaxation was solved
+    pivots: int = 0   # simplex pivots over every LP of the solve
 
 
 def _unit(row: np.ndarray) -> np.ndarray:
@@ -89,23 +91,25 @@ def margin(c: SampledConstraint, p: np.ndarray) -> float:
     return worst
 
 
-def _relaxation(c: SampledConstraint, assign: tuple[int, ...]):
-    """LP over (p, delta) with unresolved disjunctions dropped."""
+def _relaxation(c: SampledConstraint, assign: np.ndarray):
+    """LP over (p, delta) with unresolved disjunctions dropped: the hard
+    rows, then the chosen side of each decided disjunction in index order.
+    Returns the optimal p, the bound and the simplex pivot count."""
     k = c.dim
-    rows = []
-    for r in c.hard:
-        rows.append((np.append(r, -1.0), ">=", 0.0))
-    for choice, pair in zip(assign, c.disjunctive):
-        if choice:
-            rows.append((np.append(pair[choice - 1], -1.0), ">=", 0.0))
+    decided = np.flatnonzero(assign)
+    n_hard = len(c.hard)
+    rows = np.empty((n_hard + len(decided), k + 1))
+    rows[:n_hard, :k] = c.hard
+    rows[n_hard:, :k] = c.disjunctive[decided, assign[decided] - 1]
+    rows[:, k] = -1.0
     obj = np.zeros(k + 1)
     obj[k] = 1.0
     delta_cap = math.sqrt(k) + 1.0
     bounds = [(-1.0, 1.0)] * k + [(-delta_cap, delta_cap)]
-    res = lp.lp_max(obj, rows, bounds)
+    res = lp.lp_max(obj, [(r, ">=", 0.0) for r in rows], bounds)
     if not res.optimal:  # unreachable: p = 0 satisfies every row at delta 0
         raise ConstraintError("relaxation infeasible")
-    return res.x[:k], float(res.value)
+    return res.x[:k], float(res.value), res.pivots
 
 
 def solve(c: SampledConstraint, delta_min: float = 1e-6,
@@ -116,11 +120,13 @@ def solve(c: SampledConstraint, delta_min: float = 1e-6,
 
     A warm-start parameter vector seeds the disjunct choices (each
     disjunction takes the side the vector satisfies better), which gives
-    the branch-and-bound an immediate incumbent.
+    the branch-and-bound an immediate incumbent.  A node is an array of
+    per-disjunction choices: 0 undecided, 1 or 2 the side imposed.
     """
     n_disj = len(c.disjunctive)
     best_p = np.zeros(c.dim)
     best_delta = margin(c, best_p) if c.n_rows else 0.0
+    nodes = pivots = 0
 
     def consider(p: np.ndarray):
         nonlocal best_p, best_delta
@@ -128,39 +134,42 @@ def solve(c: SampledConstraint, delta_min: float = 1e-6,
         if d > best_delta:
             best_p, best_delta = p.copy(), d
 
+    def relax(assign: np.ndarray):
+        nonlocal pivots
+        p_star, bound, lp_pivots = _relaxation(c, assign)
+        pivots += lp_pivots
+        return p_star, bound
+
     if warm is not None and n_disj:
         pair = c.disjunctive @ warm
-        dive = tuple(1 if pair[j, 0] >= pair[j, 1] else 2
-                     for j in range(n_disj))
-        consider(_relaxation(c, dive)[0])
+        consider(relax(np.where(pair[:, 0] >= pair[:, 1], 1, 2))[0])
 
-    root = tuple([0] * n_disj)
     counter = 0
-    heap: list[tuple[float, int, tuple[int, ...]]] = [(-math.inf, counter, root)]
+    heap: list[tuple[float, int, np.ndarray]] = [
+        (-math.inf, counter, np.zeros(n_disj, dtype=np.int8))]
     while heap:
         neg_bound, _, assign = heapq.heappop(heap)
         if -neg_bound <= best_delta + gap_tol:
             break
-        p_star, bound = _relaxation(c, assign)
+        nodes += 1
+        p_star, bound = relax(assign)
         if bound <= best_delta + gap_tol:
             continue
-        undecided = [j for j in range(n_disj) if assign[j] == 0]
-        worst_j = -1
-        worst_gap = math.inf
-        for j in undecided:
-            gap = float(np.max(c.disjunctive[j] @ p_star)) - bound
-            if gap < worst_gap:
-                worst_gap, worst_j = gap, j
-        if worst_j < 0 or worst_gap >= -1e-12:
+        # branch on the open disjunction the relaxation optimum violates
+        # most (the first one among equals)
+        undecided = np.flatnonzero(assign == 0)
+        gaps = (c.disjunctive[undecided] @ p_star).max(axis=1) - bound
+        if not len(gaps) or gaps.min() >= -1e-12:
             # relaxation optimum already satisfies every open disjunction
             consider(p_star)
             continue
+        worst = undecided[gaps.argmin()]
         for choice in (1, 2):
-            child = list(assign)
-            child[worst_j] = choice
+            child = assign.copy()
+            child[worst] = choice
             counter += 1
-            heapq.heappush(heap, (-bound, counter, tuple(child)))
+            heapq.heappush(heap, (-bound, counter, child))
 
     if best_delta <= delta_min:
         return None
-    return Candidate(best_p, best_delta)
+    return Candidate(best_p, best_delta, nodes, pivots)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, benchmarks, engine, model
+from . import __version__, benchmarks, chebyshev, engine, falsify, lp, model
 from . import verify as rigor
 from .expr import ParseError
 from .model import Problem, ProblemFormatError, Template
@@ -215,21 +215,33 @@ def _cmd_bench(args) -> int:
     for path in paths:
         prob, tmpl, doc = _load_problem_doc(str(path))
         cfg = _run_config(doc, args, str(path))
-        report = engine.run(prob, tmpl, cfg)
+        name = doc.get("name", path.stem)
+        try:
+            report = engine.run(prob, tmpl, cfg)
+        except (falsify.RefutationError, lp.LPError,
+                chebyshev.ConstraintError) as err:
+            # one failing problem becomes an error row; the batch goes on
+            print(f"error: {path}: {err}", file=sys.stderr)
+            all_ok = False
+            rows.append((name, prob.dim, err))
+            continue
         ok = (report.status is engine.RunStatus.BARRIER_FOUND
               and (report.verdict is None or
                    report.verdict.status is rigor.VerdictStatus.VERIFIED))
         all_ok = all_ok and ok
-        rows.append((doc.get("name", path.stem), prob.dim, report))
+        rows.append((name, prob.dim, report))
         if args.report_dir:
-            out = _report_json(doc.get("name", path.stem), report, prob,
-                               tmpl, cfg.seed)
+            out = _report_json(name, report, prob, tmpl, cfg.seed)
             Path(args.report_dir).mkdir(parents=True, exist_ok=True)
             _write_report(out, str(Path(args.report_dir) / f"{path.stem}-report.json"))
     header = (f"{'problem':<16} {'dim':>3} {'iter':>4} {'simulation':>10} "
               f"{'candidate':>10} {'counterex':>10} {'verif':>8}  status")
     print(header)
     for name, dim, report in rows:
+        if isinstance(report, Exception):
+            print(f"{name:<16} {dim:>3} {'-':>4} {'-':>10} {'-':>10} "
+                  f"{'-':>10} {'-':>8}  Error/{type(report).__name__}")
+            continue
         t = report.timings
         verdict = _verdict_name(report.verdict) or "-"
         print(f"{name:<16} {dim:>3} {report.iterations:>4} "

@@ -60,6 +60,8 @@ class IterationRecord:
     kind: str | None = None          # counter-example kind, if one was found
     segment: Segment | None = None
     segment_margin: float | None = None
+    bb_nodes: int = 0                # candidate step: branch-and-bound nodes
+    lp_pivots: int = 0               # candidate step: simplex pivots
 
 
 @dataclass
@@ -118,7 +120,8 @@ def run(prob: Problem, tmpl: Template, cfg: RunConfig | None = None) -> RunRepor
             report.status = RunStatus.NO_CANDIDATE
             break
         warm = cand.p
-        record = IterationRecord(it, cand.delta, cand.p)
+        record = IterationRecord(it, cand.delta, cand.p,
+                                 bb_nodes=cand.nodes, lp_pivots=cand.pivots)
         report.log.append(record)
 
         fcfg = falsify.FalsifyConfig(

@@ -7,6 +7,21 @@ resort, so every solve is deterministic.  Built for the small, repeatedly
 solved programs of the candidate search, where exactness and
 reproducibility matter more than raw speed; systems with many rows are
 handled by exact row generation on top of the same core.
+
+The kernel is the dense revised simplex on whole arrays: pricing is one
+boolean mask over the columns, the step ratios of all basic rows are one
+array expression, x moves through the basis index array, and the explicit
+basis inverse takes a rank-1 update (refactorised every
+``_REFACTOR_EVERY`` pivots).  Only the leaving-row tie-break runs in
+Python, over the rows that can block: its outcome depends on the order in
+which rows are visited, so no single ``argmin`` can replace it.
+
+Bit-identity contract: every array operation rounds each element exactly
+as the scalar formula it stands for (the same operands, in the same
+order), so the pivot sequence, the iterates and the results are fixed to
+the last bit by the input.  Golden values in ``tests/test_lp.py`` and
+``tests/test_chebyshev.py`` pin this; a change that moves one bit is a
+change of algorithm, not of implementation.
 """
 
 from __future__ import annotations
@@ -36,6 +51,7 @@ class LPResult:
     status: str  # "optimal" or "infeasible"
     x: np.ndarray | None = None
     value: float | None = None
+    pivots: int = 0  # basis exchanges over every simplex run of the solve
 
     @property
     def optimal(self) -> bool:
@@ -58,10 +74,15 @@ def lp_max(c: Sequence[float],
 
     active = list(range(_ROW_BATCH))
     in_set = set(active)
+    pivots = 0
     for _ in range(len(rows)):
         res = _lp_max_direct(c, [rows[i] for i in active], bounds)
+        pivots += res.pivots
+        res.pivots = pivots
         if not res.optimal:
             return res
+        # one dot product per row: a matrix-vector product rounds
+        # differently and would reorder near-tied violations
         viol = np.empty(len(rows))
         for i, (a, sense, rhs) in enumerate(rows):
             lhs = float(np.dot(a, res.x))
@@ -94,149 +115,152 @@ def _lp_max_direct(c: Sequence[float],
     n = c.size
     if len(bounds) != n:
         raise LPError("bounds arity mismatch")
-    for lo, hi in bounds:
-        if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-            raise LPError(f"structural bounds must be finite, got [{lo}, {hi}]")
+    x_lo, x_hi = np.array(bounds, dtype=float).reshape(n, 2).T
+    bad = ~(np.isfinite(x_lo) & np.isfinite(x_hi) & (x_lo <= x_hi))
+    if bad.any():
+        j = int(bad.argmax())
+        raise LPError(
+            f"structural bounds must be finite, got [{x_lo[j]}, {x_hi[j]}]")
 
     m = len(rows)
     if m == 0:
         # optimum sits at a bound of each variable
-        x = np.array([hi if ci > 0 else lo for ci, (lo, hi) in zip(c, bounds)])
+        x = np.where(c > 0, x_hi, x_lo)
         return LPResult("optimal", x, float(c @ x))
+
+    coeffs, senses, rhs = zip(*rows)
+    try:
+        struct = np.array(coeffs, dtype=float).reshape(m, n)
+    except ValueError:
+        for i, a in enumerate(coeffs):
+            if np.size(a) != n:
+                raise LPError(f"row {i} arity mismatch") from None
+        raise
+    sense = np.array(senses)
+    le, ge = sense == "<=", sense == ">="
+    unknown = ~(le | ge | (sense == "="))
+    if unknown.any():
+        i = int(unknown.argmax())
+        raise LPError(f"row {i}: unknown sense {senses[i]!r}")
 
     # columns: n structural | m slack | m artificial
     N = n + 2 * m
+    diag = np.arange(m)
+    slack, art = n + diag, n + m + diag
     A = np.zeros((m, N))
-    b = np.zeros(m)
+    A[:, :n] = struct
+    A[diag, slack] = 1.0
+    b = np.array(rhs, dtype=float)
     lo = np.zeros(N)
     hi = np.zeros(N)
-    lo[:n] = [bd[0] for bd in bounds]
-    hi[:n] = [bd[1] for bd in bounds]
+    lo[:n], hi[:n] = x_lo, x_hi
+    lo[slack] = np.where(ge, -math.inf, 0.0)
+    hi[slack] = np.where(le, math.inf, 0.0)
 
-    for i, (a, sense, rhs) in enumerate(rows):
-        a = np.asarray(a, dtype=float)
-        if a.size != n:
-            raise LPError(f"row {i} arity mismatch")
-        A[i, :n] = a
-        A[i, n + i] = 1.0
-        b[i] = rhs
-        if sense == "<=":
-            lo[n + i], hi[n + i] = 0.0, math.inf
-        elif sense == ">=":
-            lo[n + i], hi[n + i] = -math.inf, 0.0
-        elif sense == "=":
-            lo[n + i], hi[n + i] = 0.0, 0.0
-        else:
-            raise LPError(f"row {i}: unknown sense {sense!r}")
-
+    # a >= slack sits at its upper bound 0, every other one at its lower
     status = np.full(N, _AT_LO, dtype=int)
+    status[slack] = np.where(ge, _AT_HI, _AT_LO)
     x = np.zeros(N)
-    x[:n] = lo[:n]
-    x[n:n + m] = 0.0
-    for j in range(n, n + m):
-        if lo[j] == -math.inf:  # >= slack sits at its upper bound 0
-            status[j] = _AT_HI
+    x[:n] = x_lo
 
     residual = b - A[:, :n + m] @ x[:n + m]
-    for i in range(m):
-        j = n + m + i
-        A[i, j] = 1.0 if residual[i] >= 0.0 else -1.0
-        lo[j], hi[j] = 0.0, math.inf
-        x[j] = abs(residual[i])
-        status[j] = _BASIC
-    basis = list(range(n + m, N))
+    A[diag, art] = np.where(residual >= 0.0, 1.0, -1.0)
+    hi[art] = math.inf
+    x[art] = np.abs(residual)
+    status[art] = _BASIC
+    basis = art.copy()
 
     # phase 1: drive the artificials to zero
     c1 = np.zeros(N)
     c1[n + m:] = -1.0
-    x, value = _simplex(A, b, c1, lo, hi, basis, status, x)
+    x, value, pivots = _simplex(A, b, c1, lo, hi, basis, status, x)
     if value < -1e-7:
-        return LPResult("infeasible")
+        return LPResult("infeasible", pivots=pivots)
 
     # phase 2: artificials pinned at zero, real objective
     lo[n + m:] = 0.0
     hi[n + m:] = 0.0
     c2 = np.zeros(N)
     c2[:n] = c
-    x, value = _simplex(A, b, c2, lo, hi, basis, status, x)
-    return LPResult("optimal", x[:n].copy(), float(value))
+    x, value, more = _simplex(A, b, c2, lo, hi, basis, status, x)
+    return LPResult("optimal", x[:n].copy(), float(value), pivots + more)
 
 
 def _simplex(A, b, c, lo, hi, basis, status, x):
-    """Run the bounded-variable simplex from a feasible basis in place."""
+    """Run the bounded-variable simplex from a feasible basis in place.
+
+    ``basis`` (an index array), ``status`` and ``x`` are updated in place;
+    returns x, the objective value and the number of basis exchanges.
+    """
     m, N = A.shape
     Binv = np.linalg.inv(A[:, basis])
+    movable = lo != hi
+    bounded_above = hi != math.inf
     pivots = 0
     max_iters = 2000 + 200 * (m + N)
 
     for _ in range(max_iters):
-        xb = Binv @ (b - A @ np.where(status == _BASIC, 0.0, x))
-        for r, j in enumerate(basis):
-            x[j] = xb[r]
+        x[basis] = Binv @ (b - A @ np.where(status == _BASIC, 0.0, x))
         y = c[basis] @ Binv
         reduced = c - y @ A
 
-        entering = -1
-        for j in range(N):
-            if status[j] == _BASIC or lo[j] == hi[j]:
-                continue
-            if status[j] == _AT_LO and reduced[j] > _TOL:
-                entering = j
-                break
-            if status[j] == _AT_HI and reduced[j] < -_TOL:
-                entering = j
-                break
-        if entering < 0:
-            return x, float(c @ x)
+        # Bland's rule: the first non-basic column that improves c.x
+        improving = movable & (((status == _AT_LO) & (reduced > _TOL))
+                               | ((status == _AT_HI) & (reduced < -_TOL)))
+        entering = int(improving.argmax())
+        if not improving[entering]:
+            return x, float(c @ x), pivots
 
         direction = 1.0 if status[entering] == _AT_LO else -1.0
         w = Binv @ A[:, entering]
 
+        # step to the bound of each basic variable that can block: moving
+        # down to its lower bound (coef > 0) or up to a finite upper bound
+        coef = direction * w
+        down = coef > _TOL
+        blocking = (down | ((coef < -_TOL) & bounded_above[basis])).nonzero()[0]
+        down = down[blocking]
+        k = basis[blocking]
+        gap = np.where(down, x[k] - lo[k], hi[k] - x[k])
+        ratio = gap / np.where(down, coef[blocking], -coef[blocking])
+        ratio = np.where(ratio < 0.0, 0.0, ratio)  # max(ratio, 0.0)
+
         # smallest step that drives a basic variable (or the entering
         # variable itself) to a bound; among near-tied blockers prefer the
         # largest pivot magnitude (numerical stability), then the smallest
-        # variable index (determinism)
-        t_best = hi[entering] - lo[entering]
+        # variable index (determinism).  The window moves with each row
+        # taken, so the rows are visited in order.
+        t_best = float(hi[entering] - lo[entering])
         leave_pos = -1  # -1 means bound flip
         leave_var = entering
         leave_at_lo = True
         leave_pivot = 0.0
-        for r in range(m):
-            coef = direction * w[r]
-            k = basis[r]
-            if coef > _TOL:
-                t = (x[k] - lo[k]) / coef
-                hit_lo = True
-            elif coef < -_TOL:
-                if hi[k] == math.inf:
-                    continue
-                t = (hi[k] - x[k]) / (-coef)
-                hit_lo = False
-            else:
-                continue
-            t = max(t, 0.0)
-            take = False
+        for r, t, var, pivot, at_lo in zip(
+                blocking.tolist(), ratio.tolist(), k.tolist(),
+                np.abs(w[blocking]).tolist(), down.tolist()):
             if t < t_best - _TOL:
                 take = True
-            elif t < t_best + _TOL and leave_pos >= 0:
-                if abs(w[r]) > leave_pivot * (1.0 + 1e-12):
-                    take = True
-                elif abs(w[r]) >= leave_pivot * (1.0 - 1e-12) and k < leave_var:
-                    take = True
-            elif t < t_best + _TOL and leave_pos < 0 and t <= t_best:
-                take = True
+            elif t < t_best + _TOL:
+                if leave_pos >= 0:
+                    take = (pivot > leave_pivot * (1.0 + 1e-12)
+                            or (pivot >= leave_pivot * (1.0 - 1e-12)
+                                and var < leave_var))
+                else:
+                    take = t <= t_best
+            else:
+                take = False
             if take:
                 t_best = min(t, t_best)
                 leave_pos = r
-                leave_var = k
-                leave_at_lo = hit_lo
-                leave_pivot = abs(w[r])
+                leave_var = var
+                leave_at_lo = at_lo
+                leave_pivot = pivot
         if t_best == math.inf:
             raise LPError("unbounded program despite box bounds")
 
-        x[entering] += direction * t_best
-        for r in range(m):
-            x[basis[r]] -= direction * t_best * w[r]
+        step = direction * t_best
+        x[entering] += step
+        x[basis] -= step * w
 
         if leave_pos < 0:
             status[entering] = _AT_HI if direction > 0 else _AT_LO
@@ -253,10 +277,10 @@ def _simplex(A, b, c, lo, hi, basis, status, x):
         if pivots % _REFACTOR_EVERY == 0:
             Binv = np.linalg.inv(A[:, basis])
         else:
-            pivot = w[leave_pos]
-            Binv[leave_pos] /= pivot
-            for r in range(m):
-                if r != leave_pos and abs(w[r]) > 0.0:
-                    Binv[r] -= w[r] * Binv[leave_pos]
+            Binv[leave_pos] /= w[leave_pos]
+            update = np.abs(w) > 0.0
+            update[leave_pos] = False
+            np.subtract(Binv, w[:, None] * Binv[leave_pos], out=Binv,
+                        where=update[:, None])
 
     raise LPError("simplex iteration limit exceeded")

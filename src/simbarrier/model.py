@@ -443,6 +443,9 @@ def monomial_from_name(text: str, variables: Sequence[str]) -> Monomial:
 
 
 def _require(doc: dict, key: str, location: str):
+    if not isinstance(doc, dict):
+        raise ProblemFormatError(location.rpartition(".")[0] or location,
+                                 "expected an object")
     if key not in doc:
         raise ProblemFormatError(location or key, "required section missing")
     return doc[key]
@@ -491,6 +494,8 @@ def load_problem(doc: dict) -> Problem:
     all_vars = state_vars + dist_vars
 
     raw_modes = _require(doc, "modes", "modes")
+    if not isinstance(raw_modes, list):
+        raise ProblemFormatError("modes", "expected a list")
     if not raw_modes:
         raise ProblemFormatError("modes", "at least one mode is required")
     modes = []
@@ -512,7 +517,10 @@ def load_problem(doc: dict) -> Problem:
         return mode_index[name]
 
     resets = []
-    for i, rr in enumerate(doc.get("resets", [])):
+    raw_resets = doc.get("resets", [])
+    if not isinstance(raw_resets, list):
+        raise ProblemFormatError("resets", "expected a list")
+    for i, rr in enumerate(raw_resets):
         loc = f"resets[{i}]"
         src = resolve_mode(str(_require(rr, "source", f"{loc}.source")),
                            f"{loc}.source")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from simbarrier import chebyshev, model
+from simbarrier import benchmarks, chebyshev, model, sim
 from simbarrier.chebyshev import build, margin, solve
 from simbarrier.model import Segment, Template
 
@@ -142,6 +142,38 @@ class TestSolveProperties:
         assert np.array_equal(cold.p, again.p)
         assert cold.delta == again.delta
         assert warm.delta == pytest.approx(cold.delta, abs=1e-9)
+
+
+# chebyshev.solve on the bootstrap segments of scalable-l2 (64 segments,
+# 68 hard and 64 disjunctive rows), cold and warm-started from the cold
+# optimum: p and delta recorded with the scalar formulation of the simplex
+# before it was vectorised, and the node and pivot counts of this search.
+# Recorded on x86-64 Linux with glibc's libm and OpenBLAS.
+GOLDEN_SCALABLE_L2 = {
+    "cold": (
+        ["0x1.2e38f732aa50fp-3", "-0x1.0000000000000p+0",
+         "0x1.1ef3b7af3dc00p-10", "0x1.be331c8d1e200p-11",
+         "0x1.1f2c01f734c80p-10", "0x1.be9d151532800p-11"],
+        "0x1.923485c427cb2p-2", 17, 1379),
+    "warm": (
+        ["0x1.2e38f732cb7b4p-3", "-0x1.0000000000000p+0",
+         "0x1.1ef44829390bbp-10", "0x1.be31da54d57b9p-11",
+         "0x1.1f2b717d6673bp-10", "0x1.be9e574dad893p-11"],
+        "0x1.923485c429149p-2", 15, 1458),
+}
+
+
+def test_golden_scalable_l2():
+    prob = model.load_problem(benchmarks.scalable(2))
+    tmpl = model.make_template("linear", prob.dim, 1)
+    segs = sim.init_segments(prob, 0.1, 256, 0, bloat_factor=1.1)
+    c = build(segs, tmpl, prob)
+    assert (len(c.hard), len(c.disjunctive)) == (68, 64)
+    cold = solve(c)
+    warm = solve(c, 1e-6, cold.p)
+    for case, cand in (("cold", cold), ("warm", warm)):
+        assert ([float(v).hex() for v in cand.p], float(cand.delta).hex(),
+                cand.nodes, cand.pivots) == GOLDEN_SCALABLE_L2[case], case
 
 
 class TestOracleEquivalence:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from simbarrier import benchmarks, cli
+from simbarrier import benchmarks, chebyshev, cli, engine, falsify, lp
 
 
 def _write(tmp_path, name, doc):
@@ -116,6 +116,8 @@ class TestErrors:
         ({"run": {"seed": [1]}}, "run.seed"),
         ({"run": {"max_iter": 0}}, "run"),
         ({"template": [[[1, 0], [0, 1]]]}, "template"),
+        ({"modes": [5]}, "modes[0]"),
+        ({"resets": [3]}, "resets[0]"),
     ])
     def test_malformed_fields_are_diagnosed(self, tmp_path, capsys, change,
                                             location):
@@ -169,3 +171,36 @@ class TestGenAndBench:
         assert code == 0
         assert "composition" in out
         assert "BarrierFound/Verified" in out
+
+    @pytest.mark.parametrize("error", [falsify.RefutationError, lp.LPError,
+                                       chebyshev.ConstraintError])
+    def test_bench_isolates_a_failing_problem(self, tmp_path, capsys,
+                                              monkeypatch, error):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("a-fails", "b-runs"):
+            doc = benchmarks.composition()
+            doc["name"] = name
+            (corpus / f"{name}.json").write_text(json.dumps(doc))
+        timings = dict(simulation=0.0, candidate=0.0, counterexample=0.0,
+                       verification=0.0)
+        ran = []
+
+        def fake_run(prob, tmpl, cfg):
+            ran.append(len(ran))
+            if len(ran) == 1:
+                raise error("injected failure")
+            return engine.RunReport(engine.RunStatus.BARRIER_FOUND,
+                                    timings=timings)
+
+        monkeypatch.setattr(engine, "run", fake_run)
+        assert cli.main(["bench", str(corpus)]) == 1
+        assert ran == [0, 1]
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[1].startswith("a-fails") and \
+            lines[1].endswith(f"Error/{error.__name__}")
+        assert lines[2].startswith("b-runs") and \
+            lines[2].endswith("BarrierFound/-")
+        assert "injected failure" in captured.err
+        assert "Traceback" not in captured.err

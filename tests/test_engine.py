@@ -71,6 +71,22 @@ class TestRunInvariants:
         assert first.segment_count == second.segment_count
         assert [r.kind for r in first.log] == [r.kind for r in second.log]
 
+    def test_records_carry_candidate_counts(self, composition_run,
+                                            monkeypatch):
+        prob, tmpl, cfg, _ = composition_run
+        seen = []
+        inner = chebyshev.solve
+
+        def recorded(*args, **kwargs):
+            seen.append(inner(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(chebyshev, "solve", recorded)
+        report = engine.run(prob, tmpl, cfg)
+        assert [(r.bb_nodes, r.lp_pivots) for r in report.log] == \
+            [(c.nodes, c.pivots) for c in seen]
+        assert all(r.bb_nodes >= 1 and r.lp_pivots >= 1 for r in report.log)
+
     def test_timing_fields(self, composition_run):
         _, _, _, report = composition_run
         assert set(report.timings) == {
