@@ -8,13 +8,14 @@ solved programs of the candidate search, where exactness and
 reproducibility matter more than raw speed; systems with many rows are
 handled by exact row generation on top of the same core.
 
-The kernel is the dense revised simplex on whole arrays: pricing is one
-boolean mask over the columns, the step ratios of all basic rows are one
-array expression, x moves through the basis index array, and the explicit
-basis inverse takes a rank-1 update (refactorised every
-``_REFACTOR_EVERY`` pivots).  Only the leaving-row tie-break runs in
-Python, over the rows that can block: its outcome depends on the order in
-which rows are visited, so no single ``argmin`` can replace it.
+The kernel is the dense revised simplex on whole arrays: the basic
+variables are set through the basis index array, pricing is one boolean
+mask over the columns, the step ratios of all basic rows are one array
+expression, and the explicit basis inverse takes a masked rank-1 update
+(refactorised every ``_REFACTOR_EVERY`` pivots).  Only the leaving-row
+tie-break runs in Python, over the rows that can block: its outcome
+depends on the order in which rows are visited, so no single ``argmin``
+can replace it.
 
 Bit-identity contract: every array operation rounds each element exactly
 as the scalar formula it stands for (the same operands, in the same
@@ -258,10 +259,8 @@ def _simplex(A, b, c, lo, hi, basis, status, x):
         if t_best == math.inf:
             raise LPError("unbounded program despite box bounds")
 
-        step = direction * t_best
-        x[entering] += step
-        x[basis] -= step * w
-
+        # only the variables leaving for a bound need a value here: the
+        # basic ones are recomputed from Binv at the top of the loop
         if leave_pos < 0:
             status[entering] = _AT_HI if direction > 0 else _AT_LO
             x[entering] = hi[entering] if direction > 0 else lo[entering]
