@@ -481,12 +481,17 @@ def load_problem(doc: dict) -> Problem:
     """Validate a problem document (parsed JSON) into a Problem."""
     if not isinstance(doc, dict):
         raise ProblemFormatError("document", "expected a JSON object")
-    state_vars = tuple(str(v) for v in _require(doc, "variables", "variables"))
+    raw_vars = _require(doc, "variables", "variables")
+    raw_dist = doc.get("disturbances", [])
+    for key, raw in (("variables", raw_vars), ("disturbances", raw_dist)):
+        if not isinstance(raw, list):
+            raise ProblemFormatError(key, "expected a list of names")
+    state_vars = tuple(str(v) for v in raw_vars)
     if len(set(state_vars)) != len(state_vars) or not state_vars:
         raise ProblemFormatError("variables", "must be non-empty and unique")
     n = len(state_vars)
 
-    dist_vars = tuple(str(v) for v in doc.get("disturbances", []))
+    dist_vars = tuple(str(v) for v in raw_dist)
     dist_box = None
     if dist_vars:
         dist_box = _load_box(_require(doc, "disturbance_box", "disturbance_box"),

@@ -118,6 +118,8 @@ class TestErrors:
         ({"template": [[[1, 0], [0, 1]]]}, "template"),
         ({"modes": [5]}, "modes[0]"),
         ({"resets": [3]}, "resets[0]"),
+        ({"variables": 5}, "variables"),
+        ({"disturbances": "d"}, "disturbances"),
     ])
     def test_malformed_fields_are_diagnosed(self, tmp_path, capsys, change,
                                             location):
