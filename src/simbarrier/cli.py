@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -44,8 +45,16 @@ def _load_json(path: str) -> dict:
             f"{err.msg}") from None
 
 
-def _load_problem_doc(path: str) -> tuple[Problem, Template, dict]:
+def _load_object(path: str) -> dict:
     doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise UserError(f"{path}: document: expected a JSON object, got "
+                        f"{type(doc).__name__}")
+    return doc
+
+
+def _load_problem_doc(path: str) -> tuple[Problem, Template, dict]:
+    doc = _load_object(path)
     if doc.get("schema", PROBLEM_SCHEMA) != PROBLEM_SCHEMA:
         raise UserError(f"{path}: unsupported schema {doc.get('schema')!r}")
     try:
@@ -101,26 +110,44 @@ def _barrier_json(prob: Problem, tmpl: Template, p: np.ndarray) -> dict:
     return modes
 
 
-def _barrier_from_doc(doc: dict, prob: Problem) -> tuple[Template, np.ndarray]:
+def _barrier_from_doc(doc: dict, prob: Problem,
+                      path: str) -> tuple[Template, np.ndarray]:
     if doc.get("schema", BARRIER_SCHEMA) != BARRIER_SCHEMA:
-        raise UserError(f"unsupported barrier schema {doc.get('schema')!r}")
+        raise UserError(f"{path}: unsupported barrier schema "
+                        f"{doc.get('schema')!r}")
     raw_modes = doc.get("modes")
     if not isinstance(raw_modes, dict) or not raw_modes:
-        raise UserError("barrier document: 'modes' section missing or empty")
+        raise UserError(f"{path}: modes: section missing or empty")
     blocks = []
     coeffs: list[float] = []
     for mdef in prob.modes:
+        loc = f"{path}: modes.{mdef.name}"
         entries = raw_modes.get(mdef.name)
         if entries is None:
-            raise UserError(f"barrier document: no coefficients for mode "
-                            f"{mdef.name!r}")
-        monos = []
+            raise UserError(f"{loc}: no coefficients for this mode")
+        if not isinstance(entries, dict):
+            raise UserError(f"{loc}: expected an object of monomial: "
+                            f"coefficient entries")
+        names: dict[tuple[int, ...], str] = {}
         for name, value in entries.items():
             try:
-                monos.append(model.monomial_from_name(name, prob.state_vars))
+                mono = model.monomial_from_name(name, prob.state_vars)
             except ValueError as err:
-                raise UserError(f"barrier document: {err}") from None
-            coeffs.append(float(value))
+                raise UserError(f"{loc}: {err}") from None
+            if mono in names:
+                raise UserError(f"{loc}: {names[mono]!r} and {name!r} name "
+                                f"the same monomial")
+            names[mono] = name
+            try:
+                coeff = float(value)
+            except (TypeError, ValueError):
+                raise UserError(f"{loc}.{name}: expected a number, got "
+                                f"{value!r}") from None
+            if not math.isfinite(coeff):
+                raise UserError(f"{loc}.{name}: coefficient must be finite, "
+                                f"got {value!r}")
+            coeffs.append(coeff)
+        monos = list(names)
         if all(any(e for e in m) for m in monos):
             monos.append(tuple(0 for _ in prob.state_vars))
             coeffs.append(0.0)
@@ -177,8 +204,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_verify(args) -> int:
     prob, _tmpl, doc = _load_problem_doc(args.problem)
-    barrier_doc = _load_json(args.barrier)
-    tmpl, p = _barrier_from_doc(barrier_doc, prob)
+    barrier_doc = _load_object(args.barrier)
+    tmpl, p = _barrier_from_doc(barrier_doc, prob, args.barrier)
     frac = args.min_box_width if args.min_box_width is not None else 1e-4
     t0 = time.perf_counter()
     verdict = rigor.verify(prob, tmpl, p,

@@ -3,7 +3,8 @@
 Supports parsing from infix text, exact point evaluation, symbolic
 differentiation, conservative interval evaluation, and compilation to a
 plain Python callable for hot loops (ODE right-hand sides, objective
-gradients).  Expression trees are immutable and safe to share.
+gradients), either on one point or column-wise on a batch of points with
+the same results.  Expression trees are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from . import interval as iv
 from .interval import Interval
@@ -451,46 +454,75 @@ def interval_eval(e: Expr, box: Sequence[Interval]) -> Interval | None:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _codegen(e: Expr) -> str:
+def _codegen(e: Expr, batched: bool = False) -> str:
+    """Python source computing ``e`` from the values ``_v``.
+
+    Scalar code reads floats ``_v[i]``.  Batched code reads columns
+    ``_v[i]`` (1-D float arrays, one entry per point) and performs, entry
+    by entry, the float operations the scalar code performs: sums,
+    differences, products and negation are numpy elementwise operations,
+    which round as Python floats do; powers and the math functions run
+    per entry on Python floats (``_pow``, ``_each_sin``, ...), because numpy's
+    vector ``power``, ``exp`` and ``log`` round differently from libm; and
+    division by a non-constant goes through ``_div``, which raises
+    ZeroDivisionError on a zero divisor, as a Python float division does.
+    Subtrees without variables are scalar code in both forms.
+    """
+    batched = batched and bool(variables_of(e))
+    gen = lambda a: _codegen(a, batched)
     match e:
         case Const(v):
             return f"({v!r})"  # unparenthesized negatives bind wrongly with **
         case Var(i):
             return f"_v[{i}]"
         case Neg(a):
-            return f"(-{_codegen(a)})"
+            return f"(-{gen(a)})"
         case Add(a, b):
-            return f"({_codegen(a)} + {_codegen(b)})"
+            return f"({gen(a)} + {gen(b)})"
         case Sub(a, b):
-            return f"({_codegen(a)} - {_codegen(b)})"
+            return f"({gen(a)} - {gen(b)})"
         case Mul(a, b):
-            return f"({_codegen(a)} * {_codegen(b)})"
+            return f"({gen(a)} * {gen(b)})"
         case Div(a, b):
-            return f"({_codegen(a)} / {_codegen(b)})"
+            if batched and not (isinstance(b, Const) and b.value != 0.0):
+                return f"_div({gen(a)}, {gen(b)})"
+            return f"({gen(a)} / {gen(b)})"
         case Pow(base, n):
-            return f"({_codegen(base)} ** {n})"
-        case Sin(a):
-            return f"_sin({_codegen(a)})"
-        case Cos(a):
-            return f"_cos({_codegen(a)})"
-        case Exp(a):
-            return f"_exp({_codegen(a)})"
-        case Ln(a):
-            return f"_log({_codegen(a)})"
-        case Sqrt(a):
-            return f"_sqrt({_codegen(a)})"
+            if batched:
+                return f"_pow({gen(base)}, {n})"
+            return f"({gen(base)} ** {n})"
+        case Sin(a) | Cos(a) | Exp(a) | Ln(a) | Sqrt(a):
+            prefix = "_each" if batched else ""
+            return f"{prefix}_{_MATH_NAMES[type(e)]}({gen(a)})"
     raise TypeError(f"not an expression: {e!r}")
 
 
+_MATH_NAMES = {Sin: "sin", Cos: "cos", Exp: "exp", Ln: "log", Sqrt: "sqrt"}
+_MATH = {f"_{name}": getattr(math, name) for name in _MATH_NAMES.values()}
+
+
+def _per_entry(fn):
+    return lambda col: np.array([fn(v) for v in col.tolist()])
+
+
+def pow_entries(col: np.ndarray, n: int) -> np.ndarray:
+    """``col ** n`` entry by entry in Python floats (libm ``pow``); raises
+    OverflowError where a Python float power does."""
+    return np.array([v ** n for v in col.tolist()])
+
+
+def _div_entries(a, b):
+    if not np.all(b):
+        raise ZeroDivisionError("float division by zero")
+    return a / b
+
+
+_BATCHED = dict(_MATH, _pow=pow_entries, _div=_div_entries, _empty=np.empty)
+_BATCHED.update((f"_each{name}", _per_entry(fn)) for name, fn in _MATH.items())
+
+
 def _compile(src: str):
-    namespace = {
-        "_sin": math.sin,
-        "_cos": math.cos,
-        "_exp": math.exp,
-        "_log": math.log,
-        "_sqrt": math.sqrt,
-    }
-    return eval(src, namespace)  # noqa: S307 - source is generated locally
+    return eval(src, dict(_MATH))  # noqa: S307 - source is generated locally
 
 
 def compile_expr(e: Expr):
@@ -510,6 +542,25 @@ def compile_vector(es: Sequence[Expr]):
     errors are raised as in ``compile_expr``.
     """
     return _compile(f"lambda _v: [{', '.join(_codegen(e) for e in es)}]")
+
+
+def compile_batch(es: Sequence[Expr]):
+    """Compile a tuple of expressions to one ``f(points) -> array`` over
+    the rows of a float array ``points`` of shape (k, number of values).
+
+    Row r of the (k, len(es)) result is bit for bit
+    ``compile_vector(es)(list(points[r]))``.  The call raises one of
+    ValueError, ZeroDivisionError or OverflowError when the scalar code
+    would raise on some row; callers then evaluate the rows one by one.
+    """
+    lines = [f"    _out[:, {i}] = {_codegen(e, batched=True)}\n"
+             for i, e in enumerate(es)]
+    src = (f"def _f(_z):\n    _v = _z.T\n"
+           f"    _out = _empty((len(_z), {len(es)}))\n"
+           + "".join(lines) + "    return _out\n")
+    namespace = dict(_BATCHED)
+    exec(src, namespace)  # noqa: S102 - source is generated locally
+    return namespace["_f"]
 
 
 def variables_of(e: Expr) -> set[int]:

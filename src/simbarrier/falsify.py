@@ -8,11 +8,33 @@ counter-example point, which is extended to a simulation segment through
 the forward/backward drift rides; the segment is checked to actually
 refute the candidate before it is returned.
 
-The searches evaluate the certificate through code generated once per
-search (``model.compile_certificate``) and the flow and its Jacobians
-through ``expr.compile_vector``.  Both are bit-identical to the reference
-evaluators they replace, so every start, trajectory and counter-example
-is the same as with ``model.template_*`` and ``expr.compile_expr``.
+The starts run in lockstep.  Each search first draws every start's mode,
+region or reset rule and its starting point, in the order of the random
+stream, then hands the starts of each group (one mode or one rule) to
+``minimize_box`` as the rows of one array, and finally reduces the
+results in start order.  ``minimize_box`` advances each row by exactly
+the rules of a single descent and evaluates only the rows that start an
+iteration or try a step, so every start ends where a run of its own
+would end.
+
+The objectives are batched: ``model.compile_certificate`` evaluates the
+certificate, ``expr.compile_batch`` the flows and Jacobians, column by
+column over the rows.  The batched code performs the float operations of
+the scalar reference, so the results are bit-identical:
+- elementwise numpy arithmetic rounds as Python floats do;
+- ``**`` and the ``math`` functions run entry by entry on Python floats,
+  because numpy's vector power, exp and log round differently from libm;
+- every dot product and matrix-vector product is a stacked ``np.matmul``
+  (``_dot``, ``_matvec``), which calls per row the BLAS kernel that
+  ``ndarray.dot`` and 2-D ``@`` call, whereas ``(a * b).sum(1)`` and
+  ``einsum`` round differently;
+- division raises ZeroDivisionError on a zero divisor, as Python floats
+  do.
+A batch that raises is evaluated again row by row with the point
+evaluators (``expr.compile_vector`` on the row's numpy scalars, and
+``expr.evaluate`` for reset maps), so every row gets the point search's
+result: an infinite value or a zero gradient where the flow or the reset
+map is undefined.
 """
 
 from __future__ import annotations
@@ -31,6 +53,9 @@ from .model import Box, Problem, Segment, Template
 _PENALTIES = (1e2, 1e3, 1e4, 1e5, 1e6)
 _LEVEL_BAND = 1e-6
 _NORM_FLOOR = 1e-12
+_MAX_HALVINGS = 60
+# the errors compiled expressions raise where a point is outside a domain
+_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
 class RefutationError(RuntimeError):
@@ -62,45 +87,95 @@ class CtrxplResult:
     d: np.ndarray | None
     value: float
     segment: Segment | None = None
+    margin: float = 0.0           # the segment's margin under p, <= 0
     search_time: float = 0.0
     sim_time: float = 0.0
 
 
-def minimize_box(f: Callable[[np.ndarray], float],
-                 grad: Callable[[np.ndarray], np.ndarray],
-                 lo: np.ndarray, hi: np.ndarray, z0: np.ndarray,
-                 max_iters: int = 200, tol: float = 1e-8) -> tuple[np.ndarray, float]:
-    """Projected gradient descent with Armijo backtracking on a box.
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[r].dot(b[r])`` for each row r of two (k, n) arrays."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
-    Monotone by construction: every accepted step decreases f.
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``m[r] @ v[r]`` for each r of a (k, p, q) and a (k, q) array."""
+    return (m @ v[:, :, None])[:, :, 0]
+
+
+Batch = Callable[[np.ndarray], np.ndarray]
+
+
+def minimize_box(f: Batch, grad: Batch, lo: np.ndarray, hi: np.ndarray,
+                 z0: np.ndarray, max_iters: int = 200,
+                 tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """Projected gradient descent with Armijo backtracking on a box, from
+    the k starts in the rows of ``z0`` at once.
+
+    ``f`` maps (j, n) points to their (j,) values and ``grad`` to their
+    (j, n) gradients; ``lo`` and ``hi`` have shape (n,) or (k, n).  Each
+    row is an independent descent, monotone by construction: a step is
+    accepted when its value is finite and ``fn <= fz + 1e-4 * g.dz``, it
+    is halved up to 60 times per iteration, and the next iteration starts
+    from ``min(2 * alpha, 1e3)``.  A row stops on a non-finite gradient, a
+    projected gradient of norm <= tol, a trial step that does not move,
+    a line search without an accepted step, or after max_iters
+    iterations.  Each round evaluates ``grad`` on the rows that start an
+    iteration and ``f`` on the rows that try a step, and no other row.
+
+    Returns the (k, n) end points and their (k,) values.
     """
     z = np.clip(z0, lo, hi)
-    fz = f(z)
-    step = 1.0
-    for _ in range(max_iters):
-        g = grad(z)
-        if not np.isfinite(g).all():
-            break
-        v = z - (z - g).clip(lo, hi)
-        if math.sqrt(v.dot(v)) <= tol:
-            break
-        alpha = step
-        accepted = False
-        for _ in range(60):
-            zn = (z - alpha * g).clip(lo, hi)
-            dz = zn - z
-            if not dz.any():
-                break
-            fn = f(zn)
-            if math.isfinite(fn) and fn <= fz + 1e-4 * float(g @ dz):
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            break
-        z, fz = zn, fn
-        step = min(2.0 * alpha, 1e3)
-    return z, fz
+    fz = np.array(f(z), dtype=float)
+    per_row = np.ndim(lo) == 2
+    bounds = (lambda rows: (lo.take(rows, 0), hi.take(rows, 0))) if per_row \
+        else (lambda rows: (lo, hi))
+    g = np.empty_like(z)
+    step = np.ones(len(z))
+    alpha = np.empty(len(z))
+    iters = np.zeros(len(z), dtype=int)
+    halvings = np.zeros(len(z), dtype=int)
+    fresh = np.arange(len(z))            # rows that start an iteration
+    search = fresh[:0]                   # rows in a line search
+    while True:
+        if fresh.size:
+            fresh = fresh[iters.take(fresh) < max_iters]
+        if fresh.size:
+            iters[fresh] += 1
+            zf = z.take(fresh, 0)
+            gf = grad(zf)
+            v = zf - (zf - gf).clip(*bounds(fresh))
+            go = (np.isfinite(gf).all(1)
+                  & ~(np.sqrt(_dot(v, v)) <= tol)).nonzero()[0]
+            fresh = fresh.take(go)
+            g[fresh] = gf.take(go, 0)
+            alpha[fresh] = step.take(fresh)
+            halvings[fresh] = 0
+            search = np.concatenate([search, fresh])
+        if not search.size:
+            return z, fz
+        zs, gs, a = z.take(search, 0), g.take(search, 0), alpha.take(search)
+        zn = (zs - a[:, None] * gs).clip(*bounds(search))
+        dz = zn - zs
+        moved = dz.any(1)
+        if False in moved.tolist():      # rows whose step does not move stop
+            keep = moved.nonzero()[0]
+            search, zn, dz, gs, a = (search.take(keep), zn.take(keep, 0),
+                                     dz.take(keep, 0), gs.take(keep, 0),
+                                     a.take(keep))
+            if not search.size:
+                return z, fz
+        fn = f(zn)
+        ok = np.isfinite(fn) & (fn <= fz.take(search) + 1e-4 * _dot(gs, dz))
+        accepted, rejected = ok.nonzero()[0], (~ok).nonzero()[0]
+        fresh = search.take(accepted)
+        z[fresh] = zn.take(accepted, 0)
+        fz[fresh] = fn.take(accepted)
+        step[fresh] = np.minimum(2.0 * a.take(accepted), 1e3)
+        search = search.take(rejected)
+        alpha[search] = a.take(rejected) * 0.5
+        tried = halvings.take(search) + 1
+        halvings[search] = tried
+        search = search[tried < _MAX_HALVINGS]
 
 
 def _pick_region(regions: Sequence[tuple[int, Box]],
@@ -115,6 +190,14 @@ def _best(candidates):
         if best is None or cand[0] < best[0]:
             best = cand
     return best
+
+
+def _groups(keys: Sequence) -> dict:
+    """key -> indices of its occurrences, keys in first-occurrence order."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
 
 
 def min_initial(prob: Problem, tmpl: Template, p: np.ndarray,
@@ -136,38 +219,94 @@ def _certificates(tmpl: Template, p: np.ndarray):
     return functools.cache(functools.partial(model.compile_certificate, tmpl, p))
 
 
-def _jacobian(fs, cols: range):
-    """Compiled Jacobian of ``fs`` in the variables ``cols``:
-    f(values) -> array of shape (len(fs), len(cols))."""
-    fn = ex.compile_vector([ex.differentiate(f, j) for f in fs for j in cols])
-    shape = (len(fs), len(cols))
-    return lambda vals: np.array(fn(vals)).reshape(shape)
+class _Vector:
+    """Expressions compiled twice by one code generator: called on a (k, m)
+    array they are evaluated over its rows at once (``expr.compile_batch``),
+    and ``point(row)`` evaluates one row as a point search does, on the
+    row's numpy scalars (``expr.compile_vector``)."""
+
+    def __init__(self, es, shape: tuple[int, ...]):
+        self.shape = shape
+        self._batch = ex.compile_batch(es)
+        self._point = ex.compile_vector(es)
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        return self._batch(z).reshape((len(z),) + self.shape)
+
+    def point(self, row: np.ndarray) -> np.ndarray:
+        return np.array(self._point(list(row))).reshape(self.shape)
+
+
+def _jacobian(fs, cols: range) -> _Vector:
+    """Jacobian of ``fs`` in the variables ``cols``, of shape
+    (len(fs), len(cols)) per point."""
+    return _Vector([ex.differentiate(f, j) for f in fs for j in cols],
+                   (len(fs), len(cols)))
+
+
+def _or_undefined(fn: _Vector, z: np.ndarray):
+    """``fn`` on the rows of ``z`` and the mask of rows where it raises.
+
+    If the batch raises, each row is evaluated as a point; a failing row
+    is marked and gets ones, which keep the arithmetic on it harmless until
+    the caller overwrites its result.
+    """
+    try:
+        return fn(z), np.zeros(len(z), dtype=bool)
+    except _ERRORS:
+        out = np.ones((len(z),) + fn.shape)
+        undefined = np.zeros(len(z), dtype=bool)
+        for r, row in enumerate(z):
+            try:
+                out[r] = fn.point(row)
+            except _ERRORS:
+                undefined[r] = True
+        return out, undefined
+
+
+def _on_rows(fn: _Vector, z: np.ndarray, need: np.ndarray) -> np.ndarray:
+    """``fn`` on the rows of ``z``, of which the rows marked in ``need``
+    are used.  If the batch raises, only the needed rows are evaluated, as
+    points, and an error there propagates as it does from a point search;
+    the other rows are zero."""
+    try:
+        return fn(z)
+    except _ERRORS:
+        out = np.zeros((len(z),) + fn.shape)
+        for r in np.flatnonzero(need):
+            out[r] = fn.point(z[r])
+        return out
 
 
 def _min_sign(prob, tmpl, p, regions, sign, starts, seed, cfg):
     cfg = cfg or FalsifyConfig()
     rng = np.random.default_rng(seed)
     cert = _certificates(tmpl, p)
-    results = []
+    picks = []
     for _ in range(starts):
         mode, box = _pick_region(regions, rng)
-        lo = np.asarray(box.lo)
-        hi = np.asarray(box.hi)
-        value, grad, _ = cert(mode)
-        f = lambda x, _v=value: sign * _v(x)
-        g = lambda x, _g=grad: sign * _g(x)
-        x, fx = minimize_box(f, g, lo, hi, box.sample(rng),
-                             cfg.max_iters, cfg.grad_tol)
-        results.append((fx, mode, x))
-    fx, mode, x = _best(results)
+        picks.append((mode, box, box.sample(rng)))
+    x = np.empty((starts, prob.dim))
+    fx = np.empty(starts)
+    with np.errstate(all="ignore"):
+        for mode, rows in _groups([mode for mode, _, _ in picks]).items():
+            value, grad, _ = cert(mode)
+            boxes = [picks[r][1] for r in rows]
+            x[rows], fx[rows] = minimize_box(
+                lambda z, _v=value: sign * _v(z),
+                lambda z, _g=grad: sign * _g(z),
+                np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes]),
+                np.array([picks[r][2] for r in rows]),
+                cfg.max_iters, cfg.grad_tol)
+    fx, mode, x = _best((float(fx[r]), picks[r][0], x[r]) for r in range(starts))
     return (mode, x), fx
 
 
 class _ModeGeometry:
-    """Compiled certificate, flow and flow Jacobians for one mode.
+    """Batched certificate, flow and flow Jacobians for one mode.
 
-    The flow pieces take the state values followed by the disturbance
-    values (``list(x) + list(d)``).
+    The flow pieces take points whose columns are the state values
+    followed by the disturbance values.
     """
 
     def __init__(self, prob: Problem, cert, mode: int):
@@ -175,66 +314,83 @@ class _ModeGeometry:
         self.l = prob.n_dist
         mdef = prob.modes[mode]
         self.value, self.grad_v, self.hess_v = cert(mode)
-        self.flow = sim.compile_flow(mdef, self.n + self.l)
+        self.flow = _Vector(mdef.flow, (self.n,))
         self.jac_x = _jacobian(mdef.flow, range(self.n))
         self.jac_d = _jacobian(mdef.flow, range(self.n, self.n + self.l))
 
 
-def _drift_objective(geo: _ModeGeometry):
+def _drift_objective(geo: _ModeGeometry, mu: float | None = None):
     """Normalized drift -(grad V / |grad V|) . (f / |f|) and its gradient
-    in (x, d); points with a vanishing factor are treated as +inf."""
+    in (x, d), over the rows of a batch; points where the flow is undefined
+    or a factor vanishes are treated as +inf.  With ``mu``, the penalty
+    ``mu * V(x)**2`` and its gradient are added."""
     n = geo.n
 
-    def value(z):
-        x, d = z[:n], z[n:]
+    def parts(z):
+        x = z[:, :n]
         gv = geo.grad_v(x)
-        try:
-            fv = np.array(geo.flow(list(x) + list(d)))
-        except (ValueError, ZeroDivisionError, OverflowError):
-            return math.inf  # flow undefined here
-        ng, nf = math.sqrt(gv.dot(gv)), math.sqrt(fv.dot(fv))
-        if ng < _NORM_FLOOR or nf < _NORM_FLOOR:
-            return math.inf
-        return -float(gv @ fv) / (ng * nf)
+        fv, undefined = _or_undefined(geo.flow, z)
+        ng, nf = np.sqrt(_dot(gv, gv)), np.sqrt(_dot(fv, fv))
+        flat = undefined | (ng < _NORM_FLOOR) | (nf < _NORM_FLOOR)
+        return x, gv, fv, ng, nf, flat
+
+    def value(z):
+        x, gv, fv, ng, nf, flat = parts(z)
+        out = -_dot(gv, fv) / (ng * nf)
+        out[flat] = math.inf
+        if mu is not None:
+            out += mu * ex.pow_entries(geo.value(x), 2)
+        return out
 
     def gradient(z):
-        x, d = z[:n], z[n:]
-        gv = geo.grad_v(x)
-        vals = list(x) + list(d)
-        try:
-            fv = np.array(geo.flow(vals))
-        except (ValueError, ZeroDivisionError, OverflowError):
-            return np.zeros_like(z)
-        ng, nf = math.sqrt(gv.dot(gv)), math.sqrt(fv.dot(fv))
-        if ng < _NORM_FLOOR or nf < _NORM_FLOOR:
-            return np.zeros_like(z)
-        u = gv / ng
-        w = fv / nf
-        pu_w = w - u * float(u @ w)
-        pw_u = u - w * float(w @ u)
-        gx = -(geo.hess_v(x) @ pu_w / ng + geo.jac_x(vals).T @ pw_u / nf)
-        if geo.l:
-            gd = -(geo.jac_d(vals).T @ pw_u / nf)
-            return np.concatenate([gx, gd])
-        return gx
+        x, gv, fv, ng, nf, flat = parts(z)
+        if flat.all():
+            out = np.zeros_like(z)
+        else:
+            u = gv / ng[:, None]
+            w = fv / nf[:, None]
+            uw = _dot(u, w)[:, None]     # w . u rounds the same: same products
+            pu_w = w - u * uw
+            pw_u = u - w * uw
+            jac_x = _on_rows(geo.jac_x, z, ~flat).transpose(0, 2, 1)
+            out = -(_matvec(geo.hess_v(x), pu_w) / ng[:, None]
+                    + _matvec(jac_x, pw_u) / nf[:, None])
+            if geo.l:
+                jac_d = _on_rows(geo.jac_d, z, ~flat).transpose(0, 2, 1)
+                out = np.concatenate(
+                    [out, -(_matvec(jac_d, pw_u) / nf[:, None])], axis=1)
+            out[flat] = 0.0
+        if mu is not None:
+            out[:, :n] += (2.0 * mu * geo.value(x))[:, None] * gv
+        return out
 
     return value, gradient
 
 
 def _land_on_level_set(geo: _ModeGeometry, x: np.ndarray,
-                       lo: np.ndarray, hi: np.ndarray,
-                       band: float, max_steps: int = 25) -> np.ndarray | None:
-    """Newton steps along grad V to |V| <= band, staying in the box."""
+                       lo: np.ndarray, hi: np.ndarray, band: float,
+                       max_steps: int = 25) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps along grad V to |V| <= band, staying in the box, from
+    each row of ``x``; returns the end points and the mask of rows that
+    reached the band."""
+    x = x.copy()
+    landed = np.zeros(len(x), dtype=bool)
+    active = np.arange(len(x))
     for _ in range(max_steps):
-        v = geo.value(x)
-        if abs(v) <= band:
-            return x
-        g = geo.grad_v(x)
-        n2 = float(g @ g)
-        if n2 < _NORM_FLOOR:
-            return None
-        x = np.clip(x - (v / n2) * g, lo, hi)
-    return x if abs(geo.value(x)) <= band else None
+        xa = x[active]
+        v = geo.value(xa)
+        near = np.abs(v) <= band
+        landed[active[near]] = True
+        g = geo.grad_v(xa)
+        n2 = _dot(g, g)
+        go = ~near & ~(n2 < _NORM_FLOOR)
+        active = active[go]
+        if not active.size:
+            return x, landed
+        x[active] = np.clip(xa[go] - (v[go] / n2[go])[:, None] * g[go], lo, hi)
+    if active.size:
+        landed[active] = np.abs(geo.value(x[active])) <= band
+    return x, landed
 
 
 def min_transversality(prob: Problem, tmpl: Template, p: np.ndarray,
@@ -250,47 +406,83 @@ def min_transversality(prob: Problem, tmpl: Template, p: np.ndarray,
     rng = np.random.default_rng(seed)
     band = _LEVEL_BAND * (1.0 + float(np.linalg.norm(p)))
     cert = _certificates(tmpl, p)
-    geos = {}
-    results = []
+    picks = []
     for _ in range(starts):
         mode = int(rng.integers(len(prob.modes)))
-        if mode not in geos:
-            geos[mode] = _ModeGeometry(prob, cert, mode)
-        geo = geos[mode]
-        omega = prob.modes[mode].omega
-        lo_x = np.asarray(omega.lo)
-        hi_x = np.asarray(omega.hi)
+        z0 = prob.modes[mode].omega.sample(rng)
         if prob.dist_box is not None:
-            lo = np.concatenate([lo_x, prob.dist_box.lo])
-            hi = np.concatenate([hi_x, prob.dist_box.hi])
-            z0 = np.concatenate([omega.sample(rng), prob.dist_box.sample(rng)])
-        else:
-            lo, hi = lo_x, hi_x
-            z0 = omega.sample(rng)
-        fval, fgrad = _drift_objective(geo)
-        z = z0
-        for mu in _PENALTIES:
-            pen = lambda w, _mu=mu: fval(w) + _mu * geo.value(w[:geo.n]) ** 2
-            peng = lambda w, _mu=mu: _penalty_grad(geo, fgrad, w, _mu)
-            z, _ = minimize_box(pen, peng, lo, hi, z,
-                                cfg.max_iters, cfg.grad_tol)
-        x = _land_on_level_set(geo, z[:geo.n], lo_x, hi_x, band)
-        if x is None:
-            continue
-        d = z[geo.n:]
-        z_final = np.concatenate([x, d]) if geo.l else x
-        results.append((fval(z_final), mode, x, d))
+            z0 = np.concatenate([z0, prob.dist_box.sample(rng)])
+        picks.append((mode, z0))
+    results = [None] * starts
+    with np.errstate(all="ignore"):
+        for mode, rows in _groups([mode for mode, _ in picks]).items():
+            geo = _ModeGeometry(prob, cert, mode)
+            n = geo.n
+            omega = prob.modes[mode].omega
+            lo = lo_x = np.asarray(omega.lo)
+            hi = hi_x = np.asarray(omega.hi)
+            if prob.dist_box is not None:
+                lo = np.concatenate([lo_x, prob.dist_box.lo])
+                hi = np.concatenate([hi_x, prob.dist_box.hi])
+            z = np.array([picks[r][1] for r in rows])
+            for mu in _PENALTIES:
+                z, _ = minimize_box(*_drift_objective(geo, mu), lo, hi, z,
+                                    cfg.max_iters, cfg.grad_tol)
+            x, landed = _land_on_level_set(geo, z[:, :n], lo_x, hi_x, band)
+            if not landed.any():
+                continue
+            z_final = np.concatenate([x, z[:, n:]], axis=1)[landed]
+            values = _drift_objective(geo)[0](z_final)
+            for r, value, point in zip(np.array(rows)[landed], values, z_final):
+                results[r] = (float(value), mode, point[:n], point[n:])
+    results = [res for res in results if res is not None]
     if not results:
         return None, None, math.inf
     value, mode, x, d = _best(results)
     return (mode, x), d, value
 
 
-def _penalty_grad(geo: _ModeGeometry, fgrad, z, mu):
-    g = fgrad(z).copy()
-    x = z[:geo.n]
-    g[:geo.n] += 2.0 * mu * geo.value(x) * geo.grad_v(x)
-    return g
+def _reset_objective(rule: model.ResetRule, cert, dim: int):
+    """max(V_source(x), -V_target(r(x))) and its gradient over the rows of
+    a batch; points where the map is undefined are treated as +inf."""
+    fwd = ex.compile_batch(rule.fwd)
+    jac = _jacobian(rule.fwd, range(dim))
+    s_value, s_grad, _ = cert(rule.source)
+    t_value, t_grad, _ = cert(rule.target)
+
+    def image(x):
+        """r(x) of each row and the mask of rows where r is undefined: a
+        batch that raises is mapped row by row with ``expr.evaluate``."""
+        try:
+            return fwd(x), np.zeros(len(x), dtype=bool)
+        except _ERRORS:
+            rx = np.ones_like(x)
+            undefined = np.zeros(len(x), dtype=bool)
+            for r, row in enumerate(x):
+                try:
+                    rx[r] = [ex.evaluate(m, row) for m in rule.fwd]
+                except ex.DomainError:
+                    undefined[r] = True
+            return rx, undefined
+
+    def value(x):
+        rx, undefined = image(x)
+        v_s, v_t = s_value(x), -t_value(rx)
+        out = np.where(v_t > v_s, v_t, v_s)  # max(v_s, v_t) as Python's max
+        out[undefined] = math.inf
+        return out
+
+    def gradient(x):
+        rx, undefined = image(x)
+        out = s_grad(x)
+        target = ~(s_value(x) >= -t_value(rx)) & ~undefined
+        if target.any():
+            j = _on_rows(jac, x, target)[target].transpose(0, 2, 1)
+            out[target] = -_matvec(j, t_grad(rx[target]))
+        out[undefined] = 0.0
+        return out
+
+    return value, gradient
 
 
 def min_reset(prob: Problem, tmpl: Template, p: np.ndarray,
@@ -305,37 +497,21 @@ def min_reset(prob: Problem, tmpl: Template, p: np.ndarray,
         return None, math.inf
     rng = np.random.default_rng(seed)
     cert = _certificates(tmpl, p)
-    jac_cache = {}
-    results = []
+    picks = []
     for _ in range(starts):
         idx = int(rng.integers(len(prob.resets)))
-        rule = prob.resets[idx]
-        if idx not in jac_cache:
-            jac_cache[idx] = _jacobian(rule.fwd, range(prob.dim))
-        source, target = cert(rule.source), cert(rule.target)
-
-        def f(x, _r=rule, _s=source, _t=target):
-            try:
-                rx = np.array([ex.evaluate(m, x) for m in _r.fwd])
-            except ex.DomainError:
-                return math.inf
-            return max(_s[0](x), -_t[0](rx))
-
-        def g(x, _r=rule, _j=jac_cache[idx], _s=source, _t=target):
-            try:
-                rx = np.array([ex.evaluate(m, x) for m in _r.fwd])
-            except ex.DomainError:
-                return np.zeros(len(x))
-            if _s[0](x) >= -_t[0](rx):
-                return _s[1](x)
-            return -(_j(list(x)).T @ _t[1](rx))
-
-        lo = np.asarray(rule.guard.lo)
-        hi = np.asarray(rule.guard.hi)
-        x, fx = minimize_box(f, g, lo, hi, rule.guard.sample(rng),
-                             cfg.max_iters, cfg.grad_tol)
-        results.append((fx, idx, x))
-    fx, idx, x = _best(results)
+        picks.append((idx, prob.resets[idx].guard.sample(rng)))
+    x = np.empty((starts, prob.dim))
+    fx = np.empty(starts)
+    with np.errstate(all="ignore"):
+        for idx, rows in _groups([idx for idx, _ in picks]).items():
+            rule = prob.resets[idx]
+            f, g = _reset_objective(rule, cert, prob.dim)
+            x[rows], fx[rows] = minimize_box(
+                f, g, np.asarray(rule.guard.lo), np.asarray(rule.guard.hi),
+                np.array([picks[r][1] for r in rows]),
+                cfg.max_iters, cfg.grad_tol)
+    fx, idx, x = _best((float(fx[r]), picks[r][0], x[r]) for r in range(starts))
     return (idx, x), fx
 
 
@@ -429,4 +605,5 @@ def find_counterexample(prob: Problem, tmpl: Template, p: np.ndarray,
             "level-set landing is off")
 
     return CtrxplResult(kind, mode, np.asarray(x), dist, value, seg,
-                        search_time, sim_time)
+                        margin=new_margin, search_time=search_time,
+                        sim_time=sim_time)

@@ -20,7 +20,9 @@ _HALF_PI = 0.5 * math.pi
 
 
 def _down(x: float) -> float:
-    if math.isinf(x):
+    # +inf (an overflowed bound) steps down to finite floats: the exact
+    # value it stands for is a real number above the largest float
+    if x == -_INF:
         return x
     for _ in range(_WIDEN_STEPS):
         x = math.nextafter(x, -_INF)
@@ -28,7 +30,7 @@ def _down(x: float) -> float:
 
 
 def _up(x: float) -> float:
-    if math.isinf(x):
+    if x == _INF:
         return x
     for _ in range(_WIDEN_STEPS):
         x = math.nextafter(x, _INF)
@@ -100,6 +102,13 @@ def div(x: Interval, y: Interval) -> Interval | None:
     return _widened(min(cands), max(cands))
 
 
+def _pow(v: float, n: int) -> float:
+    try:
+        return v ** n
+    except OverflowError:
+        return -_INF if v < 0.0 and n % 2 else _INF
+
+
 def power(x: Interval, n: int) -> Interval:
     """x**n for integer n >= 0, using the monotone/even-power rule."""
     if n < 0:
@@ -108,8 +117,8 @@ def power(x: Interval, n: int) -> Interval:
         return Interval(1.0, 1.0)
     if n == 1:
         return Interval(x.lo, x.hi)
-    lo_n = x.lo ** n
-    hi_n = x.hi ** n
+    lo_n = _pow(x.lo, n)
+    hi_n = _pow(x.hi, n)
     if n % 2 == 1:
         return _widened(lo_n, hi_n)
     if x.lo >= 0.0:

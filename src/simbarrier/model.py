@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -267,18 +268,8 @@ def _lower(mono: Monomial, j: int) -> Monomial:
     return tuple(out)
 
 
-_CERTIFICATE_SRC = """
-def {name}(x):
-    {unpack} = x.tolist()
-    try:
-        return {body}
-    except OverflowError:
-        return _{name}(x)
-"""
-
-
 def _factors_code(mono: Monomial, skip: int = -1) -> list[str]:
-    return [f"x{i}" if e == 1 else f"x{i} ** {e}"
+    return [f"x{i}" if e == 1 else f"x{i}_{e}"
             for i, e in enumerate(mono) if e and i != skip]
 
 
@@ -287,7 +278,7 @@ def _mono_grad_code(mono: Monomial, j: int) -> str | None:
     e = mono[j]
     if e == 0:
         return None
-    lead = [] if e == 1 else [f"{e}.0 * x{j}" + (f" ** {e - 1}" if e > 2 else "")]
+    lead = [] if e == 1 else [f"{e}.0 * x{j}" + (f"_{e - 1}" if e > 2 else "")]
     return " * ".join(lead + _factors_code(mono, j)) or "1.0"
 
 
@@ -297,19 +288,61 @@ def _sum_code(terms: list[tuple[float, str | None]]) -> str:
                                  for c, code in terms if code is not None])
 
 
-def compile_certificate(t: Template, p: np.ndarray, mode: int):
-    """Straight-line ``(value, grad_x, hess_x)`` of one mode's certificate.
+def _rows(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` applied to each row of ``x``, stacked."""
+    return np.array([fn(row) for row in x])
 
-    Each function takes a float array ``x`` and returns bit for bit what
-    ``template_value``, ``template_grad_x`` and ``template_hess_x`` return:
-    the generated code performs the same float operations in the same
-    order.  Sums start from zero and run in monomial order; powers use
-    ``**`` (libm ``pow``); gradient factors multiply in ``_mono_grad``'s
-    order; Hessian terms are ``(c * e) * grad``; the gradient and Hessian
-    skip zero coefficients where the loops skip them, and drop the loops'
-    structural zero terms, which add exactly nothing for finite ``c * e``.
-    Where that or a float range does not hold (a power overflows, which
-    raises here instead of giving inf), the loops answer instead.
+
+def _batch_source(name: str, n: int, entries: list[str], shape: tuple,
+                  namespace: dict) -> str:
+    """Source of ``name(x)``: the flat ``entries``, expressions in the
+    columns ``x0``, ``x1``, ... of ``x`` and their per-entry powers
+    ``xi_e``, as an array of shape (k,) + ``shape``.  Entries without a
+    variable (no ``x``: coefficient literals are finite, so never ``inf``
+    or ``nan``) are evaluated once, here, into a base row that each call
+    repeats over its k rows."""
+    base = [0.0 if "x" in code else eval(code)  # noqa: S307 - float literals
+            for code in entries]
+    namespace[f"_{name}_base"] = np.array([base])
+    varying = [(j, code) for j, code in enumerate(entries) if "x" in code]
+    if not varying:
+        return (f"def {name}(x):\n"
+                f"    return _{name}_base.repeat(len(x), 0)"
+                f".reshape((len(x),) + {shape!r})\n")
+    powers = sorted({(int(i), int(e)) for i, e in
+                     re.findall(r"x(\d+)_(\d+)", " ".join(entries))})
+    if shape == ():
+        body = [f"        return {varying[0][1]}\n"]
+    else:
+        body = [f"        _r = _{name}_base.repeat(len(x), 0)\n",
+                *(f"        _r[:, {j}] = {code}\n" for j, code in varying),
+                f"        return _r.reshape((len(x),) + {shape!r})\n"]
+    return "".join([
+        f"def {name}(x):\n",
+        f"    {''.join(f'x{i}, ' for i in range(n))}= x.T\n",
+        "    try:\n",
+        *(f"        x{i}_{e} = _pow(x{i}, {e})\n" for i, e in powers),
+        *body,
+        "    except OverflowError:\n",
+        f"        return _rows(_{name}, x)\n"])
+
+
+def compile_certificate(t: Template, p: np.ndarray, mode: int):
+    """Column-wise ``(value, grad_x, hess_x)`` of one mode's certificate.
+
+    Each function takes points as the rows of a float array ``x`` of shape
+    (k, n) and returns arrays of shape (k,), (k, n) and (k, n, n) whose
+    row r is bit for bit what ``template_value``, ``template_grad_x`` and
+    ``template_hess_x`` return at ``x[r]``: the generated code performs
+    the same float operations in the same order, one column per variable.
+    Sums start from zero and run in monomial order; powers are Python
+    float powers (libm ``pow``) taken entry by entry; gradient factors
+    multiply in ``_mono_grad``'s order; Hessian terms are
+    ``(c * e) * grad``; the gradient and Hessian skip zero coefficients
+    where the loops skip them, and drop the loops' structural zero terms,
+    which add exactly nothing for finite ``c * e``.  Where that or a float
+    range does not hold (a power overflows, which raises here instead of
+    giving inf), the loops answer instead, row by row.
     """
     block = [float(c) for c in p[t.block_slice(mode)]]
     monos = t.monomials[mode]
@@ -317,25 +350,22 @@ def compile_certificate(t: Template, p: np.ndarray, mode: int):
     loops = tuple(functools.partial(fn, t, p, mode) for fn in
                   (template_value, template_grad_x, template_hess_x))
     if not all(math.isfinite(c * max(*m, 1)) for c, m in zip(block, monos)):
-        return loops
-    value = _sum_code([(c, " * ".join(_factors_code(m)) or "1.0")
-                       for c, m in zip(block, monos)])
+        return tuple(functools.partial(_rows, fn) for fn in loops)
+    value = [_sum_code([(c, " * ".join(_factors_code(m)) or "1.0")
+                        for c, m in zip(block, monos)])]
     grad = [_sum_code([(c, _mono_grad_code(m, j))
                        for c, m in zip(block, monos) if c])
             for j in range(n)]
-    hess = [[_sum_code([(c * m[j], _mono_grad_code(_lower(m, j), k))
-                        for c, m in zip(block, monos) if c and m[j]])
-             for k in range(n)] for j in range(n)]
-    rows = ", ".join(f"[{', '.join(row)}]" for row in hess)
-    bodies = {"value": value, "grad_x": f"_array([{', '.join(grad)}])",
-              "hess_x": f"_array([{rows}])"}
-    namespace = {"_array": np.array}
-    namespace.update((f"_{name}", fn) for name, fn in zip(bodies, loops))
-    unpack = ", ".join(f"x{i}" for i in range(n)) + ","
-    exec("".join(_CERTIFICATE_SRC.format(name=name, unpack=unpack, body=body)
-                 for name, body in bodies.items()),
+    hess = [_sum_code([(c * m[j], _mono_grad_code(_lower(m, j), k))
+                       for c, m in zip(block, monos) if c and m[j]])
+            for j in range(n) for k in range(n)]
+    shapes = {"value": (), "grad_x": (n,), "hess_x": (n, n)}
+    namespace = {"_pow": ex.pow_entries, "_rows": _rows}
+    namespace.update((f"_{name}", fn) for name, fn in zip(shapes, loops))
+    exec("".join(_batch_source(name, n, entries, shapes[name], namespace)
+                 for name, entries in zip(shapes, (value, grad, hess))),
          namespace)  # noqa: S102 - source is generated locally
-    return tuple(namespace[name] for name in bodies)
+    return tuple(namespace[name] for name in shapes)
 
 
 def template_expr(t: Template, p: np.ndarray, mode: int) -> Expr:

@@ -64,11 +64,6 @@ class _StepError(Exception):
     pass
 
 
-def compile_flow(mode: ModeDef, n_total: int) -> Callable[[Sequence[float]], list]:
-    """Compile a mode's flow into f(state + disturbance values) -> list."""
-    return ex.compile_vector(mode.flow)
-
-
 def _rk_step(f, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """One Dormand-Prince step: 5th order solution and error estimate."""
     k = np.empty((7, x.size))
@@ -147,7 +142,7 @@ def integrate(mode: ModeDef, x0: Sequence[float],
         return Trajectory(mode_index, start, mode_index, start, 0.0,
                           StopReason.HORIZON)
 
-    flow = compile_flow(mode, len(mode.flow) + dpolicy(x).size)
+    flow = ex.compile_vector(mode.flow)
     t = 0.0
     d = dpolicy(x)
 
@@ -415,7 +410,7 @@ def _drift_ride(prob_dyn: Problem, tmpl: Template, p: np.ndarray,
 
     def flow_of(m: int):
         if m not in flows:
-            flows[m] = compile_flow(prob_dyn.modes[m], prob_dyn.dim + prob_dyn.n_dist)
+            flows[m] = ex.compile_vector(prob_dyn.modes[m].flow)
         return flows[m]
 
     def drift(m: int, x: np.ndarray, d: np.ndarray) -> float:

@@ -131,6 +131,37 @@ class TestErrors:
         assert f"{path}: {location}: " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["synth", "verify"])
+    def test_problem_document_not_an_object(self, tmp_path, capsys, command,
+                                            paper_barrier_path):
+        path = _write(tmp_path, "list.json", [benchmarks.composition()])
+        args = [command, path] + (["--barrier", paper_barrier_path]
+                                  if command == "verify" else [])
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: document: expected a JSON object" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("barrier,location", [
+        (["not", "an", "object"], "document"),
+        ({"modes": {"m": [1.0, -1.0]}}, "modes.m"),
+        ({"modes": {"m": {"1": 0.5, "x1": "abc"}}}, "modes.m.x1"),
+        ({"modes": {"m": {"1": 0.5, "x1": None}}}, "modes.m.x1"),
+        ({"modes": {"m": {"1": 0.5, "x1": math.nan}}}, "modes.m.x1"),
+        ('{"modes": {"m": {"1": 0.5, "x1": 1e400}}}', "modes.m.x1"),
+        ({"modes": {"m": {"1": 0.5, "x1": -1.0, "x1^1": 2.0}}}, "modes.m"),
+    ])
+    def test_malformed_barrier_is_diagnosed(self, composition_path, tmp_path,
+                                            capsys, barrier, location):
+        path = tmp_path / "barrier.json"
+        path.write_text(barrier if isinstance(barrier, str)
+                        else json.dumps(barrier))
+        assert cli.main(["verify", composition_path,
+                         "--barrier", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: {location}: " in err
+        assert "Traceback" not in err
+
     def test_invalid_json_reports_position(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"variables": [,]}')

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simbarrier import expr as ex
 from simbarrier.interval import Interval
@@ -71,6 +72,92 @@ class TestEvaluate:
             pt = list(rng.uniform(-1.5, 1.5, 2))
             want = ex.evaluate(e, pt)
             assert fn(pt) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+_MATH_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
+
+
+def _partial_expr(rng, nvars: int) -> ex.Expr:
+    """A random expression wrapped in one operation that is undefined, or
+    overflows, somewhere: ln, sqrt, a division, exp or an integer power."""
+    e = rand_expr(rng, nvars, 3)
+    v = ex.Var(int(rng.integers(nvars)))
+    match int(rng.integers(7)):
+        case 0:
+            return ex.Ln(ex.Add(e, v))
+        case 1:
+            return ex.Sqrt(ex.Sub(v, e))
+        case 2:
+            return ex.Div(e, v)
+        case 3:
+            return ex.Div(ex.Sin(v), ex.Cos(e))
+        case 4:
+            return ex.Exp(ex.Mul(e, v))
+        case 5:
+            return ex.Pow(ex.Add(v, e), int(rng.integers(2, 5)))
+    return ex.Mul(ex.Sin(e), ex.Pow(v, 3))
+
+
+def _per_row(fn, points):
+    """fn on each row as Python floats: its values, or the error it raises."""
+    out = []
+    for row in points:
+        try:
+            out.append(np.array(fn(row.tolist()), dtype=float))
+        except _MATH_ERRORS as err:
+            out.append(type(err))
+    return out
+
+
+class TestCompileBatch:
+    # coordinates that hit every partial operation's edge: zeros of both
+    # signs, negatives, and magnitudes where exp and powers overflow
+    COORDS = [0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.75, 720.0, -720.0, 1e120, -1e160]
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_equal_compile_vector(self, seed):
+        rng = np.random.default_rng(seed)
+        es = [_partial_expr(rng, 2) for _ in range(int(rng.integers(1, 4)))]
+        jacobian = [ex.differentiate(e, j) for e in es for j in range(2)]
+        points = np.array(rng.choice(self.COORDS, (8, 2)))
+        points[:3] = rng.uniform(-3.0, 3.0, (3, 2))
+        with np.errstate(all="ignore"):  # numpy warns where floats give inf
+            self.check(es, points)
+            self.check(jacobian, points)
+
+    @staticmethod
+    def check(exprs, points):
+        """compile_batch over the points against compile_vector per row."""
+        want = _per_row(ex.compile_vector(exprs), points)
+        batch = ex.compile_batch(exprs)
+        # each row alone: the same bits, or the same error
+        for r, expected in enumerate(want):
+            if isinstance(expected, type):
+                with pytest.raises(expected):
+                    batch(points[r:r + 1])
+            else:
+                assert batch(points[r:r + 1])[0].tobytes() == expected.tobytes()
+        # the whole batch: every row's bits, or an error when a row raises
+        if any(isinstance(expected, type) for expected in want):
+            with pytest.raises(_MATH_ERRORS):
+                batch(points)
+        else:
+            assert batch(points).tobytes() == np.array(want).tobytes()
+
+    def test_constant_entries_and_shape(self):
+        batch = ex.compile_batch([ex.parse("2/3", ["x"]), ex.parse("x^2", ["x"])])
+        out = batch(np.array([[0.1], [3.0]]))
+        assert out.shape == (2, 2)
+        assert out[:, 0].tolist() == [2.0 / 3.0] * 2
+        assert out[:, 1].tolist() == [0.1 ** 2, 9.0]
+
+    def test_zero_divisor_raises(self):
+        batch = ex.compile_batch([ex.parse("1/x", ["x"])])
+        with pytest.raises(ZeroDivisionError):
+            batch(np.array([[2.0], [-0.0]]))
+        with pytest.raises(ZeroDivisionError):
+            ex.compile_batch([ex.parse("x/0", ["x"])])(np.array([[1.0]]))
 
 
 class TestDifferentiate:

@@ -31,40 +31,171 @@ class TestMinimizeBox:
         lo = np.array([-2.0, -2.0])
         hi = np.array([2.0, 2.0])
         target = np.array([0.7, -0.3])
-        f = lambda z: float(np.sum((z - target) ** 2))
+        f = lambda z: np.sum((z - target) ** 2, axis=1)
         g = lambda z: 2.0 * (z - target)
-        z, fz = minimize_box(f, g, lo, hi, np.array([-1.5, 1.5]))
-        assert np.allclose(z, target, atol=1e-6)
-        assert fz <= 1e-10
+        z, fz = minimize_box(f, g, lo, hi, np.array([[-1.5, 1.5]]))
+        assert np.allclose(z[0], target, atol=1e-6)
+        assert fz[0] <= 1e-10
 
     def test_descent_is_monotone(self, rng):
         # every run ends at an objective no worse than its start
         for _ in range(25):
             a = rng.uniform(0.5, 3.0, 3)
             b = rng.uniform(-1, 1, 3)
-            f = lambda z: float(a @ (z - b) ** 2 + math.sin(z[0]))
-            g = lambda z: 2 * a * (z - b) + np.array([math.cos(z[0]), 0, 0])
-            z0 = rng.uniform(-1, 1, 3)
+            f = lambda z: ((z - b) ** 2) @ a + np.sin(z[:, 0])
+            g = lambda z: 2 * a * (z - b) + np.outer(np.cos(z[:, 0]), [1, 0, 0])
+            z0 = rng.uniform(-1, 1, (4, 3))
             lo = np.full(3, -1.5)
             hi = np.full(3, 1.5)
             z, fz = minimize_box(f, g, lo, hi, z0)
-            assert fz <= f(np.clip(z0, lo, hi)) + 1e-12
+            assert np.all(fz <= f(np.clip(z0, lo, hi)) + 1e-12)
 
     def test_multistart_coverage(self, rng):
         # a known global minimum inside the box is reached by at least one
         # of 16 seeded starts
         target = np.array([0.9, -0.9])
-        f = lambda z: float(np.sum((z - target) ** 2))
+        f = lambda z: np.sum((z - target) ** 2, axis=1)
         g = lambda z: 2.0 * (z - target)
         lo = np.full(2, -1.0)
         hi = np.full(2, 1.0)
-        hits = 0
-        for _ in range(16):
-            z0 = rng.uniform(-1, 1, 2)
-            z, fz = minimize_box(f, g, lo, hi, z0)
-            if np.linalg.norm(z - target) <= 1e-4:
-                hits += 1
+        z, fz = minimize_box(f, g, lo, hi, rng.uniform(-1, 1, (16, 2)))
+        hits = np.sum(np.linalg.norm(z - target, axis=1) <= 1e-4)
         assert hits >= 1
+
+
+def _rugged(z):
+    """A nonconvex objective on [-2, 2]^2, +inf on the strip z1 > 1.5,
+    z0 < 1.9, towards which its linear term pulls."""
+    out = (np.sum((z - [3.0, -3.0]) ** 2, axis=1) + 4.0 * np.sin(5.0 * z[:, 0])
+           - 100.0 * z[:, 1])
+    out[(z[:, 1] > 1.5) & (z[:, 0] < 1.9)] = math.inf
+    return out
+
+
+def _rugged_grad(z):
+    """Its gradient, with nan entries left of z0 = -1.5."""
+    out = 2.0 * (z - [3.0, -3.0]) - [0.0, 100.0]
+    out[:, 0] += 20.0 * np.cos(5.0 * z[:, 0])
+    out[z[:, 0] < -1.5] = math.nan
+    return out
+
+
+class TestLockstep:
+    LO = np.array([-2.0, -2.0])
+    HI = np.array([2.0, 2.0])
+
+    def starts(self, rng):
+        # random starts, a start in the +inf region, one where the gradient
+        # is nan, one at the corner where the descent direction points out
+        # of the box (it never moves), and one on the edge of the +inf
+        # strip, where every trial step lands inside it.  With the fixture's
+        # seed the 14 rows end by every stopping rule: the iteration cap,
+        # the gradient tolerance, a step that does not move, a non-finite
+        # gradient and 60 rejected halvings.
+        return np.vstack([rng.uniform(-2, 2, (9, 2)),
+                          [[0.3, 1.8], [-1.8, 0.0], [2.0, 2.0],
+                           [-1.0, 1.5], [1.0, 1.0]]])
+
+    def one_row_runs(self, z0, lo, hi, **kw):
+        rounds, ends = [], []
+        for r in range(len(z0)):
+            calls = []
+            f = lambda z: calls.append(len(z)) or _rugged(z)
+            bounds = (lo[r:r + 1], hi[r:r + 1]) if lo.ndim == 2 else (lo, hi)
+            ends.append(minimize_box(f, _rugged_grad, *bounds, z0[r:r + 1], **kw))
+            rounds.append(len(calls))
+        z = np.vstack([e[0] for e in ends])
+        fz = np.concatenate([e[1] for e in ends])
+        return z, fz, rounds
+
+    def test_batch_equals_one_row_runs_bitwise(self, rng):
+        z0 = self.starts(rng)
+        for kw in ({"max_iters": 0}, {"max_iters": 7}, {}):
+            z, fz = minimize_box(_rugged, _rugged_grad, self.LO, self.HI, z0, **kw)
+            z1, fz1, rounds = self.one_row_runs(z0, self.LO, self.HI, **kw)
+            assert z.tobytes() == z1.tobytes()
+            assert fz.tobytes() == fz1.tobytes()
+        # with the default budget: rows stop in different rounds, the
+        # nan-gradient, corner and strip-edge starts never move, and the
+        # start in the +inf region descends out of it
+        assert len(set(rounds)) > 3
+        for r in (10, 11, 12):
+            assert np.array_equal(z[r], z0[r])
+        assert _rugged(z0[9:10])[0] == math.inf and fz[9] < math.inf
+
+    def test_per_row_bounds(self, rng):
+        z0 = self.starts(rng)
+        lo = np.tile(self.LO, (len(z0), 1)) + rng.uniform(0, 0.5, z0.shape)
+        hi = np.tile(self.HI, (len(z0), 1)) - rng.uniform(0, 0.5, z0.shape)
+        z, fz = minimize_box(_rugged, _rugged_grad, lo, hi, z0)
+        z1, fz1, _ = self.one_row_runs(z0, lo, hi)
+        assert z.tobytes() == z1.tobytes() and fz.tobytes() == fz1.tobytes()
+        assert np.all((lo <= z) & (z <= hi))
+
+    def test_only_live_rows_are_evaluated(self, rng):
+        sizes = []
+        f = lambda z: sizes.append(len(z)) or _rugged(z)
+        minimize_box(f, _rugged_grad, self.LO, self.HI, self.starts(rng))
+        assert sizes[0] == 14 and min(sizes) >= 1 and sizes[-1] < 14
+
+
+def _point_drift(prob, tmpl, p, z, mu=None):
+    """The drift objective at one point, evaluated point-wise with the
+    monomial loops and ``compile_vector`` on the point's numpy scalars:
+    the reference the batched objective must reproduce row by row."""
+    n = prob.dim
+    x = z[:n]
+    gv = model.template_grad_x(tmpl, p, 0, x)
+    flow = ex.compile_vector(prob.modes[0].flow)
+    jac = ex.compile_vector([ex.differentiate(f, j)
+                             for f in prob.modes[0].flow for j in range(n)])
+    try:
+        fv = np.array(flow(list(z)))
+        ng, nf = math.sqrt(gv.dot(gv)), math.sqrt(fv.dot(fv))
+        flat = ng < 1e-12 or nf < 1e-12
+    except (ValueError, ZeroDivisionError, OverflowError):
+        flat = True
+    if flat:
+        value, grad = math.inf, np.zeros(n)
+    else:
+        value = -float(gv @ fv) / (ng * nf)
+        u, w = gv / ng, fv / nf
+        pu_w = w - u * float(u @ w)
+        pw_u = u - w * float(w @ u)
+        grad = -(model.template_hess_x(tmpl, p, 0, x) @ pu_w / ng
+                 + np.array(jac(list(z))).reshape(n, n).T @ pw_u / nf)
+    if mu is not None:
+        v = model.template_value(tmpl, p, 0, x)
+        value = value + mu * v ** 2
+        grad = grad + 2.0 * mu * v * gv
+    return value, grad
+
+
+def test_drift_objective_rows_match_point_evaluation():
+    # flows with a division and a logarithm: rows where the batch raises
+    # are evaluated as points, with the point search's numpy-scalar
+    # semantics (1/0.0 is inf there, ln(0.0) raises)
+    prob = model.load_problem({
+        "variables": ["x", "y"],
+        "modes": [{"name": "m", "omega": [[-2, 2], [-2, 2]],
+                   "flow": ["1/x + y", "ln(y^2) - x"]}],
+        "init": [{"mode": "m", "box": [[-2, -1], [-2, -1]]}],
+        "unsafe": [{"mode": "m", "box": [[1.5, 2], [1.5, 2]]}]})
+    tmpl = model.make_template("quadratic-2d", 2, 1)
+    p = np.array([1.0, 0.0, 1.0, -2.0, -2.0, 2.0])  # (x - 1)^2 + (y - 1)^2
+    geo = falsify._ModeGeometry(prob, falsify._certificates(tmpl, p), 0)
+    rng = np.random.default_rng(5)
+    z = np.vstack([rng.uniform(-2, 2, (5, 2)),
+                   [[1.0, 1.0], [0.0, 0.5], [0.5, 0.0], [-0.0, 2.0]]])
+    with np.errstate(all="ignore"):
+        for mu in (None, 1e3):
+            value, gradient = falsify._drift_objective(geo, mu)
+            for batch in (z, z[:5]):
+                got_v, got_g = value(batch), gradient(batch)
+                for r, row in enumerate(batch):
+                    want_v, want_g = _point_drift(prob, tmpl, p, row, mu)
+                    assert float(got_v[r]).hex() == float(want_v).hex()
+                    assert got_g[r].tobytes() == want_g.tobytes()
 
 
 class TestSignSearches:

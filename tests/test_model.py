@@ -156,8 +156,8 @@ class TestTemplate:
 @st.composite
 def certificates(draw):
     """A template of 1-3 modes over 1-4 variables with monomials of total
-    degree <= 4, coefficients with random zeros, one of its modes, and a
-    point with coordinates of magnitude 1e-3 to 1e3."""
+    degree <= 4, coefficients with random zeros, one of its modes, and 1-6
+    points with coordinates of magnitude 1e-3 to 1e3."""
     n = draw(st.integers(1, 4))
     monos = [m for m in itertools.product(range(5), repeat=n)
              if 0 < sum(m) <= 4]
@@ -172,19 +172,22 @@ def certificates(draw):
                                max_size=tmpl.size)))
     coord = st.builds(lambda sign, e: sign * 10.0 ** e,
                       st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 3.0))
-    x = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    k = draw(st.integers(1, 6))
+    x = np.array(draw(st.lists(st.lists(coord, min_size=n, max_size=n),
+                               min_size=k, max_size=k)))
     return tmpl, p, draw(st.integers(0, len(blocks) - 1)), x
 
 
 def _assert_compiled_equals_loops(tmpl, p, mode, x):
-    value, grad, hess = model.compile_certificate(tmpl, p, mode)
-    v = value(x)
-    assert type(v) is float
-    assert v.hex() == template_value(tmpl, p, mode, x).hex()
-    for compiled, loops in ((grad(x), template_grad_x(tmpl, p, mode, x)),
-                            (hess(x), template_hess_x(tmpl, p, mode, x))):
-        assert compiled.dtype == loops.dtype and compiled.shape == loops.shape
-        assert compiled.tobytes() == loops.tobytes()  # bit for bit
+    """The batched functions on the rows of x give, row by row and bit for
+    bit, what the monomial loops give at each row."""
+    compiled = model.compile_certificate(tmpl, p, mode)
+    loops = (template_value, template_grad_x, template_hess_x)
+    for batched, loop in zip(compiled, loops):
+        got = batched(x)
+        want = np.array([loop(tmpl, p, mode, row) for row in x])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # bit for bit
 
 
 class TestCompiledCertificate:
@@ -197,21 +200,22 @@ class TestCompiledCertificate:
         t = make_template("quadratic-2d", 2, 1)
         p = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         value, grad, hess = model.compile_certificate(t, p, 0)
-        x = np.array([1.0, -1.0])
-        assert value(x) == 1.0 - 2.0 + 3.0 + 4.0 - 5.0 + 6.0
-        assert list(grad(x)) == [2.0 - 2.0 + 4.0, 2.0 - 6.0 + 5.0]
-        assert hess(x).tolist() == [[2.0, 2.0], [2.0, 6.0]]
+        x = np.array([[1.0, -1.0], [0.0, 0.0]])
+        assert value(x).tolist() == [1.0 - 2.0 + 3.0 + 4.0 - 5.0 + 6.0, 6.0]
+        assert grad(x).tolist() == [[2.0 - 2.0 + 4.0, 2.0 - 6.0 + 5.0],
+                                    [4.0, 5.0]]
+        assert hess(x).tolist() == [[[2.0, 2.0], [2.0, 6.0]]] * 2
 
     def test_outside_float_range_falls_back_to_loops(self):
         t = make_template("quadratic-2d", 2, 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            # a power overflows
+            # a power overflows in one row of the batch
             _assert_compiled_equals_loops(
-                t, np.ones(t.size), 0, np.array([1e200, -1e200]))
+                t, np.ones(t.size), 0, np.array([[0.5, 2.0], [1e200, -1e200]]))
             # a coefficient times an exponent is not finite
             _assert_compiled_equals_loops(
                 t, np.array([np.inf, 0.0, 1.0, np.nan, 0.0, 1.0]), 0,
-                np.array([0.5, 2.0]))
+                np.array([[0.5, 2.0], [-3.0, 0.25]]))
 
 
 class TestMonomialNames:

@@ -259,7 +259,7 @@ class TestDriftRides:
             x0 = (float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
             mode, end = sim.omega(prob, tmpl, p, (0, x0), t_max=20.0)
             g = model.template_grad_x(tmpl, p, mode, end)
-            flow = sim.compile_flow(prob.modes[mode], 2)
+            flow = ex.compile_vector(prob.modes[mode].flow)
             f = flow(list(end))
             drift = float(g @ f)
             inside = model.bloat(prob.modes[mode].omega, 1.1).contains(end)
