@@ -126,8 +126,8 @@ def _barrier_from_doc(doc: dict, prob: Problem,
         if entries is None:
             raise UserError(f"{loc}: no coefficients for this mode")
         if not isinstance(entries, dict):
-            raise UserError(f"{loc}: expected an object of monomial: "
-                            f"coefficient entries")
+            raise UserError(f"{loc}: expected an object mapping monomials "
+                            f"to coefficients")
         names: dict[tuple[int, ...], str] = {}
         for name, value in entries.items():
             try:

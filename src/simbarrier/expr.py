@@ -549,8 +549,8 @@ def compile_batch(es: Sequence[Expr]):
     the rows of a float array ``points`` of shape (k, number of values).
 
     Row r of the (k, len(es)) result is bit for bit
-    ``compile_vector(es)(list(points[r]))``.  The call raises one of
-    ValueError, ZeroDivisionError or OverflowError when the scalar code
+    ``compile_vector(es)(points[r].tolist())``.  The call raises one of
+    ValueError, ZeroDivisionError or OverflowError when that scalar code
     would raise on some row; callers then evaluate the rows one by one.
     """
     lines = [f"    _out[:, {i}] = {_codegen(e, batched=True)}\n"

@@ -123,6 +123,39 @@ class TestLockstep:
             assert np.array_equal(z[r], z0[r])
         assert _rugged(z0[9:10])[0] == math.inf and fz[9] < math.inf
 
+    def test_rows_follow_the_point_descent(self, rng):
+        # the one-start rules, written point-wise: each row of the batch
+        # ends where this descent from its start ends, bit for bit
+        def descend(z, lo, hi, max_iters=200, tol=1e-8):
+            f = lambda p: float(_rugged(p[None])[0])
+            z = np.clip(z, lo, hi)
+            fz, step = f(z), 1.0
+            for _ in range(max_iters):
+                g = _rugged_grad(z[None])[0]
+                v = z - (z - g).clip(lo, hi)
+                if not np.isfinite(g).all() or math.sqrt(v.dot(v)) <= tol:
+                    break
+                alpha = step
+                for _ in range(60):
+                    zn = (z - alpha * g).clip(lo, hi)
+                    if not (zn - z).any():
+                        return z, fz
+                    fn = f(zn)
+                    if math.isfinite(fn) and fn <= fz + 1e-4 * float(g @ (zn - z)):
+                        break
+                    alpha *= 0.5
+                else:
+                    return z, fz
+                z, fz, step = zn, fn, min(2.0 * alpha, 1e3)
+            return z, fz
+
+        z0 = self.starts(rng)
+        z, fz = minimize_box(_rugged, _rugged_grad, self.LO, self.HI, z0)
+        for r in range(len(z0)):
+            zr, fr = descend(z0[r], self.LO, self.HI)
+            assert z[r].tobytes() == zr.tobytes()
+            assert float(fz[r]).hex() == fr.hex()
+
     def test_per_row_bounds(self, rng):
         z0 = self.starts(rng)
         lo = np.tile(self.LO, (len(z0), 1)) + rng.uniform(0, 0.5, z0.shape)
