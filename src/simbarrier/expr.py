@@ -210,7 +210,11 @@ class _Parser:
         tok = self._next()
         kind, value, start = tok
         if kind == "num":
-            return Const(float(value))
+            number = float(value)
+            if not math.isfinite(number):
+                raise ParseError(f"number {value!r} is outside the float range",
+                                 start)
+            return Const(number)
         if kind == "ident":
             if value in _FUNCTIONS:
                 self._expect_op("(")
@@ -234,46 +238,6 @@ def parse(text: str, variables: Sequence[str]) -> Expr:
     * and /, which bind tighter than + and -.
     """
     return _Parser(text, variables).parse()
-
-
-_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4}
-_FUNC_NAMES = {Sin: "sin", Cos: "cos", Ln: "ln", Sqrt: "sqrt", Exp: "exp"}
-
-
-def to_text(e: Expr, variables: Sequence[str]) -> str:
-    """Render to infix text; parse(to_text(e)) reproduces e."""
-
-    def wrap(child: Expr, parent_prec: int, right: bool = False) -> str:
-        s = render(child)
-        prec = _PREC.get(type(child), 5)
-        if isinstance(child, Const) and child.value < 0:
-            prec = _PREC[Neg]  # prints with a leading minus sign
-        if prec < parent_prec or (right and prec == parent_prec):
-            return f"({s})"
-        return s
-
-    def render(node: Expr) -> str:
-        match node:
-            case Const(v):
-                return repr(v) if v >= 0 else f"-{-v!r}"
-            case Var(i):
-                return variables[i]
-            case Neg(a):
-                return f"-{wrap(a, 3, right=True)}"
-            case Add(a, b):
-                return f"{wrap(a, 1)} + {wrap(b, 1, right=True)}"
-            case Sub(a, b):
-                return f"{wrap(a, 1)} - {wrap(b, 1, right=True)}"
-            case Mul(a, b):
-                return f"{wrap(a, 2)}*{wrap(b, 2, right=True)}"
-            case Div(a, b):
-                return f"{wrap(a, 2)}/{wrap(b, 2, right=True)}"
-            case Pow(base, n):
-                return f"{wrap(base, 5)}^{n}"
-            case _:
-                return f"{_FUNC_NAMES[type(node)]}({render(node.arg)})"
-
-    return render(e)
 
 
 def evaluate(e: Expr, env: Sequence[float]) -> float:
@@ -466,7 +430,11 @@ def _codegen(e: Expr, batched: bool = False) -> str:
     vector ``power``, ``exp`` and ``log`` round differently from libm; and
     division by a non-constant goes through ``_div``, which raises
     ZeroDivisionError on a zero divisor, as a Python float division does.
-    Subtrees without variables are scalar code in both forms.
+    Subtrees without variables are scalar code in both forms.  A chain of
+    sums and differences is emitted flat, as Python groups it, by a loop
+    down its left operands: a sum has one tree level per term, and one
+    parenthesis or one recursive call per term would hit the parser's
+    limit of 200 nested parentheses or the recursion limit.
     """
     batched = batched and bool(variables_of(e))
     gen = lambda a: _codegen(a, batched)
@@ -477,10 +445,12 @@ def _codegen(e: Expr, batched: bool = False) -> str:
             return f"_v[{i}]"
         case Neg(a):
             return f"(-{gen(a)})"
-        case Add(a, b):
-            return f"({gen(a)} + {gen(b)})"
-        case Sub(a, b):
-            return f"({gen(a)} - {gen(b)})"
+        case Add() | Sub():
+            chain = []
+            while isinstance(e, (Add, Sub)):
+                chain.append(f"{'+' if isinstance(e, Add) else '-'} {gen(e.b)}")
+                e = e.a
+            return f"({' '.join([gen(e)] + chain[::-1])})"
         case Mul(a, b):
             return f"({gen(a)} * {gen(b)})"
         case Div(a, b):
@@ -517,7 +487,7 @@ def _div_entries(a, b):
     return a / b
 
 
-_BATCHED = dict(_MATH, _pow=pow_entries, _div=_div_entries, _empty=np.empty)
+_BATCHED = dict(_MATH, _pow=pow_entries, _div=_div_entries)
 _BATCHED.update((f"_each{name}", _per_entry(fn)) for name, fn in _MATH.items())
 
 
@@ -552,30 +522,45 @@ def compile_batch(es: Sequence[Expr]):
     ``compile_vector(es)(points[r].tolist())``.  The call raises one of
     ValueError, ZeroDivisionError or OverflowError when that scalar code
     would raise on some row; callers then evaluate the rows one by one.
+    Entries without variables are evaluated once, here, into a row that
+    each call repeats, unless they raise.
     """
-    lines = [f"    _out[:, {i}] = {_codegen(e, batched=True)}\n"
-             for i, e in enumerate(es)]
-    src = (f"def _f(_z):\n    _v = _z.T\n"
-           f"    _out = _empty((len(_z), {len(es)}))\n"
+    base, lines = [], []
+    for i, e in enumerate(es):
+        code = _codegen(e, batched=True)
+        value = None
+        if not variables_of(e):
+            try:
+                value = _compile(code)
+            except (ValueError, ZeroDivisionError, OverflowError):
+                pass  # raises in every call, as the scalar code does
+        base.append(0.0 if value is None else value)
+        if value is None:
+            lines.append(f"    _out[:, {i}] = {code}\n")
+    src = ("def _f(_z):\n    _v = _z.T\n"
+           "    _out = _base.repeat(len(_z), 0)\n"
            + "".join(lines) + "    return _out\n")
-    namespace = dict(_BATCHED)
+    namespace = dict(_BATCHED, _base=np.array([base]))
     exec(src, namespace)  # noqa: S102 - source is generated locally
     return namespace["_f"]
 
 
 def variables_of(e: Expr) -> set[int]:
-    match e:
-        case Const(_):
-            return set()
-        case Var(i):
-            return {i}
-        case Neg(a) | Sin(a) | Cos(a) | Ln(a) | Sqrt(a) | Exp(a):
-            return variables_of(a)
-        case Add(a, b) | Sub(a, b) | Mul(a, b) | Div(a, b):
-            return variables_of(a) | variables_of(b)
-        case Pow(base, _):
-            return variables_of(base)
-    raise TypeError(f"not an expression: {e!r}")
+    found: set[int] = set()
+    todo = [e]
+    while todo:  # a loop, not recursion: sums are as deep as they are long
+        match todo.pop():
+            case Const(_):
+                pass
+            case Var(i):
+                found.add(i)
+            case Neg(a) | Sin(a) | Cos(a) | Ln(a) | Sqrt(a) | Exp(a) | Pow(a, _):
+                todo.append(a)
+            case Add(a, b) | Sub(a, b) | Mul(a, b) | Div(a, b):
+                todo += (a, b)
+            case other:
+                raise TypeError(f"not an expression: {other!r}")
+    return found
 
 
 def negated(e: Expr) -> Expr:

@@ -17,10 +17,13 @@ the rules of a single descent and evaluates only the rows that start an
 iteration or try a step, so every start ends where a run of its own
 would end.
 
-The objectives are batched: ``model.compile_certificate`` evaluates the
-certificate, ``expr.compile_batch`` the flows and Jacobians, column by
-column over the rows.  The batched code performs the float operations of
-the scalar reference, so the results are bit-identical:
+The objectives are batched: one code generator, ``expr.compile_batch``,
+evaluates the certificate, its gradient and its Hessian (the expressions
+of ``model.certificate_exprs``, compiled by ``model.compile_certificate``),
+the flows and the Jacobians, column by column over the rows.  The batched
+code performs the float operations of the scalar reference (the monomial
+loops of ``model`` and ``expr.compile_vector``), so the results are
+bit-identical:
 - elementwise numpy arithmetic rounds as Python floats do;
 - ``**`` and the ``math`` functions run entry by entry on Python floats,
   because numpy's vector power, exp and log round differently from libm;

@@ -66,9 +66,6 @@ class Interval:
     def __contains__(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
 
 def _widened(lo: float, hi: float) -> Interval:
     return Interval(_down(lo), _up(hi))
@@ -196,9 +193,3 @@ def cos(x: Interval) -> Interval:
     else:
         lo = max(-1.0, _down(lo))
     return Interval(lo, hi)
-
-
-def scale(x: Interval, c: float) -> Interval:
-    if c >= 0.0:
-        return _widened(c * x.lo, c * x.hi)
-    return _widened(c * x.hi, c * x.lo)

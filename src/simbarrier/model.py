@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -268,63 +267,67 @@ def _lower(mono: Monomial, j: int) -> Monomial:
     return tuple(out)
 
 
-def _factors_code(mono: Monomial, skip: int = -1) -> list[str]:
-    return [f"x{i}" if e == 1 else f"x{i}_{e}"
-            for i, e in enumerate(mono) if e and i != skip]
+def _power(i: int, e: int) -> Expr:
+    """``x_i ** e`` for ``e >= 1``; ``x ** 1`` is ``x`` itself."""
+    return ex.Var(i) if e == 1 else ex.Pow(ex.Var(i), e)
 
 
-def _mono_grad_code(mono: Monomial, j: int) -> str | None:
-    """Source of ``_mono_grad(mono, x)[j]``; None for its constant 0.0."""
+def _factors(mono: Monomial, skip: int = -1) -> list[Expr]:
+    """The factors ``x_i ** e_i`` of ``mono`` with ``e_i > 0`` and
+    ``i != skip``, in variable order."""
+    return [_power(i, e) for i, e in enumerate(mono) if e and i != skip]
+
+
+def _grad_factors(mono: Monomial, j: int) -> list[Expr]:
+    """The factors of ``_mono_grad(mono, x)[j]`` for ``mono[j] > 0``, in
+    its order of multiplication: ``e * x_j ** (e - 1)`` first, whose
+    ``1.0 * x_j ** 0`` for ``e == 1`` is the exact unit and left out."""
     e = mono[j]
-    if e == 0:
-        return None
-    lead = [] if e == 1 else [f"{e}.0 * x{j}" + (f"_{e - 1}" if e > 2 else "")]
-    return " * ".join(lead + _factors_code(mono, j)) or "1.0"
+    lead = [] if e == 1 else [ex.Const(float(e)), _power(j, e - 1)]
+    return lead + _factors(mono, j)
 
 
-def _sum_code(terms: list[tuple[float, str | None]]) -> str:
-    # c * 1.0 == c, so a bare coefficient stands for a unit factor
-    return " + ".join(["0.0"] + [f"({c!r})" if code == "1.0" else f"({c!r}) * ({code})"
-                                 for c, code in terms if code is not None])
+def _sum(terms: Iterable[tuple[float, list[Expr]]]) -> Expr:
+    """``0.0 + c * f * g ... + ...`` grouped as the loops group it: each
+    product from the left, times its coefficient, added from the left.  A
+    term without factors is its bare coefficient (``c * 1.0 == c``)."""
+    total: Expr = ex.Const(0.0)
+    for c, factors in terms:
+        term: Expr = ex.Const(c)
+        if factors:
+            term = ex.Mul(term, functools.reduce(ex.Mul, factors))
+        total = ex.Add(total, term)
+    return total
 
 
-def _rows(fn, x: np.ndarray) -> np.ndarray:
-    """``fn`` applied to each row of ``x``, stacked."""
-    return np.array([fn(row) for row in x])
+def certificate_exprs(t: Template, p: np.ndarray, mode: int
+                      ) -> tuple[Expr, tuple[Expr, ...], tuple[Expr, ...]]:
+    """Mode ``mode``'s certificate, its gradient and its Hessian (n * n
+    entries, row by row) as expressions over the state variables.
 
-
-def _batch_source(name: str, n: int, entries: list[str], shape: tuple,
-                  namespace: dict) -> str:
-    """Source of ``name(x)``: the flat ``entries``, expressions in the
-    columns ``x0``, ``x1``, ... of ``x`` and their per-entry powers
-    ``xi_e``, as an array of shape (k,) + ``shape``.  Entries without a
-    variable (no ``x``: coefficient literals are finite, so never ``inf``
-    or ``nan``) are evaluated once, here, into a base row that each call
-    repeats over its k rows."""
-    base = [0.0 if "x" in code else eval(code)  # noqa: S307 - float literals
-            for code in entries]
-    namespace[f"_{name}_base"] = np.array([base])
-    varying = [(j, code) for j, code in enumerate(entries) if "x" in code]
-    if not varying:
-        return (f"def {name}(x):\n"
-                f"    return _{name}_base.repeat(len(x), 0)"
-                f".reshape((len(x),) + {shape!r})\n")
-    powers = sorted({(int(i), int(e)) for i, e in
-                     re.findall(r"x(\d+)_(\d+)", " ".join(entries))})
-    if shape == ():
-        body = [f"        return {varying[0][1]}\n"]
-    else:
-        body = [f"        _r = _{name}_base.repeat(len(x), 0)\n",
-                *(f"        _r[:, {j}] = {code}\n" for j, code in varying),
-                f"        return _r.reshape((len(x),) + {shape!r})\n"]
-    return "".join([
-        f"def {name}(x):\n",
-        f"    {''.join(f'x{i}, ' for i in range(n))}= x.T\n",
-        "    try:\n",
-        *(f"        x{i}_{e} = _pow(x{i}, {e})\n" for i, e in powers),
-        *body,
-        "    except OverflowError:\n",
-        f"        return _rows(_{name}, x)\n"])
+    Each tree performs the float operations of ``template_value``,
+    ``template_grad_x`` and ``template_hess_x`` in their order: sums start
+    from 0.0 and run in monomial order; gradient factors multiply in
+    ``_mono_grad``'s order; Hessian terms are ``(c * e) * grad``; the
+    gradient and the Hessian skip zero coefficients where the loops skip
+    them, and drop the loops' structural zero terms, which add exactly
+    nothing for finite ``c * e``.
+    """
+    block = [float(c) for c in p[t.block_slice(mode)]]
+    terms = list(zip(block, t.monomials[mode]))
+    n = len(terms[0][1])
+    grad = [[] for _ in range(n)]
+    hess = [[] for _ in range(n * n)]
+    for c, m in terms:
+        if not c:
+            continue
+        for j in (j for j, e in enumerate(m) if e):
+            grad[j].append((c, _grad_factors(m, j)))
+            lowered = _lower(m, j)
+            for k in (k for k, e in enumerate(lowered) if e):
+                hess[j * n + k].append((c * m[j], _grad_factors(lowered, k)))
+    return (_sum((c, _factors(m)) for c, m in terms),
+            tuple(map(_sum, grad)), tuple(map(_sum, hess)))
 
 
 def compile_certificate(t: Template, p: np.ndarray, mode: int):
@@ -333,59 +336,38 @@ def compile_certificate(t: Template, p: np.ndarray, mode: int):
     Each function takes points as the rows of a float array ``x`` of shape
     (k, n) and returns arrays of shape (k,), (k, n) and (k, n, n) whose
     row r is bit for bit what ``template_value``, ``template_grad_x`` and
-    ``template_hess_x`` return at ``x[r]``: the generated code performs
-    the same float operations in the same order, one column per variable.
-    Sums start from zero and run in monomial order; powers are Python
-    float powers (libm ``pow``) taken entry by entry; gradient factors
-    multiply in ``_mono_grad``'s order; Hessian terms are
-    ``(c * e) * grad``; the gradient and Hessian skip zero coefficients
-    where the loops skip them, and drop the loops' structural zero terms,
-    which add exactly nothing for finite ``c * e``.  Where that or a float
-    range does not hold (a power overflows, which raises here instead of
-    giving inf), the loops answer instead, row by row.
+    ``template_hess_x`` return at ``x[r]``: they are ``expr.compile_batch``
+    of the trees of ``certificate_exprs``.  Where those trees do not
+    perform the loops' operations, the loops answer instead, row by row:
+    for a batch where a power overflows (it raises in the batch and gives
+    inf in the loops), and for every batch when some ``c * e`` is not
+    finite (the loops' structural zero terms then add nan).
     """
-    block = [float(c) for c in p[t.block_slice(mode)]]
-    monos = t.monomials[mode]
-    n = len(monos[0])
     loops = tuple(functools.partial(fn, t, p, mode) for fn in
                   (template_value, template_grad_x, template_hess_x))
-    if not all(math.isfinite(c * max(*m, 1)) for c, m in zip(block, monos)):
-        return tuple(functools.partial(_rows, fn) for fn in loops)
-    value = [_sum_code([(c, " * ".join(_factors_code(m)) or "1.0")
-                        for c, m in zip(block, monos)])]
-    grad = [_sum_code([(c, _mono_grad_code(m, j))
-                       for c, m in zip(block, monos) if c])
-            for j in range(n)]
-    hess = [_sum_code([(c * m[j], _mono_grad_code(_lower(m, j), k))
-                       for c, m in zip(block, monos) if c and m[j]])
-            for j in range(n) for k in range(n)]
-    shapes = {"value": (), "grad_x": (n,), "hess_x": (n, n)}
-    namespace = {"_pow": ex.pow_entries, "_rows": _rows}
-    namespace.update((f"_{name}", fn) for name, fn in zip(shapes, loops))
-    exec("".join(_batch_source(name, n, entries, shapes[name], namespace)
-                 for name, entries in zip(shapes, (value, grad, hess))),
-         namespace)  # noqa: S102 - source is generated locally
-    return tuple(namespace[name] for name in shapes)
-
-
-def template_expr(t: Template, p: np.ndarray, mode: int) -> Expr:
-    """The certificate of mode ``mode`` as an expression over state vars."""
-    terms: Expr = ex.Const(0.0)
     block = p[t.block_slice(mode)]
-    for c, m in zip(block, t.monomials[mode]):
-        if c == 0.0:
-            continue
-        mono_expr: Expr = ex.Const(1.0)
-        first = True
-        for j, e in enumerate(m):
-            if e == 0:
-                continue
-            f: Expr = ex.Var(j) if e == 1 else ex.Pow(ex.Var(j), e)
-            mono_expr = f if first else ex.Mul(mono_expr, f)
-            first = False
-        term = ex.Const(float(c)) if first else ex.Mul(ex.Const(float(c)), mono_expr)
-        terms = term if terms == ex.Const(0.0) else ex.Add(terms, term)
-    return terms
+    monos = t.monomials[mode]
+    n = len(monos[0])
+    batches = [None] * 3
+    if all(math.isfinite(c * max(*m, 1)) for c, m in zip(block, monos)):
+        value, grad, hess = certificate_exprs(t, p, mode)
+        batches = [ex.compile_batch(es) for es in ((value,), grad, hess)]
+    return tuple(_batch_or_rows(batch, loop, shape) for batch, loop, shape
+                 in zip(batches, loops, ((), (n,), (n, n))))
+
+
+def _batch_or_rows(batch, loop, shape: tuple[int, ...]):
+    """``batch`` over the rows of a float array, shaped (k,) + ``shape``;
+    ``loop`` on each row instead where ``batch`` is None or overflows."""
+
+    def fn(x: np.ndarray) -> np.ndarray:
+        if batch is not None:
+            try:
+                return batch(x).reshape((len(x),) + shape)
+            except OverflowError:
+                pass
+        return np.array([loop(row) for row in x])
+    return fn
 
 
 def template_linear(n: int, modes: int = 1) -> Template:

@@ -406,16 +406,20 @@ def _drift_ride(prob_dyn: Problem, tmpl: Template, p: np.ndarray,
     drift zero, bloated-box exit, or the hard time cap.
     """
     d_verts = _dist_vertices(prob_dyn)
-    flows = {}
+    compiled = {}
 
-    def flow_of(m: int):
-        if m not in flows:
-            flows[m] = ex.compile_vector(prob_dyn.modes[m].flow)
-        return flows[m]
+    def grad_and_flow(m: int):
+        """Mode m's compiled certificate gradient and flow."""
+        if m not in compiled:
+            grad = model.certificate_exprs(tmpl, p, m)[1]
+            compiled[m] = (ex.compile_vector(grad),
+                           ex.compile_vector(prob_dyn.modes[m].flow))
+        return compiled[m]
 
     def drift(m: int, x: np.ndarray, d: np.ndarray) -> float:
-        g = model.template_grad_x(tmpl, p, m, x)
-        f = flow_of(m)(list(x) + list(d))
+        grad, flow = grad_and_flow(m)
+        g = grad(list(x))
+        f = flow(list(x) + list(d))
         return orient * float(np.dot(g, f))
 
     def dpolicy(m: int, x: np.ndarray) -> np.ndarray:

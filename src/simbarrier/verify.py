@@ -12,6 +12,7 @@ outward-rounded before comparison against zero.
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
 import math
 import time
@@ -21,9 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from . import interval as iv
 from . import model
-from .interval import Interval
 from .model import Box, Problem, Template
 
 CONDITION_NAMES = {
@@ -73,61 +72,21 @@ _REFUTED = 1
 _SPLIT = 2
 
 
-def _poly_terms(tmpl: Template, p: np.ndarray, mode: int):
-    block = p[tmpl.block_slice(mode)]
-    return [(float(c), m) for c, m in zip(block, tmpl.monomials[mode]) if c]
-
-
-def _poly_iv(terms, box: Sequence[Interval]) -> Interval:
-    total = Interval(0.0, 0.0)
-    for c, mono in terms:
-        term = Interval(1.0, 1.0)
-        for j, e in enumerate(mono):
-            if e:
-                term = iv.mul(term, iv.power(box[j], e))
-        total = iv.add(total, iv.scale(term, c))
-    return total
-
-
-def _grad_terms(terms):
-    """Per-dimension polynomial terms of the gradient."""
-    n = max((len(m) for _, m in terms), default=0)
-    out = [[] for _ in range(n)]
-    for c, mono in terms:
-        for j, e in enumerate(mono):
-            if e:
-                lowered = list(mono)
-                lowered[j] -= 1
-                out[j].append((c * e, tuple(lowered)))
-    return out
-
-
 class _ModeChecks:
-    """Interval evaluators for one mode's certificate and drift."""
+    """One mode's certificate and drift ``sum_j dV/dx_j * f_j`` as
+    expressions, for interval enclosures over boxes, and the certificate,
+    its gradient and the flow compiled for points."""
 
     def __init__(self, prob: Problem, tmpl: Template, p: np.ndarray, mode: int):
-        self.prob = prob
-        self.mode = mode
-        self.tmpl = tmpl
-        self.p = p
-        self.v_terms = _poly_terms(tmpl, p, mode)
-        self.g_terms = _grad_terms(self.v_terms)
-        self.flow = prob.modes[mode].flow
-
-    def v_range(self, box: Sequence[Interval]) -> Interval:
-        return _poly_iv(self.v_terms, box)
-
-    def drift_range(self, box: Sequence[Interval]) -> Interval | None:
-        """Enclosure of grad V . f over a state x disturbance box."""
-        total = Interval(0.0, 0.0)
-        for j, terms in enumerate(self.g_terms):
-            if not terms:
-                continue
-            fj = ex.interval_eval(self.flow[j], box)
-            if fj is None:
-                return None
-            total = iv.add(total, iv.mul(_poly_iv(terms, box[:self.prob.dim]), fj))
-        return total
+        value, grad, _ = model.certificate_exprs(tmpl, p, mode)
+        flow = prob.modes[mode].flow
+        self.value_expr = value
+        self.drift_expr = functools.reduce(
+            ex.Add, [ex.Mul(g, f) for g, f in zip(grad, flow)
+                     if g != ex.Const(0.0)], ex.Const(0.0))
+        self.value = ex.compile_expr(value)
+        self.grad = ex.compile_vector(grad)
+        self.flow = ex.compile_vector(flow)
 
 
 def _split_choice(box: Box, min_widths: Sequence[float],
@@ -227,13 +186,13 @@ def verify(prob: Problem, tmpl: Template, p: np.ndarray,
             mc = checks[mode]
 
             def check(bx: Box, _mc=mc, _neg=want_negative, _m=mode):
-                rng = _mc.v_range(bx.intervals())
+                rng = ex.interval_eval(_mc.value_expr, bx.intervals())
                 if _neg and rng.hi < 0.0:
                     return _PROVED, None
                 if not _neg and rng.lo > 0.0:
                     return _PROVED, None
                 mid = bx.midpoint()
-                v_mid = model.template_value(tmpl, p, _m, mid)
+                v_mid = _mc.value(mid)
                 bad = v_mid >= 1e-10 * p_scale if _neg else v_mid <= -1e-10 * p_scale
                 if bad:
                     return _REFUTED, (_m, mid, ())
@@ -266,13 +225,13 @@ def verify(prob: Problem, tmpl: Template, p: np.ndarray,
 
         def check3(bx: Box, _mc=mc, _m=mode, _omega=omega):
             ivs = bx.intervals()
-            v_rng = _mc.v_range(ivs[:prob.dim])
+            v_rng = ex.interval_eval(_mc.value_expr, ivs)
             if not (v_rng.lo <= 0.0 <= v_rng.hi):
                 return _PROVED, None
-            drift = _mc.drift_range(ivs)
+            drift = ex.interval_eval(_mc.drift_expr, ivs)
             if drift is not None and drift.hi < 0.0:
                 return _PROVED, None
-            witness = _drift_witness(prob, tmpl, p, _m, bx, d_verts, p_scale)
+            witness = _drift_witness(_mc, prob.dim, _m, bx, d_verts, p_scale)
             if witness is not None:
                 return _REFUTED, witness
             return _SPLIT, None
@@ -285,26 +244,24 @@ def verify(prob: Problem, tmpl: Template, p: np.ndarray,
     # condition 4: non-positive certificate must map to negative under resets
     tasks4 = []
     for rule in prob.resets:
-        src = checks[rule.source]
-        tgt_terms = _poly_terms(tmpl, p, rule.target)
-
-        def check4(bx: Box, _src=src, _rule=rule, _tt=tgt_terms):
+        def check4(bx: Box, _src=checks[rule.source], _rule=rule,
+                   _tgt=checks[rule.target]):
             ivs = bx.intervals()
-            v_rng = _src.v_range(ivs)
+            v_rng = ex.interval_eval(_src.value_expr, ivs)
             if v_rng.lo > 0.0:
                 return _PROVED, None
             image = [ex.interval_eval(f, ivs) for f in _rule.fwd]
             if all(im is not None for im in image):
-                after = _poly_iv(_tt, image)
+                after = ex.interval_eval(_tgt.value_expr, image)
                 if after.hi < 0.0:
                     return _PROVED, None
             mid = bx.midpoint()
-            v_mid = model.template_value(tmpl, p, _rule.source, mid)
+            v_mid = _src.value(mid)
             try:
                 r_mid = [ex.evaluate(f, mid) for f in _rule.fwd]
             except ex.DomainError:
                 return _SPLIT, None
-            v_after = model.template_value(tmpl, p, _rule.target, r_mid)
+            v_after = _tgt.value(r_mid)
             if v_mid <= -1e-10 * p_scale and v_after >= 1e-10 * p_scale:
                 return _REFUTED, (_rule.source, mid, ())
             return _SPLIT, None
@@ -327,33 +284,33 @@ def _refuted(verdict: Verdict, condition: int, witness) -> Verdict:
     return verdict
 
 
-def _drift_witness(prob, tmpl, p, mode, box: Box, d_verts, p_scale):
+def _drift_witness(mc: _ModeChecks, dim: int, mode: int, box: Box,
+                   d_verts, p_scale):
     """Try to exhibit a concrete violating point for the drift condition:
     a state on the zero level set with non-negative drift for some
     disturbance vertex.  Conservative; never refutes on enclosure noise."""
-    x = np.asarray(box.midpoint()[:prob.dim])
-    lo = np.asarray(box.lo[:prob.dim])
-    hi = np.asarray(box.hi[:prob.dim])
+    x = np.asarray(box.midpoint()[:dim])
+    lo = np.asarray(box.lo[:dim])
+    hi = np.asarray(box.hi[:dim])
     for _ in range(30):
-        v = model.template_value(tmpl, p, mode, x)
+        v = mc.value(x)
         if abs(v) <= 1e-9 * p_scale:
             break
-        g = model.template_grad_x(tmpl, p, mode, x)
+        g = np.array(mc.grad(x))
         n2 = float(g @ g)
         if n2 < 1e-18:
             return None
         x = np.clip(x - (v / n2) * g, lo, hi)
     else:
         return None
-    if abs(model.template_value(tmpl, p, mode, x)) > 1e-9 * p_scale:
+    if abs(mc.value(x)) > 1e-9 * p_scale:
         return None
-    flow = [ex.compile_expr(f) for f in prob.modes[mode].flow]
-    g = model.template_grad_x(tmpl, p, mode, x)
+    g = np.array(mc.grad(x))
     best = None
     for d in d_verts:
         vals = list(x) + list(d)
         try:
-            f = np.array([fn(vals) for fn in flow])
+            f = np.array(mc.flow(vals))
         except (ValueError, ZeroDivisionError, OverflowError):
             continue  # flow undefined here; no witness from this point
         drift = float(g @ f)

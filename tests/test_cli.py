@@ -131,6 +131,15 @@ class TestErrors:
         assert f"{path}: {location}: " in err
         assert "Traceback" not in err
 
+    def test_literal_outside_float_range_is_diagnosed(self, tmp_path, capsys):
+        doc = benchmarks.pendulum()
+        doc["modes"][0]["flow"][0] += " + 0*1e400"
+        path = _write(tmp_path, "overflow.json", doc)
+        assert cli.main(["synth", path]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: modes[0].flow[0]: " in err and "'1e400'" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["synth", "verify"])
     def test_problem_document_not_an_object(self, tmp_path, capsys, command,
                                             paper_barrier_path):

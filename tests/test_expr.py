@@ -39,15 +39,10 @@ class TestParse:
         assert ex.evaluate(ex.parse("2*3 - 4/2", vars_), [0, 0]) == 4
         assert ex.evaluate(ex.parse("1.5e2 + 1", vars_), [0, 0]) == 151.0
 
-    def test_parse_print_parse_idempotent(self, rng):
-        # parse of printed text is a fixed point of print-then-parse
-        vars_ = ["x", "y", "z"]
-        for _ in range(300):
-            e = rand_expr(rng, 3, 4)
-            parsed = ex.parse(ex.to_text(e, vars_), vars_)
-            text = ex.to_text(parsed, vars_)
-            assert ex.parse(text, vars_) == parsed
-            assert ex.to_text(ex.parse(text, vars_), vars_) == text
+    @pytest.mark.parametrize("text", ["y + 0*1e400", "1" + "0" * 400])
+    def test_literal_outside_float_range_rejected(self, text):
+        with pytest.raises(ex.ParseError, match="outside the float range"):
+            ex.parse(text, ["x", "y"])
 
 
 class TestEvaluate:
@@ -158,6 +153,10 @@ class TestCompileBatch:
             batch(np.array([[2.0], [-0.0]]))
         with pytest.raises(ZeroDivisionError):
             ex.compile_batch([ex.parse("x/0", ["x"])])(np.array([[1.0]]))
+        # an entry without variables raises in every call, not when compiled
+        batch = ex.compile_batch([ex.parse("x", ["x"]), ex.parse("1/(1 - 1)", ["x"])])
+        with pytest.raises(ZeroDivisionError):
+            batch(np.array([[1.0]]))
 
 
 class TestDifferentiate:
@@ -239,7 +238,7 @@ class TestIntervalEval:
             outer = [Interval(b.lo - g, b.hi + g) for b, g in zip(inner, grow)]
             enc_in = ex.interval_eval(e, inner)
             enc_out = ex.interval_eval(e, outer)
-            assert enc_out.contains_interval(enc_in)
+            assert enc_out.lo <= enc_in.lo and enc_in.hi <= enc_out.hi
 
 
 def test_negated_is_involution():

@@ -86,15 +86,7 @@ def test_inclusion_monotonicity_mul(center, w1, grow_lo, t, u):
     other_outer = Interval(-1.5 - u, 1.5 + u)
     small = iv.mul(inner, other_inner)
     big = iv.mul(outer, other_outer)
-    assert big.contains_interval(small)
-
-
-def test_scale_signs():
-    x = Interval(-1.0, 2.0)
-    up = iv.scale(x, 3.0)
-    dn = iv.scale(x, -3.0)
-    assert -3.0 in up and 6.0 in up
-    assert -6.0 in dn and 3.0 in dn
+    assert big.lo <= small.lo and small.hi <= big.hi
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simbarrier import benchmarks, model
+from simbarrier import benchmarks, expr as ex, model, verify
+from simbarrier.interval import Interval
 from simbarrier.model import (
     Box,
+    ModeDef,
+    Problem,
     ProblemFormatError,
     Template,
     bloat,
@@ -216,6 +219,82 @@ class TestCompiledCertificate:
             _assert_compiled_equals_loops(
                 t, np.array([np.inf, 0.0, 1.0, np.nan, 0.0, 1.0]), 0,
                 np.array([[0.5, 2.0], [-3.0, 0.25]]))
+
+    @given(certificates())
+    @settings(max_examples=200, deadline=None)
+    def test_point_code_bit_identical_to_loops(self, case):
+        """The value and gradient trees compiled for one point, as the
+        rides and the verifier use them, give the loops' bits."""
+        tmpl, p, mode, x = case
+        value, grad, _ = model.certificate_exprs(tmpl, p, mode)
+        value, grad = ex.compile_expr(value), ex.compile_vector(grad)
+        for row in x:
+            for point in (list(row), row.tolist()):
+                assert np.float64(value(point)).tobytes() == \
+                    np.float64(template_value(tmpl, p, mode, point)).tobytes()
+                assert np.array(grad(point)).tobytes() == \
+                    template_grad_x(tmpl, p, mode, point).tobytes()
+
+    def test_long_sum_compiles(self):
+        # 301 terms nest deeper than Python's 200 parentheses if each sum
+        # is parenthesized again
+        t = make_template("linear", 300, 1)
+        p = np.linspace(-1.0, 1.0, t.size)
+        x = np.linspace(0.5, 2.0, 600).reshape(2, 300)
+        _assert_compiled_equals_loops(t, p, 0, x)
+        value = ex.compile_expr(model.certificate_exprs(t, p, 0)[0])
+        assert value(x[0].tolist()) == template_value(t, p, 0, x[0].tolist())
+
+
+_FLOWS = ("-x{i} + x{j}^2", "3 * sin(x{j})", "x{i} * x{j} - 0.5", "1.25")
+
+
+@st.composite
+def enclosure_cases(draw):
+    """A certificate case, a flow over its variables, boxes of relative
+    half-width up to 0.1 around its points, and four fractions per box
+    coordinate that place sample points in the boxes."""
+    tmpl, p, mode, x = draw(certificates())
+    n = x.shape[1]
+    names = [f"x{i}" for i in range(n)]
+    flow = tuple(ex.parse(draw(st.sampled_from(_FLOWS)).format(i=i, j=(i + 1) % n),
+                          names) for i in range(n))
+    unit = st.floats(0.0, 1.0)
+    rel = np.array(draw(st.lists(unit, min_size=x.size, max_size=x.size)))
+    half = 0.1 * np.abs(x) * rel.reshape(x.shape)
+    frac = np.array(draw(st.lists(unit, min_size=4 * x.size,
+                                  max_size=4 * x.size))).reshape((4,) + x.shape)
+    return tmpl, p, mode, flow, x - half, x + half, frac
+
+
+class TestCertificateEnclosures:
+    @given(enclosure_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_interval_trees_enclose_loops(self, case):
+        """interval_eval of the value, gradient and drift trees over a box
+        encloses what the loops give at points of the box."""
+        tmpl, p, mode, flow, lo, hi, frac = case
+        n = lo.shape[1]
+        modes = tuple(ModeDef(f"m{i}", Box((-1e4,) * n, (1e4,) * n), flow)
+                      for i in range(len(tmpl.monomials)))
+        region = ((0, modes[0].omega),)
+        prob = Problem(tuple(f"x{i}" for i in range(n)), (), None, modes, (),
+                       region, region)
+        checks = verify._ModeChecks(prob, tmpl, p, mode)
+        grad = model.certificate_exprs(tmpl, p, mode)[1]
+        for b_lo, b_hi, b_frac in zip(lo, hi, frac.transpose(1, 0, 2)):
+            box = [Interval(a, b) for a, b in zip(b_lo, b_hi)]
+            v_enc = ex.interval_eval(checks.value_expr, box)
+            g_enc = [ex.interval_eval(g, box) for g in grad]
+            d_enc = ex.interval_eval(checks.drift_expr, box)
+            points = np.clip(b_lo + b_frac * (b_hi - b_lo), b_lo, b_hi)
+            for x in [b_lo, b_hi, *points]:
+                point = x.tolist()
+                assert template_value(tmpl, p, mode, point) in v_enc
+                g = template_grad_x(tmpl, p, mode, point)
+                assert all(gj in enc for gj, enc in zip(g, g_enc))
+                f = [ex.evaluate(fj, point) for fj in flow]
+                assert float(np.dot(g, f)) in d_enc
 
 
 class TestMonomialNames:

@@ -17,6 +17,12 @@ def composition_with_published_barrier():
     return prob, tmpl, p
 
 
+def box_counts(verdict):
+    """Condition -> (boxes verified, split, unresolved)."""
+    return {c: (r.boxes_verified, r.boxes_split, r.boxes_unresolved)
+            for c, r in verdict.reports.items()}
+
+
 class TestVerified:
     def test_published_composition_barrier(self):
         prob, tmpl, p = composition_with_published_barrier()
@@ -58,6 +64,8 @@ class TestVerified:
         assert verdict.status is VerdictStatus.VERIFIED
         rep3 = verdict.reports[3]
         assert rep3.boxes_split > 0
+        assert box_counts(verdict) == {1: (1, 0, 0), 2: (1, 0, 0),
+                                       3: (6, 5, 0), 4: (0, 0, 0)}
         assert rep3.volume_covered == pytest.approx(rep3.region_volume,
                                                     rel=1e-9)
         for cond in (1, 2):
@@ -74,6 +82,8 @@ class TestVerified:
         verdict = verify(prob, tmpl, p)
         assert verdict.reports[4].boxes_verified >= 1
         assert verdict.status is VerdictStatus.VERIFIED
+        assert box_counts(verdict) == {1: (1, 0, 0), 2: (1, 0, 0),
+                                       3: (1, 0, 0), 4: (1, 0, 0)}
 
 
 class TestRefuted:
@@ -119,6 +129,8 @@ class TestRefuted:
         verdict = verify(prob, tmpl, p)
         assert verdict.status is VerdictStatus.REFUTED
         assert verdict.condition == 4
+        assert box_counts(verdict) == {1: (1, 0, 0), 2: (1, 0, 0),
+                                       3: (1, 0, 0), 4: (0, 0, 0)}
 
 
 class TestUnknown:
@@ -133,6 +145,8 @@ class TestUnknown:
         assert verdict.status is VerdictStatus.UNKNOWN
         assert verdict.condition == 3
         assert verdict.unresolved
+        assert box_counts(verdict) == {1: (1, 0, 0), 2: (1, 0, 0),
+                                       3: (26, 27, 2), 4: (0, 0, 0)}
         assert all(b.lo[0] <= 0.0 <= b.hi[0] or
                    min(abs(b.lo[0]), abs(b.hi[0])) < 0.01
                    for b in verdict.unresolved)
