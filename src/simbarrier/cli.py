@@ -27,6 +27,10 @@ PROBLEM_SCHEMA = "problem/1"
 BARRIER_SCHEMA = "barrier/1"
 REPORT_SCHEMA = "report/1"
 
+# failures of a run on a well-formed document: reported without a stack
+# trace, exit code 1
+_RUN_ERRORS = (falsify.RefutationError, lp.LPError, chebyshev.ConstraintError)
+
 
 class UserError(Exception):
     """Bad input; reported without a stack trace, exit code 2."""
@@ -190,7 +194,11 @@ def _write_report(doc: dict, path: str | None):
 def _cmd_synth(args) -> int:
     prob, tmpl, doc = _load_problem_doc(args.problem)
     cfg = _run_config(doc, args, args.problem)
-    report = engine.run(prob, tmpl, cfg)
+    try:
+        report = engine.run(prob, tmpl, cfg)
+    except _RUN_ERRORS as err:
+        print(f"error: {args.problem}: {err}", file=sys.stderr)
+        return 1
     out = _report_json(doc.get("name", Path(args.problem).stem), report,
                        prob, tmpl, cfg.seed)
     _write_report(out, args.report)
@@ -245,8 +253,7 @@ def _cmd_bench(args) -> int:
         name = doc.get("name", path.stem)
         try:
             report = engine.run(prob, tmpl, cfg)
-        except (falsify.RefutationError, lp.LPError,
-                chebyshev.ConstraintError) as err:
+        except _RUN_ERRORS as err:
             # one failing problem becomes an error row; the batch goes on
             print(f"error: {path}: {err}", file=sys.stderr)
             all_ok = False

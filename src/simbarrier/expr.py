@@ -1,10 +1,11 @@
 """Symbolic scalar expressions over a fixed variable list.
 
 Supports parsing from infix text, exact point evaluation, symbolic
-differentiation, conservative interval evaluation, and compilation to a
-plain Python callable for hot loops (ODE right-hand sides, objective
-gradients), either on one point or column-wise on a batch of points with
-the same results.  Expression trees are immutable and safe to share.
+differentiation, and compilation, by one code generator, to plain Python
+callables: on one point or column-wise on a batch of points with the same
+results, for hot loops (ODE right-hand sides, objective gradients), and on
+a box of intervals, for sound enclosures.  Expression trees are immutable
+and safe to share.
 """
 
 from __future__ import annotations
@@ -370,76 +371,41 @@ def differentiate(e: Expr, var: int) -> Expr:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def interval_eval(e: Expr, box: Sequence[Interval]) -> Interval | None:
-    """Sound enclosure of e over the box, or None when the box touches a
-    domain boundary of some sub-expression."""
-    match e:
-        case Const(v):
-            return Interval(v, v)
-        case Var(i):
-            return box[i]
-        case Neg(a):
-            x = interval_eval(a, box)
-            return None if x is None else iv.neg(x)
-        case Add(a, b):
-            x = interval_eval(a, box)
-            y = interval_eval(b, box)
-            return None if x is None or y is None else iv.add(x, y)
-        case Sub(a, b):
-            x = interval_eval(a, box)
-            y = interval_eval(b, box)
-            return None if x is None or y is None else iv.sub(x, y)
-        case Mul(a, b):
-            x = interval_eval(a, box)
-            y = interval_eval(b, box)
-            return None if x is None or y is None else iv.mul(x, y)
-        case Div(a, b):
-            x = interval_eval(a, box)
-            y = interval_eval(b, box)
-            return None if x is None or y is None else iv.div(x, y)
-        case Pow(base, n):
-            x = interval_eval(base, box)
-            return None if x is None else iv.power(x, n)
-        case Sin(a):
-            x = interval_eval(a, box)
-            return None if x is None else iv.sin(x)
-        case Cos(a):
-            x = interval_eval(a, box)
-            return None if x is None else iv.cos(x)
-        case Exp(a):
-            x = interval_eval(a, box)
-            return None if x is None else iv.exp(x)
-        case Ln(a):
-            x = interval_eval(a, box)
-            return None if x is None else iv.log(x)
-        case Sqrt(a):
-            x = interval_eval(a, box)
-            return None if x is None else iv.sqrt(x)
-    raise TypeError(f"not an expression: {e!r}")
+_CHUNK = 500  # terms of a sum per flat expression
 
 
-def _codegen(e: Expr, batched: bool = False) -> str:
-    """Python source computing ``e`` from the values ``_v``.
+def _codegen(e: Expr, flavour: str = "point") -> str:
+    """Python source computing ``e`` from the values ``_v``; ``flavour`` is
+    "point", "batch" or "box".
 
-    Scalar code reads floats ``_v[i]``.  Batched code reads columns
-    ``_v[i]`` (1-D float arrays, one entry per point) and performs, entry
-    by entry, the float operations the scalar code performs: sums,
-    differences, products and negation are numpy elementwise operations,
-    which round as Python floats do; powers and the math functions run
-    per entry on Python floats (``_pow``, ``_each_sin``, ...), because numpy's
-    vector ``power``, ``exp`` and ``log`` round differently from libm; and
-    division by a non-constant goes through ``_div``, which raises
-    ZeroDivisionError on a zero divisor, as a Python float division does.
-    Subtrees without variables are scalar code in both forms.  A chain of
-    sums and differences is emitted flat, as Python groups it, by a loop
-    down its left operands: a sum has one tree level per term, and one
-    parenthesis or one recursive call per term would hit the parser's
-    limit of 200 nested parentheses or the recursion limit.
+    Point code reads floats ``_v[i]``.  Batch code reads columns ``_v[i]``
+    (1-D float arrays, one entry per point) and performs, entry by entry,
+    the float operations the point code performs: sums, differences,
+    products and negation are numpy elementwise operations, which round as
+    Python floats do; powers and the math functions run per entry on
+    Python floats (``_pow``, ``_each_sin``, ...), because numpy's vector
+    ``power``, ``exp`` and ``log`` round differently from libm; division by
+    a non-constant goes through ``_div``, which raises ZeroDivisionError on
+    a zero divisor, as a Python float division does; and subtrees without
+    variables are point code.  Box code reads intervals ``_v[i]``: the same
+    operators on ``Interval``, constants as point intervals ``_I(c)``,
+    never folded in floats, and ``_div``, ``_log`` and ``_sqrt``, which
+    raise DomainError where the box leaves their domain.
+
+    A chain of sums and differences is emitted flat, as Python groups it,
+    by a loop down its left operands, and added up left to right in chunks
+    of ``_CHUNK`` terms: one parenthesis or one recursive call per term
+    would hit the parser's limit of 200 nested parentheses or the
+    recursion limit, and the compiler recurses once per operator of a flat
+    chain.
     """
-    batched = batched and bool(variables_of(e))
-    gen = lambda a: _codegen(a, batched)
+    if flavour == "batch" and not variables_of(e):
+        flavour = "point"
+    gen = lambda a: _codegen(a, flavour)
     match e:
         case Const(v):
+            if flavour == "box":
+                return f"_I({v!r})"
             return f"({v!r})"  # unparenthesized negatives bind wrongly with **
         case Var(i):
             return f"_v[{i}]"
@@ -450,19 +416,29 @@ def _codegen(e: Expr, batched: bool = False) -> str:
             while isinstance(e, (Add, Sub)):
                 chain.append(f"{'+' if isinstance(e, Add) else '-'} {gen(e.b)}")
                 e = e.a
-            return f"({' '.join([gen(e)] + chain[::-1])})"
+            terms = [gen(e)] + chain[::-1]
+            if len(terms) <= _CHUNK:
+                return f"({' '.join(terms)})"
+            # each chunk reads the partial sum _s before its terms run, so
+            # a term's own chunked sum cannot overwrite it
+            parts = [" ".join(terms[i:i + _CHUNK])
+                     for i in range(0, len(terms), _CHUNK)]
+            steps = [f"(_s := ({parts[0]}))"]
+            steps += [f"(_s := (_s {part}))" for part in parts[1:]]
+            return f"({', '.join(steps)})[-1]"
         case Mul(a, b):
             return f"({gen(a)} * {gen(b)})"
         case Div(a, b):
-            if batched and not (isinstance(b, Const) and b.value != 0.0):
+            if flavour == "box" or (flavour == "batch" and not (
+                    isinstance(b, Const) and b.value != 0.0)):
                 return f"_div({gen(a)}, {gen(b)})"
             return f"({gen(a)} / {gen(b)})"
         case Pow(base, n):
-            if batched:
+            if flavour == "batch":
                 return f"_pow({gen(base)}, {n})"
             return f"({gen(base)} ** {n})"
         case Sin(a) | Cos(a) | Exp(a) | Ln(a) | Sqrt(a):
-            prefix = "_each" if batched else ""
+            prefix = "_each" if flavour == "batch" else ""
             return f"{prefix}_{_MATH_NAMES[type(e)]}({gen(a)})"
     raise TypeError(f"not an expression: {e!r}")
 
@@ -491,6 +467,20 @@ _BATCHED = dict(_MATH, _pow=pow_entries, _div=_div_entries)
 _BATCHED.update((f"_each{name}", _per_entry(fn)) for name, fn in _MATH.items())
 
 
+def _defined(fn):
+    """``fn`` of intervals, raising DomainError where it returns None."""
+    def checked(*args):
+        if (out := fn(*args)) is None:
+            raise DomainError(f"{fn.__name__} undefined on this box")
+        return out
+    return checked
+
+
+_BOX = dict(_I=Interval, _sin=iv.sin, _cos=iv.cos, _exp=iv.exp,
+            _log=_defined(iv.log), _sqrt=_defined(iv.sqrt),
+            _div=_defined(iv.div), DomainError=DomainError)
+
+
 def _compile(src: str):
     return eval(src, dict(_MATH))  # noqa: S307 - source is generated locally
 
@@ -516,24 +506,25 @@ def compile_vector(es: Sequence[Expr]):
 
 def compile_batch(es: Sequence[Expr]):
     """Compile a tuple of expressions to one ``f(points) -> array`` over
-    the rows of a float array ``points`` of shape (k, number of values).
+    the rows of a float array ``points`` of shape (k, number of values):
+    the batch flavour of ``_codegen``.
 
     Row r of the (k, len(es)) result is bit for bit
     ``compile_vector(es)(points[r].tolist())``.  The call raises one of
-    ValueError, ZeroDivisionError or OverflowError when that scalar code
+    ValueError, ZeroDivisionError or OverflowError when that point code
     would raise on some row; callers then evaluate the rows one by one.
     Entries without variables are evaluated once, here, into a row that
     each call repeats, unless they raise.
     """
     base, lines = [], []
     for i, e in enumerate(es):
-        code = _codegen(e, batched=True)
+        code = _codegen(e, "batch")
         value = None
         if not variables_of(e):
             try:
                 value = _compile(code)
             except (ValueError, ZeroDivisionError, OverflowError):
-                pass  # raises in every call, as the scalar code does
+                pass  # raises in every call, as the point code does
         base.append(0.0 if value is None else value)
         if value is None:
             lines.append(f"    _out[:, {i}] = {code}\n")
@@ -543,6 +534,25 @@ def compile_batch(es: Sequence[Expr]):
     namespace = dict(_BATCHED, _base=np.array([base]))
     exec(src, namespace)  # noqa: S102 - source is generated locally
     return namespace["_f"]
+
+
+def compile_interval(es: Sequence[Expr]):
+    """One ``f(box) -> Interval | None`` per expression: its natural
+    interval extension over a sequence of intervals, one per variable.
+    ``f`` gives a sound enclosure over the box, or None where the box
+    touches a domain boundary of some sub-expression."""
+    src = "".join(f"def _f{i}(_v):\n    try:\n        return {_codegen(e, 'box')}\n"
+                  "    except DomainError:\n        return None\n"
+                  for i, e in enumerate(es))
+    namespace = dict(_BOX)
+    exec(src, namespace)  # noqa: S102 - source is generated locally
+    return [namespace[f"_f{i}"] for i in range(len(es))]
+
+
+def interval_eval(e: Expr, box: Sequence[Interval]) -> Interval | None:
+    """Sound enclosure of e over the box, or None when the box touches a
+    domain boundary of some sub-expression; see ``compile_interval``."""
+    return compile_interval([e])[0](box)
 
 
 def variables_of(e: Expr) -> set[int]:

@@ -193,3 +193,9 @@ def cos(x: Interval) -> Interval:
     else:
         lo = max(-1.0, _down(lo))
     return Interval(lo, hi)
+
+
+# the total operations as operators, so that interval code reads as float
+# code does (see expr.compile_interval)
+Interval.__add__, Interval.__sub__, Interval.__mul__ = add, sub, mul
+Interval.__neg__, Interval.__pow__ = neg, power

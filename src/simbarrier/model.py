@@ -300,34 +300,43 @@ def _sum(terms: Iterable[tuple[float, list[Expr]]]) -> Expr:
     return total
 
 
-def certificate_exprs(t: Template, p: np.ndarray, mode: int
-                      ) -> tuple[Expr, tuple[Expr, ...], tuple[Expr, ...]]:
-    """Mode ``mode``'s certificate, its gradient and its Hessian (n * n
-    entries, row by row) as expressions over the state variables.
-
-    Each tree performs the float operations of ``template_value``,
-    ``template_grad_x`` and ``template_hess_x`` in their order: sums start
-    from 0.0 and run in monomial order; gradient factors multiply in
-    ``_mono_grad``'s order; Hessian terms are ``(c * e) * grad``; the
-    gradient and the Hessian skip zero coefficients where the loops skip
-    them, and drop the loops' structural zero terms, which add exactly
-    nothing for finite ``c * e``.
-    """
-    block = [float(c) for c in p[t.block_slice(mode)]]
-    terms = list(zip(block, t.monomials[mode]))
-    n = len(terms[0][1])
+def _grad_terms(terms: list[tuple[float, Monomial]], n: int) -> list[list]:
+    """Per variable j, the ``(c, factors)`` terms of ``template_grad_x``'s
+    entry j, without its zero coefficients and structural zero terms."""
     grad = [[] for _ in range(n)]
-    hess = [[] for _ in range(n * n)]
     for c, m in terms:
-        if not c:
-            continue
-        for j in (j for j, e in enumerate(m) if e):
-            grad[j].append((c, _grad_factors(m, j)))
-            lowered = _lower(m, j)
-            for k in (k for k, e in enumerate(lowered) if e):
-                hess[j * n + k].append((c * m[j], _grad_factors(lowered, k)))
-    return (_sum((c, _factors(m)) for c, m in terms),
-            tuple(map(_sum, grad)), tuple(map(_sum, hess)))
+        if c:
+            for j in (j for j, e in enumerate(m) if e):
+                grad[j].append((c, _grad_factors(m, j)))
+    return grad
+
+
+def certificate_exprs(t: Template, p: np.ndarray, mode: int
+                      ) -> tuple[Expr, tuple[Expr, ...]]:
+    """Mode ``mode``'s certificate and its gradient as expressions over the
+    state variables.
+
+    Each tree performs the float operations of ``template_value`` and
+    ``template_grad_x`` in their order: sums start from 0.0 and run in
+    monomial order; gradient factors multiply in ``_mono_grad``'s order;
+    the gradient skips zero coefficients where the loop skips them, and
+    drops the loop's structural zero terms, which add exactly nothing for
+    finite ``c``.
+    """
+    terms = list(zip(map(float, p[t.block_slice(mode)]), t.monomials[mode]))
+    grad = _grad_terms(terms, len(terms[0][1]))
+    return _sum((c, _factors(m)) for c, m in terms), tuple(map(_sum, grad))
+
+
+def hessian_exprs(t: Template, p: np.ndarray, mode: int) -> tuple[Expr, ...]:
+    """Mode ``mode``'s certificate Hessian, n * n entries row by row, as
+    expressions performing ``template_hess_x``'s float operations in its
+    order: row j is the gradient of the terms ``(c * m[j], m lowered in
+    j)``, without the loop's structural zero terms, as in the gradient."""
+    terms = list(zip(map(float, p[t.block_slice(mode)]), t.monomials[mode]))
+    n = len(terms[0][1])
+    return tuple(_sum(entry) for j in range(n) for entry in _grad_terms(
+        [(c * m[j], _lower(m, j)) for c, m in terms if c and m[j]], n))
 
 
 def compile_certificate(t: Template, p: np.ndarray, mode: int):
@@ -337,8 +346,8 @@ def compile_certificate(t: Template, p: np.ndarray, mode: int):
     (k, n) and returns arrays of shape (k,), (k, n) and (k, n, n) whose
     row r is bit for bit what ``template_value``, ``template_grad_x`` and
     ``template_hess_x`` return at ``x[r]``: they are ``expr.compile_batch``
-    of the trees of ``certificate_exprs``.  Where those trees do not
-    perform the loops' operations, the loops answer instead, row by row:
+    of ``certificate_exprs`` and ``hessian_exprs``.  Where those trees do
+    not perform the loops' operations, the loops answer instead, row by row:
     for a batch where a power overflows (it raises in the batch and gives
     inf in the loops), and for every batch when some ``c * e`` is not
     finite (the loops' structural zero terms then add nan).
@@ -350,7 +359,8 @@ def compile_certificate(t: Template, p: np.ndarray, mode: int):
     n = len(monos[0])
     batches = [None] * 3
     if all(math.isfinite(c * max(*m, 1)) for c, m in zip(block, monos)):
-        value, grad, hess = certificate_exprs(t, p, mode)
+        value, grad = certificate_exprs(t, p, mode)
+        hess = hessian_exprs(t, p, mode)
         batches = [ex.compile_batch(es) for es in ((value,), grad, hess)]
     return tuple(_batch_or_rows(batch, loop, shape) for batch, loop, shape
                  in zip(batches, loops, ((), (n,), (n, n))))
@@ -595,10 +605,19 @@ def _spot_check_inverse(rule: ResetRule, index: int, samples: int = 8):
     points = [rule.guard.midpoint()]
     points.extend(vertices(rule.guard)[: samples - 1])
     for x in points:
-        y = [ex.evaluate(f, x) for f in rule.fwd]
-        back = [ex.evaluate(g, y) for g in rule.inv]
+        y = _spot_value(rule.fwd, x, f"resets[{index}].map")
+        back = _spot_value(rule.inv, y, f"resets[{index}].inverse")
         err = max(abs(a - b) for a, b in zip(back, x))
         if err > 1e-9 * (1.0 + max(abs(v) for v in x)):
             raise ProblemFormatError(
                 f"resets[{index}].inverse",
                 f"inverse map does not invert the forward map (error {err:.2e})")
+
+
+def _spot_value(fs: Sequence[Expr], x: Sequence[float],
+                location: str) -> list[float]:
+    try:
+        return [ex.evaluate(f, x) for f in fs]
+    except (ex.DomainError, OverflowError, ValueError) as err:
+        raise ProblemFormatError(
+            location, f"undefined at the point {tuple(x)}: {err}") from None

@@ -230,7 +230,6 @@ def _guard_events(prob: Problem, mode: int):
     at the localized point.
     """
     events = []
-    owners = []
     for rule in prob.mode_resets(mode):
         degenerate = [i for i, (lo, hi) in enumerate(zip(rule.guard.lo, rule.guard.hi))
                       if lo == hi]
@@ -238,11 +237,9 @@ def _guard_events(prob: Problem, mode: int):
             for i in degenerate:
                 c = rule.guard.lo[i]
                 events.append((lambda z, _d, _i=i, _c=c: z[_i] - _c, 0))
-                owners.append(rule)
         else:
             events.append((lambda z, _d, _b=rule.guard: _box_gap(_b, z), -1))
-            owners.append(rule)
-    return events, owners
+    return events
 
 
 def flow_hybrid(prob: Problem, start: tuple[int, Sequence[float]],
@@ -292,8 +289,7 @@ def flow_hybrid(prob: Problem, start: tuple[int, Sequence[float]],
 
         mdef = prob.modes[mode]
         bloated = model.bloat(mdef.omega, bloat_factor)
-        guard_events, owners = _guard_events(prob, mode)
-        events = list(guard_events)
+        events = _guard_events(prob, mode)
         extra_slot = None
         if extra_event is not None:
             g, direction = extra_event
@@ -310,12 +306,10 @@ def flow_hybrid(prob: Problem, start: tuple[int, Sequence[float]],
                 return Trajectory(start_mode, tuple(np.asarray(x0, float)),
                                   mode, tuple(x), t, StopReason.EVENT, resets,
                                   traj.event_index)
-            rule = owners[traj.event_index]
-            if not _contains_tol(rule.guard, x):
-                # degenerate-dimension plane crossed outside the guard box;
-                # resume the continuous phase from the localized point
-                continue
-            continue  # reset handled by the membership check at loop top
+            # guard contact: the membership check at the loop top applies
+            # the reset, or, where a degenerate dimension's plane was
+            # crossed outside the guard box, resumes the continuous phase
+            continue
         return Trajectory(start_mode, tuple(np.asarray(x0, float)), mode,
                           tuple(x), t, traj.reason, resets)
 

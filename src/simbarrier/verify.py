@@ -73,17 +73,17 @@ _SPLIT = 2
 
 
 class _ModeChecks:
-    """One mode's certificate and drift ``sum_j dV/dx_j * f_j`` as
-    expressions, for interval enclosures over boxes, and the certificate,
-    its gradient and the flow compiled for points."""
+    """One mode's certificate and drift ``sum_j dV/dx_j * f_j`` compiled
+    for interval enclosures over boxes, and the certificate, its gradient
+    and the flow compiled for points."""
 
     def __init__(self, prob: Problem, tmpl: Template, p: np.ndarray, mode: int):
-        value, grad, _ = model.certificate_exprs(tmpl, p, mode)
+        value, grad = model.certificate_exprs(tmpl, p, mode)
         flow = prob.modes[mode].flow
-        self.value_expr = value
-        self.drift_expr = functools.reduce(
+        drift = functools.reduce(
             ex.Add, [ex.Mul(g, f) for g, f in zip(grad, flow)
                      if g != ex.Const(0.0)], ex.Const(0.0))
+        self.value_box, self.drift_box = ex.compile_interval((value, drift))
         self.value = ex.compile_expr(value)
         self.grad = ex.compile_vector(grad)
         self.flow = ex.compile_vector(flow)
@@ -186,7 +186,7 @@ def verify(prob: Problem, tmpl: Template, p: np.ndarray,
             mc = checks[mode]
 
             def check(bx: Box, _mc=mc, _neg=want_negative, _m=mode):
-                rng = ex.interval_eval(_mc.value_expr, bx.intervals())
+                rng = _mc.value_box(bx.intervals())
                 if _neg and rng.hi < 0.0:
                     return _PROVED, None
                 if not _neg and rng.lo > 0.0:
@@ -225,10 +225,10 @@ def verify(prob: Problem, tmpl: Template, p: np.ndarray,
 
         def check3(bx: Box, _mc=mc, _m=mode, _omega=omega):
             ivs = bx.intervals()
-            v_rng = ex.interval_eval(_mc.value_expr, ivs)
+            v_rng = _mc.value_box(ivs)
             if not (v_rng.lo <= 0.0 <= v_rng.hi):
                 return _PROVED, None
-            drift = ex.interval_eval(_mc.drift_expr, ivs)
+            drift = _mc.drift_box(ivs)
             if drift is not None and drift.hi < 0.0:
                 return _PROVED, None
             witness = _drift_witness(_mc, prob.dim, _m, bx, d_verts, p_scale)
@@ -245,14 +245,14 @@ def verify(prob: Problem, tmpl: Template, p: np.ndarray,
     tasks4 = []
     for rule in prob.resets:
         def check4(bx: Box, _src=checks[rule.source], _rule=rule,
-                   _tgt=checks[rule.target]):
+                   _fwd=ex.compile_interval(rule.fwd), _tgt=checks[rule.target]):
             ivs = bx.intervals()
-            v_rng = ex.interval_eval(_src.value_expr, ivs)
+            v_rng = _src.value_box(ivs)
             if v_rng.lo > 0.0:
                 return _PROVED, None
-            image = [ex.interval_eval(f, ivs) for f in _rule.fwd]
+            image = [f(ivs) for f in _fwd]
             if all(im is not None for im in image):
-                after = ex.interval_eval(_tgt.value_expr, image)
+                after = _tgt.value_box(image)
                 if after.hi < 0.0:
                     return _PROVED, None
             mid = bx.midpoint()

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +140,38 @@ class TestErrors:
         err = capsys.readouterr().err
         assert f"{path}: modes[0].flow[0]: " in err and "'1e400'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fwd,inv,location,point", [
+        ("1/x", "1/x", "resets[0].map", "(0.0,)"),
+        ("x - 1", "(x + 1)^2 / (x + 1)", "resets[0].inverse", "(-1.0,)"),
+    ])
+    def test_reset_undefined_at_a_spot_check_point(self, tmp_path, capsys,
+                                                    fwd, inv, location, point):
+        # the map at the guard corner x = 0, or the inverse at its image,
+        # divides by zero
+        doc = {"variables": ["x"],
+               "modes": [{"name": "a", "omega": [[-2, 2]], "flow": ["1"]}],
+               "resets": [{"source": "a", "target": "a", "guard": [[0, 1]],
+                           "map": [fwd], "inverse": [inv],
+                           "image": [[1, 2]]}],
+               "init": [{"mode": "a", "box": [[-2, -1.5]]}],
+               "unsafe": [{"mode": "a", "box": [[1.5, 2]]}]}
+        path = _write(tmp_path, "undefined-map.json", doc)
+        assert cli.main(["synth", path]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: {location}: undefined at the point {point}" in err
+        assert "Traceback" not in err
+
+    def test_run_failure_is_diagnosed(self, capsys):
+        # synthesis on the thermostat stops in round 1 with a refutation
+        # error (ROADMAP item 1); it is reported, not raised
+        path = str(Path(__file__).parents[1] / "bench" / "data"
+                   / "thermostat.json")
+        assert cli.main(["synth", path]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {path}: reset counter-example" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["synth", "verify"])
     def test_problem_document_not_an_object(self, tmp_path, capsys, command,

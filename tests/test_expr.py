@@ -217,6 +217,41 @@ class TestIntervalEval:
         assert ex.interval_eval(ex.parse("ln(x)", ["x"]), [Interval(-1, 1)]) is None
         assert ex.interval_eval(ex.parse("1/x", ["x"]), [Interval(-1, 1)]) is None
 
+    # enclosures recorded, as float.hex, from the tree-walking evaluator
+    # that the compiled box code replaced
+    @pytest.mark.parametrize("text,box,lo,hi", [
+        ("sin(x) + cos(y)", [(-0.5, 1.25), (2.0, 4.0)],
+         "-0x1.7abba1d12c181p+0", "0x1.10d01d2678894p-1"),
+        ("exp(x) * y", [(-0.5, 1.25), (2.0, 4.0)],
+         "0x1.368b2fc6f9602p+0", "0x1.bec38edb0faf8p+3"),
+        ("ln(x) - sqrt(y)", [(0.5, 1.25), (2.0, 4.0)],
+         "-0x1.58b90bfbe8e85p+1", "-0x1.30e9f6d8be880p+0"),
+        ("(x - y)^3 + x^2", [(-0.5, 1.25), (2.0, 4.0)],
+         "-0x1.6c80000000017p+6", "0x1.240000000000cp+0"),
+        ("x / y", [(-0.5, 1.25), (2.0, 4.0)],
+         "-0x1.0000000000004p-2", "0x1.4000000000004p-1"),
+        ("0.1 * 3 + x", [(-0.5, 1.25), (2.0, 4.0)],
+         "-0x1.99999999999a4p-3", "0x1.8ccccccccccd2p+0"),
+        ("sqrt(x)", [(-0.5, 1.25), (2.0, 4.0)], None, None),
+        ("y / (x - 1)", [(-0.5, 1.25), (2.0, 4.0)], None, None),
+    ])
+    def test_recorded_enclosures(self, text, box, lo, hi):
+        e = ex.parse(text, ["x", "y"])
+        enc = ex.interval_eval(e, [Interval(a, b) for a, b in box])
+        if lo is None:
+            assert enc is None
+        else:
+            assert (enc.lo.hex(), enc.hi.hex()) == (lo, hi)
+
+    @pytest.mark.parametrize("e", [ex.Mul(ex.Const(0.1), ex.Const(3.0)),
+                                   ex.Div(ex.Const(1.0), ex.Const(3.0))])
+    def test_constants_are_not_folded(self, e):
+        # 0.1 * 3.0 and 1.0 / 3.0 round in floats; their enclosures must
+        # widen past the rounded value on both sides
+        enc = ex.interval_eval(e, [])
+        value = ex.evaluate(e, [])
+        assert enc.lo < value < enc.hi
+
     def test_soundness_1000_random_triples(self, rng):
         for _ in range(1000):
             e = rand_expr(rng, 2, 4)
@@ -239,6 +274,38 @@ class TestIntervalEval:
             enc_in = ex.interval_eval(e, inner)
             enc_out = ex.interval_eval(e, outer)
             assert enc_out.lo <= enc_in.lo and enc_in.hi <= enc_out.hi
+
+
+def test_5000_term_sum_in_every_flavour():
+    """A linear value tree of 5000 terms compiles in every flavour: the
+    point and batch code equal a left fold bit for bit, and the box code
+    encloses it."""
+    n = 5000
+    coeffs = np.linspace(-1.0, 1.0, n).tolist()
+    tree = ex.Const(0.0)
+    for i, c in enumerate(coeffs):
+        tree = ex.Add(tree, ex.Mul(ex.Const(c), ex.Var(i)))
+    rows = np.linspace(0.5, 2.0, 2 * n).reshape(2, n)
+    want = []
+    for row in rows.tolist():
+        total = 0.0
+        for c, x in zip(coeffs, row):
+            total = total + c * x
+        want.append(total)
+    point = ex.compile_expr(tree)
+    # a chunked sum as a term of another: the inner one must not disturb
+    # the outer one's partial sum
+    nested = ex.Add(tree, ex.Mul(ex.Const(2.0), tree))
+    vector = ex.compile_vector([tree, nested])
+    for row, total in zip(rows.tolist(), want):
+        assert point(row).hex() == total.hex()
+        assert [v.hex() for v in vector(row)] == \
+            [total.hex(), (total + 2.0 * total).hex()]
+    assert ex.compile_batch([tree])(rows)[:, 0].tolist() == want
+    for row, total in zip(rows.tolist(), want):
+        assert total in ex.interval_eval(tree, [Interval(x) for x in row])
+        wide = ex.interval_eval(tree, [Interval(x - 0.25, x + 0.25) for x in row])
+        assert wide.lo < total < wide.hi
 
 
 def test_negated_is_involution():

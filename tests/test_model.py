@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simbarrier import benchmarks, expr as ex, model, verify
+from simbarrier import benchmarks, expr as ex, model, sim, verify
 from simbarrier.interval import Interval
 from simbarrier.model import (
     Box,
@@ -226,7 +226,7 @@ class TestCompiledCertificate:
         """The value and gradient trees compiled for one point, as the
         rides and the verifier use them, give the loops' bits."""
         tmpl, p, mode, x = case
-        value, grad, _ = model.certificate_exprs(tmpl, p, mode)
+        value, grad = model.certificate_exprs(tmpl, p, mode)
         value, grad = ex.compile_expr(value), ex.compile_vector(grad)
         for row in x:
             for point in (list(row), row.tolist()):
@@ -234,6 +234,23 @@ class TestCompiledCertificate:
                     np.float64(template_value(tmpl, p, mode, point)).tobytes()
                 assert np.array(grad(point)).tobytes() == \
                     template_grad_x(tmpl, p, mode, point).tobytes()
+
+    def test_hessian_built_only_for_the_falsifier(self, monkeypatch):
+        """The verifier and the drift rides use the value and the gradient
+        trees; only the falsifier's compiled certificate builds Hessians."""
+        def no_hessian(*args):
+            raise AssertionError("Hessian trees built")
+
+        monkeypatch.setattr(model, "hessian_exprs", no_hessian)
+        prob = load_problem(benchmarks.composition())
+        tmpl = make_template([[[0, 0, 0], [1, 0, 0]]], 3, 1)
+        p = np.array([0.12774317671, -1.0])
+        assert verify.verify(prob, tmpl, p).status is \
+            verify.VerdictStatus.VERIFIED
+        start = prob.initial[0][1].midpoint()
+        assert sim.omega(prob, tmpl, p, (0, start)) == (0, start)
+        with pytest.raises(AssertionError, match="Hessian"):
+            model.compile_certificate(tmpl, p, 0)
 
     def test_long_sum_compiles(self):
         # 301 terms nest deeper than Python's 200 parentheses if each sum
@@ -271,8 +288,9 @@ class TestCertificateEnclosures:
     @given(enclosure_cases())
     @settings(max_examples=200, deadline=None)
     def test_interval_trees_enclose_loops(self, case):
-        """interval_eval of the value, gradient and drift trees over a box
-        encloses what the loops give at points of the box."""
+        """The verifier's compiled enclosures of the value and the drift,
+        and interval_eval of the gradient trees, over a box enclose what
+        the loops give at points of the box."""
         tmpl, p, mode, flow, lo, hi, frac = case
         n = lo.shape[1]
         modes = tuple(ModeDef(f"m{i}", Box((-1e4,) * n, (1e4,) * n), flow)
@@ -284,9 +302,9 @@ class TestCertificateEnclosures:
         grad = model.certificate_exprs(tmpl, p, mode)[1]
         for b_lo, b_hi, b_frac in zip(lo, hi, frac.transpose(1, 0, 2)):
             box = [Interval(a, b) for a, b in zip(b_lo, b_hi)]
-            v_enc = ex.interval_eval(checks.value_expr, box)
+            v_enc = checks.value_box(box)
             g_enc = [ex.interval_eval(g, box) for g in grad]
-            d_enc = ex.interval_eval(checks.drift_expr, box)
+            d_enc = checks.drift_box(box)
             points = np.clip(b_lo + b_frac * (b_hi - b_lo), b_lo, b_hi)
             for x in [b_lo, b_hi, *points]:
                 point = x.tolist()
