@@ -58,6 +58,8 @@ class IterationRecord:
     delta: float
     p: np.ndarray
     kind: str | None = None          # counter-example kind, if one was found
+    value: float | None = None       # the falsifier's counter-example value
+    search_time: float = 0.0         # the falsifier's four searches, seconds
     segment: Segment | None = None
     segment_margin: float | None = None
     bb_nodes: int = 0                # candidate step: branch-and-bound nodes
@@ -132,13 +134,13 @@ def run(prob: Problem, tmpl: Template, cfg: RunConfig | None = None) -> RunRepor
         ce = falsify.find_counterexample(prob, tmpl, cand.p, fcfg)
         elapsed = time.perf_counter() - t0
         if ce is not None:
-            timings["counterexample"] += ce.search_time
             timings["simulation"] += ce.sim_time
-        else:
-            timings["counterexample"] += elapsed
+        record.search_time = ce.search_time if ce is not None else elapsed
+        timings["counterexample"] += record.search_time
 
         if ce is not None:
             record.kind = ce.kind
+            record.value = ce.value
             record.segment = ce.segment
             record.segment_margin = ce.margin
             segments.append(ce.segment)

@@ -241,6 +241,18 @@ def parse(text: str, variables: Sequence[str]) -> Expr:
     return _Parser(text, variables).parse()
 
 
+def _sum_chain(e: Expr) -> tuple[Expr, list[Expr]]:
+    """The leftmost operand of a chain of sums and differences, and the
+    ``Add`` and ``Sub`` nodes above it, innermost first, so that their
+    ``b`` operands follow it left to right.  A loop down the left operands,
+    not recursion: a sum is as deep as it is long."""
+    chain = []
+    while isinstance(e, (Add, Sub)):
+        chain.append(e)
+        e = e.a
+    return e, chain[::-1]
+
+
 def evaluate(e: Expr, env: Sequence[float]) -> float:
     """Exact point evaluation; domain violations raise DomainError."""
     match e:
@@ -250,10 +262,13 @@ def evaluate(e: Expr, env: Sequence[float]) -> float:
             return env[i]
         case Neg(a):
             return -evaluate(a, env)
-        case Add(a, b):
-            return evaluate(a, env) + evaluate(b, env)
-        case Sub(a, b):
-            return evaluate(a, env) - evaluate(b, env)
+        case Add() | Sub():
+            first, chain = _sum_chain(e)
+            out = evaluate(first, env)
+            for node in chain:
+                term = evaluate(node.b, env)
+                out = out + term if isinstance(node, Add) else out - term
+            return out
         case Mul(a, b):
             return evaluate(a, env) * evaluate(b, env)
         case Div(a, b):
@@ -340,10 +355,13 @@ def differentiate(e: Expr, var: int) -> Expr:
         case Neg(a):
             d = differentiate(a, var)
             return _sub(Const(0.0), d)
-        case Add(a, b):
-            return _add(differentiate(a, var), differentiate(b, var))
-        case Sub(a, b):
-            return _sub(differentiate(a, var), differentiate(b, var))
+        case Add() | Sub():
+            first, chain = _sum_chain(e)
+            out = differentiate(first, var)
+            for node in chain:
+                term = differentiate(node.b, var)
+                out = _add(out, term) if isinstance(node, Add) else _sub(out, term)
+            return out
         case Mul(a, b):
             return _add(
                 _mul(differentiate(a, var), b), _mul(a, differentiate(b, var))
@@ -412,11 +430,10 @@ def _codegen(e: Expr, flavour: str = "point") -> str:
         case Neg(a):
             return f"(-{gen(a)})"
         case Add() | Sub():
-            chain = []
-            while isinstance(e, (Add, Sub)):
-                chain.append(f"{'+' if isinstance(e, Add) else '-'} {gen(e.b)}")
-                e = e.a
-            terms = [gen(e)] + chain[::-1]
+            first, chain = _sum_chain(e)
+            terms = [gen(first)] + [
+                f"{'+' if isinstance(node, Add) else '-'} {gen(node.b)}"
+                for node in chain]
             if len(terms) <= _CHUNK:
                 return f"({' '.join(terms)})"
             # each chunk reads the partial sum _s before its terms run, so

@@ -8,6 +8,15 @@ counter-example point, which is extended to a simulation segment through
 the forward/backward drift rides; the segment is checked to actually
 refute the candidate before it is returned.
 
+The three box searches project onto their boxes.  The drift search keeps
+its points on the level set itself: each start is landed on the band
+|V| <= band by Newton steps along grad V, each step goes along the
+drift's tangent gradient (its component along grad V removed), and each
+trial point is retracted to the box and back onto the band by a few
+Newton steps.  A trial that does not reach the band is rejected, so the
+line search halves the step.  See Nocedal & Wright, *Numerical
+Optimization*, ch. 17-18, on gradient projection and feasible descent.
+
 The starts run in lockstep.  Each search first draws every start's mode,
 region or reset rule and its starting point, in the order of the random
 stream, then hands the starts of each group (one mode or one rule) to
@@ -35,9 +44,9 @@ bit-identical:
   do.
 A batch that raises is evaluated again row by row with the point
 evaluators (``expr.compile_vector`` on the row's numpy scalars, and
-``expr.evaluate`` for reset maps), so every row gets the point search's
-result: an infinite value or a zero gradient where the flow or the reset
-map is undefined.
+``expr.evaluate`` for reset maps).  A row where the flow or the reset map
+raises, or where the flow is not finite, is undefined: its value is +inf
+and its gradient zero.
 """
 
 from __future__ import annotations
@@ -53,8 +62,8 @@ import numpy as np
 from . import chebyshev, expr as ex, model, sim
 from .model import Box, Problem, Segment, Template
 
-_PENALTIES = (1e2, 1e3, 1e4, 1e5, 1e6)
 _LEVEL_BAND = 1e-6
+_RETRACTION_STEPS = 4
 _NORM_FLOOR = 1e-12
 _MAX_HALVINGS = 60
 # the errors compiled expressions raise where a point is outside a domain
@@ -108,30 +117,41 @@ def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 Batch = Callable[[np.ndarray], np.ndarray]
 
 
+Projection = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
 def minimize_box(f: Batch, grad: Batch, lo: np.ndarray, hi: np.ndarray,
-                 z0: np.ndarray, max_iters: int = 200,
-                 tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
-    """Projected gradient descent with Armijo backtracking on a box, from
-    the k starts in the rows of ``z0`` at once.
+                 z0: np.ndarray, max_iters: int = 200, tol: float = 1e-8,
+                 project: Projection | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Projected gradient descent with Armijo backtracking, from the k
+    starts in the rows of ``z0`` at once.
 
     ``f`` maps (j, n) points to their (j,) values and ``grad`` to their
-    (j, n) gradients; ``lo`` and ``hi`` have shape (n,) or (k, n).  Each
-    row is an independent descent, monotone by construction: a step is
+    (j, n) gradients.  ``project(points, rows)`` maps the (j, n) points of
+    the rows ``rows`` (indices into ``z0``) into the feasible set and
+    returns them as a new array; by default it clips them to the box
+    ``lo``, ``hi`` of shape (n,) or (k, n).  A point it maps to a
+    non-finite row is infeasible.  Each row is an independent descent:
+    the start is projected, a step ``z - alpha * g`` is projected and
     accepted when its value is finite and ``fn <= fz + 1e-4 * g.dz``, it
     is halved up to 60 times per iteration, and the next iteration starts
-    from ``min(2 * alpha, 1e3)``.  A row stops on a non-finite gradient, a
-    projected gradient of norm <= tol, a trial step that does not move,
-    a line search without an accepted step, or after max_iters
+    from ``min(2 * alpha, 1e3)``, so the values of a row never increase.
+    A row stops on a non-finite gradient, a projected gradient
+    ``z - project(z - g)`` of norm <= tol, a trial step that does not
+    move, a line search without an accepted step, or after max_iters
     iterations.  Each round evaluates ``grad`` on the rows that start an
     iteration and ``f`` on the rows that try a step, and no other row.
 
     Returns the (k, n) end points and their (k,) values.
     """
-    z = np.clip(z0, lo, hi)
+    if project is None:
+        if np.ndim(lo) == 2:
+            project = lambda z, rows: z.clip(lo.take(rows, 0), hi.take(rows, 0))
+        else:
+            project = lambda z, rows: z.clip(lo, hi)
+    z = project(np.asarray(z0, dtype=float), np.arange(len(z0)))
     fz = np.array(f(z), dtype=float)
-    per_row = np.ndim(lo) == 2
-    bounds = (lambda rows: (lo.take(rows, 0), hi.take(rows, 0))) if per_row \
-        else (lambda rows: (lo, hi))
     g = np.empty_like(z)
     step = np.ones(len(z))
     alpha = np.empty(len(z))
@@ -146,7 +166,7 @@ def minimize_box(f: Batch, grad: Batch, lo: np.ndarray, hi: np.ndarray,
             iters[fresh] += 1
             zf = z.take(fresh, 0)
             gf = grad(zf)
-            v = zf - (zf - gf).clip(*bounds(fresh))
+            v = zf - project(zf - gf, fresh)
             go = (np.isfinite(gf).all(1)
                   & ~(np.sqrt(_dot(v, v)) <= tol)).nonzero()[0]
             fresh = fresh.take(go)
@@ -157,7 +177,7 @@ def minimize_box(f: Batch, grad: Batch, lo: np.ndarray, hi: np.ndarray,
         if not search.size:
             return z, fz
         zs, gs, a = z.take(search, 0), g.take(search, 0), alpha.take(search)
-        zn = (zs - a[:, None] * gs).clip(*bounds(search))
+        zn = project(zs - a[:, None] * gs, search)
         dz = zn - zs
         moved = dz.any(1)
         if False in moved.tolist():      # rows whose step does not move stop
@@ -248,23 +268,26 @@ def _jacobian(fs, cols: range) -> _Vector:
 
 
 def _or_undefined(fn: _Vector, z: np.ndarray):
-    """``fn`` on the rows of ``z`` and the mask of rows where it raises.
+    """``fn`` on the rows of ``z`` and the mask of rows where it is
+    undefined: where it raises or is not finite.
 
-    If the batch raises, each row is evaluated as a point; a failing row
-    is marked and gets ones, which keep the arithmetic on it harmless until
-    the caller overwrites its result.
+    If the batch raises, each row is evaluated as a point, on the row's
+    numpy scalars, where a division by zero gives inf or nan instead of
+    raising.  An undefined row gets ones, which keep the arithmetic on it
+    harmless until the caller overwrites its result.
     """
     try:
-        return fn(z), np.zeros(len(z), dtype=bool)
+        out = fn(z)
     except _ERRORS:
-        out = np.ones((len(z),) + fn.shape)
-        undefined = np.zeros(len(z), dtype=bool)
+        out = np.empty((len(z),) + fn.shape)
         for r, row in enumerate(z):
             try:
                 out[r] = fn.point(row)
             except _ERRORS:
-                undefined[r] = True
-        return out, undefined
+                out[r] = math.nan
+    undefined = ~np.isfinite(out.reshape(len(z), -1)).all(1)
+    out[undefined] = 1.0
+    return out, undefined
 
 
 def _on_rows(fn: _Vector, z: np.ndarray, need: np.ndarray) -> np.ndarray:
@@ -322,11 +345,13 @@ class _ModeGeometry:
         self.jac_d = _jacobian(mdef.flow, range(self.n, self.n + self.l))
 
 
-def _drift_objective(geo: _ModeGeometry, mu: float | None = None):
-    """Normalized drift -(grad V / |grad V|) . (f / |f|) and its gradient
-    in (x, d), over the rows of a batch; points where the flow is undefined
-    or a factor vanishes are treated as +inf.  With ``mu``, the penalty
-    ``mu * V(x)**2`` and its gradient are added."""
+def _drift_objective(geo: _ModeGeometry):
+    """Normalized drift -(grad V / |grad V|) . (f / |f|) and its tangent
+    gradient in (x, d), over the rows of a batch: the gradient with its
+    component along grad V removed from the x columns, which is the
+    steepest descent direction within the level set of V through the
+    point.  Points where the flow is undefined or a factor vanishes are
+    treated as +inf, with a zero gradient."""
     n = geo.n
 
     def parts(z):
@@ -341,8 +366,6 @@ def _drift_objective(geo: _ModeGeometry, mu: float | None = None):
         x, gv, fv, ng, nf, flat = parts(z)
         out = -_dot(gv, fv) / (ng * nf)
         out[flat] = math.inf
-        if mu is not None:
-            out += mu * ex.pow_entries(geo.value(x), 2)
         return out
 
     def gradient(z):
@@ -358,13 +381,12 @@ def _drift_objective(geo: _ModeGeometry, mu: float | None = None):
             jac_x = _on_rows(geo.jac_x, z, ~flat).transpose(0, 2, 1)
             out = -(_matvec(geo.hess_v(x), pu_w) / ng[:, None]
                     + _matvec(jac_x, pw_u) / nf[:, None])
+            out -= u * _dot(out, u)[:, None]
             if geo.l:
                 jac_d = _on_rows(geo.jac_d, z, ~flat).transpose(0, 2, 1)
                 out = np.concatenate(
                     [out, -(_matvec(jac_d, pw_u) / nf[:, None])], axis=1)
             out[flat] = 0.0
-        if mu is not None:
-            out[:, :n] += (2.0 * mu * geo.value(x))[:, None] * gv
         return out
 
     return value, gradient
@@ -384,9 +406,11 @@ def _land_on_level_set(geo: _ModeGeometry, x: np.ndarray,
         v = geo.value(xa)
         near = np.abs(v) <= band
         landed[active[near]] = True
+        far = (~near).nonzero()[0]
+        xa, v, active = xa.take(far, 0), v.take(far), active.take(far)
         g = geo.grad_v(xa)
         n2 = _dot(g, g)
-        go = ~near & ~(n2 < _NORM_FLOOR)
+        go = ~(n2 < _NORM_FLOOR)
         active = active[go]
         if not active.size:
             return x, landed
@@ -396,11 +420,36 @@ def _land_on_level_set(geo: _ModeGeometry, x: np.ndarray,
     return x, landed
 
 
+def _retraction(geo: _ModeGeometry, lo: np.ndarray, hi: np.ndarray,
+                band: float) -> Projection:
+    """The projection of the drift search: clip the (x, d) points to the
+    box, then take up to ``_RETRACTION_STEPS`` Newton steps along grad V
+    towards |V| <= band; a point that does not reach the band becomes a
+    row of nan, which ``minimize_box`` rejects."""
+    n = geo.n
+
+    def project(z, rows):
+        z = z.clip(lo, hi)
+        z[:, :n], landed = _land_on_level_set(geo, z[:, :n], lo[:n], hi[:n],
+                                              band, _RETRACTION_STEPS)
+        z[~landed] = math.nan
+        return z
+
+    return project
+
+
 def min_transversality(prob: Problem, tmpl: Template, p: np.ndarray,
                        starts: int = 16, seed: int = 0,
                        cfg: FalsifyConfig | None = None):
     """Minimize the normalized drift over the certificate's zero level set
     and the disturbance box.
+
+    Each start is drawn from omega (and the disturbance box) and landed on
+    the band |V| <= band by Newton steps along grad V; a start that does
+    not land gives no result.  The landed starts of one mode then descend
+    together in ``minimize_box`` along the drift's tangent gradient, with
+    ``_retraction`` as the projection, so every accepted point stays in the
+    band, in omega and in the disturbance box.
 
     Returns ((mode, x), d, value); value is +inf when no start reaches the
     level set (no zero-level point found).
@@ -422,21 +471,19 @@ def min_transversality(prob: Problem, tmpl: Template, p: np.ndarray,
             geo = _ModeGeometry(prob, cert, mode)
             n = geo.n
             omega = prob.modes[mode].omega
-            lo = lo_x = np.asarray(omega.lo)
-            hi = hi_x = np.asarray(omega.hi)
+            lo, hi = np.asarray(omega.lo), np.asarray(omega.hi)
             if prob.dist_box is not None:
-                lo = np.concatenate([lo_x, prob.dist_box.lo])
-                hi = np.concatenate([hi_x, prob.dist_box.hi])
+                lo = np.concatenate([lo, prob.dist_box.lo])
+                hi = np.concatenate([hi, prob.dist_box.hi])
             z = np.array([picks[r][1] for r in rows])
-            for mu in _PENALTIES:
-                z, _ = minimize_box(*_drift_objective(geo, mu), lo, hi, z,
-                                    cfg.max_iters, cfg.grad_tol)
-            x, landed = _land_on_level_set(geo, z[:, :n], lo_x, hi_x, band)
+            z[:, :n], landed = _land_on_level_set(geo, z[:, :n], lo[:n], hi[:n],
+                                                  band)
             if not landed.any():
                 continue
-            z_final = np.concatenate([x, z[:, n:]], axis=1)[landed]
-            values = _drift_objective(geo)[0](z_final)
-            for r, value, point in zip(np.array(rows)[landed], values, z_final):
+            z, values = minimize_box(*_drift_objective(geo), lo, hi, z[landed],
+                                     cfg.max_iters, cfg.grad_tol,
+                                     _retraction(geo, lo, hi, band))
+            for r, value, point in zip(np.array(rows)[landed], values, z):
                 results[r] = (float(value), mode, point[:n], point[n:])
     results = [res for res in results if res is not None]
     if not results:

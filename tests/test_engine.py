@@ -87,6 +87,32 @@ class TestRunInvariants:
             [(c.nodes, c.pivots) for c in seen]
         assert all(r.bb_nodes >= 1 and r.lp_pivots >= 1 for r in report.log)
 
+    def test_records_carry_counterexample_value_and_search_time(
+            self, monkeypatch):
+        prob = model.load_problem(benchmarks.pendulum())
+        tmpl = model.make_template("quadratic-2d", 2, 1)
+        seen = []
+        inner = falsify.find_counterexample
+
+        def recorded(*args, **kwargs):
+            seen.append(inner(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(falsify, "find_counterexample", recorded)
+        report = engine.run(prob, tmpl, RunConfig(sigma=0.5, seed=0,
+                                                  max_iterations=3))
+        assert len(report.log) == len(seen) == 3
+        for rec, ce in zip(report.log, seen):
+            if ce is None:
+                assert rec.value is None and rec.search_time > 0.0
+            else:
+                assert (rec.kind, rec.value, rec.search_time) == \
+                    (ce.kind, ce.value, ce.search_time)
+                assert rec.value < 0.0 < rec.search_time
+        assert any(ce is not None for ce in seen)
+        assert sum(r.search_time for r in report.log) == \
+            report.timings["counterexample"]
+
     def test_timing_fields(self, composition_run):
         _, _, _, report = composition_run
         assert set(report.timings) == {

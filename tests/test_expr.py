@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -306,6 +307,38 @@ def test_5000_term_sum_in_every_flavour():
         assert total in ex.interval_eval(tree, [Interval(x) for x in row])
         wide = ex.interval_eval(tree, [Interval(x - 0.25, x + 0.25) for x in row])
         assert wide.lo < total < wide.hi
+
+
+def test_1500_term_flow_differentiates_and_evaluates():
+    """Differentiation and evaluation walk a sum down its left operands in
+    a loop, so a flow as long as it is deep does not hit the recursion
+    limit."""
+    flow = ex.parse("x" + " + 0*x" * 1499, ["x", "y"])
+    assert ex.evaluate(flow, [2.0, 0.0]) == 2.0
+    assert ex.differentiate(flow, 0) == ex.Const(1.0)
+    assert ex.differentiate(flow, 1) == ex.Const(0.0)
+    # a derivative that is itself a 1500-term sum: 1 + y + y + ...
+    flow = ex.parse("x" + " + x*y" * 1499, ["x", "y"])
+    d = ex.differentiate(flow, 0)
+    assert ex.evaluate(d, [3.0, 0.5]) == 1.0 + 1499 * 0.5
+    assert ex.compile_expr(d)([3.0, 0.5]) == 1.0 + 1499 * 0.5
+
+
+def test_short_sums_keep_their_trees_and_floats():
+    """The derivatives of 300 random expressions (2443 sums and
+    differences) and the values of both at a random point, as the
+    recursive walks gave them: a SHA-256 of their reprs and float.hex
+    values, recorded before the sum walks became loops."""
+    rng = np.random.default_rng(11)
+    h = hashlib.sha256()
+    for _ in range(300):
+        e = rand_expr(rng, 3, 5)
+        env = list(rng.uniform(-2.0, 2.0, 3))
+        for tree in [e] + [ex.differentiate(e, j) for j in range(3)]:
+            h.update(repr(tree).encode())
+            h.update(float(ex.evaluate(tree, env)).hex().encode())
+    assert h.hexdigest() == \
+        "a21841faed118c531d8c6891f57ee9132e87d7c537c30e8b39c3268839f6f3f1"
 
 
 def test_negated_is_involution():

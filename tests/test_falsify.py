@@ -165,6 +165,14 @@ class TestLockstep:
         assert z.tobytes() == z1.tobytes() and fz.tobytes() == fz1.tobytes()
         assert np.all((lo <= z) & (z <= hi))
 
+    def test_default_projection_is_the_box_clip(self, rng):
+        z0 = self.starts(rng)
+        clip = lambda z, rows: z.clip(self.LO, self.HI)
+        z, fz = minimize_box(_rugged, _rugged_grad, self.LO, self.HI, z0)
+        z1, fz1 = minimize_box(_rugged, _rugged_grad, self.LO, self.HI, z0,
+                               project=clip)
+        assert z.tobytes() == z1.tobytes() and fz.tobytes() == fz1.tobytes()
+
     def test_only_live_rows_are_evaluated(self, rng):
         sizes = []
         f = lambda z: sizes.append(len(z)) or _rugged(z)
@@ -172,10 +180,11 @@ class TestLockstep:
         assert sizes[0] == 14 and min(sizes) >= 1 and sizes[-1] < 14
 
 
-def _point_drift(prob, tmpl, p, z, mu=None):
+def _point_drift(prob, tmpl, p, z):
     """The drift objective at one point, evaluated point-wise with the
     monomial loops and ``compile_vector`` on the point's numpy scalars:
-    the reference the batched objective must reproduce row by row."""
+    the reference the batched objective must reproduce row by row.  A flow
+    that raises or is not finite there is undefined."""
     n = prob.dim
     x = z[:n]
     gv = model.template_grad_x(tmpl, p, 0, x)
@@ -185,7 +194,7 @@ def _point_drift(prob, tmpl, p, z, mu=None):
     try:
         fv = np.array(flow(list(z)))
         ng, nf = math.sqrt(gv.dot(gv)), math.sqrt(fv.dot(fv))
-        flat = ng < 1e-12 or nf < 1e-12
+        flat = not np.isfinite(fv).all() or ng < 1e-12 or nf < 1e-12
     except (ValueError, ZeroDivisionError, OverflowError):
         flat = True
     if flat:
@@ -197,17 +206,15 @@ def _point_drift(prob, tmpl, p, z, mu=None):
         pw_u = u - w * float(w @ u)
         grad = -(model.template_hess_x(tmpl, p, 0, x) @ pu_w / ng
                  + np.array(jac(list(z))).reshape(n, n).T @ pw_u / nf)
-    if mu is not None:
-        v = model.template_value(tmpl, p, 0, x)
-        value = value + mu * v ** 2
-        grad = grad + 2.0 * mu * v * gv
+        grad = grad - u * float(grad @ u)  # the tangent step
     return value, grad
 
 
 def test_drift_objective_rows_match_point_evaluation():
     # flows with a division and a logarithm: rows where the batch raises
-    # are evaluated as points, with the point search's numpy-scalar
-    # semantics (1/0.0 is inf there, ln(0.0) raises)
+    # are evaluated as points on their numpy scalars, where 1/0.0 gives inf
+    # and ln(0.0) raises; both rows are undefined, +inf with a zero
+    # gradient
     prob = model.load_problem({
         "variables": ["x", "y"],
         "modes": [{"name": "m", "omega": [[-2, 2], [-2, 2]],
@@ -220,15 +227,20 @@ def test_drift_objective_rows_match_point_evaluation():
     rng = np.random.default_rng(5)
     z = np.vstack([rng.uniform(-2, 2, (5, 2)),
                    [[1.0, 1.0], [0.0, 0.5], [0.5, 0.0], [-0.0, 2.0]]])
+    value, gradient = falsify._drift_objective(geo)
     with np.errstate(all="ignore"):
-        for mu in (None, 1e3):
-            value, gradient = falsify._drift_objective(geo, mu)
-            for batch in (z, z[:5]):
-                got_v, got_g = value(batch), gradient(batch)
-                for r, row in enumerate(batch):
-                    want_v, want_g = _point_drift(prob, tmpl, p, row, mu)
-                    assert float(got_v[r]).hex() == float(want_v).hex()
-                    assert got_g[r].tobytes() == want_g.tobytes()
+        for batch in (z, z[:5]):
+            got_v, got_g = value(batch), gradient(batch)
+            for r, row in enumerate(batch):
+                want_v, want_g = _point_drift(prob, tmpl, p, row)
+                assert float(got_v[r]).hex() == float(want_v).hex()
+                assert got_g[r].tobytes() == want_g.tobytes()
+        # x = 0 and y = 0 divide by zero and take ln(0.0); so does x = -0.0
+        assert list(np.isinf(value(z[-3:]))) == [True, True, True]
+        assert not gradient(z[-3:]).any()
+        # the gradient is tangent to the level set through each point
+        gv = model.template_grad_x(tmpl, p, 0, z[0])
+        assert abs(gradient(z[:1])[0] @ gv) <= 1e-12 * np.linalg.norm(gv)
 
 
 class TestSignSearches:
@@ -265,7 +277,89 @@ class TestSignSearches:
         assert x[0] == pytest.approx(c, abs=1e-5)
 
 
+def circle_problem(center=0.0, contraction=0.2, omega=((0.5, 3.5), (-1.5, 1.5)),
+                   dist=None):
+    """V = (x - center)^2 + y^2 - 1 under the rotation-plus-contraction
+    flow (-y - c x, x - c y), plus a disturbance d in ``dist`` on the first
+    component when given."""
+    c = contraction
+    doc = {"variables": ["x", "y"],
+           "modes": [{"name": "m", "omega": [list(b) for b in omega],
+                      "flow": [f"-y - {c} * x" + (" + d" if dist else ""),
+                               f"x - {c} * y"]}],
+           "init": [{"mode": "m", "box": [[omega[0][0], omega[0][0] + 0.1],
+                                          [omega[1][0], omega[1][0] + 0.1]]}],
+           "unsafe": [{"mode": "m", "box": [[omega[0][1] - 0.1, omega[0][1]],
+                                            [omega[1][1] - 0.1, omega[1][1]]]}]}
+    if dist:
+        doc.update(disturbances=["d"], disturbance_box=[list(dist)])
+    tmpl = model.make_template("quadratic-2d", 2, 1)
+    p = np.array([1.0, 0.0, 1.0, -2.0 * center, 0.0, center ** 2 - 1.0])
+    return model.load_problem(doc), tmpl, p
+
+
+def _band(p):
+    return falsify._LEVEL_BAND * (1.0 + float(np.linalg.norm(p)))
+
+
 class TestTransversality:
+    def test_centred_circle_closed_form(self):
+        # on the unit circle the flow M x, M = [[-c, -1], [1, -c]], points
+        # inward at a constant angle: the normalized drift is c/sqrt(1 + c^2)
+        # at every point
+        prob, tmpl, p = circle_problem(0.0, 0.2, omega=((-2, 2), (-2, 2)))
+        (_, x), _, value = min_transversality(prob, tmpl, p, starts=8, seed=0)
+        assert value == pytest.approx(0.2 / math.sqrt(1.04), abs=1e-12)
+        assert abs(x @ x - 1.0) <= _band(p)
+
+    def test_offset_circle_closed_form(self):
+        # centred at (2, 0): the flow at x points along x turned by
+        # 90 deg + atan(c), and where that is the outward normal the drift
+        # takes its least value, -1.  Such points exist: the triangle
+        # (origin, centre, point) has the angle 90 deg + atan(c) at the
+        # point, so by the law of sines its angle at the origin has the
+        # sine cos(atan(c)) / 2 < 1
+        prob, tmpl, p = circle_problem(2.0, 0.2)
+        (_, x), _, value = min_transversality(prob, tmpl, p, starts=8, seed=0)
+        assert value == pytest.approx(-1.0, abs=1e-9)
+        normal = np.array([x[0] - 2.0, x[1]])
+        flow = np.array([-x[1] - 0.2 * x[0], x[0] - 0.2 * x[1]])
+        assert normal @ flow / np.linalg.norm(normal) / np.linalg.norm(flow) \
+            == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_points_on_the_band_in_omega_and_disturbance_box(self, seed):
+        # omega cuts the circle, so the retraction meets the box
+        prob, tmpl, p = circle_problem(2.0, 0.2, omega=((1.2, 3.5), (-1.5, 0.6)),
+                                       dist=(-0.5, 0.5))
+        pt, d, value = min_transversality(prob, tmpl, p, starts=8, seed=seed)
+        _, x = pt
+        assert value < 0
+        assert abs(model.template_value(tmpl, p, 0, x)) <= _band(p)
+        assert prob.modes[0].omega.contains(x) and prob.dist_box.contains(d)
+
+    def test_rows_are_monotone_and_stay_on_the_band(self, rng):
+        prob, tmpl, p = circle_problem(2.0, 0.2, dist=(-0.5, 0.5))
+        geo = falsify._ModeGeometry(prob, falsify._certificates(tmpl, p), 0)
+        lo = np.array([0.5, -1.5, -0.5])
+        hi = np.array([3.5, 1.5, 0.5])
+        band = _band(p)
+        with np.errstate(all="ignore"):
+            x, landed = falsify._land_on_level_set(
+                geo, rng.uniform(lo[:2], hi[:2], (12, 2)), lo[:2], hi[:2], band)
+            z0 = np.hstack([x, rng.uniform(-0.5, 0.5, (12, 1))])[landed]
+            f, g = falsify._drift_objective(geo)
+            project = falsify._retraction(geo, lo, hi, band)
+            before = None
+            for iters in range(0, 40, 3):
+                z, fz = minimize_box(f, g, lo, hi, z0, iters, project=project)
+                assert np.all(np.abs(geo.value(z[:, :2])) <= band)
+                assert np.all((lo <= z) & (z <= hi))
+                if before is not None:
+                    assert np.all(fz <= before)
+                before = fz
+        assert landed.sum() >= 8 and fz.min() == pytest.approx(-1.0, abs=1e-6)
+
     def test_aligned_field(self):
         prob = line_problem("1", omega=(-1.0, 1.0))
         tmpl = linear_template_1d()
@@ -394,9 +488,11 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
-# find_counterexample on bundled problems, recorded before the certificate
-# evaluators were compiled to straight-line code.  The search must
-# reproduce every minimum, point and segment bit for bit.  Each case: the
+# find_counterexample on bundled problems, recorded when the drift search
+# became one descent along the zero level set (the minima of the other
+# three searches date from before the certificate evaluators were
+# compiled to straight-line code).  The search must reproduce every
+# minimum, point and segment bit for bit.  Each case: the
 # problem, its candidate p and falsifier seed as the refinement loop
 # produced them, the ride horizon, the four search minima, and the
 # counter-example (kind, value, x, segment) or None for a miss.  Recorded
@@ -411,12 +507,12 @@ GOLDEN_SEARCHES = {
         2488343231644625808, 50.0,
         {"min_initial": "0x1.c7a0d50735c0cp+2",
          "min_unsafe": "0x1.ec369980a4f7ep+1",
-         "min_transversality": "-0x1.ff91a38fb420fp-1",
+         "min_transversality": "-0x1.0000000000000p+0",
          "min_reset": "inf"},
-        ("transversality", "-0x1.ff91a38fb420fp-1",
-         ["0x1.09d817e986e35p+3", "0x1.85d8642e3f2dfp-2"],
-         (0, ["-0x1.91b8b672126d7p+0", "0x1.5ffffffd0f2a3p+3"],
-          0, ["0x1.e6d3183d34429p+2", "-0x1.8cd8f7b99a3b8p-1"],
+        ("transversality", "-0x1.0000000000000p+0",
+         ["-0x1.04ac2af0c9767p+2", "-0x1.0f592a4ae3fcdp-3"],
+         (0, ["-0x1.5fffffff9d01bp+3", "0x1.0080ef4be8a5fp+3"],
+          0, ["-0x1.6abf8517bfdc7p+2", "-0x1.93154a475463dp-1"],
           False, False, False, False)),
     ),
     "pendulum-final": (
@@ -427,7 +523,7 @@ GOLDEN_SEARCHES = {
         5014055544817598431, 50.0,
         {"min_initial": "0x1.0532ef2ab88b0p+1",
          "min_unsafe": "0x1.68e74e2df0f2ep+1",
-         "min_transversality": "0x1.d881fb58a2482p-5",
+         "min_transversality": "0x1.c07498cecdd91p-5",
          "min_reset": "inf"},
         None,
     ),
@@ -440,7 +536,7 @@ GOLDEN_SEARCHES = {
         2488343231644625808, 10.0,
         {"min_initial": "0x1.19b45579c4d4fp+3",
          "min_unsafe": "0x1.23aab468c7459p+3",
-         "min_transversality": "0x1.b8a00cd831254p-6",
+         "min_transversality": "0x1.d208aa60756bbp-7",
          "min_reset": "inf"},
         None,
     ),
