@@ -70,6 +70,17 @@ def _load_problem_doc(path: str) -> tuple[Problem, Template, dict]:
     return prob, tmpl, doc
 
 
+def _load_synth_doc(path: str) -> tuple[Problem, Template, dict]:
+    """A problem document for synthesis, whose backward rides run every
+    reset in reverse and so need its inverse."""
+    prob, tmpl, doc = _load_problem_doc(path)
+    for i, rule in enumerate(prob.resets):
+        if not rule.invertible:
+            raise UserError(f"{path}: resets[{i}]: synthesis needs an "
+                            "inverse map and its image box")
+    return prob, tmpl, doc
+
+
 def _run_config(doc: dict, args, path: str) -> engine.RunConfig:
     run = doc.get("run", {})
     if not isinstance(run, dict):
@@ -192,7 +203,7 @@ def _write_report(doc: dict, path: str | None):
 
 
 def _cmd_synth(args) -> int:
-    prob, tmpl, doc = _load_problem_doc(args.problem)
+    prob, tmpl, doc = _load_synth_doc(args.problem)
     cfg = _run_config(doc, args, args.problem)
     try:
         report = engine.run(prob, tmpl, cfg)
@@ -248,7 +259,7 @@ def _cmd_bench(args) -> int:
     rows = []
     all_ok = True
     for path in paths:
-        prob, tmpl, doc = _load_problem_doc(str(path))
+        prob, tmpl, doc = _load_synth_doc(str(path))
         cfg = _run_config(doc, args, str(path))
         name = doc.get("name", path.stem)
         try:

@@ -177,6 +177,4 @@ def run(prob: Problem, tmpl: Template, cfg: RunConfig | None = None) -> RunRepor
 
     report.segment_count = len(segments)
     report.total_time = time.perf_counter() - t_start
-    report.notes.append(
-        "zero-level landing tolerance for drift counter-examples: 1e-6")
     return report

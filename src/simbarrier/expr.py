@@ -2,10 +2,10 @@
 
 Supports parsing from infix text, exact point evaluation, symbolic
 differentiation, and compilation, by one code generator, to plain Python
-callables: on one point or column-wise on a batch of points with the same
-results, for hot loops (ODE right-hand sides, objective gradients), and on
-a box of intervals, for sound enclosures.  Expression trees are immutable
-and safe to share.
+callables: on one point, or column-wise on a batch of points with the same
+results and nan where the point code raises, for hot loops (ODE right-hand
+sides, objective gradients), and on a box of intervals, for sound
+enclosures.  Expression trees are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -403,12 +403,13 @@ def _codegen(e: Expr, flavour: str = "point") -> str:
     Python floats do; powers and the math functions run per entry on
     Python floats (``_pow``, ``_each_sin``, ...), because numpy's vector
     ``power``, ``exp`` and ``log`` round differently from libm; division by
-    a non-constant goes through ``_div``, which raises ZeroDivisionError on
-    a zero divisor, as a Python float division does; and subtrees without
-    variables are point code.  Box code reads intervals ``_v[i]``: the same
-    operators on ``Interval``, constants as point intervals ``_I(c)``,
-    never folded in floats, and ``_div``, ``_log`` and ``_sqrt``, which
-    raise DomainError where the box leaves their domain.
+    a non-constant goes through ``_div``; and subtrees without variables
+    are point code.  Where the point code raises on an entry, ``_pow``,
+    ``_each_*`` and ``_div`` give nan there and add its row to the list
+    ``_bad`` of the call, their first argument.  Box code reads intervals
+    ``_v[i]``: the same operators on ``Interval``, constants as point
+    intervals ``_I(c)``, never folded in floats, and ``_div``, ``_log`` and
+    ``_sqrt``, which raise DomainError where the box leaves their domain.
 
     A chain of sums and differences is emitted flat, as Python groups it,
     by a loop down its left operands, and added up left to right in chunks
@@ -448,40 +449,72 @@ def _codegen(e: Expr, flavour: str = "point") -> str:
         case Div(a, b):
             if flavour == "box" or (flavour == "batch" and not (
                     isinstance(b, Const) and b.value != 0.0)):
-                return f"_div({gen(a)}, {gen(b)})"
+                bad = "_bad, " if flavour == "batch" else ""
+                return f"_div({bad}{gen(a)}, {gen(b)})"
             return f"({gen(a)} / {gen(b)})"
         case Pow(base, n):
             if flavour == "batch":
-                return f"_pow({gen(base)}, {n})"
+                return f"_pow(_bad, {gen(base)}, {n})"
             return f"({gen(base)} ** {n})"
         case Sin(a) | Cos(a) | Exp(a) | Ln(a) | Sqrt(a):
-            prefix = "_each" if flavour == "batch" else ""
-            return f"{prefix}_{_MATH_NAMES[type(e)]}({gen(a)})"
+            name = _MATH_NAMES[type(e)]
+            if flavour == "batch":
+                return f"_each_{name}(_bad, {gen(a)})"
+            return f"_{name}({gen(a)})"
     raise TypeError(f"not an expression: {e!r}")
 
 
 _MATH_NAMES = {Sin: "sin", Cos: "cos", Exp: "exp", Ln: "log", Sqrt: "sqrt"}
 _MATH = {f"_{name}": getattr(math, name) for name in _MATH_NAMES.values()}
+_MATH.update(inf=math.inf, nan=math.nan)  # the reprs of non-finite constants
+# what compiled point code raises where a point is outside a domain
+MATH_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
-def _per_entry(fn):
-    return lambda col: np.array([fn(v) for v in col.tolist()])
+def _one_by_one(fn, values: list, bad: list) -> np.ndarray:
+    """``fn`` on each value; where it raises, the entry is nan and its row
+    is added to ``bad``."""
+    out = np.empty(len(values))
+    for r, v in enumerate(values):
+        try:
+            out[r] = fn(v)
+        except MATH_ERRORS:
+            out[r] = math.nan
+            bad.append(r)
+    return out
 
 
-def pow_entries(col: np.ndarray, n: int) -> np.ndarray:
-    """``col ** n`` entry by entry in Python floats (libm ``pow``); raises
-    OverflowError where a Python float power does."""
-    return np.array([v ** n for v in col.tolist()])
+def _each(fn):
+    def each(bad, col):
+        values = col.tolist()
+        try:
+            return np.array([fn(v) for v in values])
+        except MATH_ERRORS:
+            return _one_by_one(fn, values, bad)
+    return each
 
 
-def _div_entries(a, b):
-    if not np.all(b):
-        raise ZeroDivisionError("float division by zero")
-    return a / b
+def _pow_entries(bad, col, n):
+    values = col.tolist()
+    try:
+        return np.array([v ** n for v in values])
+    except OverflowError:
+        return _one_by_one(lambda v: v ** n, values, bad)
 
 
-_BATCHED = dict(_MATH, _pow=pow_entries, _div=_div_entries)
-_BATCHED.update((f"_each{name}", _per_entry(fn)) for name, fn in _MATH.items())
+def _div_entries(bad, a, b):
+    if np.all(b):
+        return a / b
+    zero = b == 0.0  # where a Python float division raises
+    out = a / np.where(zero, 1.0, b)
+    bad += np.flatnonzero(np.broadcast_to(zero, out.shape)).tolist()
+    return out
+
+
+_BATCHED = dict(_MATH, _pow=_pow_entries, _div=_div_entries,
+                _errors=MATH_ERRORS)
+_BATCHED.update((f"_each_{name}", _each(getattr(math, name)))
+                for name in _MATH_NAMES.values())
 
 
 def _defined(fn):
@@ -505,9 +538,9 @@ def _compile(src: str):
 def compile_expr(e: Expr):
     """Compile to a fast ``f(values) -> float``.
 
-    The compiled form raises the underlying math errors (ValueError,
-    ZeroDivisionError, OverflowError) on domain violations instead of
-    DomainError; hot-loop callers treat any of those as a failed step.
+    The compiled form raises the underlying math errors (``MATH_ERRORS``)
+    on domain violations instead of DomainError; hot-loop callers treat
+    any of those as a failed step.
     """
     return _compile(f"lambda _v: {_codegen(e)}")
 
@@ -527,11 +560,15 @@ def compile_batch(es: Sequence[Expr]):
     the batch flavour of ``_codegen``.
 
     Row r of the (k, len(es)) result is bit for bit
-    ``compile_vector(es)(points[r].tolist())``.  The call raises one of
-    ValueError, ZeroDivisionError or OverflowError when that point code
-    would raise on some row; callers then evaluate the rows one by one.
-    Entries without variables are evaluated once, here, into a row that
-    each call repeats, unless they raise.
+    ``compile_vector(es)(points[r].tolist())`` where that returns, and all
+    nan where it raises; the call raises no math error.  An entry of a
+    power, a math function or a division that the point code cannot
+    compute adds its row to a list of the call, and those rows are set to
+    nan at the end, also where a later operation hides the failure
+    (``ln(x) ^ 0`` is 1.0 at nan).  A subtree or an entry without variables
+    that raises makes every row nan.  Entries without variables are
+    evaluated once, here, into a row that each call repeats, unless they
+    raise.
     """
     base, lines = [], []
     for i, e in enumerate(es):
@@ -540,14 +577,18 @@ def compile_batch(es: Sequence[Expr]):
         if not variables_of(e):
             try:
                 value = _compile(code)
-            except (ValueError, ZeroDivisionError, OverflowError):
-                pass  # raises in every call, as the point code does
+            except MATH_ERRORS:
+                pass  # every call makes every row nan
         base.append(0.0 if value is None else value)
         if value is None:
-            lines.append(f"    _out[:, {i}] = {code}\n")
+            lines.append(f"        _out[:, {i}] = {code}\n")
     src = ("def _f(_z):\n    _v = _z.T\n"
+           "    _bad = []\n"
            "    _out = _base.repeat(len(_z), 0)\n"
-           + "".join(lines) + "    return _out\n")
+           "    try:\n" + ("".join(lines) or "        pass\n") +
+           "    except _errors:\n        _out[:] = nan\n"
+           "    if _bad:\n        _out[_bad] = nan\n"
+           "    return _out\n")
     namespace = dict(_BATCHED, _base=np.array([base]))
     exec(src, namespace)  # noqa: S102 - source is generated locally
     return namespace["_f"]

@@ -29,24 +29,22 @@ would end.
 The objectives are batched: one code generator, ``expr.compile_batch``,
 evaluates the certificate, its gradient and its Hessian (the expressions
 of ``model.certificate_exprs``, compiled by ``model.compile_certificate``),
-the flows and the Jacobians, column by column over the rows.  The batched
-code performs the float operations of the scalar reference (the monomial
-loops of ``model`` and ``expr.compile_vector``), so the results are
-bit-identical:
+the flows, the reset maps and the Jacobians, column by column over the
+rows.  The batched code performs the float operations of the scalar
+reference (the monomial loops of ``model`` and ``expr.compile_vector``),
+so the results are bit-identical wherever the reference is finite:
 - elementwise numpy arithmetic rounds as Python floats do;
 - ``**`` and the ``math`` functions run entry by entry on Python floats,
   because numpy's vector power, exp and log round differently from libm;
 - every dot product and matrix-vector product is a stacked ``np.matmul``
   (``_dot``, ``_matvec``), which calls per row the BLAS kernel that
   ``ndarray.dot`` and 2-D ``@`` call, whereas ``(a * b).sum(1)`` and
-  ``einsum`` round differently;
-- division raises ZeroDivisionError on a zero divisor, as Python floats
-  do.
-A batch that raises is evaluated again row by row with the point
-evaluators (``expr.compile_vector`` on the row's numpy scalars, and
-``expr.evaluate`` for reset maps).  A row where the flow or the reset map
-raises, or where the flow is not finite, is undefined: its value is +inf
-and its gradient zero.
+  ``einsum`` round differently.
+A batch never raises: a row outside the domain of a division, ln or sqrt,
+or where a power or exp overflows, is a row of nan.  So every objective
+has one rule for points where it is undefined: a row where the flow, the
+reset map or the certificate is not finite has the value +inf and a zero
+gradient.
 """
 
 from __future__ import annotations
@@ -66,8 +64,6 @@ _LEVEL_BAND = 1e-6
 _RETRACTION_STEPS = 4
 _NORM_FLOOR = 1e-12
 _MAX_HALVINGS = 60
-# the errors compiled expressions raise where a point is outside a domain
-_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
 class RefutationError(RuntimeError):
@@ -242,66 +238,11 @@ def _certificates(tmpl: Template, p: np.ndarray):
     return functools.cache(functools.partial(model.compile_certificate, tmpl, p))
 
 
-class _Vector:
-    """Expressions compiled twice by one code generator: called on a (k, m)
-    array they are evaluated over its rows at once (``expr.compile_batch``),
-    and ``point(row)`` evaluates one row as a point search does, on the
-    row's numpy scalars (``expr.compile_vector``)."""
-
-    def __init__(self, es, shape: tuple[int, ...]):
-        self.shape = shape
-        self._batch = ex.compile_batch(es)
-        self._point = ex.compile_vector(es)
-
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        return self._batch(z).reshape((len(z),) + self.shape)
-
-    def point(self, row: np.ndarray) -> np.ndarray:
-        return np.array(self._point(list(row))).reshape(self.shape)
-
-
-def _jacobian(fs, cols: range) -> _Vector:
-    """Jacobian of ``fs`` in the variables ``cols``, of shape
-    (len(fs), len(cols)) per point."""
-    return _Vector([ex.differentiate(f, j) for f in fs for j in cols],
-                   (len(fs), len(cols)))
-
-
-def _or_undefined(fn: _Vector, z: np.ndarray):
-    """``fn`` on the rows of ``z`` and the mask of rows where it is
-    undefined: where it raises or is not finite.
-
-    If the batch raises, each row is evaluated as a point, on the row's
-    numpy scalars, where a division by zero gives inf or nan instead of
-    raising.  An undefined row gets ones, which keep the arithmetic on it
-    harmless until the caller overwrites its result.
-    """
-    try:
-        out = fn(z)
-    except _ERRORS:
-        out = np.empty((len(z),) + fn.shape)
-        for r, row in enumerate(z):
-            try:
-                out[r] = fn.point(row)
-            except _ERRORS:
-                out[r] = math.nan
-    undefined = ~np.isfinite(out.reshape(len(z), -1)).all(1)
-    out[undefined] = 1.0
-    return out, undefined
-
-
-def _on_rows(fn: _Vector, z: np.ndarray, need: np.ndarray) -> np.ndarray:
-    """``fn`` on the rows of ``z``, of which the rows marked in ``need``
-    are used.  If the batch raises, only the needed rows are evaluated, as
-    points, and an error there propagates as it does from a point search;
-    the other rows are zero."""
-    try:
-        return fn(z)
-    except _ERRORS:
-        out = np.zeros((len(z),) + fn.shape)
-        for r in np.flatnonzero(need):
-            out[r] = fn.point(z[r])
-        return out
+def _jacobian(fs, cols: range):
+    """Jacobian of ``fs`` in the variables ``cols`` over the rows of a
+    batch, of shape (len(fs), len(cols)) per row."""
+    batch = ex.compile_batch([ex.differentiate(f, j) for f in fs for j in cols])
+    return lambda z: batch(z).reshape(len(z), len(fs), len(cols))
 
 
 def _min_sign(prob, tmpl, p, regions, sign, starts, seed, cfg):
@@ -340,7 +281,7 @@ class _ModeGeometry:
         self.l = prob.n_dist
         mdef = prob.modes[mode]
         self.value, self.grad_v, self.hess_v = cert(mode)
-        self.flow = _Vector(mdef.flow, (self.n,))
+        self.flow = ex.compile_batch(mdef.flow)
         self.jac_x = _jacobian(mdef.flow, range(self.n))
         self.jac_d = _jacobian(mdef.flow, range(self.n, self.n + self.l))
 
@@ -350,16 +291,16 @@ def _drift_objective(geo: _ModeGeometry):
     gradient in (x, d), over the rows of a batch: the gradient with its
     component along grad V removed from the x columns, which is the
     steepest descent direction within the level set of V through the
-    point.  Points where the flow is undefined or a factor vanishes are
-    treated as +inf, with a zero gradient."""
+    point.  Points where the norm of grad V or of the flow is not finite
+    or vanishes are treated as +inf, with a zero gradient."""
     n = geo.n
 
     def parts(z):
         x = z[:, :n]
-        gv = geo.grad_v(x)
-        fv, undefined = _or_undefined(geo.flow, z)
+        gv, fv = geo.grad_v(x), geo.flow(z)
         ng, nf = np.sqrt(_dot(gv, gv)), np.sqrt(_dot(fv, fv))
-        flat = undefined | (ng < _NORM_FLOOR) | (nf < _NORM_FLOOR)
+        flat = (~(np.isfinite(ng) & np.isfinite(nf))
+                | (ng < _NORM_FLOOR) | (nf < _NORM_FLOOR))
         return x, gv, fv, ng, nf, flat
 
     def value(z):
@@ -378,12 +319,12 @@ def _drift_objective(geo: _ModeGeometry):
             uw = _dot(u, w)[:, None]     # w . u rounds the same: same products
             pu_w = w - u * uw
             pw_u = u - w * uw
-            jac_x = _on_rows(geo.jac_x, z, ~flat).transpose(0, 2, 1)
+            jac_x = geo.jac_x(z).transpose(0, 2, 1)
             out = -(_matvec(geo.hess_v(x), pu_w) / ng[:, None]
                     + _matvec(jac_x, pw_u) / nf[:, None])
             out -= u * _dot(out, u)[:, None]
             if geo.l:
-                jac_d = _on_rows(geo.jac_d, z, ~flat).transpose(0, 2, 1)
+                jac_d = geo.jac_d(z).transpose(0, 2, 1)
                 out = np.concatenate(
                     [out, -(_matvec(jac_d, pw_u) / nf[:, None])], axis=1)
             out[flat] = 0.0
@@ -494,40 +435,31 @@ def min_transversality(prob: Problem, tmpl: Template, p: np.ndarray,
 
 def _reset_objective(rule: model.ResetRule, cert, dim: int):
     """max(V_source(x), -V_target(r(x))) and its gradient over the rows of
-    a batch; points where the map is undefined are treated as +inf."""
+    a batch; points where the map or a certificate value is not finite are
+    treated as +inf, with a zero gradient."""
     fwd = ex.compile_batch(rule.fwd)
     jac = _jacobian(rule.fwd, range(dim))
     s_value, s_grad, _ = cert(rule.source)
     t_value, t_grad, _ = cert(rule.target)
 
-    def image(x):
-        """r(x) of each row and the mask of rows where r is undefined: a
-        batch that raises is mapped row by row with ``expr.evaluate``."""
-        try:
-            return fwd(x), np.zeros(len(x), dtype=bool)
-        except _ERRORS:
-            rx = np.ones_like(x)
-            undefined = np.zeros(len(x), dtype=bool)
-            for r, row in enumerate(x):
-                try:
-                    rx[r] = [ex.evaluate(m, row) for m in rule.fwd]
-                except ex.DomainError:
-                    undefined[r] = True
-            return rx, undefined
+    def parts(x):
+        rx = fwd(x)
+        v_s, v_t = s_value(x), -t_value(rx)
+        defined = np.isfinite(rx).all(1) & np.isfinite(v_s) & np.isfinite(v_t)
+        return rx, v_s, v_t, ~defined
 
     def value(x):
-        rx, undefined = image(x)
-        v_s, v_t = s_value(x), -t_value(rx)
+        _, v_s, v_t, undefined = parts(x)
         out = np.where(v_t > v_s, v_t, v_s)  # max(v_s, v_t) as Python's max
         out[undefined] = math.inf
         return out
 
     def gradient(x):
-        rx, undefined = image(x)
+        rx, v_s, v_t, undefined = parts(x)
         out = s_grad(x)
-        target = ~(s_value(x) >= -t_value(rx)) & ~undefined
+        target = ~(v_s >= v_t) & ~undefined
         if target.any():
-            j = _on_rows(jac, x, target)[target].transpose(0, 2, 1)
+            j = jac(x[target]).transpose(0, 2, 1)
             out[target] = -_matvec(j, t_grad(rx[target]))
         out[undefined] = 0.0
         return out
@@ -594,7 +526,7 @@ def point_segment(prob: Problem, tmpl: Template, p: np.ndarray, kind: str,
     if kind == "unsafe":
         return Segment.classify(prob, *begin, mode, x)
     if kind == "reset":
-        rx = [ex.evaluate(f, x) for f in rule.fwd]
+        rx = ex.compile_batch(rule.fwd)(np.array([x], dtype=float))[0]
         end = sim.omega(prob, tmpl, p, (rule.target, rx), **ride)
     else:
         end = sim.omega(prob, tmpl, p, (mode, x), **ride)

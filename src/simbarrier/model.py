@@ -340,44 +340,27 @@ def hessian_exprs(t: Template, p: np.ndarray, mode: int) -> tuple[Expr, ...]:
 
 
 def compile_certificate(t: Template, p: np.ndarray, mode: int):
-    """Column-wise ``(value, grad_x, hess_x)`` of one mode's certificate.
+    """Column-wise ``(value, grad_x, hess_x)`` of one mode's certificate:
+    ``expr.compile_batch`` of ``certificate_exprs`` and ``hessian_exprs``.
 
     Each function takes points as the rows of a float array ``x`` of shape
-    (k, n) and returns arrays of shape (k,), (k, n) and (k, n, n) whose
-    row r is bit for bit what ``template_value``, ``template_grad_x`` and
-    ``template_hess_x`` return at ``x[r]``: they are ``expr.compile_batch``
-    of ``certificate_exprs`` and ``hessian_exprs``.  Where those trees do
-    not perform the loops' operations, the loops answer instead, row by row:
-    for a batch where a power overflows (it raises in the batch and gives
-    inf in the loops), and for every batch when some ``c * e`` is not
-    finite (the loops' structural zero terms then add nan).
+    (k, n) and returns arrays of shape (k,), (k, n) and (k, n, n).  Where
+    ``template_value``, ``template_grad_x`` and ``template_hess_x`` give
+    finite results at ``x[r]``, row r is bit for bit theirs.  Elsewhere
+    the row has a non-finite entry too, though not the loops' bits: a
+    power that overflows makes the row nan where the loops give inf, and a
+    coefficient times an exponent that is not finite leaves out the nan
+    that the loops' structural zero terms add.
     """
-    loops = tuple(functools.partial(fn, t, p, mode) for fn in
-                  (template_value, template_grad_x, template_hess_x))
-    block = p[t.block_slice(mode)]
-    monos = t.monomials[mode]
-    n = len(monos[0])
-    batches = [None] * 3
-    if all(math.isfinite(c * max(*m, 1)) for c, m in zip(block, monos)):
-        value, grad = certificate_exprs(t, p, mode)
-        hess = hessian_exprs(t, p, mode)
-        batches = [ex.compile_batch(es) for es in ((value,), grad, hess)]
-    return tuple(_batch_or_rows(batch, loop, shape) for batch, loop, shape
-                 in zip(batches, loops, ((), (n,), (n, n))))
+    value, grad = certificate_exprs(t, p, mode)
+    n = len(grad)
+    return tuple(_shaped(ex.compile_batch(es), shape) for es, shape in (
+        ((value,), ()), (grad, (n,)), (hessian_exprs(t, p, mode), (n, n))))
 
 
-def _batch_or_rows(batch, loop, shape: tuple[int, ...]):
-    """``batch`` over the rows of a float array, shaped (k,) + ``shape``;
-    ``loop`` on each row instead where ``batch`` is None or overflows."""
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        if batch is not None:
-            try:
-                return batch(x).reshape((len(x),) + shape)
-            except OverflowError:
-                pass
-        return np.array([loop(row) for row in x])
-    return fn
+def _shaped(batch, shape: tuple[int, ...]):
+    """``batch`` over the rows of a float array, shaped (k,) + ``shape``."""
+    return lambda x: batch(x).reshape((len(x),) + shape)
 
 
 def template_linear(n: int, modes: int = 1) -> Template:

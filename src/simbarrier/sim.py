@@ -72,7 +72,7 @@ def _rk_step(f, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
         for i in range(1, 7):
             xi = x + h * np.dot(_DP_A[i], k[:i])
             k[i] = f(xi)
-    except (ValueError, ZeroDivisionError, OverflowError) as err:
+    except ex.MATH_ERRORS as err:
         raise _StepError(str(err)) from None
     x5 = x + h * np.dot(_DP_B5, k)
     err = h * np.dot(_DP_ERR, k)

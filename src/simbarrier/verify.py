@@ -245,12 +245,13 @@ def verify(prob: Problem, tmpl: Template, p: np.ndarray,
     tasks4 = []
     for rule in prob.resets:
         def check4(bx: Box, _src=checks[rule.source], _rule=rule,
-                   _fwd=ex.compile_interval(rule.fwd), _tgt=checks[rule.target]):
+                   _fwd_box=ex.compile_interval(rule.fwd),
+                   _fwd=ex.compile_vector(rule.fwd), _tgt=checks[rule.target]):
             ivs = bx.intervals()
             v_rng = _src.value_box(ivs)
             if v_rng.lo > 0.0:
                 return _PROVED, None
-            image = [f(ivs) for f in _fwd]
+            image = [f(ivs) for f in _fwd_box]
             if all(im is not None for im in image):
                 after = _tgt.value_box(image)
                 if after.hi < 0.0:
@@ -258,10 +259,9 @@ def verify(prob: Problem, tmpl: Template, p: np.ndarray,
             mid = bx.midpoint()
             v_mid = _src.value(mid)
             try:
-                r_mid = [ex.evaluate(f, mid) for f in _rule.fwd]
-            except ex.DomainError:
-                return _SPLIT, None
-            v_after = _tgt.value(r_mid)
+                v_after = _tgt.value(_fwd(mid))
+            except ex.MATH_ERRORS:
+                return _SPLIT, None  # map or certificate undefined here
             if v_mid <= -1e-10 * p_scale and v_after >= 1e-10 * p_scale:
                 return _REFUTED, (_rule.source, mid, ())
             return _SPLIT, None
@@ -311,7 +311,7 @@ def _drift_witness(mc: _ModeChecks, dim: int, mode: int, box: Box,
         vals = list(x) + list(d)
         try:
             f = np.array(mc.flow(vals))
-        except (ValueError, ZeroDivisionError, OverflowError):
+        except ex.MATH_ERRORS:
             continue  # flow undefined here; no witness from this point
         drift = float(g @ f)
         scale = 1.0 + float(np.linalg.norm(g)) * float(np.linalg.norm(f))

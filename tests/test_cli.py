@@ -14,6 +14,18 @@ def _write(tmp_path, name, doc):
     return str(path)
 
 
+def _overflowing_reset():
+    """A reset a -> b without an inverse whose map x^400 overflows on most
+    of its guard [5, 10]."""
+    return {"variables": ["x"],
+            "modes": [{"name": "a", "omega": [[0, 10]], "flow": ["-1"]},
+                      {"name": "b", "omega": [[-10, 10]], "flow": ["-1"]}],
+            "resets": [{"source": "a", "target": "b", "guard": [[5, 10]],
+                        "map": ["x^400"]}],
+            "init": [{"mode": "a", "box": [[0, 1]]}],
+            "unsafe": [{"mode": "b", "box": [[9, 10]]}]}
+
+
 @pytest.fixture
 def composition_path(tmp_path):
     return _write(tmp_path, "composition.json", benchmarks.composition())
@@ -96,6 +108,20 @@ class TestVerifyCommand:
         path = _write(tmp_path, "flipped.json", doc)
         assert cli.main(["verify", composition_path, "--barrier", path]) == 1
 
+    def test_overflowing_reset_map_is_refuted(self, tmp_path, capsys):
+        # V_a = -1 and V_b = x - 1: the guard midpoints 7.5 and 6.25 overflow
+        # and split; 5.625^400 ~ 1e300 maps to V_b > 0
+        path = _write(tmp_path, "overflow-reset.json", _overflowing_reset())
+        barrier = _write(tmp_path, "barrier.json", {"modes": {
+            "a": {"1": -1.0, "x": 0.0}, "b": {"1": -1.0, "x": 1.0}}})
+        report_path = tmp_path / "verify.json"
+        assert cli.main(["verify", path, "--barrier", barrier,
+                         "--report", str(report_path)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        doc = json.loads(report_path.read_text())
+        assert (doc["verdict"], doc["condition"], doc["witness"]) == \
+            ("Refuted", 4, [5.625])
+
     def test_unknown_monomial_name(self, composition_path, tmp_path):
         doc = {"schema": "barrier/1", "modes": {"m": {"q^2": 1.0}}}
         path = _write(tmp_path, "bad.json", doc)
@@ -160,6 +186,17 @@ class TestErrors:
         assert cli.main(["synth", path]) == 2
         err = capsys.readouterr().err
         assert f"{path}: {location}: undefined at the point {point}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["synth", "bench"])
+    def test_reset_without_inverse_is_rejected_for_synthesis(
+            self, tmp_path, capsys, command):
+        # backward rides need the inverse; verify accepts such a reset
+        path = _write(tmp_path, "no-inverse.json", _overflowing_reset())
+        assert cli.main([command, path if command == "synth"
+                         else str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: resets[0]: " in err
         assert "Traceback" not in err
 
     def test_run_failure_is_diagnosed(self, capsys):

@@ -182,9 +182,10 @@ class TestLockstep:
 
 def _point_drift(prob, tmpl, p, z):
     """The drift objective at one point, evaluated point-wise with the
-    monomial loops and ``compile_vector`` on the point's numpy scalars:
-    the reference the batched objective must reproduce row by row.  A flow
-    that raises or is not finite there is undefined."""
+    monomial loops and ``compile_vector`` on the point's Python floats:
+    the reference the batched objective must reproduce row by row.  A
+    point where the flow raises, or where the norm of grad V or of the
+    flow is not finite, is undefined."""
     n = prob.dim
     x = z[:n]
     gv = model.template_grad_x(tmpl, p, 0, x)
@@ -192,9 +193,10 @@ def _point_drift(prob, tmpl, p, z):
     jac = ex.compile_vector([ex.differentiate(f, j)
                              for f in prob.modes[0].flow for j in range(n)])
     try:
-        fv = np.array(flow(list(z)))
+        fv = np.array(flow(z.tolist()))
         ng, nf = math.sqrt(gv.dot(gv)), math.sqrt(fv.dot(fv))
-        flat = not np.isfinite(fv).all() or ng < 1e-12 or nf < 1e-12
+        flat = (not (math.isfinite(ng) and math.isfinite(nf))
+                or ng < 1e-12 or nf < 1e-12)
     except (ValueError, ZeroDivisionError, OverflowError):
         flat = True
     if flat:
@@ -205,16 +207,15 @@ def _point_drift(prob, tmpl, p, z):
         pu_w = w - u * float(u @ w)
         pw_u = u - w * float(w @ u)
         grad = -(model.template_hess_x(tmpl, p, 0, x) @ pu_w / ng
-                 + np.array(jac(list(z))).reshape(n, n).T @ pw_u / nf)
+                 + np.array(jac(z.tolist())).reshape(n, n).T @ pw_u / nf)
         grad = grad - u * float(grad @ u)  # the tangent step
     return value, grad
 
 
 def test_drift_objective_rows_match_point_evaluation():
-    # flows with a division and a logarithm: rows where the batch raises
-    # are evaluated as points on their numpy scalars, where 1/0.0 gives inf
-    # and ln(0.0) raises; both rows are undefined, +inf with a zero
-    # gradient
+    # flows with a division and a logarithm: at x = 0 and at y = 0 the
+    # point code raises and the batch gives a row of nan; both rows are
+    # undefined, +inf with a zero gradient
     prob = model.load_problem({
         "variables": ["x", "y"],
         "modes": [{"name": "m", "omega": [[-2, 2], [-2, 2]],
@@ -422,6 +423,26 @@ class TestReset:
         # V = -x + 0.5: max(-0.5, -0.5) = -0.5, a violation
         _, value = min_reset(prob, tmpl, np.array([0.5, -1.0]), starts=4, seed=0)
         assert value == pytest.approx(-0.5, abs=1e-12)
+
+    def test_undefined_map_rows_are_inf_with_zero_gradient(self):
+        # r(x) = 1/x + x^400 divides by zero at x = 0 and x = -0.0 and
+        # overflows at x = 10; the other rows keep their values
+        rule = ResetRule(0, Box((-10.0,), (10.0,)), 0,
+                         (ex.parse("1/x + x^400", ["x"]),))
+        p = np.array([0.5, -1.0])  # V = 0.5 - x
+        value, gradient = falsify._reset_objective(
+            rule, falsify._certificates(linear_template_1d(), p), 1)
+        x = np.array([[0.5], [0.0], [10.0], [-0.75], [-0.0], [1.5]])
+        bad = np.array([False, True, True, False, True, False])
+        with np.errstate(all="ignore"):
+            v, g = value(x), gradient(x)
+            assert v[bad].tolist() == [math.inf] * 3
+            assert not g[bad].any()
+            assert v[~bad].tobytes() == value(x[~bad]).tobytes()
+            assert g[~bad].tobytes() == gradient(x[~bad]).tobytes()
+        # at x = 0.5: -V(r(x)) = 2 - 0.5 = 1.5 > V(x) = 0, and its slope is
+        # r'(0.5) = -4 + 400 * 0.5^399
+        assert v[0] == 1.5 and g[0, 0] == pytest.approx(-4.0)
 
 
 class TestFindCounterexample:
