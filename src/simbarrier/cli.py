@@ -25,7 +25,7 @@ from .model import Problem, ProblemFormatError, Template
 
 PROBLEM_SCHEMA = "problem/1"
 BARRIER_SCHEMA = "barrier/1"
-REPORT_SCHEMA = "report/1"
+REPORT_SCHEMA = "report/2"
 
 # failures of a run on a well-formed document: reported without a stack
 # trace, exit code 1
@@ -190,8 +190,24 @@ def _report_json(name: str, report: engine.RunReport, prob: Problem,
         "tool": f"simbarrier {__version__}",
         "seed": seed,
         "notes": list(report.notes),
+        "log": [_record_json(rec) for rec in report.log],
     }
     return doc
+
+
+def _record_json(rec: engine.IterationRecord) -> dict:
+    """One refinement round: the candidate's margin and search effort, and
+    the counter-example that refuted it (kind None for the last round)."""
+    return {
+        "index": rec.index,
+        "delta": rec.delta,
+        "kind": rec.kind,
+        "value": rec.value,
+        "search_time": round(rec.search_time, 6),
+        "segment_margin": rec.segment_margin,
+        "bb_nodes": rec.bb_nodes,
+        "lp_pivots": rec.lp_pivots,
+    }
 
 
 def _write_report(doc: dict, path: str | None):

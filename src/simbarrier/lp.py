@@ -1,6 +1,12 @@
 """Dense bounded-variable primal simplex.
 
-Two phases with one artificial variable per row.  The entering variable
+Every solve starts at the lower corner of the box, from a crash basis:
+each row whose residual there fits its slack's bounds starts with that
+slack basic, and only the other rows get a basic artificial variable.
+Phase 1 drives those artificials to zero and is skipped when there are
+none, as for the max-margin rows of the candidate search, which all hold
+at that corner (Bixby, *Implementing the simplex method: the initial
+basis*, ORSA J. Computing 4(3), 1992).  The entering variable
 follows Bland's smallest-index rule; the leaving row takes the min ratio
 with a largest-pivot tie-break (stability) and smallest index as the last
 resort, so every solve is deterministic.  Built for the small, repeatedly
@@ -22,7 +28,8 @@ as the scalar formula it stands for (the same operands, in the same
 order), so the pivot sequence, the iterates and the results are fixed to
 the last bit by the input.  Golden values in ``tests/test_lp.py`` and
 ``tests/test_chebyshev.py`` pin this; a change that moves one bit is a
-change of algorithm, not of implementation.
+change of algorithm, not of implementation.  The goldens were last
+recorded when the crash start replaced the all-artificial start.
 """
 
 from __future__ import annotations
@@ -73,6 +80,7 @@ def lp_max(c: Sequence[float],
     if len(rows) <= _DIRECT_ROW_LIMIT:
         return _lp_max_direct(c, rows, bounds)
 
+    struct, le, ge, rhs = _row_arrays(rows, len(c))
     active = list(range(_ROW_BATCH))
     in_set = set(active)
     pivots = 0
@@ -82,17 +90,8 @@ def lp_max(c: Sequence[float],
         res.pivots = pivots
         if not res.optimal:
             return res
-        # one dot product per row: a matrix-vector product rounds
-        # differently and would reorder near-tied violations
-        viol = np.empty(len(rows))
-        for i, (a, sense, rhs) in enumerate(rows):
-            lhs = float(np.dot(a, res.x))
-            if sense == "<=":
-                viol[i] = lhs - rhs
-            elif sense == ">=":
-                viol[i] = rhs - lhs
-            else:
-                viol[i] = abs(lhs - rhs)
+        excess = struct @ res.x - rhs
+        viol = np.where(le, excess, np.where(ge, -excess, np.abs(excess)))
         order = np.argsort(-viol, kind="stable")
         added = 0
         for i in order:
@@ -128,7 +127,60 @@ def _lp_max_direct(c: Sequence[float],
         # optimum sits at a bound of each variable
         x = np.where(c > 0, x_hi, x_lo)
         return LPResult("optimal", x, float(c @ x))
+    struct, le, ge, b = _row_arrays(rows, n)
 
+    # columns: n structural | m slack | m artificial
+    N = n + 2 * m
+    diag = np.arange(m)
+    slack, art = n + diag, n + m + diag
+    A = np.zeros((m, N))
+    A[:, :n] = struct
+    A[diag, slack] = 1.0
+    lo = np.zeros(N)
+    hi = np.zeros(N)
+    lo[:n], hi[:n] = x_lo, x_hi
+    lo[slack] = np.where(ge, -math.inf, 0.0)
+    hi[slack] = np.where(le, math.inf, 0.0)
+
+    # crash start at the corner x = x_lo: a row whose residual there fits
+    # its slack's bounds starts with that slack basic and its artificial
+    # fixed at 0; every other row keeps its slack at 0 and starts with its
+    # artificial basic at |residual|.  The basis is diagonal +-1, so it is
+    # its own inverse.
+    x = np.zeros(N)
+    x[:n] = x_lo
+    residual = b - struct @ x_lo
+    fits = (residual >= lo[slack]) & (residual <= hi[slack])
+    A[diag, art] = np.where(residual >= 0.0, 1.0, -1.0)
+    hi[art] = np.where(fits, 0.0, math.inf)
+    status = np.full(N, _AT_LO, dtype=int)
+    status[slack] = np.where(ge, _AT_HI, _AT_LO)
+    basis = np.where(fits, slack, art)
+    status[basis] = _BASIC
+    x[basis] = np.where(fits, residual, np.abs(residual))
+    Binv = np.diag(A[diag, basis])
+
+    pivots = 0
+    if not fits.all():
+        # phase 1: drive the basic artificials to zero
+        c1 = np.zeros(N)
+        c1[n + m:] = -1.0
+        x, value, pivots = _simplex(A, b, c1, lo, hi, basis, status, x, Binv)
+        if value < -1e-7:
+            return LPResult("infeasible", pivots=pivots)
+        Binv = np.linalg.inv(A[:, basis])
+
+    # phase 2: artificials pinned at zero, real objective
+    hi[n + m:] = 0.0
+    c2 = np.zeros(N)
+    c2[:n] = c
+    x, value, more = _simplex(A, b, c2, lo, hi, basis, status, x, Binv)
+    return LPResult("optimal", x[:n].copy(), float(value), pivots + more)
+
+
+def _row_arrays(rows: Sequence[tuple[Sequence[float], str, float]], n: int):
+    """Row matrix, '<=' and '>=' masks and right-hand sides of the rows."""
+    m = len(rows)
     coeffs, senses, rhs = zip(*rows)
     try:
         struct = np.array(coeffs, dtype=float).reshape(m, n)
@@ -143,58 +195,17 @@ def _lp_max_direct(c: Sequence[float],
     if unknown.any():
         i = int(unknown.argmax())
         raise LPError(f"row {i}: unknown sense {senses[i]!r}")
-
-    # columns: n structural | m slack | m artificial
-    N = n + 2 * m
-    diag = np.arange(m)
-    slack, art = n + diag, n + m + diag
-    A = np.zeros((m, N))
-    A[:, :n] = struct
-    A[diag, slack] = 1.0
-    b = np.array(rhs, dtype=float)
-    lo = np.zeros(N)
-    hi = np.zeros(N)
-    lo[:n], hi[:n] = x_lo, x_hi
-    lo[slack] = np.where(ge, -math.inf, 0.0)
-    hi[slack] = np.where(le, math.inf, 0.0)
-
-    # a >= slack sits at its upper bound 0, every other one at its lower
-    status = np.full(N, _AT_LO, dtype=int)
-    status[slack] = np.where(ge, _AT_HI, _AT_LO)
-    x = np.zeros(N)
-    x[:n] = x_lo
-
-    residual = b - A[:, :n + m] @ x[:n + m]
-    A[diag, art] = np.where(residual >= 0.0, 1.0, -1.0)
-    hi[art] = math.inf
-    x[art] = np.abs(residual)
-    status[art] = _BASIC
-    basis = art.copy()
-
-    # phase 1: drive the artificials to zero
-    c1 = np.zeros(N)
-    c1[n + m:] = -1.0
-    x, value, pivots = _simplex(A, b, c1, lo, hi, basis, status, x)
-    if value < -1e-7:
-        return LPResult("infeasible", pivots=pivots)
-
-    # phase 2: artificials pinned at zero, real objective
-    lo[n + m:] = 0.0
-    hi[n + m:] = 0.0
-    c2 = np.zeros(N)
-    c2[:n] = c
-    x, value, more = _simplex(A, b, c2, lo, hi, basis, status, x)
-    return LPResult("optimal", x[:n].copy(), float(value), pivots + more)
+    return struct, le, ge, np.array(rhs, dtype=float)
 
 
-def _simplex(A, b, c, lo, hi, basis, status, x):
+def _simplex(A, b, c, lo, hi, basis, status, x, Binv):
     """Run the bounded-variable simplex from a feasible basis in place.
 
-    ``basis`` (an index array), ``status`` and ``x`` are updated in place;
-    returns x, the objective value and the number of basis exchanges.
+    ``Binv`` is the inverse of the starting basis matrix.  ``basis`` (an
+    index array), ``status`` and ``x`` are updated in place; returns x,
+    the objective value and the number of basis exchanges.
     """
     m, N = A.shape
-    Binv = np.linalg.inv(A[:, basis])
     movable = lo != hi
     bounded_above = hi != math.inf
     pivots = 0

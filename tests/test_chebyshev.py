@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from simbarrier import benchmarks, chebyshev, model, sim
+from simbarrier import benchmarks, chebyshev, lp, model, sim
 from simbarrier.chebyshev import build, margin, solve
 from simbarrier.model import Segment, Template
 
@@ -146,20 +146,20 @@ class TestSolveProperties:
 
 # chebyshev.solve on the bootstrap segments of scalable-l2 (64 segments,
 # 68 hard and 64 disjunctive rows), cold and warm-started from the cold
-# optimum: p and delta recorded with the scalar formulation of the simplex
-# before it was vectorised, and the node and pivot counts of this search.
+# optimum: p, delta, and the node and pivot counts of this search, recorded
+# when the simplex began to start from the slack basis.
 # Recorded on x86-64 Linux with glibc's libm and OpenBLAS.
 GOLDEN_SCALABLE_L2 = {
     "cold": (
-        ["0x1.2e38f732aa50fp-3", "-0x1.0000000000000p+0",
-         "0x1.1ef3b7af3dc00p-10", "0x1.be331c8d1e200p-11",
-         "0x1.1f2c01f734c80p-10", "0x1.be9d151532800p-11"],
-        "0x1.923485c427cb2p-2", 17, 1379),
+        ["0x1.2e38f732c9790p-3", "-0x1.0000000000000p+0",
+         "0x1.1f2b717d7bd00p-10", "0x1.be9e574de5a00p-11",
+         "0x1.1ef4482937fa6p-10", "0x1.be31da54d399dp-11"],
+        "0x1.923485c429357p-2", 15, 154),
     "warm": (
-        ["0x1.2e38f732cb7b4p-3", "-0x1.0000000000000p+0",
-         "0x1.1ef44829390bbp-10", "0x1.be31da54d57b9p-11",
-         "0x1.1f2b717d6673bp-10", "0x1.be9e574dad893p-11"],
-        "0x1.923485c429149p-2", 15, 1458),
+        ["0x1.2e38f732c9880p-3", "-0x1.0000000000000p+0",
+         "0x1.1f2b717d7a580p-10", "0x1.be9e574dea500p-11",
+         "0x1.1ef448293e080p-10", "0x1.be31da54e6100p-11"],
+        "0x1.923485c42934bp-2", 15, 185),
 }
 
 
@@ -174,6 +174,31 @@ def test_golden_scalable_l2():
     for case, cand in (("cold", cold), ("warm", warm)):
         assert ([float(v).hex() for v in cand.p], float(cand.delta).hex(),
                 cand.nodes, cand.pivots) == GOLDEN_SCALABLE_L2[case], case
+
+
+def test_margin_lps_run_phase_two_only(monkeypatch):
+    # every row r.p - delta >= 0 with |r| = 1 holds at the lower corner
+    # p = -1, delta = -(sqrt(k) + 1), so each LP starts from the slack
+    # basis and runs one simplex
+    runs = []
+    direct, simplex = lp._lp_max_direct, lp._simplex
+
+    def counted_direct(*args):
+        runs.append(0)
+        return direct(*args)
+
+    def counted_simplex(*args):
+        runs[-1] += 1
+        return simplex(*args)
+
+    monkeypatch.setattr(lp, "_lp_max_direct", counted_direct)
+    monkeypatch.setattr(lp, "_simplex", counted_simplex)
+    prob = model.load_problem(benchmarks.scalable(2))
+    tmpl = model.make_template("linear", prob.dim, 1)
+    segs = sim.init_segments(prob, 0.1, 256, 0, bloat_factor=1.1)
+    cand = solve(build(segs, tmpl, prob))
+    assert cand is not None and cand.nodes > 1
+    assert len(runs) >= cand.nodes and set(runs) == {1}
 
 
 class TestOracleEquivalence:

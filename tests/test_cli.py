@@ -45,7 +45,7 @@ class TestSynth:
                          "--report", str(report_path)])
         assert code == 0
         doc = json.loads(report_path.read_text())
-        assert doc["schema"] == "report/1"
+        assert doc["schema"] == "report/2"
         assert doc["status"] == "BarrierFound"
         assert doc["verdict"] == "Verified"
         assert doc["barrier"] is not None
@@ -73,9 +73,33 @@ class TestSynth:
                   "--report", str(p2)])
         d1 = json.loads(p1.read_text())
         d2 = json.loads(p2.read_text())
-        d1.pop("timings")
-        d2.pop("timings")
+        for doc in (d1, d2):
+            doc.pop("timings")
+            for entry in doc["log"]:
+                entry.pop("search_time")
         assert d1 == d2
+
+    def test_report_logs_every_round(self, tmp_path):
+        path = _write(tmp_path, "pendulum.json", benchmarks.pendulum())
+        report_path = tmp_path / "report.json"
+        assert cli.main(["synth", path, "--report", str(report_path)]) == 0
+        doc = json.loads(report_path.read_text())
+        log = doc["log"]
+        assert doc["iterations"] > 1
+        assert [entry["index"] for entry in log] == \
+            list(range(1, doc["iterations"] + 1))
+        # every round but the last was refuted by a counter-example
+        assert all(entry["kind"] is not None and entry["segment_margin"] <= 0
+                   for entry in log[:-1])
+        assert set(log[0]) == {"index", "delta", "kind", "value",
+                               "search_time", "segment_margin", "bb_nodes",
+                               "lp_pivots"}
+        # the last round found no counter-example; its margin is the report's
+        assert log[-1]["kind"] is None and log[-1]["delta"] == doc["delta"]
+        assert all(entry["lp_pivots"] >= 1 for entry in log)
+        # both sides are rounded to the microsecond
+        assert sum(entry["search_time"] for entry in log) == pytest.approx(
+            doc["timings"]["counterexample"], abs=1e-6 * len(log))
 
     def test_coefficients_round_trip_exactly(self, composition_path,
                                              tmp_path):

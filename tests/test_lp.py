@@ -41,8 +41,13 @@ class TestExamples:
 
 class TestAgainstScipy:
     def test_random_programs(self, rng):
-        senses = ["<=", ">="]
-        for trial in range(120):
+        # two rows in three hold at a point x0 of the box, the others have
+        # an arbitrary right-hand side; '=' rows among the latter make some
+        # programs infeasible.  The lower corner violates some rows of most
+        # programs, so starting bases mix slacks and artificials.
+        senses = ["<=", ">=", "<=", ">=", "="]
+        mixed = infeasible = 0
+        for trial in range(160):
             n = int(rng.integers(1, 5))
             m = int(rng.integers(0, 7))
             c = rng.uniform(-2, 2, n)
@@ -50,36 +55,27 @@ class TestAgainstScipy:
             for _ in range(n):
                 lo = float(rng.uniform(-3, 1))
                 bounds.append((lo, lo + float(rng.uniform(0.1, 4))))
-            rows = []
+            corner = np.array([lo for lo, _ in bounds])
+            x0 = np.array([rng.uniform(lo, hi) for lo, hi in bounds])
+            rows, fits = [], set()
             for _ in range(m):
                 a = rng.uniform(-2, 2, n)
-                sense = senses[int(rng.integers(2))]
-                rhs = float(rng.uniform(-3, 3))
+                sense = senses[int(rng.integers(5))]
+                if rng.random() < 1 / 3:
+                    rhs = float(rng.uniform(-3, 3))
+                else:
+                    gap = float(rng.uniform(0, 1))
+                    rhs = float(a @ x0) + {"<=": gap, ">=": -gap, "=": 0}[sense]
                 rows.append((a, sense, rhs))
+                excess = float(a @ corner) - rhs
+                fits.add(excess <= 0 if sense == "<=" else
+                         excess >= 0 if sense == ">=" else excess == 0)
 
             mine = lp_max(c, rows, bounds)
-
-            a_ub = [(-r[0] if r[1] == ">=" else r[0]) for r in rows]
-            b_ub = [(-r[2] if r[1] == ">=" else r[2]) for r in rows]
-            ref = linprog(-c, A_ub=np.array(a_ub) if rows else None,
-                          b_ub=np.array(b_ub) if rows else None,
-                          bounds=bounds, method="highs")
-
-            if ref.status == 2:
-                assert mine.status == "infeasible", f"trial {trial}"
-            else:
-                assert ref.status == 0 and mine.optimal, f"trial {trial}"
-                assert mine.value == pytest.approx(-ref.fun, abs=1e-7), \
-                    f"trial {trial}"
-                # the argmax must be primal feasible
-                for a, sense, rhs in rows:
-                    lhs = float(np.dot(a, mine.x))
-                    if sense == "<=":
-                        assert lhs <= rhs + 1e-7
-                    else:
-                        assert lhs >= rhs - 1e-7
-                for (lo, hi), v in zip(bounds, mine.x):
-                    assert lo - 1e-9 <= v <= hi + 1e-9
+            mixed += fits == {True, False}
+            infeasible += mine.status == "infeasible"
+            _check_against_scipy(c, rows, bounds, mine, f"trial {trial}")
+        assert mixed > 40 and 10 < infeasible < 80
 
     def test_determinism(self, rng):
         c = rng.uniform(-1, 1, 4)
@@ -203,34 +199,34 @@ DEGENERATE = {
     "row-generation": _row_generation_program(),
 }
 
-# Argmax, optimum and pivot count of each program above, recorded with the
-# scalar formulation of the simplex (one row or column at a time) before
-# it was vectorised; the kernel must reproduce every bit and every pivot.
-# Recorded on x86-64 Linux with OpenBLAS.
+# Argmax, optimum and pivot count of each program above, recorded when the
+# solve began to start from the slack basis at the lower corner (phase 1
+# only for the rows that corner violates); the kernel must reproduce every
+# bit and every pivot.  Recorded on x86-64 Linux with OpenBLAS.
 GOLDEN = {
     "vertex-2d": (
-        ["0x1.fffffffffffffp-2", "0x1.0000000000000p-1"],
-        "0x1.0000000000000p+0", 6),
+        ["0x1.0000000000001p-1", "0x1.0000000000000p-1"],
+        "0x1.0000000000000p+0", 3),
     "duplicates": (
         ["0x1.0000000000000p+0", "0x1.0000000000000p+0",
          "-0x1.0000000000000p+0"],
-        "0x1.0000000000000p+2", 10),
+        "0x1.0000000000000p+2", 2),
     "cube-corner": (
         ["0x1.0000000000000p+0", "0x1.0000000000000p+0",
          "0x1.0000000000000p+0"],
-        "0x1.8000000000000p+1", 7),
+        "0x1.8000000000000p+1", 3),
     "duplicate-equalities": (
         ["0x1.8000000000000p-1", "0x1.0000000000000p-2"],
         "0x1.0000000000000p-1", 2),
     "margin-origin": (
         ["0x1.a827999fcef32p-2", "0x1.0000000000000p+0",
          "0x1.5f619980c4337p-3", "0x1.a827999fcef32p-2"],
-        "0x1.a827999fcef32p-2", 10),
+        "0x1.a827999fcef32p-2", 6),
     "row-generation": (
-        ["0x1.e1e1e1e1e1e1dp-1", "-0x1.e1e1e1e1e1e15p-2",
-         "0x1.e1e1e1e1e1e22p-2", "0x1.4b4b4b4b4b4b8p+0",
-         "-0x1.a5a5a5a5a5a56p-1", "0x1.2d2d2d2d2d2d9p-1"],
-        "0x1.7c3c3c3c3c3c4p+1", 148),
+        ["0x1.e1e1e1e1e1e26p-1", "-0x1.e1e1e1e1e1e2cp-2",
+         "0x1.e1e1e1e1e1e04p-2", "0x1.4b4b4b4b4b4b4p+0",
+         "-0x1.a5a5a5a5a5a60p-1", "0x1.2d2d2d2d2d2c3p-1"],
+        "0x1.7c3c3c3c3c3c4p+1", 55),
 }
 
 
@@ -263,3 +259,25 @@ def test_pivot_count():
     res = lp_max([1.0], [([1.0], "<=", -1.0), ([1.0], ">=", 1.0)],
                  [(-10.0, 10.0)])
     assert res.status == "infeasible" and res.pivots >= 1
+
+
+def test_crash_start_puts_an_artificial_only_on_the_violated_row(
+        monkeypatch):
+    # the corner (0, 0) satisfies rows 0 and 2 but not row 1
+    rows = [([1.0, 1.0], "<=", 1.0), ([1.0, -1.0], "<=", -0.5),
+            ([0.0, 1.0], ">=", -1.0)]
+    starts = []
+    simplex = lp._simplex
+
+    def recorded(A, b, c, lo, hi, basis, status, x, Binv):
+        starts.append(basis.copy())
+        return simplex(A, b, c, lo, hi, basis, status, x, Binv)
+
+    monkeypatch.setattr(lp, "_simplex", recorded)
+    res = lp_max([1.0, 1.0], rows, [(0.0, 1.0)] * 2)
+    n, m = 2, 3
+    # phase 1 from slack 0, artificial 1 and slack 2; then phase 2
+    assert len(starts) == 2
+    assert starts[0].tolist() == [n + 0, n + m + 1, n + 2]
+    assert res.optimal and res.value == pytest.approx(1.0)
+    assert res.x[0] - res.x[1] <= -0.5 + 1e-9
