@@ -26,6 +26,7 @@ from .model import Problem, ProblemFormatError, Template
 PROBLEM_SCHEMA = "problem/1"
 BARRIER_SCHEMA = "barrier/1"
 REPORT_SCHEMA = "report/2"
+VERDICT_SCHEMA = "verdict/1"
 
 # failures of a run on a well-formed document: reported without a stack
 # trace, exit code 1
@@ -247,7 +248,7 @@ def _cmd_verify(args) -> int:
                            rigor.VerifyConfig(min_width_frac=float(frac)))
     elapsed = time.perf_counter() - t0
     out = {
-        "schema": REPORT_SCHEMA,
+        "schema": VERDICT_SCHEMA,
         "problem": doc.get("name", Path(args.problem).stem),
         "status": verdict.status.value,
         "verdict": verdict.status.value,

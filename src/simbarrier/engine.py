@@ -55,8 +55,8 @@ class RunConfig:
 @dataclass
 class IterationRecord:
     index: int
-    delta: float
-    p: np.ndarray
+    delta: float | None              # None: no candidate cleared delta_min
+    p: np.ndarray | None
     kind: str | None = None          # counter-example kind, if one was found
     value: float | None = None       # the falsifier's counter-example value
     search_time: float = 0.0         # the falsifier's four searches, seconds
@@ -119,6 +119,7 @@ def run(prob: Problem, tmpl: Template, cfg: RunConfig | None = None) -> RunRepor
         cand = chebyshev.solve(constraint, cfg.delta_min, warm)
         timings["candidate"] += time.perf_counter() - t0
         if cand is None:
+            report.log.append(IterationRecord(it, None, None))
             report.status = RunStatus.NO_CANDIDATE
             break
         warm = cand.p

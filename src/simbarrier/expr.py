@@ -554,21 +554,53 @@ def compile_vector(es: Sequence[Expr]):
     return _compile(f"lambda _v: [{', '.join(_codegen(e) for e in es)}]")
 
 
+_FEW_ROWS = 8  # up to here, point code row by row beats the batch code
+
+
 def compile_batch(es: Sequence[Expr]):
     """Compile a tuple of expressions to one ``f(points) -> array`` over
-    the rows of a float array ``points`` of shape (k, number of values):
-    the batch flavour of ``_codegen``.
+    the rows of a float array ``points`` of shape (k, number of values).
 
     Row r of the (k, len(es)) result is bit for bit
     ``compile_vector(es)(points[r].tolist())`` where that returns, and all
-    nan where it raises; the call raises no math error.  An entry of a
-    power, a math function or a division that the point code cannot
-    compute adds its row to a list of the call, and those rows are set to
-    nan at the end, also where a later operation hides the failure
-    (``ln(x) ^ 0`` is 1.0 at nan).  A subtree or an entry without variables
-    that raises makes every row nan.  Entries without variables are
-    evaluated once, here, into a row that each call repeats, unless they
-    raise.
+    nan where it raises; the call raises no math error.  A call with at
+    most ``_FEW_ROWS`` points runs that point code on each row, which is
+    faster there than numpy's per-call overhead; a larger call runs the
+    batch code (``_batch_code``).  Each is compiled at its first call.
+    """
+    es = tuple(es)
+    point = batch = None
+    undefined = [math.nan] * len(es)
+
+    def f(z):
+        nonlocal point, batch
+        if len(z) > _FEW_ROWS:
+            if batch is None:
+                batch = _batch_code(es)
+            return batch(z)
+        if point is None:
+            point = compile_vector(es)
+        out = []
+        for row in z.tolist():
+            try:
+                out.append(point(row))
+            except MATH_ERRORS:
+                out.append(undefined)
+        return np.array(out, dtype=float).reshape(len(z), len(es))
+    return f
+
+
+def _batch_code(es: Sequence[Expr]):
+    """``compile_batch``'s rule over columns: the batch flavour of
+    ``_codegen``.
+
+    An entry of a power, a math function or a division that the point
+    code cannot compute adds its row to a list of the call, and those rows
+    are set to nan at the end, also where a later operation hides the
+    failure (``ln(x) ^ 0`` is 1.0 at nan).  A subtree or an entry without
+    variables that raises makes every row nan.  Entries without variables
+    are evaluated once, here, into a row that each call repeats, unless
+    they raise.
     """
     base, lines = [], []
     for i, e in enumerate(es):

@@ -1,0 +1,289 @@
+"""Point-wise reference for ``sim.flow_hybrid``: the integrator of one
+ride at a time that the row integrator replaced.
+
+Row r of a ``sim.flow_hybrid`` batch must end bit for bit where
+``flow_hybrid`` here ends for ride r alone (``tests/test_sim.py``,
+``TestLockstep``).  The scalar helpers are kept as they were, so the
+reference does not share code with what it checks.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable, Sequence
+
+import numpy as np
+
+from simbarrier import expr as ex
+from simbarrier import model
+from simbarrier.model import Box, ModeDef, Problem
+from simbarrier.sim import (DEFAULT_ATOL, DEFAULT_RTOL, EVENT_TIME_TOL,
+                            MAX_RESETS, StopReason, Trajectory)
+
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
+                   -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_ERR = _DP_B5 - _DP_B4
+
+
+class _StepError(Exception):
+    pass
+
+
+def _rk_step(f, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """One Dormand-Prince step: 5th order solution and error estimate."""
+    k = np.empty((7, x.size))
+    try:
+        k[0] = f(x)
+        for i in range(1, 7):
+            xi = x + h * np.dot(_DP_A[i], k[:i])
+            k[i] = f(xi)
+    except ex.MATH_ERRORS as err:
+        raise _StepError(str(err)) from None
+    x5 = x + h * np.dot(_DP_B5, k)
+    err = h * np.dot(_DP_ERR, k)
+    if not np.all(np.isfinite(x5)):
+        raise _StepError("non-finite state")
+    return x5, err
+
+
+def _box_gap(box: Box, x: Sequence[float]) -> float:
+    """<= 0 inside the box, > 0 outside; continuous in x."""
+    gap = -math.inf
+    for lo, v, hi in zip(box.lo, x, box.hi):
+        gap = max(gap, lo - v, v - hi)
+    return gap
+
+
+def _crossed(direction: int, g0: float, g1: float) -> bool:
+    if direction < 0:
+        return g0 > 0.0 >= g1
+    if direction > 0:
+        return g0 <= 0.0 < g1
+    return (g0 > 0.0 >= g1) or (g0 <= 0.0 < g1)
+
+
+def _bisect(rhs, x_left: np.ndarray, h: float, g, g_left: float,
+            direction: int) -> tuple[float, np.ndarray]:
+    """Localize the crossing inside (0, h]; returns the endpoint on the
+    crossed side (so guard events land inside the guard)."""
+    lo, x_lo = 0.0, x_left
+    hi = h
+    x_hi = _rk_step(rhs, x_left, h)[0]
+    crossed_from_left = lambda gm: _crossed(direction, g_left, gm)
+    while hi - lo > EVENT_TIME_TOL:
+        mid = 0.5 * (lo + hi)
+        x_mid = _rk_step(rhs, x_lo, mid - lo)[0]
+        if crossed_from_left(g(x_mid)):
+            hi, x_hi = mid, x_mid
+        else:
+            lo, x_lo = mid, x_mid
+    if direction > 0:
+        # exit events report the last point still inside
+        return lo, x_lo
+    return hi, x_hi
+
+
+def integrate(mode: ModeDef, x0: Sequence[float],
+              dpolicy: Callable[[np.ndarray], np.ndarray],
+              horizon: float,
+              events: Sequence[tuple[Callable, int]] = (),
+              bloated: Box | None = None,
+              rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
+              mode_index: int = 0) -> Trajectory:
+    """Integrate one continuous mode until the horizon, an event crossing,
+    or exit from the bloated box, whichever comes first.
+
+    Disturbance inputs are piecewise constant: dpolicy is re-evaluated at
+    each accepted step.  Event functions take (state, disturbance).
+    """
+    x = np.asarray(x0, dtype=float)
+    start = tuple(x)
+    if dpolicy is None:
+        dpolicy = lambda _z: np.empty(0)
+    if bloated is not None and _box_gap(bloated, x) > 0.0:
+        return Trajectory(mode_index, start, mode_index, start, 0.0,
+                          StopReason.LEFT_BLOAT)
+    if horizon <= 0.0:
+        return Trajectory(mode_index, start, mode_index, start, 0.0,
+                          StopReason.HORIZON)
+
+    flow = ex.compile_vector(mode.flow)
+    t = 0.0
+    d = dpolicy(x)
+
+    def rhs_at(d_now):
+        if len(d_now):
+            d_list = list(d_now)
+            return lambda z: flow(list(z) + d_list)
+        return lambda z: flow(z)
+
+    rhs = rhs_at(d)
+
+    # internal event table: user events first, bloat exit last
+    table: list[tuple[Callable, int]] = [(g, direction) for g, direction in events]
+    bloat_slot = None
+    if bloated is not None:
+        table.append((lambda z, _d: _box_gap(bloated, z), 1))
+        bloat_slot = len(table) - 1
+
+    g_prev = [g(x, d) for g, _ in table]
+
+    f0 = rhs(x)
+    h = min(horizon, max(1e-8, 0.01 * (1.0 + float(np.linalg.norm(x)))
+                         / (1.0 + float(np.linalg.norm(f0)))))
+
+    while True:
+        h = min(h, horizon - t)
+        try:
+            x_new, err = _rk_step(rhs, x, h)
+        except _StepError:
+            h *= 0.5
+            if h < 1e-13 * (1.0 + abs(t)):
+                return Trajectory(mode_index, start, mode_index, tuple(x), t,
+                                  StopReason.FAILURE)
+            continue
+        scale = atol + rtol * np.maximum(np.abs(x), np.abs(x_new))
+        err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+        if err_norm > 1.0:
+            h *= max(0.2, 0.9 * err_norm ** -0.2)
+            if h < 1e-13 * (1.0 + abs(t)):
+                return Trajectory(mode_index, start, mode_index, tuple(x), t,
+                                  StopReason.FAILURE)
+            continue
+
+        # accepted step: localize the earliest event crossing, if any
+        earliest = None
+        for idx, (g, direction) in enumerate(table):
+            g_new = g(x_new, d)
+            if _crossed(direction, g_prev[idx], g_new):
+                tau, x_loc = _bisect(rhs, x, h, lambda z, _g=g: _g(z, d),
+                                     g_prev[idx], direction)
+                if earliest is None or tau < earliest[0]:
+                    earliest = (tau, idx, x_loc)
+        if earliest is not None:
+            tau, idx, x_loc = earliest
+            t += tau
+            if idx == bloat_slot:
+                return Trajectory(mode_index, start, mode_index, tuple(x_loc),
+                                  t, StopReason.LEFT_BLOAT)
+            return Trajectory(mode_index, start, mode_index, tuple(x_loc), t,
+                              StopReason.EVENT, event_index=idx)
+
+        t += h
+        x = x_new
+        if t >= horizon * (1.0 - 1e-14):
+            return Trajectory(mode_index, start, mode_index, tuple(x), t,
+                              StopReason.HORIZON)
+        d = dpolicy(x)
+        rhs = rhs_at(d)
+        g_prev = [g(x, d) for g, _ in table]
+        growth = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+        h *= growth
+
+
+def _contains_tol(box: Box, x: Sequence[float], tol: float = 1e-7) -> bool:
+    return all(lo - tol * (1.0 + abs(v)) <= v <= hi + tol * (1.0 + abs(v))
+               for lo, v, hi in zip(box.lo, x, box.hi))
+
+
+def _guard_events(prob: Problem, mode: int):
+    """Event functions announcing guard contact for each reset out of a mode.
+
+    Guards with zero-width dimensions cannot be detected through the box
+    membership gap (it never changes sign), so each degenerate dimension
+    contributes a plane-crossing event instead; membership is re-checked
+    at the localized point.
+    """
+    events = []
+    for rule in prob.mode_resets(mode):
+        degenerate = [i for i, (lo, hi) in enumerate(zip(rule.guard.lo, rule.guard.hi))
+                      if lo == hi]
+        if degenerate:
+            for i in degenerate:
+                c = rule.guard.lo[i]
+                events.append((lambda z, _d, _i=i, _c=c: z[_i] - _c, 0))
+        else:
+            events.append((lambda z, _d, _b=rule.guard: _box_gap(_b, z), -1))
+    return events
+
+
+def flow_hybrid(prob: Problem, start: tuple[int, Sequence[float]],
+                dpolicy: Callable[[int, np.ndarray], np.ndarray] | None,
+                horizon: float, *, bloat_factor: float = 1.1,
+                extra_event: tuple[Callable, int] | None = None,
+                rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
+                max_resets: int = MAX_RESETS) -> Trajectory:
+    """Follow the hybrid flow: continuous phases alternating with resets.
+
+    Resets fire as early as possible, including at time zero when the start
+    point already sits on a guard.  ``extra_event`` is an additional stop
+    condition (g(mode, x, d), direction) evaluated in the current mode.
+    """
+    start_mode, x0 = start
+    mode = start_mode
+    x = np.asarray(x0, dtype=float)
+    t = 0.0
+    resets = 0
+    streak = 0
+
+    if dpolicy is None:
+        dpolicy = lambda _m, _x: np.empty(0)
+
+    while True:
+        # apply any reset whose guard contains the current point
+        fired = False
+        for rule in prob.mode_resets(mode):
+            if _contains_tol(rule.guard, x):
+                x = np.array([ex.evaluate(f, x) for f in rule.fwd])
+                mode = rule.target
+                resets += 1
+                streak += 1
+                if streak > max_resets:
+                    return Trajectory(start_mode, tuple(np.asarray(x0, float)),
+                                      mode, tuple(x), t, StopReason.LIVELOCK,
+                                      resets)
+                fired = True
+                break
+        if fired:
+            continue
+        streak = 0
+
+        if t >= horizon * (1.0 - 1e-14) or horizon == 0.0:
+            return Trajectory(start_mode, tuple(np.asarray(x0, float)), mode,
+                              tuple(x), t, StopReason.HORIZON, resets)
+
+        mdef = prob.modes[mode]
+        bloated = model.bloat(mdef.omega, bloat_factor)
+        events = _guard_events(prob, mode)
+        extra_slot = None
+        if extra_event is not None:
+            g, direction = extra_event
+            events.append((lambda z, d, _m=mode, _g=g: _g(_m, z, d), direction))
+            extra_slot = len(events) - 1
+
+        traj = integrate(mdef, x, lambda z, _m=mode: dpolicy(_m, z),
+                         horizon - t, events, bloated, rtol, atol, mode)
+        t += traj.time
+        x = np.asarray(traj.end)
+
+        if traj.reason is StopReason.EVENT:
+            if extra_slot is not None and traj.event_index == extra_slot:
+                return Trajectory(start_mode, tuple(np.asarray(x0, float)),
+                                  mode, tuple(x), t, StopReason.EVENT, resets,
+                                  traj.event_index)
+            # guard contact: the membership check at the loop top applies
+            # the reset, or, where a degenerate dimension's plane was
+            # crossed outside the guard box, resumes the continuous phase
+            continue
+        return Trajectory(start_mode, tuple(np.asarray(x0, float)), mode,
+                          tuple(x), t, traj.reason, resets)

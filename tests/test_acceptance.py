@@ -254,15 +254,15 @@ def test_criterion_10_numerics_suite():
             sound_ok += 1
 
     # integrator endpoint error on exponential decay
-    mode = model.ModeDef("m", model.Box((-5.0,), (5.0,)),
-                         (ex.parse("-x", ["x"]),))
-    traj = sim.integrate(mode, [1.0], lambda z: np.empty(0), 1.0,
-                         bloated=model.Box((-5.0,), (5.0,)))
+    box = model.Box((-5.0,), (5.0,))
+    decay = model.Problem(("x",), (), None, (model.ModeDef(
+        "m", box, (ex.parse("-x", ["x"]),)),), (), ((0, box),), ((0, box),))
+    traj, = sim.flow_hybrid(decay, [(0, [1.0])], None, 1.0, bloat_factor=1.0)
     decay_err = abs(traj.end[0] - math.exp(-1.0))
 
     # hybrid sawtooth against its piecewise-analytic solution
     prob = sawtooth_problem()
-    saw = sim.flow_hybrid(prob, (0, (0.0,)), None, 1.5)
+    saw, = sim.flow_hybrid(prob, [(0, (0.0,))], None, 1.5)
     saw_err = abs(saw.end[0] - 0.5)
 
     _criterion(10, "numerics suite", {

@@ -101,6 +101,19 @@ class TestSynth:
         assert sum(entry["search_time"] for entry in log) == pytest.approx(
             doc["timings"]["counterexample"], abs=1e-6 * len(log))
 
+    def test_no_candidate_round_is_logged(self, tmp_path):
+        doc = benchmarks.composition()
+        doc["unsafe"] = doc["init"]
+        path = _write(tmp_path, "overlap.json", doc)
+        report_path = tmp_path / "report.json"
+        assert cli.main(["synth", path, "--report", str(report_path)]) == 1
+        report = json.loads(report_path.read_text())
+        assert report["status"] == "NoCandidate"
+        assert report["iterations"] == 1
+        assert len(report["log"]) == 1
+        assert report["log"][0]["index"] == 1
+        assert report["log"][0]["delta"] is None
+
     def test_coefficients_round_trip_exactly(self, composition_path,
                                              tmp_path):
         report_path = tmp_path / "report.json"
@@ -125,6 +138,10 @@ class TestVerifyCommand:
         assert code == 0
         doc = json.loads(report_path.read_text())
         assert doc["verdict"] == "Verified"
+        assert doc["schema"] == "verdict/1"
+        assert set(doc) == {"schema", "problem", "status", "verdict",
+                            "condition", "witness", "wall_time", "boxes",
+                            "tool"}
 
     def test_bad_barrier_refuted(self, composition_path, tmp_path):
         doc = {"schema": "barrier/1",
@@ -223,11 +240,22 @@ class TestErrors:
         assert f"{path}: resets[0]: " in err
         assert "Traceback" not in err
 
-    def test_run_failure_is_diagnosed(self, capsys):
-        # synthesis on the thermostat stops in round 1 with a refutation
-        # error (ROADMAP item 1); it is reported, not raised
+    def test_run_failure_is_diagnosed(self, capsys, monkeypatch):
+        # the thermostat synthesizes since a counter-example ride stops
+        # before a reset that lowers the certificate; a run that fails is
+        # reported, not raised
         path = str(Path(__file__).parents[1] / "bench" / "data"
                    / "thermostat.json")
+        assert cli.main(["synth", path]) == 0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert (report["status"], report["verdict"]) == ("BarrierFound",
+                                                         "Verified")
+        assert "Traceback" not in captured.err
+
+        def refuted(*_args):
+            raise falsify.RefutationError("reset counter-example ...")
+        monkeypatch.setattr(engine, "run", refuted)
         assert cli.main(["synth", path]) == 1
         captured = capsys.readouterr()
         assert f"error: {path}: reset counter-example" in captured.err

@@ -32,9 +32,9 @@ P = np.array([-0.3, 1.0])  # V = x - 0.3
 
 def test_integrate_with_constant_policy():
     prob = disturbed_line(0.5)
-    policy = lambda z: np.array([0.25])  # dx/dt = -0.75
-    traj = sim.integrate(prob.modes[0], [0.5], policy, 1.0,
-                         bloated=Box((-2.0,), (2.0,)))
+    policy = lambda _m, x: np.full((len(x), 1), 0.25)  # dx/dt = -0.75
+    traj, = sim.flow_hybrid(prob, [(0, [0.5])], policy, 1.0,
+                            bloat_factor=2.0)  # state space [-2, 2]
     assert traj.end[0] == pytest.approx(0.5 - 0.75, abs=1e-8)
 
 

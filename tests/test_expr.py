@@ -132,8 +132,13 @@ class TestCompileBatch:
         it raises, and no error from the batch."""
         want = _per_row(ex.compile_vector(exprs), points)
         batch = ex.compile_batch(exprs)
-        got = batch(points)
-        assert got.shape == (len(points), len(exprs))
+        # the points twice: more rows than compile_batch runs row by row,
+        # so the batch code runs; each row alone runs the point code
+        twice = np.concatenate([points, points])
+        assert len(twice) > ex._FEW_ROWS
+        got = batch(twice)
+        assert got.shape == (len(twice), len(exprs))
+        assert got[len(points):].tobytes() == got[:len(points)].tobytes()
         for r, expected in enumerate(want):
             if isinstance(expected, type):
                 assert np.isnan(got[r]).all()
@@ -142,22 +147,27 @@ class TestCompileBatch:
             # each row alone gives its row of the whole batch
             assert batch(points[r:r + 1])[0].tobytes() == got[r].tobytes()
 
+    # a few rows run the point code row by row, many the batch code
+    COPIES = (1, 2 * ex._FEW_ROWS)
+
     def test_constant_entries_and_shape(self):
         batch = ex.compile_batch([ex.parse("2/3", ["x"]), ex.parse("x^2", ["x"])])
-        out = batch(np.array([[0.1], [3.0]]))
-        assert out.shape == (2, 2)
-        assert out[:, 0].tolist() == [2.0 / 3.0] * 2
-        assert out[:, 1].tolist() == [0.1 ** 2, 9.0]
+        for copies in self.COPIES:
+            out = batch(np.array([[0.1], [3.0]] * copies))
+            assert out.shape == (2 * copies, 2)
+            assert out[:, 0].tolist() == [2.0 / 3.0] * 2 * copies
+            assert out[:, 1].tolist() == [0.1 ** 2, 9.0] * copies
 
     def test_zero_divisor_gives_nan_rows(self):
         batch = ex.compile_batch([ex.parse("1/x", ["x"]), ex.parse("x", ["x"])])
-        out = batch(np.array([[2.0], [-0.0]]))
-        assert out[0].tolist() == [0.5, 2.0] and np.isnan(out[1]).all()
-        # a zero constant divisor, and a subtree or an entry without
-        # variables that raises, make every row nan
-        for texts in (["x/0"], ["x + 1/(1 - 1)"], ["x", "1/(1 - 1)"]):
-            batch = ex.compile_batch([ex.parse(t, ["x"]) for t in texts])
-            assert np.isnan(batch(np.array([[1.0], [2.0]]))).all()
+        for copies in self.COPIES:
+            out = batch(np.array([[2.0], [-0.0]] * copies))
+            assert out[0].tolist() == [0.5, 2.0] and np.isnan(out[1]).all()
+            # a zero constant divisor, and a subtree or an entry without
+            # variables that raises, make every row nan
+            for texts in (["x/0"], ["x + 1/(1 - 1)"], ["x", "1/(1 - 1)"]):
+                batch_c = ex.compile_batch([ex.parse(t, ["x"]) for t in texts])
+                assert np.isnan(batch_c(np.array([[1.0], [2.0]] * copies))).all()
 
 
 class TestDifferentiate:

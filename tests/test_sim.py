@@ -1,33 +1,48 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from simbarrier import benchmarks, expr as ex, model, sim
-from simbarrier.model import Box, ModeDef, Template
+from simbarrier import benchmarks, expr as ex, falsify, model, sim
+from simbarrier.model import Box, ModeDef, Problem, Template
 from simbarrier.sim import StopReason
 
+import sim_reference as ref
 from conftest import line_problem, linear_template_1d, rk4_endpoint, sawtooth_problem
 
-NO_D = lambda z: np.empty(0)
+THERMOSTAT = Path(__file__).parents[1] / "bench" / "data" / "thermostat.json"
 
 
 def _mode(flow_texts, names, omega):
     return ModeDef("m", omega, tuple(ex.parse(t, names) for t in flow_texts))
 
 
+def _one_mode(flow_texts, names, omega: Box) -> Problem:
+    """A single-mode system whose state space is ``omega``."""
+    return Problem(tuple(names), (), None, (_mode(flow_texts, names, omega),),
+                   (), ((0, omega),), ((0, omega),))
+
+
+def _ride(prob, start, horizon, **kw) -> sim.Trajectory:
+    """One ride, as a batch of one row."""
+    traj, = sim.flow_hybrid(prob, [start], None, horizon, **kw)
+    return traj
+
+
 class TestIntegrate:
+    """One continuous phase: the state space is the bloated box."""
+
     def test_exponential_decay_endpoint(self):
-        mode = _mode(["-x"], ["x"], Box((-5.0,), (5.0,)))
-        traj = sim.integrate(mode, [1.0], NO_D, 1.0,
-                             bloated=Box((-5.0,), (5.0,)))
+        prob = _one_mode(["-x"], ["x"], Box((-5.0,), (5.0,)))
+        traj = _ride(prob, (0, [1.0]), 1.0, bloat_factor=1.0)
         assert traj.reason is StopReason.HORIZON
         assert abs(traj.end[0] - math.exp(-1.0)) <= 1e-6
 
     def test_pendulum_equilibrium(self):
         prob = model.load_problem(benchmarks.pendulum())
-        traj = sim.integrate(prob.modes[0], [0.0, 0.0], NO_D, 10.0,
-                             bloated=model.bloat(prob.modes[0].omega, 1.1))
+        traj = _ride(prob, (0, [0.0, 0.0]), 10.0)
         assert traj.reason is StopReason.HORIZON
         assert max(abs(v) for v in traj.end) <= 1e-9
 
@@ -38,30 +53,27 @@ class TestIntegrate:
         while x_oracle[0] < 0.5:
             x_oracle = rk4_endpoint(f, x_oracle, 1e-5, 1e-5)
             t_oracle += 1e-5
-        mode = _mode(["1"], ["x"], Box((-1.0,), (0.5,)))
-        traj = sim.integrate(mode, [0.0], NO_D, 10.0,
-                             bloated=Box((-1.0,), (0.5,)))
+        prob = _one_mode(["1"], ["x"], Box((-1.0,), (0.5,)))
+        traj = _ride(prob, (0, [0.0]), 10.0, bloat_factor=1.0)
         assert traj.reason is StopReason.LEFT_BLOAT
         assert abs(traj.end[0] - 0.5) <= 1e-6
         assert abs(traj.time - t_oracle) <= 2e-5
 
     def test_step_failure_reported(self):
         # finite-time domain exit: dx/dt = -1/x reaches x = 0 at t = 0.125
-        mode = _mode(["-1/x"], ["x"], Box((-10.0,), (10.0,)))
-        traj = sim.integrate(mode, [-0.5], NO_D, 1.0,
-                             bloated=Box((-10.0,), (10.0,)))
+        prob = _one_mode(["-1/x"], ["x"], Box((-10.0,), (10.0,)))
+        traj = _ride(prob, (0, [-0.5]), 1.0, bloat_factor=1.0)
         assert traj.reason is StopReason.FAILURE
         assert traj.end[0] < 0.0
 
     def test_convergence_order(self):
         # halving both tolerances shrinks the endpoint error by >= 2x on
         # average over several horizons
-        mode = _mode(["-x"], ["x"], Box((-100.0,), (100.0,)))
-        big = Box((-100.0,), (100.0,))
+        prob = _one_mode(["-x"], ["x"], Box((-100.0,), (100.0,)))
 
         def err(rtol, atol, horizon):
-            traj = sim.integrate(mode, [1.0], NO_D, horizon, bloated=big,
-                                 rtol=rtol, atol=atol)
+            traj = _ride(prob, (0, [1.0]), horizon, bloat_factor=1.0,
+                         rtol=rtol, atol=atol)
             return abs(traj.end[0] - math.exp(-horizon))
 
         ratios = []
@@ -76,46 +88,63 @@ class TestIntegrate:
 class TestFlowHybrid:
     def test_sawtooth_reset(self):
         prob = sawtooth_problem()
-        traj = sim.flow_hybrid(prob, (0, (0.0,)), None, 1.5)
+        traj = _ride(prob, (0, (0.0,)), 1.5)
         assert traj.reason is StopReason.HORIZON
         assert traj.resets == 1
         assert abs(traj.end[0] - 0.5) <= 1e-6
 
     def test_zero_horizon_returns_start(self):
         prob = sawtooth_problem()
-        traj = sim.flow_hybrid(prob, (0, (0.3,)), None, 0.0)
+        traj = _ride(prob, (0, (0.3,)), 0.0)
         assert traj.end == (0.3,)
         assert traj.resets == 0
         assert traj.reason is StopReason.HORIZON
 
     def test_reset_into_own_guard_livelocks(self):
         prob = sawtooth_problem(reset_to=1.0)
-        traj = sim.flow_hybrid(prob, (0, (0.0,)), None, 5.0)
+        traj = _ride(prob, (0, (0.0,)), 5.0)
         assert traj.reason is StopReason.LIVELOCK
         assert traj.resets > 100
 
     def test_start_on_guard_resets_immediately(self):
         prob = sawtooth_problem()
-        traj = sim.flow_hybrid(prob, (0, (1.0,)), None, 0.25)
+        traj = _ride(prob, (0, (1.0,)), 0.25)
         assert traj.resets >= 1
         assert abs(traj.end[0] - 0.25) <= 1e-6
 
     def test_prefix_consistency_smooth(self):
         prob = model.load_problem(benchmarks.pendulum())
         start = (0, (1.0, 2.0))
-        full = sim.flow_hybrid(prob, start, None, 1.0)
-        half = sim.flow_hybrid(prob, start, None, 0.4)
-        rest = sim.flow_hybrid(prob, (half.end_mode, half.end), None, 0.6)
+        full = _ride(prob, start, 1.0)
+        half = _ride(prob, start, 0.4)
+        rest = _ride(prob, (half.end_mode, half.end), 0.6)
         assert np.allclose(full.end, rest.end, atol=1e-6)
 
     def test_prefix_consistency_across_reset(self):
         prob = sawtooth_problem()
         start = (0, (0.6,))
-        full = sim.flow_hybrid(prob, start, None, 1.0)
-        half = sim.flow_hybrid(prob, start, None, 0.5)
-        rest = sim.flow_hybrid(prob, (half.end_mode, half.end), None, 0.5)
+        full = _ride(prob, start, 1.0)
+        half = _ride(prob, start, 0.5)
+        rest = _ride(prob, (half.end_mode, half.end), 0.5)
         assert abs(full.end[0] - rest.end[0]) <= 1e-6
         assert full.resets == 1
+
+    def test_unmappable_reset_fails_the_row(self):
+        # the map ln(1 - x) cannot be computed past the guard x = 1: that row
+        # ends as a failure in its source mode; the other row goes on
+        prob = sawtooth_problem()
+        rule = prob.resets[0]
+        broken = model.ResetRule(rule.source, rule.guard, rule.target,
+                                 (ex.parse("ln(1 - x)", ["x"]),), rule.inv,
+                                 rule.image)
+        prob = Problem(prob.state_vars, (), None, prob.modes, (broken,),
+                       prob.initial, prob.unsafe)
+        failed, clear = sim.flow_hybrid(prob, [(0, (0.5,)), (0, (-1.5,))],
+                                        None, 1.0)
+        assert failed.reason is StopReason.FAILURE
+        assert failed.resets == 0
+        assert abs(failed.end[0] - 1.0) <= 1e-6
+        assert clear.reason is StopReason.HORIZON
 
 
 class TestReverse:
@@ -157,11 +186,10 @@ class TestReverse:
             for _ in range(3):
                 mode, box = prob.initial[0]
                 x = box.sample(rng)
-                fwd = sim.flow_hybrid(prob, (mode, x), None, sigma)
+                fwd = _ride(prob, (mode, x), sigma)
                 if fwd.reason is not StopReason.HORIZON:
                     continue
-                back = sim.flow_hybrid(rev, (fwd.end_mode, fwd.end), None,
-                                       sigma)
+                back = _ride(rev, (fwd.end_mode, fwd.end), sigma)
                 err = np.linalg.norm(np.subtract(back.end, x))
                 assert err <= 1e-4 * (1.0 + np.linalg.norm(x))
 
@@ -269,3 +297,157 @@ class TestDriftRides:
                     1.0 + np.linalg.norm(g) * np.linalg.norm(f))
                 checked += 1
         assert checked >= 3
+
+
+def _bits(traj: sim.Trajectory):
+    """Everything a ride reports, floats as ``float.hex``."""
+    return (traj.start_mode, [float(v).hex() for v in traj.start],
+            traj.end_mode, [float(v).hex() for v in traj.end],
+            float(traj.time).hex(), traj.reason, traj.resets,
+            traj.event_index)
+
+
+def _midpoint(prob):
+    """The bootstrap's disturbance policy: per ride and over rows."""
+    if prob.dist_box is None:
+        return None, None
+    d = np.asarray(prob.dist_box.midpoint())
+    return (lambda _m, _x: d), (lambda _m, x: np.tile(d, (len(x), 1)))
+
+
+def _thermostat():
+    return model.load_problem(json.loads(THERMOSTAT.read_text()))
+
+
+class TestLockstep:
+    """Row r of a ``flow_hybrid`` batch ends bit for bit where the
+    point-wise reference ends ride r alone."""
+
+    def assert_lockstep(self, prob, starts, horizon, dpolicy=(None, None),
+                        extra_event=None, **kw):
+        point_policy, row_policy = dpolicy
+        rows = sim.flow_hybrid(prob, starts, row_policy, horizon,
+                               extra_event=extra_event and extra_event[1],
+                               **kw)
+        assert len(rows) == len(starts)
+        for start, got in zip(starts, rows):
+            want = ref.flow_hybrid(prob, start, point_policy, horizon,
+                                   extra_event=extra_event and extra_event[0],
+                                   **kw)
+            assert _bits(got) == _bits(want), start
+        return rows
+
+    @pytest.mark.parametrize("name", sorted(benchmarks.corpus()))
+    def test_corpus_bootstraps(self, name):
+        doc = benchmarks.corpus()[name]
+        prob = model.load_problem(doc)
+        sigma, bloat = doc["run"]["sigma"], doc["run"]["bloat"]
+        rng = np.random.default_rng(5)
+        for dyn, boxes in ((prob, prob.initial),
+                           (sim.reverse(prob), prob.unsafe)):
+            starts = [(mode, v) for mode, box in boxes
+                      for v in sim._select_vertices(box, 256, rng)]
+            self.assert_lockstep(dyn, starts, sigma, _midpoint(dyn),
+                                 bloat_factor=bloat)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_thermostat(self, reverse):
+        # resets, a midpoint disturbance, and rows that change mode at
+        # different steps of the batch
+        prob = _thermostat()
+        if reverse:
+            prob = sim.reverse(prob)
+        starts = [(m, (x,)) for m in (0, 1) for x in np.linspace(12, 21.5, 9)]
+        rows = self.assert_lockstep(prob, starts, 12.0, _midpoint(prob))
+        assert len({r.resets for r in rows}) > 2
+        assert {r.end_mode for r in rows} == {0, 1}
+
+    def test_state_dependent_disturbance(self):
+        prob = _thermostat()
+        pick = lambda x: np.array([0.5 if x[0] < 18.0 else -0.5])
+        policy = (lambda _m, x: pick(x),
+                  lambda _m, x: np.array([pick(row) for row in x]))
+        starts = [(m, (x,)) for m in (0, 1) for x in (15.5, 17.0, 19.0, 21.0)]
+        self.assert_lockstep(prob, starts, 8.0, policy)
+
+    def test_bloat_exits_at_different_steps(self):
+        prob = line_problem("1 + x^2")
+        starts = [(0, (x,)) for x in np.linspace(-1.0, 1.0, 12)]
+        rows = self.assert_lockstep(prob, starts, 5.0)
+        assert {r.reason for r in rows} == {StopReason.LEFT_BLOAT}
+        assert len({r.time for r in rows}) == len(rows)
+
+    def test_step_failure_among_finishing_rows(self):
+        # dx/dt = -1/x reaches x = 0 at t = x0^2 / 2
+        prob = _one_mode(["-1/x"], ["x"], Box((-10.0,), (10.0,)))
+        starts = [(0, (x,)) for x in (-0.5, -0.3, -2.0, 0.4, 3.0)]
+        rows = self.assert_lockstep(prob, starts, 1.0, bloat_factor=1.0)
+        assert {r.reason for r in rows} == {StopReason.FAILURE,
+                                            StopReason.HORIZON}
+
+    def test_livelock_and_zero_horizon(self):
+        looping = sawtooth_problem(reset_to=1.0)
+        starts = [(0, (x,)) for x in (0.0, 0.5, 1.0, -1.5)]
+        rows = self.assert_lockstep(looping, starts, 5.0)
+        assert {r.reason for r in rows} == {StopReason.LIVELOCK}
+        self.assert_lockstep(sawtooth_problem(), starts, 0.0)
+        self.assert_lockstep(sawtooth_problem(), starts, 2.5)
+
+    def test_extra_event(self):
+        # the stop condition of a drift ride: here y crossing down to 0
+        prob = model.load_problem(benchmarks.pendulum())
+        g = lambda _m, x, _d: float(x[1])
+        rows_g = lambda m, x, d: np.array([g(m, r, None) for r in x])
+        starts = [(0, (x, y)) for x in (-2.0, 0.5, 3.0) for y in (-1.0, 1.5)]
+        rows = self.assert_lockstep(prob, starts, 6.0,
+                                    extra_event=((g, -1), (rows_g, -1)))
+        assert {r.reason for r in rows} == {StopReason.EVENT,
+                                            StopReason.HORIZON}
+
+    def test_init_segments_matches_reference_rides(self):
+        # one batch per direction, the starts in the order of the boxes
+        prob = _thermostat()
+        rev = sim.reverse(prob)
+        point, _ = _midpoint(prob)
+        ride = lambda dyn, m, v: _end(ref.flow_hybrid(dyn, (m, v), point, 0.5))
+        want = [model.Segment.classify(prob, m, v, *ride(prob, m, v))
+                for m, box in prob.initial for v in model.vertices(box)]
+        want += [model.Segment.classify(prob, *ride(rev, m, v), m, v)
+                 for m, box in prob.unsafe for v in model.vertices(box)]
+        assert sim.init_segments(prob, 0.5, seed=3) == want
+
+
+def _end(traj):
+    return traj.end_mode, traj.end
+
+
+class TestJumpStop:
+    """A counter-example ride ends before a reset that breaks the
+    certificate's rise along it."""
+
+    # round-1 candidate of the thermostat: V_off = -1 - x, V_on = 0.628 + x
+    P = np.array([-1.0, -1.0, 0.628, 1.0])
+
+    def test_forward_ride_stops_before_a_falling_jump(self):
+        prob = _thermostat()
+        tmpl = model.make_template("linear", 1, 2)
+        # V_on rises to the on->off guard at x = 20, where V drops to -21
+        mode, end = sim.omega(prob, tmpl, self.P, (1, (16.0,)), t_max=50.0)
+        assert mode == 1
+        assert abs(end[0] - 20.0) <= 1e-6
+        # the reset counter-example (off, 16) now gives a refuting segment
+        seg = falsify.point_segment(prob, tmpl, self.P, "reset", 0, (16.0,),
+                                    prob.resets[0], bloat_factor=1.1,
+                                    t_max=50.0, rtol=sim.DEFAULT_RTOL,
+                                    atol=sim.DEFAULT_ATOL)
+        assert seg.sp_mode == 1 and abs(seg.sp[0] - 20.0) <= 1e-6
+        assert falsify.segment_margin(prob, tmpl, self.P, seg) <= 0.0
+
+    def test_backward_ride_stops_before_a_rising_jump(self):
+        prob = _thermostat()
+        tmpl = model.make_template("linear", 1, 2)
+        # backward in off, x rises to the guard x = 20 of the reversed
+        # off->on reset, where V would rise from -21 to 20.628
+        mode, end = sim.alpha(prob, tmpl, self.P, (0, (16.0,)), t_max=50.0)
+        assert mode == 0
+        assert abs(end[0] - 20.0) <= 1e-6
