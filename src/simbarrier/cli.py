@@ -175,6 +175,15 @@ def _verdict_name(verdict: rigor.Verdict | None) -> str | None:
     return verdict.status.value if verdict is not None else None
 
 
+def _boxes_json(verdict: rigor.Verdict | None) -> dict | None:
+    """The verifier's box counts per condition; None without a verdict."""
+    if verdict is None:
+        return None
+    return {str(i): {"verified": r.boxes_verified, "split": r.boxes_split,
+                     "unresolved": r.boxes_unresolved}
+            for i, r in verdict.reports.items()}
+
+
 def _report_json(name: str, report: engine.RunReport, prob: Problem,
                  tmpl: Template, seed: int) -> dict:
     doc = {
@@ -188,6 +197,7 @@ def _report_json(name: str, report: engine.RunReport, prob: Problem,
         "segments": report.segment_count,
         "timings": {k: round(v, 6) for k, v in report.timings.items()},
         "verdict": _verdict_name(report.verdict),
+        "boxes": _boxes_json(report.verdict),
         "tool": f"simbarrier {__version__}",
         "seed": seed,
         "notes": list(report.notes),
@@ -255,11 +265,7 @@ def _cmd_verify(args) -> int:
         "condition": verdict.condition,
         "witness": (list(verdict.witness[1]) if verdict.witness else None),
         "wall_time": round(elapsed, 6),
-        "boxes": {
-            str(i): {"verified": r.boxes_verified, "split": r.boxes_split,
-                     "unresolved": r.boxes_unresolved}
-            for i, r in verdict.reports.items()
-        },
+        "boxes": _boxes_json(verdict),
         "tool": f"simbarrier {__version__}",
     }
     _write_report(out, args.report)

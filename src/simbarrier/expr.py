@@ -4,7 +4,7 @@ Supports parsing from infix text, exact point evaluation, symbolic
 differentiation, and compilation, by one code generator, to plain Python
 callables: on one point, or column-wise on a batch of points with the same
 results and nan where the point code raises, for hot loops (ODE right-hand
-sides, objective gradients), and on a box of intervals, for sound
+sides, objective gradients), and on a batch of boxes, for sound interval
 enclosures.  Expression trees are immutable and safe to share.
 """
 
@@ -406,10 +406,11 @@ def _codegen(e: Expr, flavour: str = "point") -> str:
     a non-constant goes through ``_div``; and subtrees without variables
     are point code.  Where the point code raises on an entry, ``_pow``,
     ``_each_*`` and ``_div`` give nan there and add its row to the list
-    ``_bad`` of the call, their first argument.  Box code reads intervals
-    ``_v[i]``: the same operators on ``Interval``, constants as point
-    intervals ``_I(c)``, never folded in floats, and ``_div``, ``_log`` and
-    ``_sqrt``, which raise DomainError where the box leaves their domain.
+    ``_bad`` of the call, their first argument.  Box code reads interval
+    rows ``_v[i]`` (``interval.Rows``, one interval per box): the same
+    operators, constants as point intervals ``_I(c)``, never folded in
+    floats, and ``_div``, ``_log`` and ``_sqrt``, which give nan bounds on
+    the rows where the box leaves their domain.
 
     A chain of sums and differences is emitted flat, as Python groups it,
     by a loop down its left operands, and added up left to right in chunks
@@ -517,39 +518,21 @@ _BATCHED.update((f"_each_{name}", _each(getattr(math, name)))
                 for name in _MATH_NAMES.values())
 
 
-def _defined(fn):
-    """``fn`` of intervals, raising DomainError where it returns None."""
-    def checked(*args):
-        if (out := fn(*args)) is None:
-            raise DomainError(f"{fn.__name__} undefined on this box")
-        return out
-    return checked
-
-
-_BOX = dict(_I=Interval, _sin=iv.sin, _cos=iv.cos, _exp=iv.exp,
-            _log=_defined(iv.log), _sqrt=_defined(iv.sqrt),
-            _div=_defined(iv.div), DomainError=DomainError)
+_BOX = dict(_I=iv.point, _Rows=iv.Rows, _sin=iv.sin, _cos=iv.cos,
+            _exp=iv.exp, _log=iv.log, _sqrt=iv.sqrt, _div=iv.div,
+            inf=math.inf, nan=math.nan)
 
 
 def _compile(src: str):
     return eval(src, dict(_MATH))  # noqa: S307 - source is generated locally
 
 
-def compile_expr(e: Expr):
-    """Compile to a fast ``f(values) -> float``.
-
-    The compiled form raises the underlying math errors (``MATH_ERRORS``)
-    on domain violations instead of DomainError; hot-loop callers treat
-    any of those as a failed step.
-    """
-    return _compile(f"lambda _v: {_codegen(e)}")
-
-
 def compile_vector(es: Sequence[Expr]):
     """Compile a tuple of expressions to one ``f(values) -> list``.
 
-    Entry i is computed exactly as ``compile_expr(es[i])`` computes it;
-    errors are raised as in ``compile_expr``.
+    Each entry runs the float operations of its expression in Python
+    floats; where a point is outside a domain, the call raises the
+    underlying math error (one of ``MATH_ERRORS``), not DomainError.
     """
     return _compile(f"lambda _v: [{', '.join(_codegen(e) for e in es)}]")
 
@@ -561,12 +544,15 @@ def compile_batch(es: Sequence[Expr]):
     """Compile a tuple of expressions to one ``f(points) -> array`` over
     the rows of a float array ``points`` of shape (k, number of values).
 
-    Row r of the (k, len(es)) result is bit for bit
-    ``compile_vector(es)(points[r].tolist())`` where that returns, and all
-    nan where it raises; the call raises no math error.  A call with at
-    most ``_FEW_ROWS`` points runs that point code on each row, which is
-    faster there than numpy's per-call overhead; a larger call runs the
-    batch code (``_batch_code``).  Each is compiled at its first call.
+    Row r of the (k, len(es)) result is all nan where
+    ``compile_vector(es)(points[r].tolist())`` raises.  Where it returns,
+    each entry it gives as a number is bit for bit that number, and each
+    nan it gives is a nan, of either sign: where two nans of opposite sign
+    meet, numpy and Python floats keep different operands.  The call
+    raises no math error.  A call with at most ``_FEW_ROWS`` points runs
+    that point code on each row, which is faster there than numpy's
+    per-call overhead; a larger call runs the batch code (``_batch_code``).
+    Each is compiled at its first call with points.
     """
     es = tuple(es)
     point = batch = None
@@ -574,6 +560,8 @@ def compile_batch(es: Sequence[Expr]):
 
     def f(z):
         nonlocal point, batch
+        if not len(z):
+            return np.empty((0, len(es)))
         if len(z) > _FEW_ROWS:
             if batch is None:
                 batch = _batch_code(es)
@@ -627,22 +615,45 @@ def _batch_code(es: Sequence[Expr]):
 
 
 def compile_interval(es: Sequence[Expr]):
-    """One ``f(box) -> Interval | None`` per expression: its natural
-    interval extension over a sequence of intervals, one per variable.
-    ``f`` gives a sound enclosure over the box, or None where the box
-    touches a domain boundary of some sub-expression."""
-    src = "".join(f"def _f{i}(_v):\n    try:\n        return {_codegen(e, 'box')}\n"
-                  "    except DomainError:\n        return None\n"
-                  for i, e in enumerate(es))
+    """Compile a tuple of expressions to one ``f(lo, hi) -> (lo, hi)``:
+    their natural interval extensions over a batch of boxes.
+
+    Row r of the float arrays ``lo`` and ``hi``, of shape (k, number of
+    variables), is one box; row r of the two (k, len(es)) results bounds
+    each expression over that box.  The enclosure is sound, and bit for
+    bit what the interval primitives give on that box alone (see
+    ``interval``).  An entry is nan where the box touches a domain
+    boundary of some sub-expression; the call raises no math error.
+    """
+    src = ("def _f(_b):\n"
+           "    _v = [_Rows(_b[:, i]) for i in range(_b.shape[1])]\n"
+           f"    return [{', '.join(_codegen(e, 'box') for e in es)}]\n")
     namespace = dict(_BOX)
     exec(src, namespace)  # noqa: S102 - source is generated locally
-    return [namespace[f"_f{i}"] for i in range(len(es))]
+    rows = namespace["_f"]
+
+    def f(lo, hi):
+        out_lo = np.empty((len(lo), len(es)))
+        out_hi = np.empty((len(lo), len(es)))
+        if not len(lo):
+            return out_lo, out_hi
+        with np.errstate(all="ignore"):
+            for i, enc in enumerate(rows(np.array([lo.T, hi.T]))):
+                out_lo[:, i], out_hi[:, i] = enc.lo, enc.hi
+        return out_lo, out_hi
+    return f
 
 
 def interval_eval(e: Expr, box: Sequence[Interval]) -> Interval | None:
-    """Sound enclosure of e over the box, or None when the box touches a
-    domain boundary of some sub-expression; see ``compile_interval``."""
-    return compile_interval([e])[0](box)
+    """Sound enclosure of e over one box of intervals, or None when the
+    box touches a domain boundary of some sub-expression; a one-row call
+    of ``compile_interval``."""
+    lo = np.array([[b.lo for b in box]], dtype=float)
+    hi = np.array([[b.hi for b in box]], dtype=float)
+    (enc_lo,), (enc_hi,) = compile_interval([e])(lo, hi)
+    if math.isnan(enc_lo[0]):
+        return None
+    return Interval(float(enc_lo[0]), float(enc_hi[0]))
 
 
 def variables_of(e: Expr) -> set[int]:

@@ -100,9 +100,7 @@ class CtrxplResult:
     sim_time: float = 0.0
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a[r].dot(b[r])`` for each row r of two (k, n) arrays."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+_dot = model.row_dot
 
 
 def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -333,32 +331,12 @@ def _drift_objective(geo: _ModeGeometry):
     return value, gradient
 
 
-def _land_on_level_set(geo: _ModeGeometry, x: np.ndarray,
-                       lo: np.ndarray, hi: np.ndarray, band: float,
-                       max_steps: int = 25) -> tuple[np.ndarray, np.ndarray]:
-    """Newton steps along grad V to |V| <= band, staying in the box, from
-    each row of ``x``; returns the end points and the mask of rows that
-    reached the band."""
-    x = x.copy()
-    landed = np.zeros(len(x), dtype=bool)
-    active = np.arange(len(x))
-    for _ in range(max_steps):
-        xa = x[active]
-        v = geo.value(xa)
-        near = np.abs(v) <= band
-        landed[active[near]] = True
-        far = (~near).nonzero()[0]
-        xa, v, active = xa.take(far, 0), v.take(far), active.take(far)
-        g = geo.grad_v(xa)
-        n2 = _dot(g, g)
-        go = ~(n2 < _NORM_FLOOR)
-        active = active[go]
-        if not active.size:
-            return x, landed
-        x[active] = np.clip(xa[go] - (v[go] / n2[go])[:, None] * g[go], lo, hi)
-    if active.size:
-        landed[active] = np.abs(geo.value(x[active])) <= band
-    return x, landed
+def _land(geo: _ModeGeometry, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+          band: float, max_steps: int = 25) -> tuple[np.ndarray, np.ndarray]:
+    """``model.land_on_level_set`` on the mode's certificate, with the
+    search's gradient floor."""
+    return model.land_on_level_set(geo.value, geo.grad_v, x, lo, hi, band,
+                                   _NORM_FLOOR, max_steps)
 
 
 def _retraction(geo: _ModeGeometry, lo: np.ndarray, hi: np.ndarray,
@@ -371,8 +349,8 @@ def _retraction(geo: _ModeGeometry, lo: np.ndarray, hi: np.ndarray,
 
     def project(z, rows):
         z = z.clip(lo, hi)
-        z[:, :n], landed = _land_on_level_set(geo, z[:, :n], lo[:n], hi[:n],
-                                              band, _RETRACTION_STEPS)
+        z[:, :n], landed = _land(geo, z[:, :n], lo[:n], hi[:n], band,
+                                 _RETRACTION_STEPS)
         z[~landed] = math.nan
         return z
 
@@ -417,8 +395,7 @@ def min_transversality(prob: Problem, tmpl: Template, p: np.ndarray,
                 lo = np.concatenate([lo, prob.dist_box.lo])
                 hi = np.concatenate([hi, prob.dist_box.hi])
             z = np.array([picks[r][1] for r in rows])
-            z[:, :n], landed = _land_on_level_set(geo, z[:, :n], lo[:n], hi[:n],
-                                                  band)
+            z[:, :n], landed = _land(geo, z[:, :n], lo[:n], hi[:n], band)
             if not landed.any():
                 continue
             z, values = minimize_box(*_drift_objective(geo), lo, hi, z[landed],

@@ -1,40 +1,47 @@
-"""Interval arithmetic with outward rounding.
+"""Interval arithmetic with outward rounding, on rows of intervals.
 
-Every primitive widens each result bound by a few ulps, so enclosures stay
-sound without depending on the platform's rounding mode.  Partial operations
-(division through zero, log at or below zero, square root of a negative)
-return ``None`` instead of raising: callers must treat the box as undefined,
-never as verified.
+A ``Rows`` value holds one interval per row, ``[lo[r], hi[r]]``, in one
+float array ``[lo, hi]``; the box code of ``expr.compile_interval`` runs
+on them, so one call encloses an expression over a whole batch of boxes.
+Every primitive widens each result bound by ``_WIDEN_STEPS`` ulps
+(``np.nextafter``), so enclosures stay sound without depending on the
+platform's rounding mode.
+
+Each row gets the bits that the same primitive gives on that row's
+interval alone, by the rules the batch code of ``expr`` follows:
+- sums, differences, products, quotients and negation are elementwise
+  numpy operations, which round as Python floats do; ``np.fmin`` and
+  ``np.fmax`` pick a product's or quotient's bounds and drop the nan
+  candidates of ``0 * inf`` and ``inf / inf``; the sign of a zero they
+  pick does not matter, since widening moves it off zero;
+- integer powers and ``sin``, ``cos``, ``exp`` and ``log`` run entry by
+  entry on Python floats (libm), because numpy's vector ``power``,
+  ``exp`` and ``log`` round differently; ``np.sqrt`` is correctly rounded,
+  as ``math.sqrt`` is;
+- 4 ulps per bound covers the worst-case error of every libm call used.
+
+A row where an operation is undefined (a divisor interval through zero,
+``log`` at or below zero, ``sqrt`` of a negative) gets nan bounds, and
+every later operation keeps them nan: callers must treat such a row as
+undefined, never as proved.  No primitive raises.
+
+``Interval`` is one closed interval, the value type of one-box callers
+(``expr.interval_eval``).
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 # 4 ulps per bound covers the worst-case error of every libm call we use.
 _WIDEN_STEPS = 4
 
 _INF = math.inf
+_NAN = math.nan
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
-
-
-def _down(x: float) -> float:
-    # +inf (an overflowed bound) steps down to finite floats: the exact
-    # value it stands for is a real number above the largest float
-    if x == -_INF:
-        return x
-    for _ in range(_WIDEN_STEPS):
-        x = math.nextafter(x, -_INF)
-    return x
-
-
-def _up(x: float) -> float:
-    if x == _INF:
-        return x
-    for _ in range(_WIDEN_STEPS):
-        x = math.nextafter(x, _INF)
-    return x
 
 
 class Interval:
@@ -67,135 +74,171 @@ class Interval:
         return self.lo <= x <= self.hi
 
 
-def _widened(lo: float, hi: float) -> Interval:
-    return Interval(_down(lo), _up(hi))
+# the direction in which each bound widens, and the least value each bound
+# of a non-negative result (exp, sqrt) can take
+_OUTWARD = np.array([[-_INF], [_INF]])
+_NON_NEGATIVE = np.array([[0.0], [-_INF]])
+_UNIT = np.array([[-1.0], [1.0]])
 
 
-def add(x: Interval, y: Interval) -> Interval:
-    return _widened(x.lo + y.lo, x.hi + y.hi)
+def _widened(b: np.ndarray) -> Rows:
+    # -inf stays; +inf (an overflowed bound) steps down to finite floats:
+    # the exact value it stands for is a real number above the largest float
+    for _ in range(_WIDEN_STEPS):
+        b = np.nextafter(b, _OUTWARD)
+    return Rows(b)
 
 
-def sub(x: Interval, y: Interval) -> Interval:
-    return _widened(x.lo - y.hi, x.hi - y.lo)
-
-
-def neg(x: Interval) -> Interval:
-    return Interval(-x.hi, -x.lo)
-
-
-def mul(x: Interval, y: Interval) -> Interval:
-    # nan can only appear from 0 * inf combinations; those candidates carry
-    # no information and are dropped.
-    cands = [x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi]
-    cands = [c for c in cands if not math.isnan(c)]
-    return _widened(min(cands), max(cands))
-
-
-def div(x: Interval, y: Interval) -> Interval | None:
-    if y.lo <= 0.0 <= y.hi:
-        return None
-    cands = [x.lo / y.lo, x.lo / y.hi, x.hi / y.lo, x.hi / y.hi]
-    cands = [c for c in cands if not math.isnan(c)]
-    return _widened(min(cands), max(cands))
-
-
-def _pow(v: float, n: int) -> float:
+def _each(fn, b: np.ndarray, fallback) -> np.ndarray:
+    """``fn`` on each entry as a Python float; ``fallback`` of the entries
+    where it raises."""
+    values = b.ravel().tolist()
     try:
+        out = [fn(v) for v in values]
+    except (ValueError, OverflowError):
+        out = [fallback(fn, v) for v in values]
+    return np.array(out, dtype=float).reshape(b.shape)
+
+
+def _nan_if_raises(fn, v: float) -> float:
+    try:
+        return fn(v)
+    except (ValueError, OverflowError):
+        return _NAN
+
+
+def _inf_if_overflows(fn, v: float) -> float:
+    try:
+        return fn(v)
+    except OverflowError:
+        return _INF
+
+
+class Rows:
+    """Intervals ``[lo[r], hi[r]]``, one per row: ``b`` is the float array
+    ``[lo, hi]`` of shape (2, 1), a constant broadcast over the rows, or
+    (2, number of rows)."""
+
+    __slots__ = ("b",)
+
+    def __init__(self, b: np.ndarray):
+        self.b = b
+
+    @property
+    def lo(self) -> np.ndarray:
+        return self.b[0]
+
+    @property
+    def hi(self) -> np.ndarray:
+        return self.b[1]
+
+    def __add__(x, y: Rows) -> Rows:
+        return _widened(x.b + y.b)
+
+    def __sub__(x, y: Rows) -> Rows:
+        return _widened(x.b - y.b[::-1])
+
+    def __neg__(x) -> Rows:
+        return Rows(-x.b[::-1])
+
+    def __mul__(x, y: Rows) -> Rows:
+        return _widened(_hull(x.b[:, None] * y.b[None, :]))
+
+    def __pow__(x, n: int) -> Rows:
+        """x**n for integer n >= 0, using the monotone/even-power rule."""
+        if n < 0:
+            raise ValueError("negative integer exponent")
+        if n == 0:
+            return Rows(np.where(np.isnan(x.b), _NAN, 1.0))
+        if n == 1:
+            return x
+        p = _power(x.b, n)
+        if n % 2 == 1:
+            return _widened(p)
+        above, below = x.b[0] >= 0.0, x.b[1] <= 0.0
+        # a row through zero: [0, max]; an undefined row stays nan
+        through = np.array([np.where(np.isnan(x.b[0]), _NAN, 0.0),
+                            np.maximum(p[0], p[1])])
+        return _widened(np.where(above, p, np.where(below, p[::-1], through)))
+
+
+def _hull(c: np.ndarray) -> np.ndarray:
+    """The least and the greatest of the (2, 2, k) candidates of a product
+    or quotient, per row; a nan candidate (from 0 * inf or inf / inf)
+    carries no information and is dropped, so only a row of four nans
+    stays nan."""
+    c = c.reshape(4, -1)
+    return np.array([np.fmin.reduce(c, 0), np.fmax.reduce(c, 0)])
+
+
+def _power(b: np.ndarray, n: int) -> np.ndarray:
+    def pow_n(v: float) -> float:
         return v ** n
-    except OverflowError:
-        return -_INF if v < 0.0 and n % 2 else _INF
+
+    def overflowed(_fn, v: float) -> float:
+        try:
+            return v ** n
+        except OverflowError:
+            return -_INF if v < 0.0 and n % 2 else _INF
+
+    return _each(pow_n, b, overflowed)
 
 
-def power(x: Interval, n: int) -> Interval:
-    """x**n for integer n >= 0, using the monotone/even-power rule."""
-    if n < 0:
-        raise ValueError("negative integer exponent")
-    if n == 0:
-        return Interval(1.0, 1.0)
-    if n == 1:
-        return Interval(x.lo, x.hi)
-    lo_n = _pow(x.lo, n)
-    hi_n = _pow(x.hi, n)
-    if n % 2 == 1:
-        return _widened(lo_n, hi_n)
-    if x.lo >= 0.0:
-        return _widened(lo_n, hi_n)
-    if x.hi <= 0.0:
-        return _widened(hi_n, lo_n)
-    return _widened(0.0, max(lo_n, hi_n))
+def point(c: float) -> Rows:
+    """The point interval [c, c], broadcast over every row."""
+    return Rows(np.array([[c], [c]]))
 
 
-def exp(x: Interval) -> Interval:
-    try:
-        lo = math.exp(x.lo)
-    except OverflowError:
-        lo = _INF
-    try:
-        hi = math.exp(x.hi)
-    except OverflowError:
-        hi = _INF
-    return Interval(max(0.0, _down(lo)), _up(hi))
+def div(x: Rows, y: Rows) -> Rows:
+    """x / y; nan on rows where y contains zero."""
+    through_zero = (y.b[0] <= 0.0) & (0.0 <= y.b[1])
+    out = _widened(_hull(x.b[:, None] / y.b[None, :]))
+    return Rows(np.where(through_zero, _NAN, out.b))
 
 
-def log(x: Interval) -> Interval | None:
-    if x.lo <= 0.0:
-        return None
-    return _widened(math.log(x.lo), math.log(x.hi))
+def exp(x: Rows) -> Rows:
+    out = _widened(_each(math.exp, x.b, _inf_if_overflows))
+    return Rows(np.maximum(_NON_NEGATIVE, out.b))
 
 
-def sqrt(x: Interval) -> Interval | None:
-    if x.lo < 0.0:
-        return None
-    return Interval(max(0.0, _down(math.sqrt(x.lo))), _up(math.sqrt(x.hi)))
+def log(x: Rows) -> Rows:
+    """log x; nan on rows that reach zero or below."""
+    undefined = ~(x.b[0] > 0.0)
+    out = _widened(_each(math.log, np.where(undefined, 1.0, x.b), _nan_if_raises))
+    return Rows(np.where(undefined, _NAN, out.b))
 
 
-def _contains_critical(lo: float, hi: float, offset: float) -> bool:
-    # True when some offset + 2*k*pi lies in [lo, hi].  The test runs on a
-    # slightly widened interval, so a borderline miss errs toward inclusion
-    # (a wider enclosure), which keeps the result sound.
-    lo = _down(lo)
-    hi = _up(hi)
-    k_min = math.ceil((lo - offset) / _TWO_PI)
-    return offset + k_min * _TWO_PI <= hi
+def sqrt(x: Rows) -> Rows:
+    """sqrt x; nan on rows that reach below zero."""
+    out = _widened(np.sqrt(x.b))
+    return Rows(np.where(x.b[0] < 0.0, _NAN, np.maximum(_NON_NEGATIVE, out.b)))
 
 
-def sin(x: Interval) -> Interval:
-    if x.hi - x.lo >= _TWO_PI:
-        return Interval(-1.0, 1.0)
-    s_lo = math.sin(x.lo)
-    s_hi = math.sin(x.hi)
-    lo = min(s_lo, s_hi)
-    hi = max(s_lo, s_hi)
-    if _contains_critical(x.lo, x.hi, _HALF_PI):
-        hi = 1.0
-    else:
-        hi = min(1.0, _up(hi))
-    if _contains_critical(x.lo, x.hi, -_HALF_PI):
-        lo = -1.0
-    else:
-        lo = max(-1.0, _down(lo))
-    return Interval(lo, hi)
+def _contains_critical(b: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    # True where some offset + 2*k*pi lies in [lo, hi], one row of the
+    # result per offset.  The test runs on a slightly widened interval, so
+    # a borderline miss errs toward inclusion (a wider enclosure), which
+    # keeps the result sound.
+    lo, hi = _widened(b).b
+    k_min = np.ceil((lo - offsets) / _TWO_PI)
+    return offsets + k_min * _TWO_PI <= hi
 
 
-def cos(x: Interval) -> Interval:
-    if x.hi - x.lo >= _TWO_PI:
-        return Interval(-1.0, 1.0)
-    c_lo = math.cos(x.lo)
-    c_hi = math.cos(x.hi)
-    lo = min(c_lo, c_hi)
-    hi = max(c_lo, c_hi)
-    if _contains_critical(x.lo, x.hi, 0.0):
-        hi = 1.0
-    else:
-        hi = min(1.0, _up(hi))
-    if _contains_critical(x.lo, x.hi, math.pi):
-        lo = -1.0
-    else:
-        lo = max(-1.0, _down(lo))
-    return Interval(lo, hi)
+def _trig(fn, x: Rows, trough: float, peak: float) -> Rows:
+    """sin or cos: the endpoint values, widened, or -1 and +1 where a
+    trough or a peak lies in the interval; [-1, 1] on rows 2*pi wide or
+    wider."""
+    f = _each(fn, x.b, _nan_if_raises)
+    out = _widened(np.array([np.minimum(f[0], f[1]), np.maximum(f[0], f[1])])).b
+    out = np.array([np.maximum(-1.0, out[0]), np.minimum(1.0, out[1])])
+    out = np.where(_contains_critical(x.b, np.array([[trough], [peak]])),
+                   _UNIT, out)
+    return Rows(np.where(x.b[1] - x.b[0] >= _TWO_PI, _UNIT, out))
 
 
-# the total operations as operators, so that interval code reads as float
-# code does (see expr.compile_interval)
-Interval.__add__, Interval.__sub__, Interval.__mul__ = add, sub, mul
-Interval.__neg__, Interval.__pow__ = neg, power
+def sin(x: Rows) -> Rows:
+    return _trig(math.sin, x, -_HALF_PI, _HALF_PI)
+
+
+def cos(x: Rows) -> Rows:
+    return _trig(math.cos, x, math.pi, 0.0)

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Expr
-from .interval import Interval
 
 
 class ProblemFormatError(ValueError):
@@ -56,9 +55,6 @@ class Box:
 
     def volume(self) -> float:
         return math.prod(self.widths())
-
-    def intervals(self) -> list[Interval]:
-        return [Interval(a, b) for a, b in zip(self.lo, self.hi)]
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         lo = np.asarray(self.lo)
@@ -361,6 +357,62 @@ def compile_certificate(t: Template, p: np.ndarray, mode: int):
 def _shaped(batch, shape: tuple[int, ...]):
     """``batch`` over the rows of a float array, shaped (k,) + ``shape``."""
     return lambda x: batch(x).reshape((len(x),) + shape)
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[r].dot(b[r])`` for each row r of two (k, n) arrays: a stacked
+    ``np.matmul``, which calls per row the BLAS kernel that ``ndarray.dot``
+    calls, whereas ``(a * b).sum(1)`` and ``einsum`` round differently."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def land_on_level_set(value, grad, x: np.ndarray, lo: np.ndarray,
+                      hi: np.ndarray, band: float, floor: float,
+                      max_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps along grad V towards |V| <= band from each row of
+    ``x``, each step clipped to the row's box [lo, hi] (arrays of x's
+    shape, or one box for all rows); returns the end points and the mask
+    of rows that reached the band.
+
+    ``value`` and ``grad`` are V and grad V over the rows of a batch.  A
+    row stops without landing where |grad V|^2 < ``floor``, and where V
+    is not finite it never lands.  A row is tested at most
+    ``max_steps + 1`` times: before each step, and once after the last.
+    """
+    x = x.copy()
+    landed = np.zeros(len(x), dtype=bool)
+    if not len(x):
+        return x, landed
+    # the rows still stepping: their indices, points and boxes; a row's
+    # point goes back to x when it leaves them
+    rows, xa = np.arange(len(x)), x
+    per_row = lo.ndim == 2
+    for _ in range(max_steps):
+        v = value(xa)
+        far = ~(np.abs(v) <= band)
+        if not far.all():
+            near = ~far
+            landed[rows[near]] = True
+            x[rows[near]] = xa[near]
+            if not far.any():
+                return x, landed
+            rows, xa, v = rows[far], xa[far], v[far]
+            if per_row:
+                lo, hi = lo[far], hi[far]
+        g = grad(xa)
+        n2 = row_dot(g, g)
+        go = ~(n2 < floor)
+        if not go.all():
+            x[rows[~go]] = xa[~go]
+            if not go.any():
+                return x, landed
+            rows, xa, v, g, n2 = rows[go], xa[go], v[go], g[go], n2[go]
+            if per_row:
+                lo, hi = lo[go], hi[go]
+        xa = np.clip(xa - (v / n2)[:, None] * g, lo, hi)
+    landed[rows] = np.abs(value(xa)) <= band
+    x[rows] = xa
+    return x, landed
 
 
 def template_linear(n: int, modes: int = 1) -> Template:

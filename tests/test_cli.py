@@ -52,6 +52,17 @@ class TestSynth:
         assert set(doc["timings"]) == {"simulation", "candidate",
                                        "counterexample", "verification"}
         assert doc["seed"] == 0
+        # the verifier's box counts, in the shape of verdict/1's
+        assert doc["boxes"] == {str(i): {"verified": 1, "split": 0,
+                                         "unresolved": 0} for i in (1, 2, 3)} \
+            | {"4": {"verified": 0, "split": 0, "unresolved": 0}}
+
+    def test_no_verify_report_has_no_boxes(self, composition_path, tmp_path):
+        report_path = tmp_path / "report.json"
+        assert cli.main(["synth", composition_path, "--seed", "0",
+                         "--no-verify", "--report", str(report_path)]) == 0
+        doc = json.loads(report_path.read_text())
+        assert doc["verdict"] is None and doc["boxes"] is None
 
     def test_report_round_trips_through_verify(self, composition_path,
                                                tmp_path):

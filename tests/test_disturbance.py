@@ -73,8 +73,8 @@ def test_verify_quantifies_over_disturbance_box():
     mode, x, d = verdict.witness
     assert abs(x[0] - 0.3) <= 1e-6
     assert d[0] == pytest.approx(1.5)  # witness at the violating vertex
-    flow = ex.compile_expr(unsafe.modes[0].flow[0])
-    assert flow(list(x) + list(d)) > 0.0
+    flow = ex.compile_vector([unsafe.modes[0].flow[0]])
+    assert flow(list(x) + list(d))[0] > 0.0
 
 
 def test_find_counterexample_on_disturbed_system():

@@ -346,7 +346,7 @@ class TestTransversality:
         hi = np.array([3.5, 1.5, 0.5])
         band = _band(p)
         with np.errstate(all="ignore"):
-            x, landed = falsify._land_on_level_set(
+            x, landed = falsify._land(
                 geo, rng.uniform(lo[:2], hi[:2], (12, 2)), lo[:2], hi[:2], band)
             z0 = np.hstack([x, rng.uniform(-0.5, 0.5, (12, 1))])[landed]
             f, g = falsify._drift_objective(geo)

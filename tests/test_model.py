@@ -240,10 +240,10 @@ class TestCompiledCertificate:
         rides and the verifier use them, give the loops' bits."""
         tmpl, p, mode, x = case
         value, grad = model.certificate_exprs(tmpl, p, mode)
-        value, grad = ex.compile_expr(value), ex.compile_vector(grad)
+        value, grad = ex.compile_vector([value]), ex.compile_vector(grad)
         for row in x:
             for point in (list(row), row.tolist()):
-                assert np.float64(value(point)).tobytes() == \
+                assert np.float64(value(point)[0]).tobytes() == \
                     np.float64(template_value(tmpl, p, mode, point)).tobytes()
                 assert np.array(grad(point)).tobytes() == \
                     template_grad_x(tmpl, p, mode, point).tobytes()
@@ -272,8 +272,8 @@ class TestCompiledCertificate:
         p = np.linspace(-1.0, 1.0, t.size)
         x = np.linspace(0.5, 2.0, 600).reshape(2, 300)
         _assert_compiled_equals_loops(t, p, 0, x)
-        value = ex.compile_expr(model.certificate_exprs(t, p, 0)[0])
-        assert value(x[0].tolist()) == template_value(t, p, 0, x[0].tolist())
+        value = ex.compile_vector([model.certificate_exprs(t, p, 0)[0]])
+        assert value(x[0].tolist())[0] == template_value(t, p, 0, x[0].tolist())
 
 
 _FLOWS = ("-x{i} + x{j}^2", "3 * sin(x{j})", "x{i} * x{j} - 0.5", "1.25")
@@ -313,11 +313,13 @@ class TestCertificateEnclosures:
                        region, region)
         checks = verify._ModeChecks(prob, tmpl, p, mode)
         grad = model.certificate_exprs(tmpl, p, mode)[1]
-        for b_lo, b_hi, b_frac in zip(lo, hi, frac.transpose(1, 0, 2)):
+        # every box at once, as the verifier encloses a level of boxes
+        v_rows, d_rows = checks.value_box(lo, hi), checks.drift_box(lo, hi)
+        for r, (b_lo, b_hi, b_frac) in enumerate(zip(lo, hi, frac.transpose(1, 0, 2))):
             box = [Interval(a, b) for a, b in zip(b_lo, b_hi)]
-            v_enc = checks.value_box(box)
+            v_enc = Interval(v_rows[0][r], v_rows[1][r])
             g_enc = [ex.interval_eval(g, box) for g in grad]
-            d_enc = checks.drift_box(box)
+            d_enc = Interval(d_rows[0][r], d_rows[1][r])
             points = np.clip(b_lo + b_frac * (b_hi - b_lo), b_lo, b_hi)
             for x in [b_lo, b_hi, *points]:
                 point = x.tolist()

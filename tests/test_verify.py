@@ -1,9 +1,12 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from simbarrier import benchmarks, expr as ex, model
+from simbarrier import benchmarks, cli, expr as ex, model
+from simbarrier import verify as verify_module
 from simbarrier.model import Box, ModeDef, Problem, Template
 from simbarrier.verify import VerdictStatus, VerifyConfig, verify
 
@@ -49,8 +52,8 @@ class TestVerified:
         pts = lo + rng.random((n, 3)) * (hi - lo)
         pts[:, 0] = 0.12774317671
         # dV/dt = -dx1/dt = -1 everywhere, by the flow definition
-        flow0 = ex.compile_expr(prob.modes[0].flow[0])
-        drift = np.array([-flow0(list(x)) for x in pts[:100]])
+        flow0 = ex.compile_vector([prob.modes[0].flow[0]])
+        drift = np.array([-flow0(list(x))[0] for x in pts[:100]])
         assert np.all(drift < 0)
 
     def test_splitting_instance_with_volume_bookkeeping(self):
@@ -109,8 +112,8 @@ class TestRefuted:
         mode, x, d = verdict.witness
         assert abs(model.template_value(tmpl, p, mode, x)) <= 1e-9
         g = model.template_grad_x(tmpl, p, mode, x)
-        flow = [ex.compile_expr(f) for f in prob.modes[mode].flow]
-        f = np.array([fn(list(x) + list(d)) for fn in flow])
+        flow = ex.compile_vector(prob.modes[mode].flow)
+        f = np.array(flow(list(x) + list(d)))
         assert float(g @ f) > 0.0
 
     def test_initial_sign_violation(self):
@@ -166,6 +169,20 @@ class TestUnknown:
         assert verdict.status is not VerdictStatus.VERIFIED
 
 
+    def test_certificate_overflowing_at_midpoints_gives_unknown(self):
+        # V = x^200 - 1 overflows at every point of the initial box: its
+        # enclosures are unbounded and its midpoint values undefined, so
+        # condition 1 can be neither proved nor refuted, and nothing raises
+        prob = line_problem("-x", omega=(-300.0, 300.0), init=(100.0, 200.0),
+                            unsafe=(250.0, 260.0))
+        tmpl = Template((((0,), (200,)),))
+        verdict = verify(prob, tmpl, np.array([-1.0, 1.0]))
+        assert verdict.status is VerdictStatus.UNKNOWN
+        assert verdict.condition == 1
+        assert verdict.reports[1].boxes_verified == 0
+        assert verdict.reports[1].boxes_unresolved == len(verdict.unresolved) > 0
+
+
 class TestMonotoneEffort:
     def test_finer_width_never_flips_verified_to_refuted(self):
         prob, tmpl, p = composition_with_published_barrier()
@@ -183,3 +200,76 @@ class TestMonotoneEffort:
         fine = verify(prob, tmpl, p, VerifyConfig(min_width_frac=1e-4))
         assert coarse.status in (VerdictStatus.UNKNOWN, VerdictStatus.VERIFIED)
         assert fine.status is VerdictStatus.VERIFIED
+
+
+class TestBoxBudget:
+    def test_budget_gives_unknown_with_the_pending_boxes(self, monkeypatch):
+        # the splitting instance needs 11 boxes for condition 3; with a
+        # budget of 5 per cover, the boxes still pending are unresolved
+        monkeypatch.setattr(verify_module, "_MAX_BOXES", 5)
+        prob = line_problem("-x", omega=(-1.0, 1.0), init=(-0.1, 0.1),
+                            unsafe=(0.8, 0.9))
+        tmpl = Template((((0,), (2,)),))
+        verdict = verify(prob, tmpl, np.array([-0.25, 1.0]))
+        assert verdict.status is VerdictStatus.UNKNOWN
+        assert verdict.condition == 3
+        rep3 = verdict.reports[3]
+        assert rep3.boxes_verified + rep3.boxes_split == 5
+        assert rep3.boxes_unresolved == len(verdict.unresolved) > 0
+        # the unresolved boxes and the decided ones cover omega once
+        assert rep3.volume_covered == pytest.approx(rep3.region_volume,
+                                                    rel=1e-12)
+        assert all(-1.0 <= b.lo[0] <= b.hi[0] <= 1.0 for b in verdict.unresolved)
+
+
+BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
+
+# verify() on the benchmark's certificates, recorded before the cover ran
+# in lockstep: status, condition, witness (mode, x, d as float.hex),
+# (verified, split, unresolved) boxes per condition, min_width_reached
+BENCH_VERDICTS = {
+    "pendulum-final": ("Verified", None, None,
+        {1: (1, 0, 0), 2: (1, 0, 0), 3: (114, 113, 0), 4: (0, 0, 0)}, "0x1.4000000000000p-3"),
+    "log-dynamics-final": ("Verified", None, None,
+        {1: (11, 10, 0), 2: (1, 0, 0), 3: (519, 518, 0), 4: (0, 0, 0)}, "0x1.4000000000000p-5"),
+    "lorenz-final": ("Verified", None, None,
+        {1: (1, 0, 0), 2: (1, 0, 0), 3: (441, 440, 0), 4: (0, 0, 0)}, "0x1.4000000000000p-4"),
+    "lorenz-iter1": ("Refuted", 3, (0, ('-0x1.095a712129bb8p+1', '-0x1.4000000000000p-1', '-0x1.513eff13e67b7p+1'), ()),
+        {1: (1, 0, 0), 2: (1, 0, 0), 3: (221, 248, 0), 4: (0, 0, 0)}, "0x1.3333333333340p-1"),
+    "lorenz-iter4": ("Refuted", 3, (0, ('-0x1.4000000000000p+1', '-0x1.4000000000000p-2', '-0x1.44568ee66918dp+1'), ()),
+        {1: (1, 0, 0), 2: (1, 0, 0), 3: (226, 264, 0), 4: (0, 0, 0)}, "0x1.3333333333340p-1"),
+    "lorenz-iter7": ("Refuted", 3, (0, ('-0x1.97e85ef29ac5dp+1', '-0x1.4000000000000p+0', '-0x1.1ec8e658535e2p+0'), ()),
+        {1: (1, 0, 0), 2: (1, 0, 0), 3: (74, 160, 0), 4: (0, 0, 0)}, "0x1.3333333333340p-1"),
+    "lorenz-iter10": ("Refuted", 3, (0, ('-0x1.e8f34f5658728p+0', '-0x1.4000000000000p-1', '-0x1.0bb4d74e3ca8fp+0'), ()),
+        {1: (1, 0, 0), 2: (1, 0, 0), 3: (193, 237, 0), 4: (0, 0, 0)}, "0x1.3333333333340p-1"),
+    "lorenz-iter13": ("Refuted", 3, (0, ('-0x1.e0aec86830bd6p+0', '-0x1.4000000000000p-2', '-0x1.3d76d247addfdp+0'), ()),
+        {1: (1, 0, 0), 2: (1, 0, 0), 3: (243, 267, 0), 4: (0, 0, 0)}, "0x1.3333333333340p-1"),
+    "composition-published": ("Verified", None, None,
+        {1: (1, 0, 0), 2: (1, 0, 0), 3: (1, 0, 0), 4: (0, 0, 0)}, "0x1.4000000000000p+4"),
+    "thermostat-c14": ("Verified", None, None,
+        {1: (1, 0, 0), 2: (1, 0, 0), 3: (2, 0, 0), 4: (2, 0, 0)}, "0x1.0000000000000p+0"),
+    "thermostat-c16.5": ("Refuted", 4, (0, ('0x1.f000000000000p+3',), ()),
+        {1: (1, 0, 0), 2: (1, 0, 0), 3: (2, 0, 0), 4: (0, 0, 0)}, "0x1.0000000000000p+0"),
+}
+
+
+def _bench_cases():
+    return json.loads((BENCH_DATA / "expected.json").read_text())["cases"]
+
+
+@pytest.mark.parametrize("case", _bench_cases(), ids=lambda c: c["id"])
+def test_bench_certificate_verdicts_are_pinned(case):
+    corpus = benchmarks.corpus()
+    doc = (corpus[case["problem"]] if case["problem"] in corpus else
+           json.loads((BENCH_DATA / f"{case['problem']}.json").read_text()))
+    prob = model.load_problem(doc)
+    barrier = json.loads((BENCH_DATA / case["barrier"]).read_text())
+    tmpl, p = cli._barrier_from_doc(barrier, prob, case["barrier"])
+    verdict = verify(prob, tmpl, p)
+    witness = verdict.witness and (
+        verdict.witness[0], tuple(v.hex() for v in verdict.witness[1]),
+        tuple(v.hex() for v in verdict.witness[2]))
+    got = (verdict.status.value, verdict.condition, witness,
+           box_counts(verdict), verdict.min_width_reached.hex())
+    assert got == BENCH_VERDICTS[case["id"]]
+    assert (got[0], got[1]) == (case["verdict"], case["condition"])
