@@ -23,6 +23,9 @@ from . import lp
 from .model import Problem, Segment, Template, coeff_row
 
 
+_GAP_TOL = 1e-9  # nodes whose bound is within this of the incumbent are pruned
+
+
 class ConstraintError(RuntimeError):
     pass
 
@@ -113,8 +116,7 @@ def _relaxation(c: SampledConstraint, assign: np.ndarray):
 
 
 def solve(c: SampledConstraint, delta_min: float = 1e-6,
-          warm: np.ndarray | None = None,
-          gap_tol: float = 1e-9) -> Candidate | None:
+          warm: np.ndarray | None = None) -> Candidate | None:
     """Globally maximize the worst margin; None when the optimum does not
     clear delta_min.
 
@@ -149,11 +151,11 @@ def solve(c: SampledConstraint, delta_min: float = 1e-6,
         (-math.inf, counter, np.zeros(n_disj, dtype=np.int8))]
     while heap:
         neg_bound, _, assign = heapq.heappop(heap)
-        if -neg_bound <= best_delta + gap_tol:
+        if -neg_bound <= best_delta + _GAP_TOL:
             break
         nodes += 1
         p_star, bound = relax(assign)
-        if bound <= best_delta + gap_tol:
+        if bound <= best_delta + _GAP_TOL:
             continue
         # branch on the open disjunction the relaxation optimum violates
         # most (the first one among equals)

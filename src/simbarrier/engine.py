@@ -5,7 +5,8 @@ max-margin candidate computation and counter-example search, growing the
 segment set by exactly one refuting segment per round, and optionally
 hands the surviving candidate to the rigorous verifier.  A refuted
 verification feeds its witness point back into the loop as a fresh
-counter-example.
+counter-example.  Each candidate is one ``model.Certificate``, shared by
+the falsifier's searches, the rides and the refuting segments.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import chebyshev, falsify, sim
 from . import verify as rigor
-from .model import Problem, Segment, Template
+from .model import Certificate, Problem, Segment, Template
 
 
 class RunStatus(enum.Enum):
@@ -35,13 +36,9 @@ class RunConfig:
     starts: int = 16
     max_iterations: int = 50
     delta_min: float = 1e-6
-    eps_ce: float = 1e-9
     seed: int = 0
     verify: bool = True
-    rtol: float = sim.DEFAULT_RTOL
-    atol: float = sim.DEFAULT_ATOL
     min_width_frac: float = 1e-4
-    t_max: float | None = None  # defaults to 100 * sigma
 
     def __post_init__(self):
         if self.sigma < 0 or self.bloat_factor < 1 or self.max_iterations < 1:
@@ -49,7 +46,7 @@ class RunConfig:
 
     @property
     def ride_horizon(self) -> float:
-        return self.t_max if self.t_max is not None else 100.0 * self.sigma
+        return 100.0 * self.sigma
 
 
 @dataclass
@@ -80,20 +77,6 @@ class RunReport:
     total_time: float = 0.0
 
 
-def _witness_segment(prob: Problem, tmpl: Template, p: np.ndarray,
-                     verdict: rigor.Verdict, cfg: RunConfig) -> Segment:
-    """Turn a refutation witness into a counter-example segment."""
-    mode, x, _d = verdict.witness
-    rule = None
-    if verdict.condition == 4:
-        rules = prob.mode_resets(mode)
-        rule = next((r for r in rules if r.guard.contains(x)), rules[0])
-    return falsify.point_segment(
-        prob, tmpl, p, falsify.KINDS[verdict.condition - 1], mode, x, rule,
-        bloat_factor=cfg.bloat_factor, t_max=cfg.ride_horizon,
-        rtol=cfg.rtol, atol=cfg.atol)
-
-
 def run(prob: Problem, tmpl: Template, cfg: RunConfig | None = None) -> RunReport:
     """Synthesize a certificate, refining on counter-examples."""
     cfg = cfg or RunConfig()
@@ -106,8 +89,7 @@ def run(prob: Problem, tmpl: Template, cfg: RunConfig | None = None) -> RunRepor
     t0 = time.perf_counter()
     segments = sim.init_segments(prob, cfg.sigma, cfg.vertex_cap,
                                  int(rng.integers(2 ** 63)),
-                                 bloat_factor=cfg.bloat_factor,
-                                 rtol=cfg.rtol, atol=cfg.atol)
+                                 bloat_factor=cfg.bloat_factor)
     timings["simulation"] += time.perf_counter() - t0
 
     warm = None
@@ -127,12 +109,12 @@ def run(prob: Problem, tmpl: Template, cfg: RunConfig | None = None) -> RunRepor
                                  bb_nodes=cand.nodes, lp_pivots=cand.pivots)
         report.log.append(record)
 
+        cert = Certificate(tmpl, cand.p)
         fcfg = falsify.FalsifyConfig(
             starts=cfg.starts, seed=int(rng.integers(2 ** 63)),
-            eps_ce=cfg.eps_ce, bloat_factor=cfg.bloat_factor,
-            t_max=cfg.ride_horizon, rtol=cfg.rtol, atol=cfg.atol)
+            bloat_factor=cfg.bloat_factor, t_max=cfg.ride_horizon)
         t0 = time.perf_counter()
-        ce = falsify.find_counterexample(prob, tmpl, cand.p, fcfg)
+        ce = falsify.find_counterexample(prob, cert, fcfg)
         elapsed = time.perf_counter() - t0
         if ce is not None:
             timings["simulation"] += ce.sim_time
@@ -154,14 +136,18 @@ def run(prob: Problem, tmpl: Template, cfg: RunConfig | None = None) -> RunRepor
                 rigor.VerifyConfig(min_width_frac=cfg.min_width_frac))
             timings["verification"] += time.perf_counter() - t0
             if verdict.status is rigor.VerdictStatus.REFUTED:
+                mode, x, _d = verdict.witness
+                rule = None
+                if verdict.condition == 4:
+                    rules = prob.mode_resets(mode)
+                    rule = next((r for r in rules if r.guard.contains(x)),
+                                rules[0])
                 t0 = time.perf_counter()
-                seg = _witness_segment(prob, tmpl, cand.p, verdict, cfg)
+                seg, m = falsify.refuting_segment(
+                    prob, cert, falsify.KINDS[verdict.condition - 1], mode, x,
+                    rule, bloat_factor=cfg.bloat_factor,
+                    t_max=cfg.ride_horizon)
                 timings["simulation"] += time.perf_counter() - t0
-                m = falsify.segment_margin(prob, tmpl, cand.p, seg)
-                if m > 0.0:
-                    raise falsify.RefutationError(
-                        "verification witness segment does not refute the "
-                        "candidate")
                 record.kind = f"verify-refuted-{verdict.condition}"
                 record.segment = seg
                 record.segment_margin = m

@@ -27,12 +27,13 @@ iteration or try a step, so every start ends where a run of its own
 would end.
 
 The objectives are batched: one code generator, ``expr.compile_batch``,
-evaluates the certificate, its gradient and its Hessian (the expressions
-of ``model.certificate_exprs``, compiled by ``model.compile_certificate``),
-the flows, the reset maps and the Jacobians, column by column over the
-rows.  The batched code performs the float operations of the scalar
-reference (the monomial loops of ``model`` and ``expr.compile_vector``),
-so the results are bit-identical wherever the reference is finite:
+evaluates the certificate, its gradient and its Hessian (the candidate's
+``model.Certificate``, which the caller builds once per candidate), the
+flows and the reset maps (``ModeDef.flow_rows``, ``ResetRule.map_rows``)
+and the Jacobians, column by column over the rows.  The batched code
+performs the float operations of the scalar reference (the monomial
+loops of ``model`` and ``expr.compile_vector``), so the results are
+bit-identical wherever the reference is finite:
 - elementwise numpy arithmetic rounds as Python floats do;
 - ``**`` and the ``math`` functions run entry by entry on Python floats,
   because numpy's vector power, exp and log round differently from libm;
@@ -49,7 +50,6 @@ gradient.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -58,8 +58,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import chebyshev, expr as ex, model, sim
-from .model import Box, Problem, Segment, Template
+from .model import Box, Certificate, Problem, Segment
 
+_EPS_CE = 1e-9           # a minimum below -_EPS_CE is a counter-example
 _LEVEL_BAND = 1e-6
 _RETRACTION_STEPS = 4
 _NORM_FLOOR = 1e-12
@@ -78,13 +79,8 @@ class RefutationError(RuntimeError):
 class FalsifyConfig:
     starts: int = 16
     seed: int = 0
-    eps_ce: float = 1e-9
     bloat_factor: float = 1.1
     t_max: float = 100.0
-    rtol: float = sim.DEFAULT_RTOL
-    atol: float = sim.DEFAULT_ATOL
-    max_iters: int = 200
-    grad_tol: float = 1e-8
 
 
 @dataclass
@@ -217,23 +213,16 @@ def _groups(keys: Sequence) -> dict:
     return groups
 
 
-def min_initial(prob: Problem, tmpl: Template, p: np.ndarray,
-                starts: int = 16, seed: int = 0,
-                cfg: FalsifyConfig | None = None):
+def min_initial(prob: Problem, cert: Certificate, starts: int = 16,
+                seed: int = 0):
     """Minimize -V over the initial boxes; returns ((mode, x), value)."""
-    return _min_sign(prob, tmpl, p, prob.initial, -1.0, starts, seed, cfg)
+    return _min_sign(prob, cert, prob.initial, -1.0, starts, seed)
 
 
-def min_unsafe(prob: Problem, tmpl: Template, p: np.ndarray,
-               starts: int = 16, seed: int = 0,
-               cfg: FalsifyConfig | None = None):
+def min_unsafe(prob: Problem, cert: Certificate, starts: int = 16,
+               seed: int = 0):
     """Minimize V over the unsafe boxes; returns ((mode, x), value)."""
-    return _min_sign(prob, tmpl, p, prob.unsafe, 1.0, starts, seed, cfg)
-
-
-def _certificates(tmpl: Template, p: np.ndarray):
-    """mode -> compiled (value, grad_x, hess_x), each built on first use."""
-    return functools.cache(functools.partial(model.compile_certificate, tmpl, p))
+    return _min_sign(prob, cert, prob.unsafe, 1.0, starts, seed)
 
 
 def _jacobian(fs, cols: range):
@@ -243,10 +232,8 @@ def _jacobian(fs, cols: range):
     return lambda z: batch(z).reshape(len(z), len(fs), len(cols))
 
 
-def _min_sign(prob, tmpl, p, regions, sign, starts, seed, cfg):
-    cfg = cfg or FalsifyConfig()
+def _min_sign(prob, cert, regions, sign, starts, seed):
     rng = np.random.default_rng(seed)
-    cert = _certificates(tmpl, p)
     picks = []
     for _ in range(starts):
         mode, box = _pick_region(regions, rng)
@@ -255,14 +242,13 @@ def _min_sign(prob, tmpl, p, regions, sign, starts, seed, cfg):
     fx = np.empty(starts)
     with np.errstate(all="ignore"):
         for mode, rows in _groups([mode for mode, _, _ in picks]).items():
-            value, grad, _ = cert(mode)
+            mc = cert[mode]
             boxes = [picks[r][1] for r in rows]
             x[rows], fx[rows] = minimize_box(
-                lambda z, _v=value: sign * _v(z),
-                lambda z, _g=grad: sign * _g(z),
+                lambda z, _mc=mc: sign * _mc.value(z),
+                lambda z, _mc=mc: sign * _mc.grad(z),
                 np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes]),
-                np.array([picks[r][2] for r in rows]),
-                cfg.max_iters, cfg.grad_tol)
+                np.array([picks[r][2] for r in rows]))
     fx, mode, x = _best((float(fx[r]), picks[r][0], x[r]) for r in range(starts))
     return (mode, x), fx
 
@@ -274,12 +260,12 @@ class _ModeGeometry:
     followed by the disturbance values.
     """
 
-    def __init__(self, prob: Problem, cert, mode: int):
+    def __init__(self, prob: Problem, cert: Certificate, mode: int):
         self.n = prob.dim
         self.l = prob.n_dist
         mdef = prob.modes[mode]
-        self.value, self.grad_v, self.hess_v = cert(mode)
-        self.flow = ex.compile_batch(mdef.flow)
+        self.cert = cert[mode]
+        self.flow = mdef.flow_rows
         self.jac_x = _jacobian(mdef.flow, range(self.n))
         self.jac_d = _jacobian(mdef.flow, range(self.n, self.n + self.l))
 
@@ -295,7 +281,7 @@ def _drift_objective(geo: _ModeGeometry):
 
     def parts(z):
         x = z[:, :n]
-        gv, fv = geo.grad_v(x), geo.flow(z)
+        gv, fv = geo.cert.grad(x), geo.flow(z)
         ng, nf = np.sqrt(_dot(gv, gv)), np.sqrt(_dot(fv, fv))
         flat = (~(np.isfinite(ng) & np.isfinite(nf))
                 | (ng < _NORM_FLOOR) | (nf < _NORM_FLOOR))
@@ -318,7 +304,7 @@ def _drift_objective(geo: _ModeGeometry):
             pu_w = w - u * uw
             pw_u = u - w * uw
             jac_x = geo.jac_x(z).transpose(0, 2, 1)
-            out = -(_matvec(geo.hess_v(x), pu_w) / ng[:, None]
+            out = -(_matvec(geo.cert.hess(x), pu_w) / ng[:, None]
                     + _matvec(jac_x, pw_u) / nf[:, None])
             out -= u * _dot(out, u)[:, None]
             if geo.l:
@@ -335,8 +321,8 @@ def _land(geo: _ModeGeometry, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
           band: float, max_steps: int = 25) -> tuple[np.ndarray, np.ndarray]:
     """``model.land_on_level_set`` on the mode's certificate, with the
     search's gradient floor."""
-    return model.land_on_level_set(geo.value, geo.grad_v, x, lo, hi, band,
-                                   _NORM_FLOOR, max_steps)
+    return model.land_on_level_set(geo.cert.value, geo.cert.grad, x, lo, hi,
+                                   band, _NORM_FLOOR, max_steps)
 
 
 def _retraction(geo: _ModeGeometry, lo: np.ndarray, hi: np.ndarray,
@@ -357,9 +343,8 @@ def _retraction(geo: _ModeGeometry, lo: np.ndarray, hi: np.ndarray,
     return project
 
 
-def min_transversality(prob: Problem, tmpl: Template, p: np.ndarray,
-                       starts: int = 16, seed: int = 0,
-                       cfg: FalsifyConfig | None = None):
+def min_transversality(prob: Problem, cert: Certificate, starts: int = 16,
+                       seed: int = 0):
     """Minimize the normalized drift over the certificate's zero level set
     and the disturbance box.
 
@@ -373,10 +358,8 @@ def min_transversality(prob: Problem, tmpl: Template, p: np.ndarray,
     Returns ((mode, x), d, value); value is +inf when no start reaches the
     level set (no zero-level point found).
     """
-    cfg = cfg or FalsifyConfig()
     rng = np.random.default_rng(seed)
-    band = _LEVEL_BAND * (1.0 + float(np.linalg.norm(p)))
-    cert = _certificates(tmpl, p)
+    band = _LEVEL_BAND * (1.0 + float(np.linalg.norm(cert.p)))
     picks = []
     for _ in range(starts):
         mode = int(rng.integers(len(prob.modes)))
@@ -399,8 +382,7 @@ def min_transversality(prob: Problem, tmpl: Template, p: np.ndarray,
             if not landed.any():
                 continue
             z, values = minimize_box(*_drift_objective(geo), lo, hi, z[landed],
-                                     cfg.max_iters, cfg.grad_tol,
-                                     _retraction(geo, lo, hi, band))
+                                     project=_retraction(geo, lo, hi, band))
             for r, value, point in zip(np.array(rows)[landed], values, z):
                 results[r] = (float(value), mode, point[:n], point[n:])
     results = [res for res in results if res is not None]
@@ -410,18 +392,16 @@ def min_transversality(prob: Problem, tmpl: Template, p: np.ndarray,
     return (mode, x), d, value
 
 
-def _reset_objective(rule: model.ResetRule, cert, dim: int):
+def _reset_objective(rule: model.ResetRule, cert: Certificate, dim: int):
     """max(V_source(x), -V_target(r(x))) and its gradient over the rows of
     a batch; points where the map or a certificate value is not finite are
     treated as +inf, with a zero gradient."""
-    fwd = ex.compile_batch(rule.fwd)
     jac = _jacobian(rule.fwd, range(dim))
-    s_value, s_grad, _ = cert(rule.source)
-    t_value, t_grad, _ = cert(rule.target)
+    source, target = cert[rule.source], cert[rule.target]
 
     def parts(x):
-        rx = fwd(x)
-        v_s, v_t = s_value(x), -t_value(rx)
+        rx = rule.map_rows(x)
+        v_s, v_t = source.value(x), -target.value(rx)
         defined = np.isfinite(rx).all(1) & np.isfinite(v_s) & np.isfinite(v_t)
         return rx, v_s, v_t, ~defined
 
@@ -433,29 +413,26 @@ def _reset_objective(rule: model.ResetRule, cert, dim: int):
 
     def gradient(x):
         rx, v_s, v_t, undefined = parts(x)
-        out = s_grad(x)
-        target = ~(v_s >= v_t) & ~undefined
-        if target.any():
-            j = jac(x[target]).transpose(0, 2, 1)
-            out[target] = -_matvec(j, t_grad(rx[target]))
+        out = source.grad(x)
+        back = ~(v_s >= v_t) & ~undefined
+        if back.any():
+            j = jac(x[back]).transpose(0, 2, 1)
+            out[back] = -_matvec(j, target.grad(rx[back]))
         out[undefined] = 0.0
         return out
 
     return value, gradient
 
 
-def min_reset(prob: Problem, tmpl: Template, p: np.ndarray,
-              starts: int = 16, seed: int = 0,
-              cfg: FalsifyConfig | None = None):
+def min_reset(prob: Problem, cert: Certificate, starts: int = 16,
+              seed: int = 0):
     """Minimize max(V(x), -V(r(x))) over guard boxes.
 
     Returns ((rule_index, x), value); +inf when the problem has no resets.
     """
-    cfg = cfg or FalsifyConfig()
     if not prob.resets:
         return None, math.inf
     rng = np.random.default_rng(seed)
-    cert = _certificates(tmpl, p)
     picks = []
     for _ in range(starts):
         idx = int(rng.integers(len(prob.resets)))
@@ -468,67 +445,75 @@ def min_reset(prob: Problem, tmpl: Template, p: np.ndarray,
             f, g = _reset_objective(rule, cert, prob.dim)
             x[rows], fx[rows] = minimize_box(
                 f, g, np.asarray(rule.guard.lo), np.asarray(rule.guard.hi),
-                np.array([picks[r][1] for r in rows]),
-                cfg.max_iters, cfg.grad_tol)
+                np.array([picks[r][1] for r in rows]))
     fx, idx, x = _best((float(fx[r]), picks[r][0], x[r]) for r in range(starts))
     return (idx, x), fx
 
 
-def segment_margin(prob: Problem, tmpl: Template, p: np.ndarray,
-                   seg: Segment) -> float:
-    """Worst normalized margin of p on the rows of one segment."""
-    rows = chebyshev.build([seg], tmpl, prob)
-    return chebyshev.margin(rows, p)
+def segment_margin(prob: Problem, cert: Certificate, seg: Segment) -> float:
+    """Worst normalized margin of the candidate on the rows of one segment."""
+    rows = chebyshev.build([seg], cert.template, prob)
+    return chebyshev.margin(rows, cert.p)
 
 
 KINDS = ("initial", "unsafe", "transversality", "reset")
 
 
-def point_segment(prob: Problem, tmpl: Template, p: np.ndarray, kind: str,
-                  mode: int, x, rule: model.ResetRule | None = None, *,
-                  bloat_factor: float, t_max: float, rtol: float,
-                  atol: float) -> Segment:
+def refuting_segment(prob: Problem, cert: Certificate, kind: str, mode: int,
+                     x, rule: model.ResetRule | None = None, *,
+                     bloat_factor: float, t_max: float
+                     ) -> tuple[Segment, float]:
     """Extend a counter-example point of ``kind`` (one of ``KINDS``, the
-    order of conditions 1-4) in ``mode`` to a simulation segment.
+    order of conditions 1-4) in ``mode`` to a simulation segment, and
+    return it with its ``segment_margin``, which must be <= 0: a segment
+    that does not refute the candidate raises RefutationError.
 
     Initial points ride forward, unsafe points backward, drift points both
     ways; a reset point rides backward in its source mode and forward from
     its image under ``rule`` in the target mode.
     """
-    ride = dict(bloat_factor=bloat_factor, t_max=t_max, rtol=rtol, atol=atol)
+    ride = dict(bloat_factor=bloat_factor, t_max=t_max)
     if kind == "initial":
-        return Segment.classify(prob, mode, x,
-                                *sim.omega(prob, tmpl, p, (mode, x), **ride))
-    begin = sim.alpha(prob, tmpl, p, (mode, x), **ride)
-    if kind == "unsafe":
-        return Segment.classify(prob, *begin, mode, x)
-    if kind == "reset":
-        rx = ex.compile_batch(rule.fwd)(np.array([x], dtype=float))[0]
-        end = sim.omega(prob, tmpl, p, (rule.target, rx), **ride)
+        seg = Segment.classify(prob, mode, x,
+                               *sim.omega(prob, cert, (mode, x), **ride))
     else:
-        end = sim.omega(prob, tmpl, p, (mode, x), **ride)
-    return Segment.classify(prob, *begin, *end)
+        begin = sim.alpha(prob, cert, (mode, x), **ride)
+        if kind == "unsafe":
+            end = (mode, x)
+        elif kind == "reset":
+            rx = rule.map_rows(np.array([x], dtype=float))[0]
+            end = sim.omega(prob, cert, (rule.target, rx), **ride)
+        else:
+            end = sim.omega(prob, cert, (mode, x), **ride)
+        seg = Segment.classify(prob, *begin, *end)
+    margin = segment_margin(prob, cert, seg)
+    if margin > 0.0:
+        raise RefutationError(
+            f"{kind} counter-example at {tuple(np.asarray(x).tolist())} in "
+            f"mode {mode} produced a segment with margin {margin:.3e} > 0; "
+            "event localization or level-set landing is off")
+    return seg, margin
 
 
-def find_counterexample(prob: Problem, tmpl: Template, p: np.ndarray,
+def find_counterexample(prob: Problem, cert: Certificate,
                         cfg: FalsifyConfig | None = None) -> CtrxplResult | None:
     """Run the four searches; construct and validate a refuting segment
-    for the worst violation, or report none when all minima clear -eps."""
+    for the worst violation, or none when every minimum is >= -_EPS_CE."""
     cfg = cfg or FalsifyConfig()
     rng = np.random.default_rng(cfg.seed)
     seeds = [int(rng.integers(2 ** 63)) for _ in range(4)]
 
     t0 = time.perf_counter()
-    (mi_pt, mi_val) = min_initial(prob, tmpl, p, cfg.starts, seeds[0], cfg)
-    (mu_pt, mu_val) = min_unsafe(prob, tmpl, p, cfg.starts, seeds[1], cfg)
+    (mi_pt, mi_val) = min_initial(prob, cert, cfg.starts, seeds[0])
+    (mu_pt, mu_val) = min_unsafe(prob, cert, cfg.starts, seeds[1])
     nontrivial = any(any(any(e != 0 for e in m) for m in block)
-                     for block in tmpl.monomials)
+                     for block in cert.template.monomials)
     if nontrivial:
-        mt_pt, mt_d, mt_val = min_transversality(prob, tmpl, p, cfg.starts,
-                                                 seeds[2], cfg)
+        mt_pt, mt_d, mt_val = min_transversality(prob, cert, cfg.starts,
+                                                 seeds[2])
     else:
         mt_pt, mt_d, mt_val = None, None, math.inf
-    mr_pt, mr_val = min_reset(prob, tmpl, p, cfg.starts, seeds[3], cfg)
+    mr_pt, mr_val = min_reset(prob, cert, cfg.starts, seeds[3])
     search_time = time.perf_counter() - t0
 
     cases = [
@@ -538,7 +523,7 @@ def find_counterexample(prob: Problem, tmpl: Template, p: np.ndarray,
         ("reset", mr_val, mr_pt, None),
     ]
     v = min(val for _, val, _, _ in cases)
-    if v >= -cfg.eps_ce:
+    if v >= -_EPS_CE:
         return None
     for kind, value, payload, dist in cases:  # tie-break: declaration order
         if value == v:
@@ -551,18 +536,11 @@ def find_counterexample(prob: Problem, tmpl: Template, p: np.ndarray,
     else:
         rule = None
         mode, x = payload
-    seg = point_segment(prob, tmpl, p, kind, mode, x, rule,
-                        bloat_factor=cfg.bloat_factor, t_max=cfg.t_max,
-                        rtol=cfg.rtol, atol=cfg.atol)
+    seg, margin = refuting_segment(prob, cert, kind, mode, x, rule,
+                                   bloat_factor=cfg.bloat_factor,
+                                   t_max=cfg.t_max)
     sim_time = time.perf_counter() - t1
 
-    new_margin = segment_margin(prob, tmpl, p, seg)
-    if new_margin > 0.0:
-        raise RefutationError(
-            f"{kind} counter-example (value {value:.3e}) produced a segment "
-            f"with margin {new_margin:.3e} > 0; event localization or "
-            "level-set landing is off")
-
     return CtrxplResult(kind, mode, np.asarray(x), dist, value, seg,
-                        margin=new_margin, search_time=search_time,
+                        margin=margin, search_time=search_time,
                         sim_time=sim_time)

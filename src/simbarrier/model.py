@@ -3,7 +3,9 @@
 A safety verification problem bundles a mode set with box-shaped state
 spaces, per-mode flow expressions, optional invertible reset rules, and
 box-shaped initial and unsafe regions.  Certificate templates are linear
-in their parameters with a per-mode monomial basis.
+in their parameters with a per-mode monomial basis.  The model owns the
+compiled code: a mode's flow and a reset's map compile on the mode and
+the rule, and a candidate's code on its ``Certificate``.
 """
 
 from __future__ import annotations
@@ -92,6 +94,12 @@ class ModeDef:
     omega: Box
     flow: tuple[Expr, ...]
 
+    @functools.cached_property
+    def flow_rows(self):
+        """The flow over the rows of (state, disturbance) points, compiled
+        at first use: ``expr.compile_batch`` of ``flow``."""
+        return ex.compile_batch(self.flow)
+
 
 @dataclass(frozen=True)
 class ResetRule:
@@ -105,6 +113,18 @@ class ResetRule:
     @property
     def invertible(self) -> bool:
         return self.inv is not None and self.image is not None
+
+    @functools.cached_property
+    def map_rows(self):
+        """The forward map over the rows of points, compiled at first use:
+        ``expr.compile_batch`` of ``fwd``."""
+        return ex.compile_batch(self.fwd)
+
+    @functools.cached_property
+    def map_box(self):
+        """The forward map's enclosure over rows of boxes, compiled at
+        first use: ``expr.compile_interval`` of ``fwd``."""
+        return ex.compile_interval(self.fwd)
 
 
 @dataclass(frozen=True)
@@ -335,28 +355,69 @@ def hessian_exprs(t: Template, p: np.ndarray, mode: int) -> tuple[Expr, ...]:
         [(c * m[j], _lower(m, j)) for c, m in terms if c and m[j]], n))
 
 
-def compile_certificate(t: Template, p: np.ndarray, mode: int):
-    """Column-wise ``(value, grad_x, hess_x)`` of one mode's certificate:
-    ``expr.compile_batch`` of ``certificate_exprs`` and ``hessian_exprs``.
+class Certificate:
+    """One candidate: template ``template`` with coefficients ``p``, and
+    per mode the code that evaluates it (``cert[mode]``), each piece
+    compiled at first use and kept as long as the certificate, so that
+    the searches and rides of one candidate share one compilation."""
 
-    Each function takes points as the rows of a float array ``x`` of shape
-    (k, n) and returns arrays of shape (k,), (k, n) and (k, n, n).  Where
-    ``template_value``, ``template_grad_x`` and ``template_hess_x`` give
-    finite results at ``x[r]``, row r is bit for bit theirs.  Elsewhere
-    the row has a non-finite entry too, though not the loops' bits: a
-    power that overflows makes the row nan where the loops give inf, and a
-    coefficient times an exponent that is not finite leaves out the nan
-    that the loops' structural zero terms add.
+    def __init__(self, template: Template, p: np.ndarray):
+        self.template = template
+        self.p = p
+        self.modes = tuple(ModeCertificate(template, p, m)
+                           for m in range(len(template.monomials)))
+
+    def __getitem__(self, mode: int) -> "ModeCertificate":
+        return self.modes[mode]
+
+
+class ModeCertificate:
+    """One mode's certificate over rows: ``value``, ``grad`` and ``hess``
+    take points as the rows of a float array of shape (k, n) and return
+    arrays of shape (k,), (k, n) and (k, n, n); ``value_box`` takes rows
+    of boxes ``lo``, ``hi`` and returns the (k,) bounds of the value.
+
+    The point code is ``expr.compile_batch`` of ``certificate_exprs`` and
+    ``hessian_exprs``.  Where ``template_value``, ``template_grad_x`` and
+    ``template_hess_x`` give finite results at ``x[r]``, row r is bit for
+    bit theirs.  Elsewhere the row has a non-finite entry too, though not
+    the loops' bits: a power that overflows makes the row nan where the
+    loops give inf, and a coefficient times an exponent that is not finite
+    leaves out the nan that the loops' structural zero terms add.  The
+    Hessian trees are built only when ``hess`` is first asked for.
     """
-    value, grad = certificate_exprs(t, p, mode)
-    n = len(grad)
-    return tuple(_shaped(ex.compile_batch(es), shape) for es, shape in (
-        ((value,), ()), (grad, (n,)), (hessian_exprs(t, p, mode), (n, n))))
 
+    def __init__(self, template: Template, p: np.ndarray, mode: int):
+        self._args = (template, p, mode)
 
-def _shaped(batch, shape: tuple[int, ...]):
-    """``batch`` over the rows of a float array, shaped (k,) + ``shape``."""
-    return lambda x: batch(x).reshape((len(x),) + shape)
+    @functools.cached_property
+    def exprs(self) -> tuple[Expr, tuple[Expr, ...]]:
+        """The value and gradient trees (``certificate_exprs``)."""
+        return certificate_exprs(*self._args)
+
+    @functools.cached_property
+    def value(self):
+        batch = ex.compile_batch((self.exprs[0],))
+        return lambda x: batch(x)[:, 0]
+
+    @functools.cached_property
+    def grad(self):
+        return ex.compile_batch(self.exprs[1])
+
+    @functools.cached_property
+    def hess(self):
+        n = len(self.exprs[1])
+        batch = ex.compile_batch(hessian_exprs(*self._args))
+        return lambda x: batch(x).reshape(len(x), n, n)
+
+    @functools.cached_property
+    def value_box(self):
+        box = ex.compile_interval((self.exprs[0],))
+
+        def bounds(lo, hi):
+            enc_lo, enc_hi = box(lo, hi)
+            return enc_lo[:, 0], enc_hi[:, 0]
+        return bounds
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

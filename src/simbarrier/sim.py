@@ -33,7 +33,7 @@ import numpy as np
 
 from . import expr as ex
 from . import model
-from .model import Box, ModeDef, Problem, ResetRule, Segment, Template
+from .model import Box, Certificate, ModeDef, Problem, ResetRule, Segment
 
 EVENT_TIME_TOL = 1e-9
 DEFAULT_RTOL = 1e-8
@@ -170,19 +170,18 @@ def _guard_events(prob: Problem, mode: int) -> list[tuple[Rows, int]]:
 
 
 class _Phase:
-    """What a continuous phase in one mode needs, compiled once per
-    ``flow_hybrid`` call: the flow over rows, the resets out of the mode
-    with their maps over rows, and the event table.  The table lists the
+    """What a continuous phase in one mode needs, built once per
+    ``flow_hybrid`` call: the flow over rows (``ModeDef.flow_rows``), the
+    resets out of the mode, and the event table.  The table lists the
     guard events, then the caller's event, then the bloat exit."""
 
     def __init__(self, prob: Problem, mode: int, bloat_factor: float,
                  extra_event: tuple[Callable, int] | None):
         self.mode = mode
-        flow = ex.compile_batch(prob.modes[mode].flow)
+        flow = prob.modes[mode].flow_rows
         self.rhs = lambda x, d: flow(np.concatenate((x, d), axis=1)
                                      if d.shape[1] else x)
-        self.resets = [(rule, ex.compile_batch(rule.fwd))
-                       for rule in prob.mode_resets(mode)]
+        self.resets = prob.mode_resets(mode)
         self.events = _guard_events(prob, mode)
         self.guards = len(self.events)
         if extra_event is not None:
@@ -206,7 +205,7 @@ class _Rides:
 
     def __init__(self, prob: Problem, starts, dpolicy, horizon: float,
                  bloat_factor: float, extra_event, jump_stop,
-                 rtol: float, atol: float, max_resets: int):
+                 rtol: float, atol: float):
         k = len(starts)
         self.start_modes = [int(m) for m, _ in starts]
         self.starts = [tuple(np.asarray(x0, dtype=float).tolist())
@@ -215,7 +214,7 @@ class _Rides:
                        for m in range(len(prob.modes))]
         self.dpolicy = dpolicy or (lambda _m, x: np.empty((len(x), 0)))
         self.horizon, self.rtol, self.atol = horizon, rtol, atol
-        self.jump_stop, self.max_resets = jump_stop, max_resets
+        self.jump_stop = jump_stop
         self.out: list[Trajectory | None] = [None] * k
         self.ids = np.arange(k)
         self.alive = np.ones(k, dtype=bool)
@@ -277,20 +276,20 @@ class _Rides:
             jumped = [rows[:0]]
             for m in sorted(set(self.mode[rows].tolist())):
                 phase, on_mode = self.phases[m], rows[self.mode[rows] == m]
-                for rule, fwd in phase.resets:
+                for rule in phase.resets:
                     on = _contains_tol(rule.guard, self.x[on_mode])
                     if on.any():
-                        jumped.append(self.jump(rule, fwd, on_mode[on]))
+                        jumped.append(self.jump(rule, on_mode[on]))
                         on_mode = on_mode[~on]
                 self.begin(phase, on_mode)
             rows = np.concatenate(jumped)
 
-    def jump(self, rule: ResetRule, fwd, rows: np.ndarray) -> np.ndarray:
+    def jump(self, rule: ResetRule, rows: np.ndarray) -> np.ndarray:
         """Apply ``rule`` to rows on its guard; returns the rows that go
         on.  A row the map cannot compute ends as a failure, and a row
         whose jump ``jump_stop`` refuses ends before it."""
         x = self.x[rows]
-        y = fwd(x)
+        y = rule.map_rows(x)
         stop = ~np.isfinite(y).all(axis=1)
         self.end(rows[stop], StopReason.FAILURE)
         if self.jump_stop is not None:
@@ -302,7 +301,7 @@ class _Rides:
         self.mode[rows] = rule.target
         self.resets[rows] += 1
         self.streak[rows] += 1
-        livelock = self.streak[rows] > self.max_resets
+        livelock = self.streak[rows] > MAX_RESETS
         self.end(rows[livelock], StopReason.LIVELOCK)
         return rows[~livelock]
 
@@ -429,8 +428,8 @@ def flow_hybrid(prob: Problem, starts: Sequence[tuple[int, Sequence[float]]],
                 extra_event: tuple[Callable, int] | None = None,
                 jump_stop: Callable[[ResetRule, np.ndarray, np.ndarray],
                                     np.ndarray] | None = None,
-                rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-                max_resets: int = MAX_RESETS) -> list[Trajectory]:
+                rtol: float = DEFAULT_RTOL,
+                atol: float = DEFAULT_ATOL) -> list[Trajectory]:
     """Follow the hybrid flow from each ``(mode, x)`` of ``starts``:
     continuous phases alternating with resets, one trajectory per start.
 
@@ -442,10 +441,11 @@ def flow_hybrid(prob: Problem, starts: Sequence[tuple[int, Sequence[float]]],
     rows, evaluated in the current mode; a row stops there with reason
     EVENT.  ``jump_stop(rule, x, y)`` is True for the rows whose jump from
     ``x`` to ``y = rule.fwd(x)`` the ride refuses; such a row ends before
-    the jump with reason JUMP.
+    the jump with reason JUMP.  A row that jumps more than ``MAX_RESETS``
+    times in a row without time progress ends with reason LIVELOCK.
     """
     rides = _Rides(prob, starts, dpolicy, horizon, bloat_factor, extra_event,
-                   jump_stop, rtol, atol, max_resets)
+                   jump_stop, rtol, atol)
     with np.errstate(all="ignore"):
         return rides.run()
 
@@ -492,21 +492,20 @@ def _midpoint_policy(prob: Problem):
 
 
 def init_segments(prob: Problem, sigma: float, vertex_cap: int = 256,
-                  seed: int = 0, *, bloat_factor: float = 1.1,
-                  rtol: float = DEFAULT_RTOL,
-                  atol: float = DEFAULT_ATOL) -> list[Segment]:
+                  seed: int = 0, *, bloat_factor: float = 1.1) -> list[Segment]:
     """Bootstrap segments: fixed-length forward runs from initial-box
     vertices and backward runs from unsafe-box vertices, each direction
     as one batch of rides."""
     rng = np.random.default_rng(seed)
-    ride = dict(bloat_factor=bloat_factor, rtol=rtol, atol=atol)
     starts = [(mode, v) for mode, box in prob.initial
               for v in _select_vertices(box, vertex_cap, rng)]
-    forward = flow_hybrid(prob, starts, _midpoint_policy(prob), sigma, **ride)
+    forward = flow_hybrid(prob, starts, _midpoint_policy(prob), sigma,
+                          bloat_factor=bloat_factor)
     rev = reverse(prob)
     ends = [(mode, v) for mode, box in prob.unsafe
             for v in _select_vertices(box, vertex_cap, rng)]
-    backward = flow_hybrid(rev, ends, _midpoint_policy(rev), sigma, **ride)
+    backward = flow_hybrid(rev, ends, _midpoint_policy(rev), sigma,
+                           bloat_factor=bloat_factor)
     return ([Segment.classify(prob, mode, v, traj.end_mode, traj.end)
              for (mode, v), traj in zip(starts, forward)]
             + [Segment.classify(prob, traj.end_mode, traj.end, mode, v)
@@ -519,32 +518,25 @@ def _dist_vertices(prob: Problem) -> list[np.ndarray]:
     return [np.asarray(v) for v in model.vertices(prob.dist_box)]
 
 
-def _drift_ride(prob_dyn: Problem, tmpl: Template, p: np.ndarray,
+def _drift_ride(prob_dyn: Problem, cert: Certificate,
                 start: tuple[int, Sequence[float]], orient: float,
-                pick_max: bool, *, bloat_factor: float, t_max: float,
-                rtol: float, atol: float) -> tuple[int, tuple[float, ...]]:
+                pick_max: bool, *, bloat_factor: float,
+                t_max: float) -> tuple[int, tuple[float, ...]]:
     """Shared core of the forward/backward counter-example endpoints.
 
     Integrates prob_dyn, as a batch of one row, while the certificate
-    rises along the ride, measured in the original forward orientation:
-    it stops at the first drift zero, before a reset that would lower the
-    certificate (the jump condition of Prajna & Jadbabaie, HSCC 2004), at
-    a bloated-box exit, or at the hard time cap.
+    ``cert`` rises along the ride, measured in the original forward
+    orientation: it stops at the first drift zero, before a reset that
+    would lower the certificate (the jump condition of Prajna & Jadbabaie,
+    HSCC 2004), at a bloated-box exit, or at the hard time cap.  The
+    certificate's code is the caller's; prob_dyn's flows are compiled on
+    its modes.
     """
     d_verts = _dist_vertices(prob_dyn)
-    compiled = {}
-
-    def cert(m: int):
-        """Mode m's certificate, its gradient and its flow, over rows."""
-        if m not in compiled:
-            value, grad = model.certificate_exprs(tmpl, p, m)
-            compiled[m] = (ex.compile_batch((value,)), ex.compile_batch(grad),
-                           ex.compile_batch(prob_dyn.modes[m].flow))
-        return compiled[m]
 
     def drift(m: int, x: np.ndarray, d: np.ndarray) -> np.ndarray:
-        _, grad, flow = cert(m)
-        g, f = grad(x), flow(np.concatenate((x, d), axis=1))
+        g = cert[m].grad(x)
+        f = prob_dyn.modes[m].flow_rows(np.concatenate((x, d), axis=1))
         return orient * np.array([np.dot(gr, fr) for gr, fr in zip(g, f)])
 
     def dpolicy(m: int, x: np.ndarray) -> np.ndarray:
@@ -563,8 +555,8 @@ def _drift_ride(prob_dyn: Problem, tmpl: Template, p: np.ndarray,
 
     def falls(rule: ResetRule, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Rows whose jump lowers the certificate along the ride."""
-        before = cert(rule.source)[0](x)[:, 0]
-        return orient * (cert(rule.target)[0](y)[:, 0] - before) < 0.0
+        before = cert[rule.source].value(x)
+        return orient * (cert[rule.target].value(y) - before) < 0.0
 
     mode, x0 = start
     x = np.asarray(x0, dtype=float).reshape(1, -1)
@@ -573,31 +565,26 @@ def _drift_ride(prob_dyn: Problem, tmpl: Template, p: np.ndarray,
 
     traj, = flow_hybrid(prob_dyn, [(mode, x[0])], dpolicy, t_max,
                         bloat_factor=bloat_factor, extra_event=(drift, -1),
-                        jump_stop=falls, rtol=rtol, atol=atol)
+                        jump_stop=falls)
     return traj.end_mode, traj.end
 
 
-def omega(prob: Problem, tmpl: Template, p: np.ndarray,
+def omega(prob: Problem, cert: Certificate,
           start: tuple[int, Sequence[float]], *, bloat_factor: float = 1.1,
-          t_max: float = 100.0, rtol: float = DEFAULT_RTOL,
-          atol: float = DEFAULT_ATOL) -> tuple[int, tuple[float, ...]]:
+          t_max: float = 100.0) -> tuple[int, tuple[float, ...]]:
     """Forward endpoint: ride the flow while the certificate increases,
     choosing disturbances that maximize the increase; the ride ends before
     a reset that lowers the certificate."""
-    return _drift_ride(prob, tmpl, p, start, orient=1.0, pick_max=True,
-                       bloat_factor=bloat_factor, t_max=t_max,
-                       rtol=rtol, atol=atol)
+    return _drift_ride(prob, cert, start, orient=1.0, pick_max=True,
+                       bloat_factor=bloat_factor, t_max=t_max)
 
 
-def alpha(prob: Problem, tmpl: Template, p: np.ndarray,
+def alpha(prob: Problem, cert: Certificate,
           start: tuple[int, Sequence[float]], *, bloat_factor: float = 1.1,
-          t_max: float = 100.0, rtol: float = DEFAULT_RTOL,
-          atol: float = DEFAULT_ATOL) -> tuple[int, tuple[float, ...]]:
+          t_max: float = 100.0) -> tuple[int, tuple[float, ...]]:
     """Backward start point: ride the reversed flow while the certificate
     decreases in backward time, choosing disturbances that minimize the
     forward-orientation drift; the ride ends before a reversed reset that
     raises the certificate."""
-    rev = reverse(prob)
-    return _drift_ride(rev, tmpl, p, start, orient=-1.0, pick_max=False,
-                       bloat_factor=bloat_factor, t_max=t_max,
-                       rtol=rtol, atol=atol)
+    return _drift_ride(reverse(prob), cert, start, orient=-1.0,
+                       pick_max=False, bloat_factor=bloat_factor, t_max=t_max)

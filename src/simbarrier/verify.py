@@ -20,6 +20,9 @@ the order a box-by-box cover takes them:
 - the midpoint checks evaluate ``expr.compile_batch`` on the rows' mid
   points, and the drift witness lands them on the zero level set with
   ``model.land_on_level_set``, the falsifier's Newton landing;
+- the certificate's code, point and box, is one ``model.Certificate``
+  built per call, and the flows and reset maps are compiled on the
+  problem's modes and rules; only the drift enclosure is compiled here;
 - a level that refutes stops at its first refuting row; the report counts
   only the rows before it and adds up their volumes in box order, so every
   verdict, witness and ``ConditionReport`` is what a cover deciding one
@@ -41,7 +44,7 @@ import numpy as np
 
 from . import expr as ex
 from . import model
-from .model import Box, Problem, Template
+from .model import Box, Certificate, Problem, Template
 
 CONDITION_NAMES = {
     1: "certificate negative on initial boxes",
@@ -80,12 +83,11 @@ class Verdict:
 @dataclass
 class VerifyConfig:
     min_width_frac: float = 1e-4
-    # disturbance dimensions only split once state dimensions are within
-    # this multiple of their minimum width
-    dist_defer: float = 10.0
 
 
-
+# disturbance dimensions only split once state dimensions are within this
+# multiple of their minimum width
+_DIST_DEFER = 10.0
 
 _PROVED = 0
 _REFUTED = 1
@@ -102,44 +104,24 @@ _WITNESS_FLOOR = 1e-18
 _WITNESS_STEPS = 29
 
 
-class _ModeChecks:
-    """One mode's certificate and drift ``sum_j dV/dx_j * f_j`` compiled
-    for interval enclosures over rows of boxes, and the certificate, its
-    gradient and the flow compiled for rows of points."""
-
-    def __init__(self, prob: Problem, tmpl: Template, p: np.ndarray, mode: int):
-        value, grad = model.certificate_exprs(tmpl, p, mode)
-        flow = prob.modes[mode].flow
-        drift = functools.reduce(
-            ex.Add, [ex.Mul(g, f) for g, f in zip(grad, flow)
-                     if g != ex.Const(0.0)], ex.Const(0.0))
-        self.value_box = _first(ex.compile_interval([value]))
-        self.drift_box = _first(ex.compile_interval([drift]))
-        self.value = _column(ex.compile_batch([value]))
-        self.grad = ex.compile_batch(grad)
-        self.flow = ex.compile_batch(flow)
+def _drift_box(prob: Problem, cert: Certificate, mode: int):
+    """The enclosure of mode ``mode``'s drift ``sum_j dV/dx_j * f_j`` over
+    rows of boxes, as (k, 1) bounds."""
+    grad = cert[mode].exprs[1]
+    drift = functools.reduce(
+        ex.Add, [ex.Mul(g, f) for g, f in zip(grad, prob.modes[mode].flow)
+                 if g != ex.Const(0.0)], ex.Const(0.0))
+    return ex.compile_interval([drift])
 
 
-def _first(box_code):
-    """The bounds of a one-expression ``compile_interval`` as (k,) arrays."""
-    def f(lo, hi):
-        enc_lo, enc_hi = box_code(lo, hi)
-        return enc_lo[:, 0], enc_hi[:, 0]
-    return f
-
-
-def _column(batch):
-    return lambda x: batch(x)[:, 0]
-
-
-def _split_dims(widths: np.ndarray, min_widths: np.ndarray, n_state: int,
-                cfg: VerifyConfig) -> np.ndarray:
+def _split_dims(widths: np.ndarray, min_widths: np.ndarray,
+                n_state: int) -> np.ndarray:
     """The dimension to bisect for each row of box widths, or -1 where every
     dimension is within its minimum width.
 
     Widths are relative to the minimum widths.  State dimensions go first;
     disturbance dimensions only join once every state dimension is within
-    dist_defer of its minimum width.  Among candidates, the relatively
+    _DIST_DEFER of its minimum width.  Among candidates, the relatively
     widest, the first of equals."""
     positive = min_widths > 0
     rel = np.where(positive, widths / np.where(positive, min_widths, 1.0), 0.0)
@@ -154,7 +136,7 @@ def _split_dims(widths: np.ndarray, min_widths: np.ndarray, n_state: int,
 
     state_any, state_best = widest(slice(0, n_state))
     dist_any, dist_best = widest(slice(n_state, None))
-    urgent = (ok[:, :n_state] & (rel[:, :n_state] > cfg.dist_defer)).any(1)
+    urgent = (ok[:, :n_state] & (rel[:, :n_state] > _DIST_DEFER)).any(1)
     return np.where(urgent, state_best,
                     np.where(dist_any, dist_best + n_state,
                              np.where(state_any, state_best, -1)))
@@ -173,8 +155,8 @@ def _boxes(lo: np.ndarray, hi: np.ndarray) -> list[Box]:
     return [Box(tuple(a), tuple(b)) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
-def _cover(region: Box, min_widths: Sequence[float], n_state: int,
-           cfg: VerifyConfig, check, report: ConditionReport):
+def _cover(region: Box, min_widths: Sequence[float], n_state: int, check,
+           report: ConditionReport):
     """Decide a region level by level; returns (witness, unresolved,
     min_width).
 
@@ -209,7 +191,7 @@ def _cover(region: Box, min_widths: Sequence[float], n_state: int,
         dims = np.full(stop, -1)
         split = outcome == _SPLIT
         dims[split] = _split_dims(bhi[split] - blo[split], min_widths,
-                                  n_state, cfg)
+                                  n_state)
         stuck = split & (dims < 0)
         covered = (outcome == _PROVED) | stuck
         for vol in _volumes(blo, bhi)[covered].tolist():
@@ -242,7 +224,7 @@ def verify(prob: Problem, tmpl: Template, p: np.ndarray,
     p = np.asarray(p, dtype=float)
     if not np.all(np.isfinite(p)):
         raise ValueError("certificate parameters must be finite")
-    checks = {m: _ModeChecks(prob, tmpl, p, m) for m in range(len(prob.modes))}
+    cert = Certificate(tmpl, p)
     reports = {i: ConditionReport() for i in (1, 2, 3, 4)}
     verdict = Verdict(VerdictStatus.VERIFIED, reports=reports)
     p_scale = 1.0 + float(np.linalg.norm(p))
@@ -258,7 +240,7 @@ def verify(prob: Problem, tmpl: Template, p: np.ndarray,
             for region, min_widths, n_state, check in tasks:
                 report.region_volume += region.volume()
                 witness, unresolved, reached = _cover(
-                    region, min_widths, n_state, cfg, check, report)
+                    region, min_widths, n_state, check, report)
                 verdict.min_width_reached = min(verdict.min_width_reached,
                                                 reached)
                 if witness is not None:
@@ -273,20 +255,23 @@ def verify(prob: Problem, tmpl: Template, p: np.ndarray,
     def midpoint_witnesses(mode, mids, rows):
         return {int(r): (mode, tuple(m), ()) for r, m in zip(rows, mids.tolist())}
 
-    # conditions 1 and 2: fixed certificate sign on initial/unsafe boxes
+    # conditions 1 and 2: fixed certificate sign on initial/unsafe boxes; a
+    # box is refuted at its midpoint where the value there, or the whole
+    # enclosure, is beyond the tolerance on the wrong side
     def sign_tasks(regions, want_negative: bool):
         tasks = []
         for mode, box in regions:
-            mc = checks[mode]
-
-            def check(lo, hi, _mc=mc, _neg=want_negative, _m=mode):
+            def check(lo, hi, _mc=cert[mode], _neg=want_negative, _m=mode):
                 v_lo, v_hi = _mc.value_box(lo, hi)
                 proved = v_hi < 0.0 if _neg else v_lo > 0.0
                 outcome = np.where(proved, _PROVED, _SPLIT)
                 rest = np.flatnonzero(~proved)
                 mid = 0.5 * (lo[rest] + hi[rest])
                 v_mid = _mc.value(mid)
-                bad = v_mid >= tol if _neg else v_mid <= -tol
+                if _neg:
+                    bad = (v_mid >= tol) | (v_lo[rest] >= tol)
+                else:
+                    bad = (v_mid <= -tol) | (v_hi[rest] <= -tol)
                 outcome[rest[bad]] = _REFUTED
                 return outcome, midpoint_witnesses(_m, mid[bad], rest[bad])
 
@@ -305,7 +290,6 @@ def verify(prob: Problem, tmpl: Template, p: np.ndarray,
     d_verts = ([np.asarray(v) for v in model.vertices(prob.dist_box)]
                if prob.dist_box is not None else [np.empty(0)])
     for mode in range(len(prob.modes)):
-        mc = checks[mode]
         omega = prob.modes[mode].omega
         if prob.dist_box is not None:
             region = Box(omega.lo + prob.dist_box.lo, omega.hi + prob.dist_box.hi)
@@ -315,17 +299,17 @@ def verify(prob: Problem, tmpl: Template, p: np.ndarray,
             region = omega
             min_w = omega_min_widths(mode)
 
-        def check3(lo, hi, _mc=mc, _m=mode):
-            v_lo, v_hi = _mc.value_box(lo, hi)
+        def check3(lo, hi, _m=mode, _drift=_drift_box(prob, cert, mode)):
+            v_lo, v_hi = cert[_m].value_box(lo, hi)
             proved = (v_lo > 0.0) | (v_hi < 0.0)
             rest = np.flatnonzero(~proved)
-            _, drift_hi = _mc.drift_box(lo[rest], hi[rest])
-            falls = drift_hi < 0.0
+            _, drift_hi = _drift(lo[rest], hi[rest])
+            falls = drift_hi[:, 0] < 0.0
             proved[rest[falls]] = True
             rest = rest[~falls]
             outcome = np.where(proved, _PROVED, _SPLIT)
             witnesses = {int(rest[i]): w for i, w in _drift_witnesses(
-                _mc, prob.dim, _m, lo[rest], hi[rest], d_verts, p_scale)}
+                prob, cert, _m, lo[rest], hi[rest], d_verts, p_scale)}
             outcome[list(witnesses)] = _REFUTED
             return outcome, witnesses
 
@@ -337,13 +321,12 @@ def verify(prob: Problem, tmpl: Template, p: np.ndarray,
     # condition 4: non-positive certificate must map to negative under resets
     tasks4 = []
     for rule in prob.resets:
-        def check4(lo, hi, _src=checks[rule.source], _rule=rule,
-                   _fwd_box=ex.compile_interval(rule.fwd),
-                   _fwd=ex.compile_batch(rule.fwd), _tgt=checks[rule.target]):
+        def check4(lo, hi, _src=cert[rule.source], _rule=rule,
+                   _tgt=cert[rule.target]):
             v_lo, _ = _src.value_box(lo, hi)
             proved = v_lo > 0.0
             rest = np.flatnonzero(~proved)
-            image_lo, image_hi = _fwd_box(lo[rest], hi[rest])
+            image_lo, image_hi = _rule.map_box(lo[rest], hi[rest])
             _, after_hi = _tgt.value_box(image_lo, image_hi)
             # an image with an undefined coordinate proves nothing
             mapped = ~np.isnan(image_lo).any(1) & (after_hi < 0.0)
@@ -352,7 +335,7 @@ def verify(prob: Problem, tmpl: Template, p: np.ndarray,
             outcome = np.where(proved, _PROVED, _SPLIT)
             mid = 0.5 * (lo[rest] + hi[rest])
             # nan where the map or the certificate is undefined: no witness
-            v_after = _tgt.value(_fwd(mid))
+            v_after = _tgt.value(_rule.map_rows(mid))
             bad = (_src.value(mid) <= -tol) & (v_after >= tol)
             outcome[rest[bad]] = _REFUTED
             return outcome, midpoint_witnesses(_rule.source, mid[bad], rest[bad])
@@ -375,13 +358,14 @@ def _refuted(verdict: Verdict, condition: int, witness) -> Verdict:
     return verdict
 
 
-def _drift_witnesses(mc: _ModeChecks, dim: int, mode: int, lo: np.ndarray,
-                     hi: np.ndarray, d_verts, p_scale: float):
+def _drift_witnesses(prob: Problem, cert: Certificate, mode: int,
+                     lo: np.ndarray, hi: np.ndarray, d_verts, p_scale: float):
     """Concrete violating points for the drift condition, one try per row
     of boxes: the box's midpoint landed on the zero level set within the
     box, with non-negative drift for some disturbance vertex (the one of
     largest drift, the first of equals).  Yields (row, witness) for the
     rows that have one.  Conservative; never refutes on enclosure noise."""
+    mc, flow, dim = cert[mode], prob.modes[mode].flow_rows, prob.dim
     x, landed = model.land_on_level_set(
         mc.value, mc.grad, 0.5 * (lo[:, :dim] + hi[:, :dim]), lo[:, :dim],
         hi[:, :dim], _WITNESS_BAND * p_scale, _WITNESS_FLOOR, _WITNESS_STEPS)
@@ -392,7 +376,7 @@ def _drift_witnesses(mc: _ModeChecks, dim: int, mode: int, lo: np.ndarray,
     best = np.full(len(rows), -1)
     best_drift = np.zeros(len(rows))
     for j, d in enumerate(d_verts):
-        f = mc.flow(np.hstack([x, np.broadcast_to(d, (len(x), len(d)))]))
+        f = flow(np.hstack([x, np.broadcast_to(d, (len(x), len(d)))]))
         drift = model.row_dot(g, f)
         scale = 1.0 + g_norm * np.sqrt(model.row_dot(f, f))
         better = (drift > 1e-7 * scale) & ((best < 0) | (drift > best_drift))

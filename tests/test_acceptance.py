@@ -12,6 +12,7 @@ import pytest
 
 from simbarrier import benchmarks, chebyshev, engine, expr as ex, falsify, model, sim
 from simbarrier.engine import RunConfig, RunStatus
+from simbarrier.model import Certificate
 from simbarrier.verify import VerdictStatus, verify
 
 from conftest import (
@@ -192,7 +193,8 @@ def test_criterion_8_refutation_property(all_runs):
             if rec.segment is None:
                 continue
             total += 1
-            margin = falsify.segment_margin(prob, tmpl, rec.p, rec.segment)
+            margin = falsify.segment_margin(prob, Certificate(tmpl, rec.p),
+                                            rec.segment)
             if margin > 0.0:
                 bad += 1
     _criterion(8, "every added segment refutes its candidate", {

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from simbarrier import expr as ex, falsify, model, sim
-from simbarrier.model import Box, ModeDef, Problem, Template
+from simbarrier.model import Box, Certificate, ModeDef, Problem, Template
 from simbarrier.verify import VerdictStatus, verify
 
 
@@ -40,21 +40,21 @@ def test_integrate_with_constant_policy():
 
 def test_omega_picks_drift_maximizing_vertex():
     prob = disturbed_line(1.5)  # drift of V = x is -1 + d, max at d = 1.5
-    _, end = sim.omega(prob, TMPL, P, (0, (0.0,)), t_max=30.0)
+    _, end = sim.omega(prob, Certificate(TMPL, P), (0, (0.0,)), t_max=30.0)
     assert end[0] == pytest.approx(1.1, abs=1e-6)  # bloated boundary
 
 
 def test_alpha_picks_drift_minimizing_vertex():
     # minimizing d gives drift -1.5 < 0 at the start: no backward ride
     prob = disturbed_line(1.5)
-    _, end = sim.alpha(prob, TMPL, P, (0, (0.0,)), t_max=30.0)
+    _, end = sim.alpha(prob, Certificate(TMPL, P), (0, (0.0,)), t_max=30.0)
     assert end == (0.0,)
 
 
 def test_transversality_searches_disturbance_jointly():
     prob = disturbed_line(1.5)
     (mode, x), d, value = falsify.min_transversality(
-        prob, TMPL, P, starts=12, seed=0)
+        prob, Certificate(TMPL, P), starts=12, seed=0)
     # worst normalized drift is +1 direction: -(-1 + d)/... minimized
     # where -1 + d > 0, giving exactly -1
     assert value == pytest.approx(-1.0, abs=1e-6)
@@ -80,8 +80,9 @@ def test_verify_quantifies_over_disturbance_box():
 def test_find_counterexample_on_disturbed_system():
     prob = disturbed_line(1.5)
     res = falsify.find_counterexample(
-        prob, TMPL, P, falsify.FalsifyConfig(starts=12, seed=0, t_max=30.0))
+        prob, Certificate(TMPL, P),
+        falsify.FalsifyConfig(starts=12, seed=0, t_max=30.0))
     assert res is not None and res.kind == "transversality"
-    assert falsify.segment_margin(prob, TMPL, P, res.segment) <= 0.0
+    assert falsify.segment_margin(prob, Certificate(TMPL, P), res.segment) <= 0.0
     # the forward endpoint rode the drift-maximizing disturbance upward
     assert res.segment.sp[0] > res.segment.s[0]

@@ -1,8 +1,12 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from simbarrier import benchmarks, chebyshev, engine, falsify, model
 from simbarrier.engine import RunConfig, RunStatus
+from simbarrier.model import Certificate
 from simbarrier.verify import VerdictStatus
 
 from conftest import line_problem
@@ -59,7 +63,8 @@ class TestRunInvariants:
             if rec.segment is not None:
                 assert rec.segment_margin <= 0.0
                 assert falsify.segment_margin(
-                    prob, tmpl, rec.p, rec.segment) == rec.segment_margin
+                    prob, Certificate(tmpl, rec.p), rec.segment) == \
+                    rec.segment_margin
 
     def test_reproducible(self, composition_run):
         prob, tmpl, cfg, first = composition_run
@@ -131,4 +136,80 @@ class TestConfigValidation:
 
     def test_ride_horizon_default(self):
         assert RunConfig(sigma=0.25).ride_horizon == 25.0
-        assert RunConfig(sigma=0.25, t_max=7.0).ride_horizon == 7.0
+
+
+def _doc_run(doc: dict) -> tuple:
+    """Problem, template and RunConfig of a problem document, as
+    ``simbarrier synth`` builds them without flags."""
+    prob = model.load_problem(doc)
+    tmpl = model.make_template(doc["template"], prob.dim, len(prob.modes))
+    run = doc["run"]
+    return prob, tmpl, RunConfig(sigma=float(run["sigma"]),
+                                 bloat_factor=float(run["bloat"]),
+                                 starts=int(run["starts"]),
+                                 max_iterations=int(run["max_iter"]),
+                                 seed=int(run["seed"]))
+
+
+THERMOSTAT = Path(__file__).parents[1] / "bench" / "data" / "thermostat.json"
+
+# engine.run with each document's own settings, recorded before the
+# candidate became one shared model.Certificate per round: p, delta, per
+# round (kind, falsifier value, segment margin) and the verdict's box
+# counts (verified, split, unresolved) per condition.  The thermostat is
+# the one hybrid synthesis, so it covers every reset-map call site.
+GOLDEN_RUNS = {
+    "pendulum": (
+        ["-0x1.6ce8121b83840p-6", "-0x1.3dc0cdf36ea08p-9",
+         "0x1.285dd164d919cp-4", "-0x1.8d3101704a490p-7",
+         "-0x1.d1dee49136568p-1", "-0x1.0000000000000p+0"],
+        "0x1.bda9118c7bfd2p-6",
+        [("transversality", "-0x1.0000000000000p+0", "-0x1.de6b91cda8b6bp-6"),
+         ("transversality", "-0x1.b09be5d01be4fp-2", "-0x1.1f0c59b4c0050p-9"),
+         ("transversality", "-0x1.54149e0cc677dp-4", "-0x1.b484b2eaa0502p-8"),
+         ("transversality", "-0x1.2023019d82c47p-2", "-0x1.600771bd01c38p-5"),
+         (None, None, None)],
+        {1: (1, 0, 0), 2: (1, 0, 0), 3: (333, 332, 0), 4: (0, 0, 0)}),
+    "thermostat": (
+        ["-0x1.0000000000000p+0", "-0x1.0000000000000p+0",
+         "0x1.0000000000000p+0", "-0x1.332dc503b3b8cp-4"],
+        "0x1.104ae41215528p-7",
+        [("reset", "-0x1.0a0be01f63b7ap+4", "-0x1.07b52aa653784p+0"),
+         ("reset", "-0x1.21e70be41e800p-12", "-0x1.348b621f7b000p-16"),
+         (None, None, None)],
+        {1: (1, 0, 0), 2: (1, 0, 0), 3: (2, 0, 0), 4: (2, 0, 0)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_whole_run_golden(name):
+    doc = (benchmarks.pendulum() if name == "pendulum"
+           else json.loads(THERMOSTAT.read_text()))
+    report = engine.run(*_doc_run(doc))
+    p, delta, rounds, boxes = GOLDEN_RUNS[name]
+    hexed = lambda v: None if v is None else float(v).hex()
+    assert report.status is RunStatus.BARRIER_FOUND
+    assert report.verdict.status is VerdictStatus.VERIFIED
+    assert [float(v).hex() for v in report.p] == p
+    assert float(report.delta).hex() == delta
+    assert [(r.kind, hexed(r.value), hexed(r.segment_margin))
+            for r in report.log] == rounds
+    assert {c: (r.boxes_verified, r.boxes_split, r.boxes_unresolved)
+            for c, r in report.verdict.reports.items()} == boxes
+
+
+def test_each_candidate_is_compiled_once(monkeypatch):
+    """One engine.run on pendulum builds each candidate's trees once, and
+    verify builds its own once.  Before the candidate was shared, the
+    same run built the value and gradient trees 24 times and the Hessian
+    trees 15 times."""
+    calls = {"certificate_exprs": 0, "hessian_exprs": 0}
+    for name in calls:
+        def counted(*args, _inner=getattr(model, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(model, name, counted)
+    report = engine.run(*_doc_run(benchmarks.pendulum()))
+    assert report.iterations == 5  # candidates, of one mode each
+    assert calls["certificate_exprs"] <= report.iterations + 1  # + verify
+    assert calls["hessian_exprs"] <= report.iterations

@@ -14,7 +14,7 @@ from simbarrier.falsify import (
     minimize_box,
     segment_margin,
 )
-from simbarrier.model import Box, ModeDef, Problem, ResetRule, Template
+from simbarrier.model import Box, Certificate, ModeDef, Problem, ResetRule, Template
 
 from conftest import line_problem, linear_template_1d, sawtooth_problem
 
@@ -224,7 +224,7 @@ def test_drift_objective_rows_match_point_evaluation():
         "unsafe": [{"mode": "m", "box": [[1.5, 2], [1.5, 2]]}]})
     tmpl = model.make_template("quadratic-2d", 2, 1)
     p = np.array([1.0, 0.0, 1.0, -2.0, -2.0, 2.0])  # (x - 1)^2 + (y - 1)^2
-    geo = falsify._ModeGeometry(prob, falsify._certificates(tmpl, p), 0)
+    geo = falsify._ModeGeometry(prob, Certificate(tmpl, p), 0)
     rng = np.random.default_rng(5)
     z = np.vstack([rng.uniform(-2, 2, (5, 2)),
                    [[1.0, 1.0], [0.0, 0.5], [0.5, 0.0], [-0.0, 2.0]]])
@@ -247,21 +247,21 @@ def test_drift_objective_rows_match_point_evaluation():
 class TestSignSearches:
     def test_initial_closed_form(self):
         prob, tmpl, p = composition_with_linear_barrier()
-        (mode, x), value = min_initial(prob, tmpl, p, starts=8, seed=0)
+        (mode, x), value = min_initial(prob, Certificate(tmpl, p), starts=8, seed=0)
         assert value == pytest.approx(8.87225682329, abs=1e-8)
         assert x[0] == pytest.approx(9.0, abs=1e-8)
 
     def test_unsafe_closed_form(self):
         prob, tmpl, p = composition_with_linear_barrier()
-        (mode, x), value = min_unsafe(prob, tmpl, p, starts=8, seed=0)
+        (mode, x), value = min_unsafe(prob, Certificate(tmpl, p), starts=8, seed=0)
         assert value == pytest.approx(9.12774317671, abs=1e-8)
         assert x[0] == pytest.approx(-9.0, abs=1e-8)
 
     def test_zero_template_gives_zero(self):
         prob, tmpl, _ = composition_with_linear_barrier()
         p0 = np.zeros(tmpl.size)
-        _, v_init = min_initial(prob, tmpl, p0, starts=4, seed=0)
-        _, v_unsafe = min_unsafe(prob, tmpl, p0, starts=4, seed=0)
+        _, v_init = min_initial(prob, Certificate(tmpl, p0), starts=4, seed=0)
+        _, v_unsafe = min_unsafe(prob, Certificate(tmpl, p0), starts=4, seed=0)
         assert v_init == 0.0 and v_unsafe == 0.0
 
     def test_interior_peak_found_with_grid_oracle(self):
@@ -273,7 +273,7 @@ class TestSignSearches:
         p = np.array([-c * c, 2 * c, -1.0])  # -(x - c)^2 expanded
         grid = np.arange(-1.0, 1.0 + 1e-9, 1e-4)
         oracle = min(-(-(g - c) ** 2) for g in grid)
-        (mode, x), value = min_initial(prob, tmpl, p, starts=8, seed=1)
+        (mode, x), value = min_initial(prob, Certificate(tmpl, p), starts=8, seed=1)
         assert value == pytest.approx(oracle, abs=1e-8)
         assert x[0] == pytest.approx(c, abs=1e-5)
 
@@ -309,7 +309,8 @@ class TestTransversality:
         # inward at a constant angle: the normalized drift is c/sqrt(1 + c^2)
         # at every point
         prob, tmpl, p = circle_problem(0.0, 0.2, omega=((-2, 2), (-2, 2)))
-        (_, x), _, value = min_transversality(prob, tmpl, p, starts=8, seed=0)
+        (_, x), _, value = min_transversality(prob, Certificate(tmpl, p),
+                                              starts=8, seed=0)
         assert value == pytest.approx(0.2 / math.sqrt(1.04), abs=1e-12)
         assert abs(x @ x - 1.0) <= _band(p)
 
@@ -321,7 +322,8 @@ class TestTransversality:
         # point, so by the law of sines its angle at the origin has the
         # sine cos(atan(c)) / 2 < 1
         prob, tmpl, p = circle_problem(2.0, 0.2)
-        (_, x), _, value = min_transversality(prob, tmpl, p, starts=8, seed=0)
+        (_, x), _, value = min_transversality(prob, Certificate(tmpl, p),
+                                              starts=8, seed=0)
         assert value == pytest.approx(-1.0, abs=1e-9)
         normal = np.array([x[0] - 2.0, x[1]])
         flow = np.array([-x[1] - 0.2 * x[0], x[0] - 0.2 * x[1]])
@@ -333,7 +335,8 @@ class TestTransversality:
         # omega cuts the circle, so the retraction meets the box
         prob, tmpl, p = circle_problem(2.0, 0.2, omega=((1.2, 3.5), (-1.5, 0.6)),
                                        dist=(-0.5, 0.5))
-        pt, d, value = min_transversality(prob, tmpl, p, starts=8, seed=seed)
+        pt, d, value = min_transversality(prob, Certificate(tmpl, p),
+                                          starts=8, seed=seed)
         _, x = pt
         assert value < 0
         assert abs(model.template_value(tmpl, p, 0, x)) <= _band(p)
@@ -341,7 +344,7 @@ class TestTransversality:
 
     def test_rows_are_monotone_and_stay_on_the_band(self, rng):
         prob, tmpl, p = circle_problem(2.0, 0.2, dist=(-0.5, 0.5))
-        geo = falsify._ModeGeometry(prob, falsify._certificates(tmpl, p), 0)
+        geo = falsify._ModeGeometry(prob, Certificate(tmpl, p), 0)
         lo = np.array([0.5, -1.5, -0.5])
         hi = np.array([3.5, 1.5, 0.5])
         band = _band(p)
@@ -354,7 +357,7 @@ class TestTransversality:
             before = None
             for iters in range(0, 40, 3):
                 z, fz = minimize_box(f, g, lo, hi, z0, iters, project=project)
-                assert np.all(np.abs(geo.value(z[:, :2])) <= band)
+                assert np.all(np.abs(geo.cert.value(z[:, :2])) <= band)
                 assert np.all((lo <= z) & (z <= hi))
                 if before is not None:
                     assert np.all(fz <= before)
@@ -365,7 +368,8 @@ class TestTransversality:
         prob = line_problem("1", omega=(-1.0, 1.0))
         tmpl = linear_template_1d()
         p = np.array([0.0, 1.0])  # V = x, flow +1: worst drift value -1
-        (mode, x), d, value = min_transversality(prob, tmpl, p, starts=8, seed=0)
+        (mode, x), d, value = min_transversality(prob, Certificate(tmpl, p),
+                                                 starts=8, seed=0)
         assert value == pytest.approx(-1.0, abs=1e-8)
         assert abs(model.template_value(tmpl, p, mode, x)) <= 1e-6 * 2
 
@@ -373,7 +377,8 @@ class TestTransversality:
         prob = line_problem("-1", omega=(-1.0, 1.0))
         tmpl = linear_template_1d()
         p = np.array([0.0, 1.0])
-        _, _, value = min_transversality(prob, tmpl, p, starts=8, seed=0)
+        _, _, value = min_transversality(prob, Certificate(tmpl, p),
+                                         starts=8, seed=0)
         assert value == pytest.approx(1.0, abs=1e-8)
 
     def test_pendulum_horizontal_level_set_with_grid_oracle(self):
@@ -389,14 +394,15 @@ class TestTransversality:
         grid = np.arange(-10.0, 10.0 + 1e-9, 1e-3)
         oracle = min(normalized_drift(x) for x in grid)
         assert oracle > 0  # the flow never crosses upward
-        _, _, value = min_transversality(prob, tmpl, p, starts=12, seed=0)
+        _, _, value = min_transversality(prob, Certificate(tmpl, p),
+                                         starts=12, seed=0)
         assert value > 0
         assert value >= oracle - 1e-6
 
     def test_constant_gradient_free_template_fails_cleanly(self):
         prob = line_problem("1")
         tmpl = Template((((0,),),))
-        pt, d, value = min_transversality(prob, tmpl, np.array([1.0]),
+        pt, d, value = min_transversality(prob, Certificate(tmpl, np.array([1.0])),
                                           starts=4, seed=0)
         assert pt is None and value == math.inf
 
@@ -407,7 +413,8 @@ class TestReset:
 
     def test_no_resets_is_vacuous(self):
         prob = line_problem("1")
-        _, value = min_reset(prob, linear_template_1d(), np.array([0.0, 1.0]),
+        _, value = min_reset(prob, Certificate(linear_template_1d(),
+                                               np.array([0.0, 1.0])),
                              starts=4, seed=0)
         assert value == math.inf
 
@@ -415,13 +422,16 @@ class TestReset:
         prob = self._problem()
         tmpl = linear_template_1d()
         # V = x - 0.5: max(V(1), -V(0)) = max(0.5, 0.5) = 0.5
-        _, value = min_reset(prob, tmpl, np.array([-0.5, 1.0]), starts=4, seed=0)
+        _, value = min_reset(prob, Certificate(tmpl, np.array([-0.5, 1.0])),
+                             starts=4, seed=0)
         assert value == pytest.approx(0.5, abs=1e-12)
         # V = x - 2: max(-1, 2) = 2
-        _, value = min_reset(prob, tmpl, np.array([-2.0, 1.0]), starts=4, seed=0)
+        _, value = min_reset(prob, Certificate(tmpl, np.array([-2.0, 1.0])),
+                             starts=4, seed=0)
         assert value == pytest.approx(2.0, abs=1e-12)
         # V = -x + 0.5: max(-0.5, -0.5) = -0.5, a violation
-        _, value = min_reset(prob, tmpl, np.array([0.5, -1.0]), starts=4, seed=0)
+        _, value = min_reset(prob, Certificate(tmpl, np.array([0.5, -1.0])),
+                             starts=4, seed=0)
         assert value == pytest.approx(-0.5, abs=1e-12)
 
     def test_undefined_map_rows_are_inf_with_zero_gradient(self):
@@ -431,7 +441,7 @@ class TestReset:
                          (ex.parse("1/x + x^400", ["x"]),))
         p = np.array([0.5, -1.0])  # V = 0.5 - x
         value, gradient = falsify._reset_objective(
-            rule, falsify._certificates(linear_template_1d(), p), 1)
+            rule, Certificate(linear_template_1d(), p), 1)
         x = np.array([[0.5], [0.0], [10.0], [-0.75], [-0.0], [1.5]])
         bad = np.array([False, True, True, False, True, False])
         with np.errstate(all="ignore"):
@@ -448,7 +458,7 @@ class TestReset:
 class TestFindCounterexample:
     def test_none_when_all_conditions_hold(self):
         prob, tmpl, p = composition_with_linear_barrier()
-        assert find_counterexample(prob, tmpl, p,
+        assert find_counterexample(prob, Certificate(tmpl, p),
                                    FalsifyConfig(starts=8, seed=0)) is None
 
     def test_transversality_violation_builds_long_segment(self):
@@ -456,13 +466,13 @@ class TestFindCounterexample:
                             unsafe=(0.8, 0.9))
         tmpl = linear_template_1d()
         p = np.array([0.0, 1.0])  # V = x increases along the flow
-        res = find_counterexample(prob, tmpl, p,
+        res = find_counterexample(prob, Certificate(tmpl, p),
                                   FalsifyConfig(starts=8, seed=0, t_max=50.0))
         assert res is not None and res.kind == "transversality"
         seg = res.segment
         assert seg.s[0] == pytest.approx(-1.1, abs=1e-5)
         assert seg.sp[0] == pytest.approx(1.1, abs=1e-5)
-        assert segment_margin(prob, tmpl, p, seg) <= 0.0
+        assert segment_margin(prob, Certificate(tmpl, p), seg) <= 0.0
 
     def test_initial_violation_hard_row(self):
         # V = x + 0.5 exceeds 1 on the initial box, a worse violation than
@@ -471,14 +481,14 @@ class TestFindCounterexample:
                             unsafe=(0.8, 0.9))
         tmpl = linear_template_1d()
         p = np.array([0.5, 1.0])
-        res = find_counterexample(prob, tmpl, p,
+        res = find_counterexample(prob, Certificate(tmpl, p),
                                   FalsifyConfig(starts=8, seed=0))
         assert res is not None and res.kind == "initial"
         v_at_start = model.template_value(tmpl, p, res.segment.s_mode,
                                           res.segment.s)
         assert v_at_start >= 0.0
         assert res.segment.s_in_initial
-        assert segment_margin(prob, tmpl, p, res.segment) <= 0.0
+        assert segment_margin(prob, Certificate(tmpl, p), res.segment) <= 0.0
 
     def test_reset_violation(self):
         # V = 0.5 - x: negative at the guard, positive at the reset target,
@@ -486,10 +496,10 @@ class TestFindCounterexample:
         prob = sawtooth_problem(init=(0.6, 0.7), unsafe=(-1.8, -1.5))
         tmpl = linear_template_1d()
         p = np.array([0.5, -1.0])
-        res = find_counterexample(prob, tmpl, p,
+        res = find_counterexample(prob, Certificate(tmpl, p),
                                   FalsifyConfig(starts=8, seed=0))
         assert res is not None and res.kind == "reset"
-        assert segment_margin(prob, tmpl, p, res.segment) <= 0.0
+        assert segment_margin(prob, Certificate(tmpl, p), res.segment) <= 0.0
 
     def test_determinism(self):
         prob = line_problem("1", omega=(-1.0, 1.0), init=(-0.25, 0.25),
@@ -497,8 +507,8 @@ class TestFindCounterexample:
         tmpl = linear_template_1d()
         p = np.array([0.5, 1.0])
         cfg = FalsifyConfig(starts=8, seed=123)
-        a = find_counterexample(prob, tmpl, p, cfg)
-        b = find_counterexample(prob, tmpl, p, cfg)
+        a = find_counterexample(prob, Certificate(tmpl, p), cfg)
+        b = find_counterexample(prob, Certificate(tmpl, p), cfg)
         assert a.kind == b.kind
         assert np.array_equal(a.x, b.x)
         assert a.value == b.value
@@ -581,7 +591,7 @@ def test_golden_counterexamples(case, monkeypatch):
             return result
 
         monkeypatch.setattr(falsify, search, recorded)
-    res = find_counterexample(prob, tmpl, p, FalsifyConfig(
+    res = find_counterexample(prob, Certificate(tmpl, p), FalsifyConfig(
         starts=16, seed=seed, bloat_factor=1.1, t_max=t_max))
     assert seen == minima
     if expected is None:

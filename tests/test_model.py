@@ -8,6 +8,7 @@ from simbarrier import benchmarks, expr as ex, model, sim, verify
 from simbarrier.interval import Interval
 from simbarrier.model import (
     Box,
+    Certificate,
     ModeDef,
     Problem,
     ProblemFormatError,
@@ -184,9 +185,9 @@ def certificates(draw):
 def _assert_compiled_equals_loops(tmpl, p, mode, x):
     """The batched functions on the rows of x give, row by row and bit for
     bit, what the monomial loops give at each row."""
-    compiled = model.compile_certificate(tmpl, p, mode)
+    mc = Certificate(tmpl, p)[mode]
     loops = (template_value, template_grad_x, template_hess_x)
-    for batched, loop in zip(compiled, loops):
+    for batched, loop in zip((mc.value, mc.grad, mc.hess), loops):
         got = batched(x)
         want = np.array([loop(tmpl, p, mode, row) for row in x])
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -202,7 +203,8 @@ class TestCompiledCertificate:
     def test_quadratic_2d(self):
         t = make_template("quadratic-2d", 2, 1)
         p = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        value, grad, hess = model.compile_certificate(t, p, 0)
+        mc = Certificate(t, p)[0]
+        value, grad, hess = mc.value, mc.grad, mc.hess
         x = np.array([[1.0, -1.0], [0.0, 0.0]])
         assert value(x).tolist() == [1.0 - 2.0 + 3.0 + 4.0 - 5.0 + 6.0, 6.0]
         assert grad(x).tolist() == [[2.0 - 2.0 + 4.0, 2.0 - 6.0 + 5.0],
@@ -223,8 +225,8 @@ class TestCompiledCertificate:
         loops = (template_value, template_grad_x, template_hess_x)
         with np.errstate(over="ignore", invalid="ignore"):
             for p, x in cases:
-                compiled = model.compile_certificate(t, p, 0)
-                for batched, loop in zip(compiled, loops):
+                mc = Certificate(t, p)[0]
+                for batched, loop in zip((mc.value, mc.grad, mc.hess), loops):
                     got = batched(x)
                     for row, got_row in zip(x, got):
                         want = np.asarray(loop(t, p, 0, row))
@@ -250,7 +252,8 @@ class TestCompiledCertificate:
 
     def test_hessian_built_only_for_the_falsifier(self, monkeypatch):
         """The verifier and the drift rides use the value and the gradient
-        trees; only the falsifier's compiled certificate builds Hessians."""
+        trees; a certificate builds its Hessian trees only when its
+        ``hess`` is asked for, as the falsifier's drift search does."""
         def no_hessian(*args):
             raise AssertionError("Hessian trees built")
 
@@ -261,9 +264,10 @@ class TestCompiledCertificate:
         assert verify.verify(prob, tmpl, p).status is \
             verify.VerdictStatus.VERIFIED
         start = prob.initial[0][1].midpoint()
-        assert sim.omega(prob, tmpl, p, (0, start)) == (0, start)
+        cert = Certificate(tmpl, p)
+        assert sim.omega(prob, cert, (0, start)) == (0, start)
         with pytest.raises(AssertionError, match="Hessian"):
-            model.compile_certificate(tmpl, p, 0)
+            cert[0].hess
 
     def test_long_sum_compiles(self):
         # 301 terms nest deeper than Python's 200 parentheses if each sum
@@ -311,10 +315,11 @@ class TestCertificateEnclosures:
         region = ((0, modes[0].omega),)
         prob = Problem(tuple(f"x{i}" for i in range(n)), (), None, modes, (),
                        region, region)
-        checks = verify._ModeChecks(prob, tmpl, p, mode)
-        grad = model.certificate_exprs(tmpl, p, mode)[1]
+        cert = Certificate(tmpl, p)
+        grad = cert[mode].exprs[1]
         # every box at once, as the verifier encloses a level of boxes
-        v_rows, d_rows = checks.value_box(lo, hi), checks.drift_box(lo, hi)
+        v_rows = cert[mode].value_box(lo, hi)
+        d_rows = [b[:, 0] for b in verify._drift_box(prob, cert, mode)(lo, hi)]
         for r, (b_lo, b_hi, b_frac) in enumerate(zip(lo, hi, frac.transpose(1, 0, 2))):
             box = [Interval(a, b) for a, b in zip(b_lo, b_hi)]
             v_enc = Interval(v_rows[0][r], v_rows[1][r])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from simbarrier import benchmarks, expr as ex, falsify, model, sim
-from simbarrier.model import Box, ModeDef, Problem, Template
+from simbarrier.model import Box, Certificate, ModeDef, Problem, Template
 from simbarrier.sim import StopReason
 
 import sim_reference as ref
@@ -228,7 +228,7 @@ class TestDriftRides:
         prob = line_problem("-x")
         tmpl = linear_template_1d()
         p = np.array([0.0, 1.0])  # V = x, drift = -x < 0 at x = 1
-        mode, end = sim.omega(prob, tmpl, p, (0, (1.0,)))
+        mode, end = sim.omega(prob, Certificate(tmpl, p), (0, (1.0,)))
         assert end == (1.0,)
 
     def test_omega_parabola_event(self):
@@ -239,7 +239,7 @@ class TestDriftRides:
             ((0, Box((5.0, 5.0), (6.0, 6.0))),))
         tmpl = Template((((0, 0), (1, 0)),))
         p = np.array([0.0, 1.0])  # V = x
-        _, end = sim.omega(prob, tmpl, p, (0, (0.0, 1.0)))
+        _, end = sim.omega(prob, Certificate(tmpl, p), (0, (0.0, 1.0)))
         assert abs(end[0] - 0.5) <= 1e-5
         assert abs(end[1]) <= 1e-5
 
@@ -247,21 +247,21 @@ class TestDriftRides:
         prob = line_problem("1")
         tmpl = linear_template_1d()
         p = np.array([0.0, 1.0])  # V = x, drift = 1 everywhere
-        _, end = sim.omega(prob, tmpl, p, (0, (0.0,)), t_max=50.0)
+        _, end = sim.omega(prob, Certificate(tmpl, p), (0, (0.0,)), t_max=50.0)
         assert abs(end[0] - 1.1) <= 1e-6
 
     def test_alpha_bloat_stop(self):
         prob = line_problem("1")
         tmpl = linear_template_1d()
         p = np.array([0.0, 1.0])
-        _, end = sim.alpha(prob, tmpl, p, (0, (0.0,)), t_max=50.0)
+        _, end = sim.alpha(prob, Certificate(tmpl, p), (0, (0.0,)), t_max=50.0)
         assert abs(end[0] - (-1.1)) <= 1e-6
 
     def test_alpha_immediate_stop(self):
         prob = line_problem("1")
         tmpl = linear_template_1d()
         p = np.array([0.0, -1.0])  # V = -x: drift -1 < 0, no backward ride
-        _, end = sim.alpha(prob, tmpl, p, (0, (0.3,)))
+        _, end = sim.alpha(prob, Certificate(tmpl, p), (0, (0.3,)))
         assert end == (0.3,)
 
     def test_alpha_reverse_of_parabola(self):
@@ -273,7 +273,8 @@ class TestDriftRides:
             ((0, Box((1.5, 1.5), (1.9, 1.9))),))
         tmpl = Template((((0, 0), (1, 0)),))
         p = np.array([0.0, 1.0])
-        _, end = sim.alpha(prob, tmpl, p, (0, (0.5, 0.0)), bloat_factor=1.0)
+        _, end = sim.alpha(prob, Certificate(tmpl, p), (0, (0.5, 0.0)),
+                           bloat_factor=1.0)
         assert abs(end[0] - 0.0) <= 1e-5
         assert abs(end[1] - 1.0) <= 1e-5
 
@@ -285,7 +286,7 @@ class TestDriftRides:
         for _ in range(10):
             p = rng.uniform(-1, 1, tmpl.size)
             x0 = (float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-            mode, end = sim.omega(prob, tmpl, p, (0, x0), t_max=20.0)
+            mode, end = sim.omega(prob, Certificate(tmpl, p), (0, x0), t_max=20.0)
             g = model.template_grad_x(tmpl, p, mode, end)
             flow = ex.compile_vector(prob.modes[mode].flow)
             f = flow(list(end))
@@ -432,22 +433,24 @@ class TestJumpStop:
         prob = _thermostat()
         tmpl = model.make_template("linear", 1, 2)
         # V_on rises to the on->off guard at x = 20, where V drops to -21
-        mode, end = sim.omega(prob, tmpl, self.P, (1, (16.0,)), t_max=50.0)
+        mode, end = sim.omega(prob, Certificate(tmpl, self.P), (1, (16.0,)),
+                              t_max=50.0)
         assert mode == 1
         assert abs(end[0] - 20.0) <= 1e-6
         # the reset counter-example (off, 16) now gives a refuting segment
-        seg = falsify.point_segment(prob, tmpl, self.P, "reset", 0, (16.0,),
-                                    prob.resets[0], bloat_factor=1.1,
-                                    t_max=50.0, rtol=sim.DEFAULT_RTOL,
-                                    atol=sim.DEFAULT_ATOL)
+        cert = Certificate(tmpl, self.P)
+        seg, margin = falsify.refuting_segment(
+            prob, cert, "reset", 0, (16.0,), prob.resets[0],
+            bloat_factor=1.1, t_max=50.0)
         assert seg.sp_mode == 1 and abs(seg.sp[0] - 20.0) <= 1e-6
-        assert falsify.segment_margin(prob, tmpl, self.P, seg) <= 0.0
+        assert falsify.segment_margin(prob, cert, seg) == margin <= 0.0
 
     def test_backward_ride_stops_before_a_rising_jump(self):
         prob = _thermostat()
         tmpl = model.make_template("linear", 1, 2)
         # backward in off, x rises to the guard x = 20 of the reversed
         # off->on reset, where V would rise from -21 to 20.628
-        mode, end = sim.alpha(prob, tmpl, self.P, (0, (16.0,)), t_max=50.0)
+        mode, end = sim.alpha(prob, Certificate(tmpl, self.P), (0, (16.0,)),
+                              t_max=50.0)
         assert mode == 0
         assert abs(end[0] - 20.0) <= 1e-6

@@ -135,6 +135,20 @@ class TestRefuted:
         assert box_counts(verdict) == {1: (1, 0, 0), 2: (1, 0, 0),
                                        3: (1, 0, 0), 4: (0, 0, 0)}
 
+    def test_certificate_overflowing_at_midpoints_is_refuted_by_its_enclosure(self):
+        # V = x^200 - 1 overflows at every point of the initial box, so its
+        # midpoint values are undefined; its enclosure's lower bound is far
+        # above the tolerance, so every point violates condition 1 and the
+        # first box is refuted at its midpoint, and nothing raises
+        prob = line_problem("-x", omega=(-300.0, 300.0), init=(100.0, 200.0),
+                            unsafe=(250.0, 260.0))
+        tmpl = Template((((0,), (200,)),))
+        verdict = verify(prob, tmpl, np.array([-1.0, 1.0]))
+        assert verdict.status is VerdictStatus.REFUTED
+        assert verdict.condition == 1
+        assert verdict.witness == (0, (150.0,), ())
+        assert box_counts(verdict)[1] == (0, 0, 0)
+
 
 class TestUnknown:
     def test_tangent_zero_set_gives_unknown(self):
@@ -168,19 +182,6 @@ class TestUnknown:
         verdict = verify(prob, tmpl, p)
         assert verdict.status is not VerdictStatus.VERIFIED
 
-
-    def test_certificate_overflowing_at_midpoints_gives_unknown(self):
-        # V = x^200 - 1 overflows at every point of the initial box: its
-        # enclosures are unbounded and its midpoint values undefined, so
-        # condition 1 can be neither proved nor refuted, and nothing raises
-        prob = line_problem("-x", omega=(-300.0, 300.0), init=(100.0, 200.0),
-                            unsafe=(250.0, 260.0))
-        tmpl = Template((((0,), (200,)),))
-        verdict = verify(prob, tmpl, np.array([-1.0, 1.0]))
-        assert verdict.status is VerdictStatus.UNKNOWN
-        assert verdict.condition == 1
-        assert verdict.reports[1].boxes_verified == 0
-        assert verdict.reports[1].boxes_unresolved == len(verdict.unresolved) > 0
 
 
 class TestMonotoneEffort:
