@@ -93,7 +93,7 @@ def _run_config(doc: dict, args, path: str) -> engine.RunConfig:
         value = run.get(key, default)
         try:
             return kind(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ProblemFormatError(
                 f"run.{key}", f"expected a number, got {value!r}") from None
 
@@ -253,9 +253,12 @@ def _cmd_verify(args) -> int:
     barrier_doc = _load_object(args.barrier)
     tmpl, p = _barrier_from_doc(barrier_doc, prob, args.barrier)
     frac = args.min_box_width if args.min_box_width is not None else 1e-4
+    if not 0 < frac < math.inf:  # nan fails too
+        raise UserError(
+            f"--min-box-width: expected a finite value > 0, got {frac}")
     t0 = time.perf_counter()
     verdict = rigor.verify(prob, tmpl, p,
-                           rigor.VerifyConfig(min_width_frac=float(frac)))
+                           rigor.VerifyConfig(min_width_frac=frac))
     elapsed = time.perf_counter() - t0
     out = {
         "schema": VERDICT_SCHEMA,

@@ -12,6 +12,7 @@ the falsifier's searches, the rides and the refuting segments.
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -41,7 +42,12 @@ class RunConfig:
     min_width_frac: float = 1e-4
 
     def __post_init__(self):
-        if self.sigma < 0 or self.bloat_factor < 1 or self.max_iterations < 1:
+        # written so that nan fails every test
+        if not (0 <= self.sigma < math.inf
+                and 1 <= self.bloat_factor < math.inf
+                and 0 < self.min_width_frac < math.inf and self.delta_min >= 0
+                and min(self.vertex_cap, self.starts, self.max_iterations) >= 1
+                and self.seed >= 0):
             raise ValueError("invalid run configuration")
 
     @property

@@ -17,23 +17,26 @@ Newton steps.  A trial that does not reach the band is rejected, so the
 line search halves the step.  See Nocedal & Wright, *Numerical
 Optimization*, ch. 17-18, on gradient projection and feasible descent.
 
-The starts run in lockstep.  Each search first draws every start's mode,
-region or reset rule and its starting point, in the order of the random
-stream, then hands the starts of each group (one mode or one rule) to
-``minimize_box`` as the rows of one array, and finally reduces the
-results in start order.  ``minimize_box`` advances each row by exactly
-the rules of a single descent and evaluates only the rows that start an
-iteration or try a step, so every start ends where a run of its own
-would end.
+The four searches are four objectives over one multi-start driver,
+``_multistart``, and their starts run in lockstep.  The driver draws
+every start's region (an initial or unsafe box, a mode's box of (state,
+disturbance) points, a guard) and its point, in the order of the random
+stream, hands the starts of each key (one mode or one rule) to the
+search's descent as the rows of one array, and reduces the results in
+start order.  ``minimize_box`` advances each row by exactly the rules of
+a single descent and evaluates only the rows that start an iteration or
+try a step, so every start ends where a run of its own would end.
 
 The objectives are batched: one code generator, ``expr.compile_batch``,
 evaluates the certificate, its gradient and its Hessian (the candidate's
-``model.Certificate``, which the caller builds once per candidate), the
-flows and the reset maps (``ModeDef.flow_rows``, ``ResetRule.map_rows``)
-and the Jacobians, column by column over the rows.  The batched code
-performs the float operations of the scalar reference (the monomial
-loops of ``model`` and ``expr.compile_vector``), so the results are
-bit-identical wherever the reference is finite:
+``model.Certificate``, which the caller builds once per candidate), and
+the flows, the reset maps and their Jacobians, which the problem owns
+(``ModeDef.flow_rows``, ``Problem.flow_jacobians``,
+``ResetRule.map_rows``, ``ResetRule.map_jacobian``), column by column
+over the rows.  The batched code performs the float operations of the
+scalar reference (the monomial loops of ``model`` and
+``expr.compile_vector``), so the results are bit-identical wherever the
+reference is finite:
 - elementwise numpy arithmetic rounds as Python floats do;
 - ``**`` and the ``math`` functions run entry by entry on Python floats,
   because numpy's vector power, exp and log round differently from libm;
@@ -57,8 +60,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import chebyshev, expr as ex, model, sim
-from .model import Box, Certificate, Problem, Segment
+from . import chebyshev, model, sim
+from .model import Box, Certificate, ModeCertificate, Problem, Segment
 
 _EPS_CE = 1e-9           # a minimum below -_EPS_CE is a counter-example
 _LEVEL_BAND = 1e-6
@@ -191,97 +194,79 @@ def minimize_box(f: Batch, grad: Batch, lo: np.ndarray, hi: np.ndarray,
         search = search[tried < _MAX_HALVINGS]
 
 
-def _pick_region(regions: Sequence[tuple[int, Box]],
-                 rng: np.random.Generator) -> tuple[int, Box]:
-    return regions[int(rng.integers(len(regions)))]
+def _multistart(regions: Sequence[tuple[object, Box]], starts: int,
+                seed: int, descend):
+    """The multi-start driver of the four searches.
 
-
-def _best(candidates):
-    """Deterministic min-reduction by (value, insertion order)."""
-    best = None
-    for cand in candidates:
-        if best is None or cand[0] < best[0]:
-            best = cand
-    return best
-
-
-def _groups(keys: Sequence) -> dict:
-    """key -> indices of its occurrences, keys in first-occurrence order."""
+    Draws ``starts`` starts from ``regions``, a list of (key, box) pairs:
+    each start's region (``rng.integers(len(regions))``), then its point
+    (``box.sample``).  The starts of each key, keys in first-occurrence
+    order, go to ``descend(key, lo, hi, z0)`` as the rows of one batch,
+    with the bounds of their regions in the rows of ``lo`` and ``hi``; it
+    returns the end points and values of the rows that gave a result, and
+    the indices of those rows.  Returns (value, key, point) of the least
+    value, the first start among equals, or None when no start gave a
+    result.
+    """
+    rng = np.random.default_rng(seed)
+    picks = []
+    for _ in range(starts):
+        key, box = regions[int(rng.integers(len(regions)))]
+        picks.append((key, box, box.sample(rng)))
     groups: dict = {}
-    for i, key in enumerate(keys):
+    for i, (key, _, _) in enumerate(picks):
         groups.setdefault(key, []).append(i)
-    return groups
+    results = [None] * starts
+    with np.errstate(all="ignore"):
+        for key, rows in groups.items():
+            lo = np.array([picks[r][1].lo for r in rows])
+            hi = np.array([picks[r][1].hi for r in rows])
+            z, values, done = descend(key, lo, hi,
+                                      np.array([picks[r][2] for r in rows]))
+            for i, point, value in zip(done, z, values):
+                results[rows[i]] = (float(value), key, point)
+    # min keeps the first of equals: it replaces only on a smaller value
+    return min((res for res in results if res is not None),
+               key=lambda res: res[0], default=None)
+
+
+def _min_sign(cert: Certificate, regions, sign: float, starts: int,
+              seed: int):
+    def descend(mode, lo, hi, z0):
+        mc = cert[mode]
+        z, values = minimize_box(lambda z: sign * mc.value(z),
+                                 lambda z: sign * mc.grad(z), lo, hi, z0)
+        return z, values, range(len(z))
+
+    value, mode, x = _multistart(regions, starts, seed, descend)
+    return (mode, x), value
 
 
 def min_initial(prob: Problem, cert: Certificate, starts: int = 16,
                 seed: int = 0):
     """Minimize -V over the initial boxes; returns ((mode, x), value)."""
-    return _min_sign(prob, cert, prob.initial, -1.0, starts, seed)
+    return _min_sign(cert, prob.initial, -1.0, starts, seed)
 
 
 def min_unsafe(prob: Problem, cert: Certificate, starts: int = 16,
                seed: int = 0):
     """Minimize V over the unsafe boxes; returns ((mode, x), value)."""
-    return _min_sign(prob, cert, prob.unsafe, 1.0, starts, seed)
+    return _min_sign(cert, prob.unsafe, 1.0, starts, seed)
 
 
-def _jacobian(fs, cols: range):
-    """Jacobian of ``fs`` in the variables ``cols`` over the rows of a
-    batch, of shape (len(fs), len(cols)) per row."""
-    batch = ex.compile_batch([ex.differentiate(f, j) for f in fs for j in cols])
-    return lambda z: batch(z).reshape(len(z), len(fs), len(cols))
-
-
-def _min_sign(prob, cert, regions, sign, starts, seed):
-    rng = np.random.default_rng(seed)
-    picks = []
-    for _ in range(starts):
-        mode, box = _pick_region(regions, rng)
-        picks.append((mode, box, box.sample(rng)))
-    x = np.empty((starts, prob.dim))
-    fx = np.empty(starts)
-    with np.errstate(all="ignore"):
-        for mode, rows in _groups([mode for mode, _, _ in picks]).items():
-            mc = cert[mode]
-            boxes = [picks[r][1] for r in rows]
-            x[rows], fx[rows] = minimize_box(
-                lambda z, _mc=mc: sign * _mc.value(z),
-                lambda z, _mc=mc: sign * _mc.grad(z),
-                np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes]),
-                np.array([picks[r][2] for r in rows]))
-    fx, mode, x = _best((float(fx[r]), picks[r][0], x[r]) for r in range(starts))
-    return (mode, x), fx
-
-
-class _ModeGeometry:
-    """Batched certificate, flow and flow Jacobians for one mode.
-
-    The flow pieces take points whose columns are the state values
-    followed by the disturbance values.
-    """
-
-    def __init__(self, prob: Problem, cert: Certificate, mode: int):
-        self.n = prob.dim
-        self.l = prob.n_dist
-        mdef = prob.modes[mode]
-        self.cert = cert[mode]
-        self.flow = mdef.flow_rows
-        self.jac_x = _jacobian(mdef.flow, range(self.n))
-        self.jac_d = _jacobian(mdef.flow, range(self.n, self.n + self.l))
-
-
-def _drift_objective(geo: _ModeGeometry):
-    """Normalized drift -(grad V / |grad V|) . (f / |f|) and its tangent
-    gradient in (x, d), over the rows of a batch: the gradient with its
-    component along grad V removed from the x columns, which is the
-    steepest descent direction within the level set of V through the
-    point.  Points where the norm of grad V or of the flow is not finite
-    or vanishes are treated as +inf, with a zero gradient."""
-    n = geo.n
+def _drift_objective(prob: Problem, mode: int, mc: ModeCertificate):
+    """Normalized drift -(grad V / |grad V|) . (f / |f|) of mode ``mode``
+    with its certificate ``mc``, and its tangent gradient in (x, d), over
+    the rows of a batch: the gradient with its component along grad V
+    removed from the x columns, which is the steepest descent direction
+    within the level set of V through the point.  Points where the norm of
+    grad V or of the flow is not finite or vanishes are treated as +inf,
+    with a zero gradient."""
+    n, flow = prob.dim, prob.modes[mode].flow_rows
 
     def parts(z):
         x = z[:, :n]
-        gv, fv = geo.cert.grad(x), geo.flow(z)
+        gv, fv = mc.grad(x), flow(z)
         ng, nf = np.sqrt(_dot(gv, gv)), np.sqrt(_dot(fv, fv))
         flat = (~(np.isfinite(ng) & np.isfinite(nf))
                 | (ng < _NORM_FLOOR) | (nf < _NORM_FLOOR))
@@ -303,39 +288,38 @@ def _drift_objective(geo: _ModeGeometry):
             uw = _dot(u, w)[:, None]     # w . u rounds the same: same products
             pu_w = w - u * uw
             pw_u = u - w * uw
-            jac_x = geo.jac_x(z).transpose(0, 2, 1)
-            out = -(_matvec(geo.cert.hess(x), pu_w) / ng[:, None]
-                    + _matvec(jac_x, pw_u) / nf[:, None])
+            jac = prob.flow_jacobians[mode](z).transpose(0, 2, 1)
+            out = -(_matvec(mc.hess(x), pu_w) / ng[:, None]
+                    + _matvec(jac[:, :n], pw_u) / nf[:, None])
             out -= u * _dot(out, u)[:, None]
-            if geo.l:
-                jac_d = geo.jac_d(z).transpose(0, 2, 1)
+            if prob.n_dist:
                 out = np.concatenate(
-                    [out, -(_matvec(jac_d, pw_u) / nf[:, None])], axis=1)
+                    [out, -(_matvec(jac[:, n:], pw_u) / nf[:, None])], axis=1)
             out[flat] = 0.0
         return out
 
     return value, gradient
 
 
-def _land(geo: _ModeGeometry, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+def _land(mc: ModeCertificate, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
           band: float, max_steps: int = 25) -> tuple[np.ndarray, np.ndarray]:
     """``model.land_on_level_set`` on the mode's certificate, with the
     search's gradient floor."""
-    return model.land_on_level_set(geo.cert.value, geo.cert.grad, x, lo, hi,
-                                   band, _NORM_FLOOR, max_steps)
+    return model.land_on_level_set(mc.value, mc.grad, x, lo, hi, band,
+                                   _NORM_FLOOR, max_steps)
 
 
-def _retraction(geo: _ModeGeometry, lo: np.ndarray, hi: np.ndarray,
-                band: float) -> Projection:
+def _retraction(prob: Problem, mc: ModeCertificate, lo: np.ndarray,
+                hi: np.ndarray, band: float) -> Projection:
     """The projection of the drift search: clip the (x, d) points to the
     box, then take up to ``_RETRACTION_STEPS`` Newton steps along grad V
     towards |V| <= band; a point that does not reach the band becomes a
     row of nan, which ``minimize_box`` rejects."""
-    n = geo.n
+    n = prob.dim
 
     def project(z, rows):
         z = z.clip(lo, hi)
-        z[:, :n], landed = _land(geo, z[:, :n], lo[:n], hi[:n], band,
+        z[:, :n], landed = _land(mc, z[:, :n], lo[:n], hi[:n], band,
                                  _RETRACTION_STEPS)
         z[~landed] = math.nan
         return z
@@ -348,55 +332,43 @@ def min_transversality(prob: Problem, cert: Certificate, starts: int = 16,
     """Minimize the normalized drift over the certificate's zero level set
     and the disturbance box.
 
-    Each start is drawn from omega (and the disturbance box) and landed on
-    the band |V| <= band by Newton steps along grad V; a start that does
-    not land gives no result.  The landed starts of one mode then descend
-    together in ``minimize_box`` along the drift's tangent gradient, with
-    ``_retraction`` as the projection, so every accepted point stays in the
-    band, in omega and in the disturbance box.
+    Each start is drawn from its mode's box of (state, disturbance)
+    points and landed on the band |V| <= band by Newton steps along
+    grad V; a start that does not land gives no result.  The landed
+    starts of one mode then descend together in ``minimize_box`` along
+    the drift's tangent gradient, with ``_retraction`` as the projection,
+    so every accepted point stays in the band, in omega and in the
+    disturbance box.
 
     Returns ((mode, x), d, value); value is +inf when no start reaches the
     level set (no zero-level point found).
     """
-    rng = np.random.default_rng(seed)
     band = _LEVEL_BAND * (1.0 + float(np.linalg.norm(cert.p)))
-    picks = []
-    for _ in range(starts):
-        mode = int(rng.integers(len(prob.modes)))
-        z0 = prob.modes[mode].omega.sample(rng)
-        if prob.dist_box is not None:
-            z0 = np.concatenate([z0, prob.dist_box.sample(rng)])
-        picks.append((mode, z0))
-    results = [None] * starts
-    with np.errstate(all="ignore"):
-        for mode, rows in _groups([mode for mode, _ in picks]).items():
-            geo = _ModeGeometry(prob, cert, mode)
-            n = geo.n
-            omega = prob.modes[mode].omega
-            lo, hi = np.asarray(omega.lo), np.asarray(omega.hi)
-            if prob.dist_box is not None:
-                lo = np.concatenate([lo, prob.dist_box.lo])
-                hi = np.concatenate([hi, prob.dist_box.hi])
-            z = np.array([picks[r][1] for r in rows])
-            z[:, :n], landed = _land(geo, z[:, :n], lo[:n], hi[:n], band)
-            if not landed.any():
-                continue
-            z, values = minimize_box(*_drift_objective(geo), lo, hi, z[landed],
-                                     project=_retraction(geo, lo, hi, band))
-            for r, value, point in zip(np.array(rows)[landed], values, z):
-                results[r] = (float(value), mode, point[:n], point[n:])
-    results = [res for res in results if res is not None]
-    if not results:
+    n = prob.dim
+
+    def descend(mode, lo, hi, z):
+        lo, hi = lo[0], hi[0]            # one box per mode
+        mc = cert[mode]
+        z[:, :n], landed = _land(mc, z[:, :n], lo[:n], hi[:n], band)
+        rows = landed.nonzero()[0]
+        if not rows.size:
+            return z, (), rows
+        z, values = minimize_box(*_drift_objective(prob, mode, mc), lo, hi,
+                                 z[rows],
+                                 project=_retraction(prob, mc, lo, hi, band))
+        return z, values, rows
+
+    best = _multistart(list(enumerate(prob.flow_boxes)), starts, seed, descend)
+    if best is None:
         return None, None, math.inf
-    value, mode, x, d = _best(results)
-    return (mode, x), d, value
+    value, mode, z = best
+    return (mode, z[:n]), z[n:], value
 
 
-def _reset_objective(rule: model.ResetRule, cert: Certificate, dim: int):
+def _reset_objective(rule: model.ResetRule, cert: Certificate):
     """max(V_source(x), -V_target(r(x))) and its gradient over the rows of
     a batch; points where the map or a certificate value is not finite are
     treated as +inf, with a zero gradient."""
-    jac = _jacobian(rule.fwd, range(dim))
     source, target = cert[rule.source], cert[rule.target]
 
     def parts(x):
@@ -416,7 +388,7 @@ def _reset_objective(rule: model.ResetRule, cert: Certificate, dim: int):
         out = source.grad(x)
         back = ~(v_s >= v_t) & ~undefined
         if back.any():
-            j = jac(x[back]).transpose(0, 2, 1)
+            j = rule.map_jacobian(x[back]).transpose(0, 2, 1)
             out[back] = -_matvec(j, target.grad(rx[back]))
         out[undefined] = 0.0
         return out
@@ -432,22 +404,16 @@ def min_reset(prob: Problem, cert: Certificate, starts: int = 16,
     """
     if not prob.resets:
         return None, math.inf
-    rng = np.random.default_rng(seed)
-    picks = []
-    for _ in range(starts):
-        idx = int(rng.integers(len(prob.resets)))
-        picks.append((idx, prob.resets[idx].guard.sample(rng)))
-    x = np.empty((starts, prob.dim))
-    fx = np.empty(starts)
-    with np.errstate(all="ignore"):
-        for idx, rows in _groups([idx for idx, _ in picks]).items():
-            rule = prob.resets[idx]
-            f, g = _reset_objective(rule, cert, prob.dim)
-            x[rows], fx[rows] = minimize_box(
-                f, g, np.asarray(rule.guard.lo), np.asarray(rule.guard.hi),
-                np.array([picks[r][1] for r in rows]))
-    fx, idx, x = _best((float(fx[r]), picks[r][0], x[r]) for r in range(starts))
-    return (idx, x), fx
+
+    def descend(idx, lo, hi, z0):
+        z, values = minimize_box(*_reset_objective(prob.resets[idx], cert),
+                                 lo, hi, z0)
+        return z, values, range(len(z))
+
+    value, idx, x = _multistart(
+        [(i, rule.guard) for i, rule in enumerate(prob.resets)], starts, seed,
+        descend)
+    return (idx, x), value
 
 
 def segment_margin(prob: Problem, cert: Certificate, seg: Segment) -> float:

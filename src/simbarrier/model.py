@@ -4,8 +4,10 @@ A safety verification problem bundles a mode set with box-shaped state
 spaces, per-mode flow expressions, optional invertible reset rules, and
 box-shaped initial and unsafe regions.  Certificate templates are linear
 in their parameters with a per-mode monomial basis.  The model owns the
-compiled code: a mode's flow and a reset's map compile on the mode and
-the rule, and a candidate's code on its ``Certificate``.
+compiled code, each piece built at first use: a mode's flow compiles on
+the mode, a reset's map and its Jacobian on the rule, the flows'
+Jacobians and the time-reversed problem on the problem, and a
+candidate's code on its ``Certificate``.
 """
 
 from __future__ import annotations
@@ -88,6 +90,14 @@ def bloat(b: Box, factor: float) -> Box:
     return Box(tuple(lo), tuple(hi))
 
 
+def _jacobian(fs: Sequence[Expr], cols: int):
+    """The Jacobian of ``fs`` in the variables ``0 .. cols - 1`` over the
+    rows of a batch, of shape (k, len(fs), cols): one ``compile_batch``."""
+    batch = ex.compile_batch([ex.differentiate(f, j)
+                              for f in fs for j in range(cols)])
+    return lambda z: batch(z).reshape(len(z), len(fs), cols)
+
+
 @dataclass(frozen=True)
 class ModeDef:
     name: str
@@ -121,6 +131,12 @@ class ResetRule:
         return ex.compile_batch(self.fwd)
 
     @functools.cached_property
+    def map_jacobian(self):
+        """The forward map's Jacobian over the rows of points, of shape
+        (k, n, n), compiled at first use."""
+        return _jacobian(self.fwd, len(self.fwd))
+
+    @functools.cached_property
     def map_box(self):
         """The forward map's enclosure over rows of boxes, compiled at
         first use: ``expr.compile_interval`` of ``fwd``."""
@@ -145,11 +161,48 @@ class Problem:
     def n_dist(self) -> int:
         return len(self.dist_vars)
 
-    def mode_index(self, name: str) -> int:
-        for i, m in enumerate(self.modes):
-            if m.name == name:
-                return i
-        raise KeyError(name)
+    @functools.cached_property
+    def flow_jacobians(self) -> tuple:
+        """Per mode, the flow's Jacobian in the state and disturbance
+        columns over the rows of (state, disturbance) points, of shape
+        (k, n, n + l), compiled at first use."""
+        return tuple(_jacobian(m.flow, self.dim + self.n_dist)
+                     for m in self.modes)
+
+    @functools.cached_property
+    def flow_boxes(self) -> tuple[Box, ...]:
+        """Per mode, the box of (state, disturbance) points: omega, then
+        the disturbance box."""
+        d = self.dist_box or Box((), ())
+        return tuple(Box(m.omega.lo + d.lo, m.omega.hi + d.hi)
+                     for m in self.modes)
+
+    @functools.cached_property
+    def dist_vertices(self) -> tuple[np.ndarray, ...]:
+        """The disturbance box's corners (``vertices``); without a box, one
+        empty disturbance."""
+        return tuple(np.asarray(v, dtype=float)
+                     for v in vertices(self.dist_box or Box((), ())))
+
+    @functools.cached_property
+    def reversed(self) -> "Problem":
+        """The time-reversed problem: negated flows, inverted resets,
+        swapped initial and unsafe regions; built at first use.  Raises
+        ValueError for a reset without a declared inverse."""
+        for i, rule in enumerate(self.resets):
+            if not rule.invertible:
+                raise ValueError(
+                    f"reset {i} has no declared inverse; backward simulation "
+                    "requires invertible resets")
+        modes = tuple(
+            ModeDef(m.name, m.omega, tuple(ex.negated(e) for e in m.flow))
+            for m in self.modes)
+        resets = tuple(
+            ResetRule(source=r.target, guard=r.image, target=r.source,
+                      fwd=r.inv, inv=r.fwd, image=r.guard)
+            for r in self.resets)
+        return Problem(self.state_vars, self.dist_vars, self.dist_box, modes,
+                       resets, initial=self.unsafe, unsafe=self.initial)
 
     def mode_resets(self, mode: int) -> list[ResetRule]:
         return [r for r in self.resets if r.source == mode]
@@ -503,6 +556,10 @@ def make_template(layout: str | Sequence[Sequence[Sequence[int]]],
                     "template", "quadratic-2d requires a 2-dimensional state")
             return template_quadratic_2d(modes)
         raise ProblemFormatError("template", f"unknown shorthand {layout!r}")
+    if not isinstance(layout, (list, tuple)) or not all(
+            isinstance(block, (list, tuple)) for block in layout):
+        raise ProblemFormatError(
+            "template", "expected a shorthand name or a list of mode blocks")
     blocks = []
     for block in layout:
         monos = []
@@ -570,7 +627,8 @@ def _require(doc: dict, key: str, location: str):
 
 
 def _load_box(raw, n: int | None, location: str) -> Box:
-    if not isinstance(raw, (list, tuple)):
+    if not isinstance(raw, (list, tuple)) or not all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in raw):
         raise ProblemFormatError(location, "expected a list of [lo, hi] pairs")
     if n is not None and len(raw) != n:
         raise ProblemFormatError(
@@ -697,23 +755,20 @@ def load_problem(doc: dict) -> Problem:
 
 def _spot_check_inverse(rule: ResetRule, index: int, samples: int = 8):
     # inverse(map(x)) must reproduce x on the guard; checked at the guard
-    # midpoint and a few corners.
+    # midpoint and a few corners, in that order, with the rule's compiled
+    # code: a value that is not finite is undefined at its point
     points = [rule.guard.midpoint()]
     points.extend(vertices(rule.guard)[: samples - 1])
-    for x in points:
-        y = _spot_value(rule.fwd, x, f"resets[{index}].map")
-        back = _spot_value(rule.inv, y, f"resets[{index}].inverse")
+    with np.errstate(all="ignore"):
+        ys = rule.map_rows(np.array(points))
+        backs = ex.compile_batch(rule.inv)(ys)
+    for x, y, back in zip(points, ys.tolist(), backs.tolist()):
+        for at, value, what in ((x, y, "map"), (y, back, "inverse")):
+            if not all(map(math.isfinite, value)):
+                raise ProblemFormatError(f"resets[{index}].{what}",
+                                         f"undefined at the point {tuple(at)}")
         err = max(abs(a - b) for a, b in zip(back, x))
         if err > 1e-9 * (1.0 + max(abs(v) for v in x)):
             raise ProblemFormatError(
                 f"resets[{index}].inverse",
                 f"inverse map does not invert the forward map (error {err:.2e})")
-
-
-def _spot_value(fs: Sequence[Expr], x: Sequence[float],
-                location: str) -> list[float]:
-    try:
-        return [ex.evaluate(f, x) for f in fs]
-    except (ex.DomainError, OverflowError, ValueError) as err:
-        raise ProblemFormatError(
-            location, f"undefined at the point {tuple(x)}: {err}") from None

@@ -6,6 +6,8 @@ step control drives every row.  Events (guard entry, the caller's stop
 condition, exit from the bloated state space) are localized by bisection
 on the accepted step.  Reset rules are applied as early as possible; rows
 that jump repeatedly without time progress stop with a livelock verdict.
+Backward rides integrate ``Problem.reversed``, the time-reversed problem
+that the problem builds once, so its flows and maps compile once too.
 
 Each row keeps its own step size, accept/reject decision, event
 bisection, reset streak and stop reason, so row r ends bit for bit where
@@ -31,9 +33,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import expr as ex
 from . import model
-from .model import Box, Certificate, ModeDef, Problem, ResetRule, Segment
+from .model import Box, Certificate, Problem, ResetRule, Segment
 
 EVENT_TIME_TOL = 1e-9
 DEFAULT_RTOL = 1e-8
@@ -450,25 +451,6 @@ def flow_hybrid(prob: Problem, starts: Sequence[tuple[int, Sequence[float]]],
         return rides.run()
 
 
-def reverse(prob: Problem) -> Problem:
-    """Time-reversed problem: negated flows, inverted resets, swapped
-    initial and unsafe regions."""
-    for i, rule in enumerate(prob.resets):
-        if not rule.invertible:
-            raise ValueError(
-                f"reset {i} has no declared inverse; backward simulation "
-                "requires invertible resets")
-    modes = tuple(
-        ModeDef(m.name, m.omega, tuple(ex.negated(e) for e in m.flow))
-        for m in prob.modes)
-    resets = tuple(
-        model.ResetRule(source=r.target, guard=r.image, target=r.source,
-                        fwd=r.inv, inv=r.fwd, image=r.guard)
-        for r in prob.resets)
-    return Problem(prob.state_vars, prob.dist_vars, prob.dist_box, modes,
-                   resets, initial=prob.unsafe, unsafe=prob.initial)
-
-
 def _select_vertices(box: Box, cap: int,
                      rng: np.random.Generator) -> list[tuple[float, ...]]:
     n = box.dim
@@ -501,7 +483,7 @@ def init_segments(prob: Problem, sigma: float, vertex_cap: int = 256,
               for v in _select_vertices(box, vertex_cap, rng)]
     forward = flow_hybrid(prob, starts, _midpoint_policy(prob), sigma,
                           bloat_factor=bloat_factor)
-    rev = reverse(prob)
+    rev = prob.reversed
     ends = [(mode, v) for mode, box in prob.unsafe
             for v in _select_vertices(box, vertex_cap, rng)]
     backward = flow_hybrid(rev, ends, _midpoint_policy(rev), sigma,
@@ -510,12 +492,6 @@ def init_segments(prob: Problem, sigma: float, vertex_cap: int = 256,
              for (mode, v), traj in zip(starts, forward)]
             + [Segment.classify(prob, traj.end_mode, traj.end, mode, v)
                for (mode, v), traj in zip(ends, backward)])
-
-
-def _dist_vertices(prob: Problem) -> list[np.ndarray]:
-    if prob.dist_box is None:
-        return [np.empty(0)]
-    return [np.asarray(v) for v in model.vertices(prob.dist_box)]
 
 
 def _drift_ride(prob_dyn: Problem, cert: Certificate,
@@ -532,7 +508,7 @@ def _drift_ride(prob_dyn: Problem, cert: Certificate,
     certificate's code is the caller's; prob_dyn's flows are compiled on
     its modes.
     """
-    d_verts = _dist_vertices(prob_dyn)
+    d_verts = prob_dyn.dist_vertices
 
     def drift(m: int, x: np.ndarray, d: np.ndarray) -> np.ndarray:
         g = cert[m].grad(x)
@@ -586,5 +562,5 @@ def alpha(prob: Problem, cert: Certificate,
     decreases in backward time, choosing disturbances that minimize the
     forward-orientation drift; the ride ends before a reversed reset that
     raises the certificate."""
-    return _drift_ride(reverse(prob), cert, start, orient=-1.0,
+    return _drift_ride(prob.reversed, cert, start, orient=-1.0,
                        pick_max=False, bloat_factor=bloat_factor, t_max=t_max)

@@ -230,8 +230,8 @@ def verify(prob: Problem, tmpl: Template, p: np.ndarray,
     p_scale = 1.0 + float(np.linalg.norm(p))
     tol = 1e-10 * p_scale
 
-    def omega_min_widths(mode: int) -> list[float]:
-        return [cfg.min_width_frac * w for w in prob.modes[mode].omega.widths()]
+    def min_widths(box: Box) -> list[float]:
+        return [cfg.min_width_frac * w for w in box.widths()]
 
     def run_condition(cond: int, tasks):
         report = reports[cond]
@@ -275,7 +275,8 @@ def verify(prob: Problem, tmpl: Template, p: np.ndarray,
                 outcome[rest[bad]] = _REFUTED
                 return outcome, midpoint_witnesses(_m, mid[bad], rest[bad])
 
-            tasks.append((box, omega_min_widths(mode), box.dim, check))
+            tasks.append((box, min_widths(prob.modes[mode].omega), box.dim,
+                          check))
         return tasks
 
     witness = run_condition(1, sign_tasks(prob.initial, True))
@@ -287,18 +288,7 @@ def verify(prob: Problem, tmpl: Template, p: np.ndarray,
 
     # condition 3: drift negative wherever the certificate can vanish
     tasks3 = []
-    d_verts = ([np.asarray(v) for v in model.vertices(prob.dist_box)]
-               if prob.dist_box is not None else [np.empty(0)])
-    for mode in range(len(prob.modes)):
-        omega = prob.modes[mode].omega
-        if prob.dist_box is not None:
-            region = Box(omega.lo + prob.dist_box.lo, omega.hi + prob.dist_box.hi)
-            min_w = omega_min_widths(mode) + [
-                cfg.min_width_frac * w for w in prob.dist_box.widths()]
-        else:
-            region = omega
-            min_w = omega_min_widths(mode)
-
+    for mode, region in enumerate(prob.flow_boxes):
         def check3(lo, hi, _m=mode, _drift=_drift_box(prob, cert, mode)):
             v_lo, v_hi = cert[_m].value_box(lo, hi)
             proved = (v_lo > 0.0) | (v_hi < 0.0)
@@ -309,11 +299,11 @@ def verify(prob: Problem, tmpl: Template, p: np.ndarray,
             rest = rest[~falls]
             outcome = np.where(proved, _PROVED, _SPLIT)
             witnesses = {int(rest[i]): w for i, w in _drift_witnesses(
-                prob, cert, _m, lo[rest], hi[rest], d_verts, p_scale)}
+                prob, cert, _m, lo[rest], hi[rest], p_scale)}
             outcome[list(witnesses)] = _REFUTED
             return outcome, witnesses
 
-        tasks3.append((region, min_w, prob.dim, check3))
+        tasks3.append((region, min_widths(region), prob.dim, check3))
     witness = run_condition(3, tasks3)
     if witness is not None:
         return _refuted(verdict, 3, witness)
@@ -340,7 +330,7 @@ def verify(prob: Problem, tmpl: Template, p: np.ndarray,
             outcome[rest[bad]] = _REFUTED
             return outcome, midpoint_witnesses(_rule.source, mid[bad], rest[bad])
 
-        tasks4.append((rule.guard, omega_min_widths(rule.source),
+        tasks4.append((rule.guard, min_widths(prob.modes[rule.source].omega),
                        rule.guard.dim, check4))
     witness = run_condition(4, tasks4)
     if witness is not None:
@@ -359,13 +349,14 @@ def _refuted(verdict: Verdict, condition: int, witness) -> Verdict:
 
 
 def _drift_witnesses(prob: Problem, cert: Certificate, mode: int,
-                     lo: np.ndarray, hi: np.ndarray, d_verts, p_scale: float):
+                     lo: np.ndarray, hi: np.ndarray, p_scale: float):
     """Concrete violating points for the drift condition, one try per row
     of boxes: the box's midpoint landed on the zero level set within the
     box, with non-negative drift for some disturbance vertex (the one of
     largest drift, the first of equals).  Yields (row, witness) for the
     rows that have one.  Conservative; never refutes on enclosure noise."""
     mc, flow, dim = cert[mode], prob.modes[mode].flow_rows, prob.dim
+    d_verts = prob.dist_vertices
     x, landed = model.land_on_level_set(
         mc.value, mc.grad, 0.5 * (lo[:, :dim] + hi[:, :dim]), lo[:, :dim],
         hi[:, :dim], _WITNESS_BAND * p_scale, _WITNESS_FLOOR, _WITNESS_STEPS)

@@ -199,6 +199,17 @@ class TestErrors:
         ({"resets": [3]}, "resets[0]"),
         ({"variables": 5}, "variables"),
         ({"disturbances": "d"}, "disturbances"),
+        ({"template": 0}, "template"),
+        ({"disturbances": ["d"], "disturbance_box": [{}]}, "disturbance_box"),
+        # settings that cannot run: nan fails every range test, and an
+        # infinite count is no integer
+        ({"run": {"sigma": "nan"}}, "run"),
+        ({"run": {"sigma": 1e400}}, "run"),
+        ({"run": {"bloat": 1e400}}, "run"),
+        ({"run": {"starts": 0}}, "run"),
+        ({"run": {"starts": -1}}, "run"),
+        ({"run": {"seed": -1}}, "run"),
+        ({"run": {"seed": 1e400}}, "run.seed"),
     ])
     def test_malformed_fields_are_diagnosed(self, tmp_path, capsys, change,
                                             location):
@@ -222,11 +233,14 @@ class TestErrors:
     @pytest.mark.parametrize("fwd,inv,location,point", [
         ("1/x", "1/x", "resets[0].map", "(0.0,)"),
         ("x - 1", "(x + 1)^2 / (x + 1)", "resets[0].inverse", "(-1.0,)"),
+        ("x + (x*1e200*1e200 - x*1e200*1e200)", "x", "resets[0].map",
+         "(0.5,)"),
     ])
     def test_reset_undefined_at_a_spot_check_point(self, tmp_path, capsys,
                                                     fwd, inv, location, point):
         # the map at the guard corner x = 0, or the inverse at its image,
-        # divides by zero
+        # divides by zero; the third map is inf - inf = nan at the guard
+        # midpoint
         doc = {"variables": ["x"],
                "modes": [{"name": "a", "omega": [[-2, 2]], "flow": ["1"]}],
                "resets": [{"source": "a", "target": "a", "guard": [[0, 1]],
@@ -316,6 +330,15 @@ class TestErrors:
 
     def test_usage_error(self):
         assert cli.main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("width", ["0", "-1", "nan", "inf"])
+    def test_verify_min_box_width_out_of_range(self, composition_path,
+                                               paper_barrier_path, capsys,
+                                               width):
+        assert cli.main(["verify", composition_path, "--barrier",
+                         paper_barrier_path, "--min-box-width", width]) == 2
+        assert "--min-box-width: expected a finite value > 0" in \
+            capsys.readouterr().err
 
 
 class TestGenAndBench:

@@ -1,10 +1,12 @@
 import json
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from simbarrier import benchmarks, chebyshev, engine, falsify, model
+from simbarrier import benchmarks, chebyshev, engine, expr, falsify, model
 from simbarrier.engine import RunConfig, RunStatus
 from simbarrier.model import Certificate
 from simbarrier.verify import VerdictStatus
@@ -133,6 +135,14 @@ class TestConfigValidation:
             RunConfig(bloat_factor=0.5)
         with pytest.raises(ValueError):
             RunConfig(max_iterations=0)
+        for bad in (dict(sigma=math.inf), dict(sigma=math.nan),
+                    dict(bloat_factor=math.inf), dict(bloat_factor=math.nan),
+                    dict(starts=0), dict(starts=-1), dict(seed=-1),
+                    dict(vertex_cap=0), dict(delta_min=-1.0),
+                    dict(delta_min=math.nan), dict(min_width_frac=0.0),
+                    dict(min_width_frac=math.inf)):
+            with pytest.raises(ValueError):
+                RunConfig(**bad)
 
     def test_ride_horizon_default(self):
         assert RunConfig(sigma=0.25).ride_horizon == 25.0
@@ -213,3 +223,29 @@ def test_each_candidate_is_compiled_once(monkeypatch):
     assert report.iterations == 5  # candidates, of one mode each
     assert calls["certificate_exprs"] <= report.iterations + 1  # + verify
     assert calls["hessian_exprs"] <= report.iterations
+
+
+@pytest.mark.parametrize("name", ["pendulum", "thermostat"])
+def test_second_run_compiles_only_certificates(monkeypatch, name):
+    """The flows, the reset maps, their Jacobians and the time-reversed
+    problem compile on the problem, once: a second engine.run on the same
+    Problem compiles only its candidates' code.  Before the problem owned
+    them, the second run compiled 15 other batches on pendulum and 26 on
+    the thermostat."""
+    doc = (benchmarks.pendulum() if name == "pendulum"
+           else json.loads(THERMOSTAT.read_text()))
+    prob, tmpl, cfg = _doc_run(doc)
+    engine.run(prob, tmpl, cfg)
+    outside = []
+    inner = expr.compile_batch
+
+    def counted(es):
+        caller = sys._getframe(1).f_locals.get("self")
+        if not isinstance(caller, model.ModeCertificate):
+            outside.append(es)
+        return inner(es)
+
+    monkeypatch.setattr(expr, "compile_batch", counted)
+    report = engine.run(prob, tmpl, cfg)
+    assert report.status is RunStatus.BARRIER_FOUND
+    assert outside == []

@@ -224,11 +224,11 @@ def test_drift_objective_rows_match_point_evaluation():
         "unsafe": [{"mode": "m", "box": [[1.5, 2], [1.5, 2]]}]})
     tmpl = model.make_template("quadratic-2d", 2, 1)
     p = np.array([1.0, 0.0, 1.0, -2.0, -2.0, 2.0])  # (x - 1)^2 + (y - 1)^2
-    geo = falsify._ModeGeometry(prob, Certificate(tmpl, p), 0)
+    mc = Certificate(tmpl, p)[0]
     rng = np.random.default_rng(5)
     z = np.vstack([rng.uniform(-2, 2, (5, 2)),
                    [[1.0, 1.0], [0.0, 0.5], [0.5, 0.0], [-0.0, 2.0]]])
-    value, gradient = falsify._drift_objective(geo)
+    value, gradient = falsify._drift_objective(prob, 0, mc)
     with np.errstate(all="ignore"):
         for batch in (z, z[:5]):
             got_v, got_g = value(batch), gradient(batch)
@@ -344,20 +344,20 @@ class TestTransversality:
 
     def test_rows_are_monotone_and_stay_on_the_band(self, rng):
         prob, tmpl, p = circle_problem(2.0, 0.2, dist=(-0.5, 0.5))
-        geo = falsify._ModeGeometry(prob, Certificate(tmpl, p), 0)
+        mc = Certificate(tmpl, p)[0]
         lo = np.array([0.5, -1.5, -0.5])
         hi = np.array([3.5, 1.5, 0.5])
         band = _band(p)
         with np.errstate(all="ignore"):
             x, landed = falsify._land(
-                geo, rng.uniform(lo[:2], hi[:2], (12, 2)), lo[:2], hi[:2], band)
+                mc, rng.uniform(lo[:2], hi[:2], (12, 2)), lo[:2], hi[:2], band)
             z0 = np.hstack([x, rng.uniform(-0.5, 0.5, (12, 1))])[landed]
-            f, g = falsify._drift_objective(geo)
-            project = falsify._retraction(geo, lo, hi, band)
+            f, g = falsify._drift_objective(prob, 0, mc)
+            project = falsify._retraction(prob, mc, lo, hi, band)
             before = None
             for iters in range(0, 40, 3):
                 z, fz = minimize_box(f, g, lo, hi, z0, iters, project=project)
-                assert np.all(np.abs(geo.cert.value(z[:, :2])) <= band)
+                assert np.all(np.abs(mc.value(z[:, :2])) <= band)
                 assert np.all((lo <= z) & (z <= hi))
                 if before is not None:
                     assert np.all(fz <= before)
@@ -441,7 +441,7 @@ class TestReset:
                          (ex.parse("1/x + x^400", ["x"]),))
         p = np.array([0.5, -1.0])  # V = 0.5 - x
         value, gradient = falsify._reset_objective(
-            rule, Certificate(linear_template_1d(), p), 1)
+            rule, Certificate(linear_template_1d(), p))
         x = np.array([[0.5], [0.0], [10.0], [-0.75], [-0.0], [1.5]])
         bad = np.array([False, True, True, False, True, False])
         with np.errstate(all="ignore"):

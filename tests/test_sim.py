@@ -150,11 +150,11 @@ class TestFlowHybrid:
 class TestReverse:
     def test_double_reverse_is_identity(self):
         prob = sawtooth_problem()
-        assert sim.reverse(sim.reverse(prob)) == prob
+        assert prob.reversed.reversed == prob
 
     def test_pendulum_flows_negated(self):
         prob = model.load_problem(benchmarks.pendulum())
-        rev = sim.reverse(prob)
+        rev = prob.reversed
         pt = (0.7, -1.3)
         for orig, back in zip(prob.modes[0].flow, rev.modes[0].flow):
             assert ex.evaluate(back, pt) == pytest.approx(
@@ -162,7 +162,7 @@ class TestReverse:
 
     def test_initial_unsafe_swapped(self):
         prob = model.load_problem(benchmarks.pendulum())
-        rev = sim.reverse(prob)
+        rev = prob.reversed
         assert rev.initial == prob.unsafe
         assert rev.unsafe == prob.initial
 
@@ -174,13 +174,13 @@ class TestReverse:
         prob2 = model.Problem(prob.state_vars, prob.dist_vars, prob.dist_box,
                               prob.modes, (broken,), prob.initial, prob.unsafe)
         with pytest.raises(ValueError, match="inverse"):
-            sim.reverse(prob2)
+            prob2.reversed
 
     def test_reversibility_on_benchmarks(self):
         for doc in (benchmarks.pendulum(), benchmarks.composition(),
                     benchmarks.lorenz()):
             prob = model.load_problem(doc)
-            rev = sim.reverse(prob)
+            rev = prob.reversed
             sigma = doc["run"]["sigma"]
             rng = np.random.default_rng(7)
             for _ in range(3):
@@ -345,7 +345,7 @@ class TestLockstep:
         sigma, bloat = doc["run"]["sigma"], doc["run"]["bloat"]
         rng = np.random.default_rng(5)
         for dyn, boxes in ((prob, prob.initial),
-                           (sim.reverse(prob), prob.unsafe)):
+                           (prob.reversed, prob.unsafe)):
             starts = [(mode, v) for mode, box in boxes
                       for v in sim._select_vertices(box, 256, rng)]
             self.assert_lockstep(dyn, starts, sigma, _midpoint(dyn),
@@ -357,7 +357,7 @@ class TestLockstep:
         # different steps of the batch
         prob = _thermostat()
         if reverse:
-            prob = sim.reverse(prob)
+            prob = prob.reversed
         starts = [(m, (x,)) for m in (0, 1) for x in np.linspace(12, 21.5, 9)]
         rows = self.assert_lockstep(prob, starts, 12.0, _midpoint(prob))
         assert len({r.resets for r in rows}) > 2
@@ -408,7 +408,7 @@ class TestLockstep:
     def test_init_segments_matches_reference_rides(self):
         # one batch per direction, the starts in the order of the boxes
         prob = _thermostat()
-        rev = sim.reverse(prob)
+        rev = prob.reversed
         point, _ = _midpoint(prob)
         ride = lambda dyn, m, v: _end(ref.flow_hybrid(dyn, (m, v), point, 0.5))
         want = [model.Segment.classify(prob, m, v, *ride(prob, m, v))
