@@ -207,8 +207,9 @@ def _report_json(name: str, report: engine.RunReport, prob: Problem,
 
 
 def _record_json(rec: engine.IterationRecord) -> dict:
-    """One refinement round: the candidate's margin and search effort, and
-    the counter-example that refuted it (kind None for the last round)."""
+    """One refinement round: the candidate's margin and search effort, the
+    worst counter-example that refuted it (kind None for the last round),
+    and how many refuting segments the round added and dropped."""
     return {
         "index": rec.index,
         "delta": rec.delta,
@@ -216,6 +217,8 @@ def _record_json(rec: engine.IterationRecord) -> dict:
         "value": rec.value,
         "search_time": round(rec.search_time, 6),
         "segment_margin": rec.segment_margin,
+        "segments_added": rec.segments_added,
+        "segments_dropped": rec.segments_dropped,
         "bb_nodes": rec.bb_nodes,
         "lp_pivots": rec.lp_pivots,
     }

@@ -2,11 +2,13 @@
 
 Bootstrap segments seed the sampled constraint; the loop alternates
 max-margin candidate computation and counter-example search, growing the
-segment set by exactly one refuting segment per round, and optionally
-hands the surviving candidate to the rigorous verifier.  A refuted
-verification feeds its witness point back into the loop as a fresh
-counter-example.  Each candidate is one ``model.Certificate``, shared by
-the falsifier's searches, the rides and the refuting segments.
+segment set by the refuting segments of each round (the worst
+counter-example's and those of up to ``falsify._EXTRAS`` other distinct
+ones), and optionally hands the surviving candidate to the rigorous
+verifier.  A refuted verification feeds its witness point back into the
+loop as a fresh counter-example.  Each candidate is one
+``model.Certificate``, shared by the falsifier's searches, the rides and
+the refuting segments.
 """
 
 from __future__ import annotations
@@ -63,10 +65,16 @@ class IterationRecord:
     kind: str | None = None          # counter-example kind, if one was found
     value: float | None = None       # the falsifier's counter-example value
     search_time: float = 0.0         # the falsifier's four searches, seconds
-    segment: Segment | None = None
+    segment: Segment | None = None   # the worst counter-example's segment
     segment_margin: float | None = None
+    extras: list[Segment] = field(default_factory=list)  # other refuting ones
+    segments_dropped: int = 0        # extra segments that did not refute
     bb_nodes: int = 0                # candidate step: branch-and-bound nodes
     lp_pivots: int = 0               # candidate step: simplex pivots
+
+    @property
+    def segments_added(self) -> int:
+        return (self.segment is not None) + len(self.extras)
 
 
 @dataclass
@@ -132,7 +140,9 @@ def run(prob: Problem, tmpl: Template, cfg: RunConfig | None = None) -> RunRepor
             record.value = ce.value
             record.segment = ce.segment
             record.segment_margin = ce.margin
-            segments.append(ce.segment)
+            record.extras = ce.extras
+            record.segments_dropped = ce.dropped
+            segments += [ce.segment, *ce.extras]
             continue
 
         if cfg.verify:

@@ -8,6 +8,18 @@ counter-example point, which is extended to a simulation segment through
 the forward/backward drift rides; the segment is checked to actually
 refute the candidate before it is returned.
 
+Every start of the four searches ends somewhere, and the starts that end
+at other violations add segments to the same round: least value first,
+up to ``_EXTRAS`` of them, skipping a point within ``_DISTINCT`` (relative,
+max norm) of one already taken in its search and mode.  Their rides run
+in the worst point's batches, one ``sim.omega`` and one ``sim.alpha``
+call, and each row ends where a ride of its own would end, so the worst
+segment is the one a round of one segment builds.  It must refute; an
+extra segment that does not refute is dropped and counted.  Adding
+several counter-examples per round is common in counter-example-guided
+certificate synthesis (Abate et al., *FOSSIL*, HSCC 2021; Ravanbakhsh &
+Sankaranarayanan, Autonomous Robots, 2019).
+
 The three box searches project onto their boxes.  The drift search keeps
 its points on the level set itself: each start is landed on the band
 |V| <= band by Newton steps along grad V, each step goes along the
@@ -55,8 +67,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,6 +76,8 @@ from . import chebyshev, model, sim
 from .model import Box, Certificate, ModeCertificate, Problem, Segment
 
 _EPS_CE = 1e-9           # a minimum below -_EPS_CE is a counter-example
+_EXTRAS = 3              # extra refuting segments per round, at most
+_DISTINCT = 1e-3         # relative distance under which two hits are one
 _LEVEL_BAND = 1e-6
 _RETRACTION_STEPS = 4
 _NORM_FLOOR = 1e-12
@@ -97,6 +111,22 @@ class CtrxplResult:
     margin: float = 0.0           # the segment's margin under p, <= 0
     search_time: float = 0.0
     sim_time: float = 0.0
+    # the refuting segments of other distinct hits, and how many of their
+    # segments did not refute and were dropped
+    extras: list[Segment] = field(default_factory=list)
+    dropped: int = 0
+
+
+class Hit(NamedTuple):
+    """Where one start of a search ended: its value, the search's kind,
+    the mode, the state point and, for the drift search, the disturbance,
+    for the reset search, the rule."""
+    value: float
+    kind: str
+    mode: int
+    x: np.ndarray
+    d: np.ndarray | None = None
+    rule: model.ResetRule | None = None
 
 
 _dot = model.row_dot
@@ -204,9 +234,9 @@ def _multistart(regions: Sequence[tuple[object, Box]], starts: int,
     order, go to ``descend(key, lo, hi, z0)`` as the rows of one batch,
     with the bounds of their regions in the rows of ``lo`` and ``hi``; it
     returns the end points and values of the rows that gave a result, and
-    the indices of those rows.  Returns (value, key, point) of the least
-    value, the first start among equals, or None when no start gave a
-    result.
+    the indices of those rows.  Returns the (value, key, point) of every
+    start that gave a result, sorted by value, then by start index, so the
+    first is the least value, the first start among equals.
     """
     rng = np.random.default_rng(seed)
     picks = []
@@ -225,33 +255,38 @@ def _multistart(regions: Sequence[tuple[object, Box]], starts: int,
                                       np.array([picks[r][2] for r in rows]))
             for i, point, value in zip(done, z, values):
                 results[rows[i]] = (float(value), key, point)
-    # min keeps the first of equals: it replaces only on a smaller value
-    return min((res for res in results if res is not None),
-               key=lambda res: res[0], default=None)
+    # a stable sort keeps equal values in start order
+    return sorted((res for res in results if res is not None),
+                  key=lambda res: res[0])
 
 
 def _min_sign(cert: Certificate, regions, sign: float, starts: int,
-              seed: int):
+              seed: int, kind: str, hits: list[Hit] | None):
     def descend(mode, lo, hi, z0):
         mc = cert[mode]
         z, values = minimize_box(lambda z: sign * mc.value(z),
                                  lambda z: sign * mc.grad(z), lo, hi, z0)
         return z, values, range(len(z))
 
-    value, mode, x = _multistart(regions, starts, seed, descend)
+    results = _multistart(regions, starts, seed, descend)
+    if hits is not None:
+        hits.extend(Hit(value, kind, mode, x) for value, mode, x in results)
+    value, mode, x = results[0]
     return (mode, x), value
 
 
 def min_initial(prob: Problem, cert: Certificate, starts: int = 16,
-                seed: int = 0):
-    """Minimize -V over the initial boxes; returns ((mode, x), value)."""
-    return _min_sign(cert, prob.initial, -1.0, starts, seed)
+                seed: int = 0, *, hits: list[Hit] | None = None):
+    """Minimize -V over the initial boxes; returns ((mode, x), value).
+    ``hits``, when given, receives every start's ``Hit``, least first."""
+    return _min_sign(cert, prob.initial, -1.0, starts, seed, "initial", hits)
 
 
 def min_unsafe(prob: Problem, cert: Certificate, starts: int = 16,
-               seed: int = 0):
-    """Minimize V over the unsafe boxes; returns ((mode, x), value)."""
-    return _min_sign(cert, prob.unsafe, 1.0, starts, seed)
+               seed: int = 0, *, hits: list[Hit] | None = None):
+    """Minimize V over the unsafe boxes; returns ((mode, x), value).
+    ``hits``, when given, receives every start's ``Hit``, least first."""
+    return _min_sign(cert, prob.unsafe, 1.0, starts, seed, "unsafe", hits)
 
 
 def _drift_objective(prob: Problem, mode: int, mc: ModeCertificate):
@@ -328,7 +363,7 @@ def _retraction(prob: Problem, mc: ModeCertificate, lo: np.ndarray,
 
 
 def min_transversality(prob: Problem, cert: Certificate, starts: int = 16,
-                       seed: int = 0):
+                       seed: int = 0, *, hits: list[Hit] | None = None):
     """Minimize the normalized drift over the certificate's zero level set
     and the disturbance box.
 
@@ -341,7 +376,8 @@ def min_transversality(prob: Problem, cert: Certificate, starts: int = 16,
     disturbance box.
 
     Returns ((mode, x), d, value); value is +inf when no start reaches the
-    level set (no zero-level point found).
+    level set (no zero-level point found).  ``hits``, when given, receives
+    the ``Hit`` of every landed start, least first.
     """
     band = _LEVEL_BAND * (1.0 + float(np.linalg.norm(cert.p)))
     n = prob.dim
@@ -358,10 +394,14 @@ def min_transversality(prob: Problem, cert: Certificate, starts: int = 16,
                                  project=_retraction(prob, mc, lo, hi, band))
         return z, values, rows
 
-    best = _multistart(list(enumerate(prob.flow_boxes)), starts, seed, descend)
-    if best is None:
+    results = _multistart(list(enumerate(prob.flow_boxes)), starts, seed,
+                          descend)
+    if hits is not None:
+        hits.extend(Hit(value, "transversality", mode, z[:n], z[n:])
+                    for value, mode, z in results)
+    if not results:
         return None, None, math.inf
-    value, mode, z = best
+    value, mode, z = results[0]
     return (mode, z[:n]), z[n:], value
 
 
@@ -397,10 +437,11 @@ def _reset_objective(rule: model.ResetRule, cert: Certificate):
 
 
 def min_reset(prob: Problem, cert: Certificate, starts: int = 16,
-              seed: int = 0):
+              seed: int = 0, *, hits: list[Hit] | None = None):
     """Minimize max(V(x), -V(r(x))) over guard boxes.
 
     Returns ((rule_index, x), value); +inf when the problem has no resets.
+    ``hits``, when given, receives every start's ``Hit``, least first.
     """
     if not prob.resets:
         return None, math.inf
@@ -410,9 +451,13 @@ def min_reset(prob: Problem, cert: Certificate, starts: int = 16,
                                  lo, hi, z0)
         return z, values, range(len(z))
 
-    value, idx, x = _multistart(
+    results = _multistart(
         [(i, rule.guard) for i, rule in enumerate(prob.resets)], starts, seed,
         descend)
+    if hits is not None:
+        hits.extend(Hit(value, "reset", prob.resets[idx].source, x, None,
+                        prob.resets[idx]) for value, idx, x in results)
+    value, idx, x = results[0]
     return (idx, x), value
 
 
@@ -425,88 +470,117 @@ def segment_margin(prob: Problem, cert: Certificate, seg: Segment) -> float:
 KINDS = ("initial", "unsafe", "transversality", "reset")
 
 
-def refuting_segment(prob: Problem, cert: Certificate, kind: str, mode: int,
-                     x, rule: model.ResetRule | None = None, *,
-                     bloat_factor: float, t_max: float
-                     ) -> tuple[Segment, float]:
-    """Extend a counter-example point of ``kind`` (one of ``KINDS``, the
-    order of conditions 1-4) in ``mode`` to a simulation segment, and
-    return it with its ``segment_margin``, which must be <= 0: a segment
-    that does not refute the candidate raises RefutationError.
+def _segments(prob: Problem, cert: Certificate, points, *,
+              bloat_factor: float, t_max: float) -> list[Segment]:
+    """The simulation segment of each counter-example point ``(kind,
+    mode, x, rule)`` of ``points``, with ``kind`` one of ``KINDS``.
 
     Initial points ride forward, unsafe points backward, drift points both
     ways; a reset point rides backward in its source mode and forward from
-    its image under ``rule`` in the target mode.
+    its image under ``rule`` in the target mode.  The forward rides are
+    one ``sim.omega`` batch and the backward rides one ``sim.alpha``
+    batch; each row ends where a ride of its own ends.
     """
     ride = dict(bloat_factor=bloat_factor, t_max=t_max)
-    if kind == "initial":
-        seg = Segment.classify(prob, mode, x,
-                               *sim.omega(prob, cert, (mode, x), **ride))
-    else:
-        begin = sim.alpha(prob, cert, (mode, x), **ride)
-        if kind == "unsafe":
-            end = (mode, x)
-        elif kind == "reset":
-            rx = rule.map_rows(np.array([x], dtype=float))[0]
-            end = sim.omega(prob, cert, (rule.target, rx), **ride)
-        else:
-            end = sim.omega(prob, cert, (mode, x), **ride)
-        seg = Segment.classify(prob, *begin, *end)
-    margin = segment_margin(prob, cert, seg)
+    forward, backward = [], []
+    for kind, mode, x, rule in points:
+        if kind == "reset":
+            forward.append((rule.target,
+                            rule.map_rows(np.array([x], dtype=float))[0]))
+        elif kind != "unsafe":
+            forward.append((mode, x))
+        if kind != "initial":
+            backward.append((mode, x))
+    ends = iter(sim.omega(prob, cert, forward, **ride) if forward else ())
+    begins = iter(sim.alpha(prob, cert, backward, **ride) if backward else ())
+    return [Segment.classify(
+                prob, *((mode, x) if kind == "initial" else next(begins)),
+                *((mode, x) if kind == "unsafe" else next(ends)))
+            for kind, mode, x, _ in points]
+
+
+def _refutes(kind: str, mode: int, x, margin: float) -> None:
+    """Raise RefutationError unless ``margin``, the margin of the segment
+    of a ``kind`` counter-example at ``x`` in ``mode``, is <= 0."""
     if margin > 0.0:
         raise RefutationError(
             f"{kind} counter-example at {tuple(np.asarray(x).tolist())} in "
             f"mode {mode} produced a segment with margin {margin:.3e} > 0; "
             "event localization or level-set landing is off")
+
+
+def refuting_segment(prob: Problem, cert: Certificate, kind: str, mode: int,
+                     x, rule: model.ResetRule | None = None, *,
+                     bloat_factor: float, t_max: float
+                     ) -> tuple[Segment, float]:
+    """Extend a counter-example point of ``kind`` (one of ``KINDS``, the
+    order of conditions 1-4) in ``mode`` to a simulation segment
+    (``_segments``), and return it with its ``segment_margin``, which must
+    be <= 0: a segment that does not refute the candidate raises
+    RefutationError."""
+    seg, = _segments(prob, cert, [(kind, mode, x, rule)],
+                     bloat_factor=bloat_factor, t_max=t_max)
+    margin = segment_margin(prob, cert, seg)
+    _refutes(kind, mode, x, margin)
     return seg, margin
+
+
+def _near(hit: Hit, taken: Hit) -> bool:
+    """Whether ``hit`` is of the kind and mode of ``taken`` and within
+    ``_DISTINCT`` of it, relative to its own size, in the max norm."""
+    return (hit.kind == taken.kind and hit.mode == taken.mode
+            and np.abs(hit.x - taken.x).max()
+            <= _DISTINCT * (1.0 + np.abs(hit.x).max()))
 
 
 def find_counterexample(prob: Problem, cert: Certificate,
                         cfg: FalsifyConfig | None = None) -> CtrxplResult | None:
     """Run the four searches; construct and validate a refuting segment
-    for the worst violation, or none when every minimum is >= -_EPS_CE."""
+    for the worst violation, or none when every minimum is >= -_EPS_CE.
+
+    The other starts' violations, least first, add up to ``_EXTRAS``
+    extra segments: a hit near one already taken (``_near``) is skipped.
+    The worst's segment must refute, or RefutationError is raised; an
+    extra whose segment does not refute is dropped and counted.
+    """
     cfg = cfg or FalsifyConfig()
     rng = np.random.default_rng(cfg.seed)
     seeds = [int(rng.integers(2 ** 63)) for _ in range(4)]
 
     t0 = time.perf_counter()
-    (mi_pt, mi_val) = min_initial(prob, cert, cfg.starts, seeds[0])
-    (mu_pt, mu_val) = min_unsafe(prob, cert, cfg.starts, seeds[1])
+    hits: list[Hit] = []
+    min_initial(prob, cert, cfg.starts, seeds[0], hits=hits)
+    min_unsafe(prob, cert, cfg.starts, seeds[1], hits=hits)
     nontrivial = any(any(any(e != 0 for e in m) for m in block)
                      for block in cert.template.monomials)
     if nontrivial:
-        mt_pt, mt_d, mt_val = min_transversality(prob, cert, cfg.starts,
-                                                 seeds[2])
-    else:
-        mt_pt, mt_d, mt_val = None, None, math.inf
-    mr_pt, mr_val = min_reset(prob, cert, cfg.starts, seeds[3])
+        min_transversality(prob, cert, cfg.starts, seeds[2], hits=hits)
+    min_reset(prob, cert, cfg.starts, seeds[3], hits=hits)
     search_time = time.perf_counter() - t0
 
-    cases = [
-        ("initial", mi_val, mi_pt, None),
-        ("unsafe", mu_val, mu_pt, None),
-        ("transversality", mt_val, mt_pt, mt_d),
-        ("reset", mr_val, mr_pt, None),
-    ]
-    v = min(val for _, val, _, _ in cases)
-    if v >= -_EPS_CE:
+    # a stable sort: ties keep the order of KINDS, then of the starts
+    hits = sorted((h for h in hits if h.value < -_EPS_CE),
+                  key=lambda h: h.value)
+    if not hits:
         return None
-    for kind, value, payload, dist in cases:  # tie-break: declaration order
-        if value == v:
+    taken = hits[:1]
+    for hit in hits[1:]:
+        if len(taken) > _EXTRAS:
             break
+        if not any(_near(hit, t) for t in taken):
+            taken.append(hit)
 
     t1 = time.perf_counter()
-    if kind == "reset":
-        rule = prob.resets[payload[0]]
-        mode, x = rule.source, payload[1]
-    else:
-        rule = None
-        mode, x = payload
-    seg, margin = refuting_segment(prob, cert, kind, mode, x, rule,
-                                   bloat_factor=cfg.bloat_factor,
-                                   t_max=cfg.t_max)
+    segs = _segments(prob, cert,
+                     [(h.kind, h.mode, h.x, h.rule) for h in taken],
+                     bloat_factor=cfg.bloat_factor, t_max=cfg.t_max)
+    margins = [segment_margin(prob, cert, seg) for seg in segs]
+    worst = taken[0]
+    _refutes(worst.kind, worst.mode, worst.x, margins[0])
+    extras = [seg for seg, m in zip(segs[1:], margins[1:]) if m <= 0.0]
     sim_time = time.perf_counter() - t1
 
-    return CtrxplResult(kind, mode, np.asarray(x), dist, value, seg,
-                        margin=margin, search_time=search_time,
-                        sim_time=sim_time)
+    return CtrxplResult(worst.kind, worst.mode, np.asarray(worst.x), worst.d,
+                        worst.value, segs[0], margin=margins[0],
+                        search_time=search_time, sim_time=sim_time,
+                        extras=extras, dropped=len(segs) - 1 - len(extras))

@@ -142,6 +142,16 @@ class ResetRule:
         first use: ``expr.compile_interval`` of ``fwd``."""
         return ex.compile_interval(self.fwd)
 
+    @functools.cached_property
+    def reversed(self) -> "ResetRule":
+        """The rule of the time-reversed problem: from the image back to
+        the guard by the inverse map, built at first use, so the load's
+        inverse spot check and the backward rides share its compiled
+        ``map_rows``."""
+        return ResetRule(source=self.target, guard=self.image,
+                         target=self.source, fwd=self.inv, inv=self.fwd,
+                         image=self.guard)
+
 
 @dataclass(frozen=True)
 class Problem:
@@ -197,12 +207,9 @@ class Problem:
         modes = tuple(
             ModeDef(m.name, m.omega, tuple(ex.negated(e) for e in m.flow))
             for m in self.modes)
-        resets = tuple(
-            ResetRule(source=r.target, guard=r.image, target=r.source,
-                      fwd=r.inv, inv=r.fwd, image=r.guard)
-            for r in self.resets)
         return Problem(self.state_vars, self.dist_vars, self.dist_box, modes,
-                       resets, initial=self.unsafe, unsafe=self.initial)
+                       tuple(r.reversed for r in self.resets),
+                       initial=self.unsafe, unsafe=self.initial)
 
     def mode_resets(self, mode: int) -> list[ResetRule]:
         return [r for r in self.resets if r.source == mode]
@@ -756,12 +763,13 @@ def load_problem(doc: dict) -> Problem:
 def _spot_check_inverse(rule: ResetRule, index: int, samples: int = 8):
     # inverse(map(x)) must reproduce x on the guard; checked at the guard
     # midpoint and a few corners, in that order, with the rule's compiled
-    # code: a value that is not finite is undefined at its point
+    # code (the inverse's is the reversed rule's): a value that is not
+    # finite is undefined at its point
     points = [rule.guard.midpoint()]
     points.extend(vertices(rule.guard)[: samples - 1])
     with np.errstate(all="ignore"):
         ys = rule.map_rows(np.array(points))
-        backs = ex.compile_batch(rule.inv)(ys)
+        backs = rule.reversed.map_rows(ys)
     for x, y, back in zip(points, ys.tolist(), backs.tolist()):
         for at, value, what in ((x, y, "map"), (y, back, "inverse")):
             if not all(map(math.isfinite, value)):

@@ -20,8 +20,9 @@ integrated alone.  Three rules keep it so:
   differently, because OpenBLAS blocks its gemv by the column count.
 - The step factor ``0.9 * err_norm ** -0.2`` is a Python float (libm)
   power per row; numpy's vector power rounds differently.
-- A norm or a dot product is ``np.linalg.norm`` or ``np.dot`` of one row
-  (a BLAS dot); a reduction over an axis adds in another order.
+- A norm or a dot product is ``np.linalg.norm`` of one row or
+  ``model.row_dot`` (a BLAS dot per row); a reduction over an axis adds
+  in another order.
 """
 
 from __future__ import annotations
@@ -495,25 +496,26 @@ def init_segments(prob: Problem, sigma: float, vertex_cap: int = 256,
 
 
 def _drift_ride(prob_dyn: Problem, cert: Certificate,
-                start: tuple[int, Sequence[float]], orient: float,
+                starts: Sequence[tuple[int, Sequence[float]]], orient: float,
                 pick_max: bool, *, bloat_factor: float,
-                t_max: float) -> tuple[int, tuple[float, ...]]:
+                t_max: float) -> list[tuple[int, tuple[float, ...]]]:
     """Shared core of the forward/backward counter-example endpoints.
 
-    Integrates prob_dyn, as a batch of one row, while the certificate
-    ``cert`` rises along the ride, measured in the original forward
-    orientation: it stops at the first drift zero, before a reset that
-    would lower the certificate (the jump condition of Prajna & Jadbabaie,
-    HSCC 2004), at a bloated-box exit, or at the hard time cap.  The
-    certificate's code is the caller's; prob_dyn's flows are compiled on
-    its modes.
+    Integrates prob_dyn from each ``(mode, x)`` of ``starts``, as one
+    batch of rows, while the certificate ``cert`` rises along the ride,
+    measured in the original forward orientation: a row stops at its first
+    drift zero, before a reset that would lower the certificate (the jump
+    condition of Prajna & Jadbabaie, HSCC 2004), at a bloated-box exit, or
+    at the hard time cap.  A start where the certificate already falls is
+    its own endpoint.  The certificate's code is the caller's; prob_dyn's
+    flows are compiled on its modes.
     """
     d_verts = prob_dyn.dist_vertices
 
     def drift(m: int, x: np.ndarray, d: np.ndarray) -> np.ndarray:
         g = cert[m].grad(x)
         f = prob_dyn.modes[m].flow_rows(np.concatenate((x, d), axis=1))
-        return orient * np.array([np.dot(gr, fr) for gr, fr in zip(g, f)])
+        return orient * model.row_dot(g, f)
 
     def dpolicy(m: int, x: np.ndarray) -> np.ndarray:
         """Per row, the first disturbance vertex with the largest (or
@@ -534,33 +536,44 @@ def _drift_ride(prob_dyn: Problem, cert: Certificate,
         before = cert[rule.source].value(x)
         return orient * (cert[rule.target].value(y) - before) < 0.0
 
-    mode, x0 = start
-    x = np.asarray(x0, dtype=float).reshape(1, -1)
-    if drift(mode, x, dpolicy(mode, x))[0] < 0.0:
-        return mode, tuple(x[0].tolist())
-
-    traj, = flow_hybrid(prob_dyn, [(mode, x[0])], dpolicy, t_max,
-                        bloat_factor=bloat_factor, extra_event=(drift, -1),
-                        jump_stop=falls)
-    return traj.end_mode, traj.end
+    modes = np.array([m for m, _ in starts], dtype=int)
+    x = np.array([x0 for _, x0 in starts],
+                 dtype=float).reshape(len(starts), prob_dyn.dim)
+    rides = np.ones(len(starts), dtype=bool)
+    for m in set(modes.tolist()):
+        on = modes == m
+        rides[on] = ~(drift(m, x[on], dpolicy(m, x[on])) < 0.0)
+    ends = [(int(m), tuple(row)) for m, row in zip(modes, x.tolist())]
+    rows = np.flatnonzero(rides)
+    if rows.size:
+        trajs = flow_hybrid(prob_dyn, [(modes[r], x[r]) for r in rows],
+                            dpolicy, t_max, bloat_factor=bloat_factor,
+                            extra_event=(drift, -1), jump_stop=falls)
+        for r, traj in zip(rows.tolist(), trajs):
+            ends[r] = (traj.end_mode, traj.end)
+    return ends
 
 
 def omega(prob: Problem, cert: Certificate,
-          start: tuple[int, Sequence[float]], *, bloat_factor: float = 1.1,
-          t_max: float = 100.0) -> tuple[int, tuple[float, ...]]:
-    """Forward endpoint: ride the flow while the certificate increases,
-    choosing disturbances that maximize the increase; the ride ends before
-    a reset that lowers the certificate."""
-    return _drift_ride(prob, cert, start, orient=1.0, pick_max=True,
+          starts: Sequence[tuple[int, Sequence[float]]], *,
+          bloat_factor: float = 1.1,
+          t_max: float = 100.0) -> list[tuple[int, tuple[float, ...]]]:
+    """Forward endpoints, one per ``(mode, x)`` of ``starts``, ridden as
+    one batch: ride the flow while the certificate increases, choosing
+    disturbances that maximize the increase; a ride ends before a reset
+    that lowers the certificate."""
+    return _drift_ride(prob, cert, starts, orient=1.0, pick_max=True,
                        bloat_factor=bloat_factor, t_max=t_max)
 
 
 def alpha(prob: Problem, cert: Certificate,
-          start: tuple[int, Sequence[float]], *, bloat_factor: float = 1.1,
-          t_max: float = 100.0) -> tuple[int, tuple[float, ...]]:
-    """Backward start point: ride the reversed flow while the certificate
-    decreases in backward time, choosing disturbances that minimize the
-    forward-orientation drift; the ride ends before a reversed reset that
+          starts: Sequence[tuple[int, Sequence[float]]], *,
+          bloat_factor: float = 1.1,
+          t_max: float = 100.0) -> list[tuple[int, tuple[float, ...]]]:
+    """Backward start points, one per ``(mode, x)`` of ``starts``, ridden
+    as one batch: ride the reversed flow while the certificate decreases
+    in backward time, choosing disturbances that minimize the
+    forward-orientation drift; a ride ends before a reversed reset that
     raises the certificate."""
-    return _drift_ride(prob.reversed, cert, start, orient=-1.0,
+    return _drift_ride(prob.reversed, cert, starts, orient=-1.0,
                        pick_max=False, bloat_factor=bloat_factor, t_max=t_max)

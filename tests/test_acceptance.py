@@ -190,13 +190,13 @@ def test_criterion_8_refutation_property(all_runs):
     bad = 0
     for name, (prob, tmpl, report, _) in all_runs.items():
         for rec in report.log:
-            if rec.segment is None:
-                continue
-            total += 1
-            margin = falsify.segment_margin(prob, Certificate(tmpl, rec.p),
-                                            rec.segment)
-            if margin > 0.0:
-                bad += 1
+            added = [] if rec.segment is None else [rec.segment, *rec.extras]
+            for seg in added:
+                total += 1
+                margin = falsify.segment_margin(
+                    prob, Certificate(tmpl, rec.p), seg)
+                if margin > 0.0:
+                    bad += 1
     _criterion(8, "every added segment refutes its candidate", {
         f"{total - bad}/{total} margins <= 0": bad == 0,
         "logs non-trivial": total >= 1,

@@ -103,8 +103,12 @@ class TestSynth:
         assert all(entry["kind"] is not None and entry["segment_margin"] <= 0
                    for entry in log[:-1])
         assert set(log[0]) == {"index", "delta", "kind", "value",
-                               "search_time", "segment_margin", "bb_nodes",
-                               "lp_pivots"}
+                               "search_time", "segment_margin",
+                               "segments_added", "segments_dropped",
+                               "bb_nodes", "lp_pivots"}
+        # a refuted round adds its worst segment, and maybe distinct extras
+        assert all(entry["segments_added"] >= 1 for entry in log[:-1])
+        assert log[-1]["segments_added"] == log[-1]["segments_dropped"] == 0
         # the last round found no counter-example; its margin is the report's
         assert log[-1]["kind"] is None and log[-1]["delta"] == doc["delta"]
         assert all(entry["lp_pivots"] >= 1 for entry in log)

@@ -40,14 +40,16 @@ def test_integrate_with_constant_policy():
 
 def test_omega_picks_drift_maximizing_vertex():
     prob = disturbed_line(1.5)  # drift of V = x is -1 + d, max at d = 1.5
-    _, end = sim.omega(prob, Certificate(TMPL, P), (0, (0.0,)), t_max=30.0)
+    (_, end), = sim.omega(prob, Certificate(TMPL, P), [(0, (0.0,))],
+                          t_max=30.0)
     assert end[0] == pytest.approx(1.1, abs=1e-6)  # bloated boundary
 
 
 def test_alpha_picks_drift_minimizing_vertex():
     # minimizing d gives drift -1.5 < 0 at the start: no backward ride
     prob = disturbed_line(1.5)
-    _, end = sim.alpha(prob, Certificate(TMPL, P), (0, (0.0,)), t_max=30.0)
+    (_, end), = sim.alpha(prob, Certificate(TMPL, P), [(0, (0.0,))],
+                          t_max=30.0)
     assert end == (0.0,)
 
 

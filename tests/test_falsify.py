@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from simbarrier import benchmarks, expr as ex, falsify, model
+from simbarrier import benchmarks, engine, expr as ex, falsify, model
 from simbarrier.falsify import (
     FalsifyConfig,
     find_counterexample,
@@ -604,3 +604,76 @@ def test_golden_counterexamples(case, monkeypatch):
         (s_mode, s, sp_mode, sp)
     assert [seg.s_in_initial, seg.s_in_unsafe, seg.sp_in_initial,
             seg.sp_in_unsafe] == flags
+
+
+def _round_one():
+    """Pendulum's first round: problem, certificate, falsifier settings."""
+    name, p_hex, seed, t_max, _, _ = GOLDEN_SEARCHES["pendulum-round-1"]
+    doc = benchmarks.corpus()[name]
+    prob = model.load_problem(doc)
+    tmpl = model.make_template(doc["template"], prob.dim, len(prob.modes))
+    cert = Certificate(tmpl, np.array([float.fromhex(v) for v in p_hex]))
+    return prob, cert, FalsifyConfig(starts=16, seed=seed, t_max=t_max)
+
+
+class TestExtraSegments:
+    """Pendulum's first round: all 16 drift starts end below -eps, at
+    three distinct points and a fourth on the box's edge."""
+
+    def test_extras_are_distinct_refuting_and_capped(self, monkeypatch):
+        prob, cert, cfg = _round_one()
+        res = find_counterexample(prob, cert, cfg)
+        assert len(res.extras) == falsify._EXTRAS and res.dropped == 0
+        ends = [(s.s, s.sp) for s in (res.segment, *res.extras)]
+        assert len(set(ends)) == len(ends)
+        assert all(segment_margin(prob, cert, s) <= 0.0 for s in res.extras)
+        monkeypatch.setattr(falsify, "_EXTRAS", 1)
+        fewer = find_counterexample(prob, cert, cfg)
+        assert fewer.segment == res.segment
+        assert fewer.extras == res.extras[:1]
+
+    @pytest.mark.parametrize("refuting", [[True, False, True, False],
+                                          [False, True, True, True]])
+    def test_non_refuting_segments(self, monkeypatch, refuting):
+        """An extra whose segment does not refute is dropped and counted,
+        and the worst segment is kept; a worst segment that does not
+        refute raises."""
+        prob, cert, cfg = _round_one()
+        want = find_counterexample(prob, cert, cfg)
+        margins = iter(refuting)
+        inner = falsify.segment_margin
+
+        def faked(*args):
+            return inner(*args) if next(margins) else 1.0
+
+        monkeypatch.setattr(falsify, "segment_margin", faked)
+        if not refuting[0]:
+            with pytest.raises(falsify.RefutationError,
+                               match="transversality"):
+                find_counterexample(prob, cert, cfg)
+            return
+        res = find_counterexample(prob, cert, cfg)
+        assert (res.segment, res.margin) == (want.segment, want.margin)
+        assert res.extras == [want.extras[1]] and res.dropped == 2
+
+    def test_hits_at_one_point_add_one_segment(self, monkeypatch):
+        """Lorenz's first round: its 8 drift hits all converge to one
+        point, so the round adds the worst segment alone."""
+        doc = benchmarks.corpus()["lorenz"]
+        prob = model.load_problem(doc)
+        tmpl = model.make_template(doc["template"], prob.dim, len(prob.modes))
+        hits = []
+        inner = falsify.min_transversality
+
+        def recorded(*args, **kwargs):
+            result = inner(*args, **kwargs)
+            hits.extend(h for h in kwargs["hits"] if h.value < -1e-9)
+            return result
+
+        monkeypatch.setattr(falsify, "min_transversality", recorded)
+        report = engine.run(prob, tmpl, engine.RunConfig(
+            sigma=float(doc["run"]["sigma"]), seed=int(doc["run"]["seed"]),
+            max_iterations=1))
+        assert len(hits) >= 2
+        assert report.log[0].segments_added == 1
+        assert report.log[0].segments_dropped == 0

@@ -265,7 +265,7 @@ class TestCompiledCertificate:
             verify.VerdictStatus.VERIFIED
         start = prob.initial[0][1].midpoint()
         cert = Certificate(tmpl, p)
-        assert sim.omega(prob, cert, (0, start)) == (0, start)
+        assert sim.omega(prob, cert, [(0, start)]) == [(0, start)]
         with pytest.raises(AssertionError, match="Hessian"):
             cert[0].hess
 

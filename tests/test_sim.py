@@ -228,7 +228,7 @@ class TestDriftRides:
         prob = line_problem("-x")
         tmpl = linear_template_1d()
         p = np.array([0.0, 1.0])  # V = x, drift = -x < 0 at x = 1
-        mode, end = sim.omega(prob, Certificate(tmpl, p), (0, (1.0,)))
+        (mode, end), = sim.omega(prob, Certificate(tmpl, p), [(0, (1.0,))])
         assert end == (1.0,)
 
     def test_omega_parabola_event(self):
@@ -239,7 +239,7 @@ class TestDriftRides:
             ((0, Box((5.0, 5.0), (6.0, 6.0))),))
         tmpl = Template((((0, 0), (1, 0)),))
         p = np.array([0.0, 1.0])  # V = x
-        _, end = sim.omega(prob, Certificate(tmpl, p), (0, (0.0, 1.0)))
+        (_, end), = sim.omega(prob, Certificate(tmpl, p), [(0, (0.0, 1.0))])
         assert abs(end[0] - 0.5) <= 1e-5
         assert abs(end[1]) <= 1e-5
 
@@ -247,21 +247,23 @@ class TestDriftRides:
         prob = line_problem("1")
         tmpl = linear_template_1d()
         p = np.array([0.0, 1.0])  # V = x, drift = 1 everywhere
-        _, end = sim.omega(prob, Certificate(tmpl, p), (0, (0.0,)), t_max=50.0)
+        (_, end), = sim.omega(prob, Certificate(tmpl, p), [(0, (0.0,))],
+                              t_max=50.0)
         assert abs(end[0] - 1.1) <= 1e-6
 
     def test_alpha_bloat_stop(self):
         prob = line_problem("1")
         tmpl = linear_template_1d()
         p = np.array([0.0, 1.0])
-        _, end = sim.alpha(prob, Certificate(tmpl, p), (0, (0.0,)), t_max=50.0)
+        (_, end), = sim.alpha(prob, Certificate(tmpl, p), [(0, (0.0,))],
+                              t_max=50.0)
         assert abs(end[0] - (-1.1)) <= 1e-6
 
     def test_alpha_immediate_stop(self):
         prob = line_problem("1")
         tmpl = linear_template_1d()
         p = np.array([0.0, -1.0])  # V = -x: drift -1 < 0, no backward ride
-        _, end = sim.alpha(prob, Certificate(tmpl, p), (0, (0.3,)))
+        (_, end), = sim.alpha(prob, Certificate(tmpl, p), [(0, (0.3,))])
         assert end == (0.3,)
 
     def test_alpha_reverse_of_parabola(self):
@@ -273,7 +275,7 @@ class TestDriftRides:
             ((0, Box((1.5, 1.5), (1.9, 1.9))),))
         tmpl = Template((((0, 0), (1, 0)),))
         p = np.array([0.0, 1.0])
-        _, end = sim.alpha(prob, Certificate(tmpl, p), (0, (0.5, 0.0)),
+        (_, end), = sim.alpha(prob, Certificate(tmpl, p), [(0, (0.5, 0.0))],
                            bloat_factor=1.0)
         assert abs(end[0] - 0.0) <= 1e-5
         assert abs(end[1] - 1.0) <= 1e-5
@@ -286,7 +288,8 @@ class TestDriftRides:
         for _ in range(10):
             p = rng.uniform(-1, 1, tmpl.size)
             x0 = (float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-            mode, end = sim.omega(prob, Certificate(tmpl, p), (0, x0), t_max=20.0)
+            (mode, end), = sim.omega(prob, Certificate(tmpl, p), [(0, x0)],
+                                     t_max=20.0)
             g = model.template_grad_x(tmpl, p, mode, end)
             flow = ex.compile_vector(prob.modes[mode].flow)
             f = flow(list(end))
@@ -417,6 +420,19 @@ class TestLockstep:
                  for m, box in prob.unsafe for v in model.vertices(box)]
         assert sim.init_segments(prob, 0.5, seed=3) == want
 
+    @pytest.mark.parametrize("ride", ["omega", "alpha"])
+    def test_drift_rides_match_rides_alone(self, ride):
+        # the rides of a falsifier round: several starts in both modes, one
+        # batch, each row ending where its start's ride alone ends
+        prob = _thermostat()
+        cert = Certificate(model.make_template("linear", 1, 2),
+                           TestJumpStop.P)
+        starts = [(0, (16.0,)), (1, (16.0,)), (0, (21.5,)), (1, (12.0,)),
+                  (0, (15.25,))]
+        ends = getattr(sim, ride)(prob, cert, starts, t_max=50.0)
+        assert ends == [getattr(sim, ride)(prob, cert, [s], t_max=50.0)[0]
+                        for s in starts]
+
 
 def _end(traj):
     return traj.end_mode, traj.end
@@ -433,12 +449,11 @@ class TestJumpStop:
         prob = _thermostat()
         tmpl = model.make_template("linear", 1, 2)
         # V_on rises to the on->off guard at x = 20, where V drops to -21
-        mode, end = sim.omega(prob, Certificate(tmpl, self.P), (1, (16.0,)),
-                              t_max=50.0)
+        cert = Certificate(tmpl, self.P)
+        (mode, end), = sim.omega(prob, cert, [(1, (16.0,))], t_max=50.0)
         assert mode == 1
         assert abs(end[0] - 20.0) <= 1e-6
         # the reset counter-example (off, 16) now gives a refuting segment
-        cert = Certificate(tmpl, self.P)
         seg, margin = falsify.refuting_segment(
             prob, cert, "reset", 0, (16.0,), prob.resets[0],
             bloat_factor=1.1, t_max=50.0)
@@ -450,7 +465,7 @@ class TestJumpStop:
         tmpl = model.make_template("linear", 1, 2)
         # backward in off, x rises to the guard x = 20 of the reversed
         # off->on reset, where V would rise from -21 to 20.628
-        mode, end = sim.alpha(prob, Certificate(tmpl, self.P), (0, (16.0,)),
-                              t_max=50.0)
+        cert = Certificate(tmpl, self.P)
+        (mode, end), = sim.alpha(prob, cert, [(0, (16.0,))], t_max=50.0)
         assert mode == 0
         assert abs(end[0] - 20.0) <= 1e-6
