@@ -21,7 +21,7 @@ from .model import (
     make_template,
     vertices,
 )
-from .verify import Verdict, VerdictStatus, VerifyConfig
+from .verify import Verdict, VerdictStatus
 from .verify import verify as verify_certificate
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "Template",
     "Verdict",
     "VerdictStatus",
-    "VerifyConfig",
     "bloat",
     "load_problem",
     "make_template",

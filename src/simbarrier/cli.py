@@ -260,8 +260,7 @@ def _cmd_verify(args) -> int:
         raise UserError(
             f"--min-box-width: expected a finite value > 0, got {frac}")
     t0 = time.perf_counter()
-    verdict = rigor.verify(prob, tmpl, p,
-                           rigor.VerifyConfig(min_width_frac=frac))
+    verdict = rigor.verify(prob, tmpl, p, frac)
     elapsed = time.perf_counter() - t0
     out = {
         "schema": VERDICT_SCHEMA,

@@ -5,10 +5,10 @@ max-margin candidate computation and counter-example search, growing the
 segment set by the refuting segments of each round (the worst
 counter-example's and those of up to ``falsify._EXTRAS`` other distinct
 ones), and optionally hands the surviving candidate to the rigorous
-verifier.  A refuted verification feeds its witness point back into the
-loop as a fresh counter-example.  Each candidate is one
-``model.Certificate``, shared by the falsifier's searches, the rides and
-the refuting segments.
+verifier.  A refuted verification's witness point becomes a refuting
+segment through ``falsify.refute``, the path the falsifier's hits take.
+Each candidate is one ``model.Certificate``, shared by the falsifier's
+searches, the rides and the refuting segments.
 """
 
 from __future__ import annotations
@@ -124,51 +124,43 @@ def run(prob: Problem, tmpl: Template, cfg: RunConfig | None = None) -> RunRepor
         report.log.append(record)
 
         cert = Certificate(tmpl, cand.p)
-        fcfg = falsify.FalsifyConfig(
-            starts=cfg.starts, seed=int(rng.integers(2 ** 63)),
-            bloat_factor=cfg.bloat_factor, t_max=cfg.ride_horizon)
         t0 = time.perf_counter()
-        ce = falsify.find_counterexample(prob, cert, fcfg)
-        elapsed = time.perf_counter() - t0
-        if ce is not None:
-            timings["simulation"] += ce.sim_time
-        record.search_time = ce.search_time if ce is not None else elapsed
+        ref = falsify.find_counterexample(
+            prob, cert, starts=cfg.starts, seed=int(rng.integers(2 ** 63)),
+            bloat_factor=cfg.bloat_factor, t_max=cfg.ride_horizon)
+        record.search_time = (ref.search_time if ref is not None
+                              else time.perf_counter() - t0)
         timings["counterexample"] += record.search_time
 
-        if ce is not None:
-            record.kind = ce.kind
-            record.value = ce.value
-            record.segment = ce.segment
-            record.segment_margin = ce.margin
-            record.extras = ce.extras
-            record.segments_dropped = ce.dropped
-            segments += [ce.segment, *ce.extras]
-            continue
-
-        if cfg.verify:
+        verdict = None
+        if ref is not None:
+            record.kind = ref.hit.kind
+        elif cfg.verify:
             t0 = time.perf_counter()
-            verdict = rigor.verify(
-                prob, tmpl, cand.p,
-                rigor.VerifyConfig(min_width_frac=cfg.min_width_frac))
+            verdict = rigor.verify(prob, tmpl, cand.p, cfg.min_width_frac)
             timings["verification"] += time.perf_counter() - t0
             if verdict.status is rigor.VerdictStatus.REFUTED:
-                mode, x, _d = verdict.witness
+                mode, x, d = verdict.witness
                 rule = None
                 if verdict.condition == 4:
                     rules = prob.mode_resets(mode)
                     rule = next((r for r in rules if r.guard.contains(x)),
                                 rules[0])
-                t0 = time.perf_counter()
-                seg, m = falsify.refuting_segment(
-                    prob, cert, falsify.KINDS[verdict.condition - 1], mode, x,
-                    rule, bloat_factor=cfg.bloat_factor,
-                    t_max=cfg.ride_horizon)
-                timings["simulation"] += time.perf_counter() - t0
+                kind = falsify.KINDS[verdict.condition - 1]
+                witness = falsify.Hit(None, kind, mode, x, d, rule)
+                ref = falsify.refute(prob, cert, [witness],
+                                     bloat_factor=cfg.bloat_factor,
+                                     t_max=cfg.ride_horizon)
                 record.kind = f"verify-refuted-{verdict.condition}"
-                record.segment = seg
-                record.segment_margin = m
-                segments.append(seg)
-                continue
+
+        if ref is not None:
+            timings["simulation"] += ref.sim_time
+            record.value = ref.hit.value
+            record.segment, record.segment_margin = ref.segment, ref.margin
+            record.extras, record.segments_dropped = ref.extras, ref.dropped
+            segments += [ref.segment, *ref.extras]
+            continue
+        if verdict is not None:
             report.verdict = verdict
             if verdict.status is rigor.VerdictStatus.UNKNOWN:
                 report.notes.append(

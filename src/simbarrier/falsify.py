@@ -3,19 +3,21 @@
 Four objectives are minimized by multi-start projected gradient descent
 with analytic gradients: certificate sign on the initial boxes, on the
 unsafe boxes, the normalized drift on the certificate's zero level set,
-and the reset condition on guard boxes.  A negative minimum yields a
-counter-example point, which is extended to a simulation segment through
-the forward/backward drift rides; the segment is checked to actually
-refute the candidate before it is returned.
+and the reset condition on guard boxes.  Each search returns a ``Hit`` for
+every start that ended somewhere, least value first.  A hit below
+-``_EPS_CE`` is a counter-example point, and ``refute`` is the one path
+from such points to simulation segments, for the falsifier's hits and the
+verifier's witness alike: it extends each point through the
+forward/backward drift rides, one ``sim.omega`` and one ``sim.alpha``
+batch for all of them, and checks that each segment refutes the
+candidate.  The first hit's segment must refute; any other segment that
+does not refute is dropped and counted.
 
-Every start of the four searches ends somewhere, and the starts that end
-at other violations add segments to the same round: least value first,
-up to ``_EXTRAS`` of them, skipping a point within ``_DISTINCT`` (relative,
-max norm) of one already taken in its search and mode.  Their rides run
-in the worst point's batches, one ``sim.omega`` and one ``sim.alpha``
-call, and each row ends where a ride of its own would end, so the worst
-segment is the one a round of one segment builds.  It must refute; an
-extra segment that does not refute is dropped and counted.  Adding
+``find_counterexample`` hands ``refute`` the worst hit and, least value
+first, up to ``_EXTRAS`` other hits, skipping a point within
+``_DISTINCT`` (relative, max norm) of one already taken in its search and
+mode.  Each row of a ride batch ends where a ride of its own would end,
+so the worst segment is the one a round of one segment builds.  Adding
 several counter-examples per round is common in counter-example-guided
 certificate synthesis (Abate et al., *FOSSIL*, HSCC 2021; Ravanbakhsh &
 Sankaranarayanan, Autonomous Robots, 2019).
@@ -67,7 +69,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -92,41 +94,29 @@ class RefutationError(RuntimeError):
     """
 
 
-@dataclass
-class FalsifyConfig:
-    starts: int = 16
-    seed: int = 0
-    bloat_factor: float = 1.1
-    t_max: float = 100.0
-
-
-@dataclass
-class CtrxplResult:
-    kind: str                     # initial | unsafe | transversality | reset
-    mode: int
-    x: np.ndarray
-    d: np.ndarray | None
-    value: float
-    segment: Segment | None = None
-    margin: float = 0.0           # the segment's margin under p, <= 0
-    search_time: float = 0.0
-    sim_time: float = 0.0
-    # the refuting segments of other distinct hits, and how many of their
-    # segments did not refute and were dropped
-    extras: list[Segment] = field(default_factory=list)
-    dropped: int = 0
-
-
 class Hit(NamedTuple):
-    """Where one start of a search ended: its value, the search's kind,
-    the mode, the state point and, for the drift search, the disturbance,
-    for the reset search, the rule."""
-    value: float
+    """Where one start of a search ended: its value (None for a point no
+    search gave, such as a verifier's witness), the search's kind, the
+    mode, the state point and, for the drift search, the disturbance, for
+    the reset search, the rule."""
+    value: float | None
     kind: str
     mode: int
     x: np.ndarray
     d: np.ndarray | None = None
     rule: model.ResetRule | None = None
+
+
+@dataclass
+class Refutation:
+    """The refuting segments of a round's counter-example hits."""
+    hit: Hit                      # the worst hit
+    segment: Segment              # its segment
+    margin: float                 # the segment's margin under p, <= 0
+    extras: list[Segment]         # the refuting segments of the other hits
+    dropped: int                  # other hits' segments that did not refute
+    search_time: float = 0.0
+    sim_time: float = 0.0
 
 
 _dot = model.row_dot
@@ -261,32 +251,29 @@ def _multistart(regions: Sequence[tuple[object, Box]], starts: int,
 
 
 def _min_sign(cert: Certificate, regions, sign: float, starts: int,
-              seed: int, kind: str, hits: list[Hit] | None):
+              seed: int, kind: str) -> list[Hit]:
     def descend(mode, lo, hi, z0):
         mc = cert[mode]
         z, values = minimize_box(lambda z: sign * mc.value(z),
                                  lambda z: sign * mc.grad(z), lo, hi, z0)
         return z, values, range(len(z))
 
-    results = _multistart(regions, starts, seed, descend)
-    if hits is not None:
-        hits.extend(Hit(value, kind, mode, x) for value, mode, x in results)
-    value, mode, x = results[0]
-    return (mode, x), value
+    return [Hit(value, kind, mode, x)
+            for value, mode, x in _multistart(regions, starts, seed, descend)]
 
 
 def min_initial(prob: Problem, cert: Certificate, starts: int = 16,
-                seed: int = 0, *, hits: list[Hit] | None = None):
-    """Minimize -V over the initial boxes; returns ((mode, x), value).
-    ``hits``, when given, receives every start's ``Hit``, least first."""
-    return _min_sign(cert, prob.initial, -1.0, starts, seed, "initial", hits)
+                seed: int = 0) -> list[Hit]:
+    """Minimize -V over the initial boxes; returns every start's ``Hit``,
+    least first."""
+    return _min_sign(cert, prob.initial, -1.0, starts, seed, "initial")
 
 
 def min_unsafe(prob: Problem, cert: Certificate, starts: int = 16,
-               seed: int = 0, *, hits: list[Hit] | None = None):
-    """Minimize V over the unsafe boxes; returns ((mode, x), value).
-    ``hits``, when given, receives every start's ``Hit``, least first."""
-    return _min_sign(cert, prob.unsafe, 1.0, starts, seed, "unsafe", hits)
+               seed: int = 0) -> list[Hit]:
+    """Minimize V over the unsafe boxes; returns every start's ``Hit``,
+    least first."""
+    return _min_sign(cert, prob.unsafe, 1.0, starts, seed, "unsafe")
 
 
 def _drift_objective(prob: Problem, mode: int, mc: ModeCertificate):
@@ -363,7 +350,7 @@ def _retraction(prob: Problem, mc: ModeCertificate, lo: np.ndarray,
 
 
 def min_transversality(prob: Problem, cert: Certificate, starts: int = 16,
-                       seed: int = 0, *, hits: list[Hit] | None = None):
+                       seed: int = 0) -> list[Hit]:
     """Minimize the normalized drift over the certificate's zero level set
     and the disturbance box.
 
@@ -375,9 +362,8 @@ def min_transversality(prob: Problem, cert: Certificate, starts: int = 16,
     so every accepted point stays in the band, in omega and in the
     disturbance box.
 
-    Returns ((mode, x), d, value); value is +inf when no start reaches the
-    level set (no zero-level point found).  ``hits``, when given, receives
-    the ``Hit`` of every landed start, least first.
+    Returns the ``Hit`` of every landed start, least first: none when no
+    start reaches the level set.
     """
     band = _LEVEL_BAND * (1.0 + float(np.linalg.norm(cert.p)))
     n = prob.dim
@@ -394,15 +380,9 @@ def min_transversality(prob: Problem, cert: Certificate, starts: int = 16,
                                  project=_retraction(prob, mc, lo, hi, band))
         return z, values, rows
 
-    results = _multistart(list(enumerate(prob.flow_boxes)), starts, seed,
-                          descend)
-    if hits is not None:
-        hits.extend(Hit(value, "transversality", mode, z[:n], z[n:])
-                    for value, mode, z in results)
-    if not results:
-        return None, None, math.inf
-    value, mode, z = results[0]
-    return (mode, z[:n]), z[n:], value
+    return [Hit(value, "transversality", mode, z[:n], z[n:])
+            for value, mode, z in _multistart(list(enumerate(prob.flow_boxes)),
+                                              starts, seed, descend)]
 
 
 def _reset_objective(rule: model.ResetRule, cert: Certificate):
@@ -437,28 +417,22 @@ def _reset_objective(rule: model.ResetRule, cert: Certificate):
 
 
 def min_reset(prob: Problem, cert: Certificate, starts: int = 16,
-              seed: int = 0, *, hits: list[Hit] | None = None):
-    """Minimize max(V(x), -V(r(x))) over guard boxes.
-
-    Returns ((rule_index, x), value); +inf when the problem has no resets.
-    ``hits``, when given, receives every start's ``Hit``, least first.
-    """
+              seed: int = 0) -> list[Hit]:
+    """Minimize max(V(x), -V(r(x))) over guard boxes; returns every start's
+    ``Hit``, least first, and none when the problem has no resets."""
     if not prob.resets:
-        return None, math.inf
+        return []
 
     def descend(idx, lo, hi, z0):
         z, values = minimize_box(*_reset_objective(prob.resets[idx], cert),
                                  lo, hi, z0)
         return z, values, range(len(z))
 
-    results = _multistart(
-        [(i, rule.guard) for i, rule in enumerate(prob.resets)], starts, seed,
-        descend)
-    if hits is not None:
-        hits.extend(Hit(value, "reset", prob.resets[idx].source, x, None,
-                        prob.resets[idx]) for value, idx, x in results)
-    value, idx, x = results[0]
-    return (idx, x), value
+    return [Hit(value, "reset", prob.resets[idx].source, x, None,
+                prob.resets[idx])
+            for value, idx, x in _multistart(
+                [(i, rule.guard) for i, rule in enumerate(prob.resets)],
+                starts, seed, descend)]
 
 
 def segment_margin(prob: Problem, cert: Certificate, seg: Segment) -> float:
@@ -470,59 +444,48 @@ def segment_margin(prob: Problem, cert: Certificate, seg: Segment) -> float:
 KINDS = ("initial", "unsafe", "transversality", "reset")
 
 
-def _segments(prob: Problem, cert: Certificate, points, *,
-              bloat_factor: float, t_max: float) -> list[Segment]:
-    """The simulation segment of each counter-example point ``(kind,
-    mode, x, rule)`` of ``points``, with ``kind`` one of ``KINDS``.
+def refute(prob: Problem, cert: Certificate, hits: Sequence[Hit], *,
+           bloat_factor: float, t_max: float) -> Refutation:
+    """Extend each counter-example ``Hit`` of ``hits``, worst first, to a
+    simulation segment and keep those that refute the candidate.
 
     Initial points ride forward, unsafe points backward, drift points both
     ways; a reset point rides backward in its source mode and forward from
-    its image under ``rule`` in the target mode.  The forward rides are
+    its image under its rule in the target mode.  The forward rides are
     one ``sim.omega`` batch and the backward rides one ``sim.alpha``
-    batch; each row ends where a ride of its own ends.
+    batch; each row ends where a ride of its own ends.  The first hit's
+    segment must have a ``segment_margin`` <= 0, or RefutationError is
+    raised; any other segment that does not refute is dropped and counted.
     """
+    t0 = time.perf_counter()
     ride = dict(bloat_factor=bloat_factor, t_max=t_max)
     forward, backward = [], []
-    for kind, mode, x, rule in points:
-        if kind == "reset":
-            forward.append((rule.target,
-                            rule.map_rows(np.array([x], dtype=float))[0]))
-        elif kind != "unsafe":
-            forward.append((mode, x))
-        if kind != "initial":
-            backward.append((mode, x))
+    for h in hits:
+        if h.kind == "reset":
+            forward.append((h.rule.target,
+                            h.rule.map_rows(np.array([h.x], dtype=float))[0]))
+        elif h.kind != "unsafe":
+            forward.append((h.mode, h.x))
+        if h.kind != "initial":
+            backward.append((h.mode, h.x))
     ends = iter(sim.omega(prob, cert, forward, **ride) if forward else ())
     begins = iter(sim.alpha(prob, cert, backward, **ride) if backward else ())
-    return [Segment.classify(
-                prob, *((mode, x) if kind == "initial" else next(begins)),
-                *((mode, x) if kind == "unsafe" else next(ends)))
-            for kind, mode, x, _ in points]
-
-
-def _refutes(kind: str, mode: int, x, margin: float) -> None:
-    """Raise RefutationError unless ``margin``, the margin of the segment
-    of a ``kind`` counter-example at ``x`` in ``mode``, is <= 0."""
-    if margin > 0.0:
+    segs = [Segment.classify(
+                prob, *((h.mode, h.x) if h.kind == "initial" else next(begins)),
+                *((h.mode, h.x) if h.kind == "unsafe" else next(ends)))
+            for h in hits]
+    margins = [segment_margin(prob, cert, seg) for seg in segs]
+    worst = hits[0]
+    if margins[0] > 0.0:
         raise RefutationError(
-            f"{kind} counter-example at {tuple(np.asarray(x).tolist())} in "
-            f"mode {mode} produced a segment with margin {margin:.3e} > 0; "
+            f"{worst.kind} counter-example at "
+            f"{tuple(np.asarray(worst.x).tolist())} in mode {worst.mode} "
+            f"produced a segment with margin {margins[0]:.3e} > 0; "
             "event localization or level-set landing is off")
-
-
-def refuting_segment(prob: Problem, cert: Certificate, kind: str, mode: int,
-                     x, rule: model.ResetRule | None = None, *,
-                     bloat_factor: float, t_max: float
-                     ) -> tuple[Segment, float]:
-    """Extend a counter-example point of ``kind`` (one of ``KINDS``, the
-    order of conditions 1-4) in ``mode`` to a simulation segment
-    (``_segments``), and return it with its ``segment_margin``, which must
-    be <= 0: a segment that does not refute the candidate raises
-    RefutationError."""
-    seg, = _segments(prob, cert, [(kind, mode, x, rule)],
-                     bloat_factor=bloat_factor, t_max=t_max)
-    margin = segment_margin(prob, cert, seg)
-    _refutes(kind, mode, x, margin)
-    return seg, margin
+    extras = [seg for seg, m in zip(segs[1:], margins[1:]) if m <= 0.0]
+    return Refutation(worst, segs[0], margins[0], extras,
+                      len(segs) - 1 - len(extras),
+                      sim_time=time.perf_counter() - t0)
 
 
 def _near(hit: Hit, taken: Hit) -> bool:
@@ -533,29 +496,27 @@ def _near(hit: Hit, taken: Hit) -> bool:
             <= _DISTINCT * (1.0 + np.abs(hit.x).max()))
 
 
-def find_counterexample(prob: Problem, cert: Certificate,
-                        cfg: FalsifyConfig | None = None) -> CtrxplResult | None:
-    """Run the four searches; construct and validate a refuting segment
-    for the worst violation, or none when every minimum is >= -_EPS_CE.
+def find_counterexample(prob: Problem, cert: Certificate, *, starts: int = 16,
+                        seed: int = 0, bloat_factor: float = 1.1,
+                        t_max: float = 100.0) -> Refutation | None:
+    """Run the four searches from ``starts`` starts each and ``refute`` the
+    candidate with the worst violation, or return None when every minimum
+    is >= -_EPS_CE.
 
     The other starts' violations, least first, add up to ``_EXTRAS``
-    extra segments: a hit near one already taken (``_near``) is skipped.
-    The worst's segment must refute, or RefutationError is raised; an
-    extra whose segment does not refute is dropped and counted.
+    extra hits: a hit near one already taken (``_near``) is skipped.
     """
-    cfg = cfg or FalsifyConfig()
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     seeds = [int(rng.integers(2 ** 63)) for _ in range(4)]
 
     t0 = time.perf_counter()
-    hits: list[Hit] = []
-    min_initial(prob, cert, cfg.starts, seeds[0], hits=hits)
-    min_unsafe(prob, cert, cfg.starts, seeds[1], hits=hits)
+    hits = [*min_initial(prob, cert, starts, seeds[0]),
+            *min_unsafe(prob, cert, starts, seeds[1])]
     nontrivial = any(any(any(e != 0 for e in m) for m in block)
                      for block in cert.template.monomials)
     if nontrivial:
-        min_transversality(prob, cert, cfg.starts, seeds[2], hits=hits)
-    min_reset(prob, cert, cfg.starts, seeds[3], hits=hits)
+        hits += min_transversality(prob, cert, starts, seeds[2])
+    hits += min_reset(prob, cert, starts, seeds[3])
     search_time = time.perf_counter() - t0
 
     # a stable sort: ties keep the order of KINDS, then of the starts
@@ -570,17 +531,6 @@ def find_counterexample(prob: Problem, cert: Certificate,
         if not any(_near(hit, t) for t in taken):
             taken.append(hit)
 
-    t1 = time.perf_counter()
-    segs = _segments(prob, cert,
-                     [(h.kind, h.mode, h.x, h.rule) for h in taken],
-                     bloat_factor=cfg.bloat_factor, t_max=cfg.t_max)
-    margins = [segment_margin(prob, cert, seg) for seg in segs]
-    worst = taken[0]
-    _refutes(worst.kind, worst.mode, worst.x, margins[0])
-    extras = [seg for seg, m in zip(segs[1:], margins[1:]) if m <= 0.0]
-    sim_time = time.perf_counter() - t1
-
-    return CtrxplResult(worst.kind, worst.mode, np.asarray(worst.x), worst.d,
-                        worst.value, segs[0], margin=margins[0],
-                        search_time=search_time, sim_time=sim_time,
-                        extras=extras, dropped=len(segs) - 1 - len(extras))
+    ref = refute(prob, cert, taken, bloat_factor=bloat_factor, t_max=t_max)
+    ref.search_time = search_time
+    return ref

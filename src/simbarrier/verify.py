@@ -36,7 +36,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -67,7 +66,6 @@ class ConditionReport:
     boxes_unresolved: int = 0
     volume_covered: float = 0.0
     region_volume: float = 0.0
-    wall_time: float = 0.0
 
 
 @dataclass
@@ -78,11 +76,6 @@ class Verdict:
     unresolved: list[Box] = field(default_factory=list)
     min_width_reached: float = math.inf
     reports: dict[int, ConditionReport] = field(default_factory=dict)
-
-
-@dataclass
-class VerifyConfig:
-    min_width_frac: float = 1e-4
 
 
 # disturbance dimensions only split once state dimensions are within this
@@ -217,10 +210,11 @@ def _cover(region: Box, min_widths: Sequence[float], n_state: int, check,
 
 
 def verify(prob: Problem, tmpl: Template, p: np.ndarray,
-           cfg: VerifyConfig | None = None) -> Verdict:
+           min_width_frac: float = 1e-4) -> Verdict:
     """Prove all four certificate conditions, refute one with a checkable
-    witness point, or give up with the unresolved boxes."""
-    cfg = cfg or VerifyConfig()
+    witness point, or give up with the unresolved boxes.  A box is split
+    no finer than ``min_width_frac`` of its region's width in each
+    dimension."""
     p = np.asarray(p, dtype=float)
     if not np.all(np.isfinite(p)):
         raise ValueError("certificate parameters must be finite")
@@ -231,11 +225,10 @@ def verify(prob: Problem, tmpl: Template, p: np.ndarray,
     tol = 1e-10 * p_scale
 
     def min_widths(box: Box) -> list[float]:
-        return [cfg.min_width_frac * w for w in box.widths()]
+        return [min_width_frac * w for w in box.widths()]
 
     def run_condition(cond: int, tasks):
         report = reports[cond]
-        t0 = time.perf_counter()
         with np.errstate(all="ignore"):
             for region, min_widths, n_state, check in tasks:
                 report.region_volume += region.volume()
@@ -244,12 +237,10 @@ def verify(prob: Problem, tmpl: Template, p: np.ndarray,
                 verdict.min_width_reached = min(verdict.min_width_reached,
                                                 reached)
                 if witness is not None:
-                    report.wall_time += time.perf_counter() - t0
                     return witness
                 verdict.unresolved.extend(unresolved)
                 if unresolved and verdict.condition is None:
                     verdict.condition = cond
-        report.wall_time += time.perf_counter() - t0
         return None
 
     def midpoint_witnesses(mode, mids, rows):

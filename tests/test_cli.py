@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from simbarrier import benchmarks, chebyshev, cli, engine, falsify, lp
+from simbarrier import (benchmarks, chebyshev, cli, engine, falsify, lp,
+                        model, verify)
 
 
 def _write(tmp_path, name, doc):
@@ -182,6 +183,26 @@ class TestVerifyCommand:
         doc = {"schema": "barrier/1", "modes": {"m": {"q^2": 1.0}}}
         path = _write(tmp_path, "bad.json", doc)
         assert cli.main(["verify", composition_path, "--barrier", path]) == 2
+
+    def test_min_box_width_reaches_the_verifier(self, tmp_path):
+        # pendulum's synthesized certificate: the default width proves
+        # condition 3 with 405 boxes, width 0.4 leaves boxes unresolved
+        doc = benchmarks.pendulum()
+        prob = model.load_problem(doc)
+        tmpl = model.make_template(doc["template"], prob.dim, len(prob.modes))
+        p = np.array([float.fromhex(v) for v in (
+            "-0x1.6734656fb7eb0p-6", "-0x1.89978c6213ef0p-10",
+            "0x1.29d2ebf984e72p-4", "-0x1.ebfd6f7a98e90p-8",
+            "-0x1.d17013b87ba6ep-1", "-0x1.0000000000000p+0")])
+        barrier = {"schema": "barrier/1",
+                   "modes": cli._barrier_json(prob, tmpl, p)}
+        report = tmp_path / "verdict.json"
+        assert cli.main(["verify", _write(tmp_path, "pendulum.json", doc),
+                         "--barrier", _write(tmp_path, "barrier.json", barrier),
+                         "--min-box-width", "0.4", "--report", str(report)]) == 1
+        boxes = json.loads(report.read_text())["boxes"]
+        assert boxes == cli._boxes_json(verify.verify(prob, tmpl, p, 0.4))
+        assert boxes != cli._boxes_json(verify.verify(prob, tmpl, p))
 
 
 class TestErrors:

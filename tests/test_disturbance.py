@@ -55,8 +55,8 @@ def test_alpha_picks_drift_minimizing_vertex():
 
 def test_transversality_searches_disturbance_jointly():
     prob = disturbed_line(1.5)
-    (mode, x), d, value = falsify.min_transversality(
-        prob, Certificate(TMPL, P), starts=12, seed=0)
+    value, _, _, x, d, _ = falsify.min_transversality(
+        prob, Certificate(TMPL, P), starts=12, seed=0)[0]
     # worst normalized drift is +1 direction: -(-1 + d)/... minimized
     # where -1 + d > 0, giving exactly -1
     assert value == pytest.approx(-1.0, abs=1e-6)
@@ -81,10 +81,9 @@ def test_verify_quantifies_over_disturbance_box():
 
 def test_find_counterexample_on_disturbed_system():
     prob = disturbed_line(1.5)
-    res = falsify.find_counterexample(
-        prob, Certificate(TMPL, P),
-        falsify.FalsifyConfig(starts=12, seed=0, t_max=30.0))
-    assert res is not None and res.kind == "transversality"
+    res = falsify.find_counterexample(prob, Certificate(TMPL, P), starts=12,
+                                      seed=0, t_max=30.0)
+    assert res is not None and res.hit.kind == "transversality"
     assert falsify.segment_margin(prob, Certificate(TMPL, P), res.segment) <= 0.0
     # the forward endpoint rode the drift-maximizing disturbance upward
     assert res.segment.sp[0] > res.segment.s[0]

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import sys
@@ -6,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from simbarrier import benchmarks, chebyshev, engine, expr, falsify, model
+from simbarrier import (benchmarks, chebyshev, engine, expr, falsify, model,
+                        verify)
 from simbarrier.engine import RunConfig, RunStatus
 from simbarrier.model import Certificate
 from simbarrier.verify import VerdictStatus
@@ -114,7 +116,7 @@ class TestRunInvariants:
                 assert rec.value is None and rec.search_time > 0.0
             else:
                 assert (rec.kind, rec.value, rec.search_time) == \
-                    (ce.kind, ce.value, ce.search_time)
+                    (ce.hit.kind, ce.hit.value, ce.search_time)
                 assert rec.value < 0.0 < rec.search_time
         assert any(ce is not None for ce in seen)
         assert sum(r.search_time for r in report.log) == \
@@ -146,6 +148,23 @@ class TestConfigValidation:
 
     def test_ride_horizon_default(self):
         assert RunConfig(sigma=0.25).ride_horizon == 25.0
+
+    def test_min_width_frac_reaches_the_verifier(self, monkeypatch):
+        prob = model.load_problem(benchmarks.composition())
+        tmpl = model.make_template("linear", 3, 1)
+        seen = []
+        inner = verify.verify
+
+        def recorded(*args, **kwargs):
+            bound = inspect.signature(inner).bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append(bound.arguments["min_width_frac"])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "verify", recorded)
+        report = engine.run(prob, tmpl, RunConfig(sigma=0.1, seed=0,
+                                                  min_width_frac=0.25))
+        assert report.verdict is not None and seen == [0.25]
 
 
 def _doc_run(doc: dict) -> tuple:
@@ -275,3 +294,29 @@ def test_thermostat_compiles_each_batch_once(monkeypatch):
     assert report.status is RunStatus.BARRIER_FOUND
     assert len(prob.modes) == len(prob.resets) == 2
     assert len(compiled) == 12
+
+
+def test_verifier_refutation_adds_the_witness_segment(monkeypatch):
+    """A candidate the falsifier misses goes to the verifier; its refuted
+    verdict's witness becomes the round's one refuting segment.  Pendulum's
+    first candidate, with the falsifier's first search made to miss, is
+    refuted on condition 3."""
+    calls = []
+    inner = falsify.find_counterexample
+
+    def first_misses(*args, **kwargs):
+        calls.append(None)
+        return None if len(calls) == 1 else inner(*args, **kwargs)
+
+    monkeypatch.setattr(falsify, "find_counterexample", first_misses)
+    prob, tmpl, cfg = _doc_run(benchmarks.pendulum())
+    report = engine.run(prob, tmpl, cfg)
+    first = report.log[0]
+    assert (first.kind, first.value, float(first.segment_margin).hex()) == \
+        ("verify-refuted-3", None, "-0x1.85d04c7918340p-6")
+    assert first.segments_added == 1 and first.segments_dropped == 0
+    assert falsify.segment_margin(prob, Certificate(tmpl, first.p),
+                                  first.segment) == first.segment_margin
+    assert report.status is RunStatus.BARRIER_FOUND
+    assert report.verdict.status is VerdictStatus.VERIFIED
+    assert (report.iterations, report.segment_count) == (5, 13)

@@ -5,7 +5,6 @@ import pytest
 
 from simbarrier import benchmarks, engine, expr as ex, falsify, model
 from simbarrier.falsify import (
-    FalsifyConfig,
     find_counterexample,
     min_initial,
     min_reset,
@@ -247,22 +246,22 @@ def test_drift_objective_rows_match_point_evaluation():
 class TestSignSearches:
     def test_initial_closed_form(self):
         prob, tmpl, p = composition_with_linear_barrier()
-        (mode, x), value = min_initial(prob, Certificate(tmpl, p), starts=8, seed=0)
-        assert value == pytest.approx(8.87225682329, abs=1e-8)
-        assert x[0] == pytest.approx(9.0, abs=1e-8)
+        hit = min_initial(prob, Certificate(tmpl, p), starts=8, seed=0)[0]
+        assert hit.value == pytest.approx(8.87225682329, abs=1e-8)
+        assert hit.x[0] == pytest.approx(9.0, abs=1e-8)
 
     def test_unsafe_closed_form(self):
         prob, tmpl, p = composition_with_linear_barrier()
-        (mode, x), value = min_unsafe(prob, Certificate(tmpl, p), starts=8, seed=0)
-        assert value == pytest.approx(9.12774317671, abs=1e-8)
-        assert x[0] == pytest.approx(-9.0, abs=1e-8)
+        hit = min_unsafe(prob, Certificate(tmpl, p), starts=8, seed=0)[0]
+        assert hit.value == pytest.approx(9.12774317671, abs=1e-8)
+        assert hit.x[0] == pytest.approx(-9.0, abs=1e-8)
 
     def test_zero_template_gives_zero(self):
         prob, tmpl, _ = composition_with_linear_barrier()
         p0 = np.zeros(tmpl.size)
-        _, v_init = min_initial(prob, Certificate(tmpl, p0), starts=4, seed=0)
-        _, v_unsafe = min_unsafe(prob, Certificate(tmpl, p0), starts=4, seed=0)
-        assert v_init == 0.0 and v_unsafe == 0.0
+        init = min_initial(prob, Certificate(tmpl, p0), starts=4, seed=0)
+        unsafe = min_unsafe(prob, Certificate(tmpl, p0), starts=4, seed=0)
+        assert init[0].value == 0.0 and unsafe[0].value == 0.0
 
     def test_interior_peak_found_with_grid_oracle(self):
         # V = -(x - c)^2 has -V minimal (zero) at c inside the initial box
@@ -273,9 +272,9 @@ class TestSignSearches:
         p = np.array([-c * c, 2 * c, -1.0])  # -(x - c)^2 expanded
         grid = np.arange(-1.0, 1.0 + 1e-9, 1e-4)
         oracle = min(-(-(g - c) ** 2) for g in grid)
-        (mode, x), value = min_initial(prob, Certificate(tmpl, p), starts=8, seed=1)
-        assert value == pytest.approx(oracle, abs=1e-8)
-        assert x[0] == pytest.approx(c, abs=1e-5)
+        hit = min_initial(prob, Certificate(tmpl, p), starts=8, seed=1)[0]
+        assert hit.value == pytest.approx(oracle, abs=1e-8)
+        assert hit.x[0] == pytest.approx(c, abs=1e-5)
 
 
 def circle_problem(center=0.0, contraction=0.2, omega=((0.5, 3.5), (-1.5, 1.5)),
@@ -309,8 +308,8 @@ class TestTransversality:
         # inward at a constant angle: the normalized drift is c/sqrt(1 + c^2)
         # at every point
         prob, tmpl, p = circle_problem(0.0, 0.2, omega=((-2, 2), (-2, 2)))
-        (_, x), _, value = min_transversality(prob, Certificate(tmpl, p),
-                                              starts=8, seed=0)
+        value, _, _, x, _, _ = min_transversality(prob, Certificate(tmpl, p),
+                                                  starts=8, seed=0)[0]
         assert value == pytest.approx(0.2 / math.sqrt(1.04), abs=1e-12)
         assert abs(x @ x - 1.0) <= _band(p)
 
@@ -322,8 +321,8 @@ class TestTransversality:
         # point, so by the law of sines its angle at the origin has the
         # sine cos(atan(c)) / 2 < 1
         prob, tmpl, p = circle_problem(2.0, 0.2)
-        (_, x), _, value = min_transversality(prob, Certificate(tmpl, p),
-                                              starts=8, seed=0)
+        value, _, _, x, _, _ = min_transversality(prob, Certificate(tmpl, p),
+                                                  starts=8, seed=0)[0]
         assert value == pytest.approx(-1.0, abs=1e-9)
         normal = np.array([x[0] - 2.0, x[1]])
         flow = np.array([-x[1] - 0.2 * x[0], x[0] - 0.2 * x[1]])
@@ -335,9 +334,8 @@ class TestTransversality:
         # omega cuts the circle, so the retraction meets the box
         prob, tmpl, p = circle_problem(2.0, 0.2, omega=((1.2, 3.5), (-1.5, 0.6)),
                                        dist=(-0.5, 0.5))
-        pt, d, value = min_transversality(prob, Certificate(tmpl, p),
-                                          starts=8, seed=seed)
-        _, x = pt
+        value, _, _, x, d, _ = min_transversality(prob, Certificate(tmpl, p),
+                                                  starts=8, seed=seed)[0]
         assert value < 0
         assert abs(model.template_value(tmpl, p, 0, x)) <= _band(p)
         assert prob.modes[0].omega.contains(x) and prob.dist_box.contains(d)
@@ -368,8 +366,8 @@ class TestTransversality:
         prob = line_problem("1", omega=(-1.0, 1.0))
         tmpl = linear_template_1d()
         p = np.array([0.0, 1.0])  # V = x, flow +1: worst drift value -1
-        (mode, x), d, value = min_transversality(prob, Certificate(tmpl, p),
-                                                 starts=8, seed=0)
+        value, _, mode, x, _, _ = min_transversality(
+            prob, Certificate(tmpl, p), starts=8, seed=0)[0]
         assert value == pytest.approx(-1.0, abs=1e-8)
         assert abs(model.template_value(tmpl, p, mode, x)) <= 1e-6 * 2
 
@@ -377,9 +375,9 @@ class TestTransversality:
         prob = line_problem("-1", omega=(-1.0, 1.0))
         tmpl = linear_template_1d()
         p = np.array([0.0, 1.0])
-        _, _, value = min_transversality(prob, Certificate(tmpl, p),
-                                         starts=8, seed=0)
-        assert value == pytest.approx(1.0, abs=1e-8)
+        hit = min_transversality(prob, Certificate(tmpl, p),
+                                 starts=8, seed=0)[0]
+        assert hit.value == pytest.approx(1.0, abs=1e-8)
 
     def test_pendulum_horizontal_level_set_with_grid_oracle(self):
         prob = model.load_problem(benchmarks.pendulum())
@@ -394,17 +392,16 @@ class TestTransversality:
         grid = np.arange(-10.0, 10.0 + 1e-9, 1e-3)
         oracle = min(normalized_drift(x) for x in grid)
         assert oracle > 0  # the flow never crosses upward
-        _, _, value = min_transversality(prob, Certificate(tmpl, p),
-                                         starts=12, seed=0)
-        assert value > 0
-        assert value >= oracle - 1e-6
+        hit = min_transversality(prob, Certificate(tmpl, p),
+                                 starts=12, seed=0)[0]
+        assert hit.value > 0
+        assert hit.value >= oracle - 1e-6
 
     def test_constant_gradient_free_template_fails_cleanly(self):
         prob = line_problem("1")
         tmpl = Template((((0,),),))
-        pt, d, value = min_transversality(prob, Certificate(tmpl, np.array([1.0])),
-                                          starts=4, seed=0)
-        assert pt is None and value == math.inf
+        assert min_transversality(prob, Certificate(tmpl, np.array([1.0])),
+                                  starts=4, seed=0) == []
 
 
 class TestReset:
@@ -413,26 +410,25 @@ class TestReset:
 
     def test_no_resets_is_vacuous(self):
         prob = line_problem("1")
-        _, value = min_reset(prob, Certificate(linear_template_1d(),
-                                               np.array([0.0, 1.0])),
-                             starts=4, seed=0)
-        assert value == math.inf
+        assert min_reset(prob, Certificate(linear_template_1d(),
+                                           np.array([0.0, 1.0])),
+                         starts=4, seed=0) == []
 
     def test_point_guard_values(self):
         prob = self._problem()
         tmpl = linear_template_1d()
         # V = x - 0.5: max(V(1), -V(0)) = max(0.5, 0.5) = 0.5
-        _, value = min_reset(prob, Certificate(tmpl, np.array([-0.5, 1.0])),
-                             starts=4, seed=0)
-        assert value == pytest.approx(0.5, abs=1e-12)
+        hit = min_reset(prob, Certificate(tmpl, np.array([-0.5, 1.0])),
+                        starts=4, seed=0)[0]
+        assert hit.value == pytest.approx(0.5, abs=1e-12)
         # V = x - 2: max(-1, 2) = 2
-        _, value = min_reset(prob, Certificate(tmpl, np.array([-2.0, 1.0])),
-                             starts=4, seed=0)
-        assert value == pytest.approx(2.0, abs=1e-12)
+        hit = min_reset(prob, Certificate(tmpl, np.array([-2.0, 1.0])),
+                        starts=4, seed=0)[0]
+        assert hit.value == pytest.approx(2.0, abs=1e-12)
         # V = -x + 0.5: max(-0.5, -0.5) = -0.5, a violation
-        _, value = min_reset(prob, Certificate(tmpl, np.array([0.5, -1.0])),
-                             starts=4, seed=0)
-        assert value == pytest.approx(-0.5, abs=1e-12)
+        hit = min_reset(prob, Certificate(tmpl, np.array([0.5, -1.0])),
+                        starts=4, seed=0)[0]
+        assert hit.value == pytest.approx(-0.5, abs=1e-12)
 
     def test_undefined_map_rows_are_inf_with_zero_gradient(self):
         # r(x) = 1/x + x^400 divides by zero at x = 0 and x = -0.0 and
@@ -459,7 +455,7 @@ class TestFindCounterexample:
     def test_none_when_all_conditions_hold(self):
         prob, tmpl, p = composition_with_linear_barrier()
         assert find_counterexample(prob, Certificate(tmpl, p),
-                                   FalsifyConfig(starts=8, seed=0)) is None
+                                   starts=8, seed=0) is None
 
     def test_transversality_violation_builds_long_segment(self):
         prob = line_problem("1", omega=(-1.0, 1.0), init=(-0.9, -0.8),
@@ -467,8 +463,8 @@ class TestFindCounterexample:
         tmpl = linear_template_1d()
         p = np.array([0.0, 1.0])  # V = x increases along the flow
         res = find_counterexample(prob, Certificate(tmpl, p),
-                                  FalsifyConfig(starts=8, seed=0, t_max=50.0))
-        assert res is not None and res.kind == "transversality"
+                                  starts=8, seed=0, t_max=50.0)
+        assert res is not None and res.hit.kind == "transversality"
         seg = res.segment
         assert seg.s[0] == pytest.approx(-1.1, abs=1e-5)
         assert seg.sp[0] == pytest.approx(1.1, abs=1e-5)
@@ -482,8 +478,8 @@ class TestFindCounterexample:
         tmpl = linear_template_1d()
         p = np.array([0.5, 1.0])
         res = find_counterexample(prob, Certificate(tmpl, p),
-                                  FalsifyConfig(starts=8, seed=0))
-        assert res is not None and res.kind == "initial"
+                                  starts=8, seed=0)
+        assert res is not None and res.hit.kind == "initial"
         v_at_start = model.template_value(tmpl, p, res.segment.s_mode,
                                           res.segment.s)
         assert v_at_start >= 0.0
@@ -497,8 +493,8 @@ class TestFindCounterexample:
         tmpl = linear_template_1d()
         p = np.array([0.5, -1.0])
         res = find_counterexample(prob, Certificate(tmpl, p),
-                                  FalsifyConfig(starts=8, seed=0))
-        assert res is not None and res.kind == "reset"
+                                  starts=8, seed=0)
+        assert res is not None and res.hit.kind == "reset"
         assert segment_margin(prob, Certificate(tmpl, p), res.segment) <= 0.0
 
     def test_determinism(self):
@@ -506,12 +502,11 @@ class TestFindCounterexample:
                             unsafe=(0.8, 0.9))
         tmpl = linear_template_1d()
         p = np.array([0.5, 1.0])
-        cfg = FalsifyConfig(starts=8, seed=123)
-        a = find_counterexample(prob, Certificate(tmpl, p), cfg)
-        b = find_counterexample(prob, Certificate(tmpl, p), cfg)
-        assert a.kind == b.kind
-        assert np.array_equal(a.x, b.x)
-        assert a.value == b.value
+        a = find_counterexample(prob, Certificate(tmpl, p), starts=8, seed=123)
+        b = find_counterexample(prob, Certificate(tmpl, p), starts=8, seed=123)
+        assert a.hit.kind == b.hit.kind
+        assert np.array_equal(a.hit.x, b.hit.x)
+        assert a.hit.value == b.hit.value
         assert a.segment == b.segment
 
 
@@ -587,18 +582,20 @@ def test_golden_counterexamples(case, monkeypatch):
 
         def recorded(*args, _inner=inner, _search=search, **kwargs):
             result = _inner(*args, **kwargs)
-            seen[_search] = float(result[-1]).hex()
+            seen[_search] = float(result[0].value if result
+                                  else math.inf).hex()
             return result
 
         monkeypatch.setattr(falsify, search, recorded)
-    res = find_counterexample(prob, Certificate(tmpl, p), FalsifyConfig(
-        starts=16, seed=seed, bloat_factor=1.1, t_max=t_max))
+    res = find_counterexample(prob, Certificate(tmpl, p), starts=16,
+                              seed=seed, bloat_factor=1.1, t_max=t_max)
     assert seen == minima
     if expected is None:
         assert res is None
         return
     kind, value, x, (s_mode, s, sp_mode, sp, *flags) = expected
-    assert (res.kind, float(res.value).hex(), _hex(res.x)) == (kind, value, x)
+    assert (res.hit.kind, float(res.hit.value).hex(), _hex(res.hit.x)) == \
+        (kind, value, x)
     seg = res.segment
     assert (seg.s_mode, _hex(seg.s), seg.sp_mode, _hex(seg.sp)) == \
         (s_mode, s, sp_mode, sp)
@@ -613,7 +610,7 @@ def _round_one():
     prob = model.load_problem(doc)
     tmpl = model.make_template(doc["template"], prob.dim, len(prob.modes))
     cert = Certificate(tmpl, np.array([float.fromhex(v) for v in p_hex]))
-    return prob, cert, FalsifyConfig(starts=16, seed=seed, t_max=t_max)
+    return prob, cert, dict(starts=16, seed=seed, t_max=t_max)
 
 
 class TestExtraSegments:
@@ -622,24 +619,24 @@ class TestExtraSegments:
 
     def test_extras_are_distinct_refuting_and_capped(self, monkeypatch):
         prob, cert, cfg = _round_one()
-        res = find_counterexample(prob, cert, cfg)
+        res = find_counterexample(prob, cert, **cfg)
         assert len(res.extras) == falsify._EXTRAS and res.dropped == 0
         ends = [(s.s, s.sp) for s in (res.segment, *res.extras)]
         assert len(set(ends)) == len(ends)
         assert all(segment_margin(prob, cert, s) <= 0.0 for s in res.extras)
         monkeypatch.setattr(falsify, "_EXTRAS", 1)
-        fewer = find_counterexample(prob, cert, cfg)
+        fewer = find_counterexample(prob, cert, **cfg)
         assert fewer.segment == res.segment
         assert fewer.extras == res.extras[:1]
 
     @pytest.mark.parametrize("refuting", [[True, False, True, False],
                                           [False, True, True, True]])
-    def test_non_refuting_segments(self, monkeypatch, refuting):
+    def test_segments_that_do_not_refute(self, monkeypatch, refuting):
         """An extra whose segment does not refute is dropped and counted,
         and the worst segment is kept; a worst segment that does not
         refute raises."""
         prob, cert, cfg = _round_one()
-        want = find_counterexample(prob, cert, cfg)
+        want = find_counterexample(prob, cert, **cfg)
         margins = iter(refuting)
         inner = falsify.segment_margin
 
@@ -650,9 +647,9 @@ class TestExtraSegments:
         if not refuting[0]:
             with pytest.raises(falsify.RefutationError,
                                match="transversality"):
-                find_counterexample(prob, cert, cfg)
+                find_counterexample(prob, cert, **cfg)
             return
-        res = find_counterexample(prob, cert, cfg)
+        res = find_counterexample(prob, cert, **cfg)
         assert (res.segment, res.margin) == (want.segment, want.margin)
         assert res.extras == [want.extras[1]] and res.dropped == 2
 
@@ -667,7 +664,7 @@ class TestExtraSegments:
 
         def recorded(*args, **kwargs):
             result = inner(*args, **kwargs)
-            hits.extend(h for h in kwargs["hits"] if h.value < -1e-9)
+            hits.extend(h for h in result if h.value < -1e-9)
             return result
 
         monkeypatch.setattr(falsify, "min_transversality", recorded)

@@ -454,11 +454,13 @@ class TestJumpStop:
         assert mode == 1
         assert abs(end[0] - 20.0) <= 1e-6
         # the reset counter-example (off, 16) now gives a refuting segment
-        seg, margin = falsify.refuting_segment(
-            prob, cert, "reset", 0, (16.0,), prob.resets[0],
+        ref = falsify.refute(
+            prob, cert, [falsify.Hit(None, "reset", 0, (16.0,), None,
+                                     prob.resets[0])],
             bloat_factor=1.1, t_max=50.0)
+        seg = ref.segment
         assert seg.sp_mode == 1 and abs(seg.sp[0] - 20.0) <= 1e-6
-        assert falsify.segment_margin(prob, cert, seg) == margin <= 0.0
+        assert falsify.segment_margin(prob, cert, seg) == ref.margin <= 0.0
 
     def test_backward_ride_stops_before_a_rising_jump(self):
         prob = _thermostat()

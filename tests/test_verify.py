@@ -8,7 +8,7 @@ import pytest
 from simbarrier import benchmarks, cli, expr as ex, model
 from simbarrier import verify as verify_module
 from simbarrier.model import Box, ModeDef, Problem, Template
-from simbarrier.verify import VerdictStatus, VerifyConfig, verify
+from simbarrier.verify import VerdictStatus, verify
 
 from conftest import line_problem, linear_template_1d, sawtooth_problem
 
@@ -188,7 +188,7 @@ class TestMonotoneEffort:
     def test_finer_width_never_flips_verified_to_refuted(self):
         prob, tmpl, p = composition_with_published_barrier()
         for frac in (1e-2, 1e-3, 1e-4):
-            verdict = verify(prob, tmpl, p, VerifyConfig(min_width_frac=frac))
+            verdict = verify(prob, tmpl, p, frac)
             assert verdict.status is VerdictStatus.VERIFIED
 
     def test_unknown_can_resolve_with_effort(self):
@@ -197,8 +197,8 @@ class TestMonotoneEffort:
                             unsafe=(0.8, 0.9))
         tmpl = Template((((0,), (2,)),))
         p = np.array([-0.25, 1.0])
-        coarse = verify(prob, tmpl, p, VerifyConfig(min_width_frac=0.4))
-        fine = verify(prob, tmpl, p, VerifyConfig(min_width_frac=1e-4))
+        coarse = verify(prob, tmpl, p, 0.4)
+        fine = verify(prob, tmpl, p, 1e-4)
         assert coarse.status in (VerdictStatus.UNKNOWN, VerdictStatus.VERIFIED)
         assert fine.status is VerdictStatus.VERIFIED
 
