@@ -8,6 +8,9 @@ max-norm at most one that maximizes the worst normalized margin, i.e. the
 Chebyshev center of the row system.  Disjunctions are resolved exactly by
 best-first branch-and-bound over per-segment disjunct choices, with the
 node relaxation dropping unresolved disjunctions (a valid upper bound).
+Each relaxation is one ``lp.lp_max`` over rows ``r.p - delta >= 0``;
+with ``|r| = 1`` every such row holds at the lower corner ``p = -1``,
+``delta = -(sqrt(k) + 1)``, where the simplex starts.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import lp
-from .model import Problem, Segment, Template, coeff_row
+from . import lp, model
+from .model import Problem, Segment, Template
 
 
 _GAP_TOL = 1e-9  # nodes whose bound is within this of the incumbent are pruned
@@ -49,37 +52,41 @@ class Candidate:
     pivots: int = 0   # simplex pivots over every LP of the solve
 
 
-def _unit(row: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(row))
-    if norm < 1e-300:
-        raise ConstraintError(
-            "zero coefficient row; templates must carry a constant monomial")
-    return row / norm
-
-
 def build(segments: Sequence[Segment], tmpl: Template,
           prob: Problem) -> SampledConstraint:
-    """Assemble the normalized row system for a set of segments."""
+    """Assemble the normalized row system for a set of segments.
+
+    The rows of all endpoints come from one call per mode of the
+    template's compiled monomials (``Template.monomial_rows``); each row
+    is divided by its norm.  Raises ConstraintError when an endpoint's
+    row is not finite (a monomial overflows there), naming the first.
+    """
     if not segments:
         raise ConstraintError("no segments")
-    k = tmpl.size
-    hard: list[np.ndarray] = []
-    disj: list[np.ndarray] = []
-    for seg in segments:
-        a_s = _unit(coeff_row(tmpl, seg.s_mode, seg.s))
-        a_sp = _unit(coeff_row(tmpl, seg.sp_mode, seg.sp))
-        if seg.s_in_initial:
-            hard.append(-a_s)
-        if seg.s_in_unsafe:
-            hard.append(a_s)
-        if seg.sp_in_initial:
-            hard.append(-a_sp)
-        if seg.sp_in_unsafe:
-            hard.append(a_sp)
-        disj.append(np.stack([a_s, -a_sp]))
-    hard_arr = np.array(hard) if hard else np.empty((0, k))
-    disj_arr = np.array(disj) if disj else np.empty((0, 2, k))
-    return SampledConstraint(k, hard_arr, disj_arr)
+    # endpoint 2i is segment i's start, 2i + 1 its end
+    modes = np.array([m for seg in segments for m in (seg.s_mode, seg.sp_mode)])
+    points = np.array([x for seg in segments for x in (seg.s, seg.sp)],
+                      dtype=float)
+    rows = np.zeros((len(points), tmpl.size))
+    for mode, monomials in enumerate(tmpl.monomial_rows):
+        at = np.flatnonzero(modes == mode)
+        rows[at, tmpl.block_slice(mode)] = monomials(points[at])
+    norm2 = model.row_dot(rows, rows)
+    bad = ~np.isfinite(norm2)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ConstraintError(
+            f"mode {prob.modes[modes[i]].name!r}: the template's monomials "
+            f"at the point {tuple(points[i].tolist())} are not finite")
+    units = (rows / np.sqrt(norm2)[:, None]).reshape(len(segments), 2, -1)
+    # per segment, the hard rows -a_s, a_s, -a_sp, a_sp where the start
+    # or end is initial or unsafe, in that order
+    signed = np.stack([-units[:, 0], units[:, 0], -units[:, 1], units[:, 1]],
+                      axis=1)
+    flags = np.array([(seg.s_in_initial, seg.s_in_unsafe, seg.sp_in_initial,
+                       seg.sp_in_unsafe) for seg in segments])
+    disj = np.stack([units[:, 0], -units[:, 1]], axis=1)
+    return SampledConstraint(tmpl.size, signed[flags], disj)
 
 
 def margin(c: SampledConstraint, p: np.ndarray) -> float:
@@ -107,11 +114,9 @@ def _relaxation(c: SampledConstraint, assign: np.ndarray):
     rows[:, k] = -1.0
     obj = np.zeros(k + 1)
     obj[k] = 1.0
-    delta_cap = math.sqrt(k) + 1.0
-    bounds = [(-1.0, 1.0)] * k + [(-delta_cap, delta_cap)]
-    res = lp.lp_max(obj, [(r, ">=", 0.0) for r in rows], bounds)
-    if not res.optimal:  # unreachable: p = 0 satisfies every row at delta 0
-        raise ConstraintError("relaxation infeasible")
+    hi = np.ones(k + 1)
+    hi[k] = math.sqrt(k) + 1.0
+    res = lp.lp_max(obj, rows, np.zeros(len(rows)), -hi, hi)
     return res.x[:k], float(res.value), res.pivots
 
 

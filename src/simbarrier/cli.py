@@ -92,10 +92,14 @@ def _run_config(doc: dict, args, path: str) -> engine.RunConfig:
             return flag
         value = run.get(key, default)
         try:
+            if isinstance(value, bool) or (kind is int and isinstance(
+                    value, float) and not value.is_integer()):
+                raise TypeError
             return kind(value)
         except (TypeError, ValueError, OverflowError):
+            what = "an integer" if kind is int else "a number"
             raise ProblemFormatError(
-                f"run.{key}", f"expected a number, got {value!r}") from None
+                f"run.{key}", f"expected {what}, got {value!r}") from None
 
     try:
         return engine.RunConfig(

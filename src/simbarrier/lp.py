@@ -1,12 +1,13 @@
-"""Dense bounded-variable primal simplex.
+"""Dense bounded-variable primal simplex for ``A x >= b``.
 
-Every solve starts at the lower corner of the box, from a crash basis:
-each row whose residual there fits its slack's bounds starts with that
-slack basic, and only the other rows get a basic artificial variable.
-Phase 1 drives those artificials to zero and is skipped when there are
-none, as for the max-margin rows of the candidate search, which all hold
-at that corner (Bixby, *Implementing the simplex method: the initial
-basis*, ORSA J. Computing 4(3), 1992).  The entering variable
+``lp_max`` maximizes ``c.x`` over ``A x >= b`` and ``lo <= x <= hi``,
+starting every solve from the all-slack basis at the lower corner
+``x = lo``, which must satisfy every row (``LPError`` otherwise).  The
+max-margin rows ``u.p - delta >= 0`` of the candidate search, with
+``|u| = 1`` and ``p`` in ``[-1, 1]^k``, hold there with room to spare: at
+``p = -1`` and ``delta = -(sqrt(k) + 1)`` a row's left side is
+``-sum(u) + sqrt(k) + 1 >= 1``, since ``|sum(u)| <= sqrt(k)``.  So the
+start is feasible and each solve is one simplex run.  The entering variable
 follows Bland's smallest-index rule; the leaving row takes the min ratio
 with a largest-pivot tie-break (stability) and smallest index as the last
 resort, so every solve is deterministic.  Built for the small, repeatedly
@@ -28,15 +29,16 @@ as the scalar formula it stands for (the same operands, in the same
 order), so the pivot sequence, the iterates and the results are fixed to
 the last bit by the input.  Golden values in ``tests/test_lp.py`` and
 ``tests/test_chebyshev.py`` pin this; a change that moves one bit is a
-change of algorithm, not of implementation.  The goldens were last
-recorded when the crash start replaced the all-artificial start.
+change of algorithm, not of implementation.  The goldens were recorded
+when the solve began to start from the slack basis at the lower corner,
+and held unchanged when the solver stopped accepting rows that the corner
+violates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -56,156 +58,93 @@ class LPError(RuntimeError):
 
 @dataclass
 class LPResult:
-    status: str  # "optimal" or "infeasible"
-    x: np.ndarray | None = None
-    value: float | None = None
+    x: np.ndarray
+    value: float
     pivots: int = 0  # basis exchanges over every simplex run of the solve
 
-    @property
-    def optimal(self) -> bool:
-        return self.status == "optimal"
 
-
-def lp_max(c: Sequence[float],
-           rows: Sequence[tuple[Sequence[float], str, float]],
-           bounds: Sequence[tuple[float, float]]) -> LPResult:
-    """Maximize c.x subject to the rows (a, sense, rhs) with sense one of
-    '<=', '>=', '=', and finite box bounds on every structural variable.
+def lp_max(c, A, b, lo, hi) -> LPResult:
+    """Maximize c.x subject to A x >= b and lo <= x <= hi, for a (m, n)
+    array ``A`` and finite bounds whose lower corner satisfies every row.
 
     Large row systems are solved by row generation: a working subset grows
     with the most violated rows until the subset optimum satisfies every
     row, which certifies global optimality (the subset optimum is an upper
-    bound).  Infeasibility of a subset already proves infeasibility.
+    bound).
     """
-    if len(rows) <= _DIRECT_ROW_LIMIT:
-        return _lp_max_direct(c, rows, bounds)
-
-    struct, le, ge, rhs = _row_arrays(rows, len(c))
-    active = list(range(_ROW_BATCH))
-    in_set = set(active)
-    pivots = 0
-    for _ in range(len(rows)):
-        res = _lp_max_direct(c, [rows[i] for i in active], bounds)
-        pivots += res.pivots
-        res.pivots = pivots
-        if not res.optimal:
-            return res
-        excess = struct @ res.x - rhs
-        viol = np.where(le, excess, np.where(ge, -excess, np.abs(excess)))
-        order = np.argsort(-viol, kind="stable")
-        added = 0
-        for i in order:
-            if viol[i] <= 1e-9:
-                break
-            if i not in in_set:
-                active.append(int(i))
-                in_set.add(int(i))
-                added += 1
-                if added >= _ROW_BATCH:
-                    break
-        if added == 0:
-            return res
-    raise LPError("row generation failed to converge")
-
-
-def _lp_max_direct(c: Sequence[float],
-                   rows: Sequence[tuple[Sequence[float], str, float]],
-                   bounds: Sequence[tuple[float, float]]) -> LPResult:
-    c = np.asarray(c, dtype=float)
+    c, A, b, lo, hi = (np.asarray(v, dtype=float) for v in (c, A, b, lo, hi))
     n = c.size
-    if len(bounds) != n:
-        raise LPError("bounds arity mismatch")
-    x_lo, x_hi = np.array(bounds, dtype=float).reshape(n, 2).T
-    bad = ~(np.isfinite(x_lo) & np.isfinite(x_hi) & (x_lo <= x_hi))
+    if A.shape != (b.size, n) or lo.shape != (n,) or hi.shape != (n,):
+        raise LPError(f"arity mismatch: c {c.shape}, A {A.shape}, "
+                      f"b {b.shape}, bounds {lo.shape} and {hi.shape}")
+    bad = ~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi))
     if bad.any():
         j = int(bad.argmax())
         raise LPError(
-            f"structural bounds must be finite, got [{x_lo[j]}, {x_hi[j]}]")
+            f"structural bounds must be finite, got [{lo[j]}, {hi[j]}]")
+    violated = b - A @ lo > 0.0
+    if violated.any():
+        raise LPError(f"row {int(violated.argmax())} is violated at the "
+                      "lower corner of the bounds")
+    if b.size <= _DIRECT_ROW_LIMIT:
+        return _lp_max_direct(c, A, b, lo, hi)
 
-    m = len(rows)
+    active = np.arange(_ROW_BATCH)
+    taken = np.zeros(b.size, dtype=bool)
+    taken[active] = True
+    pivots = 0
+    for _ in range(b.size):
+        res = _lp_max_direct(c, A[active], b[active], lo, hi)
+        pivots += res.pivots
+        res.pivots = pivots
+        viol = b - A @ res.x
+        order = np.argsort(-viol, kind="stable")
+        new = order[viol[order] > 1e-9]
+        new = new[~taken[new]][:_ROW_BATCH]
+        if not new.size:
+            return res
+        active = np.concatenate([active, new])
+        taken[new] = True
+    raise LPError("row generation failed to converge")
+
+
+def _lp_max_direct(c, A, b, lo, hi) -> LPResult:
+    m, n = A.shape
     if m == 0:
         # optimum sits at a bound of each variable
-        x = np.where(c > 0, x_hi, x_lo)
-        return LPResult("optimal", x, float(c @ x))
-    struct, le, ge, b = _row_arrays(rows, n)
+        x = np.where(c > 0, hi, lo)
+        return LPResult(x, float(c @ x))
 
-    # columns: n structural | m slack | m artificial
-    N = n + 2 * m
-    diag = np.arange(m)
-    slack, art = n + diag, n + m + diag
-    A = np.zeros((m, N))
-    A[:, :n] = struct
-    A[diag, slack] = 1.0
-    lo = np.zeros(N)
-    hi = np.zeros(N)
-    lo[:n], hi[:n] = x_lo, x_hi
-    lo[slack] = np.where(ge, -math.inf, 0.0)
-    hi[slack] = np.where(le, math.inf, 0.0)
-
-    # crash start at the corner x = x_lo: a row whose residual there fits
-    # its slack's bounds starts with that slack basic and its artificial
-    # fixed at 0; every other row keeps its slack at 0 and starts with its
-    # artificial basic at |residual|.  The basis is diagonal +-1, so it is
-    # its own inverse.
-    x = np.zeros(N)
-    x[:n] = x_lo
-    residual = b - struct @ x_lo
-    fits = (residual >= lo[slack]) & (residual <= hi[slack])
-    A[diag, art] = np.where(residual >= 0.0, 1.0, -1.0)
-    hi[art] = np.where(fits, 0.0, math.inf)
+    # start at the corner x = lo with every slack basic: row i reads
+    # A[i].x + s_i = b_i with s_i <= 0, so s_i is the residual there, which
+    # the simplex's first step computes.  Columns: n structural | m slack.
+    N = n + m
+    slack = n + np.arange(m)
+    T = np.zeros((m, N))
+    T[:, :n] = A
+    T[np.arange(m), slack] = 1.0
+    t_lo = np.full(N, -math.inf)
+    t_hi = np.zeros(N)
+    t_lo[:n], t_hi[:n] = lo, hi
     status = np.full(N, _AT_LO, dtype=int)
-    status[slack] = np.where(ge, _AT_HI, _AT_LO)
-    basis = np.where(fits, slack, art)
-    status[basis] = _BASIC
-    x[basis] = np.where(fits, residual, np.abs(residual))
-    Binv = np.diag(A[diag, basis])
-
-    pivots = 0
-    if not fits.all():
-        # phase 1: drive the basic artificials to zero
-        c1 = np.zeros(N)
-        c1[n + m:] = -1.0
-        x, value, pivots = _simplex(A, b, c1, lo, hi, basis, status, x, Binv)
-        if value < -1e-7:
-            return LPResult("infeasible", pivots=pivots)
-        Binv = np.linalg.inv(A[:, basis])
-
-    # phase 2: artificials pinned at zero, real objective
-    hi[n + m:] = 0.0
-    c2 = np.zeros(N)
-    c2[:n] = c
-    x, value, more = _simplex(A, b, c2, lo, hi, basis, status, x, Binv)
-    return LPResult("optimal", x[:n].copy(), float(value), pivots + more)
+    status[slack] = _BASIC
+    x = np.zeros(N)
+    x[:n] = lo
+    obj = np.zeros(N)
+    obj[:n] = c
+    x, value, pivots = _simplex(T, b, obj, t_lo, t_hi, slack, status, x)
+    return LPResult(x[:n].copy(), float(value), pivots)
 
 
-def _row_arrays(rows: Sequence[tuple[Sequence[float], str, float]], n: int):
-    """Row matrix, '<=' and '>=' masks and right-hand sides of the rows."""
-    m = len(rows)
-    coeffs, senses, rhs = zip(*rows)
-    try:
-        struct = np.array(coeffs, dtype=float).reshape(m, n)
-    except ValueError:
-        for i, a in enumerate(coeffs):
-            if np.size(a) != n:
-                raise LPError(f"row {i} arity mismatch") from None
-        raise
-    sense = np.array(senses)
-    le, ge = sense == "<=", sense == ">="
-    unknown = ~(le | ge | (sense == "="))
-    if unknown.any():
-        i = int(unknown.argmax())
-        raise LPError(f"row {i}: unknown sense {senses[i]!r}")
-    return struct, le, ge, np.array(rhs, dtype=float)
+def _simplex(A, b, c, lo, hi, basis, status, x):
+    """Run the bounded-variable simplex in place from a feasible basis
+    whose matrix is the identity.
 
-
-def _simplex(A, b, c, lo, hi, basis, status, x, Binv):
-    """Run the bounded-variable simplex from a feasible basis in place.
-
-    ``Binv`` is the inverse of the starting basis matrix.  ``basis`` (an
-    index array), ``status`` and ``x`` are updated in place; returns x,
-    the objective value and the number of basis exchanges.
+    ``basis`` (an index array), ``status`` and ``x`` are updated in place;
+    returns x, the objective value and the number of basis exchanges.
     """
     m, N = A.shape
+    Binv = np.eye(m)
     movable = lo != hi
     bounded_above = hi != math.inf
     pivots = 0

@@ -273,6 +273,17 @@ class Template:
         start = sum(len(b) for b in self.monomials[:mode])
         return slice(start, start + len(self.monomials[mode]))
 
+    @functools.cached_property
+    def monomial_rows(self) -> tuple:
+        """Per mode, that mode's monomials over the rows of points, of shape
+        (k, number of monomials), compiled at first use: one
+        ``expr.compile_batch`` of trees that perform ``_mono_value``'s
+        float operations, ``1.0`` times the powers ``x_i ** e_i`` in
+        variable order."""
+        return tuple(ex.compile_batch(
+            [functools.reduce(ex.Mul, _factors(m), ex.Const(1.0))
+             for m in monos]) for monos in self.monomials)
+
 
 def _mono_value(mono: Monomial, x: Sequence[float]) -> float:
     v = 1.0
@@ -301,14 +312,6 @@ def template_value(t: Template, p: np.ndarray, mode: int,
     block = p[t.block_slice(mode)]
     return float(sum(c * _mono_value(m, x)
                      for c, m in zip(block, t.monomials[mode])))
-
-
-def coeff_row(t: Template, mode: int, x: Sequence[float]) -> np.ndarray:
-    """Row a with a.p == template_value(t, p, mode, x) for every p."""
-    row = np.zeros(t.size)
-    sl = t.block_slice(mode)
-    row[sl] = [_mono_value(m, x) for m in t.monomials[mode]]
-    return row
 
 
 def template_grad_x(t: Template, p: np.ndarray, mode: int,

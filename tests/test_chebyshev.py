@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +9,15 @@ from simbarrier import benchmarks, chebyshev, lp, model, sim
 from simbarrier.chebyshev import build, margin, solve
 from simbarrier.model import Segment, Template
 
+import rows_reference as ref
 from conftest import grid_max_margin, line_problem, lp_max_margin_oracle
 
 
 def _seg(prob, s, sp):
     return Segment.classify(prob, 0, (s,), 0, (sp,))
+
+
+THERMOSTAT = Path(__file__).parents[1] / "bench" / "data" / "thermostat.json"
 
 
 @pytest.fixture
@@ -52,7 +58,7 @@ class TestBuild:
         # normalized rows do not depend on a positive rescaling of the
         # unnormalized coefficients
         seg = _seg(prob, -1.0, 0.5)
-        row = model.coeff_row(tmpl, 0, seg.s)
+        row = ref.coeff_row(tmpl, 0, seg.s)
         unit_once = row / np.linalg.norm(row)
         scaled = 37.5 * row
         unit_twice = scaled / np.linalg.norm(scaled)
@@ -61,6 +67,49 @@ class TestBuild:
     def test_empty_rejected(self, prob, tmpl):
         with pytest.raises(chebyshev.ConstraintError):
             build([], tmpl, prob)
+
+    def test_non_finite_row_names_mode_and_point(self):
+        # x ** 120 overflows from |x| ~ 370 on: the first row that is not
+        # finite is the second segment's end
+        wide = line_problem("-x", omega=(-1000.0, 1000.0),
+                            init=(900.0, 1000.0), unsafe=(-1000.0, -900.0))
+        tmpl = Template((((0,), (1,), (120,)),))
+        segs = [_seg(wide, 1.0, 2.0), _seg(wide, 3.0, 1000.0),
+                _seg(wide, -950.0, 4.0)]
+        with pytest.raises(chebyshev.ConstraintError,
+                           match=r"mode 'm'.*\(1000\.0,\) are not finite"):
+            build(segs, tmpl, wide)
+        assert np.isfinite(build(segs[:1], tmpl, wide).disjunctive).all()
+
+
+def _bootstrap(doc):
+    prob = model.load_problem(doc)
+    tmpl = model.make_template(doc["template"], prob.dim, len(prob.modes))
+    return prob, tmpl, sim.init_segments(prob, 0.1, 64, 0, bloat_factor=1.1)
+
+
+@pytest.mark.parametrize("case", ["scalable-l2", "pendulum", "thermostat",
+                                  "line"])
+def test_build_equals_per_segment_loop(case, prob, tmpl, rng):
+    """``build`` gives bit for bit the rows of the per-segment loop it
+    replaced (``rows_reference.build``), hard-row order included: on
+    bootstrap segments of a linear, a quadratic and a two-mode template,
+    and on line segments whose endpoints take every initial/unsafe flag."""
+    if case == "scalable-l2":
+        prob, tmpl, segs = _bootstrap(benchmarks.scalable(2))
+    elif case == "pendulum":
+        prob, tmpl, segs = _bootstrap(benchmarks.pendulum())
+    elif case == "thermostat":
+        prob, tmpl, segs = _bootstrap(json.loads(THERMOSTAT.read_text()))
+        assert {s.s_mode for s in segs} | {s.sp_mode for s in segs} == {0, 1}
+    else:
+        ends = [-1.0, 1.0, 0.5, float(rng.uniform(-2, 2))]
+        segs = [_seg(prob, s, sp) for s in ends for sp in ends]
+    got, want = build(segs, tmpl, prob), ref.build(segs, tmpl, prob)
+    assert got.n_rows > len(segs)
+    for name in ("hard", "disjunctive"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 class TestSolveDerived:

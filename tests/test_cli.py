@@ -235,6 +235,13 @@ class TestErrors:
         ({"run": {"starts": -1}}, "run"),
         ({"run": {"seed": -1}}, "run"),
         ({"run": {"seed": 1e400}}, "run.seed"),
+        # integer settings take no bool and no fraction; float settings
+        # take no bool
+        ({"run": {"starts": 2.7}}, "run.starts"),
+        ({"run": {"max_iter": True}}, "run.max_iter"),
+        ({"run": {"seed": 0.5}}, "run.seed"),
+        ({"run": {"vertex_cap": False}}, "run.vertex_cap"),
+        ({"run": {"sigma": True}}, "run.sigma"),
     ])
     def test_malformed_fields_are_diagnosed(self, tmp_path, capsys, change,
                                             location):
@@ -245,6 +252,35 @@ class TestErrors:
         err = capsys.readouterr().err
         assert f"{path}: {location}: " in err
         assert "Traceback" not in err
+
+    def test_non_integer_setting_message(self, composition_path, capsys):
+        doc = json.loads(Path(composition_path).read_text())
+        doc["run"].update(starts=2.7, max_iter=True)
+        Path(composition_path).write_text(json.dumps(doc))
+        assert cli.main(["synth", composition_path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {composition_path}: run.starts: expected an integer, "
+            "got 2.7\n")
+
+    def test_overflowing_template_row_is_diagnosed(self, tmp_path, capsys):
+        # x ** 120 overflows on the initial box [900, 1000]: the round
+        # fails with one message, not a traceback or a candidate from a
+        # nan row
+        doc = {"variables": ["x"],
+               "modes": [{"name": "q", "omega": [[-1000, 1000]],
+                          "flow": ["-x"]}],
+               "init": [{"mode": "q", "box": [[900, 1000]]}],
+               "unsafe": [{"mode": "q", "box": [[-1000, -900]]}],
+               "template": [[[0], [1], [120]]],
+               "run": {"sigma": 0.1, "starts": 4, "max_iter": 5}}
+        path = _write(tmp_path, "overflowing-template.json", doc)
+        assert cli.main(["synth", path]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
+        assert "mode 'q'" in lines[0] and "not finite" in lines[0]
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_literal_outside_float_range_is_diagnosed(self, tmp_path, capsys):
         doc = benchmarks.pendulum()

@@ -274,11 +274,12 @@ def test_second_run_compiles_only_certificates(monkeypatch, name):
 
 def test_thermostat_compiles_each_batch_once(monkeypatch):
     """The thermostat's load and first engine.run compile, outside the
-    candidates' certificates, 12 batches: the flows of its 2 modes forward
-    and reversed, their 2 Jacobians, and per reset rule the map, its
-    Jacobian and the inverse map.  Before the reversed rule was built on
-    the rule, an inverse compiled at load for the spot check and again for
-    the backward rides: 13 batches."""
+    candidates' certificates, 14 batches: the flows of its 2 modes forward
+    and reversed, their 2 Jacobians, per reset rule the map, its Jacobian
+    and the inverse map, and the template's monomial rows of its 2 modes
+    (``Template.monomial_rows``, for ``chebyshev.build``).  Before the
+    reversed rule was built on the rule, an inverse compiled at load for
+    the spot check and again for the backward rides: one batch more."""
     compiled = []
     inner = expr.compile_batch
 
@@ -293,7 +294,7 @@ def test_thermostat_compiles_each_batch_once(monkeypatch):
     report = engine.run(prob, tmpl, cfg)
     assert report.status is RunStatus.BARRIER_FOUND
     assert len(prob.modes) == len(prob.resets) == 2
-    assert len(compiled) == 12
+    assert len(compiled) == 14
 
 
 def test_verifier_refutation_adds_the_witness_segment(monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from simbarrier import benchmarks, expr as ex, model, sim, verify
 from simbarrier.interval import Interval
+from rows_reference import coeff_row
 from simbarrier.model import (
     Box,
     Certificate,
@@ -14,7 +15,6 @@ from simbarrier.model import (
     ProblemFormatError,
     Template,
     bloat,
-    coeff_row,
     load_problem,
     make_template,
     monomial_from_name,
@@ -158,10 +158,10 @@ class TestTemplate:
 
 
 @st.composite
-def certificates(draw):
+def certificates(draw, max_points=6):
     """A template of 1-3 modes over 1-4 variables with monomials of total
-    degree <= 4, coefficients with random zeros, one of its modes, and 1-6
-    points with coordinates of magnitude 1e-3 to 1e3."""
+    degree <= 4, coefficients with random zeros, one of its modes, and 1 to
+    ``max_points`` points with coordinates of magnitude 1e-3 to 1e3."""
     n = draw(st.integers(1, 4))
     monos = [m for m in itertools.product(range(5), repeat=n)
              if 0 < sum(m) <= 4]
@@ -176,7 +176,7 @@ def certificates(draw):
                                max_size=tmpl.size)))
     coord = st.builds(lambda sign, e: sign * 10.0 ** e,
                       st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 3.0))
-    k = draw(st.integers(1, 6))
+    k = draw(st.integers(1, max_points))
     x = np.array(draw(st.lists(st.lists(coord, min_size=n, max_size=n),
                                min_size=k, max_size=k)))
     return tmpl, p, draw(st.integers(0, len(blocks) - 1)), x
@@ -191,6 +191,22 @@ def _assert_compiled_equals_loops(tmpl, p, mode, x):
         got = batched(x)
         want = np.array([loop(tmpl, p, mode, row) for row in x])
         assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # bit for bit
+
+
+class TestMonomialRows:
+    @given(certificates(max_points=12))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_coeff_row(self, case):
+        """A mode's compiled monomials give, row by row and bit for bit,
+        that mode's block of ``coeff_row`` at the row's point; with 1-12
+        points per call, both the point code (up to ``expr._FEW_ROWS``
+        rows) and the batch code run."""
+        tmpl, _, mode, x = case
+        got = tmpl.monomial_rows[mode](x)
+        want = np.array([coeff_row(tmpl, mode, tuple(row))[
+            tmpl.block_slice(mode)] for row in x.tolist()])
+        assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()  # bit for bit
 
 
