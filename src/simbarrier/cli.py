@@ -91,15 +91,16 @@ def _run_config(doc: dict, args, path: str) -> engine.RunConfig:
         if flag is not None:
             return flag
         value = run.get(key, default)
-        try:
-            if isinstance(value, bool) or (kind is int and isinstance(
-                    value, float) and not value.is_integer()):
-                raise TypeError
-            return kind(value)
-        except (TypeError, ValueError, OverflowError):
-            what = "an integer" if kind is int else "a number"
-            raise ProblemFormatError(
-                f"run.{key}", f"expected {what}, got {value!r}") from None
+        # a JSON number: no string or bool, and no fraction for an integer
+        if type(value) is int or type(value) is float and (
+                kind is float or value.is_integer()):
+            try:
+                return kind(value)
+            except OverflowError:
+                pass
+        what = "an integer" if kind is int else "a number"
+        raise ProblemFormatError(
+            f"run.{key}", f"expected {what}, got {value!r}")
 
     try:
         return engine.RunConfig(
@@ -266,6 +267,8 @@ def _cmd_verify(args) -> int:
     t0 = time.perf_counter()
     verdict = rigor.verify(prob, tmpl, p, frac)
     elapsed = time.perf_counter() - t0
+    refuted = [i for i, rule in enumerate(prob.resets)
+               if verdict.hit and rule is verdict.hit.rule]
     out = {
         "schema": VERDICT_SCHEMA,
         "problem": doc.get("name", Path(args.problem).stem),
@@ -273,6 +276,7 @@ def _cmd_verify(args) -> int:
         "verdict": verdict.status.value,
         "condition": verdict.condition,
         "witness": (list(verdict.witness[1]) if verdict.witness else None),
+        "reset": refuted[0] if refuted else None,
         "wall_time": round(elapsed, 6),
         "boxes": _boxes_json(verdict),
         "tool": f"simbarrier {__version__}",

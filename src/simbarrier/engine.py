@@ -5,8 +5,9 @@ max-margin candidate computation and counter-example search, growing the
 segment set by the refuting segments of each round (the worst
 counter-example's and those of up to ``falsify._EXTRAS`` other distinct
 ones), and optionally hands the surviving candidate to the rigorous
-verifier.  A refuted verification's witness point becomes a refuting
-segment through ``falsify.refute``, the path the falsifier's hits take.
+verifier.  A refuted verification's witness, a ``model.Hit`` like the
+falsifier's and naming its reset, becomes a refuting segment through
+``falsify.refute``, the path the falsifier's hits take.
 Each candidate is one ``model.Certificate``, shared by the falsifier's
 searches, the rides and the refuting segments.
 """
@@ -140,15 +141,7 @@ def run(prob: Problem, tmpl: Template, cfg: RunConfig | None = None) -> RunRepor
             verdict = rigor.verify(prob, tmpl, cand.p, cfg.min_width_frac)
             timings["verification"] += time.perf_counter() - t0
             if verdict.status is rigor.VerdictStatus.REFUTED:
-                mode, x, d = verdict.witness
-                rule = None
-                if verdict.condition == 4:
-                    rules = prob.mode_resets(mode)
-                    rule = next((r for r in rules if r.guard.contains(x)),
-                                rules[0])
-                kind = falsify.KINDS[verdict.condition - 1]
-                witness = falsify.Hit(None, kind, mode, x, d, rule)
-                ref = falsify.refute(prob, cert, [witness],
+                ref = falsify.refute(prob, cert, [verdict.hit],
                                      bloat_factor=cfg.bloat_factor,
                                      t_max=cfg.ride_horizon)
                 record.kind = f"verify-refuted-{verdict.condition}"

@@ -70,12 +70,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import chebyshev, model, sim
-from .model import Box, Certificate, ModeCertificate, Problem, Segment
+from .model import (KINDS, Box, Certificate, Hit, ModeCertificate, Problem,
+                    Segment)
 
 _EPS_CE = 1e-9           # a minimum below -_EPS_CE is a counter-example
 _EXTRAS = 3              # extra refuting segments per round, at most
@@ -92,19 +93,6 @@ class RefutationError(RuntimeError):
     Indicates an event-localization or level-set landing fault; the caller
     should abort rather than loop on a non-progressing constraint system.
     """
-
-
-class Hit(NamedTuple):
-    """Where one start of a search ended: its value (None for a point no
-    search gave, such as a verifier's witness), the search's kind, the
-    mode, the state point and, for the drift search, the disturbance, for
-    the reset search, the rule."""
-    value: float | None
-    kind: str
-    mode: int
-    x: np.ndarray
-    d: np.ndarray | None = None
-    rule: model.ResetRule | None = None
 
 
 @dataclass
@@ -441,9 +429,6 @@ def segment_margin(prob: Problem, cert: Certificate, seg: Segment) -> float:
     return chebyshev.margin(rows, cert.p)
 
 
-KINDS = ("initial", "unsafe", "transversality", "reset")
-
-
 def refute(prob: Problem, cert: Certificate, hits: Sequence[Hit], *,
            bloat_factor: float, t_max: float) -> Refutation:
     """Extend each counter-example ``Hit`` of ``hits``, worst first, to a
@@ -511,12 +496,9 @@ def find_counterexample(prob: Problem, cert: Certificate, *, starts: int = 16,
 
     t0 = time.perf_counter()
     hits = [*min_initial(prob, cert, starts, seeds[0]),
-            *min_unsafe(prob, cert, starts, seeds[1])]
-    nontrivial = any(any(any(e != 0 for e in m) for m in block)
-                     for block in cert.template.monomials)
-    if nontrivial:
-        hits += min_transversality(prob, cert, starts, seeds[2])
-    hits += min_reset(prob, cert, starts, seeds[3])
+            *min_unsafe(prob, cert, starts, seeds[1]),
+            *min_transversality(prob, cert, starts, seeds[2]),
+            *min_reset(prob, cert, starts, seeds[3])]
     search_time = time.perf_counter() - t0
 
     # a stable sort: ties keep the order of KINDS, then of the starts

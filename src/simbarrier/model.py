@@ -1,4 +1,4 @@
-"""Problem data model: boxes, modes, resets, templates, segments.
+"""Problem data model: boxes, modes, resets, templates, segments, hits.
 
 A safety verification problem bundles a mode set with box-shaped state
 spaces, per-mode flow expressions, optional invertible reset rules, and
@@ -16,7 +16,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -243,6 +243,23 @@ class Segment:
             prob.in_initial(s_mode, s), prob.in_unsafe(s_mode, s),
             prob.in_initial(sp_mode, sp), prob.in_unsafe(sp_mode, sp),
         )
+
+
+# the kinds of counter-example, by the condition they violate (1 to 4)
+KINDS = ("initial", "unsafe", "transversality", "reset")
+
+
+class Hit(NamedTuple):
+    """A counter-example point, from a falsifier search or a verifier's
+    witness: the search's value (None for a verifier's witness), the kind
+    (one of ``KINDS``), the mode, the state point and, for the drift
+    condition, the disturbance, for the reset condition, the rule."""
+    value: float | None
+    kind: str
+    mode: int
+    x: np.ndarray
+    d: np.ndarray | None = None
+    rule: ResetRule | None = None
 
 
 Monomial = tuple[int, ...]

@@ -43,15 +43,7 @@ import numpy as np
 
 from . import expr as ex
 from . import model
-from .model import Box, Certificate, Problem, Template
-
-CONDITION_NAMES = {
-    1: "certificate negative on initial boxes",
-    2: "certificate positive on unsafe boxes",
-    3: "drift negative on the zero level set",
-    4: "sign preserved across resets",
-}
-
+from .model import Box, Certificate, Hit, Problem, Template
 
 class VerdictStatus(enum.Enum):
     VERIFIED = "Verified"
@@ -72,10 +64,18 @@ class ConditionReport:
 class Verdict:
     status: VerdictStatus
     condition: int | None = None
-    witness: tuple[int, tuple[float, ...], tuple[float, ...]] | None = None
+    hit: Hit | None = None           # a refuted verdict's witness
     unresolved: list[Box] = field(default_factory=list)
     min_width_reached: float = math.inf
     reports: dict[int, ConditionReport] = field(default_factory=dict)
+
+    @property
+    def witness(self):
+        """``hit`` as (mode, x, d), x and d tuples of floats, d empty but
+        for the drift condition; None unless refuted."""
+        h = self.hit
+        return h and (h.mode, tuple(h.x.tolist()),
+                      () if h.d is None else tuple(h.d.tolist()))
 
 
 # disturbance dimensions only split once state dimensions are within this
@@ -154,9 +154,9 @@ def _cover(region: Box, min_widths: Sequence[float], n_state: int, check,
     min_width).
 
     ``check(lo, hi)`` decides a level's boxes, the rows of ``lo`` and
-    ``hi``: it returns an outcome per row and the witnesses of the rows it
-    refutes, by row.  Pending boxes are kept in the order they were made,
-    with their widths ``top`` in the widest dimension."""
+    ``hi``: it returns an outcome per row and the witness ``Hit`` of each
+    row it refutes, by row.  Pending boxes are kept in the order they were
+    made, with their widths ``top`` in the widest dimension."""
     lo, hi = np.array([region.lo], dtype=float), np.array([region.hi], dtype=float)
     top = (hi - lo).max(1, initial=0.0)
     min_widths = np.asarray(min_widths, dtype=float)
@@ -212,7 +212,7 @@ def _cover(region: Box, min_widths: Sequence[float], n_state: int, check,
 def verify(prob: Problem, tmpl: Template, p: np.ndarray,
            min_width_frac: float = 1e-4) -> Verdict:
     """Prove all four certificate conditions, refute one with a checkable
-    witness point, or give up with the unresolved boxes.  A box is split
+    witness ``Hit``, or give up with the unresolved boxes.  A box is split
     no finer than ``min_width_frac`` of its region's width in each
     dimension."""
     p = np.asarray(p, dtype=float)
@@ -221,38 +221,44 @@ def verify(prob: Problem, tmpl: Template, p: np.ndarray,
     cert = Certificate(tmpl, p)
     reports = {i: ConditionReport() for i in (1, 2, 3, 4)}
     verdict = Verdict(VerdictStatus.VERIFIED, reports=reports)
-    p_scale = 1.0 + float(np.linalg.norm(p))
+    with np.errstate(all="ignore"):
+        for cond, region, widths, n_state, check in _tasks(
+                prob, cert, min_width_frac):
+            report = reports[cond]
+            report.region_volume += region.volume()
+            hit, unresolved, reached = _cover(region, widths, n_state, check,
+                                              report)
+            verdict.min_width_reached = min(verdict.min_width_reached,
+                                            reached)
+            if hit is not None:
+                verdict.status = VerdictStatus.REFUTED
+                verdict.condition, verdict.hit = cond, hit
+                return verdict
+            verdict.unresolved.extend(unresolved)
+            if unresolved and verdict.condition is None:
+                verdict.condition = cond
+    if verdict.unresolved:
+        verdict.status = VerdictStatus.UNKNOWN
+    return verdict
+
+
+def _tasks(prob: Problem, cert: Certificate, min_width_frac: float):
+    """The covers of the four conditions, in order: (condition, region,
+    minimum widths, state dimensions, check), each check built when its
+    cover is about to run."""
+    p_scale = 1.0 + float(np.linalg.norm(cert.p))
     tol = 1e-10 * p_scale
 
     def min_widths(box: Box) -> list[float]:
         return [min_width_frac * w for w in box.widths()]
 
-    def run_condition(cond: int, tasks):
-        report = reports[cond]
-        with np.errstate(all="ignore"):
-            for region, min_widths, n_state, check in tasks:
-                report.region_volume += region.volume()
-                witness, unresolved, reached = _cover(
-                    region, min_widths, n_state, check, report)
-                verdict.min_width_reached = min(verdict.min_width_reached,
-                                                reached)
-                if witness is not None:
-                    return witness
-                verdict.unresolved.extend(unresolved)
-                if unresolved and verdict.condition is None:
-                    verdict.condition = cond
-        return None
-
-    def midpoint_witnesses(mode, mids, rows):
-        return {int(r): (mode, tuple(m), ()) for r, m in zip(rows, mids.tolist())}
-
     # conditions 1 and 2: fixed certificate sign on initial/unsafe boxes; a
     # box is refuted at its midpoint where the value there, or the whole
     # enclosure, is beyond the tolerance on the wrong side
-    def sign_tasks(regions, want_negative: bool):
-        tasks = []
+    for cond, regions in ((1, prob.initial), (2, prob.unsafe)):
         for mode, box in regions:
-            def check(lo, hi, _mc=cert[mode], _neg=want_negative, _m=mode):
+            def check(lo, hi, _mc=cert[mode], _neg=cond == 1, _m=mode,
+                      _kind=model.KINDS[cond - 1]):
                 v_lo, v_hi = _mc.value_box(lo, hi)
                 proved = v_hi < 0.0 if _neg else v_lo > 0.0
                 outcome = np.where(proved, _PROVED, _SPLIT)
@@ -264,21 +270,13 @@ def verify(prob: Problem, tmpl: Template, p: np.ndarray,
                 else:
                     bad = (v_mid <= -tol) | (v_hi[rest] <= -tol)
                 outcome[rest[bad]] = _REFUTED
-                return outcome, midpoint_witnesses(_m, mid[bad], rest[bad])
+                return outcome, {int(r): Hit(None, _kind, _m, x)
+                                 for r, x in zip(rest[bad], mid[bad])}
 
-            tasks.append((box, min_widths(prob.modes[mode].omega), box.dim,
-                          check))
-        return tasks
-
-    witness = run_condition(1, sign_tasks(prob.initial, True))
-    if witness is not None:
-        return _refuted(verdict, 1, witness)
-    witness = run_condition(2, sign_tasks(prob.unsafe, False))
-    if witness is not None:
-        return _refuted(verdict, 2, witness)
+            yield (cond, box, min_widths(prob.modes[mode].omega), box.dim,
+                   check)
 
     # condition 3: drift negative wherever the certificate can vanish
-    tasks3 = []
     for mode, region in enumerate(prob.flow_boxes):
         def check3(lo, hi, _m=mode, _drift=_drift_box(prob, cert, mode)):
             v_lo, v_hi = cert[_m].value_box(lo, hi)
@@ -289,18 +287,14 @@ def verify(prob: Problem, tmpl: Template, p: np.ndarray,
             proved[rest[falls]] = True
             rest = rest[~falls]
             outcome = np.where(proved, _PROVED, _SPLIT)
-            witnesses = {int(rest[i]): w for i, w in _drift_witnesses(
+            hits = {int(rest[i]): hit for i, hit in _drift_witnesses(
                 prob, cert, _m, lo[rest], hi[rest], p_scale)}
-            outcome[list(witnesses)] = _REFUTED
-            return outcome, witnesses
+            outcome[list(hits)] = _REFUTED
+            return outcome, hits
 
-        tasks3.append((region, min_widths(region), prob.dim, check3))
-    witness = run_condition(3, tasks3)
-    if witness is not None:
-        return _refuted(verdict, 3, witness)
+        yield 3, region, min_widths(region), prob.dim, check3
 
     # condition 4: non-positive certificate must map to negative under resets
-    tasks4 = []
     for rule in prob.resets:
         def check4(lo, hi, _src=cert[rule.source], _rule=rule,
                    _tgt=cert[rule.target]):
@@ -319,24 +313,12 @@ def verify(prob: Problem, tmpl: Template, p: np.ndarray,
             v_after = _tgt.value(_rule.map_rows(mid))
             bad = (_src.value(mid) <= -tol) & (v_after >= tol)
             outcome[rest[bad]] = _REFUTED
-            return outcome, midpoint_witnesses(_rule.source, mid[bad], rest[bad])
+            return outcome, {int(r): Hit(None, "reset", _rule.source, x,
+                                         rule=_rule)
+                             for r, x in zip(rest[bad], mid[bad])}
 
-        tasks4.append((rule.guard, min_widths(prob.modes[rule.source].omega),
-                       rule.guard.dim, check4))
-    witness = run_condition(4, tasks4)
-    if witness is not None:
-        return _refuted(verdict, 4, witness)
-
-    if verdict.unresolved:
-        verdict.status = VerdictStatus.UNKNOWN
-    return verdict
-
-
-def _refuted(verdict: Verdict, condition: int, witness) -> Verdict:
-    verdict.status = VerdictStatus.REFUTED
-    verdict.condition = condition
-    verdict.witness = witness
-    return verdict
+        yield (4, rule.guard, min_widths(prob.modes[rule.source].omega),
+               rule.guard.dim, check4)
 
 
 def _drift_witnesses(prob: Problem, cert: Certificate, mode: int,
@@ -344,7 +326,7 @@ def _drift_witnesses(prob: Problem, cert: Certificate, mode: int,
     """Concrete violating points for the drift condition, one try per row
     of boxes: the box's midpoint landed on the zero level set within the
     box, with non-negative drift for some disturbance vertex (the one of
-    largest drift, the first of equals).  Yields (row, witness) for the
+    largest drift, the first of equals).  Yields (row, ``Hit``) for the
     rows that have one.  Conservative; never refutes on enclosure noise."""
     mc, flow, dim = cert[mode], prob.modes[mode].flow_rows, prob.dim
     d_verts = prob.dist_vertices
@@ -365,5 +347,5 @@ def _drift_witnesses(prob: Problem, cert: Certificate, mode: int,
         best[better] = j
         best_drift[better] = drift[better]
     for i in np.flatnonzero(best >= 0):
-        yield int(rows[i]), (mode, tuple(x[i].tolist()),
-                             tuple(d_verts[best[i]].tolist()))
+        yield int(rows[i]), Hit(None, "transversality", mode, x[i],
+                                d_verts[best[i]])

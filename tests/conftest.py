@@ -77,6 +77,25 @@ def sawtooth_problem(reset_to: float = 0.0, init=(-1.0, -0.5),
     )
 
 
+def shared_guard_doc() -> dict:
+    """Modes a, b, c with flow -1 and two identity resets on one guard,
+    a -> b, then a -> c."""
+    return {"variables": ["x"],
+            "modes": [{"name": name, "omega": [[-2, 2]], "flow": ["-1"]}
+                      for name in "abc"],
+            "resets": [{"source": "a", "guard": [[0, 1]], "target": target,
+                        "map": ["x"], "inverse": ["x"], "image": [[0, 1]]}
+                       for target in "bc"],
+            "init": [{"mode": "a", "box": [[-2, -1.5]]}],
+            "unsafe": [{"mode": "a", "box": [[1.8, 2]]}],
+            "template": "linear"}
+
+
+# V_a = x - 1.5, V_b = -1, V_c = 1: the reset to b keeps the sign, the
+# reset to c, the second rule, does not
+SHARED_GUARD_P = (-1.5, 1.0, -1.0, 0.0, 1.0, 0.0)
+
+
 def linear_template_1d() -> Template:
     return Template((((0,), (1,)),))
 

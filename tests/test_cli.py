@@ -8,6 +8,8 @@ import pytest
 from simbarrier import (benchmarks, chebyshev, cli, engine, falsify, lp,
                         model, verify)
 
+from conftest import shared_guard_doc
+
 
 def _write(tmp_path, name, doc):
     path = tmp_path / name
@@ -156,8 +158,9 @@ class TestVerifyCommand:
         assert doc["verdict"] == "Verified"
         assert doc["schema"] == "verdict/1"
         assert set(doc) == {"schema", "problem", "status", "verdict",
-                            "condition", "witness", "wall_time", "boxes",
-                            "tool"}
+                            "condition", "witness", "reset", "wall_time",
+                            "boxes", "tool"}
+        assert doc["reset"] is None
 
     def test_bad_barrier_refuted(self, composition_path, tmp_path):
         doc = {"schema": "barrier/1",
@@ -178,6 +181,19 @@ class TestVerifyCommand:
         doc = json.loads(report_path.read_text())
         assert (doc["verdict"], doc["condition"], doc["witness"]) == \
             ("Refuted", 4, [5.625])
+
+    def test_refuted_reset_is_named(self, tmp_path):
+        # two resets a -> b and a -> c share the guard [0, 1]; V_c = 1 > 0
+        # refutes the second
+        path = _write(tmp_path, "shared-guard.json", shared_guard_doc())
+        barrier = _write(tmp_path, "barrier.json", {"modes": {
+            "a": {"1": -1.5, "x": 1}, "b": {"1": -1}, "c": {"1": 1}}})
+        report_path = tmp_path / "verify.json"
+        assert cli.main(["verify", path, "--barrier", barrier,
+                         "--report", str(report_path)]) == 1
+        doc = json.loads(report_path.read_text())
+        assert (doc["verdict"], doc["condition"], doc["witness"],
+                doc["reset"]) == ("Refuted", 4, [0.5], 1)
 
     def test_unknown_monomial_name(self, composition_path, tmp_path):
         doc = {"schema": "barrier/1", "modes": {"m": {"q^2": 1.0}}}
@@ -228,7 +244,7 @@ class TestErrors:
         ({"disturbances": ["d"], "disturbance_box": [{}]}, "disturbance_box"),
         # settings that cannot run: nan fails every range test, and an
         # infinite count is no integer
-        ({"run": {"sigma": "nan"}}, "run"),
+        ({"run": {"sigma": math.nan}}, "run"),
         ({"run": {"sigma": 1e400}}, "run"),
         ({"run": {"bloat": 1e400}}, "run"),
         ({"run": {"starts": 0}}, "run"),
@@ -242,6 +258,10 @@ class TestErrors:
         ({"run": {"seed": 0.5}}, "run.seed"),
         ({"run": {"vertex_cap": False}}, "run.vertex_cap"),
         ({"run": {"sigma": True}}, "run.sigma"),
+        # numbers only: a string is no number, even one that parses as one
+        ({"run": {"starts": "3"}}, "run.starts"),
+        ({"run": {"sigma": "0.25"}}, "run.sigma"),
+        ({"run": {"seed": " 7 "}}, "run.seed"),
     ])
     def test_malformed_fields_are_diagnosed(self, tmp_path, capsys, change,
                                             location):

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import math
@@ -13,7 +14,7 @@ from simbarrier.engine import RunConfig, RunStatus
 from simbarrier.model import Certificate
 from simbarrier.verify import VerdictStatus
 
-from conftest import line_problem
+from conftest import SHARED_GUARD_P, line_problem, shared_guard_doc
 
 
 @pytest.fixture(scope="module")
@@ -321,3 +322,37 @@ def test_verifier_refutation_adds_the_witness_segment(monkeypatch):
     assert report.status is RunStatus.BARRIER_FOUND
     assert report.verdict.status is VerdictStatus.VERIFIED
     assert (report.iterations, report.segment_count) == (5, 13)
+
+
+def test_verifier_refutes_through_the_reset_it_names(monkeypatch):
+    """Two resets leave mode a through one guard, and the verifier refutes
+    the second: the round's segment rides that rule's map.  Round 1's
+    candidate is forced to ``SHARED_GUARD_P`` and the falsifier made to
+    miss it; a segment through the first rule, the first rule whose guard
+    holds the witness, would not refute."""
+    prob = model.load_problem(shared_guard_doc())
+    tmpl = model.make_template("linear", 1, 3)
+    solve, search = chebyshev.solve, falsify.find_counterexample
+    rounds = []
+
+    def forced(*args, **kwargs):
+        cand = solve(*args, **kwargs)
+        rounds.append(None)
+        if len(rounds) == 1:
+            cand = dataclasses.replace(cand, p=np.array(SHARED_GUARD_P))
+        return cand
+
+    def first_misses(*args, **kwargs):
+        return None if len(rounds) == 1 else search(*args, **kwargs)
+
+    monkeypatch.setattr(chebyshev, "solve", forced)
+    monkeypatch.setattr(falsify, "find_counterexample", first_misses)
+    report = engine.run(prob, tmpl, RunConfig())
+    first = report.log[0]
+    assert (first.kind, float(first.segment_margin).hex()) == \
+        ("verify-refuted-4", "-0x1.a7bbf58442756p-2")
+    assert first.segment.sp_mode == 2    # landed in c, the second target
+    assert first.segments_added == 1
+    assert report.status is RunStatus.BARRIER_FOUND
+    assert report.verdict.status is VerdictStatus.VERIFIED
+    assert report.iterations == 3

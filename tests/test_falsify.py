@@ -403,6 +403,15 @@ class TestTransversality:
         assert min_transversality(prob, Certificate(tmpl, np.array([1.0])),
                                   starts=4, seed=0) == []
 
+    def test_constant_zero_template_has_no_violation(self):
+        # V = 0: every start lands, and a zero gradient is +inf, so the
+        # drift search needs no guard against constant templates
+        prob = line_problem("1")
+        tmpl = Template((((0,),),))
+        hits = min_transversality(prob, Certificate(tmpl, np.array([0.0])),
+                                  starts=4, seed=0)
+        assert len(hits) == 4 and all(h.value == math.inf for h in hits)
+
 
 class TestReset:
     def _problem(self):

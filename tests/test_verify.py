@@ -10,7 +10,8 @@ from simbarrier import verify as verify_module
 from simbarrier.model import Box, ModeDef, Problem, Template
 from simbarrier.verify import VerdictStatus, verify
 
-from conftest import line_problem, linear_template_1d, sawtooth_problem
+from conftest import (SHARED_GUARD_P, line_problem, linear_template_1d,
+                      sawtooth_problem, shared_guard_doc)
 
 
 def composition_with_published_barrier():
@@ -134,6 +135,18 @@ class TestRefuted:
         assert verdict.condition == 4
         assert box_counts(verdict) == {1: (1, 0, 0), 2: (1, 0, 0),
                                        3: (1, 0, 0), 4: (0, 0, 0)}
+
+    def test_reset_witness_names_its_rule(self):
+        # both resets leave mode a through the guard [0, 1]; only the
+        # second, to c, maps V_a <= 0 to V > 0
+        prob = model.load_problem(shared_guard_doc())
+        tmpl = model.make_template("linear", 1, 3)
+        verdict = verify(prob, tmpl, np.array(SHARED_GUARD_P))
+        assert (verdict.status, verdict.condition) == \
+            (VerdictStatus.REFUTED, 4)
+        assert verdict.hit.kind == "reset" and verdict.hit.value is None
+        assert verdict.hit.rule is prob.resets[1]
+        assert verdict.witness == (0, (0.5,), ())
 
     def test_certificate_overflowing_at_midpoints_is_refuted_by_its_enclosure(self):
         # V = x^200 - 1 overflows at every point of the initial box, so its
