@@ -11,10 +11,21 @@ node relaxation dropping unresolved disjunctions (a valid upper bound).
 Each relaxation is one ``lp.lp_max`` over rows ``r.p - delta >= 0``;
 with ``|r| = 1`` every such row holds at the lower corner ``p = -1``,
 ``delta = -(sqrt(k) + 1)``, where the simplex starts.
+
+A relaxation of more than ``lp._DIRECT_ROW_LIMIT`` rows is solved by row
+generation, which hands its final basis on.  The node keeps it once, for
+both children: a child's rows are its parent's with one decided
+disjunction inserted in index order, so the child's relaxation starts from
+the parent's working rows and basis, renumbered around the new row, and
+needs a few dual simplex pivots instead of a fresh row generation.  A
+smaller relaxation is one cold simplex run from the slack basis and hands
+nothing on: these optima are often not unique, and a warm start would move
+the vertex the search ends on.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import math
 from dataclasses import dataclass
@@ -101,10 +112,13 @@ def margin(c: SampledConstraint, p: np.ndarray) -> float:
     return worst
 
 
-def _relaxation(c: SampledConstraint, assign: np.ndarray):
+def _relaxation(c: SampledConstraint, assign: np.ndarray,
+                start: lp.Basis | None = None):
     """LP over (p, delta) with unresolved disjunctions dropped: the hard
     rows, then the chosen side of each decided disjunction in index order.
-    Returns the optimal p, the bound and the simplex pivot count."""
+    ``start`` is a basis over these rows (``lp.lp_max``).  Returns the
+    optimal p, the bound, the simplex pivot count and the LP's final basis
+    (None when the LP was solved cold)."""
     k = c.dim
     decided = np.flatnonzero(assign)
     n_hard = len(c.hard)
@@ -116,8 +130,8 @@ def _relaxation(c: SampledConstraint, assign: np.ndarray):
     obj[k] = 1.0
     hi = np.ones(k + 1)
     hi[k] = math.sqrt(k) + 1.0
-    res = lp.lp_max(obj, rows, np.zeros(len(rows)), -hi, hi)
-    return res.x[:k], float(res.value), res.pivots
+    res = lp.lp_max(obj, rows, np.zeros(len(rows)), -hi, hi, start)
+    return res.x[:k], float(res.value), res.pivots, res.basis
 
 
 def solve(c: SampledConstraint, delta_min: float = 1e-6,
@@ -128,7 +142,8 @@ def solve(c: SampledConstraint, delta_min: float = 1e-6,
     A warm-start parameter vector seeds the disjunct choices (each
     disjunction takes the side the vector satisfies better), which gives
     the branch-and-bound an immediate incumbent.  A node is an array of
-    per-disjunction choices: 0 undecided, 1 or 2 the side imposed.
+    per-disjunction choices (0 undecided, 1 or 2 the side imposed) and the
+    basis its parent's relaxation handed on, or None.
     """
     n_disj = len(c.disjunctive)
     best_p = np.zeros(c.dim)
@@ -141,25 +156,25 @@ def solve(c: SampledConstraint, delta_min: float = 1e-6,
         if d > best_delta:
             best_p, best_delta = p.copy(), d
 
-    def relax(assign: np.ndarray):
+    def relax(assign: np.ndarray, start: lp.Basis | None = None):
         nonlocal pivots
-        p_star, bound, lp_pivots = _relaxation(c, assign)
+        p_star, bound, lp_pivots, basis = _relaxation(c, assign, start)
         pivots += lp_pivots
-        return p_star, bound
+        return p_star, bound, basis
 
     if warm is not None and n_disj:
         pair = c.disjunctive @ warm
         consider(relax(np.where(pair[:, 0] >= pair[:, 1], 1, 2))[0])
 
     counter = 0
-    heap: list[tuple[float, int, np.ndarray]] = [
-        (-math.inf, counter, np.zeros(n_disj, dtype=np.int8))]
+    heap: list[tuple[float, int, np.ndarray, lp.Basis | None]] = [
+        (-math.inf, counter, np.zeros(n_disj, dtype=np.int8), None)]
     while heap:
-        neg_bound, _, assign = heapq.heappop(heap)
+        neg_bound, _, assign, start = heapq.heappop(heap)
         if -neg_bound <= best_delta + _GAP_TOL:
             break
         nodes += 1
-        p_star, bound = relax(assign)
+        p_star, bound, basis = relax(assign, start)
         if bound <= best_delta + _GAP_TOL:
             continue
         # branch on the open disjunction the relaxation optimum violates
@@ -171,11 +186,17 @@ def solve(c: SampledConstraint, delta_min: float = 1e-6,
             consider(p_star)
             continue
         worst = undecided[gaps.argmin()]
+        if basis is not None:
+            # both children share this node's basis, its rows renumbered
+            # around the child's decided row, which comes in at ``at``
+            at = len(c.hard) + np.count_nonzero(assign[:worst])
+            rows = basis.rows
+            basis = dataclasses.replace(basis, rows=rows + (rows >= at))
         for choice in (1, 2):
             child = assign.copy()
             child[worst] = choice
             counter += 1
-            heapq.heappush(heap, (-bound, counter, child))
+            heapq.heappush(heap, (-bound, counter, child, basis))
 
     if best_delta <= delta_min:
         return None

@@ -340,6 +340,9 @@ def _cmd_gen(args) -> int:
         return 0
     if args.scalable is None:
         raise UserError("gen: pass --scalable L or --corpus DIR")
+    if args.scalable < 1:
+        raise UserError("gen: --scalable: expected an integer >= 1, "
+                        f"got {args.scalable}")
     doc = benchmarks.scalable(args.scalable)
     text = json.dumps(doc, indent=2)
     if args.output:

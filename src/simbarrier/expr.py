@@ -400,17 +400,18 @@ def _codegen(e: Expr, flavour: str = "point") -> str:
     (1-D float arrays, one entry per point) and performs, entry by entry,
     the float operations the point code performs: sums, differences,
     products and negation are numpy elementwise operations, which round as
-    Python floats do; powers and the math functions run per entry on
-    Python floats (``_pow``, ``_each_sin``, ...), because numpy's vector
-    ``power``, ``exp`` and ``log`` round differently from libm; division by
-    a non-constant goes through ``_div``; and subtrees without variables
-    are point code.  Where the point code raises on an entry, ``_pow``,
-    ``_each_*`` and ``_div`` give nan there and add its row to the list
-    ``_bad`` of the call, their first argument.  Box code reads interval
-    rows ``_v[i]`` (``interval.Rows``, one interval per box): the same
-    operators, constants as point intervals ``_I(c)``, never folded in
-    floats, and ``_div``, ``_log`` and ``_sqrt``, which give nan bounds on
-    the rows where the box leaves their domain.
+    Python floats do; so are sin, cos and sqrt (``_each_sin``, ...), whose
+    numpy versions round as libm does; powers, exp and log run per entry
+    on Python floats (``_pow``, ``_each_exp``, ``_each_log``), because
+    numpy's vector ``power``, ``exp`` and ``log`` round differently from
+    libm; division by a non-constant goes through ``_div``; and subtrees
+    without variables are point code.  Where the point code raises on an
+    entry, ``_pow``, ``_each_*`` and ``_div`` give nan there and add its
+    row to the list ``_bad`` of the call, their first argument.  Box code
+    reads interval rows ``_v[i]`` (``interval.Rows``, one interval per
+    box): the same operators, constants as point intervals ``_I(c)``,
+    never folded in floats, and ``_div``, ``_log`` and ``_sqrt``, which
+    give nan bounds on the rows where the box leaves their domain.
 
     A chain of sums and differences is emitted flat, as Python groups it,
     by a loop down its left operands, and added up left to right in chunks
@@ -495,6 +496,21 @@ def _each(fn):
     return each
 
 
+def _array_call(fn, raises):
+    """``fn`` over the column in one numpy call, for a function whose numpy
+    version rounds as libm does; entries where ``raises`` (where the point
+    code raises) are nan and their rows are added to ``bad``."""
+    def call(bad, col):
+        with np.errstate(invalid="ignore"):
+            out = fn(col)
+        undefined = raises(col)
+        if undefined.any():
+            out[undefined] = math.nan
+            bad += np.flatnonzero(undefined).tolist()
+        return out
+    return call
+
+
 def _pow_entries(bad, col, n):
     values = col.tolist()
     try:
@@ -515,7 +531,12 @@ def _div_entries(bad, a, b):
 _BATCHED = dict(_MATH, _pow=_pow_entries, _div=_div_entries,
                 _errors=MATH_ERRORS)
 _BATCHED.update((f"_each_{name}", _each(getattr(math, name)))
-                for name in _MATH_NAMES.values())
+                for name in ("exp", "log"))
+# numpy's sin, cos and sqrt round as libm does; math raises on an infinite
+# angle and on a negative square root
+_BATCHED.update(_each_sin=_array_call(np.sin, np.isinf),
+                _each_cos=_array_call(np.cos, np.isinf),
+                _each_sqrt=_array_call(np.sqrt, lambda col: col < 0.0))
 
 
 _BOX = dict(_I=iv.point, _Rows=iv.Rows, _sin=iv.sin, _cos=iv.cos,

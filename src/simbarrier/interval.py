@@ -14,10 +14,10 @@ interval alone, by the rules the batch code of ``expr`` follows:
   ``np.fmax`` pick a product's or quotient's bounds and drop the nan
   candidates of ``0 * inf`` and ``inf / inf``; the sign of a zero they
   pick does not matter, since widening moves it off zero;
-- integer powers and ``sin``, ``cos``, ``exp`` and ``log`` run entry by
-  entry on Python floats (libm), because numpy's vector ``power``,
-  ``exp`` and ``log`` round differently; ``np.sqrt`` is correctly rounded,
-  as ``math.sqrt`` is;
+- integer powers, ``exp`` and ``log`` run entry by entry on Python floats
+  (libm), because numpy's vector ``power``, ``exp`` and ``log`` round
+  differently; ``np.sin`` and ``np.cos`` round as libm's do, and
+  ``np.sqrt`` is correctly rounded, as ``math.sqrt`` is;
 - 4 ulps per bound covers the worst-case error of every libm call used.
 
 A row where an operation is undefined (a divisor interval through zero,
@@ -228,7 +228,8 @@ def _trig(fn, x: Rows, trough: float, peak: float) -> Rows:
     """sin or cos: the endpoint values, widened, or -1 and +1 where a
     trough or a peak lies in the interval; [-1, 1] on rows 2*pi wide or
     wider."""
-    f = _each(fn, x.b, _nan_if_raises)
+    with np.errstate(invalid="ignore"):
+        f = fn(x.b)  # nan at an infinite bound, where math raises
     out = _widened(np.array([np.minimum(f[0], f[1]), np.maximum(f[0], f[1])])).b
     out = np.array([np.maximum(-1.0, out[0]), np.minimum(1.0, out[1])])
     out = np.where(_contains_critical(x.b, np.array([[trough], [peak]])),
@@ -237,8 +238,8 @@ def _trig(fn, x: Rows, trough: float, peak: float) -> Rows:
 
 
 def sin(x: Rows) -> Rows:
-    return _trig(math.sin, x, -_HALF_PI, _HALF_PI)
+    return _trig(np.sin, x, -_HALF_PI, _HALF_PI)
 
 
 def cos(x: Rows) -> Rows:
-    return _trig(math.cos, x, math.pi, 0.0)
+    return _trig(np.cos, x, math.pi, 0.0)

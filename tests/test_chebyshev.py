@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from simbarrier import benchmarks, chebyshev, lp, model, sim
+from simbarrier import benchmarks, chebyshev, engine, lp, model, sim
 from simbarrier.chebyshev import build, margin, solve
 from simbarrier.model import Segment, Template
 
@@ -196,7 +196,13 @@ class TestSolveProperties:
 # chebyshev.solve on the bootstrap segments of scalable-l2 (64 segments,
 # 68 hard and 64 disjunctive rows), cold and warm-started from the cold
 # optimum: p, delta, and the node and pivot counts of this search, recorded
-# when the simplex began to start from the slack basis.
+# when the simplex began to start from the slack basis.  Every relaxation
+# has at most 80 rows and is one cold simplex run, except the warm case's
+# seeding relaxation, which decides all 64 disjunctions (132 rows) and is
+# solved by row generation: its golden was re-recorded when row generation
+# began to keep each round's basis.  That relaxation now ends on another
+# vertex of its optimal face, with the same delta to 1e-14 (p[2] and p[4]
+# trade places), and the search takes 176 pivots instead of 185.
 # Recorded on x86-64 Linux with glibc's libm and OpenBLAS.
 GOLDEN_SCALABLE_L2 = {
     "cold": (
@@ -205,10 +211,10 @@ GOLDEN_SCALABLE_L2 = {
          "0x1.1ef4482937fa6p-10", "0x1.be31da54d399dp-11"],
         "0x1.923485c429357p-2", 15, 154),
     "warm": (
-        ["0x1.2e38f732c9880p-3", "-0x1.0000000000000p+0",
-         "0x1.1f2b717d7a580p-10", "0x1.be9e574dea500p-11",
-         "0x1.1ef448293e080p-10", "0x1.be31da54e6100p-11"],
-        "0x1.923485c42934bp-2", 15, 185),
+        ["0x1.2e38f732c9560p-3", "-0x1.0000000000000p+0",
+         "0x1.1ef448293bd80p-10", "0x1.be31da54df000p-11",
+         "0x1.1f2b717d79e00p-10", "0x1.be9e574de9040p-11"],
+        "0x1.923485c42938ep-2", 15, 176),
 }
 
 
@@ -248,6 +254,65 @@ def test_margin_lps_run_phase_two_only(monkeypatch):
     cand = solve(build(segs, tmpl, prob))
     assert cand is not None and cand.nodes > 1
     assert len(runs) >= cand.nodes and set(runs) == {1}
+
+
+# the pivots of chebyshev.solve on scalable-l3's bootstrap below when each
+# relaxation ran row generation from scratch, every round from the slack
+# basis (x86-64 Linux, OpenBLAS)
+COLD_PIVOTS_SCALABLE_L3 = 914
+
+
+def test_children_start_from_their_parents_basis(monkeypatch):
+    """On scalable-l3's bootstrap (264 hard rows, 256 disjunctions) every
+    relaxation runs row generation, and each child restarts from its
+    parent's basis: the optimum of one cold simplex run over all rows, at
+    least 4x fewer pivots than cold row generation."""
+    prob = model.load_problem(benchmarks.scalable(3))
+    tmpl = model.make_template("linear", prob.dim, 1)
+    segs = sim.init_segments(prob, 0.1, 256, 0, bloat_factor=1.1)
+    c = build(segs, tmpl, prob)
+    assert len(c.hard) > lp._DIRECT_ROW_LIMIT
+    starts = []
+    lp_max = lp.lp_max
+
+    def recorded(*args):
+        starts.append(args[5] is not None)
+        return lp_max(*args)
+
+    monkeypatch.setattr(lp, "lp_max", recorded)
+    warm = solve(c)
+    assert starts[0] is False and all(starts[1:]) and len(starts) > 10
+    monkeypatch.setattr(lp, "_DIRECT_ROW_LIMIT", 10 ** 9)
+    cold = solve(c)
+    assert warm.delta == pytest.approx(cold.delta, abs=1e-9)
+    assert warm.pivots * 4 <= COLD_PIVOTS_SCALABLE_L3
+
+
+def test_pendulum_runs_no_dual_pivot(monkeypatch):
+    # every pendulum relaxation has at most 80 rows: one cold run each
+    duals, sizes = [], []
+    dual, lp_max = lp._dual_simplex, lp.lp_max
+
+    def counted(*args):
+        duals.append(len(args[0]))
+        return dual(*args)
+
+    def solved(*args):
+        sizes.append(len(args[2]))
+        return lp_max(*args)
+
+    monkeypatch.setattr(lp, "_dual_simplex", counted)
+    monkeypatch.setattr(lp, "lp_max", solved)
+    doc = benchmarks.pendulum()
+    prob = model.load_problem(doc)
+    tmpl = model.make_template(doc["template"], prob.dim, len(prob.modes))
+    run = doc["run"]
+    report = engine.run(prob, tmpl, engine.RunConfig(
+        sigma=run["sigma"], bloat_factor=run["bloat"], starts=run["starts"],
+        max_iterations=run["max_iter"], seed=run["seed"]))
+    assert report.status is engine.RunStatus.BARRIER_FOUND
+    assert sizes and max(sizes) <= lp._DIRECT_ROW_LIMIT
+    assert duals == []
 
 
 class TestOracleEquivalence:

@@ -432,6 +432,12 @@ class TestGenAndBench:
         prob = model.load_problem(doc)
         assert prob.dim == 7
 
+    @pytest.mark.parametrize("pairs", ["0", "-3"])
+    def test_gen_scalable_below_one_is_diagnosed(self, capsys, pairs):
+        assert cli.main(["gen", "--scalable", pairs]) == 2
+        assert capsys.readouterr().err == (
+            f"error: gen: --scalable: expected an integer >= 1, got {pairs}\n")
+
     def test_gen_corpus_and_bench(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         assert cli.main(["gen", "--corpus", str(corpus)]) == 0

@@ -161,10 +161,11 @@ DEGENERATE = {
 # reproduce every bit and every pivot.  The first four were recorded when
 # the solve began to start from the slack basis at the lower corner, with
 # their upper-bound rows given as '<=' rows, and give the same bits and
-# pivots as the '>=' rows above.  The row-generation program replaced one
-# whose rows the lower corner violates; its golden was recorded by the
-# solver that still accepted such rows (and solved them by phase 1 on
-# artificial columns).  Recorded on x86-64 Linux with OpenBLAS.
+# pivots as the '>=' rows above.  The row-generation program's golden was
+# re-recorded when row generation began to keep each round's basis (dual
+# simplex from the previous round's optimum): the same vertex and the same
+# working subsets, 21 pivots instead of 28, and the last bits of the
+# argmax and the optimum moved.  Recorded on x86-64 Linux with OpenBLAS.
 GOLDEN = {
     "vertex-2d": (
         ["0x1.0000000000001p-1", "0x1.0000000000000p-1"],
@@ -182,10 +183,10 @@ GOLDEN = {
          "0x1.5f619980c4337p-3", "0x1.a827999fcef32p-2"],
         "0x1.a827999fcef32p-2", 6),
     "row-generation": (
-        ["0x1.232323232322fp+0", "-0x1.a5a5a5a5a5a59p+0",
-         "0x1.2d2d2d2d2d2d2p+0", "0x1.da5a5a5a5a5a8p+0",
-         "-0x1.0000000000000p+1", "0x1.f5f5f5f5f5f68p-1"],
-        "0x1.72fafafafafafp+2", 28),
+        ["0x1.2323232323235p+0", "-0x1.a5a5a5a5a5a5ap+0",
+         "0x1.2d2d2d2d2d2d7p+0", "0x1.da5a5a5a5a5a6p+0",
+         "-0x1.0000000000000p+1", "0x1.f5f5f5f5f5f5cp-1"],
+        "0x1.72fafafafafb0p+2", 21),
 }
 
 
@@ -200,17 +201,102 @@ def test_degenerate_programs(case):
 
 
 def test_row_generation_takes_several_rounds(monkeypatch):
-    sizes = []
-    direct = lp._lp_max_direct
+    # the first round is one cold simplex run on the leading rows; each
+    # later round restores feasibility by dual pivots and confirms the
+    # optimum by one primal run on the grown subset
+    sizes, duals = [], []
+    simplex, dual = lp._simplex, lp._dual_simplex
 
-    def recorded(c, A, b, lo, hi):
-        sizes.append(len(b))
-        return direct(c, A, b, lo, hi)
+    def recorded(A, *args):
+        sizes.append(len(A))
+        return simplex(A, *args)
 
-    monkeypatch.setattr(lp, "_lp_max_direct", recorded)
+    def recorded_dual(A, *args):
+        duals.append(len(A))
+        return dual(A, *args)
+
+    monkeypatch.setattr(lp, "_simplex", recorded)
+    monkeypatch.setattr(lp, "_dual_simplex", recorded_dual)
     res = lp_max(*DEGENERATE["row-generation"])
     assert sizes == [lp._ROW_BATCH, 46, 50]
+    assert duals == sizes[1:]
     assert res.pivots == GOLDEN["row-generation"][2]
+    # the basis handed on keeps the binding rows, one per basic structural
+    c, A, b = DEGENERATE["row-generation"][:3]
+    rows, basic = res.basis.rows, res.basis.basic
+    assert len(rows) == len(basic) and np.all(basic < len(c))
+    assert np.all(np.abs(A[rows] @ res.x - b[rows]) <= 1e-9)
+    assert res.basis.at_hi.shape == (len(c) + len(rows),)
+
+
+def _grown_programs(rng, trials):
+    """Random programs above the direct limit, each as a parent system and
+    the rows a child adds to it; every row holds at the lower corner."""
+    for trial in range(trials):
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(lp._DIRECT_ROW_LIMIT + 1, 200))
+        extra = int(rng.integers(1, 6))
+        c = rng.uniform(-2, 2, n)
+        lo, hi = np.full(n, -2.0), np.full(n, 2.0)
+        A, b = _corner_feasible_rows(rng, m + extra, lo, rng.uniform(-1, 1, n))
+        yield trial, c, A[:m], b[:m], A[m:], b[m:], lo, hi
+
+
+class TestWarmStart:
+    def test_children_against_cold_and_scipy(self, rng, monkeypatch):
+        # a child adds rows to its parent, in front of the parent's rows
+        # (renumbered) or after them; warm from the parent's basis it
+        # reaches the cold optimum
+        duals = []
+        dual = lp._dual_simplex
+
+        def counted(*args):
+            duals.append(dual(*args))
+            return duals[-1]
+
+        monkeypatch.setattr(lp, "_dual_simplex", counted)
+        for trial, c, A, b, A_new, b_new, lo, hi in _grown_programs(rng, 30):
+            parent = lp_max(c, A, b, lo, hi)
+            assert parent.basis is not None
+            if trial % 2:
+                A_child, b_child = np.vstack([A, A_new]), np.append(b, b_new)
+                start = parent.basis
+            else:
+                A_child, b_child = np.vstack([A_new, A]), np.append(b_new, b)
+                start = lp.Basis(parent.basis.rows + len(b_new),
+                                 parent.basis.basic, parent.basis.at_hi)
+            warm = lp_max(c, A_child, b_child, lo, hi, start)
+            cold = lp_max(c, A_child, b_child, lo, hi)
+            label = f"trial {trial}"
+            assert warm.value == pytest.approx(cold.value, abs=1e-7), label
+            _check_against_scipy(c, A_child, b_child, lo, hi, warm, label)
+        # the added rows cut off most parents' optima
+        assert sum(d > 0 for d in duals) > 10
+
+    def test_warm_solves_are_deterministic(self, rng):
+        _, c, A, b, A_new, b_new, lo, hi = next(_grown_programs(rng, 1))
+        parent = lp_max(c, A, b, lo, hi)
+        A_child, b_child = np.vstack([A, A_new]), np.append(b, b_new)
+        first = lp_max(c, A_child, b_child, lo, hi, parent.basis)
+        second = lp_max(c, A_child, b_child, lo, hi, parent.basis)
+        assert _hex(first.x) == _hex(second.x)
+        assert float(first.value).hex() == float(second.value).hex()
+        assert first.pivots == second.pivots
+        for name in ("rows", "basic", "at_hi"):
+            assert np.array_equal(getattr(first.basis, name),
+                                  getattr(second.basis, name)), name
+
+    def test_dual_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(lp, "_dual_cap", lambda m, N: 0)
+        with pytest.raises(LPError, match="dual simplex iteration limit"):
+            lp_max(*DEGENERATE["row-generation"])
+
+    def test_small_systems_hand_no_basis_on(self):
+        # at most _DIRECT_ROW_LIMIT rows: one cold run, no basis handed on
+        c, A, b, lo, hi = DEGENERATE["row-generation"]
+        m = lp._DIRECT_ROW_LIMIT
+        assert lp_max(c, A[:m], b[:m], lo, hi).basis is None
+        assert lp_max(c, A[:m + 1], b[:m + 1], lo, hi).basis is not None
 
 
 def test_pivot_count():
