@@ -48,6 +48,10 @@ def _load_json(path: str) -> dict:
         raise UserError(
             f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: "
             f"{err.msg}") from None
+    except (ValueError, RecursionError) as err:
+        # an integer of more digits than int() reads, or nesting deeper
+        # than the recursion limit
+        raise UserError(f"{path}: invalid JSON: {err}") from None
 
 
 def _load_object(path: str) -> dict:
@@ -90,17 +94,8 @@ def _run_config(doc: dict, args, path: str) -> engine.RunConfig:
     def pick(flag, key, default, kind=float):
         if flag is not None:
             return flag
-        value = run.get(key, default)
-        # a JSON number: no string or bool, and no fraction for an integer
-        if type(value) is int or type(value) is float and (
-                kind is float or value.is_integer()):
-            try:
-                return kind(value)
-            except OverflowError:
-                pass
-        what = "an integer" if kind is int else "a number"
-        raise ProblemFormatError(
-            f"run.{key}", f"expected {what}, got {value!r}")
+        return model.json_number(run.get(key, default), f"run.{key}",
+                                 kind is int)
 
     try:
         return engine.RunConfig(
@@ -160,10 +155,9 @@ def _barrier_from_doc(doc: dict, prob: Problem,
                                 f"the same monomial")
             names[mono] = name
             try:
-                coeff = float(value)
-            except (TypeError, ValueError):
-                raise UserError(f"{loc}.{name}: expected a number, got "
-                                f"{value!r}") from None
+                coeff = model.json_number(value, f"modes.{mdef.name}.{name}")
+            except ProblemFormatError as err:
+                raise UserError(f"{path}: {err}") from None
             if not math.isfinite(coeff):
                 raise UserError(f"{loc}.{name}: coefficient must be finite, "
                                 f"got {value!r}")
@@ -173,7 +167,19 @@ def _barrier_from_doc(doc: dict, prob: Problem,
             monos.append(tuple(0 for _ in prob.state_vars))
             coeffs.append(0.0)
         blocks.append(tuple(monos))
+    declared = {mdef.name for mdef in prob.modes}
+    for name in raw_modes:
+        if name not in declared:
+            raise UserError(f"{path}: modes.{name}: the problem declares no "
+                            "such mode")
     return Template(tuple(blocks)), np.asarray(coeffs)
+
+
+def _found(report: engine.RunReport) -> bool:
+    """A certificate found, and verified unless verification was off."""
+    return (report.status is engine.RunStatus.BARRIER_FOUND
+            and (report.verdict is None
+                 or report.verdict.status is rigor.VerdictStatus.VERIFIED))
 
 
 def _verdict_name(verdict: rigor.Verdict | None) -> str | None:
@@ -248,12 +254,7 @@ def _cmd_synth(args) -> int:
     out = _report_json(doc.get("name", Path(args.problem).stem), report,
                        prob, tmpl, cfg.seed)
     _write_report(out, args.report)
-    if report.status is engine.RunStatus.BARRIER_FOUND:
-        if report.verdict is None or \
-                report.verdict.status is rigor.VerdictStatus.VERIFIED:
-            return 0
-        return 1
-    return 1
+    return 0 if _found(report) else 1
 
 
 def _cmd_verify(args) -> int:
@@ -306,10 +307,7 @@ def _cmd_bench(args) -> int:
             all_ok = False
             rows.append((name, prob.dim, err))
             continue
-        ok = (report.status is engine.RunStatus.BARRIER_FOUND
-              and (report.verdict is None or
-                   report.verdict.status is rigor.VerdictStatus.VERIFIED))
-        all_ok = all_ok and ok
+        all_ok = all_ok and _found(report)
         rows.append((name, prob.dim, report))
         if args.report_dir:
             out = _report_json(name, report, prob, tmpl, cfg.seed)

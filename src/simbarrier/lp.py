@@ -16,15 +16,18 @@ global optimality (the subset optimum is an upper bound).  Each round
 after the first keeps the previous round's basis: the new rows' slacks
 enter it as basic, which leaves it dual feasible, and the basis inverse
 grows by the block formula ``[[B^-1, 0], [-R_B B^-1, I]]``.  Dual simplex
-pivots (``_dual_simplex``) then restore primal feasibility, and the primal
-simplex, started from that basis, confirms optimality.  Such a solve
-returns its final basis on its binding rows (``Basis``: those rows, the
-basic columns and the nonbasic columns at their upper bound, as small
-integer arrays; a row whose slack is basic is dropped with its slack,
-which keeps the basis optimal).  Given back with a system that has the
-same rows and some more, it is the next solve's working subset and basis,
-so a program that differs from an earlier one by a few rows needs a few
-dual pivots instead of a fresh run.
+pivots then restore primal feasibility, and the primal simplex, started
+from that basis, confirms optimality.  Such a solve returns its final
+basis on its binding rows (``Basis``: those rows, the basic columns and
+the nonbasic columns at their upper bound, as small integer arrays; a row
+whose slack is basic is dropped with its slack, which keeps the basis
+optimal).  Given back with a system that has the same rows and some more,
+it is the next solve's working subset and basis, so a program that
+differs from an earlier one by a few rows needs a few dual pivots instead
+of a fresh run.  The fork by size is measured: sending systems of at most
+80 rows through row generation too moved pendulum's synthesis (seed 0)
+from 3 to 5 rounds, since those optima are often not unique and the warm
+rounds end on another vertex.
 
 Pivot rules.  The primal entering variable follows Bland's
 smallest-index rule; the leaving row takes the min ratio with a
@@ -32,19 +35,25 @@ largest-pivot tie-break (stability) and smallest index as the last resort.
 The dual leaving row is the basic variable farthest outside its bounds
 (the first among equals); the entering column takes the min dual ratio,
 the largest pivot among ratios within ``_TOL`` of it, then the smallest
-index.  Every solve is deterministic, and each simplex is capped
-(``LPError`` past the cap).  Built for the small, repeatedly solved
-programs of the candidate search, where exactness and reproducibility
-matter more than raw speed.
+index.  Every solve is deterministic.  Built for the small, repeatedly
+solved programs of the candidate search, where exactness and
+reproducibility matter more than raw speed.
 
-The kernel is the dense revised simplex on whole arrays: the basic
-variables are set through the basis index array, pricing is one boolean
-mask over the columns, the step ratios of all basic rows are one array
-expression, and the explicit basis inverse takes a masked rank-1 update
-(refactorised every ``_REFACTOR_EVERY`` pivots).  Only the primal
-leaving-row tie-break runs in Python, over the rows that can block: its
-outcome depends on the order in which rows are visited, so no single
-``argmin`` can replace it.
+The kernel is the dense revised simplex on whole arrays, kept by
+``_Working``: the primal and the dual loop are its two methods and share
+the rest.  One pricing step sets ``x_B = B^-1 (b - A x_N)`` and the
+reduced costs ``c - (c_B B^-1) A``: the primal runs it every iteration,
+the dual at its start and after each refactorisation, updating both
+incrementally in between.  One basis exchange sets the statuses and the
+basis position and gives the explicit basis inverse a masked rank-1
+update, or, every ``_REFACTOR_EVERY`` pivots of a run, the one
+refactorisation, ``inv(A_B)``, which is also how a restart builds its
+inverse.  One iteration cap bounds both loops (``LPError`` past it).
+Pricing is one boolean mask over the columns and the step ratios of all
+basic rows are one array expression.  Only the primal leaving-row
+tie-break runs in Python, over the rows that can block: its outcome
+depends on the order in which rows are visited, so no single ``argmin``
+can replace it.
 
 Bit-identity contract: in the cold solve, and in the first round of a
 row generation that starts without a basis, every array operation rounds
@@ -130,7 +139,9 @@ def lp_max(c, A, b, lo, hi, start: Basis | None = None) -> LPResult:
         raise LPError(f"row {int(violated.argmax())} is violated at the "
                       "lower corner of the bounds")
     if b.size <= _DIRECT_ROW_LIMIT:
-        return _lp_max_direct(c, A, b, lo, hi)
+        work = _Working(c, A, b, lo, hi)
+        value, pivots = work.primal()
+        return LPResult(work.x[:n].copy(), value, pivots)
 
     if start is None:
         active = np.arange(_ROW_BATCH)
@@ -157,17 +168,6 @@ def lp_max(c, A, b, lo, hi, start: Basis | None = None) -> LPResult:
         value, more = work.primal()
         pivots += more
     raise LPError("row generation failed to converge")
-
-
-def _lp_max_direct(c, A, b, lo, hi) -> LPResult:
-    m, n = A.shape
-    if m == 0:
-        # optimum sits at a bound of each variable
-        x = np.where(c > 0, hi, lo)
-        return LPResult(x, float(c @ x))
-    work = _Working(c, A, b, lo, hi)
-    value, pivots = work.primal()
-    return LPResult(work.x[:n].copy(), value, pivots)
 
 
 class _Working:
@@ -209,9 +209,8 @@ class _Working:
         work.status = np.where(start.at_hi, _AT_HI, _AT_LO)
         work.status[work.basis] = _BASIC
         work.x = np.where(start.at_hi, work.hi, work.lo)
-        work.x[work.basis] = 0.0
-        work.Binv = _basis_inverse(work.T, work.basis)
-        work.x[work.basis] = work.Binv @ (work.b - work.T @ work.x)
+        work._refactor()
+        work._price()
         return work
 
     def binding(self, rows) -> Basis:
@@ -228,19 +227,175 @@ class _Working:
                      self.basis[self.basis < n].astype(np.int32),
                      self.status[kept] == _AT_HI)
 
+
     def primal(self) -> tuple[float, int]:
-        """Run the primal simplex from the current basis, which must be
-        feasible; returns the optimum and the pivot count."""
-        _, value, pivots = _simplex(self.T, self.b, self.obj, self.lo,
-                                    self.hi, self.basis, self.status, self.x,
-                                    self.Binv)
-        return value, pivots
+        """Run the bounded-variable primal simplex from the current basis,
+        which must be feasible; returns the optimum and the pivot count.
+        Every iteration prices in full (``_price``)."""
+        lo, hi, basis, status, x = (self.lo, self.hi, self.basis,
+                                     self.status, self.x)
+        movable = lo != hi
+        bounded_above = hi != math.inf
+        pivots = 0
+        for _ in range(self._cap()):
+            reduced = self._price()
+
+            # Bland's rule: the first non-basic column that improves c.x
+            improving = movable & (((status == _AT_LO) & (reduced > _TOL))
+                                   | ((status == _AT_HI) & (reduced < -_TOL)))
+            entering = int(improving.argmax())
+            if not improving[entering]:
+                return float(self.obj @ x), pivots
+
+            direction = 1.0 if status[entering] == _AT_LO else -1.0
+            w = self.Binv @ self.T[:, entering]
+
+            # step to the bound of each basic variable that can block: moving
+            # down to its lower bound (coef > 0) or up to a finite upper bound
+            coef = direction * w
+            down = coef > _TOL
+            blocking = (down | ((coef < -_TOL)
+                                & bounded_above[basis])).nonzero()[0]
+            down = down[blocking]
+            k = basis[blocking]
+            gap = np.where(down, x[k] - lo[k], hi[k] - x[k])
+            ratio = gap / np.where(down, coef[blocking], -coef[blocking])
+            ratio = np.where(ratio < 0.0, 0.0, ratio)  # max(ratio, 0.0)
+
+            # smallest step that drives a basic variable (or the entering
+            # variable itself) to a bound; among near-tied blockers prefer the
+            # largest pivot magnitude (numerical stability), then the smallest
+            # variable index (determinism).  The window moves with each row
+            # taken, so the rows are visited in order.
+            t_best = float(hi[entering] - lo[entering])
+            leave_pos = -1  # -1 means bound flip
+            leave_var = entering
+            leave_at_lo = True
+            leave_pivot = 0.0
+            for r, t, var, pivot, at_lo in zip(
+                    blocking.tolist(), ratio.tolist(), k.tolist(),
+                    np.abs(w[blocking]).tolist(), down.tolist()):
+                if t < t_best - _TOL:
+                    take = True
+                elif t < t_best + _TOL:
+                    if leave_pos >= 0:
+                        take = (pivot > leave_pivot * (1.0 + 1e-12)
+                                or (pivot >= leave_pivot * (1.0 - 1e-12)
+                                    and var < leave_var))
+                    else:
+                        take = t <= t_best
+                else:
+                    take = False
+                if take:
+                    t_best = min(t, t_best)
+                    leave_pos = r
+                    leave_var = var
+                    leave_at_lo = at_lo
+                    leave_pivot = pivot
+            if t_best == math.inf:
+                raise LPError("unbounded program despite box bounds")
+
+            # only the variables leaving for a bound need a value here: the
+            # basic ones are priced again at the top of the loop
+            if leave_pos < 0:
+                status[entering] = _AT_HI if direction > 0 else _AT_LO
+                x[entering] = hi[entering] if direction > 0 else lo[entering]
+                continue
+            pivots += 1
+            self._exchange(leave_pos, entering, w, not leave_at_lo, pivots)
+        raise LPError("simplex iteration limit exceeded")
 
     def dual(self) -> int:
-        """Restore primal feasibility of a dual-feasible basis; returns the
-        pivot count."""
-        return _dual_simplex(self.T, self.b, self.obj, self.lo, self.hi,
-                             self.basis, self.status, self.x, self.Binv)
+        """Run the bounded-variable dual simplex from a basis whose reduced
+        costs are dual feasible (within ``_TOL``) until every basic
+        variable is within its bounds; returns the pivot count.  ``x_B``
+        and the reduced costs are priced at the start and after each
+        refactorisation, and updated incrementally in between."""
+        lo, hi, basis, status, x = (self.lo, self.hi, self.basis,
+                                     self.status, self.x)
+        movable = lo != hi
+        pivots = 0
+        reduced = self._price()
+        for _ in range(self._cap()):
+            xb = x[basis]
+            short = lo[basis] - xb   # > 0 below the lower bound
+            over = xb - hi[basis]    # > 0 above the upper bound
+            worst = np.maximum(short, over)
+            r = int(worst.argmax())
+            if not worst[r] > _TOL:
+                return pivots
+            # the leaving variable rises to its lower bound or falls to its
+            # upper one; x_B[r] moves by -alpha[j] per unit of entering x_j,
+            # so an entering column at its lower bound (moving up) needs
+            # alpha[j] of the opposite sign to the move, one at its upper
+            # bound the same sign
+            rise = bool(short[r] > over[r])
+            alpha = self.Binv[r] @ self.T
+            toward = alpha if rise else -alpha
+            at_lo = status == _AT_LO
+            at_hi = status == _AT_HI
+            eligible = movable & ((at_lo & (toward < -_TOL))
+                                  | (at_hi & (toward > _TOL)))
+            cols = eligible.nonzero()[0]
+            if not cols.size:
+                raise LPError("the working rows have no feasible point")
+            # dual ratio test: the reduced costs stay dual feasible
+            slack = np.maximum(np.where(at_lo[cols], -reduced[cols],
+                                        reduced[cols]), 0.0)
+            size = np.abs(alpha[cols])
+            ratio = slack / size
+            near = (ratio <= ratio.min() + _TOL).nonzero()[0]
+            j = int(cols[near[int(size[near].argmax())]])
+
+            w = self.Binv @ self.T[:, j]
+            out = basis[r]
+            step = (x[out] - (lo[out] if rise else hi[out])) / w[r]
+            x[basis] -= step * w
+            x[j] += step
+            reduced -= (reduced[j] / alpha[j]) * alpha
+            reduced[j] = 0.0
+            pivots += 1
+            if self._exchange(r, j, w, not rise, pivots):
+                reduced = self._price()
+        raise LPError("dual simplex iteration limit exceeded")
+
+    def _cap(self) -> int:
+        """The iteration cap of one simplex run, primal or dual."""
+        m, N = self.T.shape
+        return 2000 + 200 * (m + N)
+
+    def _price(self) -> np.ndarray:
+        """Set ``x_B = B^-1 (b - A x_N)`` and return the reduced costs
+        ``c - (c_B B^-1) A``."""
+        self.x[self.basis] = self.Binv @ (
+            self.b - self.T @ np.where(self.status == _BASIC, 0.0, self.x))
+        y = self.obj[self.basis] @ self.Binv
+        return self.obj - y @ self.T
+
+    def _refactor(self):
+        self.Binv = np.linalg.inv(self.T[:, self.basis])
+
+    def _exchange(self, r, j, w, to_hi, pivots) -> bool:
+        """Column ``j`` enters the basis at position ``r``, whose variable
+        leaves for its upper bound (``to_hi``) or its lower one; ``w`` is
+        ``B^-1 A_j``.  ``B^-1`` takes the rank-1 update, or is refactorised
+        when ``pivots``, this run's count with this exchange, is a multiple
+        of ``_REFACTOR_EVERY``; returns whether it was."""
+        out = self.basis[r]
+        self.status[out] = _AT_HI if to_hi else _AT_LO
+        self.x[out] = self.hi[out] if to_hi else self.lo[out]
+        self.status[j] = _BASIC
+        self.basis[r] = j
+        if pivots % _REFACTOR_EVERY == 0:
+            self._refactor()
+            return True
+        Binv = self.Binv
+        Binv[r] /= w[r]
+        update = np.abs(w) > 0.0
+        update[r] = False
+        np.subtract(Binv, w[:, None] * Binv[r], out=Binv,
+                    where=update[:, None])
+        return False
 
     def add_rows(self, A, b):
         """Append rows ``A x >= b`` with their slacks basic.
@@ -271,211 +426,3 @@ class _Working:
         self.status = np.concatenate([self.status, np.full(r, _BASIC)])
         self.x = np.concatenate([self.x, np.zeros(r)])
         self.basis = np.concatenate([self.basis, N + np.arange(r)])
-
-
-def _basis_inverse(T, basis):
-    """Inverse of ``T[:, basis]`` for a working program ``T = [A | I]``.
-
-    Let S be the basis positions of structural columns J and P the rows
-    whose slack is nonbasic (|P| = |S|).  Solving ``B z = v`` gives
-    ``z_S = M^-1 v_P`` with ``M = A[P, J]``, and on each basic slack of a
-    row q, ``z = v_q - A[q, J] z_S``; so only M is inverted.
-    """
-    m, N = T.shape
-    n = N - m
-    structural = basis < n
-    S = structural.nonzero()[0]
-    Q = (~structural).nonzero()[0]
-    q_rows = basis[Q] - n
-    tight = np.ones(m, dtype=bool)
-    tight[q_rows] = False
-    P = tight.nonzero()[0]
-    Binv = np.zeros((m, m))
-    Binv[Q, q_rows] = 1.0
-    if S.size:
-        J = basis[S]
-        M_inv = np.linalg.inv(T[np.ix_(P, J)])
-        Binv[np.ix_(S, P)] = M_inv
-        Binv[np.ix_(Q, P)] = -(T[np.ix_(q_rows, J)] @ M_inv)
-    return Binv
-
-
-def _dual_cap(m, N):
-    # the primal simplex's iteration cap
-    return 2000 + 200 * (m + N)
-
-
-def _dual_simplex(A, b, c, lo, hi, basis, status, x, Binv):
-    """Run the bounded-variable dual simplex in place from a basis whose
-    reduced costs are dual feasible (within ``_TOL``), until every basic
-    variable is within its bounds.
-
-    ``basis``, ``status``, ``x`` and ``Binv`` are updated in place;
-    returns the number of basis exchanges.  ``x_B`` and the reduced costs
-    are updated incrementally between refactorisations.
-    """
-    m, N = A.shape
-    movable = lo != hi
-    cap = _dual_cap(m, N)
-    pivots = 0
-
-    def refresh():
-        x[basis] = Binv @ (b - A @ np.where(status == _BASIC, 0.0, x))
-        return c - (c[basis] @ Binv) @ A
-
-    reduced = refresh()
-    while True:
-        xb = x[basis]
-        short = lo[basis] - xb   # > 0 below the lower bound
-        over = xb - hi[basis]    # > 0 above the upper bound
-        worst = np.maximum(short, over)
-        r = int(worst.argmax())
-        if not worst[r] > _TOL:
-            return pivots
-        if pivots >= cap:
-            raise LPError("dual simplex iteration limit exceeded")
-        # the leaving variable rises to its lower bound or falls to its
-        # upper one; x_B[r] moves by -alpha[j] per unit of entering x_j,
-        # so an entering column at its lower bound (moving up) needs
-        # alpha[j] of the opposite sign to the move, one at its upper
-        # bound the same sign
-        rise = bool(short[r] > over[r])
-        alpha = Binv[r] @ A
-        toward = alpha if rise else -alpha
-        at_lo = status == _AT_LO
-        at_hi = status == _AT_HI
-        eligible = movable & ((at_lo & (toward < -_TOL))
-                              | (at_hi & (toward > _TOL)))
-        cols = eligible.nonzero()[0]
-        if not cols.size:
-            raise LPError("the working rows have no feasible point")
-        # dual ratio test: the reduced costs stay dual feasible
-        slack = np.maximum(np.where(at_lo[cols], -reduced[cols],
-                                    reduced[cols]), 0.0)
-        size = np.abs(alpha[cols])
-        ratio = slack / size
-        near = (ratio <= ratio.min() + _TOL).nonzero()[0]
-        j = int(cols[near[int(size[near].argmax())]])
-
-        w = Binv @ A[:, j]
-        out = basis[r]
-        bound = lo[out] if rise else hi[out]
-        step = (x[out] - bound) / w[r]
-        x[basis] -= step * w
-        x[j] += step
-        x[out] = bound
-        status[out] = _AT_LO if rise else _AT_HI
-        reduced -= (reduced[j] / alpha[j]) * alpha
-        reduced[j] = 0.0
-        status[j] = _BASIC
-        basis[r] = j
-
-        pivots += 1
-        if pivots % _REFACTOR_EVERY == 0:
-            Binv[:] = _basis_inverse(A, basis)
-            reduced = refresh()
-        else:
-            Binv[r] /= w[r]
-            update = np.abs(w) > 0.0
-            update[r] = False
-            np.subtract(Binv, w[:, None] * Binv[r], out=Binv,
-                        where=update[:, None])
-
-
-def _simplex(A, b, c, lo, hi, basis, status, x, Binv):
-    """Run the bounded-variable primal simplex in place from a feasible
-    basis with the inverse ``Binv`` (the identity for the slack basis).
-
-    ``basis`` (an index array), ``status``, ``x`` and ``Binv`` are updated
-    in place; returns x, the objective value and the number of basis
-    exchanges.
-    """
-    m, N = A.shape
-    movable = lo != hi
-    bounded_above = hi != math.inf
-    pivots = 0
-    max_iters = 2000 + 200 * (m + N)
-
-    for _ in range(max_iters):
-        x[basis] = Binv @ (b - A @ np.where(status == _BASIC, 0.0, x))
-        y = c[basis] @ Binv
-        reduced = c - y @ A
-
-        # Bland's rule: the first non-basic column that improves c.x
-        improving = movable & (((status == _AT_LO) & (reduced > _TOL))
-                               | ((status == _AT_HI) & (reduced < -_TOL)))
-        entering = int(improving.argmax())
-        if not improving[entering]:
-            return x, float(c @ x), pivots
-
-        direction = 1.0 if status[entering] == _AT_LO else -1.0
-        w = Binv @ A[:, entering]
-
-        # step to the bound of each basic variable that can block: moving
-        # down to its lower bound (coef > 0) or up to a finite upper bound
-        coef = direction * w
-        down = coef > _TOL
-        blocking = (down | ((coef < -_TOL) & bounded_above[basis])).nonzero()[0]
-        down = down[blocking]
-        k = basis[blocking]
-        gap = np.where(down, x[k] - lo[k], hi[k] - x[k])
-        ratio = gap / np.where(down, coef[blocking], -coef[blocking])
-        ratio = np.where(ratio < 0.0, 0.0, ratio)  # max(ratio, 0.0)
-
-        # smallest step that drives a basic variable (or the entering
-        # variable itself) to a bound; among near-tied blockers prefer the
-        # largest pivot magnitude (numerical stability), then the smallest
-        # variable index (determinism).  The window moves with each row
-        # taken, so the rows are visited in order.
-        t_best = float(hi[entering] - lo[entering])
-        leave_pos = -1  # -1 means bound flip
-        leave_var = entering
-        leave_at_lo = True
-        leave_pivot = 0.0
-        for r, t, var, pivot, at_lo in zip(
-                blocking.tolist(), ratio.tolist(), k.tolist(),
-                np.abs(w[blocking]).tolist(), down.tolist()):
-            if t < t_best - _TOL:
-                take = True
-            elif t < t_best + _TOL:
-                if leave_pos >= 0:
-                    take = (pivot > leave_pivot * (1.0 + 1e-12)
-                            or (pivot >= leave_pivot * (1.0 - 1e-12)
-                                and var < leave_var))
-                else:
-                    take = t <= t_best
-            else:
-                take = False
-            if take:
-                t_best = min(t, t_best)
-                leave_pos = r
-                leave_var = var
-                leave_at_lo = at_lo
-                leave_pivot = pivot
-        if t_best == math.inf:
-            raise LPError("unbounded program despite box bounds")
-
-        # only the variables leaving for a bound need a value here: the
-        # basic ones are recomputed from Binv at the top of the loop
-        if leave_pos < 0:
-            status[entering] = _AT_HI if direction > 0 else _AT_LO
-            x[entering] = hi[entering] if direction > 0 else lo[entering]
-            continue
-
-        out = basis[leave_pos]
-        status[out] = _AT_LO if leave_at_lo else _AT_HI
-        x[out] = lo[out] if leave_at_lo else hi[out]
-        status[entering] = _BASIC
-        basis[leave_pos] = entering
-
-        pivots += 1
-        if pivots % _REFACTOR_EVERY == 0:
-            Binv[:] = np.linalg.inv(A[:, basis])
-        else:
-            Binv[leave_pos] /= w[leave_pos]
-            update = np.abs(w) > 0.0
-            update[leave_pos] = False
-            np.subtract(Binv, w[:, None] * Binv[leave_pos], out=Binv,
-                        where=update[:, None])
-
-    raise LPError("simplex iteration limit exceeded")

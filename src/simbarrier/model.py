@@ -65,12 +65,6 @@ class Box:
         hi = np.asarray(self.hi)
         return lo + rng.random(self.dim) * (hi - lo)
 
-    @staticmethod
-    def from_pairs(pairs: Iterable[Sequence[float]]) -> "Box":
-        pairs = list(pairs)
-        return Box(tuple(float(p[0]) for p in pairs),
-                   tuple(float(p[1]) for p in pairs))
-
 
 def vertices(b: Box) -> list[tuple[float, ...]]:
     """All corner points in lexicographic low/high order, deduplicated."""
@@ -653,6 +647,20 @@ def _require(doc: dict, key: str, location: str):
     return doc[key]
 
 
+def json_number(value, location: str, integer: bool = False):
+    """``value`` as a float, or as an int with ``integer``, if it is a JSON
+    number; a string, a bool, an integer beyond the float range or, with
+    ``integer``, a fraction is an error at ``location``."""
+    if type(value) is int or type(value) is float and (
+            not integer or value.is_integer()):
+        try:
+            return int(value) if integer else float(value)
+        except OverflowError:
+            pass
+    what = "an integer" if integer else "a number"
+    raise ProblemFormatError(location, f"expected {what}, got {value!r}")
+
+
 def _load_box(raw, n: int | None, location: str) -> Box:
     if not isinstance(raw, (list, tuple)) or not all(
             isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in raw):
@@ -660,9 +668,11 @@ def _load_box(raw, n: int | None, location: str) -> Box:
     if n is not None and len(raw) != n:
         raise ProblemFormatError(
             location, f"expected {n} dimensions, got {len(raw)}")
+    pairs = [[json_number(v, f"{location}[{i}][{j}]")
+              for j, v in enumerate(pair)] for i, pair in enumerate(raw)]
     try:
-        return Box.from_pairs(raw)
-    except (ValueError, TypeError, IndexError) as err:
+        return Box(*map(tuple, zip(*pairs)))
+    except ValueError as err:
         raise ProblemFormatError(location, str(err)) from None
 
 

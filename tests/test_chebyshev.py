@@ -233,27 +233,32 @@ def test_golden_scalable_l2():
 
 def test_margin_lps_run_phase_two_only(monkeypatch):
     # every row r.p - delta >= 0 with |r| = 1 holds at the lower corner
-    # p = -1, delta = -(sqrt(k) + 1), so each LP starts from the slack
-    # basis and runs one simplex
-    runs = []
-    direct, simplex = lp._lp_max_direct, lp._simplex
+    # p = -1, delta = -(sqrt(k) + 1), so each LP of at most 80 rows runs
+    # one primal simplex from the slack basis
+    runs, sizes = [], []
+    lp_max, primal = lp.lp_max, lp._Working.primal
 
-    def counted_direct(*args):
+    def counted_lp_max(*args):
+        sizes.append(len(args[2]))
         runs.append(0)
-        return direct(*args)
+        return lp_max(*args)
 
-    def counted_simplex(*args):
+    def counted_primal(work):
+        m, N = work.T.shape
+        assert np.array_equal(work.basis, np.arange(N - m, N))
+        assert np.array_equal(work.Binv, np.eye(m))
         runs[-1] += 1
-        return simplex(*args)
+        return primal(work)
 
-    monkeypatch.setattr(lp, "_lp_max_direct", counted_direct)
-    monkeypatch.setattr(lp, "_simplex", counted_simplex)
+    monkeypatch.setattr(lp, "lp_max", counted_lp_max)
+    monkeypatch.setattr(lp._Working, "primal", counted_primal)
     prob = model.load_problem(benchmarks.scalable(2))
     tmpl = model.make_template("linear", prob.dim, 1)
     segs = sim.init_segments(prob, 0.1, 256, 0, bloat_factor=1.1)
     cand = solve(build(segs, tmpl, prob))
     assert cand is not None and cand.nodes > 1
     assert len(runs) >= cand.nodes and set(runs) == {1}
+    assert max(sizes) <= lp._DIRECT_ROW_LIMIT
 
 
 # the pivots of chebyshev.solve on scalable-l3's bootstrap below when each
@@ -291,17 +296,17 @@ def test_children_start_from_their_parents_basis(monkeypatch):
 def test_pendulum_runs_no_dual_pivot(monkeypatch):
     # every pendulum relaxation has at most 80 rows: one cold run each
     duals, sizes = [], []
-    dual, lp_max = lp._dual_simplex, lp.lp_max
+    dual, lp_max = lp._Working.dual, lp.lp_max
 
-    def counted(*args):
-        duals.append(len(args[0]))
-        return dual(*args)
+    def counted(work):
+        duals.append(len(work.b))
+        return dual(work)
 
     def solved(*args):
         sizes.append(len(args[2]))
         return lp_max(*args)
 
-    monkeypatch.setattr(lp, "_dual_simplex", counted)
+    monkeypatch.setattr(lp._Working, "dual", counted)
     monkeypatch.setattr(lp, "lp_max", solved)
     doc = benchmarks.pendulum()
     prob = model.load_problem(doc)

@@ -262,6 +262,24 @@ class TestErrors:
         ({"run": {"starts": "3"}}, "run.starts"),
         ({"run": {"sigma": "0.25"}}, "run.sigma"),
         ({"run": {"seed": " 7 "}}, "run.seed"),
+        # box bounds are JSON numbers within the float range too
+        ({"init": [{"mode": "m", "box": [[-10 ** 400, 10], [8, 10]]}]},
+         "init[0].box[0][0]"),
+        ({"init": [{"mode": "m", "box": [["-10", 10], [8, 10]]}]},
+         "init[0].box[0][0]"),
+        ({"unsafe": [{"mode": "m", "box": [[-10, 10], [-10, True]]}]},
+         "unsafe[0].box[1][1]"),
+        ({"modes": [{"name": "m", "omega": [[-10, "10"], [-10, 10]],
+                     "flow": ["y", "-x"]}]}, "modes[0].omega[0][1]"),
+        ({"disturbances": ["d"], "disturbance_box": [["0", 1]]},
+         "disturbance_box[0][0]"),
+        ({"resets": [{"source": "m", "target": "m",
+                      "guard": [[0, 10 ** 400], [0, 1]],
+                      "map": ["x", "y"]}]}, "resets[0].guard[0][1]"),
+        ({"resets": [{"source": "m", "target": "m",
+                      "guard": [[0, 1], [0, 1]], "map": ["x", "y"],
+                      "inverse": ["x", "y"], "image": [[0, 1], [False, 1]]}]},
+         "resets[0].image[1][0]"),
     ])
     def test_malformed_fields_are_diagnosed(self, tmp_path, capsys, change,
                                             location):
@@ -387,6 +405,13 @@ class TestErrors:
         ({"modes": {"m": {"1": 0.5, "x1": math.nan}}}, "modes.m.x1"),
         ('{"modes": {"m": {"1": 0.5, "x1": 1e400}}}', "modes.m.x1"),
         ({"modes": {"m": {"1": 0.5, "x1": -1.0, "x1^1": 2.0}}}, "modes.m"),
+        # coefficients are JSON numbers within the float range
+        ({"modes": {"m": {"1": "0.1277", "x1": -1.0}}}, "modes.m.1"),
+        ({"modes": {"m": {"1": True, "x1": -1.0}}}, "modes.m.1"),
+        ({"modes": {"m": {"1": 10 ** 400, "x1": -1.0}}}, "modes.m.1"),
+        # every mode named must be one the problem declares
+        ({"modes": {"m": {"1": 0.12774317671, "x1": -1.0},
+                    "ghost": {"1": 1.0}}}, "modes.ghost"),
     ])
     def test_malformed_barrier_is_diagnosed(self, composition_path, tmp_path,
                                             capsys, barrier, location):
@@ -405,6 +430,19 @@ class TestErrors:
         assert cli.main(["synth", str(path)]) == 2
         err = capsys.readouterr().err
         assert "line 1" in err
+
+    @pytest.mark.parametrize("text", [
+        # json reads an integer with int(), which refuses more than 4300
+        # digits, and nested arrays by recursion
+        '{"variables": [1%s]}' % ("0" * 5000),
+        "[" * 100000 + "]" * 100000,
+    ], ids=["digits", "nesting"])
+    def test_json_beyond_the_parser_limits(self, tmp_path, capsys, text):
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        assert cli.main(["synth", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: invalid JSON: " in err and "Traceback" not in err
 
     def test_missing_file(self, capsys):
         assert cli.main(["synth", "/nonexistent/problem.json"]) == 2

@@ -200,26 +200,36 @@ def test_degenerate_programs(case):
         (x, value, pivots)
 
 
+def _record_runs(monkeypatch):
+    """Record each simplex run of ``lp._Working`` as (loop, working rows,
+    pivots)."""
+    runs = []
+    primal, dual = lp._Working.primal, lp._Working.dual
+
+    def recorded_primal(work):
+        value, pivots = primal(work)
+        runs.append(("primal", len(work.b), pivots))
+        return value, pivots
+
+    def recorded_dual(work):
+        runs.append(("dual", len(work.b), dual(work)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(lp._Working, "primal", recorded_primal)
+    monkeypatch.setattr(lp._Working, "dual", recorded_dual)
+    return runs
+
+
 def test_row_generation_takes_several_rounds(monkeypatch):
     # the first round is one cold simplex run on the leading rows; each
     # later round restores feasibility by dual pivots and confirms the
     # optimum by one primal run on the grown subset
-    sizes, duals = [], []
-    simplex, dual = lp._simplex, lp._dual_simplex
-
-    def recorded(A, *args):
-        sizes.append(len(A))
-        return simplex(A, *args)
-
-    def recorded_dual(A, *args):
-        duals.append(len(A))
-        return dual(A, *args)
-
-    monkeypatch.setattr(lp, "_simplex", recorded)
-    monkeypatch.setattr(lp, "_dual_simplex", recorded_dual)
+    runs = _record_runs(monkeypatch)
     res = lp_max(*DEGENERATE["row-generation"])
+    assert [loop for loop, _, _ in runs] == ["primal"] + ["dual", "primal"] * 2
+    sizes = [rows for loop, rows, _ in runs if loop == "primal"]
     assert sizes == [lp._ROW_BATCH, 46, 50]
-    assert duals == sizes[1:]
+    assert [rows for loop, rows, _ in runs if loop == "dual"] == sizes[1:]
     assert res.pivots == GOLDEN["row-generation"][2]
     # the basis handed on keeps the binding rows, one per basic structural
     c, A, b = DEGENERATE["row-generation"][:3]
@@ -247,14 +257,7 @@ class TestWarmStart:
         # a child adds rows to its parent, in front of the parent's rows
         # (renumbered) or after them; warm from the parent's basis it
         # reaches the cold optimum
-        duals = []
-        dual = lp._dual_simplex
-
-        def counted(*args):
-            duals.append(dual(*args))
-            return duals[-1]
-
-        monkeypatch.setattr(lp, "_dual_simplex", counted)
+        runs = _record_runs(monkeypatch)
         for trial, c, A, b, A_new, b_new, lo, hi in _grown_programs(rng, 30):
             parent = lp_max(c, A, b, lo, hi)
             assert parent.basis is not None
@@ -271,7 +274,25 @@ class TestWarmStart:
             assert warm.value == pytest.approx(cold.value, abs=1e-7), label
             _check_against_scipy(c, A_child, b_child, lo, hi, warm, label)
         # the added rows cut off most parents' optima
-        assert sum(d > 0 for d in duals) > 10
+        assert sum(loop == "dual" and pivots > 0
+                   for loop, _, pivots in runs) > 10
+
+    def test_refactorisation_in_the_dual_loop(self, rng, monkeypatch):
+        # every second pivot of a run refactorises the basis inverse and
+        # prices again, in the dual loop as in the primal one; the warm
+        # children still reach the cold optimum
+        monkeypatch.setattr(lp, "_REFACTOR_EVERY", 2)
+        runs = _record_runs(monkeypatch)
+        for trial, c, A, b, A_new, b_new, lo, hi in _grown_programs(rng, 30):
+            parent = lp_max(c, A, b, lo, hi)
+            A_child, b_child = np.vstack([A, A_new]), np.append(b, b_new)
+            warm = lp_max(c, A_child, b_child, lo, hi, parent.basis)
+            cold = lp_max(c, A_child, b_child, lo, hi)
+            label = f"trial {trial}"
+            assert warm.value == pytest.approx(cold.value, abs=1e-7), label
+            _check_against_scipy(c, A_child, b_child, lo, hi, warm, label)
+        assert sum(loop == "dual" and pivots >= 2
+                   for loop, _, pivots in runs) > 5
 
     def test_warm_solves_are_deterministic(self, rng):
         _, c, A, b, A_new, b_new, lo, hi = next(_grown_programs(rng, 1))
@@ -286,10 +307,26 @@ class TestWarmStart:
             assert np.array_equal(getattr(first.basis, name),
                                   getattr(second.basis, name)), name
 
-    def test_dual_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(lp, "_dual_cap", lambda m, N: 0)
-        with pytest.raises(LPError, match="dual simplex iteration limit"):
-            lp_max(*DEGENERATE["row-generation"])
+    @pytest.mark.parametrize("loop", ["primal", "dual"])
+    def test_each_loop_past_the_cap_raises(self, monkeypatch, loop):
+        # one cap for both loops: a run of one iteration can only find its
+        # basis optimal (primal) or feasible (dual), so one that needs a
+        # pivot raises
+        c, A, b, lo, hi = DEGENERATE["row-generation"]
+        work = lp._Working(c, A[:lp._ROW_BATCH], b[:lp._ROW_BATCH], lo, hi)
+        if loop == "dual":
+            work.primal()
+            cut = (b - A @ work.x[:len(c)] > 1e-9).nonzero()[0][:5]
+            work.add_rows(A[cut], b[cut])
+        monkeypatch.setattr(lp._Working, "_cap", lambda work: 1)
+        with pytest.raises(LPError, match="simplex iteration limit"):
+            getattr(work, loop)()
+        monkeypatch.undo()
+        work.dual()
+        work.primal()
+        # at the optimum, one iteration of either loop is enough
+        monkeypatch.setattr(lp._Working, "_cap", lambda work: 1)
+        assert work.dual() == 0 and work.primal()[1] == 0
 
     def test_small_systems_hand_no_basis_on(self):
         # at most _DIRECT_ROW_LIMIT rows: one cold run, no basis handed on
