@@ -1,13 +1,14 @@
 """Max-margin certificate candidates from simulation segments.
 
-Each segment contributes normalized linear rows in the template
-parameters: hard rows for endpoints classified as initial or unsafe, and
-one two-way disjunctive row per segment (certificate positive at the
-start or negative at the end).  The candidate is the parameter vector of
-max-norm at most one that maximizes the worst normalized margin, i.e. the
-Chebyshev center of the row system.  Disjunctions are resolved exactly by
-best-first branch-and-bound over per-segment disjunct choices, with the
-node relaxation dropping unresolved disjunctions (a valid upper bound).
+Each segment, two endpoints, contributes normalized linear rows in the
+template parameters: a hard row for each endpoint in a closed initial or
+unsafe box of its mode, and one two-way disjunctive row per segment
+(certificate positive at the start or negative at the end).  The
+candidate is the parameter vector of max-norm at most one that maximizes
+the worst normalized margin, i.e. the Chebyshev center of the row
+system.  Disjunctions are resolved exactly by best-first branch-and-bound
+over per-segment disjunct choices, with the node relaxation dropping
+unresolved disjunctions (a valid upper bound).
 Each relaxation is one ``lp.lp_max`` over rows ``r.p - delta >= 0``;
 with ``|r| = 1`` every such row holds at the lower corner ``p = -1``,
 ``delta = -(sqrt(k) + 1)``, where the simplex starts.
@@ -19,8 +20,8 @@ disjunction inserted in index order, so the child's relaxation starts from
 the parent's working rows and basis, renumbered around the new row, and
 needs a few dual simplex pivots instead of a fresh row generation.  A
 smaller relaxation is one cold simplex run from the slack basis and hands
-nothing on: these optima are often not unique, and a warm start would move
-the vertex the search ends on.
+nothing on: these optima are often not unique, and a start from the
+parent's basis would move the vertex the search ends on.
 """
 
 from __future__ import annotations
@@ -90,14 +91,17 @@ def build(segments: Sequence[Segment], tmpl: Template,
             f"mode {prob.modes[modes[i]].name!r}: the template's monomials "
             f"at the point {tuple(points[i].tolist())} are not finite")
     units = (rows / np.sqrt(norm2)[:, None]).reshape(len(segments), 2, -1)
+    inside = np.zeros((len(points), 2), dtype=bool)
+    for kind, regions in enumerate((prob.initial, prob.unsafe)):
+        for mode, box in regions:
+            inside[:, kind] |= ((modes == mode) & (points >= box.lo).all(1)
+                                & (points <= box.hi).all(1))
     # per segment, the hard rows -a_s, a_s, -a_sp, a_sp where the start
     # or end is initial or unsafe, in that order
     signed = np.stack([-units[:, 0], units[:, 0], -units[:, 1], units[:, 1]],
                       axis=1)
-    flags = np.array([(seg.s_in_initial, seg.s_in_unsafe, seg.sp_in_initial,
-                       seg.sp_in_unsafe) for seg in segments])
     disj = np.stack([units[:, 0], -units[:, 1]], axis=1)
-    return SampledConstraint(tmpl.size, signed[flags], disj)
+    return SampledConstraint(tmpl.size, signed[inside.reshape(-1, 4)], disj)
 
 
 def margin(c: SampledConstraint, p: np.ndarray) -> float:
@@ -134,47 +138,25 @@ def _relaxation(c: SampledConstraint, assign: np.ndarray,
     return res.x[:k], float(res.value), res.pivots, res.basis
 
 
-def solve(c: SampledConstraint, delta_min: float = 1e-6,
-          warm: np.ndarray | None = None) -> Candidate | None:
+def solve(c: SampledConstraint, delta_min: float = 1e-6) -> Candidate | None:
     """Globally maximize the worst margin; None when the optimum does not
     clear delta_min.
 
-    A warm-start parameter vector seeds the disjunct choices (each
-    disjunction takes the side the vector satisfies better), which gives
-    the branch-and-bound an immediate incumbent.  A node is an array of
-    per-disjunction choices (0 undecided, 1 or 2 the side imposed) and the
-    basis its parent's relaxation handed on, or None.
+    A node is an array of per-disjunction choices (0 undecided, 1 or 2 the
+    side imposed) and the basis its parent's relaxation handed on, or None.
     """
-    n_disj = len(c.disjunctive)
     best_p = np.zeros(c.dim)
     best_delta = margin(c, best_p) if c.n_rows else 0.0
-    nodes = pivots = 0
-
-    def consider(p: np.ndarray):
-        nonlocal best_p, best_delta
-        d = margin(c, p)
-        if d > best_delta:
-            best_p, best_delta = p.copy(), d
-
-    def relax(assign: np.ndarray, start: lp.Basis | None = None):
-        nonlocal pivots
-        p_star, bound, lp_pivots, basis = _relaxation(c, assign, start)
-        pivots += lp_pivots
-        return p_star, bound, basis
-
-    if warm is not None and n_disj:
-        pair = c.disjunctive @ warm
-        consider(relax(np.where(pair[:, 0] >= pair[:, 1], 1, 2))[0])
-
-    counter = 0
+    nodes = pivots = counter = 0
     heap: list[tuple[float, int, np.ndarray, lp.Basis | None]] = [
-        (-math.inf, counter, np.zeros(n_disj, dtype=np.int8), None)]
+        (-math.inf, 0, np.zeros(len(c.disjunctive), dtype=np.int8), None)]
     while heap:
         neg_bound, _, assign, start = heapq.heappop(heap)
         if -neg_bound <= best_delta + _GAP_TOL:
             break
         nodes += 1
-        p_star, bound, basis = relax(assign, start)
+        p_star, bound, lp_pivots, basis = _relaxation(c, assign, start)
+        pivots += lp_pivots
         if bound <= best_delta + _GAP_TOL:
             continue
         # branch on the open disjunction the relaxation optimum violates
@@ -183,7 +165,9 @@ def solve(c: SampledConstraint, delta_min: float = 1e-6,
         gaps = (c.disjunctive[undecided] @ p_star).max(axis=1) - bound
         if not len(gaps) or gaps.min() >= -1e-12:
             # relaxation optimum already satisfies every open disjunction
-            consider(p_star)
+            d = margin(c, p_star)
+            if d > best_delta:
+                best_p, best_delta = p_star, d
             continue
         worst = undecided[gaps.argmin()]
         if basis is not None:

@@ -268,16 +268,18 @@ def _cmd_verify(args) -> int:
     t0 = time.perf_counter()
     verdict = rigor.verify(prob, tmpl, p, frac)
     elapsed = time.perf_counter() - t0
-    refuted = [i for i, rule in enumerate(prob.resets)
-               if verdict.hit and rule is verdict.hit.rule]
+    mode, x, d = verdict.witness or (None, None, ())
     out = {
         "schema": VERDICT_SCHEMA,
         "problem": doc.get("name", Path(args.problem).stem),
         "status": verdict.status.value,
         "verdict": verdict.status.value,
         "condition": verdict.condition,
-        "witness": (list(verdict.witness[1]) if verdict.witness else None),
-        "reset": refuted[0] if refuted else None,
+        "mode": None if mode is None else prob.modes[mode].name,
+        "witness": x and list(x),
+        "disturbance": list(d) or None,
+        "reset": next((i for i, rule in enumerate(prob.resets)
+                       if verdict.hit and rule is verdict.hit.rule), None),
         "wall_time": round(elapsed, 6),
         "boxes": _boxes_json(verdict),
         "tool": f"simbarrier {__version__}",

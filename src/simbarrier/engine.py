@@ -107,19 +107,17 @@ def run(prob: Problem, tmpl: Template, cfg: RunConfig | None = None) -> RunRepor
                                  bloat_factor=cfg.bloat_factor)
     timings["simulation"] += time.perf_counter() - t0
 
-    warm = None
     for it in range(1, cfg.max_iterations + 1):
         report.iterations = it
 
         t0 = time.perf_counter()
         constraint = chebyshev.build(segments, tmpl, prob)
-        cand = chebyshev.solve(constraint, cfg.delta_min, warm)
+        cand = chebyshev.solve(constraint, cfg.delta_min)
         timings["candidate"] += time.perf_counter() - t0
         if cand is None:
             report.log.append(IterationRecord(it, None, None))
             report.status = RunStatus.NO_CANDIDATE
             break
-        warm = cand.p
         record = IterationRecord(it, cand.delta, cand.p,
                                  bb_nodes=cand.nodes, lp_pivots=cand.pivots)
         report.log.append(record)

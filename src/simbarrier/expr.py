@@ -116,12 +116,20 @@ class Pow(Expr):
 
 _FUNCTIONS = {"sin": Sin, "cos": Cos, "ln": Ln, "sqrt": Sqrt, "exp": Exp}
 
+_IDENT = r"[A-Za-z_][A-Za-z_0-9]*"
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
     r"|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    rf"|(?P<ident>{_IDENT})"
     r"|(?P<op>[-+*/^()]))"
 )
+
+
+def is_name(text) -> bool:
+    """Whether ``text`` is an identifier that names no function."""
+    return (isinstance(text, str) and re.fullmatch(_IDENT, text) is not None
+            and text not in _FUNCTIONS)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

@@ -455,9 +455,9 @@ def refute(prob: Problem, cert: Certificate, hits: Sequence[Hit], *,
             backward.append((h.mode, h.x))
     ends = iter(sim.omega(prob, cert, forward, **ride) if forward else ())
     begins = iter(sim.alpha(prob, cert, backward, **ride) if backward else ())
-    segs = [Segment.classify(
-                prob, *((h.mode, h.x) if h.kind == "initial" else next(begins)),
-                *((h.mode, h.x) if h.kind == "unsafe" else next(ends)))
+    at = lambda h: (h.mode, tuple(map(float, h.x)))
+    segs = [Segment(*(at(h) if h.kind == "initial" else next(begins)),
+                    *(at(h) if h.kind == "unsafe" else next(ends)))
             for h in hits]
     margins = [segment_margin(prob, cert, seg) for seg in segs]
     worst = hits[0]

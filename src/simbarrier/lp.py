@@ -26,8 +26,8 @@ it is the next solve's working subset and basis, so a program that
 differs from an earlier one by a few rows needs a few dual pivots instead
 of a fresh run.  The fork by size is measured: sending systems of at most
 80 rows through row generation too moved pendulum's synthesis (seed 0)
-from 3 to 5 rounds, since those optima are often not unique and the warm
-rounds end on another vertex.
+from 3 to 5 rounds, since those optima are often not unique and the
+rounds that keep a basis end on another vertex.
 
 Pivot rules.  The primal entering variable follows Bland's
 smallest-index rule; the leaving row takes the min ratio with a
@@ -62,7 +62,7 @@ operands, in the same order), so the pivot sequence, the iterates and the
 results are fixed to the last bit by the input.  Golden values in
 ``tests/test_lp.py`` and ``tests/test_chebyshev.py`` pin this; a change
 that moves one bit there is a change of algorithm, not of implementation.
-The warm rounds are deterministic too, but their pivots are another
+The later rounds are deterministic too, but their pivots are another
 algorithm's: they update ``x_B`` and the reduced costs incrementally, and
 their optimum may be another vertex of the same optimal face.
 """

@@ -208,35 +208,15 @@ class Problem:
     def mode_resets(self, mode: int) -> list[ResetRule]:
         return [r for r in self.resets if r.source == mode]
 
-    def in_initial(self, mode: int, x: Sequence[float]) -> bool:
-        return any(m == mode and b.contains(x) for m, b in self.initial)
-
-    def in_unsafe(self, mode: int, x: Sequence[float]) -> bool:
-        return any(m == mode and b.contains(x) for m, b in self.unsafe)
-
 
 @dataclass(frozen=True)
 class Segment:
-    """A simulation segment: start and end point of one numerical run."""
+    """The start and end point of one simulation run, each with its mode."""
 
     s_mode: int
     s: tuple[float, ...]
     sp_mode: int
     sp: tuple[float, ...]
-    s_in_initial: bool
-    s_in_unsafe: bool
-    sp_in_initial: bool
-    sp_in_unsafe: bool
-
-    @staticmethod
-    def classify(prob: Problem, s_mode: int, s: Sequence[float],
-                 sp_mode: int, sp: Sequence[float]) -> "Segment":
-        return Segment(
-            s_mode, tuple(float(v) for v in s),
-            sp_mode, tuple(float(v) for v in sp),
-            prob.in_initial(s_mode, s), prob.in_unsafe(s_mode, s),
-            prob.in_initial(sp_mode, sp), prob.in_unsafe(sp_mode, sp),
-        )
 
 
 # the kinds of counter-example, by the condition they violate (1 to 4)
@@ -567,7 +547,8 @@ def template_quadratic_2d(modes: int = 1) -> Template:
 
 def make_template(layout: str | Sequence[Sequence[Sequence[int]]],
                   n: int, modes: int) -> Template:
-    """Build a template from a shorthand name or explicit exponent lists."""
+    """Build a template from a shorthand name or explicit exponent lists,
+    each exponent a JSON integer >= 0."""
     if isinstance(layout, str):
         if layout == "linear":
             return template_linear(n, modes)
@@ -582,16 +563,17 @@ def make_template(layout: str | Sequence[Sequence[Sequence[int]]],
         raise ProblemFormatError(
             "template", "expected a shorthand name or a list of mode blocks")
     blocks = []
-    for block in layout:
+    for i, block in enumerate(layout):
         monos = []
-        for m in block:
-            try:
-                mono = tuple(int(e) for e in m)
-            except (TypeError, ValueError):
-                mono = ()
-            if len(mono) != n or any(e < 0 for e in mono):
+        for j, m in enumerate(block):
+            loc = f"template[{i}][{j}]"
+            if not isinstance(m, (list, tuple)) or len(m) != n:
                 raise ProblemFormatError(
-                    "template", f"bad monomial exponent list {m!r}")
+                    loc, f"expected a list of {n} exponents, got {m!r}")
+            mono = tuple(json_number(e, f"{loc}[{k}]", integer=True)
+                         for k, e in enumerate(m))
+            if any(e < 0 for e in mono):
+                raise ProblemFormatError(loc, f"expected exponents >= 0: {m!r}")
             monos.append(mono)
         blocks.append(tuple(monos))
     if len(blocks) == 1 and modes > 1:
@@ -696,15 +678,21 @@ def load_problem(doc: dict) -> Problem:
         raise ProblemFormatError("document", "expected a JSON object")
     raw_vars = _require(doc, "variables", "variables")
     raw_dist = doc.get("disturbances", [])
+    names: list[str] = []
     for key, raw in (("variables", raw_vars), ("disturbances", raw_dist)):
         if not isinstance(raw, list):
             raise ProblemFormatError(key, "expected a list of names")
-    state_vars = tuple(str(v) for v in raw_vars)
-    if len(set(state_vars)) != len(state_vars) or not state_vars:
-        raise ProblemFormatError("variables", "must be non-empty and unique")
+        for i, name in enumerate(raw):
+            if not ex.is_name(name) or name in names:
+                raise ProblemFormatError(f"{key}[{i}]", (
+                    f"expected a new identifier, no function name: {name!r}"))
+            names.append(name)
+    state_vars = tuple(raw_vars)
+    if not state_vars:
+        raise ProblemFormatError("variables", "must be non-empty")
     n = len(state_vars)
 
-    dist_vars = tuple(str(v) for v in raw_dist)
+    dist_vars = tuple(raw_dist)
     dist_box = None
     if dist_vars:
         dist_box = _load_box(_require(doc, "disturbance_box", "disturbance_box"),

@@ -489,9 +489,9 @@ def init_segments(prob: Problem, sigma: float, vertex_cap: int = 256,
             for v in _select_vertices(box, vertex_cap, rng)]
     backward = flow_hybrid(rev, ends, _midpoint_policy(rev), sigma,
                            bloat_factor=bloat_factor)
-    return ([Segment.classify(prob, mode, v, traj.end_mode, traj.end)
+    return ([Segment(mode, v, traj.end_mode, traj.end)
              for (mode, v), traj in zip(starts, forward)]
-            + [Segment.classify(prob, traj.end_mode, traj.end, mode, v)
+            + [Segment(traj.end_mode, traj.end, mode, v)
                for (mode, v), traj in zip(ends, backward)])
 
 

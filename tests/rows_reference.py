@@ -5,8 +5,10 @@ monomial rows (``model.Template.monomial_rows``) replaced.
 ``build`` must give bit for bit the rows of ``build`` here, hard-row order
 included (``tests/test_chebyshev.py``), and a mode's compiled monomials at
 a point must be bit for bit that mode's block of ``coeff_row``
-(``tests/test_model.py``).  The loops are kept as they were, so the
-reference does not share code with what it checks.
+(``tests/test_model.py``).  The loops are kept as they were, and an
+endpoint's membership in the initial and unsafe boxes is decided here,
+point by point with ``Box.contains``, so the reference does not share
+code with what it checks.
 """
 
 from __future__ import annotations
@@ -25,6 +27,14 @@ def coeff_row(t: Template, mode: int, x: Sequence[float]) -> np.ndarray:
     sl = t.block_slice(mode)
     row[sl] = [_mono_value(m, x) for m in t.monomials[mode]]
     return row
+
+
+def flags(prob: Problem, seg: Segment) -> list[bool]:
+    """Whether the start is initial, is unsafe, and the end is initial, is
+    unsafe: in a closed box of its mode in ``prob.initial``, ``unsafe``."""
+    return [any(m == mode and box.contains(x) for m, box in regions)
+            for mode, x in ((seg.s_mode, seg.s), (seg.sp_mode, seg.sp))
+            for regions in (prob.initial, prob.unsafe)]
 
 
 def _unit(row: np.ndarray) -> np.ndarray:
@@ -46,13 +56,14 @@ def build(segments: Sequence[Segment], tmpl: Template,
     for seg in segments:
         a_s = _unit(coeff_row(tmpl, seg.s_mode, seg.s))
         a_sp = _unit(coeff_row(tmpl, seg.sp_mode, seg.sp))
-        if seg.s_in_initial:
+        s_initial, s_unsafe, sp_initial, sp_unsafe = flags(prob, seg)
+        if s_initial:
             hard.append(-a_s)
-        if seg.s_in_unsafe:
+        if s_unsafe:
             hard.append(a_s)
-        if seg.sp_in_initial:
+        if sp_initial:
             hard.append(-a_sp)
-        if seg.sp_in_unsafe:
+        if sp_unsafe:
             hard.append(a_sp)
         disj.append(np.stack([a_s, -a_sp]))
     hard_arr = np.array(hard) if hard else np.empty((0, k))

@@ -13,8 +13,8 @@ import rows_reference as ref
 from conftest import grid_max_margin, line_problem, lp_max_margin_oracle
 
 
-def _seg(prob, s, sp):
-    return Segment.classify(prob, 0, (s,), 0, (sp,))
+def _seg(s, sp):
+    return Segment(0, (s,), 0, (sp,))
 
 
 THERMOSTAT = Path(__file__).parents[1] / "bench" / "data" / "thermostat.json"
@@ -34,20 +34,20 @@ def tmpl():
 
 class TestBuild:
     def test_classification_counts(self, prob, tmpl):
-        inside = _seg(prob, -1.0, 0.0)       # start in initial only
+        inside = _seg(-1.0, 0.0)       # start in initial only
         c = build([inside], tmpl, prob)
         assert len(c.hard) == 1 and len(c.disjunctive) == 1
 
-        crossing = _seg(prob, -1.0, 1.0)     # initial to unsafe
+        crossing = _seg(-1.0, 1.0)     # initial to unsafe
         c = build([crossing], tmpl, prob)
         assert len(c.hard) == 2 and len(c.disjunctive) == 1
 
-        free = _seg(prob, -0.5, 0.5)         # unclassified endpoints
+        free = _seg(-0.5, 0.5)         # unclassified endpoints
         c = build([free], tmpl, prob)
         assert len(c.hard) == 0 and len(c.disjunctive) == 1
 
     def test_rows_are_unit_norm(self, prob, tmpl):
-        c = build([_seg(prob, -1.0, 1.0), _seg(prob, 0.25, 0.75)], tmpl, prob)
+        c = build([_seg(-1.0, 1.0), _seg(0.25, 0.75)], tmpl, prob)
         for row in c.hard:
             assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-12)
         for pair in c.disjunctive:
@@ -57,12 +57,35 @@ class TestBuild:
     def test_scale_consistency(self, prob, tmpl):
         # normalized rows do not depend on a positive rescaling of the
         # unnormalized coefficients
-        seg = _seg(prob, -1.0, 0.5)
+        seg = _seg(-1.0, 0.5)
         row = ref.coeff_row(tmpl, 0, seg.s)
         unit_once = row / np.linalg.norm(row)
         scaled = 37.5 * row
         unit_twice = scaled / np.linalg.norm(scaled)
         assert np.allclose(unit_once, unit_twice, atol=1e-15)
+
+    def test_closed_boxes(self):
+        # pendulum: initial y in [8, 10], unsafe y in [-10, -5]; an endpoint
+        # on a box's boundary is in it
+        prob = model.load_problem(benchmarks.pendulum())
+        tmpl = model.template_linear(2)
+        on = Segment(0, (0.0, 8.0), 0, (0.0, -5.0))
+        off = Segment(0, (0.0, 7.9), 0, (0.0, -4.99))
+        rows = build([on, off], tmpl, prob)
+        a_s, a_sp = ref.build([on], tmpl, prob).disjunctive[0]
+        assert rows.hard.tobytes() == np.stack([-a_s, -a_sp]).tobytes()
+        assert ref.flags(prob, on) == [True, False, False, True]
+        assert ref.flags(prob, off) == [False] * 4
+
+    def test_boxes_of_another_mode(self):
+        # thermostat: initial x in [18, 20] in mode off, unsafe x in
+        # [10, 12] in mode on; a point in a box of the other mode is neither
+        prob = model.load_problem(json.loads(THERMOSTAT.read_text()))
+        tmpl = model.template_linear(1, 2)
+        swapped = Segment(1, (19.0,), 0, (11.0,))
+        assert len(build([swapped], tmpl, prob).hard) == 0
+        assert len(build([Segment(0, (19.0,), 1, (11.0,))], tmpl,
+                         prob).hard) == 2
 
     def test_empty_rejected(self, prob, tmpl):
         with pytest.raises(chebyshev.ConstraintError):
@@ -74,8 +97,8 @@ class TestBuild:
         wide = line_problem("-x", omega=(-1000.0, 1000.0),
                             init=(900.0, 1000.0), unsafe=(-1000.0, -900.0))
         tmpl = Template((((0,), (1,), (120,)),))
-        segs = [_seg(wide, 1.0, 2.0), _seg(wide, 3.0, 1000.0),
-                _seg(wide, -950.0, 4.0)]
+        segs = [_seg(1.0, 2.0), _seg(3.0, 1000.0),
+                _seg(-950.0, 4.0)]
         with pytest.raises(chebyshev.ConstraintError,
                            match=r"mode 'm'.*\(1000\.0,\) are not finite"):
             build(segs, tmpl, wide)
@@ -104,7 +127,7 @@ def test_build_equals_per_segment_loop(case, prob, tmpl, rng):
         assert {s.s_mode for s in segs} | {s.sp_mode for s in segs} == {0, 1}
     else:
         ends = [-1.0, 1.0, 0.5, float(rng.uniform(-2, 2))]
-        segs = [_seg(prob, s, sp) for s in ends for sp in ends]
+        segs = [_seg(s, sp) for s in ends for sp in ends]
     got, want = build(segs, tmpl, prob), ref.build(segs, tmpl, prob)
     assert got.n_rows > len(segs)
     for name in ("hard", "disjunctive"):
@@ -116,7 +139,7 @@ class TestSolveDerived:
     def test_two_hard_rows(self, prob, tmpl):
         # s = -1 in initial, s = +1 in unsafe:
         # rows -(p0 - p1)/sqrt(2) >= d and (p0 + p1)/sqrt(2) >= d
-        segs = [_seg(prob, -1.0, -1.0), _seg(prob, 1.0, 1.0)]
+        segs = [_seg(-1.0, -1.0), _seg(1.0, 1.0)]
         c = build(segs, tmpl, prob)
         cand = solve(c)
         oracle = grid_max_margin(c.hard, c.disjunctive, 2, res=1e-3)
@@ -128,7 +151,7 @@ class TestSolveDerived:
     def test_contradictory_rows_give_no_candidate(self, tmpl):
         both = line_problem("1", omega=(-5.0, 5.0), init=(0.0, 0.0),
                             unsafe=(0.0, 0.0))
-        segs = [Segment.classify(both, 0, (0.0,), 0, (0.0,))]
+        segs = [_seg(0.0, 0.0)]
         c = build(segs, tmpl, both)
         assert solve(c, delta_min=0.0) is None
         assert solve(c, delta_min=1e-6) is None
@@ -136,7 +159,7 @@ class TestSolveDerived:
     def test_single_disjunctive_row(self, prob, tmpl):
         # both endpoints at the origin: each disjunct is the unit row for
         # the constant monomial, so the optimum aligns with it at delta 1
-        c = build([_seg(prob, 0.0, 0.0)], tmpl, prob)
+        c = build([_seg(0.0, 0.0)], tmpl, prob)
         cand = solve(c)
         oracle = grid_max_margin(c.hard, c.disjunctive, 2, res=1e-3)
         assert cand.delta == pytest.approx(1.0, abs=2e-3)
@@ -145,9 +168,9 @@ class TestSolveDerived:
 
 class TestSolveProperties:
     def test_output_feasibility(self, prob, tmpl, rng):
-        segs = [_seg(prob, float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
+        segs = [_seg(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
                 for _ in range(6)]
-        segs += [_seg(prob, -1.0, 0.0), _seg(prob, 0.0, 1.0)]
+        segs += [_seg(-1.0, 0.0), _seg(0.0, 1.0)]
         c = build(segs, tmpl, prob)
         cand = solve(c, delta_min=-math.inf)
         if cand is None:
@@ -158,9 +181,9 @@ class TestSolveProperties:
         assert np.min(np.max(pair, axis=1)) >= cand.delta - 1e-6
 
     def test_monotone_in_segments(self, prob, tmpl, rng):
-        segs = [_seg(prob, float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
+        segs = [_seg(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
                 for _ in range(5)]
-        segs.append(_seg(prob, -1.0, -0.5))
+        segs.append(_seg(-1.0, -0.5))
         c_small = build(segs[:3], tmpl, prob)
         c_big = build(segs, tmpl, prob)
         d_small = solve(c_small, delta_min=-math.inf).delta
@@ -169,53 +192,38 @@ class TestSolveProperties:
 
     def test_positive_delta_iff_strictly_satisfiable(self, prob, tmpl):
         # satisfiable side
-        c = build([_seg(prob, -1.0, -0.9), _seg(prob, 0.9, 1.0)], tmpl, prob)
+        c = build([_seg(-1.0, -0.9), _seg(0.9, 1.0)], tmpl, prob)
         cand = solve(c)
         assert cand is not None and cand.delta > 0
         assert margin(c, cand.p) == pytest.approx(cand.delta)
         # unsatisfiable side: the same point initial and unsafe
         both = line_problem("1", omega=(-5.0, 5.0), init=(0.5, 0.5),
                             unsafe=(0.5, 0.5))
-        c2 = build([Segment.classify(both, 0, (0.5,), 0, (0.5,))], tmpl, both)
+        c2 = build([_seg(0.5, 0.5)], tmpl, both)
         assert solve(c2) is None
         assert grid_max_margin(c2.hard, c2.disjunctive, 2, res=1e-2) <= 1e-9
 
-    def test_determinism_and_warm_start_agree(self, prob, tmpl, rng):
-        segs = [_seg(prob, float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
+    def test_determinism(self, prob, tmpl, rng):
+        segs = [_seg(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
                 for _ in range(8)]
-        segs += [_seg(prob, -1.0, 0.3), _seg(prob, -0.3, 1.0)]
+        segs += [_seg(-1.0, 0.3), _seg(-0.3, 1.0)]
         c = build(segs, tmpl, prob)
         cold = solve(c, delta_min=-math.inf)
         again = solve(c, delta_min=-math.inf)
-        warm = solve(c, delta_min=-math.inf, warm=rng.uniform(-1, 1, 2))
         assert np.array_equal(cold.p, again.p)
         assert cold.delta == again.delta
-        assert warm.delta == pytest.approx(cold.delta, abs=1e-9)
 
 
 # chebyshev.solve on the bootstrap segments of scalable-l2 (64 segments,
-# 68 hard and 64 disjunctive rows), cold and warm-started from the cold
-# optimum: p, delta, and the node and pivot counts of this search, recorded
-# when the simplex began to start from the slack basis.  Every relaxation
-# has at most 80 rows and is one cold simplex run, except the warm case's
-# seeding relaxation, which decides all 64 disjunctions (132 rows) and is
-# solved by row generation: its golden was re-recorded when row generation
-# began to keep each round's basis.  That relaxation now ends on another
-# vertex of its optimal face, with the same delta to 1e-14 (p[2] and p[4]
-# trade places), and the search takes 176 pivots instead of 185.
+# 68 hard and 64 disjunctive rows): p, delta, and the node and pivot counts
+# of this search, recorded when the simplex began to start from the slack
+# basis.  Every relaxation has at most 80 rows and is one cold simplex run.
 # Recorded on x86-64 Linux with glibc's libm and OpenBLAS.
-GOLDEN_SCALABLE_L2 = {
-    "cold": (
-        ["0x1.2e38f732c9790p-3", "-0x1.0000000000000p+0",
-         "0x1.1f2b717d7bd00p-10", "0x1.be9e574de5a00p-11",
-         "0x1.1ef4482937fa6p-10", "0x1.be31da54d399dp-11"],
-        "0x1.923485c429357p-2", 15, 154),
-    "warm": (
-        ["0x1.2e38f732c9560p-3", "-0x1.0000000000000p+0",
-         "0x1.1ef448293bd80p-10", "0x1.be31da54df000p-11",
-         "0x1.1f2b717d79e00p-10", "0x1.be9e574de9040p-11"],
-        "0x1.923485c42938ep-2", 15, 176),
-}
+GOLDEN_SCALABLE_L2 = (
+    ["0x1.2e38f732c9790p-3", "-0x1.0000000000000p+0",
+     "0x1.1f2b717d7bd00p-10", "0x1.be9e574de5a00p-11",
+     "0x1.1ef4482937fa6p-10", "0x1.be31da54d399dp-11"],
+    "0x1.923485c429357p-2", 15, 154)
 
 
 def test_golden_scalable_l2():
@@ -224,11 +232,9 @@ def test_golden_scalable_l2():
     segs = sim.init_segments(prob, 0.1, 256, 0, bloat_factor=1.1)
     c = build(segs, tmpl, prob)
     assert (len(c.hard), len(c.disjunctive)) == (68, 64)
-    cold = solve(c)
-    warm = solve(c, 1e-6, cold.p)
-    for case, cand in (("cold", cold), ("warm", warm)):
-        assert ([float(v).hex() for v in cand.p], float(cand.delta).hex(),
-                cand.nodes, cand.pivots) == GOLDEN_SCALABLE_L2[case], case
+    cand = solve(c)
+    assert ([float(v).hex() for v in cand.p], float(cand.delta).hex(),
+            cand.nodes, cand.pivots) == GOLDEN_SCALABLE_L2
 
 
 def test_margin_lps_run_phase_two_only(monkeypatch):

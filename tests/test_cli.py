@@ -10,6 +10,8 @@ from simbarrier import (benchmarks, chebyshev, cli, engine, falsify, lp,
 
 from conftest import shared_guard_doc
 
+THERMOSTAT = Path(__file__).parents[1] / "bench" / "data" / "thermostat.json"
+
 
 def _write(tmp_path, name, doc):
     path = tmp_path / name
@@ -158,9 +160,10 @@ class TestVerifyCommand:
         assert doc["verdict"] == "Verified"
         assert doc["schema"] == "verdict/1"
         assert set(doc) == {"schema", "problem", "status", "verdict",
-                            "condition", "witness", "reset", "wall_time",
-                            "boxes", "tool"}
-        assert doc["reset"] is None
+                            "condition", "mode", "witness", "disturbance",
+                            "reset", "wall_time", "boxes", "tool"}
+        assert (doc["mode"], doc["witness"], doc["disturbance"],
+                doc["reset"]) == (None, None, None, None)
 
     def test_bad_barrier_refuted(self, composition_path, tmp_path):
         doc = {"schema": "barrier/1",
@@ -192,8 +195,22 @@ class TestVerifyCommand:
         assert cli.main(["verify", path, "--barrier", barrier,
                          "--report", str(report_path)]) == 1
         doc = json.loads(report_path.read_text())
-        assert (doc["verdict"], doc["condition"], doc["witness"],
-                doc["reset"]) == ("Refuted", 4, [0.5], 1)
+        assert (doc["verdict"], doc["condition"], doc["mode"], doc["witness"],
+                doc["disturbance"], doc["reset"]) == \
+            ("Refuted", 4, "a", [0.5], None, 1)
+
+    def test_drift_witness_names_mode_and_disturbance(self, tmp_path):
+        # V_off = 17 - x rises along the off flow -0.5 (x - 10) + d, most
+        # steeply at d = -0.5; the witness replays from the document alone
+        barrier = _write(tmp_path, "barrier.json", {"modes": {
+            "off": {"1": 17, "x": -1}, "on": {"1": 16.5, "x": -1}}})
+        report_path = tmp_path / "verify.json"
+        assert cli.main(["verify", str(THERMOSTAT), "--barrier", barrier,
+                         "--report", str(report_path)]) == 1
+        doc = json.loads(report_path.read_text())
+        assert (doc["verdict"], doc["condition"], doc["mode"], doc["witness"],
+                doc["disturbance"], doc["reset"]) == \
+            ("Refuted", 3, "off", [17.0], [-0.5], None)
 
     def test_unknown_monomial_name(self, composition_path, tmp_path):
         doc = {"schema": "barrier/1", "modes": {"m": {"q^2": 1.0}}}
@@ -280,6 +297,20 @@ class TestErrors:
                       "guard": [[0, 1], [0, 1]], "map": ["x", "y"],
                       "inverse": ["x", "y"], "image": [[0, 1], [False, 1]]}]},
          "resets[0].image[1][0]"),
+        # names are distinct identifiers: a disturbance x would shadow the
+        # state x, and a variable "1" would be the constant monomial's name
+        ({"disturbances": ["x"], "disturbance_box": [[0, 1]]},
+         "disturbances[0]"),
+        ({"disturbances": ["d", "d"], "disturbance_box": [[0, 1], [0, 1]]},
+         "disturbances[1]"),
+        ({"variables": ["1", "y"]}, "variables[0]"),
+        ({"variables": ["x", "sin"]}, "variables[1]"),
+        ({"variables": ["x", 7]}, "variables[1]"),
+        # template exponents are JSON integers >= 0
+        ({"template": [[[0, 0], [2.7, 0]]]}, "template[0][1][0]"),
+        ({"template": [[[0, 0], [0, True]]]}, "template[0][1][1]"),
+        ({"template": [[[0, 0], ["1", 0]]]}, "template[0][1][0]"),
+        ({"template": [[[0, 0], [1, -1]]]}, "template[0][1]"),
     ])
     def test_malformed_fields_are_diagnosed(self, tmp_path, capsys, change,
                                             location):
@@ -368,8 +399,7 @@ class TestErrors:
         # the thermostat synthesizes since a counter-example ride stops
         # before a reset that lowers the certificate; a run that fails is
         # reported, not raised
-        path = str(Path(__file__).parents[1] / "bench" / "data"
-                   / "thermostat.json")
+        path = str(THERMOSTAT)
         assert cli.main(["synth", path]) == 0
         captured = capsys.readouterr()
         report = json.loads(captured.out)

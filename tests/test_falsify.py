@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from simbarrier import benchmarks, engine, expr as ex, falsify, model
+from simbarrier import benchmarks, chebyshev, engine, expr as ex, falsify, model
 from simbarrier.falsify import (
     find_counterexample,
     min_initial,
@@ -15,6 +15,7 @@ from simbarrier.falsify import (
 )
 from simbarrier.model import Box, Certificate, ModeDef, Problem, ResetRule, Template
 
+import rows_reference as rows_ref
 from conftest import line_problem, linear_template_1d, sawtooth_problem
 
 
@@ -492,7 +493,8 @@ class TestFindCounterexample:
         v_at_start = model.template_value(tmpl, p, res.segment.s_mode,
                                           res.segment.s)
         assert v_at_start >= 0.0
-        assert res.segment.s_in_initial
+        assert rows_ref.flags(prob, res.segment) == [True, False, False, False]
+        assert len(chebyshev.build([res.segment], tmpl, prob).hard) == 1
         assert segment_margin(prob, Certificate(tmpl, p), res.segment) <= 0.0
 
     def test_reset_violation(self):
@@ -608,8 +610,7 @@ def test_golden_counterexamples(case, monkeypatch):
     seg = res.segment
     assert (seg.s_mode, _hex(seg.s), seg.sp_mode, _hex(seg.sp)) == \
         (s_mode, s, sp_mode, sp)
-    assert [seg.s_in_initial, seg.s_in_unsafe, seg.sp_in_initial,
-            seg.sp_in_unsafe] == flags
+    assert rows_ref.flags(prob, seg) == flags
 
 
 def _round_one():

@@ -102,7 +102,7 @@ class TestTemplate:
 
     @pytest.mark.parametrize("mono", [[1], [1, "a"], 7, [1, -1]])
     def test_bad_exponent_list_rejected(self, mono):
-        with pytest.raises(ProblemFormatError, match="bad monomial"):
+        with pytest.raises(ProblemFormatError, match=r"^template\[0\]\[1\]"):
             make_template([[[0, 0], mono]], 2, 1)
 
     def test_duplicate_monomials_rejected(self):
@@ -428,13 +428,6 @@ class TestLoadProblem:
         }]
         with pytest.raises(ProblemFormatError, match="inverse"):
             load_problem(doc)
-
-    def test_membership_helpers(self):
-        prob = load_problem(benchmarks.pendulum())
-        assert prob.in_initial(0, (0.0, 9.0))
-        assert not prob.in_initial(0, (0.0, 7.9))
-        assert prob.in_unsafe(0, (0.0, -5.0))  # closed boundary
-        assert not prob.in_unsafe(0, (0.0, -4.99))
 
     def test_all_bundled_documents_load(self):
         for name, doc in benchmarks.corpus().items():

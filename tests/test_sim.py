@@ -5,10 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from simbarrier import benchmarks, expr as ex, falsify, model, sim
+from simbarrier import benchmarks, chebyshev, expr as ex, falsify, model, sim
 from simbarrier.model import Box, Certificate, ModeDef, Problem, Template
 from simbarrier.sim import StopReason
 
+import rows_reference as rows_ref
 import sim_reference as ref
 from conftest import line_problem, linear_template_1d, rk4_endpoint, sawtooth_problem
 
@@ -199,8 +200,9 @@ class TestInitSegments:
         prob = model.load_problem(benchmarks.pendulum())
         segs = sim.init_segments(prob, 0.5, seed=0)
         assert len(segs) == 8
-        forward = [s for s in segs if s.s_in_initial]
-        backward = [s for s in segs if s.sp_in_unsafe]
+        flags = [rows_ref.flags(prob, s) for s in segs]
+        forward = [f for f in flags if f[0]]
+        backward = [f for f in flags if f[3]]
         assert len(forward) == 4 and len(backward) == 4
 
     def test_zero_sigma_degenerate_segments(self):
@@ -217,10 +219,15 @@ class TestInitSegments:
         assert a == b
 
     def test_flags_recomputable(self):
-        prob = model.load_problem(benchmarks.composition())
-        for seg in sim.init_segments(prob, 0.1, seed=1):
-            assert seg.s_in_initial == prob.in_initial(seg.s_mode, seg.s)
-            assert seg.sp_in_unsafe == prob.in_unsafe(seg.sp_mode, seg.sp)
+        # build's hard rows are those of the endpoints' memberships
+        doc = benchmarks.composition()
+        prob = model.load_problem(doc)
+        tmpl = model.make_template(doc["template"], prob.dim, len(prob.modes))
+        segs = sim.init_segments(prob, 0.1, seed=1)
+        got, want = chebyshev.build(segs, tmpl, prob), rows_ref.build(
+            segs, tmpl, prob)
+        assert len(got.hard) >= len(segs)
+        assert got.hard.tobytes() == want.hard.tobytes()
 
 
 class TestDriftRides:
@@ -414,9 +421,9 @@ class TestLockstep:
         rev = prob.reversed
         point, _ = _midpoint(prob)
         ride = lambda dyn, m, v: _end(ref.flow_hybrid(dyn, (m, v), point, 0.5))
-        want = [model.Segment.classify(prob, m, v, *ride(prob, m, v))
+        want = [model.Segment(m, v, *ride(prob, m, v))
                 for m, box in prob.initial for v in model.vertices(box)]
-        want += [model.Segment.classify(prob, *ride(rev, m, v), m, v)
+        want += [model.Segment(*ride(rev, m, v), m, v)
                  for m, box in prob.unsafe for v in model.vertices(box)]
         assert sim.init_segments(prob, 0.5, seed=3) == want
 

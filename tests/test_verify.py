@@ -98,7 +98,7 @@ class TestRefuted:
         assert verdict.status is VerdictStatus.REFUTED
         assert verdict.condition == 2
         mode, x, _ = verdict.witness
-        assert prob.in_unsafe(mode, x)
+        assert any(m == mode and box.contains(x) for m, box in prob.unsafe)
         # witness replay by plain evaluation
         assert model.template_value(tmpl, np.array([-1.0]), mode, x) <= 0.0
 
