@@ -111,6 +111,9 @@ def _run_config(doc: dict, args, path: str) -> engine.RunConfig:
         )
     except ProblemFormatError as err:
         raise UserError(f"{path}: {err}") from None
+    except engine.SettingError as err:
+        key = {"max_iterations": "max_iter"}.get(err.field, err.field)
+        raise UserError(f"{path}: run.{key}: {err}") from None
     except ValueError as err:
         raise UserError(f"{path}: run: {err}") from None
 

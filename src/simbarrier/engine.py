@@ -18,6 +18,7 @@ import enum
 import math
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,8 +33,21 @@ class RunStatus(enum.Enum):
     ITERATION_LIMIT = "IterationLimit"
 
 
+class SettingError(ValueError):
+    """A run setting beyond its stated maximum; ``field`` names it."""
+
+    def __init__(self, field: str, most: int):
+        super().__init__(f"expected at most {most}")
+        self.field = field
+
+
 @dataclass
 class RunConfig:
+    # a start, a round and a bootstrap vertex each cost work and memory;
+    # the maxima bound what one run can ask for
+    MAXIMA: ClassVar[dict[str, int]] = {
+        "starts": 10_000, "max_iterations": 10_000, "vertex_cap": 65_536}
+
     sigma: float = 0.5
     bloat_factor: float = 1.1
     vertex_cap: int = 256
@@ -52,6 +66,9 @@ class RunConfig:
                 and min(self.vertex_cap, self.starts, self.max_iterations) >= 1
                 and self.seed >= 0):
             raise ValueError("invalid run configuration")
+        for name, most in self.MAXIMA.items():
+            if getattr(self, name) > most:
+                raise SettingError(name, most)
 
     @property
     def ride_horizon(self) -> float:

@@ -633,13 +633,15 @@ def json_number(value, location: str, integer: bool = False):
     """``value`` as a float, or as an int with ``integer``, if it is a JSON
     number; a string, a bool, an integer beyond the float range or, with
     ``integer``, a fraction is an error at ``location``."""
+    what = "an integer" if integer else "a number"
     if type(value) is int or type(value) is float and (
             not integer or value.is_integer()):
         try:
-            return int(value) if integer else float(value)
+            number = float(value)        # an int beyond the range overflows
         except OverflowError:
-            pass
-    what = "an integer" if integer else "a number"
+            raise ProblemFormatError(
+                location, f"expected {what} within the float range") from None
+        return int(value) if integer else number
     raise ProblemFormatError(location, f"expected {what}, got {value!r}")
 
 

@@ -322,6 +322,33 @@ class TestErrors:
         assert f"{path}: {location}: " in err
         assert "Traceback" not in err
 
+    # counts beyond RunConfig.MAXIMA, and integers beyond the float range;
+    # engine.run fails the test if it is reached, so no such run starts
+    @pytest.mark.parametrize("run,flags,location,message", [
+        ({"starts": 10 ** 400}, [], "run.starts",
+         "expected an integer within the float range"),
+        ({"vertex_cap": -10 ** 400}, [], "run.vertex_cap",
+         "expected an integer within the float range"),
+        ({"starts": 10_001}, [], "run.starts", "expected at most 10000"),
+        ({"max_iter": 1e300}, [], "run.max_iter", "expected at most 10000"),
+        ({"vertex_cap": 65_537}, [], "run.vertex_cap",
+         "expected at most 65536"),
+        ({}, ["--starts", "10001"], "run.starts", "expected at most 10000"),
+        ({}, ["--max-iter", "10" * 40], "run.max_iter",
+         "expected at most 10000"),
+    ])
+    def test_oversized_settings_are_refused(self, composition_path, capsys,
+                                            monkeypatch, run, flags, location,
+                                            message):
+        monkeypatch.setattr(engine, "run",
+                            lambda *args: pytest.fail("the run started"))
+        doc = json.loads(Path(composition_path).read_text())
+        doc["run"].update(run)
+        Path(composition_path).write_text(json.dumps(doc))
+        assert cli.main(["synth", composition_path, *flags]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {composition_path}: {location}: {message}\n")
+
     def test_non_integer_setting_message(self, composition_path, capsys):
         doc = json.loads(Path(composition_path).read_text())
         doc["run"].update(starts=2.7, max_iter=True)

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -365,6 +366,21 @@ class TestMonomialNames:
     def test_bad_name_rejected(self):
         with pytest.raises(ValueError):
             monomial_from_name("q^2", ["x", "y"])
+
+
+class TestJsonNumber:
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_integers_beyond_the_float_range_rejected(self, integer):
+        for value in (10 ** 400, -10 ** 400, 2 ** 1024):
+            with pytest.raises(ProblemFormatError,
+                               match="^run.starts: .* within the float range"):
+                model.json_number(value, "run.starts", integer)
+
+    def test_largest_float_integer_accepted(self):
+        big = int(sys.float_info.max)
+        assert model.json_number(big, "x", integer=True) == big
+        assert model.json_number(big, "x") == sys.float_info.max
+        assert model.json_number(1e300, "x", integer=True) == int(1e300)
 
 
 class TestLoadProblem:
