@@ -92,6 +92,33 @@ def composition() -> dict:
     }
 
 
+def thermostat() -> dict:
+    """A heater switching off above 20 and on below 16 under a bounded
+    disturbance: the one hybrid problem, with two resets."""
+    return {
+        "schema": SCHEMA,
+        "name": "thermostat",
+        "variables": ["x"],
+        "disturbances": ["d"],
+        "disturbance_box": [[-0.5, 0.5]],
+        "modes": [
+            {"name": "off", "omega": [[15, 22]], "flow": ["-0.5*(x - 10) + d"]},
+            {"name": "on", "omega": [[10, 22]], "flow": ["0.5*(30 - x) + d"]},
+        ],
+        "resets": [
+            {"source": "off", "guard": [[15, 16]], "target": "on",
+             "map": ["x"], "inverse": ["x"], "image": [[15, 16]]},
+            {"source": "on", "guard": [[20, 22]], "target": "off",
+             "map": ["x"], "inverse": ["x"], "image": [[20, 22]]},
+        ],
+        "init": [{"mode": "off", "box": [[18, 20]]}],
+        "unsafe": [{"mode": "on", "box": [[10, 12]]}],
+        "template": "linear",
+        "run": {"sigma": 0.5, "bloat": 1.1, "starts": 16,
+                "max_iter": 20, "seed": 0},
+    }
+
+
 def scalable(l: int) -> dict:
     """A drifting coordinate weakly coupled to l damped pendulums.
 
@@ -129,6 +156,7 @@ def corpus() -> dict[str, dict]:
         "log-dynamics": log_dynamics(),
         "lorenz": lorenz(),
         "composition": composition(),
+        "thermostat": thermostat(),
     }
     for l in (1, 2, 3, 4):
         docs[f"scalable-l{l}"] = scalable(l)

@@ -86,36 +86,38 @@ def _load_synth_doc(path: str) -> tuple[Problem, Template, dict]:
     return prob, tmpl, doc
 
 
+# each RunConfig setting that a document or a flag sets: its key in the
+# document's "run" object, which also names its flag (vertex_cap has none)
+_RUN_KEYS = {"sigma": "sigma", "bloat_factor": "bloat", "starts": "starts",
+             "max_iterations": "max_iter", "seed": "seed",
+             "delta_min": "delta_min", "min_width_frac": "min_box_width",
+             "vertex_cap": "vertex_cap"}
+
+
 def _run_config(doc: dict, args, path: str) -> engine.RunConfig:
+    """The run settings: a flag's value, else the document's, else the
+    default.  A setting out of range is reported at its flag or key."""
     run = doc.get("run", {})
     if not isinstance(run, dict):
         raise UserError(f"{path}: run: expected an object")
-
-    def pick(flag, key, default, kind=float):
+    settings, where = {}, {}
+    for name, key in _RUN_KEYS.items():
+        flag = getattr(args, key, None)
         if flag is not None:
-            return flag
-        return model.json_number(run.get(key, default), f"run.{key}",
-                                 kind is int)
-
+            settings[name], where[name] = flag, "--" + key.replace("_", "-")
+        elif key in run:
+            # an integer setting has an integer default
+            integer = isinstance(getattr(engine.RunConfig, name), int)
+            try:
+                settings[name] = model.json_number(run[key], f"run.{key}",
+                                                   integer)
+            except ProblemFormatError as err:
+                raise UserError(f"{path}: {err}") from None
+            where[name] = f"{path}: run.{key}"
     try:
-        return engine.RunConfig(
-            sigma=pick(args.sigma, "sigma", 0.5),
-            bloat_factor=pick(args.bloat, "bloat", 1.1),
-            starts=pick(args.starts, "starts", 16, int),
-            max_iterations=pick(args.max_iter, "max_iter", 50, int),
-            seed=pick(args.seed, "seed", 0, int),
-            delta_min=pick(args.delta_min, "delta_min", 1e-6),
-            min_width_frac=pick(args.min_box_width, "min_box_width", 1e-4),
-            vertex_cap=pick(None, "vertex_cap", 256, int),
-            verify=not args.no_verify,
-        )
-    except ProblemFormatError as err:
-        raise UserError(f"{path}: {err}") from None
+        return engine.RunConfig(verify=not args.no_verify, **settings)
     except engine.SettingError as err:
-        key = {"max_iterations": "max_iter"}.get(err.field, err.field)
-        raise UserError(f"{path}: run.{key}: {err}") from None
-    except ValueError as err:
-        raise UserError(f"{path}: run: {err}") from None
+        raise UserError(f"{where[err.field]}: {err}") from None
 
 
 def _barrier_json(prob: Problem, tmpl: Template, p: np.ndarray) -> dict:

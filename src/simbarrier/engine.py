@@ -18,7 +18,6 @@ import enum
 import math
 import time
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
@@ -34,20 +33,15 @@ class RunStatus(enum.Enum):
 
 
 class SettingError(ValueError):
-    """A run setting beyond its stated maximum; ``field`` names it."""
+    """A run setting out of its range; ``field`` names it."""
 
-    def __init__(self, field: str, most: int):
-        super().__init__(f"expected at most {most}")
+    def __init__(self, field: str, expected: str):
+        super().__init__(f"expected {expected}")
         self.field = field
 
 
 @dataclass
 class RunConfig:
-    # a start, a round and a bootstrap vertex each cost work and memory;
-    # the maxima bound what one run can ask for
-    MAXIMA: ClassVar[dict[str, int]] = {
-        "starts": 10_000, "max_iterations": 10_000, "vertex_cap": 65_536}
-
     sigma: float = 0.5
     bloat_factor: float = 1.1
     vertex_cap: int = 256
@@ -59,16 +53,26 @@ class RunConfig:
     min_width_frac: float = 1e-4
 
     def __post_init__(self):
-        # written so that nan fails every test
-        if not (0 <= self.sigma < math.inf
-                and 1 <= self.bloat_factor < math.inf
-                and 0 < self.min_width_frac < math.inf and self.delta_min >= 0
-                and min(self.vertex_cap, self.starts, self.max_iterations) >= 1
-                and self.seed >= 0):
-            raise ValueError("invalid run configuration")
-        for name, most in self.MAXIMA.items():
-            if getattr(self, name) > most:
-                raise SettingError(name, most)
+        # each setting, whether it is in range, and its range; every test is
+        # written so that nan fails it
+        checks = [
+            ("sigma", 0 <= self.sigma < math.inf, "a finite number >= 0"),
+            ("bloat_factor", 1 <= self.bloat_factor < math.inf,
+             "a finite number >= 1"),
+            ("delta_min", self.delta_min >= 0, "a number >= 0"),
+            ("min_width_frac", 0 < self.min_width_frac < math.inf,
+             "a finite number > 0"),
+            ("seed", self.seed >= 0, "an integer >= 0")]
+        # a start, a round and a bootstrap vertex each cost work and memory;
+        # the maxima bound what one run can ask for
+        for name, most in (("starts", 10_000), ("max_iterations", 10_000),
+                           ("vertex_cap", 65_536)):
+            n = getattr(self, name)
+            checks.append((name, 1 <= n <= most,
+                           f"at most {most}" if n > most else "at least 1"))
+        for name, ok, expected in checks:
+            if not ok:
+                raise SettingError(name, expected)
 
     @property
     def ride_horizon(self) -> float:
@@ -144,8 +148,8 @@ def run(prob: Problem, tmpl: Template, cfg: RunConfig | None = None) -> RunRepor
         ref = falsify.find_counterexample(
             prob, cert, starts=cfg.starts, seed=int(rng.integers(2 ** 63)),
             bloat_factor=cfg.bloat_factor, t_max=cfg.ride_horizon)
-        record.search_time = (ref.search_time if ref is not None
-                              else time.perf_counter() - t0)
+        record.search_time = time.perf_counter() - t0 - (
+            ref.sim_time if ref is not None else 0.0)
         timings["counterexample"] += record.search_time
 
         verdict = None

@@ -38,8 +38,8 @@ from . import model
 from .model import Box, Certificate, Problem, ResetRule, Segment
 
 EVENT_TIME_TOL = 1e-9
-DEFAULT_RTOL = 1e-8
-DEFAULT_ATOL = 1e-10
+RTOL = 1e-8             # the step's error tolerances
+ATOL = 1e-10
 MAX_RESETS = 100
 
 _DP_A = tuple(np.array(row) for row in (
@@ -68,8 +68,6 @@ class StopReason(enum.Enum):
 
 @dataclass(frozen=True)
 class Trajectory:
-    start_mode: int
-    start: tuple[float, ...]
     end_mode: int
     end: tuple[float, ...]
     time: float
@@ -202,40 +200,34 @@ class _Rides:
     """The live rows of a batch of rides, one row per ride; a row that
     ends is written to ``out`` and dropped."""
 
-    FIELDS = ("ids", "alive", "at_top", "mode", "x", "d", "g_prev", "t_out",
-              "t", "span", "h", "resets", "streak")
+    FIELDS = ("ids", "alive", "mode", "x", "d", "g_prev", "t_out", "t", "h",
+              "resets", "streak")
 
     def __init__(self, prob: Problem, starts, dpolicy, horizon: float,
-                 bloat_factor: float, extra_event, jump_stop,
-                 rtol: float, atol: float):
+                 bloat_factor: float, extra_event, jump_stop):
         k = len(starts)
-        self.start_modes = [int(m) for m, _ in starts]
-        self.starts = [tuple(np.asarray(x0, dtype=float).tolist())
-                       for _, x0 in starts]
         self.phases = [_Phase(prob, m, bloat_factor, extra_event)
                        for m in range(len(prob.modes))]
         self.dpolicy = dpolicy or (lambda _m, x: np.empty((len(x), 0)))
-        self.horizon, self.rtol, self.atol = horizon, rtol, atol
+        self.horizon = horizon
         self.jump_stop = jump_stop
         self.out: list[Trajectory | None] = [None] * k
         self.ids = np.arange(k)
         self.alive = np.ones(k, dtype=bool)
-        self.at_top = np.ones(k, dtype=bool)   # at the hybrid loop's top
-        self.mode = np.array(self.start_modes, dtype=int)
-        self.x = np.array(self.starts, dtype=float).reshape(k, prob.dim)
+        self.mode = np.array([m for m, _ in starts], dtype=int)
+        self.x = np.array([x0 for _, x0 in starts],
+                          dtype=float).reshape(k, prob.dim)
         self.d = np.empty((k, len(prob.dist_vars) if dpolicy else 0))
         self.g_prev = np.empty((k, max(len(p.events) for p in self.phases)))
-        # time before the current phase, time in it, its span, the step
-        self.t_out, self.t = np.zeros(k), np.zeros(k)
-        self.span, self.h = np.zeros(k), np.zeros(k)
+        # time before the current phase, time in it, the step
+        self.t_out, self.t, self.h = np.zeros(k), np.zeros(k), np.zeros(k)
         self.resets = np.zeros(k, dtype=int)
         self.streak = np.zeros(k, dtype=int)
 
     def run(self) -> list[Trajectory]:
+        self.top(np.arange(len(self.ids)))
+        self.compact()
         while len(self.ids):
-            if self.at_top.any():
-                self.top(np.flatnonzero(self.at_top))
-                self.compact()
             for phase, rows in self.by_mode():
                 self.step(phase, rows)
             self.compact()
@@ -255,7 +247,6 @@ class _Rides:
         time = self.t_out[rows] + self.t[rows]
         for r, t in zip(rows.tolist(), time.tolist()):
             self.out[self.ids[r]] = Trajectory(
-                self.start_modes[self.ids[r]], self.starts[self.ids[r]],
                 int(self.mode[r]), tuple(self.x[r].tolist()), t, reason,
                 int(self.resets[r]), event_index)
         self.alive[rows] = False
@@ -311,7 +302,6 @@ class _Rides:
         """Start a continuous phase, unless the row is at the horizon or
         outside the bloated box."""
         self.streak[rows] = 0
-        self.at_top[rows] = False
         over = ((self.t_out[rows] >= self.horizon * (1.0 - 1e-14))
                 | (self.horizon == 0.0))
         self.end(rows[over], StopReason.HORIZON)
@@ -322,7 +312,7 @@ class _Rides:
         if not rows.size:
             return
         x = self.x[rows]
-        span = self.span[rows] = self.horizon - self.t_out[rows]
+        span = self.horizon - self.t_out[rows]
         self.t[rows] = 0.0
         d = self.d[rows] = self.dpolicy(phase.mode, x)
         self.g_prev[rows, :len(phase.events)] = phase.values(x, d)
@@ -334,11 +324,11 @@ class _Rides:
         ``phase``'s mode), accepted or rejected by the row's own error
         test; a rejected step shrinks the row's step size."""
         x, d, t = self.x[rows], self.d[rows], self.t[rows]
-        h = np.minimum(self.h[rows], self.span[rows] - t)
+        h = np.minimum(self.h[rows], self.horizon - self.t_out[rows] - t)
         x_new, k = _rk_step(phase.rhs, x, d, h)
         err = h[:, None] * np.matmul(_DP_ERR, k)
         ok = np.isfinite(x_new).all(axis=1)
-        scale = self.atol + self.rtol * np.maximum(np.abs(x), np.abs(x_new))
+        scale = ATOL + RTOL * np.maximum(np.abs(x), np.abs(x_new))
         # np.mean's own rounding: the sum over the row, then / n
         err_norm = np.sqrt(np.add.reduce((err / scale) ** 2, axis=1)
                            / x.shape[1])
@@ -375,7 +365,7 @@ class _Rides:
         t = t + h
         self.t[rows] = t
         self.x[rows] = x_new
-        over = t >= self.span[rows] * (1.0 - 1e-14)
+        over = t >= (self.horizon - self.t_out[rows]) * (1.0 - 1e-14)
         if over.any():
             rows = np.arange(len(self.ids))[rows]
             self.end(rows[over], StopReason.HORIZON)
@@ -420,7 +410,7 @@ class _Rides:
         guard = at[kind < phase.guards]
         self.t_out[guard] += self.t[guard]
         self.t[guard] = 0.0
-        self.at_top[guard] = True
+        self.top(guard)
         return slot < 0
 
 
@@ -429,9 +419,8 @@ def flow_hybrid(prob: Problem, starts: Sequence[tuple[int, Sequence[float]]],
                 horizon: float, *, bloat_factor: float = 1.1,
                 extra_event: tuple[Callable, int] | None = None,
                 jump_stop: Callable[[ResetRule, np.ndarray, np.ndarray],
-                                    np.ndarray] | None = None,
-                rtol: float = DEFAULT_RTOL,
-                atol: float = DEFAULT_ATOL) -> list[Trajectory]:
+                                    np.ndarray] | None = None
+                ) -> list[Trajectory]:
     """Follow the hybrid flow from each ``(mode, x)`` of ``starts``:
     continuous phases alternating with resets, one trajectory per start.
 
@@ -447,7 +436,7 @@ def flow_hybrid(prob: Problem, starts: Sequence[tuple[int, Sequence[float]]],
     times in a row without time progress ends with reason LIVELOCK.
     """
     rides = _Rides(prob, starts, dpolicy, horizon, bloat_factor, extra_event,
-                   jump_stop, rtol, atol)
+                   jump_stop)
     with np.errstate(all="ignore"):
         return rides.run()
 
@@ -497,7 +486,7 @@ def init_segments(prob: Problem, sigma: float, vertex_cap: int = 256,
 
 def _drift_ride(prob_dyn: Problem, cert: Certificate,
                 starts: Sequence[tuple[int, Sequence[float]]], orient: float,
-                pick_max: bool, *, bloat_factor: float,
+                *, bloat_factor: float,
                 t_max: float) -> list[tuple[int, tuple[float, ...]]]:
     """Shared core of the forward/backward counter-example endpoints.
 
@@ -527,7 +516,7 @@ def _drift_ride(prob_dyn: Problem, cert: Certificate,
         best = drift(m, x, rows(d_verts[0]))
         for i, dv in enumerate(d_verts[1:], 1):
             v = drift(m, x, rows(dv))
-            better = v > best if pick_max else v < best
+            better = v > best if orient > 0 else v < best
             best, pick[better] = np.where(better, v, best), i
         return np.array(d_verts)[pick]
 
@@ -562,7 +551,7 @@ def omega(prob: Problem, cert: Certificate,
     one batch: ride the flow while the certificate increases, choosing
     disturbances that maximize the increase; a ride ends before a reset
     that lowers the certificate."""
-    return _drift_ride(prob, cert, starts, orient=1.0, pick_max=True,
+    return _drift_ride(prob, cert, starts, orient=1.0,
                        bloat_factor=bloat_factor, t_max=t_max)
 
 
@@ -576,4 +565,4 @@ def alpha(prob: Problem, cert: Certificate,
     forward-orientation drift; a ride ends before a reversed reset that
     raises the certificate."""
     return _drift_ride(prob.reversed, cert, starts, orient=-1.0,
-                       pick_max=False, bloat_factor=bloat_factor, t_max=t_max)
+                       bloat_factor=bloat_factor, t_max=t_max)

@@ -17,8 +17,8 @@ import numpy as np
 from simbarrier import expr as ex
 from simbarrier import model
 from simbarrier.model import Box, ModeDef, Problem
-from simbarrier.sim import (DEFAULT_ATOL, DEFAULT_RTOL, EVENT_TIME_TOL,
-                            MAX_RESETS, StopReason, Trajectory)
+from simbarrier.sim import (ATOL, EVENT_TIME_TOL, MAX_RESETS, RTOL,
+                            StopReason, Trajectory)
 
 _DP_A = (
     (),
@@ -98,7 +98,7 @@ def integrate(mode: ModeDef, x0: Sequence[float],
               horizon: float,
               events: Sequence[tuple[Callable, int]] = (),
               bloated: Box | None = None,
-              rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
+              rtol: float = RTOL, atol: float = ATOL,
               mode_index: int = 0) -> Trajectory:
     """Integrate one continuous mode until the horizon, an event crossing,
     or exit from the bloated box, whichever comes first.
@@ -111,11 +111,9 @@ def integrate(mode: ModeDef, x0: Sequence[float],
     if dpolicy is None:
         dpolicy = lambda _z: np.empty(0)
     if bloated is not None and _box_gap(bloated, x) > 0.0:
-        return Trajectory(mode_index, start, mode_index, start, 0.0,
-                          StopReason.LEFT_BLOAT)
+        return Trajectory(mode_index, start, 0.0, StopReason.LEFT_BLOAT)
     if horizon <= 0.0:
-        return Trajectory(mode_index, start, mode_index, start, 0.0,
-                          StopReason.HORIZON)
+        return Trajectory(mode_index, start, 0.0, StopReason.HORIZON)
 
     flow = ex.compile_vector(mode.flow)
     t = 0.0
@@ -149,16 +147,14 @@ def integrate(mode: ModeDef, x0: Sequence[float],
         except _StepError:
             h *= 0.5
             if h < 1e-13 * (1.0 + abs(t)):
-                return Trajectory(mode_index, start, mode_index, tuple(x), t,
-                                  StopReason.FAILURE)
+                return Trajectory(mode_index, tuple(x), t, StopReason.FAILURE)
             continue
         scale = atol + rtol * np.maximum(np.abs(x), np.abs(x_new))
         err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
         if err_norm > 1.0:
             h *= max(0.2, 0.9 * err_norm ** -0.2)
             if h < 1e-13 * (1.0 + abs(t)):
-                return Trajectory(mode_index, start, mode_index, tuple(x), t,
-                                  StopReason.FAILURE)
+                return Trajectory(mode_index, tuple(x), t, StopReason.FAILURE)
             continue
 
         # accepted step: localize the earliest event crossing, if any
@@ -174,16 +170,15 @@ def integrate(mode: ModeDef, x0: Sequence[float],
             tau, idx, x_loc = earliest
             t += tau
             if idx == bloat_slot:
-                return Trajectory(mode_index, start, mode_index, tuple(x_loc),
-                                  t, StopReason.LEFT_BLOAT)
-            return Trajectory(mode_index, start, mode_index, tuple(x_loc), t,
+                return Trajectory(mode_index, tuple(x_loc), t,
+                                  StopReason.LEFT_BLOAT)
+            return Trajectory(mode_index, tuple(x_loc), t,
                               StopReason.EVENT, event_index=idx)
 
         t += h
         x = x_new
         if t >= horizon * (1.0 - 1e-14):
-            return Trajectory(mode_index, start, mode_index, tuple(x), t,
-                              StopReason.HORIZON)
+            return Trajectory(mode_index, tuple(x), t, StopReason.HORIZON)
         d = dpolicy(x)
         rhs = rhs_at(d)
         g_prev = [g(x, d) for g, _ in table]
@@ -221,7 +216,7 @@ def flow_hybrid(prob: Problem, start: tuple[int, Sequence[float]],
                 dpolicy: Callable[[int, np.ndarray], np.ndarray] | None,
                 horizon: float, *, bloat_factor: float = 1.1,
                 extra_event: tuple[Callable, int] | None = None,
-                rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
+                rtol: float = RTOL, atol: float = ATOL,
                 max_resets: int = MAX_RESETS) -> Trajectory:
     """Follow the hybrid flow: continuous phases alternating with resets.
 
@@ -229,8 +224,7 @@ def flow_hybrid(prob: Problem, start: tuple[int, Sequence[float]],
     point already sits on a guard.  ``extra_event`` is an additional stop
     condition (g(mode, x, d), direction) evaluated in the current mode.
     """
-    start_mode, x0 = start
-    mode = start_mode
+    mode, x0 = start
     x = np.asarray(x0, dtype=float)
     t = 0.0
     resets = 0
@@ -249,8 +243,7 @@ def flow_hybrid(prob: Problem, start: tuple[int, Sequence[float]],
                 resets += 1
                 streak += 1
                 if streak > max_resets:
-                    return Trajectory(start_mode, tuple(np.asarray(x0, float)),
-                                      mode, tuple(x), t, StopReason.LIVELOCK,
+                    return Trajectory(mode, tuple(x), t, StopReason.LIVELOCK,
                                       resets)
                 fired = True
                 break
@@ -259,8 +252,7 @@ def flow_hybrid(prob: Problem, start: tuple[int, Sequence[float]],
         streak = 0
 
         if t >= horizon * (1.0 - 1e-14) or horizon == 0.0:
-            return Trajectory(start_mode, tuple(np.asarray(x0, float)), mode,
-                              tuple(x), t, StopReason.HORIZON, resets)
+            return Trajectory(mode, tuple(x), t, StopReason.HORIZON, resets)
 
         mdef = prob.modes[mode]
         bloated = model.bloat(mdef.omega, bloat_factor)
@@ -278,12 +270,10 @@ def flow_hybrid(prob: Problem, start: tuple[int, Sequence[float]],
 
         if traj.reason is StopReason.EVENT:
             if extra_slot is not None and traj.event_index == extra_slot:
-                return Trajectory(start_mode, tuple(np.asarray(x0, float)),
-                                  mode, tuple(x), t, StopReason.EVENT, resets,
+                return Trajectory(mode, tuple(x), t, StopReason.EVENT, resets,
                                   traj.event_index)
             # guard contact: the membership check at the loop top applies
             # the reset, or, where a degenerate dimension's plane was
             # crossed outside the guard box, resumes the continuous phase
             continue
-        return Trajectory(start_mode, tuple(np.asarray(x0, float)), mode,
-                          tuple(x), t, traj.reason, resets)
+        return Trajectory(mode, tuple(x), t, traj.reason, resets)

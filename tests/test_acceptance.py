@@ -69,14 +69,20 @@ def lorenz_run():
 
 
 @pytest.fixture(scope="session")
+def thermostat_run():
+    return _synthesize(benchmarks.thermostat(), max_iterations=20)
+
+
+@pytest.fixture(scope="session")
 def all_runs(composition_run, pendulum_run, log_dynamics_run, scalable2_run,
-             lorenz_run):
+             lorenz_run, thermostat_run):
     return {
         "composition": composition_run,
         "pendulum": pendulum_run,
         "log-dynamics": log_dynamics_run,
         "scalable-l2": scalable2_run,
         "lorenz": lorenz_run,
+        "thermostat": thermostat_run,
     }
 
 
@@ -273,4 +279,16 @@ def test_criterion_10_numerics_suite():
         f"interval soundness {sound_ok}/1000": sound_ok == 1000,
         "decay endpoint <= 1e-6": decay_err <= 1e-6,
         "sawtooth endpoint <= 1e-6": saw_err <= 1e-6 and saw.resets == 1,
+    })
+
+
+def test_criterion_11_thermostat_hybrid_synthesis(thermostat_run):
+    _, _, report, _ = thermostat_run
+    verdict = report.verdict
+    _criterion(11, "hybrid synthesis, resets proved (thermostat)", {
+        "found": report.status is RunStatus.BARRIER_FOUND,
+        "verified": verdict is not None
+        and verdict.status is VerdictStatus.VERIFIED,
+        "condition 4 proved on >= 1 box": verdict is not None
+        and verdict.reports[4].boxes_verified >= 1,
     })

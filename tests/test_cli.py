@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +150,23 @@ class TestSynth:
             assert repr(value) in text or f"{value}" in text
             assert float(repr(value)) == value
 
+    def test_runtime_imports_only_numpy(self, composition_path, tmp_path):
+        # a synthesis in a fresh process loads none of the test extras
+        script = (
+            "import json, sys\n"
+            "from simbarrier import cli\n"
+            "code = cli.main(['synth', sys.argv[1], '--report', sys.argv[2]])\n"
+            "print(json.dumps([code, [m for m in ('scipy', 'mpmath',"
+            " 'hypothesis', 'pytest') if m in sys.modules]]))\n")
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        out = subprocess.run(
+            [sys.executable, "-c", script, composition_path,
+             str(tmp_path / "report.json")],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert json.loads(out) == [0, []]
+
 
 class TestVerifyCommand:
     def test_published_barrier_verifies(self, composition_path,
@@ -251,7 +271,7 @@ class TestErrors:
     @pytest.mark.parametrize("change,location", [
         ({"run": {"sigma": "abc"}}, "run.sigma"),
         ({"run": {"seed": [1]}}, "run.seed"),
-        ({"run": {"max_iter": 0}}, "run"),
+        ({"run": {"max_iter": 0}}, "run.max_iter"),
         ({"template": [[[1, 0], [0, 1]]]}, "template"),
         ({"modes": [5]}, "modes[0]"),
         ({"resets": [3]}, "resets[0]"),
@@ -261,12 +281,12 @@ class TestErrors:
         ({"disturbances": ["d"], "disturbance_box": [{}]}, "disturbance_box"),
         # settings that cannot run: nan fails every range test, and an
         # infinite count is no integer
-        ({"run": {"sigma": math.nan}}, "run"),
-        ({"run": {"sigma": 1e400}}, "run"),
-        ({"run": {"bloat": 1e400}}, "run"),
-        ({"run": {"starts": 0}}, "run"),
-        ({"run": {"starts": -1}}, "run"),
-        ({"run": {"seed": -1}}, "run"),
+        ({"run": {"sigma": math.nan}}, "run.sigma"),
+        ({"run": {"sigma": 1e400}}, "run.sigma"),
+        ({"run": {"bloat": 1e400}}, "run.bloat"),
+        ({"run": {"starts": 0}}, "run.starts"),
+        ({"run": {"starts": -1}}, "run.starts"),
+        ({"run": {"seed": -1}}, "run.seed"),
         ({"run": {"seed": 1e400}}, "run.seed"),
         # integer settings take no bool and no fraction; float settings
         # take no bool
@@ -322,8 +342,9 @@ class TestErrors:
         assert f"{path}: {location}: " in err
         assert "Traceback" not in err
 
-    # counts beyond RunConfig.MAXIMA, and integers beyond the float range;
-    # engine.run fails the test if it is reached, so no such run starts
+    # counts beyond their maximum, integers beyond the float range and
+    # settings below their range; engine.run fails the test if it is
+    # reached, so no such run starts
     @pytest.mark.parametrize("run,flags,location,message", [
         ({"starts": 10 ** 400}, [], "run.starts",
          "expected an integer within the float range"),
@@ -333,9 +354,21 @@ class TestErrors:
         ({"max_iter": 1e300}, [], "run.max_iter", "expected at most 10000"),
         ({"vertex_cap": 65_537}, [], "run.vertex_cap",
          "expected at most 65536"),
-        ({}, ["--starts", "10001"], "run.starts", "expected at most 10000"),
-        ({}, ["--max-iter", "10" * 40], "run.max_iter",
+        ({}, ["--starts", "10001"], "--starts", "expected at most 10000"),
+        ({}, ["--max-iter", "10" * 40], "--max-iter",
          "expected at most 10000"),
+        # below their range: named by the key, or by the flag that set it
+        ({"sigma": -1}, [], "run.sigma", "expected a finite number >= 0"),
+        ({"bloat": 0.5}, [], "run.bloat", "expected a finite number >= 1"),
+        ({"delta_min": -1e-3}, [], "run.delta_min", "expected a number >= 0"),
+        ({"min_box_width": 0}, [], "run.min_box_width",
+         "expected a finite number > 0"),
+        ({"vertex_cap": 0}, [], "run.vertex_cap", "expected at least 1"),
+        ({"seed": -1}, [], "run.seed", "expected an integer >= 0"),
+        ({}, ["--starts", "0"], "--starts", "expected at least 1"),
+        ({"starts": 4}, ["--bloat", "0.5"], "--bloat",
+         "expected a finite number >= 1"),
+        ({"seed": 3}, ["--seed", "-1"], "--seed", "expected an integer >= 0"),
     ])
     def test_oversized_settings_are_refused(self, composition_path, capsys,
                                             monkeypatch, run, flags, location,
@@ -346,8 +379,17 @@ class TestErrors:
         doc["run"].update(run)
         Path(composition_path).write_text(json.dumps(doc))
         assert cli.main(["synth", composition_path, *flags]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {composition_path}: {location}: {message}\n")
+        if not location.startswith("--"):
+            location = f"{composition_path}: {location}"
+        assert capsys.readouterr().err == f"error: {location}: {message}\n"
+
+    def test_a_flag_overrides_the_document(self):
+        args = cli._build_parser().parse_args(
+            ["synth", "problem.json", "--starts", "4", "--seed", "0"])
+        doc = {"run": {"starts": 0, "seed": 5, "sigma": 0.25}}
+        cfg = cli._run_config(doc, args, "problem.json")
+        assert (cfg.starts, cfg.seed, cfg.sigma) == (4, 0, 0.25)
+        assert (cfg.max_iterations, cfg.vertex_cap) == (50, 256)
 
     def test_non_integer_setting_message(self, composition_path, capsys):
         doc = json.loads(Path(composition_path).read_text())
@@ -539,8 +581,8 @@ class TestGenAndBench:
         names = {p.name for p in corpus.glob("*.json")}
         assert names == {
             "pendulum.json", "log-dynamics.json", "lorenz.json",
-            "composition.json", "scalable-l1.json", "scalable-l2.json",
-            "scalable-l3.json", "scalable-l4.json"}
+            "composition.json", "thermostat.json", "scalable-l1.json",
+            "scalable-l2.json", "scalable-l3.json", "scalable-l4.json"}
         # run the cheap instance through the bench table path
         solo = tmp_path / "solo"
         solo.mkdir()

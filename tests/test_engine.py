@@ -116,8 +116,7 @@ class TestRunInvariants:
             if ce is None:
                 assert rec.value is None and rec.search_time > 0.0
             else:
-                assert (rec.kind, rec.value, rec.search_time) == \
-                    (ce.hit.kind, ce.hit.value, ce.search_time)
+                assert (rec.kind, rec.value) == (ce.hit.kind, ce.hit.value)
                 assert rec.value < 0.0 < rec.search_time
         assert any(ce is not None for ce in seen)
         assert sum(r.search_time for r in report.log) == \
@@ -147,8 +146,18 @@ class TestConfigValidation:
             with pytest.raises(ValueError):
                 RunConfig(**bad)
 
+    def test_each_bad_value_names_its_setting(self):
+        for name, value in (("sigma", math.nan), ("bloat_factor", 0.5),
+                            ("delta_min", math.nan), ("seed", -1),
+                            ("min_width_frac", math.inf), ("starts", 0),
+                            ("max_iterations", math.nan), ("vertex_cap", -3)):
+            with pytest.raises(engine.SettingError) as err:
+                RunConfig(**{name: value})
+            assert err.value.field == name, name
+
     def test_counts_have_a_stated_maximum(self):
-        for name, most in RunConfig.MAXIMA.items():
+        for name, most in (("starts", 10_000), ("max_iterations", 10_000),
+                           ("vertex_cap", 65_536)):
             RunConfig(**{name: most})
             with pytest.raises(engine.SettingError) as err:
                 RunConfig(**{name: most + 1})

@@ -1,5 +1,7 @@
 import itertools
+import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -450,6 +452,13 @@ class TestLoadProblem:
             prob = load_problem(doc)
             tmpl = make_template(doc["template"], prob.dim, len(prob.modes))
             assert tmpl.size >= 2, name
+
+    def test_thermostat_equals_the_bench_document(self):
+        # the benchmark reads the thermostat from corpus(), the committed
+        # certificates were checked against the file: the two must agree
+        path = Path(__file__).parents[1] / "bench" / "data" / "thermostat.json"
+        assert benchmarks.thermostat() == json.loads(path.read_text())
+        assert benchmarks.corpus()["thermostat"] == benchmarks.thermostat()
 
     def test_benchmark_run_defaults(self):
         corpus = benchmarks.corpus()
