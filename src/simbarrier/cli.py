@@ -94,14 +94,17 @@ _RUN_KEYS = {"sigma": "sigma", "bloat_factor": "bloat", "starts": "starts",
              "vertex_cap": "vertex_cap"}
 
 
-def _run_config(doc: dict, args, path: str) -> engine.RunConfig:
-    """The run settings: a flag's value, else the document's, else the
-    default.  A setting out of range is reported at its flag or key."""
+def _run_config(doc: dict, args, path: str,
+                names=tuple(_RUN_KEYS)) -> engine.RunConfig:
+    """The run settings of ``names``: a flag's value, else the document's,
+    else the default.  A setting out of range is reported at its flag or
+    key."""
     run = doc.get("run", {})
     if not isinstance(run, dict):
         raise UserError(f"{path}: run: expected an object")
     settings, where = {}, {}
-    for name, key in _RUN_KEYS.items():
+    for name in names:
+        key = _RUN_KEYS[name]
         flag = getattr(args, key, None)
         if flag is not None:
             settings[name], where[name] = flag, "--" + key.replace("_", "-")
@@ -115,7 +118,8 @@ def _run_config(doc: dict, args, path: str) -> engine.RunConfig:
                 raise UserError(f"{path}: {err}") from None
             where[name] = f"{path}: run.{key}"
     try:
-        return engine.RunConfig(verify=not args.no_verify, **settings)
+        return engine.RunConfig(verify=not getattr(args, "no_verify", False),
+                                **settings)
     except engine.SettingError as err:
         raise UserError(f"{where[err.field]}: {err}") from None
 
@@ -266,10 +270,8 @@ def _cmd_verify(args) -> int:
     prob, _tmpl, doc = _load_problem_doc(args.problem)
     barrier_doc = _load_object(args.barrier)
     tmpl, p = _barrier_from_doc(barrier_doc, prob, args.barrier)
-    frac = args.min_box_width if args.min_box_width is not None else 1e-4
-    if not 0 < frac < math.inf:  # nan fails too
-        raise UserError(
-            f"--min-box-width: expected a finite value > 0, got {frac}")
+    frac = _run_config(doc, args, args.problem,
+                       ("min_width_frac",)).min_width_frac
     t0 = time.perf_counter()
     verdict = rigor.verify(prob, tmpl, p, frac)
     elapsed = time.perf_counter() - t0

@@ -490,9 +490,10 @@ def land_on_level_set(value, grad, x: np.ndarray, lo: np.ndarray,
     of rows that reached the band.
 
     ``value`` and ``grad`` are V and grad V over the rows of a batch.  A
-    row stops without landing where |grad V|^2 < ``floor``, and where V
-    is not finite it never lands.  A row is tested at most
-    ``max_steps + 1`` times: before each step, and once after the last.
+    row stops without landing where |grad V|^2 < ``floor`` or where its
+    step returns its point, and where V is not finite it never lands.  A
+    row is tested at most ``max_steps + 1`` times: before each step, and
+    once after the last.
     """
     x = x.copy()
     landed = np.zeros(len(x), dtype=bool)
@@ -524,7 +525,18 @@ def land_on_level_set(value, grad, x: np.ndarray, lo: np.ndarray,
             rows, xa, v, g, n2 = rows[go], xa[go], v[go], g[go], n2[go]
             if per_row:
                 lo, hi = lo[go], hi[go]
-        xa = np.clip(xa - (v / n2)[:, None] * g, lo, hi)
+        step = np.clip(xa - (v / n2)[:, None] * g, lo, hi)
+        # a row whose step returns its own point, bit for bit, would repeat
+        # it at every later step and never land: it stops there
+        moves = (step.view(np.int64) != xa.view(np.int64)).any(axis=1)
+        if not moves.all():
+            x[rows[~moves]] = xa[~moves]
+            if not moves.any():
+                return x, landed
+            rows, step = rows[moves], step[moves]
+            if per_row:
+                lo, hi = lo[moves], hi[moves]
+        xa = step
     landed[rows] = np.abs(value(xa)) <= band
     x[rows] = xa
     return x, landed

@@ -4,22 +4,29 @@ One integrator, ``flow_hybrid``, advances a batch of rides in lockstep,
 one row per ride.  An embedded Dormand-Prince 4(5) step with adaptive
 step control drives every row.  Events (guard entry, the caller's stop
 condition, exit from the bloated state space) are localized by bisection
-on the accepted step.  Reset rules are applied as early as possible; rows
-that jump repeatedly without time progress stop with a livelock verdict.
+on the accepted step's dense output, the 4th order continuous extension
+built from the step's own stages, so locating a crossing takes no further
+step.  Reset rules are applied as early as possible; rows that jump
+repeatedly without time progress stop with a livelock verdict.
 Backward rides integrate ``Problem.reversed``, the time-reversed problem
 that the problem builds once, so its flows and maps compile once too.
 
 Each row keeps its own step size, accept/reject decision, event
 bisection, reset streak and stop reason, so row r ends bit for bit where
 the point-wise reference (``tests/sim_reference.py``) ends ride r
-integrated alone.  Three rules keep it so:
+integrated alone.  Four rules keep it so:
 
 - The stage sums are one stacked ``np.matmul`` of a Butcher row with the
   ``(rows, 7, n)`` stage array, which rounds each row as ``np.dot``
   rounds one ride.  One ``np.dot`` over all rows' columns rounds
   differently, because OpenBLAS blocks its gemv by the column count.
+- So is the dense output: ``k^T P`` is a stacked ``np.matmul`` of each
+  row's transposed stages with P, and so is its product with the row's
+  powers of theta.
 - The step factor ``0.9 * err_norm ** -0.2`` is a Python float (libm)
-  power per row; numpy's vector power rounds differently.
+  power per row; numpy's vector power rounds differently.  For the same
+  reason the powers of theta are products: theta * theta, then times
+  theta, then times theta again.
 - A norm or a dot product is ``np.linalg.norm`` of one row or
   ``model.row_dot`` (a BLAS dot per row); a reduction over an axis adds
   in another order.
@@ -55,6 +62,24 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
 _DP_ERR = _DP_B5 - _DP_B4
+# the dense output u(theta) = x + h (k^T P) (theta, theta^2, theta^3,
+# theta^4), a 4th order continuous extension of the step (Hairer, Norsett
+# & Wanner, Solving ODEs I, section II.6); scipy's RK45 uses this P
+_DP_P = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423,
+     69997945 / 29380423],
+])
 
 
 class StopReason(enum.Enum):
@@ -119,22 +144,31 @@ def _crossed(direction: int, g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
     return ((g0 > 0.0) & (g1 <= 0.0)) | ((g0 <= 0.0) & (g1 > 0.0))
 
 
-def _bisect(rhs: Rows, g: Rows, direction: int, x_left: np.ndarray,
+def _bisect(g: Rows, direction: int, x_left: np.ndarray, k: np.ndarray,
             d: np.ndarray, h: np.ndarray, g_left: np.ndarray,
             x_right: np.ndarray):
-    """Localize each row's crossing of ``g`` inside (0, h], where the step
-    from ``x_left`` ends at ``x_right``.  The rows bisect in lockstep,
-    each until its own bracket is at most EVENT_TIME_TOL wide.  Returns
-    the times and points on the crossed side (exit events, direction > 0,
-    report the last point still inside, so guard events land inside the
-    guard) and the rows where a bisection step failed."""
+    """Localize each row's crossing of ``g`` inside (0, h] on the dense
+    output of the accepted step from ``x_left`` to ``x_right`` with stages
+    ``k``; a trial costs one evaluation of ``g`` and no step.  The rows
+    bisect in lockstep, each until its own bracket is at most
+    EVENT_TIME_TOL wide.  Returns the times and points on the crossed side
+    (exit events, direction > 0, report the last point still inside, so
+    guard events land inside the guard) and the rows where an interpolant
+    point is not finite: finite stages near the overflow threshold (a flow
+    of 1e308) give a finite step but an overflowing k^T P."""
     lo, hi = np.zeros(len(h)), h.copy()
     x_lo, x_hi = x_left.copy(), x_right.copy()
+    q = np.matmul(k.transpose(0, 2, 1), _DP_P)
     failed = np.zeros(len(h), dtype=bool)
     while (active := (hi - lo > EVENT_TIME_TOL) & ~failed).any():
         a = slice(None) if active.all() else np.flatnonzero(active)
         mid = 0.5 * (lo[a] + hi[a])
-        x_mid = _rk_step(rhs, x_lo[a], d[a], mid - lo[a])[0]
+        theta = mid / h[a]
+        theta2 = theta * theta
+        theta3 = theta2 * theta
+        powers = np.stack((theta, theta2, theta3, theta3 * theta), axis=1)
+        x_mid = x_left[a] + h[a][:, None] * np.matmul(
+            q[a], powers[:, :, None])[:, :, 0]
         bad = ~np.isfinite(x_mid).all(axis=1)
         up = ~bad & _crossed(direction, g_left[a], g(x_mid, d[a]))
         down = ~bad & ~up
@@ -342,15 +376,15 @@ class _Rides:
             rows = np.arange(len(self.ids))[rows]
             tiny = ~accept & (h_next < 1e-13 * (1.0 + np.abs(t)))
             self.end(rows[tiny], StopReason.FAILURE)
-            rows, x, x_new, d, t, h = (
-                a[accept] for a in (rows, x, x_new, d, t, h))
+            rows, x, x_new, k, d, t, h = (
+                a[accept] for a in (rows, x, x_new, k, d, t, h))
         if len(h):
-            self.advance(phase, rows, x, x_new, d, t, h)
+            self.advance(phase, rows, x, x_new, k, d, t, h)
 
     def advance(self, phase: _Phase, rows, x: np.ndarray, x_new: np.ndarray,
-                d: np.ndarray, t: np.ndarray, h: np.ndarray):
-        """Accepted steps: a row stops at its earliest event crossing,
-        else moves to the step's end."""
+                k: np.ndarray, d: np.ndarray, t: np.ndarray, h: np.ndarray):
+        """Accepted steps, with their (rows, 7, n) stages: a row stops at
+        its earliest event crossing, else moves to the step's end."""
         g_prev, g_new = self.g_prev[rows], phase.values(x_new, d)
         hits = []
         for e, (_, direction) in enumerate(phase.events):
@@ -359,7 +393,8 @@ class _Rides:
                 hits.append((e, np.flatnonzero(crossed)))
         if hits:
             rows = np.arange(len(self.ids))[rows]
-            moved = self.stop_at_events(phase, hits, rows, x, x_new, d, t, h)
+            moved = self.stop_at_events(phase, hits, rows, x, x_new, k, d, t,
+                                        h)
             rows, x_new, d, t, h, g_new = (
                 a[moved] for a in (rows, x_new, d, t, h, g_new))
         t = t + h
@@ -378,10 +413,12 @@ class _Rides:
         self.g_prev[rows, :len(phase.events)] = g_new
 
     def stop_at_events(self, phase: _Phase, hits, rows: np.ndarray,
-                       x: np.ndarray, x_new: np.ndarray, d: np.ndarray,
-                       t: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Bisect each crossed event of each row and stop the row at its
-        earliest; returns the mask of rows that crossed none."""
+                       x: np.ndarray, x_new: np.ndarray, k: np.ndarray,
+                       d: np.ndarray, t: np.ndarray,
+                       h: np.ndarray) -> np.ndarray:
+        """Bisect each crossed event of each row on its step's dense output
+        and stop the row at its earliest; returns the mask of rows that
+        crossed none."""
         g_prev = self.g_prev[rows]
         tau = np.full(len(rows), math.inf)
         slot = np.full(len(rows), -1)
@@ -389,9 +426,8 @@ class _Rides:
         failed = np.zeros(len(rows), dtype=bool)
         for e, hit in hits:
             g, direction = phase.events[e]
-            when, where, bad = _bisect(phase.rhs, g, direction, x[hit],
-                                       d[hit], h[hit], g_prev[hit, e],
-                                       x_new[hit])
+            when, where, bad = _bisect(g, direction, x[hit], k[hit], d[hit],
+                                       h[hit], g_prev[hit, e], x_new[hit])
             failed[hit[bad]] = True
             first = ~bad & (when < tau[hit])
             hit = hit[first]

@@ -33,14 +33,31 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
 _DP_ERR = _DP_B5 - _DP_B4
+# the DOPRI5 dense output: u(theta) = x + h (k^T P) (theta, ..., theta^4)
+_DP_P = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 
 
 class _StepError(Exception):
     pass
 
 
-def _rk_step(f, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """One Dormand-Prince step: 5th order solution and error estimate."""
+def _rk_step(f, x: np.ndarray,
+             h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One Dormand-Prince step: 5th order solution, error estimate and
+    the (7, n) stages."""
     k = np.empty((7, x.size))
     try:
         k[0] = f(x)
@@ -53,7 +70,7 @@ def _rk_step(f, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     err = h * np.dot(_DP_ERR, k)
     if not np.all(np.isfinite(x5)):
         raise _StepError("non-finite state")
-    return x5, err
+    return x5, err, k
 
 
 def _box_gap(box: Box, x: Sequence[float]) -> float:
@@ -72,17 +89,23 @@ def _crossed(direction: int, g0: float, g1: float) -> bool:
     return (g0 > 0.0 >= g1) or (g0 <= 0.0 < g1)
 
 
-def _bisect(rhs, x_left: np.ndarray, h: float, g, g_left: float,
-            direction: int) -> tuple[float, np.ndarray]:
-    """Localize the crossing inside (0, h]; returns the endpoint on the
+def _bisect(x_left: np.ndarray, k: np.ndarray, h: float, x_right: np.ndarray,
+            g, g_left: float, direction: int) -> tuple[float, np.ndarray]:
+    """Localize the crossing inside (0, h] on the dense output of the step
+    from x_left to x_right with stages k; returns the endpoint on the
     crossed side (so guard events land inside the guard)."""
     lo, x_lo = 0.0, x_left
-    hi = h
-    x_hi = _rk_step(rhs, x_left, h)[0]
+    hi, x_hi = h, x_right
+    q = np.dot(k.T, _DP_P)
     crossed_from_left = lambda gm: _crossed(direction, g_left, gm)
     while hi - lo > EVENT_TIME_TOL:
         mid = 0.5 * (lo + hi)
-        x_mid = _rk_step(rhs, x_lo, mid - lo)[0]
+        theta = mid / h
+        powers = np.array([theta, theta * theta, theta * theta * theta,
+                           theta * theta * theta * theta])
+        x_mid = x_left + h * np.dot(q, powers)
+        if not np.all(np.isfinite(x_mid)):
+            raise _StepError("non-finite dense output")
         if crossed_from_left(g(x_mid)):
             hi, x_hi = mid, x_mid
         else:
@@ -143,7 +166,7 @@ def integrate(mode: ModeDef, x0: Sequence[float],
     while True:
         h = min(h, horizon - t)
         try:
-            x_new, err = _rk_step(rhs, x, h)
+            x_new, err, k = _rk_step(rhs, x, h)
         except _StepError:
             h *= 0.5
             if h < 1e-13 * (1.0 + abs(t)):
@@ -162,7 +185,7 @@ def integrate(mode: ModeDef, x0: Sequence[float],
         for idx, (g, direction) in enumerate(table):
             g_new = g(x_new, d)
             if _crossed(direction, g_prev[idx], g_new):
-                tau, x_loc = _bisect(rhs, x, h, lambda z, _g=g: _g(z, d),
+                tau, x_loc = _bisect(x, k, h, x_new, lambda z, _g=g: _g(z, d),
                                      g_prev[idx], direction)
                 if earliest is None or tau < earliest[0]:
                     earliest = (tau, idx, x_loc)

@@ -237,25 +237,47 @@ class TestVerifyCommand:
         path = _write(tmp_path, "bad.json", doc)
         assert cli.main(["verify", composition_path, "--barrier", path]) == 2
 
-    def test_min_box_width_reaches_the_verifier(self, tmp_path):
-        # pendulum's synthesized certificate: the default width proves
-        # condition 3 with 405 boxes, width 0.4 leaves boxes unresolved
-        doc = benchmarks.pendulum()
+    # a synthesized pendulum certificate: the default width proves
+    # condition 3 with 405 boxes, width 0.4 leaves boxes unresolved
+    PENDULUM_P = np.array([float.fromhex(v) for v in (
+        "-0x1.6734656fb7eb0p-6", "-0x1.89978c6213ef0p-10",
+        "0x1.29d2ebf984e72p-4", "-0x1.ebfd6f7a98e90p-8",
+        "-0x1.d17013b87ba6ep-1", "-0x1.0000000000000p+0")])
+
+    def verify_pendulum(self, tmp_path, doc, flags):
+        """The exit code and the verifier's boxes for the pendulum
+        certificate through ``simbarrier verify``, and the problem and
+        template."""
         prob = model.load_problem(doc)
         tmpl = model.make_template(doc["template"], prob.dim, len(prob.modes))
-        p = np.array([float.fromhex(v) for v in (
-            "-0x1.6734656fb7eb0p-6", "-0x1.89978c6213ef0p-10",
-            "0x1.29d2ebf984e72p-4", "-0x1.ebfd6f7a98e90p-8",
-            "-0x1.d17013b87ba6ep-1", "-0x1.0000000000000p+0")])
         barrier = {"schema": "barrier/1",
-                   "modes": cli._barrier_json(prob, tmpl, p)}
+                   "modes": cli._barrier_json(prob, tmpl, self.PENDULUM_P)}
         report = tmp_path / "verdict.json"
-        assert cli.main(["verify", _write(tmp_path, "pendulum.json", doc),
+        code = cli.main(["verify", _write(tmp_path, "pendulum.json", doc),
                          "--barrier", _write(tmp_path, "barrier.json", barrier),
-                         "--min-box-width", "0.4", "--report", str(report)]) == 1
-        boxes = json.loads(report.read_text())["boxes"]
+                         "--report", str(report), *flags])
+        return code, json.loads(report.read_text())["boxes"], prob, tmpl
+
+    def test_min_box_width_reaches_the_verifier(self, tmp_path):
+        code, boxes, prob, tmpl = self.verify_pendulum(
+            tmp_path, benchmarks.pendulum(), ["--min-box-width", "0.4"])
+        p = self.PENDULUM_P
+        assert code == 1
         assert boxes == cli._boxes_json(verify.verify(prob, tmpl, p, 0.4))
         assert boxes != cli._boxes_json(verify.verify(prob, tmpl, p))
+
+    def test_document_min_box_width_reaches_the_verifier(self, tmp_path):
+        # the width a synth run of the document used; a flag overrides it
+        doc = benchmarks.pendulum()
+        doc["run"]["min_box_width"] = 0.4
+        code, boxes, prob, tmpl = self.verify_pendulum(tmp_path, doc, [])
+        p = self.PENDULUM_P
+        assert code == 1
+        assert boxes == cli._boxes_json(verify.verify(prob, tmpl, p, 0.4))
+        code, boxes, _, _ = self.verify_pendulum(tmp_path, doc,
+                                                 ["--min-box-width", "1e-4"])
+        assert code == 0
+        assert boxes == cli._boxes_json(verify.verify(prob, tmpl, p))
 
 
 class TestErrors:
@@ -555,8 +577,19 @@ class TestErrors:
                                                width):
         assert cli.main(["verify", composition_path, "--barrier",
                          paper_barrier_path, "--min-box-width", width]) == 2
-        assert "--min-box-width: expected a finite value > 0" in \
+        assert "error: --min-box-width: expected a finite number > 0" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("width", [0, -1, "0.5"])
+    def test_verify_document_min_box_width_out_of_range(
+            self, tmp_path, paper_barrier_path, capsys, width):
+        doc = benchmarks.composition()
+        doc["run"]["min_box_width"] = width
+        path = _write(tmp_path, "composition.json", doc)
+        assert cli.main(["verify", path, "--barrier",
+                         paper_barrier_path]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: run.min_box_width: expected " in err
 
 
 class TestGenAndBench:

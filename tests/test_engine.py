@@ -218,45 +218,50 @@ THERMOSTAT = Path(__file__).parents[1] / "bench" / "data" / "thermostat.json"
 # refuted by a drift hit) and scalable-l3 (found in its first round, its
 # falsifier finding nothing) were recorded just before the falsifier's
 # starts began to stop once they could no longer reach a counter-example;
-# that rule keeps every hit, and with them these runs, bit for bit.
+# that rule keeps every hit, and with them these runs, bit for bit.  All
+# four were re-recorded when ride events began to be located on the
+# step's dense output instead of by fresh steps: the endpoints of event-
+# stopped rides move in their last bits, and with them p, delta and the
+# values and margins (the thermostat keeps its p and delta).  Rounds,
+# kinds and box counts stay.
 GOLDEN_RUNS = {
     "log-dynamics": (
-        ["0x1.f929be7dd1e7cp-5", "-0x1.7ca0a6866454bp-2",
-         "0x1.16c9aaf5badf8p-2", "-0x1.0000000000000p+0",
-         "-0x1.c299ffe297a68p-4", "-0x1.b57a6309b8687p-1"],
-        "0x1.3f7178edfa18cp-4",
-        [("transversality", "-0x1.1fb7daf2e4e0dp-1", "-0x1.cdf4985864ae0p-3"),
-         ("transversality", "-0x1.0000000000001p+0", "-0x1.9b85b9ff4ffe7p-5"),
-         ("transversality", "-0x1.1d2172efc8992p-2", "-0x1.074c5c00ecc8ep-4"),
-         ("transversality", "-0x1.640c5151e8ed2p-3", "-0x1.f87ae9ffca2e0p-6"),
-         ("transversality", "-0x1.bbd9908e8ffebp-6", "-0x1.69def813bba00p-9"),
-         ("transversality", "-0x1.315470d98f7d4p-7", "-0x1.faa28265a3800p-15"),
-         ("transversality", "-0x1.374f6e82dc44ep-5", "-0x1.da856fab7c040p-10"),
+        ["0x1.f929bd8bc7240p-5", "-0x1.7ca0a690bdc56p-2",
+         "0x1.16c9aab871251p-2", "-0x1.0000000000000p+0",
+         "-0x1.c299feec5eb38p-4", "-0x1.b57a62e50adb3p-1"],
+        "0x1.3f71797a86e1cp-4",
+        [("transversality", "-0x1.1fb7daf01cff7p-1", "-0x1.cdf4970289af0p-3"),
+         ("transversality", "-0x1.0000000000001p+0", "-0x1.9b85b44cdf682p-5"),
+         ("transversality", "-0x1.1d217220c6bd3p-2", "-0x1.074c5c82bd718p-4"),
+         ("transversality", "-0x1.640c52d1c9215p-3", "-0x1.f87af434c0170p-6"),
+         ("transversality", "-0x1.bbd99727ed11ep-6", "-0x1.69df04ec9a500p-9"),
+         ("transversality", "-0x1.3154d89c7cd8ep-7", "-0x1.faa3d41afc000p-15"),
+         ("transversality", "-0x1.374f705b61fdfp-5", "-0x1.da8577dbdbcc0p-10"),
          (None, None, None)],
         {1: (10, 9, 0), 2: (3, 2, 0), 3: (327, 326, 0), 4: (0, 0, 0)}),
     "pendulum": (
-        ["-0x1.6734656fb7eb0p-6", "-0x1.89978c6213ef0p-10",
-         "0x1.29d2ebf984e72p-4", "-0x1.ebfd6f7a98e90p-8",
-         "-0x1.d17013b87ba6ep-1", "-0x1.0000000000000p+0"],
-        "0x1.c3473285ba0edp-6",
-        [("transversality", "-0x1.0000000000000p+0", "-0x1.de6b91cda8b6bp-6"),
-         ("transversality", "-0x1.5ee008bdebdf2p-4", "-0x1.c7cf0d6d6651cp-8"),
+        ["-0x1.67346515c3e68p-6", "-0x1.8997f116456a8p-10",
+         "0x1.29d2ea2252a36p-4", "-0x1.ebfded5bd6c40p-8",
+         "-0x1.d17013f3c2cbfp-1", "-0x1.0000000000000p+0"],
+        "0x1.c347318cedd81p-6",
+        [("transversality", "-0x1.0000000000000p+0", "-0x1.de6b88c772d37p-6"),
+         ("transversality", "-0x1.5ee0032761707p-4", "-0x1.c7cf02d142884p-8"),
          (None, None, None)],
         {1: (1, 0, 0), 2: (1, 0, 0), 3: (405, 404, 0), 4: (0, 0, 0)}),
     "scalable-l3": (
-        ["0x1.3ecbddf2c7e6bp-3", "-0x1.0000000000000p+0",
-         "0x1.939e7ba6e65dap-11", "0x1.39ec9b3413fdbp-11",
-         "0x1.93e87f59bacd1p-11", "0x1.3a330b79e62b5p-11",
-         "0x1.93c2ec6274372p-11", "0x1.3a1069778d971p-11"],
-        "0x1.514c0a17df1d9p-2",
+        ["0x1.3ecbde7c52dd4p-3", "-0x1.0000000000000p+0",
+         "0x1.939edffea3f03p-11", "0x1.39ec2b4dc809dp-11",
+         "0x1.93e7c2e0289b0p-11", "0x1.3a33ddaa9c972p-11",
+         "0x1.93c34d8005104p-11", "0x1.3a0ffd2a99d42p-11"],
+        "0x1.514c0a1556c2cp-2",
         [(None, None, None)],
         {1: (1, 0, 0), 2: (1, 0, 0), 3: (1, 0, 0), 4: (0, 0, 0)}),
     "thermostat": (
         ["-0x1.0000000000000p+0", "-0x1.0000000000000p+0",
          "0x1.0000000000000p+0", "-0x1.332dc503b3b83p-4"],
         "0x1.104ae41215570p-7",
-        [("reset", "-0x1.0a0be01f63b7ap+4", "-0x1.07b52aa653784p+0"),
-         ("reset", "-0x1.21e70be423000p-12", "-0x1.348b621f80000p-16"),
+        [("reset", "-0x1.0a0be01f63b7ap+4", "-0x1.07b52aa656863p+0"),
+         ("reset", "-0x1.21e7096649000p-12", "-0x1.348b5f78a1000p-16"),
          (None, None, None)],
         {1: (1, 0, 0), 2: (1, 0, 0), 3: (2, 0, 0), 4: (2, 0, 0)}),
 }
@@ -364,7 +369,7 @@ def test_verifier_refutation_adds_the_witness_segment(monkeypatch):
     report = engine.run(prob, tmpl, cfg)
     first = report.log[0]
     assert (first.kind, first.value, float(first.segment_margin).hex()) == \
-        ("verify-refuted-3", None, "-0x1.85d04c7918340p-6")
+        ("verify-refuted-3", None, "-0x1.85d0475bd9fdcp-6")
     assert first.segments_added == 1 and first.segments_dropped == 0
     assert falsify.segment_margin(prob, Certificate(tmpl, first.p),
                                   first.segment) == first.segment_margin

@@ -370,6 +370,58 @@ class TestMonomialNames:
             monomial_from_name("q^2", ["x", "y"])
 
 
+class TestLanding:
+    """``land_on_level_set`` towards V = x + y - 1.5 = 0."""
+
+    value = staticmethod(lambda x: x[:, 0] + x[:, 1] - 1.5)
+    grad = staticmethod(lambda x: np.ones_like(x))
+
+    def full_loop(self, x, lo, hi, band, max_steps):
+        """One row through every step of the loop."""
+        for _ in range(max_steps):
+            v = self.value(x[None])[0]
+            if abs(v) <= band:
+                return x, True
+            g = self.grad(x[None])[0]
+            x = np.clip(x - v / g.dot(g) * g, lo, hi)
+        return x, abs(self.value(x[None])[0]) <= band
+
+    def test_a_row_clipped_back_to_itself_stops(self):
+        # in [0, 0.5]^2 the first step reaches the corner (0.5, 0.5),
+        # where V = -0.5, and the second is clipped back to it
+        calls = []
+
+        def value(x):
+            calls.append(len(x))
+            return self.value(x)
+
+        x0, lo, hi = np.array([[0.1, 0.1]]), np.zeros(2), np.full(2, 0.5)
+        x, landed = model.land_on_level_set(value, self.grad, x0, lo, hi,
+                                            1e-9, 1e-30, 25)
+        assert calls == [1, 1]
+        want, want_landed = self.full_loop(x0[0], lo, hi, 1e-9, 25)
+        assert x[0].tobytes() == want.tobytes() and landed[0] == want_landed
+
+    def test_rows_end_as_the_full_loop_ends(self):
+        # rows that land, reach a clipped corner, start on it, or creep
+        # along a face (the fifth halves its gap at each step), each in its
+        # own box
+        x0 = np.array([[0.2, 0.2], [0.9, 0.9], [0.1, 0.1], [0.5, 0.5],
+                       [0.0, 0.5], [0.3, -0.0]])
+        lo = np.zeros_like(x0)
+        hi = np.array([[1, 1], [1, 1], [0.5, 0.5], [0.5, 0.5], [1, 0.5],
+                       [0.5, 0.5]], dtype=float)
+        for steps in (0, 1, 2, 25):
+            x, landed = model.land_on_level_set(
+                self.value, self.grad, x0, lo, hi, 1e-9, 1e-30, steps)
+            for r in range(len(x0)):
+                want, want_landed = self.full_loop(x0[r], lo[r], hi[r], 1e-9,
+                                                   steps)
+                assert x[r].tobytes() == want.tobytes(), (steps, r)
+                assert landed[r] == want_landed, (steps, r)
+        assert landed.tolist() == [True, True, False, False, False, False]
+
+
 class TestJsonNumber:
     @pytest.mark.parametrize("integer", [False, True])
     def test_integers_beyond_the_float_range_rejected(self, integer):

@@ -149,6 +149,88 @@ class TestFlowHybrid:
         assert clear.reason is StopReason.HORIZON
 
 
+class TestEventLocation:
+    """Crossings found on the accepted step's dense output, checked
+    against what is known of the flow, not against the reference."""
+
+    @pytest.mark.parametrize("flow, names, box, start, t_exit", [
+        (["1"], ["x"], Box((-1.0,), (0.5,)), [0.0], 0.5),
+        # x = cos t, y = sin t leaves x >= 0.3 at t = arccos(0.3)
+        (["-y", "x"], ["x", "y"], Box((0.3, -2.0), (2.0, 2.0)), [1.0, 0.0],
+         math.acos(0.3)),
+    ])
+    def test_exit_time_is_the_analytic_one(self, flow, names, box, start,
+                                           t_exit):
+        traj = _ride(_one_mode(flow, names, box), (0, start), 10.0,
+                     bloat_factor=1.0)
+        assert traj.reason is StopReason.LEFT_BLOAT
+        assert abs(traj.time - t_exit) <= 1e-7
+
+    def test_exits_and_guard_contacts_land_on_their_side(self):
+        # every bloat exit ends inside the bloated box, and every guard
+        # contact, as the jump sees it, lies inside its guard
+        exits = 0
+        for name, doc in benchmarks.corpus().items():
+            prob = model.load_problem(doc)
+            _, rows = _midpoint(prob)
+            starts = [(m, v) for m, box in prob.initial
+                      for v in sim._select_vertices(box, 16,
+                                                    np.random.default_rng(5))]
+            for traj in sim.flow_hybrid(prob, starts, rows, 10.0):
+                if traj.reason is StopReason.LEFT_BLOAT and traj.time > 0.0:
+                    omega = prob.modes[traj.end_mode].omega
+                    assert model.bloat(omega, 1.1).contains(traj.end), name
+                    exits += 1
+        assert exits >= 50
+        prob = _thermostat()
+        contacts = []
+
+        def record(rule, x, _y):
+            contacts.extend((rule.guard, tuple(row)) for row in x.tolist())
+            return np.zeros(len(x), dtype=bool)
+
+        starts = [(m, (x,)) for m in (0, 1) for x in np.linspace(15.5, 21.5, 7)]
+        sim.flow_hybrid(prob, starts, _midpoint(prob)[1], 30.0,
+                        jump_stop=record)
+        assert len(contacts) >= 50
+        assert all(guard.contains(x) for guard, x in contacts)
+
+    def test_box_exit_calls_the_flow_only_in_steps(self, monkeypatch):
+        prob = _one_mode(["-y", "x"], ["x", "y"],
+                         Box((0.3, -2.0), (2.0, 2.0)))
+        flow = prob.modes[0].flow_rows
+        calls = {"flow": 0, "located": 0, "flow_locating": 0}
+        locating = [False]
+
+        def counted_flow(z):
+            calls["flow"] += 1
+            calls["flow_locating"] += locating[0]
+            return flow(z)
+
+        def counted_bisect(*args, _inner=sim._bisect):
+            calls["located"] += 1
+            locating[0] = True
+            try:
+                return _inner(*args)
+            finally:
+                locating[0] = False
+
+        prob.modes[0].__dict__["flow_rows"] = counted_flow
+        monkeypatch.setattr(sim, "_bisect", counted_bisect)
+        traj = _ride(prob, (0, [1.0, 0.0]), 10.0, bloat_factor=1.0)
+        assert traj.reason is StopReason.LEFT_BLOAT
+        assert calls["located"] == 1 and calls["flow"] >= 8
+        assert calls["flow_locating"] == 0
+
+    def test_an_overflowing_dense_output_fails_the_row(self):
+        # the stages of x' = 1e308 are finite and so is the step, but
+        # k^T P overflows: the row ends as a failure, not at a nan point
+        prob = _one_mode(["1e308"], ["x"], Box((-1.0,), (1.0,)))
+        traj = _ride(prob, (0, [0.0]), 1.0, bloat_factor=1.0)
+        assert traj.reason is StopReason.FAILURE
+        assert traj.end == (0.0,)
+
+
 class TestReverse:
     def test_double_reverse_is_identity(self):
         prob = sawtooth_problem()
