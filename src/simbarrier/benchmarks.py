@@ -94,7 +94,7 @@ def composition() -> dict:
 
 def thermostat() -> dict:
     """A heater switching off above 20 and on below 16 under a bounded
-    disturbance: the one hybrid problem, with two resets."""
+    disturbance: a hybrid problem with two resets."""
     return {
         "schema": SCHEMA,
         "name": "thermostat",
@@ -113,6 +113,29 @@ def thermostat() -> dict:
         ],
         "init": [{"mode": "off", "box": [[18, 20]]}],
         "unsafe": [{"mode": "on", "box": [[10, 12]]}],
+        "template": "linear",
+        "run": {"sigma": 0.5, "bloat": 1.1, "starts": 16,
+                "max_iter": 20, "seed": 0},
+    }
+
+
+def relay() -> dict:
+    """x climbs in ``up`` and falls in ``down``; the one reset, up -> down
+    on [5, 6], keeps x.  V_up = -1 - x, V_down = x - 7.5 certify it."""
+    return {
+        "schema": SCHEMA,
+        "name": "relay",
+        "variables": ["x"],
+        "modes": [
+            {"name": "up", "omega": [[0, 10]], "flow": ["1 + 0.5*sin(x)"]},
+            {"name": "down", "omega": [[0, 10]], "flow": ["-1 - 0.5*sin(x)"]},
+        ],
+        "resets": [
+            {"source": "up", "guard": [[5, 6]], "target": "down",
+             "map": ["x"], "inverse": ["x"], "image": [[5, 6]]},
+        ],
+        "init": [{"mode": "up", "box": [[0, 1]]}],
+        "unsafe": [{"mode": "down", "box": [[9, 10]]}],
         "template": "linear",
         "run": {"sigma": 0.5, "bloat": 1.1, "starts": 16,
                 "max_iter": 20, "seed": 0},
@@ -157,6 +180,7 @@ def corpus() -> dict[str, dict]:
         "lorenz": lorenz(),
         "composition": composition(),
         "thermostat": thermostat(),
+        "relay": relay(),
     }
     for l in (1, 2, 3, 4):
         docs[f"scalable-l{l}"] = scalable(l)

@@ -252,16 +252,27 @@ def _write_report(doc: dict, path: str | None):
         print(text)
 
 
-def _cmd_synth(args) -> int:
-    prob, tmpl, doc = _load_synth_doc(args.problem)
-    cfg = _run_config(doc, args, args.problem)
+def _synthesize(path: str, args):
+    """Run the loop on the problem document at ``path`` with its settings
+    and the flags.  Returns the problem's name and dimension, the run's
+    report or its error, and the report document (None after an error,
+    which is printed as an ``error:`` line)."""
+    prob, tmpl, doc = _load_synth_doc(path)
+    cfg = _run_config(doc, args, path)
+    name = doc.get("name", Path(path).stem)
     try:
         report = engine.run(prob, tmpl, cfg)
     except _RUN_ERRORS as err:
-        print(f"error: {args.problem}: {err}", file=sys.stderr)
+        print(f"error: {path}: {err}", file=sys.stderr)
+        return name, prob.dim, err, None
+    return (name, prob.dim, report,
+            _report_json(name, report, prob, tmpl, cfg.seed))
+
+
+def _cmd_synth(args) -> int:
+    _, _, report, out = _synthesize(args.problem, args)
+    if out is None:
         return 1
-    out = _report_json(doc.get("name", Path(args.problem).stem), report,
-                       prob, tmpl, cfg.seed)
     _write_report(out, args.report)
     return 0 if _found(report) else 1
 
@@ -305,21 +316,14 @@ def _cmd_bench(args) -> int:
     rows = []
     all_ok = True
     for path in paths:
-        prob, tmpl, doc = _load_synth_doc(str(path))
-        cfg = _run_config(doc, args, str(path))
-        name = doc.get("name", path.stem)
-        try:
-            report = engine.run(prob, tmpl, cfg)
-        except _RUN_ERRORS as err:
+        name, dim, report, out = _synthesize(str(path), args)
+        rows.append((name, dim, report))
+        if out is None:
             # one failing problem becomes an error row; the batch goes on
-            print(f"error: {path}: {err}", file=sys.stderr)
             all_ok = False
-            rows.append((name, prob.dim, err))
             continue
         all_ok = all_ok and _found(report)
-        rows.append((name, prob.dim, report))
         if args.report_dir:
-            out = _report_json(name, report, prob, tmpl, cfg.seed)
             Path(args.report_dir).mkdir(parents=True, exist_ok=True)
             _write_report(out, str(Path(args.report_dir) / f"{path.stem}-report.json"))
     header = (f"{'problem':<16} {'dim':>3} {'iter':>4} {'simulation':>10} "

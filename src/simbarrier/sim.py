@@ -3,11 +3,13 @@
 One integrator, ``flow_hybrid``, advances a batch of rides in lockstep,
 one row per ride.  An embedded Dormand-Prince 4(5) step with adaptive
 step control drives every row.  Events (guard entry, the caller's stop
-condition, exit from the bloated state space) are localized by bisection
-on the accepted step's dense output, the 4th order continuous extension
-built from the step's own stages, so locating a crossing takes no further
-step.  Reset rules are applied as early as possible; rows that jump
-repeatedly without time progress stop with a livelock verdict.
+function falling to zero, exit from the bloated state space) are
+localized by bisection on the accepted step's dense output, the 4th
+order continuous extension built from the step's own stages, so locating
+a crossing takes no further step.  A row also stops at the start of any
+phase, after a jump too, where its stop function is already below zero.
+Resets apply as early as possible; rows that jump repeatedly without
+time progress stop with a livelock verdict.
 Backward rides integrate ``Problem.reversed``, the time-reversed problem
 that the problem builds once, so its flows and maps compile once too.
 
@@ -207,10 +209,10 @@ class _Phase:
     """What a continuous phase in one mode needs, built once per
     ``flow_hybrid`` call: the flow over rows (``ModeDef.flow_rows``), the
     resets out of the mode, and the event table.  The table lists the
-    guard events, then the caller's event, then the bloat exit."""
+    guard events, then the caller's stop function, then the bloat exit."""
 
     def __init__(self, prob: Problem, mode: int, bloat_factor: float,
-                 extra_event: tuple[Callable, int] | None):
+                 extra_event: Callable | None):
         self.mode = mode
         flow = prob.modes[mode].flow_rows
         self.rhs = lambda x, d: flow(np.concatenate((x, d), axis=1)
@@ -219,8 +221,7 @@ class _Phase:
         self.events = _guard_events(prob, mode)
         self.guards = len(self.events)
         if extra_event is not None:
-            g, direction = extra_event
-            self.events.append((lambda x, d: g(mode, x, d), direction))
+            self.events.append((lambda x, d: extra_event(mode, x, d), -1))
         self.gap = _box_gap(model.bloat(prob.modes[mode].omega, bloat_factor))
         self.bloat = len(self.events)
         self.events.append((self.gap, 1))
@@ -333,8 +334,9 @@ class _Rides:
         return rows[~livelock]
 
     def begin(self, phase: _Phase, rows: np.ndarray):
-        """Start a continuous phase, unless the row is at the horizon or
-        outside the bloated box."""
+        """Start a continuous phase, unless the row is at the horizon,
+        outside the bloated box or where the stop function is already
+        below zero (reason EVENT)."""
         self.streak[rows] = 0
         over = ((self.t_out[rows] >= self.horizon * (1.0 - 1e-14))
                 | (self.horizon == 0.0))
@@ -346,10 +348,13 @@ class _Rides:
         if not rows.size:
             return
         x = self.x[rows]
-        span = self.horizon - self.t_out[rows]
-        self.t[rows] = 0.0
         d = self.d[rows] = self.dpolicy(phase.mode, x)
-        self.g_prev[rows, :len(phase.events)] = phase.values(x, d)
+        g = self.g_prev[rows, :len(phase.events)] = phase.values(x, d)
+        if phase.bloat > phase.guards:  # the stop function's slot
+            falling = g[:, phase.guards] < 0.0
+            self.end(rows[falling], StopReason.EVENT, phase.guards)
+            rows, x, d = rows[~falling], x[~falling], d[~falling]
+        span = self.horizon - self.t_out[rows]
         h = 0.01 * (1.0 + _norms(x)) / (1.0 + _norms(phase.rhs(x, d)))
         self.h[rows] = np.minimum(span, np.fmax(1e-8, h))
 
@@ -453,7 +458,8 @@ class _Rides:
 def flow_hybrid(prob: Problem, starts: Sequence[tuple[int, Sequence[float]]],
                 dpolicy: Callable[[int, np.ndarray], np.ndarray] | None,
                 horizon: float, *, bloat_factor: float = 1.1,
-                extra_event: tuple[Callable, int] | None = None,
+                extra_event: Callable[[int, np.ndarray, np.ndarray],
+                                      np.ndarray] | None = None,
                 jump_stop: Callable[[ResetRule, np.ndarray, np.ndarray],
                                     np.ndarray] | None = None
                 ) -> list[Trajectory]:
@@ -463,10 +469,12 @@ def flow_hybrid(prob: Problem, starts: Sequence[tuple[int, Sequence[float]]],
     Resets fire as early as possible, including at time zero when the
     start point already sits on a guard.  Disturbance inputs are piecewise
     constant: ``dpolicy(mode, x)`` gives one disturbance row per state row
-    of ``x`` and is re-evaluated at each accepted step.  ``extra_event``
-    is an additional stop condition ``(g(mode, x, d), direction)`` over
-    rows, evaluated in the current mode; a row stops there with reason
-    EVENT.  ``jump_stop(rule, x, y)`` is True for the rows whose jump from
+    of ``x`` and is re-evaluated at each accepted step.
+    ``extra_event(mode, x, d)`` is the stop function over rows, evaluated
+    in the current mode: a row stops with reason EVENT where it crosses
+    down to zero, or at the start of a continuous phase, the first or one
+    after a jump, where it is already below zero (a nan rides on).
+    ``jump_stop(rule, x, y)`` is True for the rows whose jump from
     ``x`` to ``y = rule.fwd(x)`` the ride refuses; such a row ends before
     the jump with reason JUMP.  A row that jumps more than ``MAX_RESETS``
     times in a row without time progress ends with reason LIVELOCK.
@@ -527,13 +535,13 @@ def _drift_ride(prob_dyn: Problem, cert: Certificate,
     """Shared core of the forward/backward counter-example endpoints.
 
     Integrates prob_dyn from each ``(mode, x)`` of ``starts``, as one
-    batch of rows, while the certificate ``cert`` rises along the ride,
-    measured in the original forward orientation: a row stops at its first
-    drift zero, before a reset that would lower the certificate (the jump
-    condition of Prajna & Jadbabaie, HSCC 2004), at a bloated-box exit, or
-    at the hard time cap.  A start where the certificate already falls is
-    its own endpoint.  The certificate's code is the caller's; prob_dyn's
-    flows are compiled on its modes.
+    ``flow_hybrid`` batch whose stop function is the drift of ``cert``,
+    measured in the original forward orientation.  A row stops where the
+    certificate stops rising: at its first drift zero, at the start of a
+    phase (after a jump too) where it already falls, before a reset that
+    would lower it (the jump condition of Prajna & Jadbabaie, HSCC 2004),
+    at a bloated-box exit, or at the hard time cap.  The certificate's
+    code is the caller's; prob_dyn's flows are compiled on its modes.
     """
     d_verts = prob_dyn.dist_vertices
 
@@ -561,22 +569,9 @@ def _drift_ride(prob_dyn: Problem, cert: Certificate,
         before = cert[rule.source].value(x)
         return orient * (cert[rule.target].value(y) - before) < 0.0
 
-    modes = np.array([m for m, _ in starts], dtype=int)
-    x = np.array([x0 for _, x0 in starts],
-                 dtype=float).reshape(len(starts), prob_dyn.dim)
-    rides = np.ones(len(starts), dtype=bool)
-    for m in set(modes.tolist()):
-        on = modes == m
-        rides[on] = ~(drift(m, x[on], dpolicy(m, x[on])) < 0.0)
-    ends = [(int(m), tuple(row)) for m, row in zip(modes, x.tolist())]
-    rows = np.flatnonzero(rides)
-    if rows.size:
-        trajs = flow_hybrid(prob_dyn, [(modes[r], x[r]) for r in rows],
-                            dpolicy, t_max, bloat_factor=bloat_factor,
-                            extra_event=(drift, -1), jump_stop=falls)
-        for r, traj in zip(rows.tolist(), trajs):
-            ends[r] = (traj.end_mode, traj.end)
-    return ends
+    return [(traj.end_mode, traj.end) for traj in flow_hybrid(
+        prob_dyn, starts, dpolicy, t_max, bloat_factor=bloat_factor,
+        extra_event=drift, jump_stop=falls)]
 
 
 def omega(prob: Problem, cert: Certificate,
@@ -585,8 +580,9 @@ def omega(prob: Problem, cert: Certificate,
           t_max: float = 100.0) -> list[tuple[int, tuple[float, ...]]]:
     """Forward endpoints, one per ``(mode, x)`` of ``starts``, ridden as
     one batch: ride the flow while the certificate increases, choosing
-    disturbances that maximize the increase; a ride ends before a reset
-    that lowers the certificate."""
+    disturbances that maximize the increase.  A ride ends where the
+    certificate stops rising: at a drift zero, at a start or after a jump
+    where it already falls, or before a reset that lowers it."""
     return _drift_ride(prob, cert, starts, orient=1.0,
                        bloat_factor=bloat_factor, t_max=t_max)
 
@@ -598,7 +594,9 @@ def alpha(prob: Problem, cert: Certificate,
     """Backward start points, one per ``(mode, x)`` of ``starts``, ridden
     as one batch: ride the reversed flow while the certificate decreases
     in backward time, choosing disturbances that minimize the
-    forward-orientation drift; a ride ends before a reversed reset that
-    raises the certificate."""
+    forward-orientation drift.  A ride ends where the certificate stops
+    falling in backward time: at a drift zero, at a start or after a
+    reversed jump where the forward drift is already negative, or before
+    a reversed reset that raises the certificate."""
     return _drift_ride(prob.reversed, cert, starts, orient=-1.0,
                        bloat_factor=bloat_factor, t_max=t_max)

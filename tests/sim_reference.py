@@ -238,14 +238,16 @@ def _guard_events(prob: Problem, mode: int):
 def flow_hybrid(prob: Problem, start: tuple[int, Sequence[float]],
                 dpolicy: Callable[[int, np.ndarray], np.ndarray] | None,
                 horizon: float, *, bloat_factor: float = 1.1,
-                extra_event: tuple[Callable, int] | None = None,
+                extra_event: Callable | None = None,
                 rtol: float = RTOL, atol: float = ATOL,
                 max_resets: int = MAX_RESETS) -> Trajectory:
     """Follow the hybrid flow: continuous phases alternating with resets.
 
     Resets fire as early as possible, including at time zero when the start
-    point already sits on a guard.  ``extra_event`` is an additional stop
-    condition (g(mode, x, d), direction) evaluated in the current mode.
+    point already sits on a guard.  ``extra_event`` is the stop function
+    g(mode, x, d), evaluated in the current mode: the ride stops where it
+    crosses down to zero, or at the start of a continuous phase where it
+    is already below zero.
     """
     mode, x0 = start
     x = np.asarray(x0, dtype=float)
@@ -282,9 +284,14 @@ def flow_hybrid(prob: Problem, start: tuple[int, Sequence[float]],
         events = _guard_events(prob, mode)
         extra_slot = None
         if extra_event is not None:
-            g, direction = extra_event
-            events.append((lambda z, d, _m=mode, _g=g: _g(_m, z, d), direction))
+            events.append((lambda z, d, _m=mode: extra_event(_m, z, d), -1))
             extra_slot = len(events) - 1
+            # a phase that starts inside the bloated box where the stop
+            # function is already below zero ends at its start
+            if (not _box_gap(bloated, x) > 0.0
+                    and extra_event(mode, x, dpolicy(mode, x)) < 0.0):
+                return Trajectory(mode, tuple(x), t, StopReason.EVENT, resets,
+                                  extra_slot)
 
         traj = integrate(mdef, x, lambda z, _m=mode: dpolicy(_m, z),
                          horizon - t, events, bloated, rtol, atol, mode)

@@ -74,8 +74,13 @@ def thermostat_run():
 
 
 @pytest.fixture(scope="session")
+def relay_run():
+    return _synthesize(benchmarks.relay(), max_iterations=20)
+
+
+@pytest.fixture(scope="session")
 def all_runs(composition_run, pendulum_run, log_dynamics_run, scalable2_run,
-             lorenz_run, thermostat_run):
+             lorenz_run, thermostat_run, relay_run):
     return {
         "composition": composition_run,
         "pendulum": pendulum_run,
@@ -83,6 +88,7 @@ def all_runs(composition_run, pendulum_run, log_dynamics_run, scalable2_run,
         "scalable-l2": scalable2_run,
         "lorenz": lorenz_run,
         "thermostat": thermostat_run,
+        "relay": relay_run,
     }
 
 
@@ -289,6 +295,21 @@ def test_criterion_11_thermostat_hybrid_synthesis(thermostat_run):
         "found": report.status is RunStatus.BARRIER_FOUND,
         "verified": verdict is not None
         and verdict.status is VerdictStatus.VERIFIED,
+        "condition 4 proved on >= 1 box": verdict is not None
+        and verdict.reports[4].boxes_verified >= 1,
+    })
+
+
+def test_criterion_12_relay_hybrid_synthesis(relay_run):
+    # the relay's counter-example rides jump into the mode where the
+    # certificate falls and must stop there to refute their candidate
+    _, _, report, _ = relay_run
+    verdict = report.verdict
+    _criterion(12, "hybrid synthesis through a falling mode (relay)", {
+        "found": report.status is RunStatus.BARRIER_FOUND,
+        "verified": verdict is not None
+        and verdict.status is VerdictStatus.VERIFIED,
+        "4 rounds": report.iterations == 4,
         "condition 4 proved on >= 1 box": verdict is not None
         and verdict.reports[4].boxes_verified >= 1,
     })

@@ -614,8 +614,9 @@ class TestGenAndBench:
         names = {p.name for p in corpus.glob("*.json")}
         assert names == {
             "pendulum.json", "log-dynamics.json", "lorenz.json",
-            "composition.json", "thermostat.json", "scalable-l1.json",
-            "scalable-l2.json", "scalable-l3.json", "scalable-l4.json"}
+            "composition.json", "thermostat.json", "relay.json",
+            "scalable-l1.json", "scalable-l2.json", "scalable-l3.json",
+            "scalable-l4.json"}
         # run the cheap instance through the bench table path
         solo = tmp_path / "solo"
         solo.mkdir()

@@ -487,15 +487,40 @@ class TestLockstep:
         self.assert_lockstep(sawtooth_problem(), starts, 2.5)
 
     def test_extra_event(self):
-        # the stop condition of a drift ride: here y crossing down to 0
+        # the stop function of a drift ride: here y crossing down to 0; a
+        # start with y < 0 is already below zero and ends where it is
         prob = model.load_problem(benchmarks.pendulum())
         g = lambda _m, x, _d: float(x[1])
         rows_g = lambda m, x, d: np.array([g(m, r, None) for r in x])
         starts = [(0, (x, y)) for x in (-2.0, 0.5, 3.0) for y in (-1.0, 1.5)]
         rows = self.assert_lockstep(prob, starts, 6.0,
-                                    extra_event=((g, -1), (rows_g, -1)))
-        assert {r.reason for r in rows} == {StopReason.EVENT,
-                                            StopReason.HORIZON}
+                                    extra_event=(g, rows_g))
+        for (_, x0), r in zip(starts, rows):
+            if x0[1] < 0.0:
+                assert (r.reason, r.time, r.end) == (StopReason.EVENT, 0.0,
+                                                     x0)
+
+    def test_extra_event_after_a_jump(self):
+        # the relay with the stop function dV/dt of V = x: it rises in up
+        # and falls in down, so a row stops at the start of its phase in
+        # down, whether it jumps there after a ride, at time zero from the
+        # guard, or starts there
+        prob = model.load_problem(benchmarks.relay())
+        slope = lambda m, s: 1.0 + 0.5 * s if m == 0 else -1.0 - 0.5 * s
+        g = lambda m, x, _d: slope(m, math.sin(x[0]))
+        rows_g = lambda m, x, _d: slope(m, np.sin(x[:, 0]))
+        starts = [(0, (x,)) for x in np.linspace(0.0, 4.5, 7)]
+        starts += [(0, (5.5,)), (1, (3.0,))]
+        rows = self.assert_lockstep(prob, starts, 20.0,
+                                    extra_event=(g, rows_g))
+        assert {(r.reason, r.end_mode) for r in rows} == {
+            (StopReason.EVENT, 1)}
+        ridden = rows[:7]
+        assert all(abs(r.end[0] - 5.0) <= 1e-6 for r in ridden)
+        assert len({r.time for r in ridden}) == len(ridden)
+        assert [r.resets for r in rows] == [1] * 8 + [0]
+        assert [(r.time, r.end) for r in rows[7:]] == [(0.0, (5.5,)),
+                                                        (0.0, (3.0,))]
 
     def test_init_segments_matches_reference_rides(self):
         # one batch per direction, the starts in the order of the boxes
@@ -560,3 +585,35 @@ class TestJumpStop:
         (mode, end), = sim.alpha(prob, cert, [(0, (16.0,))], t_max=50.0)
         assert mode == 0
         assert abs(end[0] - 20.0) <= 1e-6
+
+
+class TestFallingMode:
+    """A counter-example ride that jumps into a mode where the certificate
+    falls stops there, at the start of its phase in that mode."""
+
+    def test_forward_ride_stops_after_the_jump(self):
+        prob = model.load_problem(benchmarks.relay())
+        tmpl = model.make_template("linear", 1, 2)
+        # V_up = -3 + x rises to the guard at x = 5; the jump raises V to
+        # V_down = -2 + x = 3, which falls along down's flow
+        cert = Certificate(tmpl, np.array([-3.0, 1.0, -2.0, 1.0]))
+        (mode, end), = sim.omega(prob, cert, [(0, (3.0,))])
+        assert mode == 1 and abs(end[0] - 5.0) <= 1e-6
+        assert abs(cert[1].value(np.array([end]))[0] - 3.0) <= 1e-6
+        # a drift counter-example at (up, 3.0) now gives a refuting segment
+        ref = falsify.refute(
+            prob, cert, [falsify.Hit(None, "transversality", 0,
+                                     np.array([3.0]))],
+            bloat_factor=1.1, t_max=100.0)
+        assert ref.segment.sp_mode == 1
+        assert falsify.segment_margin(prob, cert, ref.segment) == (
+            ref.margin) <= 0.0
+
+    def test_backward_ride_stops_after_the_jump(self):
+        prob = model.load_problem(benchmarks.relay())
+        tmpl = model.make_template("linear", 1, 2)
+        # backward in down, V_down = 4 - x falls to the reversed guard at
+        # x = 5; after the jump V_up = 3 - x rises in backward time
+        cert = Certificate(tmpl, np.array([3.0, -1.0, 4.0, -1.0]))
+        (mode, end), = sim.alpha(prob, cert, [(1, (3.0,))])
+        assert mode == 0 and abs(end[0] - 5.0) <= 1e-6
