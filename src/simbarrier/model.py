@@ -616,15 +616,14 @@ def monomial_from_name(text: str, variables: Sequence[str]) -> Monomial:
         return tuple(expo)
     index = {name: i for i, name in enumerate(variables)}
     for part in text.split("*"):
-        part = part.strip()
-        if "^" in part:
-            name, _, power = part.partition("^")
-            e = int(power)
-        else:
-            name, e = part, 1
-        if name not in index or e < 1:
+        # an exponent is ASCII decimal digits, nothing else
+        name, caret, power = part.strip().partition("^")
+        if not caret:
+            power = "1"
+        if (name not in index or not (power.isascii() and power.isdigit())
+                or int(power) < 1):
             raise ValueError(f"bad monomial {text!r}")
-        expo[index[name]] += e
+        expo[index[name]] += int(power)
     return tuple(expo)
 
 

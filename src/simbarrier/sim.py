@@ -2,14 +2,16 @@
 
 One integrator, ``flow_hybrid``, advances a batch of rides in lockstep,
 one row per ride.  An embedded Dormand-Prince 4(5) step with adaptive
-step control drives every row.  Events (guard entry, the caller's stop
-function falling to zero, exit from the bloated state space) are
-localized by bisection on the accepted step's dense output, the 4th
-order continuous extension built from the step's own stages, so locating
-a crossing takes no further step.  A row also stops at the start of any
-phase, after a jump too, where its stop function is already below zero.
-Resets apply as early as possible; rows that jump repeatedly without
-time progress stop with a livelock verdict.
+step control drives every row.  Events (a crossing of a guard's face
+plane, the caller's stop function falling to zero, exit from the
+bloated state space) are localized by bisection on the accepted step's
+dense output, the 4th order continuous extension built from the step's
+own stages, so locating a crossing takes no further step.  A row also
+stops at the start of any phase, after a jump too, where its stop
+function is already below zero.  A row that crosses a face plane inside
+a guard takes the reset, as early as possible, and rides on where no
+guard holds the point; rows that jump repeatedly without time progress
+stop with a livelock verdict.
 Backward rides integrate ``Problem.reversed``, the time-reversed problem
 that the problem builds once, so its flows and maps compile once too.
 
@@ -29,9 +31,9 @@ integrated alone.  Four rules keep it so:
   power per row; numpy's vector power rounds differently.  For the same
   reason the powers of theta are products: theta * theta, then times
   theta, then times theta again.
-- A norm or a dot product is ``np.linalg.norm`` of one row or
-  ``model.row_dot`` (a BLAS dot per row); a reduction over an axis adds
-  in another order.
+- A dot product is ``model.row_dot`` (a BLAS dot per row) and a norm
+  its square root, as ``np.linalg.norm`` of one row computes it; a
+  reduction over an axis adds in another order.
 """
 
 from __future__ import annotations
@@ -100,7 +102,6 @@ class Trajectory:
     time: float
     reason: StopReason
     resets: int = 0
-    event_index: int | None = None
 
 
 # a function of state rows and their disturbance rows: a flow gives one row
@@ -121,7 +122,7 @@ def _rk_step(rhs: Rows, x: np.ndarray, d: np.ndarray,
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
-    return np.array([np.linalg.norm(row) for row in a])
+    return np.sqrt(model.row_dot(a, a))
 
 
 def _box_gap(box: Box) -> Rows:
@@ -185,24 +186,15 @@ def _bisect(g: Rows, direction: int, x_left: np.ndarray, k: np.ndarray,
 
 
 def _guard_events(prob: Problem, mode: int) -> list[tuple[Rows, int]]:
-    """Events announcing guard contact for each reset out of a mode.
-
-    Guards with zero-width dimensions cannot be detected through the box
-    membership gap (it never changes sign), so each degenerate dimension
-    contributes a plane-crossing event instead; membership is re-checked
-    at the localized point.
-    """
-    events = []
-    for rule in prob.mode_resets(mode):
-        degenerate = [i for i, (lo, hi) in enumerate(zip(rule.guard.lo, rule.guard.hi))
-                      if lo == hi]
-        if degenerate:
-            for i in degenerate:
-                c = rule.guard.lo[i]
-                events.append((lambda x, _d, _i=i, _c=c: x[:, _i] - _c, 0))
-        else:
-            events.append((_box_gap(rule.guard), -1))
-    return events
+    """Events announcing guard contact for the resets out of a mode: one
+    ``x_i - c`` per distinct face plane of their guards, sorted and crossed
+    either way.  A path into a box crosses one of its faces, so no guard
+    is too narrow for a step; the loop top checks guard membership at the
+    localized point."""
+    planes = sorted({(i, c) for rule in prob.mode_resets(mode)
+                     for i in range(rule.guard.dim)
+                     for c in (rule.guard.lo[i], rule.guard.hi[i])})
+    return [(lambda x, _d, _i=i, _c=c: x[:, _i] - _c, 0) for i, c in planes]
 
 
 class _Phase:
@@ -274,8 +266,7 @@ class _Rides:
             for name in self.FIELDS:
                 setattr(self, name, getattr(self, name)[keep])
 
-    def end(self, rows: np.ndarray, reason: StopReason,
-            event_index: int | None = None):
+    def end(self, rows: np.ndarray, reason: StopReason):
         """The rows (indices of live rows) end where they are now."""
         if not rows.size:
             return
@@ -283,7 +274,7 @@ class _Rides:
         for r, t in zip(rows.tolist(), time.tolist()):
             self.out[self.ids[r]] = Trajectory(
                 int(self.mode[r]), tuple(self.x[r].tolist()), t, reason,
-                int(self.resets[r]), event_index)
+                int(self.resets[r]))
         self.alive[rows] = False
 
     def by_mode(self):
@@ -352,7 +343,7 @@ class _Rides:
         g = self.g_prev[rows, :len(phase.events)] = phase.values(x, d)
         if phase.bloat > phase.guards:  # the stop function's slot
             falling = g[:, phase.guards] < 0.0
-            self.end(rows[falling], StopReason.EVENT, phase.guards)
+            self.end(rows[falling], StopReason.EVENT)
             rows, x, d = rows[~falling], x[~falling], d[~falling]
         span = self.horizon - self.t_out[rows]
         h = 0.01 * (1.0 + _norms(x)) / (1.0 + _norms(phase.rhs(x, d)))
@@ -444,10 +435,9 @@ class _Rides:
         self.x[at] = x_at[event]
         self.end(at[kind == phase.bloat], StopReason.LEFT_BLOAT)
         self.end(at[(kind >= phase.guards) & (kind < phase.bloat)],
-                 StopReason.EVENT, phase.guards)
-        # guard contact: the loop top applies the reset, or, where a
-        # degenerate dimension's plane was crossed outside the guard box,
-        # resumes the continuous phase
+                 StopReason.EVENT)
+        # a face plane crossed: the loop top applies the reset where the
+        # point is in a guard, and otherwise resumes the continuous phase
         guard = at[kind < phase.guards]
         self.t_out[guard] += self.t[guard]
         self.t[guard] = 0.0

@@ -122,9 +122,11 @@ def integrate(mode: ModeDef, x0: Sequence[float],
               events: Sequence[tuple[Callable, int]] = (),
               bloated: Box | None = None,
               rtol: float = RTOL, atol: float = ATOL,
-              mode_index: int = 0) -> Trajectory:
+              mode_index: int = 0) -> tuple[Trajectory, int | None]:
     """Integrate one continuous mode until the horizon, an event crossing,
-    or exit from the bloated box, whichever comes first.
+    or exit from the bloated box, whichever comes first; returns the
+    trajectory and the slot of the event that stopped it (None for any
+    other stop).
 
     Disturbance inputs are piecewise constant: dpolicy is re-evaluated at
     each accepted step.  Event functions take (state, disturbance).
@@ -134,9 +136,9 @@ def integrate(mode: ModeDef, x0: Sequence[float],
     if dpolicy is None:
         dpolicy = lambda _z: np.empty(0)
     if bloated is not None and _box_gap(bloated, x) > 0.0:
-        return Trajectory(mode_index, start, 0.0, StopReason.LEFT_BLOAT)
+        return Trajectory(mode_index, start, 0.0, StopReason.LEFT_BLOAT), None
     if horizon <= 0.0:
-        return Trajectory(mode_index, start, 0.0, StopReason.HORIZON)
+        return Trajectory(mode_index, start, 0.0, StopReason.HORIZON), None
 
     flow = ex.compile_vector(mode.flow)
     t = 0.0
@@ -170,14 +172,16 @@ def integrate(mode: ModeDef, x0: Sequence[float],
         except _StepError:
             h *= 0.5
             if h < 1e-13 * (1.0 + abs(t)):
-                return Trajectory(mode_index, tuple(x), t, StopReason.FAILURE)
+                return (Trajectory(mode_index, tuple(x), t,
+                                   StopReason.FAILURE), None)
             continue
         scale = atol + rtol * np.maximum(np.abs(x), np.abs(x_new))
         err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
         if err_norm > 1.0:
             h *= max(0.2, 0.9 * err_norm ** -0.2)
             if h < 1e-13 * (1.0 + abs(t)):
-                return Trajectory(mode_index, tuple(x), t, StopReason.FAILURE)
+                return (Trajectory(mode_index, tuple(x), t,
+                                   StopReason.FAILURE), None)
             continue
 
         # accepted step: localize the earliest event crossing, if any
@@ -193,15 +197,15 @@ def integrate(mode: ModeDef, x0: Sequence[float],
             tau, idx, x_loc = earliest
             t += tau
             if idx == bloat_slot:
-                return Trajectory(mode_index, tuple(x_loc), t,
-                                  StopReason.LEFT_BLOAT)
-            return Trajectory(mode_index, tuple(x_loc), t,
-                              StopReason.EVENT, event_index=idx)
+                return (Trajectory(mode_index, tuple(x_loc), t,
+                                   StopReason.LEFT_BLOAT), None)
+            return (Trajectory(mode_index, tuple(x_loc), t, StopReason.EVENT),
+                    idx)
 
         t += h
         x = x_new
         if t >= horizon * (1.0 - 1e-14):
-            return Trajectory(mode_index, tuple(x), t, StopReason.HORIZON)
+            return Trajectory(mode_index, tuple(x), t, StopReason.HORIZON), None
         d = dpolicy(x)
         rhs = rhs_at(d)
         g_prev = [g(x, d) for g, _ in table]
@@ -215,24 +219,13 @@ def _contains_tol(box: Box, x: Sequence[float], tol: float = 1e-7) -> bool:
 
 
 def _guard_events(prob: Problem, mode: int):
-    """Event functions announcing guard contact for each reset out of a mode.
-
-    Guards with zero-width dimensions cannot be detected through the box
-    membership gap (it never changes sign), so each degenerate dimension
-    contributes a plane-crossing event instead; membership is re-checked
-    at the localized point.
-    """
-    events = []
-    for rule in prob.mode_resets(mode):
-        degenerate = [i for i, (lo, hi) in enumerate(zip(rule.guard.lo, rule.guard.hi))
-                      if lo == hi]
-        if degenerate:
-            for i in degenerate:
-                c = rule.guard.lo[i]
-                events.append((lambda z, _d, _i=i, _c=c: z[_i] - _c, 0))
-        else:
-            events.append((lambda z, _d, _b=rule.guard: _box_gap(_b, z), -1))
-    return events
+    """Event functions announcing guard contact for the resets out of a
+    mode: one plane ``z[i] - c`` per distinct guard face, sorted, crossed
+    either way; membership is checked at the localized point."""
+    planes = sorted({(i, c) for rule in prob.mode_resets(mode)
+                     for i in range(rule.guard.dim)
+                     for c in (rule.guard.lo[i], rule.guard.hi[i])})
+    return [(lambda z, _d, _i=i, _c=c: z[_i] - _c, 0) for i, c in planes]
 
 
 def flow_hybrid(prob: Problem, start: tuple[int, Sequence[float]],
@@ -290,20 +283,18 @@ def flow_hybrid(prob: Problem, start: tuple[int, Sequence[float]],
             # function is already below zero ends at its start
             if (not _box_gap(bloated, x) > 0.0
                     and extra_event(mode, x, dpolicy(mode, x)) < 0.0):
-                return Trajectory(mode, tuple(x), t, StopReason.EVENT, resets,
-                                  extra_slot)
+                return Trajectory(mode, tuple(x), t, StopReason.EVENT, resets)
 
-        traj = integrate(mdef, x, lambda z, _m=mode: dpolicy(_m, z),
-                         horizon - t, events, bloated, rtol, atol, mode)
+        traj, slot = integrate(mdef, x, lambda z, _m=mode: dpolicy(_m, z),
+                               horizon - t, events, bloated, rtol, atol, mode)
         t += traj.time
         x = np.asarray(traj.end)
 
         if traj.reason is StopReason.EVENT:
-            if extra_slot is not None and traj.event_index == extra_slot:
-                return Trajectory(mode, tuple(x), t, StopReason.EVENT, resets,
-                                  traj.event_index)
-            # guard contact: the membership check at the loop top applies
-            # the reset, or, where a degenerate dimension's plane was
-            # crossed outside the guard box, resumes the continuous phase
+            if extra_slot is not None and slot == extra_slot:
+                return Trajectory(mode, tuple(x), t, StopReason.EVENT, resets)
+            # a face plane crossed: the membership check at the loop top
+            # applies the reset, or resumes the continuous phase where the
+            # point is in no guard
             continue
         return Trajectory(mode, tuple(x), t, traj.reason, resets)

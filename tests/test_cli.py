@@ -533,6 +533,8 @@ class TestErrors:
         # every mode named must be one the problem declares
         ({"modes": {"m": {"1": 0.12774317671, "x1": -1.0},
                     "ghost": {"1": 1.0}}}, "modes.ghost"),
+        # an exponent is ASCII decimal digits; the bad name is quoted
+        ({"modes": {"m": {"1": 0.5, "x1^2.5": -1.0}}}, "modes.m"),
     ])
     def test_malformed_barrier_is_diagnosed(self, composition_path, tmp_path,
                                             capsys, barrier, location):
@@ -544,6 +546,8 @@ class TestErrors:
         err = capsys.readouterr().err
         assert f"{path}: {location}: " in err
         assert "Traceback" not in err
+        if "x1^2.5" in str(barrier):
+            assert "bad monomial 'x1^2.5'" in err
 
     def test_invalid_json_reports_position(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -365,9 +365,14 @@ class TestMonomialNames:
         assert monomial_name(mono, ["x", "y"]) == name
         assert monomial_from_name(name, ["x", "y"]) == mono
 
-    def test_bad_name_rejected(self):
-        with pytest.raises(ValueError):
-            monomial_from_name("q^2", ["x", "y"])
+    # an exponent is ASCII decimal digits: no fraction, sign, space,
+    # underscore or other script's digit
+    @pytest.mark.parametrize("name", ["q^2", "x^2.5", "x^1_0", "x^+2",
+                                      "x^ 2", "x ^2", "x^\u0662", "x^",
+                                      "x^0"])
+    def test_bad_name_rejected(self, name):
+        with pytest.raises(ValueError, match="bad monomial"):
+            monomial_from_name(name, ["x", "y"])
 
 
 class TestLanding:

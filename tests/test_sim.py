@@ -396,8 +396,7 @@ class TestDriftRides:
 def _bits(traj: sim.Trajectory):
     """Everything a ride reports, floats as ``float.hex``."""
     return (traj.end_mode, [float(v).hex() for v in traj.end],
-            float(traj.time).hex(), traj.reason, traj.resets,
-            traj.event_index)
+            float(traj.time).hex(), traj.reason, traj.resets)
 
 
 def _midpoint(prob):
@@ -522,6 +521,41 @@ class TestLockstep:
         assert [(r.time, r.end) for r in rows[7:]] == [(0.0, (5.5,)),
                                                         (0.0, (3.0,))]
 
+    def test_guard_narrower_than_a_step(self):
+        # a guard 0.05 wide across the paths of rows that ride at speed 1
+        # in x: each row whose path passes through it jumps; the others
+        # cross its face planes outside it, resume and never jump
+        doc = {
+            "variables": ["x", "y"],
+            "modes": [
+                {"name": "a", "omega": [[-3, 3], [-3, 3]],
+                 "flow": ["1", "0.25*sin(x)"]},
+                {"name": "b", "omega": [[-3, 3], [-3, 3]], "flow": ["0", "-1"]},
+            ],
+            "resets": [
+                {"source": "a", "guard": [[1, 1.05], [0, 1]], "target": "b",
+                 "map": ["x", "y"], "inverse": ["x", "y"],
+                 "image": [[1, 1.05], [0, 1]]},
+            ],
+            "init": [{"mode": "a", "box": [[-2, -1.9], [0, 1]]}],
+            "unsafe": [{"mode": "b", "box": [[2, 3], [2, 3]]}],
+        }
+        prob = model.load_problem(doc)
+        ys = np.linspace(-1.5, 2.0, 15)
+        rows = self.assert_lockstep(prob, [(0, (-2.0, y)) for y in ys], 8.0)
+        # y(x) = y0 + 0.25 (cos(-2) - cos(x)) along mode a
+        on_path = lambda y0: [y0 + 0.25 * (math.cos(-2.0) - math.cos(x))
+                              for x in np.linspace(1.0, 1.05, 11)]
+        through = [any(0.0 <= y <= 1.0 for y in on_path(y0)) for y0 in ys]
+        assert sum(through) == 4
+        for hit, r in zip(through, rows):
+            if hit:
+                assert (r.end_mode, r.resets) == (1, 1)
+            else:
+                assert (r.end_mode, r.resets) == (0, 0)
+                assert r.reason is StopReason.LEFT_BLOAT
+                assert abs(r.end[0] - 3.3) <= 1e-6
+
     def test_init_segments_matches_reference_rides(self):
         # one batch per direction, the starts in the order of the boxes
         prob = _thermostat()
@@ -617,3 +651,29 @@ class TestFallingMode:
         cert = Certificate(tmpl, np.array([3.0, -1.0, 4.0, -1.0]))
         (mode, end), = sim.alpha(prob, cert, [(1, (3.0,))])
         assert mode == 0 and abs(end[0] - 5.0) <= 1e-6
+
+
+def _constant_relay(guard) -> Problem:
+    """The relay with flows 1 in up and -1 in down: the error estimate is
+    zero, so every step grows fivefold, and ``guard`` is the reset's guard
+    and image."""
+    doc = benchmarks.relay()
+    doc["modes"][0]["flow"], doc["modes"][1]["flow"] = ["1"], ["-1"]
+    doc["resets"][0]["guard"] = doc["resets"][0]["image"] = [guard]
+    return model.load_problem(doc)
+
+
+@pytest.mark.parametrize("guard", [[5, 6], [5, 5.01]])
+class TestLongSteps:
+    """A ride whose step is longer than the guard still takes the reset:
+    it meets the guard where it crosses the guard's face plane x = 5."""
+
+    def test_flow_hybrid_jumps(self, guard):
+        traj = _ride(_constant_relay(guard), (0, (3.0,)), 20.0)
+        assert (traj.end_mode, traj.resets) == (1, 1)
+
+    def test_omega_stops_after_the_jump(self, guard):
+        cert = Certificate(model.make_template("linear", 1, 2),
+                           np.array([-3.0, 1.0, -2.0, 1.0]))
+        (mode, end), = sim.omega(_constant_relay(guard), cert, [(0, (3.0,))])
+        assert mode == 1 and abs(end[0] - 5.0) <= 1e-6
