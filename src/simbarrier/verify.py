@@ -19,14 +19,17 @@ the order a box-by-box cover takes them:
   each row bit for bit its box's enclosure alone (see ``interval``);
 - the midpoint checks evaluate ``expr.compile_batch`` on the rows' mid
   points, and the drift witness lands them on the zero level set with
-  ``model.land_on_level_set``, the falsifier's Newton landing;
+  ``model.land_on_level_set``, the falsifier's Newton landing; it lands
+  only the rows whose midpoint drift does not clearly fall, and every row
+  of a box too narrow to split (a witness only serves a refutation, and a
+  skipped box is split, so its children get their own tries);
 - the certificate's code, point and box, is one ``model.Certificate``
   built per call, and the flows and reset maps are compiled on the
   problem's modes and rules; only the drift enclosure is compiled here;
 - a level that refutes stops at its first refuting row; the report counts
-  only the rows before it and adds up their volumes in box order, so every
-  verdict, witness and ``ConditionReport`` is what a cover deciding one
-  box at a time gives.
+  only the boxes before it, and the witness rows up to it, and adds up
+  their volumes in box order, so every verdict, witness and
+  ``ConditionReport`` is what a cover deciding one box at a time gives.
 One ``_cover`` call decides at most ``_MAX_BOXES`` boxes.  Past that, the
 boxes still pending are unresolved, and the verdict is Unknown.
 """
@@ -58,6 +61,7 @@ class ConditionReport:
     boxes_unresolved: int = 0
     volume_covered: float = 0.0
     region_volume: float = 0.0
+    witness_rows: int = 0  # midpoints handed to the drift witness's landing
 
 
 @dataclass
@@ -95,6 +99,9 @@ _MAX_BOXES = 100_000
 _WITNESS_BAND = 1e-9
 _WITNESS_FLOOR = 1e-18
 _WITNESS_STEPS = 29
+# ... and only from midpoints where, at some disturbance vertex, the drift
+# is at least this multiple of |grad V| * |f|
+_WITNESS_SKIP = -0.1
 
 
 def _drift_box(prob: Problem, cert: Certificate, mode: int):
@@ -223,7 +230,7 @@ def verify(prob: Problem, tmpl: Template, p: np.ndarray,
     verdict = Verdict(VerdictStatus.VERIFIED, reports=reports)
     with np.errstate(all="ignore"):
         for cond, region, widths, n_state, check in _tasks(
-                prob, cert, min_width_frac):
+                prob, cert, min_width_frac, reports[3]):
             report = reports[cond]
             report.region_volume += region.volume()
             hit, unresolved, reached = _cover(region, widths, n_state, check,
@@ -242,10 +249,12 @@ def verify(prob: Problem, tmpl: Template, p: np.ndarray,
     return verdict
 
 
-def _tasks(prob: Problem, cert: Certificate, min_width_frac: float):
+def _tasks(prob: Problem, cert: Certificate, min_width_frac: float,
+           report3: ConditionReport):
     """The covers of the four conditions, in order: (condition, region,
     minimum widths, state dimensions, check), each check built when its
-    cover is about to run."""
+    cover is about to run.  Condition 3's checks count their witness rows
+    in ``report3``."""
     p_scale = 1.0 + float(np.linalg.norm(cert.p))
     tol = 1e-10 * p_scale
 
@@ -278,7 +287,10 @@ def _tasks(prob: Problem, cert: Certificate, min_width_frac: float):
 
     # condition 3: drift negative wherever the certificate can vanish
     for mode, region in enumerate(prob.flow_boxes):
-        def check3(lo, hi, _m=mode, _drift=_drift_box(prob, cert, mode)):
+        widths = min_widths(region)
+
+        def check3(lo, hi, _m=mode, _drift=_drift_box(prob, cert, mode),
+                   _widths=np.array(widths)):
             v_lo, v_hi = cert[_m].value_box(lo, hi)
             proved = (v_lo > 0.0) | (v_hi < 0.0)
             rest = np.flatnonzero(~proved)
@@ -287,12 +299,18 @@ def _tasks(prob: Problem, cert: Certificate, min_width_frac: float):
             proved[rest[falls]] = True
             rest = rest[~falls]
             outcome = np.where(proved, _PROVED, _SPLIT)
-            hits = {int(rest[i]): hit for i, hit in _drift_witnesses(
-                prob, cert, _m, lo[rest], hi[rest], p_scale)}
+            # a box too narrow to split gets its only try here
+            stuck = _split_dims(hi[rest] - lo[rest], _widths, prob.dim) < 0
+            tried, found = _drift_witnesses(prob, cert, _m, lo[rest],
+                                            hi[rest], p_scale, stuck)
+            hits = {int(rest[i]): hit for i, hit in found.items()}
             outcome[list(hits)] = _REFUTED
+            # the rows a box-by-box cover tries: up to its first refutation
+            last = min(hits, default=len(lo))
+            report3.witness_rows += int((rest[tried] <= last).sum())
             return outcome, hits
 
-        yield 3, region, min_widths(region), prob.dim, check3
+        yield 3, region, widths, prob.dim, check3
 
     # condition 4: non-positive certificate must map to negative under resets
     for rule in prob.resets:
@@ -321,31 +339,46 @@ def _tasks(prob: Problem, cert: Certificate, min_width_frac: float):
                rule.guard.dim, check4)
 
 
+def _vertex_drifts(flow, d_verts, x: np.ndarray, g: np.ndarray):
+    """The drift ``g . f`` and ``|g| * |f|`` at each row of ``x`` for each
+    disturbance vertex: two (k, vertices) arrays, ``g`` being grad V at
+    ``x`` and ``f`` the flow at the row and the vertex."""
+    g_norm = np.sqrt(model.row_dot(g, g))
+    drifts, scales = [], []
+    for d in d_verts:
+        f = flow(np.hstack([x, np.broadcast_to(d, (len(x), len(d)))]))
+        drifts.append(model.row_dot(g, f))
+        scales.append(g_norm * np.sqrt(model.row_dot(f, f)))
+    return np.stack(drifts, 1), np.stack(scales, 1)
+
+
 def _drift_witnesses(prob: Problem, cert: Certificate, mode: int,
-                     lo: np.ndarray, hi: np.ndarray, p_scale: float):
-    """Concrete violating points for the drift condition, one try per row
-    of boxes: the box's midpoint landed on the zero level set within the
-    box, with non-negative drift for some disturbance vertex (the one of
-    largest drift, the first of equals).  Yields (row, ``Hit``) for the
-    rows that have one.  Conservative; never refutes on enclosure noise."""
+                     lo: np.ndarray, hi: np.ndarray, p_scale: float,
+                     always: np.ndarray):
+    """Concrete violating points for the drift condition, at most one try
+    per row of boxes: the box's midpoint landed on the zero level set
+    within the box, with drift above 1e-7 * (1 + |grad V| * |f|) for some
+    disturbance vertex (the one of largest drift, the first of equals).
+
+    A row is tried only where, at its midpoint, the drift is at least
+    ``_WITNESS_SKIP`` * |grad V| * |f| for some vertex, or where ``always``
+    is set; a row whose drift is undefined there is tried.  Returns the
+    mask of the rows tried and a dict row -> ``Hit`` of the rows that have
+    a witness.  Conservative; never refutes on enclosure noise."""
     mc, flow, dim = cert[mode], prob.modes[mode].flow_rows, prob.dim
     d_verts = prob.dist_vertices
+    lo, hi = lo[:, :dim], hi[:, :dim]
+    mid = 0.5 * (lo + hi)
+    drift, scale = _vertex_drifts(flow, d_verts, mid, mc.grad(mid))
+    tried = always | ~(drift < _WITNESS_SKIP * scale).all(1)
+    rows = np.flatnonzero(tried)
     x, landed = model.land_on_level_set(
-        mc.value, mc.grad, 0.5 * (lo[:, :dim] + hi[:, :dim]), lo[:, :dim],
-        hi[:, :dim], _WITNESS_BAND * p_scale, _WITNESS_FLOOR, _WITNESS_STEPS)
-    rows = np.flatnonzero(landed)
-    x = x[rows]
-    g = mc.grad(x)
-    g_norm = np.sqrt(model.row_dot(g, g))
-    best = np.full(len(rows), -1)
-    best_drift = np.zeros(len(rows))
-    for j, d in enumerate(d_verts):
-        f = flow(np.hstack([x, np.broadcast_to(d, (len(x), len(d)))]))
-        drift = model.row_dot(g, f)
-        scale = 1.0 + g_norm * np.sqrt(model.row_dot(f, f))
-        better = (drift > 1e-7 * scale) & ((best < 0) | (drift > best_drift))
-        best[better] = j
-        best_drift[better] = drift[better]
-    for i in np.flatnonzero(best >= 0):
-        yield int(rows[i]), Hit(None, "transversality", mode, x[i],
-                                d_verts[best[i]])
+        mc.value, mc.grad, mid[rows], lo[rows], hi[rows],
+        _WITNESS_BAND * p_scale, _WITNESS_FLOOR, _WITNESS_STEPS)
+    rows, x = rows[landed], x[landed]
+    drift, scale = _vertex_drifts(flow, d_verts, x, mc.grad(x))
+    ok = drift > 1e-7 * (1.0 + scale)
+    best = np.argmax(np.where(ok, drift, -np.inf), 1)
+    return tried, {int(rows[i]): Hit(None, "transversality", mode, x[i],
+                                     d_verts[best[i]])
+                   for i in np.flatnonzero(ok.any(1))}

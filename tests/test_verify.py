@@ -236,6 +236,57 @@ class TestBoxBudget:
         assert all(-1.0 <= b.lo[0] <= b.hi[0] <= 1.0 for b in verdict.unresolved)
 
 
+class TestDriftWitness:
+    def test_stuck_box_is_landed_whatever_its_midpoint_drift(self):
+        # V = x with flow 0.1 - x on [-0.2, 1]: at the midpoint 0.4 the
+        # drift is -0.3, -|grad V| * |f|, yet on the zero level set, at 0,
+        # it is +0.1
+        prob = line_problem("0.1 - x", omega=(-0.2, 1.0), init=(-0.15, -0.1),
+                            unsafe=(0.8, 0.9))
+        tmpl, p = linear_template_1d(), np.array([0.0, 1.0])
+        cert = model.Certificate(tmpl, p)
+        lo, hi = np.array([[-0.2]]), np.array([[1.0]])
+        tried, hits = verify_module._drift_witnesses(
+            prob, cert, 0, lo, hi, 2.0, np.array([False]))
+        assert (tried.tolist(), hits) == ([False], {})
+        tried, hits = verify_module._drift_witnesses(
+            prob, cert, 0, lo, hi, 2.0, np.array([True]))
+        assert tried.tolist() == [True] and hits[0].x.tolist() == [0.0]
+        # a minimum width of the whole region leaves the first box unsplit
+        verdict = verify(prob, tmpl, p, 1.0)
+        assert (verdict.status, verdict.condition) == (
+            VerdictStatus.REFUTED, 3)
+        assert verdict.witness == (0, (0.0,), ())
+        assert verdict.reports[3].witness_rows == 1
+        assert box_counts(verdict)[3] == (0, 0, 0)
+
+    def test_rows_kept_land_as_when_every_row_lands(self):
+        # a grid of 256 boxes of width 0.625 near lorenz-iter7's witness
+        prob = model.load_problem(benchmarks.corpus()["lorenz"])
+        barrier = json.loads((BENCH_DATA / "certs" / "lorenz-iter7.json")
+                             .read_text())
+        tmpl, p = cli._barrier_from_doc(barrier, prob, "lorenz-iter7.json")
+        cert = model.Certificate(tmpl, p)
+        lo = np.stack(np.meshgrid(np.arange(-5.0, 0.0, 0.625),
+                                  np.arange(-2.5, 0.0, 0.625),
+                                  np.arange(-5.0, 0.0, 0.625),
+                                  indexing="ij"), -1).reshape(-1, 3)
+        hi = lo + 0.625
+        p_scale = 1.0 + float(np.linalg.norm(p))
+        with np.errstate(all="ignore"):
+            kept, hits = verify_module._drift_witnesses(
+                prob, cert, 0, lo, hi, p_scale, np.zeros(len(lo), bool))
+            every, all_hits = verify_module._drift_witnesses(
+                prob, cert, 0, lo, hi, p_scale, np.ones(len(lo), bool))
+        assert every.all() and 0 < kept.sum() < len(lo) and len(hits) > 1
+
+        def bits(found):
+            return {r: (h.kind, h.mode, h.x.tobytes(), h.d.tobytes())
+                    for r, h in found.items()}
+        assert bits(hits) == {r: b for r, b in bits(all_hits).items()
+                              if kept[r]}
+
+
 BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
 
 # verify() on the benchmark's certificates, recorded before the cover ran
@@ -248,14 +299,14 @@ BENCH_VERDICTS = {
         {1: (11, 10, 0), 2: (1, 0, 0), 3: (519, 518, 0), 4: (0, 0, 0)}, "0x1.4000000000000p-5"),
     "lorenz-final": ("Verified", None, None,
         {1: (1, 0, 0), 2: (1, 0, 0), 3: (441, 440, 0), 4: (0, 0, 0)}, "0x1.4000000000000p-4"),
-    "lorenz-iter1": ("Refuted", 3, (0, ('-0x1.095a712129bb8p+1', '-0x1.4000000000000p-1', '-0x1.513eff13e67b7p+1'), ()),
-        {1: (1, 0, 0), 2: (1, 0, 0), 3: (221, 248, 0), 4: (0, 0, 0)}, "0x1.3333333333340p-1"),
+    "lorenz-iter1": ("Refuted", 3, (0, ('-0x1.382fa5e22985ep+1', '-0x1.4000000000000p-1', '-0x1.6a86b5b11eb13p+1'), ()),
+        {1: (1, 0, 0), 2: (1, 0, 0), 3: (234, 263, 0), 4: (0, 0, 0)}, "0x1.3333333333340p-1"),
     "lorenz-iter4": ("Refuted", 3, (0, ('-0x1.4000000000000p+1', '-0x1.4000000000000p-2', '-0x1.44568ee66918dp+1'), ()),
         {1: (1, 0, 0), 2: (1, 0, 0), 3: (226, 264, 0), 4: (0, 0, 0)}, "0x1.3333333333340p-1"),
     "lorenz-iter7": ("Refuted", 3, (0, ('-0x1.97e85ef29ac5dp+1', '-0x1.4000000000000p+0', '-0x1.1ec8e658535e2p+0'), ()),
         {1: (1, 0, 0), 2: (1, 0, 0), 3: (74, 160, 0), 4: (0, 0, 0)}, "0x1.3333333333340p-1"),
-    "lorenz-iter10": ("Refuted", 3, (0, ('-0x1.e8f34f5658728p+0', '-0x1.4000000000000p-1', '-0x1.0bb4d74e3ca8fp+0'), ()),
-        {1: (1, 0, 0), 2: (1, 0, 0), 3: (193, 237, 0), 4: (0, 0, 0)}, "0x1.3333333333340p-1"),
+    "lorenz-iter10": ("Refuted", 3, (0, ('-0x1.6dd8057331cbap+0', '-0x1.4000000000000p-1', '-0x1.b6bcc0e110e9ep-1'), ()),
+        {1: (1, 0, 0), 2: (1, 0, 0), 3: (209, 267, 0), 4: (0, 0, 0)}, "0x1.3333333333340p-1"),
     "lorenz-iter13": ("Refuted", 3, (0, ('-0x1.e0aec86830bd6p+0', '-0x1.4000000000000p-2', '-0x1.3d76d247addfdp+0'), ()),
         {1: (1, 0, 0), 2: (1, 0, 0), 3: (243, 267, 0), 4: (0, 0, 0)}, "0x1.3333333333340p-1"),
     "composition-published": ("Verified", None, None,
@@ -271,15 +322,19 @@ def _bench_cases():
     return json.loads((BENCH_DATA / "expected.json").read_text())["cases"]
 
 
-@pytest.mark.parametrize("case", _bench_cases(), ids=lambda c: c["id"])
-def test_bench_certificate_verdicts_are_pinned(case):
+def _bench_verdict(case):
     corpus = benchmarks.corpus()
     doc = (corpus[case["problem"]] if case["problem"] in corpus else
            json.loads((BENCH_DATA / f"{case['problem']}.json").read_text()))
     prob = model.load_problem(doc)
     barrier = json.loads((BENCH_DATA / case["barrier"]).read_text())
     tmpl, p = cli._barrier_from_doc(barrier, prob, case["barrier"])
-    verdict = verify(prob, tmpl, p)
+    return verify(prob, tmpl, p)
+
+
+@pytest.mark.parametrize("case", _bench_cases(), ids=lambda c: c["id"])
+def test_bench_certificate_verdicts_are_pinned(case):
+    verdict = _bench_verdict(case)
     witness = verdict.witness and (
         verdict.witness[0], tuple(v.hex() for v in verdict.witness[1]),
         tuple(v.hex() for v in verdict.witness[2]))
@@ -287,3 +342,18 @@ def test_bench_certificate_verdicts_are_pinned(case):
            box_counts(verdict), verdict.min_width_reached.hex())
     assert got == BENCH_VERDICTS[case["id"]]
     assert (got[0], got[1]) == (case["verdict"], case["condition"])
+
+
+# the midpoints the drift witness lands per certificate; landing every
+# split box of condition 3 made 2,252 in all
+BENCH_WITNESS_ROWS = {
+    "pendulum-final": 41, "log-dynamics-final": 223, "lorenz-final": 154,
+    "lorenz-iter1": 24, "lorenz-iter4": 38, "lorenz-iter7": 9,
+    "lorenz-iter10": 26, "lorenz-iter13": 28, "composition-published": 0,
+    "thermostat-c14": 0, "thermostat-c16.5": 0,
+}
+
+
+def test_bench_witness_rows_are_pinned():
+    assert {case["id"]: _bench_verdict(case).reports[3].witness_rows
+            for case in _bench_cases()} == BENCH_WITNESS_ROWS
