@@ -208,6 +208,20 @@ class Problem:
     def mode_resets(self, mode: int) -> list[ResetRule]:
         return [r for r in self.resets if r.source == mode]
 
+    def vertex_drifts(self, mode: int, x: np.ndarray, g: np.ndarray):
+        """The drift ``g . f`` and ``|g| * |f|`` at each row of ``x`` for
+        each disturbance vertex (``dist_vertices``): two (k, vertices)
+        arrays, ``g`` being grad V at ``x`` and ``f`` mode ``mode``'s flow
+        at the row and the vertex."""
+        flow = self.modes[mode].flow_rows
+        g_norm = np.sqrt(row_dot(g, g))
+        drifts, scales = [], []
+        for d in self.dist_vertices:
+            f = flow(np.hstack([x, np.broadcast_to(d, (len(x), len(d)))]))
+            drifts.append(row_dot(g, f))
+            scales.append(g_norm * np.sqrt(row_dot(f, f)))
+        return np.stack(drifts, 1), np.stack(scales, 1)
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -481,8 +495,13 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+# Newton steps that land a point on the zero level set: a drift search's
+# start, and a box midpoint of the verifier's drift witness
+LANDING_STEPS = 25
+
+
 def land_on_level_set(value, grad, x: np.ndarray, lo: np.ndarray,
-                      hi: np.ndarray, band: float, floor: float,
+                      hi: np.ndarray, band: float,
                       max_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Newton steps along grad V towards |V| <= band from each row of
     ``x``, each step clipped to the row's box [lo, hi] (arrays of x's
@@ -490,10 +509,10 @@ def land_on_level_set(value, grad, x: np.ndarray, lo: np.ndarray,
     of rows that reached the band.
 
     ``value`` and ``grad`` are V and grad V over the rows of a batch.  A
-    row stops without landing where |grad V|^2 < ``floor`` or where its
-    step returns its point, and where V is not finite it never lands.  A
-    row is tested at most ``max_steps + 1`` times: before each step, and
-    once after the last.
+    row stops without landing where |grad V|^2 is not positive (zero or
+    nan) or where its step returns its point, and where V is not finite
+    it never lands.  A row is tested at most ``max_steps + 1`` times:
+    before each step, and once after the last.
     """
     x = x.copy()
     landed = np.zeros(len(x), dtype=bool)
@@ -517,7 +536,7 @@ def land_on_level_set(value, grad, x: np.ndarray, lo: np.ndarray,
                 lo, hi = lo[far], hi[far]
         g = grad(xa)
         n2 = row_dot(g, g)
-        go = ~(n2 < floor)
+        go = n2 > 0.0
         if not go.all():
             x[rows[~go]] = xa[~go]
             if not go.any():

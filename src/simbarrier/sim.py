@@ -11,7 +11,8 @@ stops at the start of any phase, after a jump too, where its stop
 function is already below zero.  A row that crosses a face plane inside
 a guard takes the reset, as early as possible, and rides on where no
 guard holds the point; rows that jump repeatedly without time progress
-stop with a livelock verdict.
+stop with a livelock verdict, and every ride stops after ``MAX_STEPS``
+trial steps, so a long horizon cannot make it run away.
 Backward rides integrate ``Problem.reversed``, the time-reversed problem
 that the problem builds once, so its flows and maps compile once too.
 
@@ -52,6 +53,7 @@ EVENT_TIME_TOL = 1e-9
 RTOL = 1e-8             # the step's error tolerances
 ATOL = 1e-10
 MAX_RESETS = 100
+MAX_STEPS = 10_000      # trial steps of one ride, over all its phases
 
 _DP_A = tuple(np.array(row) for row in (
     (),
@@ -93,6 +95,7 @@ class StopReason(enum.Enum):
     JUMP = "jump"
     LIVELOCK = "livelock"
     FAILURE = "integration-failure"
+    STEP_LIMIT = "step-limit"
 
 
 @dataclass(frozen=True)
@@ -254,10 +257,14 @@ class _Rides:
     def run(self) -> list[Trajectory]:
         self.top(np.arange(len(self.ids)))
         self.compact()
-        while len(self.ids):
+        for _ in range(MAX_STEPS):
+            if not len(self.ids):
+                break
             for phase, rows in self.by_mode():
                 self.step(phase, rows)
             self.compact()
+        else:
+            self.end(np.arange(len(self.ids)), StopReason.STEP_LIMIT)
         return self.out
 
     def compact(self):
@@ -467,7 +474,9 @@ def flow_hybrid(prob: Problem, starts: Sequence[tuple[int, Sequence[float]]],
     ``jump_stop(rule, x, y)`` is True for the rows whose jump from
     ``x`` to ``y = rule.fwd(x)`` the ride refuses; such a row ends before
     the jump with reason JUMP.  A row that jumps more than ``MAX_RESETS``
-    times in a row without time progress ends with reason LIVELOCK.
+    times in a row without time progress ends with reason LIVELOCK, and
+    a row still riding after ``MAX_STEPS`` trial steps, accepted or
+    rejected, ends where it is with reason STEP_LIMIT.
     """
     rides = _Rides(prob, starts, dpolicy, horizon, bloat_factor, extra_event,
                    jump_stop)
@@ -533,7 +542,7 @@ def _drift_ride(prob_dyn: Problem, cert: Certificate,
     at a bloated-box exit, or at the hard time cap.  The certificate's
     code is the caller's; prob_dyn's flows are compiled on its modes.
     """
-    d_verts = prob_dyn.dist_vertices
+    d_verts = np.array(prob_dyn.dist_vertices)
 
     def drift(m: int, x: np.ndarray, d: np.ndarray) -> np.ndarray:
         g = cert[m].grad(x)
@@ -541,18 +550,13 @@ def _drift_ride(prob_dyn: Problem, cert: Certificate,
         return orient * model.row_dot(g, f)
 
     def dpolicy(m: int, x: np.ndarray) -> np.ndarray:
-        """Per row, the first disturbance vertex with the largest (or
-        smallest) drift."""
-        rows = lambda dv: np.broadcast_to(dv, (len(x), len(dv)))
+        """Per row, the first disturbance vertex of largest drift along
+        prob_dyn's flow (``Problem.vertex_drifts``), a nan drift never
+        the largest: backward, the least forward drift."""
         if len(d_verts) == 1:
-            return rows(d_verts[0])
-        pick = np.zeros(len(x), dtype=int)
-        best = drift(m, x, rows(d_verts[0]))
-        for i, dv in enumerate(d_verts[1:], 1):
-            v = drift(m, x, rows(dv))
-            better = v > best if orient > 0 else v < best
-            best, pick[better] = np.where(better, v, best), i
-        return np.array(d_verts)[pick]
+            return np.broadcast_to(d_verts[0], (len(x), d_verts.shape[1]))
+        v, _ = prob_dyn.vertex_drifts(m, x, cert[m].grad(x))
+        return d_verts[np.argmax(np.fmax(v, -np.inf), 1)]
 
     def falls(rule: ResetRule, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Rows whose jump lowers the certificate along the ride."""

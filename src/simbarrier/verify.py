@@ -94,11 +94,9 @@ _SPLIT = 2
 # the largest bench certificate needs 1,059 boxes
 _MAX_BOXES = 100_000
 
-# the drift witness: Newton steps towards |V| <= _WITNESS_BAND * (1 + |p|),
-# stopping where |grad V|^2 < _WITNESS_FLOOR
+# the drift witness: model.LANDING_STEPS Newton steps towards
+# |V| <= _WITNESS_BAND * (1 + |p|)
 _WITNESS_BAND = 1e-9
-_WITNESS_FLOOR = 1e-18
-_WITNESS_STEPS = 29
 # ... and only from midpoints where, at some disturbance vertex, the drift
 # is at least this multiple of |grad V| * |f|
 _WITNESS_SKIP = -0.1
@@ -339,19 +337,6 @@ def _tasks(prob: Problem, cert: Certificate, min_width_frac: float,
                rule.guard.dim, check4)
 
 
-def _vertex_drifts(flow, d_verts, x: np.ndarray, g: np.ndarray):
-    """The drift ``g . f`` and ``|g| * |f|`` at each row of ``x`` for each
-    disturbance vertex: two (k, vertices) arrays, ``g`` being grad V at
-    ``x`` and ``f`` the flow at the row and the vertex."""
-    g_norm = np.sqrt(model.row_dot(g, g))
-    drifts, scales = [], []
-    for d in d_verts:
-        f = flow(np.hstack([x, np.broadcast_to(d, (len(x), len(d)))]))
-        drifts.append(model.row_dot(g, f))
-        scales.append(g_norm * np.sqrt(model.row_dot(f, f)))
-    return np.stack(drifts, 1), np.stack(scales, 1)
-
-
 def _drift_witnesses(prob: Problem, cert: Certificate, mode: int,
                      lo: np.ndarray, hi: np.ndarray, p_scale: float,
                      always: np.ndarray):
@@ -365,20 +350,19 @@ def _drift_witnesses(prob: Problem, cert: Certificate, mode: int,
     is set; a row whose drift is undefined there is tried.  Returns the
     mask of the rows tried and a dict row -> ``Hit`` of the rows that have
     a witness.  Conservative; never refutes on enclosure noise."""
-    mc, flow, dim = cert[mode], prob.modes[mode].flow_rows, prob.dim
-    d_verts = prob.dist_vertices
+    mc, dim = cert[mode], prob.dim
     lo, hi = lo[:, :dim], hi[:, :dim]
     mid = 0.5 * (lo + hi)
-    drift, scale = _vertex_drifts(flow, d_verts, mid, mc.grad(mid))
+    drift, scale = prob.vertex_drifts(mode, mid, mc.grad(mid))
     tried = always | ~(drift < _WITNESS_SKIP * scale).all(1)
     rows = np.flatnonzero(tried)
     x, landed = model.land_on_level_set(
         mc.value, mc.grad, mid[rows], lo[rows], hi[rows],
-        _WITNESS_BAND * p_scale, _WITNESS_FLOOR, _WITNESS_STEPS)
+        _WITNESS_BAND * p_scale, model.LANDING_STEPS)
     rows, x = rows[landed], x[landed]
-    drift, scale = _vertex_drifts(flow, d_verts, x, mc.grad(x))
+    drift, scale = prob.vertex_drifts(mode, x, mc.grad(x))
     ok = drift > 1e-7 * (1.0 + scale)
     best = np.argmax(np.where(ok, drift, -np.inf), 1)
     return tried, {int(rows[i]): Hit(None, "transversality", mode, x[i],
-                                     d_verts[best[i]])
+                                     prob.dist_vertices[best[i]])
                    for i in np.flatnonzero(ok.any(1))}

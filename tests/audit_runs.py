@@ -9,8 +9,10 @@ prints one JSON line: the status, verdict, round and segment counts,
 value, the segment margin, the branch-and-bound nodes and the LP pivots,
 and the verifier's box counts per condition.  ``--compare FILE`` reads
 the lines of an earlier audit and prints, to stderr, each run that
-differs from its line there, with its status, verdict and round changes.
-The exit status is 1 when a run does not end in BarrierFound/Verified.
+differs from its line there, with its status, verdict and round changes,
+and then the rounds summed over the runs in both, before -> after.
+The exit status is 1 when a run does not end in BarrierFound/Verified,
+or when the summed rounds rise.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ def main(argv=None) -> int:
                 entry = json.loads(line)
                 before[entry["problem"], entry["seed"]] = entry
     failed = differ = 0
+    rounds_before = rounds_after = 0
     for seed in args.seeds:
         for name, doc in benchmarks.corpus().items():
             entry = audit(name, doc, seed)
@@ -71,6 +74,9 @@ def main(argv=None) -> int:
                                                        "Verified"):
                 failed += 1
             old = before.get((name, seed))
+            if old is not None:
+                rounds_before += old["rounds"]
+                rounds_after += entry["rounds"]
             if args.compare and old != entry:
                 differ += 1
                 moved = "not in FILE" if old is None else ", ".join(
@@ -81,8 +87,10 @@ def main(argv=None) -> int:
     if args.compare:
         print(f"{differ} of {len(args.seeds) * len(benchmarks.corpus())} "
               "runs differ", file=sys.stderr)
+        print(f"summed rounds {rounds_before} -> {rounds_after}",
+              file=sys.stderr)
     print(f"{failed} runs not BarrierFound/Verified", file=sys.stderr)
-    return 1 if failed else 0
+    return 1 if failed or rounds_after > rounds_before else 0
 
 
 if __name__ == "__main__":

@@ -17,8 +17,8 @@ import numpy as np
 from simbarrier import expr as ex
 from simbarrier import model
 from simbarrier.model import Box, ModeDef, Problem
-from simbarrier.sim import (ATOL, EVENT_TIME_TOL, MAX_RESETS, RTOL,
-                            StopReason, Trajectory)
+from simbarrier.sim import (ATOL, EVENT_TIME_TOL, MAX_RESETS, MAX_STEPS,
+                            RTOL, StopReason, Trajectory)
 
 _DP_A = (
     (),
@@ -122,11 +122,12 @@ def integrate(mode: ModeDef, x0: Sequence[float],
               events: Sequence[tuple[Callable, int]] = (),
               bloated: Box | None = None,
               rtol: float = RTOL, atol: float = ATOL,
-              mode_index: int = 0) -> tuple[Trajectory, int | None]:
+              mode_index: int = 0, max_steps: int = MAX_STEPS
+              ) -> tuple[Trajectory, int | None, int]:
     """Integrate one continuous mode until the horizon, an event crossing,
-    or exit from the bloated box, whichever comes first; returns the
-    trajectory and the slot of the event that stopped it (None for any
-    other stop).
+    exit from the bloated box, or ``max_steps`` trial steps, whichever
+    comes first; returns the trajectory, the slot of the event that
+    stopped it (None for any other stop) and the trial steps taken.
 
     Disturbance inputs are piecewise constant: dpolicy is re-evaluated at
     each accepted step.  Event functions take (state, disturbance).
@@ -136,9 +137,10 @@ def integrate(mode: ModeDef, x0: Sequence[float],
     if dpolicy is None:
         dpolicy = lambda _z: np.empty(0)
     if bloated is not None and _box_gap(bloated, x) > 0.0:
-        return Trajectory(mode_index, start, 0.0, StopReason.LEFT_BLOAT), None
+        return (Trajectory(mode_index, start, 0.0, StopReason.LEFT_BLOAT),
+                None, 0)
     if horizon <= 0.0:
-        return Trajectory(mode_index, start, 0.0, StopReason.HORIZON), None
+        return Trajectory(mode_index, start, 0.0, StopReason.HORIZON), None, 0
 
     flow = ex.compile_vector(mode.flow)
     t = 0.0
@@ -165,7 +167,12 @@ def integrate(mode: ModeDef, x0: Sequence[float],
     h = min(horizon, max(1e-8, 0.01 * (1.0 + float(np.linalg.norm(x)))
                          / (1.0 + float(np.linalg.norm(f0)))))
 
+    steps = 0
     while True:
+        if steps == max_steps:
+            return (Trajectory(mode_index, tuple(x), t, StopReason.STEP_LIMIT),
+                    None, steps)
+        steps += 1
         h = min(h, horizon - t)
         try:
             x_new, err, k = _rk_step(rhs, x, h)
@@ -173,7 +180,7 @@ def integrate(mode: ModeDef, x0: Sequence[float],
             h *= 0.5
             if h < 1e-13 * (1.0 + abs(t)):
                 return (Trajectory(mode_index, tuple(x), t,
-                                   StopReason.FAILURE), None)
+                                   StopReason.FAILURE), None, steps)
             continue
         scale = atol + rtol * np.maximum(np.abs(x), np.abs(x_new))
         err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
@@ -181,7 +188,7 @@ def integrate(mode: ModeDef, x0: Sequence[float],
             h *= max(0.2, 0.9 * err_norm ** -0.2)
             if h < 1e-13 * (1.0 + abs(t)):
                 return (Trajectory(mode_index, tuple(x), t,
-                                   StopReason.FAILURE), None)
+                                   StopReason.FAILURE), None, steps)
             continue
 
         # accepted step: localize the earliest event crossing, if any
@@ -198,14 +205,15 @@ def integrate(mode: ModeDef, x0: Sequence[float],
             t += tau
             if idx == bloat_slot:
                 return (Trajectory(mode_index, tuple(x_loc), t,
-                                   StopReason.LEFT_BLOAT), None)
+                                   StopReason.LEFT_BLOAT), None, steps)
             return (Trajectory(mode_index, tuple(x_loc), t, StopReason.EVENT),
-                    idx)
+                    idx, steps)
 
         t += h
         x = x_new
         if t >= horizon * (1.0 - 1e-14):
-            return Trajectory(mode_index, tuple(x), t, StopReason.HORIZON), None
+            return (Trajectory(mode_index, tuple(x), t, StopReason.HORIZON),
+                    None, steps)
         d = dpolicy(x)
         rhs = rhs_at(d)
         g_prev = [g(x, d) for g, _ in table]
@@ -233,14 +241,16 @@ def flow_hybrid(prob: Problem, start: tuple[int, Sequence[float]],
                 horizon: float, *, bloat_factor: float = 1.1,
                 extra_event: Callable | None = None,
                 rtol: float = RTOL, atol: float = ATOL,
-                max_resets: int = MAX_RESETS) -> Trajectory:
+                max_resets: int = MAX_RESETS,
+                max_steps: int = MAX_STEPS) -> Trajectory:
     """Follow the hybrid flow: continuous phases alternating with resets.
 
     Resets fire as early as possible, including at time zero when the start
     point already sits on a guard.  ``extra_event`` is the stop function
     g(mode, x, d), evaluated in the current mode: the ride stops where it
     crosses down to zero, or at the start of a continuous phase where it
-    is already below zero.
+    is already below zero.  The ride ends with reason STEP_LIMIT after
+    ``max_steps`` trial steps over all its phases.
     """
     mode, x0 = start
     x = np.asarray(x0, dtype=float)
@@ -285,8 +295,10 @@ def flow_hybrid(prob: Problem, start: tuple[int, Sequence[float]],
                     and extra_event(mode, x, dpolicy(mode, x)) < 0.0):
                 return Trajectory(mode, tuple(x), t, StopReason.EVENT, resets)
 
-        traj, slot = integrate(mdef, x, lambda z, _m=mode: dpolicy(_m, z),
-                               horizon - t, events, bloated, rtol, atol, mode)
+        traj, slot, steps = integrate(
+            mdef, x, lambda z, _m=mode: dpolicy(_m, z), horizon - t, events,
+            bloated, rtol, atol, mode, max_steps)
+        max_steps -= steps
         t += traj.time
         x = np.asarray(traj.end)
 

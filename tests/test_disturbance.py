@@ -53,6 +53,21 @@ def test_alpha_picks_drift_minimizing_vertex():
     assert end == (0.0,)
 
 
+@pytest.mark.parametrize("ride, end", [("omega", 5.5), ("alpha", -5.5)])
+def test_rides_pass_over_a_vertex_of_nan_drift(ride, end):
+    # at d = 0 the flow 1 + ln(d) is nan, so is the drift there: the rides
+    # take the other vertex, d = 1, and leave the bloated box
+    prob = model.load_problem({
+        "variables": ["x"], "disturbances": ["d"],
+        "disturbance_box": [[0, 1]],
+        "modes": [{"name": "m", "omega": [[-5, 5]], "flow": ["1 + ln(d)"]}],
+        "init": [{"mode": "m", "box": [[-4, -3]]}],
+        "unsafe": [{"mode": "m", "box": [[3, 4]]}]})
+    cert = Certificate(TMPL, np.array([-1.0, 1.0]))  # V = x - 1
+    (_, x), = getattr(sim, ride)(prob, cert, [(0, (0.0,))], t_max=30.0)
+    assert x[0] == pytest.approx(end, abs=1e-6)
+
+
 def test_transversality_searches_disturbance_jointly():
     prob = disturbed_line(1.5)
     value, _, _, x, d, _ = falsify.min_transversality(

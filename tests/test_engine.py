@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from simbarrier import (benchmarks, chebyshev, engine, expr, falsify, model,
-                        verify)
+                        sim, verify)
 from simbarrier.engine import RunConfig, RunStatus
 from simbarrier.model import Certificate
 from simbarrier.verify import VerdictStatus
@@ -48,6 +48,27 @@ class TestRunOutcomes:
                                                   max_iterations=1))
         assert report.status is RunStatus.ITERATION_LIMIT
         assert report.iterations == 1
+
+    def test_a_long_horizon_run_returns(self, monkeypatch):
+        # the pendulum's bootstrap rides that stay in its state space
+        # circle its equilibrium for the whole horizon of 1e6; each stops
+        # at sim.MAX_STEPS trial steps
+        rides = []
+
+        def flow_hybrid(*args, **kw):
+            rides.append(real(*args, **kw))
+            return rides[-1]
+        real = sim.flow_hybrid
+        monkeypatch.setattr(sim, "flow_hybrid", flow_hybrid)
+        prob = model.load_problem(benchmarks.pendulum())
+        tmpl = model.make_template("quadratic-2d", 2, 1)
+        report = engine.run(prob, tmpl, RunConfig(sigma=1e6, seed=0,
+                                                  max_iterations=1))
+        assert report.status is RunStatus.ITERATION_LIMIT
+        assert report.iterations == 1
+        bootstrap = rides[0] + rides[1]
+        assert {t.reason for t in bootstrap} == {sim.StopReason.STEP_LIMIT,
+                                                 sim.StopReason.LEFT_BLOAT}
 
 
 class TestRunInvariants:

@@ -1,6 +1,8 @@
 import itertools
 import json
+import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -402,7 +404,7 @@ class TestLanding:
 
         x0, lo, hi = np.array([[0.1, 0.1]]), np.zeros(2), np.full(2, 0.5)
         x, landed = model.land_on_level_set(value, self.grad, x0, lo, hi,
-                                            1e-9, 1e-30, 25)
+                                            1e-9, 25)
         assert calls == [1, 1]
         want, want_landed = self.full_loop(x0[0], lo, hi, 1e-9, 25)
         assert x[0].tobytes() == want.tobytes() and landed[0] == want_landed
@@ -418,13 +420,27 @@ class TestLanding:
                        [0.5, 0.5]], dtype=float)
         for steps in (0, 1, 2, 25):
             x, landed = model.land_on_level_set(
-                self.value, self.grad, x0, lo, hi, 1e-9, 1e-30, steps)
+                self.value, self.grad, x0, lo, hi, 1e-9, steps)
             for r in range(len(x0)):
                 want, want_landed = self.full_loop(x0[r], lo[r], hi[r], 1e-9,
                                                    steps)
                 assert x[r].tobytes() == want.tobytes(), (steps, r)
                 assert landed[r] == want_landed, (steps, r)
         assert landed.tolist() == [True, True, False, False, False, False]
+
+    @pytest.mark.parametrize("g", [0.0, math.nan])
+    def test_a_row_without_a_gradient_stops_at_its_point(self, g):
+        # |grad V|^2 is 0 or nan on the second row: no Newton step is
+        # defined there, so it stops where it starts, unlanded, while the
+        # first row lands
+        grad = lambda x: np.where(x[:, :1] > 0.6, g, 1.0) * np.ones_like(x)
+        x0 = np.array([[0.2, 0.2], [0.7, 0.1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, landed = model.land_on_level_set(
+                self.value, grad, x0, np.zeros(2), np.ones(2), 1e-9, 25)
+        assert landed.tolist() == [True, False]
+        assert x[1].tobytes() == x0[1].tobytes()
 
 
 class TestJsonNumber:

@@ -485,6 +485,24 @@ class TestLockstep:
         self.assert_lockstep(sawtooth_problem(), starts, 0.0)
         self.assert_lockstep(sawtooth_problem(), starts, 2.5)
 
+    def test_rides_past_the_step_bound_stop(self, monkeypatch):
+        # thermostat rows switch modes for the whole horizon; with the
+        # bound lowered to 60 trial steps each ends at its 60th, except the
+        # row that starts outside the bloated box
+        monkeypatch.setattr(sim, "MAX_STEPS", 60)
+        prob = _thermostat()
+        point_policy, row_policy = _midpoint(prob)
+        starts = [(m, (x,)) for m in (0, 1) for x in (15.0, 19.5, 21.0)]
+        starts.append((0, (40.0,)))
+        rows = sim.flow_hybrid(prob, starts, row_policy, 1e6)
+        for start, got in zip(starts, rows):
+            want = ref.flow_hybrid(prob, start, point_policy, 1e6,
+                                   max_steps=60)
+            assert _bits(got) == _bits(want), start
+        assert [r.reason for r in rows] == (
+            [StopReason.STEP_LIMIT] * 6 + [StopReason.LEFT_BLOAT])
+        assert min(r.resets for r in rows[:6]) >= 1
+
     def test_extra_event(self):
         # the stop function of a drift ride: here y crossing down to 0; a
         # start with y < 0 is already below zero and ends where it is
