@@ -157,23 +157,25 @@ def minimize_box(f: Batch, grad: Batch, lo: np.ndarray, hi: np.ndarray,
     is halved up to 60 times per iteration, and the next iteration starts
     from ``min(2 * alpha, 1e3)``, so the values of a row never increase.
     A row stops on a non-finite gradient, a projected gradient
-    ``z - project(z - g)`` of norm <= tol, a trial step that does not
-    move, a line search without an accepted step, or after max_iters
-    iterations.  With a ``goal``, a row also stops when, after a multiple
-    of ``_WINDOW`` iterations, it cannot reach the goal at its pace: its
-    gain over the last window is no larger than its gain over the window
-    before, and ``fz - gain * (iterations left) / _WINDOW > goal``.  The
-    first condition keeps a row that is speeding up: lorenz has drift
-    rows that gain 1.4e-4 in their first window (0.51661 -> 0.51647) and
-    fall to -0.0928 by iteration 30, and extrapolating one window alone
-    would stop them.  Each round evaluates ``grad`` on the rows that
-    start an iteration and ``f`` on the rows that try a step, and no
-    other row.
+    ``z - clip(z - g)`` of norm <= tol (clipped to the row's box, also
+    where ``project`` does more: the drift search's retraction would cost
+    Newton steps on every row that starts an iteration), a trial step that
+    does not move, a line search without an accepted step, or after
+    max_iters iterations.  With a ``goal``, a row also stops when, after a
+    multiple of ``_WINDOW`` iterations, it cannot reach the goal at its
+    pace: its gain over the last window is no larger than its gain over
+    the window before, and ``fz - gain * (iterations left) / _WINDOW >
+    goal``.  The first condition keeps a row that is speeding up: lorenz
+    has drift rows that gain 1.4e-4 in their first window (0.51661 ->
+    0.51647) and fall to -0.0928 by iteration 30, and extrapolating one
+    window alone would stop them.  Each round evaluates ``grad`` on the
+    rows that start an iteration and ``f`` on the rows that try a step,
+    and no other row.
 
     Returns the (k, n) end points and their (k,) values.
     """
+    lo, hi = (np.broadcast_to(b, np.shape(z0)) for b in (lo, hi))
     if project is None:
-        lo, hi = (np.broadcast_to(b, np.shape(z0)) for b in (lo, hi))
         project = lambda z, rows: z.clip(lo.take(rows, 0), hi.take(rows, 0))
     z = project(np.asarray(z0, dtype=float), np.arange(len(z0)))
     fz = np.array(f(z), dtype=float)
@@ -206,7 +208,7 @@ def minimize_box(f: Batch, grad: Batch, lo: np.ndarray, hi: np.ndarray,
             iters[fresh] += 1
             zf = z.take(fresh, 0)
             gf = grad(zf)
-            v = zf - project(zf - gf, fresh)
+            v = zf - (zf - gf).clip(lo.take(fresh, 0), hi.take(fresh, 0))
             go = (np.isfinite(gf).all(1)
                   & ~(np.sqrt(_dot(v, v)) <= tol)).nonzero()[0]
             fresh = fresh.take(go)
@@ -389,9 +391,10 @@ def min_transversality(prob: Problem, cert: Certificate, starts: int = 16,
     def descend(mode, lo, hi, z):
         lo, hi = lo[0], hi[0]            # one box per mode
         mc = cert[mode]
+        # patient: a start that stops landing is a start lost to the search
         z[:, :n], landed = model.land_on_level_set(
             mc.value, mc.grad, z[:, :n], lo[:n], hi[:n], band,
-            model.LANDING_STEPS)
+            model.LANDING_STEPS, patient=True)
         rows = landed.nonzero()[0]
         if not rows.size:
             return z, (), rows

@@ -498,11 +498,14 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # Newton steps that land a point on the zero level set: a drift search's
 # start, and a box midpoint of the verifier's drift witness
 LANDING_STEPS = 25
+# a step must cut |V| to at most this share of its value before the step
+_CONTRACTION = 0.5
 
 
 def land_on_level_set(value, grad, x: np.ndarray, lo: np.ndarray,
-                      hi: np.ndarray, band: float,
-                      max_steps: int) -> tuple[np.ndarray, np.ndarray]:
+                      hi: np.ndarray, band: float, max_steps: int,
+                      patient: bool = False
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Newton steps along grad V towards |V| <= band from each row of
     ``x``, each step clipped to the row's box [lo, hi] (arrays of x's
     shape, or one box for all rows); returns the end points and the mask
@@ -510,9 +513,15 @@ def land_on_level_set(value, grad, x: np.ndarray, lo: np.ndarray,
 
     ``value`` and ``grad`` are V and grad V over the rows of a batch.  A
     row stops without landing where |grad V|^2 is not positive (zero or
-    nan) or where its step returns its point, and where V is not finite
-    it never lands.  A row is tested at most ``max_steps + 1`` times:
-    before each step, and once after the last.
+    nan) or where its step returns its point.  It also stops without
+    landing where V is not finite, or where a step fails to halve |V|
+    (|V_new| > 0.5 * |V_old|): Newton's iterates contract near a root, so
+    a row that does not has left that region and would creep towards a
+    point where grad V vanishes and V does not (Deuflhard, *Newton Methods
+    for Nonlinear Problems*, 2004, ch. 1-3).  With ``patient``, a row
+    skips these two rules and steps on; where V is not finite it then
+    never lands.  A row is tested at most ``max_steps + 1`` times: before
+    each step, and once after the last.
     """
     x = x.copy()
     landed = np.zeros(len(x), dtype=bool)
@@ -522,18 +531,21 @@ def land_on_level_set(value, grad, x: np.ndarray, lo: np.ndarray,
     # point goes back to x when it leaves them
     rows, xa = np.arange(len(x)), x
     per_row = lo.ndim == 2
+    limit = math.inf                     # each row's bound on |V|
     for _ in range(max_steps):
         v = value(xa)
-        far = ~(np.abs(v) <= band)
-        if not far.all():
-            near = ~far
+        near = np.abs(v) <= band
+        on = ~near
+        if not patient:
+            on &= np.isfinite(v) & (np.abs(v) <= limit)
+        if not on.all():
             landed[rows[near]] = True
-            x[rows[near]] = xa[near]
-            if not far.any():
+            x[rows[~on]] = xa[~on]
+            if not on.any():
                 return x, landed
-            rows, xa, v = rows[far], xa[far], v[far]
+            rows, xa, v = rows[on], xa[on], v[on]
             if per_row:
-                lo, hi = lo[far], hi[far]
+                lo, hi = lo[on], hi[on]
         g = grad(xa)
         n2 = row_dot(g, g)
         go = n2 > 0.0
@@ -552,10 +564,11 @@ def land_on_level_set(value, grad, x: np.ndarray, lo: np.ndarray,
             x[rows[~moves]] = xa[~moves]
             if not moves.any():
                 return x, landed
-            rows, step = rows[moves], step[moves]
+            rows, step, v = rows[moves], step[moves], v[moves]
             if per_row:
                 lo, hi = lo[moves], hi[moves]
         xa = step
+        limit = _CONTRACTION * np.abs(v)
     landed[rows] = np.abs(value(xa)) <= band
     x[rows] = xa
     return x, landed

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simbarrier import benchmarks, expr as ex, model, sim, verify
+from simbarrier import benchmarks, cli, expr as ex, model, sim, verify
 from simbarrier.interval import Interval
 from rows_reference import coeff_row
 from simbarrier.model import (
@@ -383,25 +383,35 @@ class TestLanding:
     value = staticmethod(lambda x: x[:, 0] + x[:, 1] - 1.5)
     grad = staticmethod(lambda x: np.ones_like(x))
 
-    def full_loop(self, x, lo, hi, band, max_steps):
-        """One row through every step of the loop."""
+    def full_loop(self, x, lo, hi, band, max_steps, patient=False):
+        """One row through every step of the loop; unless ``patient``, it
+        stops where V is not finite or a step fails to halve |V|."""
+        limit = math.inf
         for _ in range(max_steps):
             v = self.value(x[None])[0]
             if abs(v) <= band:
                 return x, True
+            if not patient and not (math.isfinite(v) and abs(v) <= limit):
+                return x, False
             g = self.grad(x[None])[0]
             x = np.clip(x - v / g.dot(g) * g, lo, hi)
+            limit = 0.5 * abs(v)
         return x, abs(self.value(x[None])[0]) <= band
+
+    @staticmethod
+    def counted(value):
+        """``value`` and the list of the batch sizes it is called with."""
+        calls = []
+
+        def counting(x):
+            calls.append(len(x))
+            return value(x)
+        return counting, calls
 
     def test_a_row_clipped_back_to_itself_stops(self):
         # in [0, 0.5]^2 the first step reaches the corner (0.5, 0.5),
         # where V = -0.5, and the second is clipped back to it
-        calls = []
-
-        def value(x):
-            calls.append(len(x))
-            return self.value(x)
-
+        value, calls = self.counted(self.value)
         x0, lo, hi = np.array([[0.1, 0.1]]), np.zeros(2), np.full(2, 0.5)
         x, landed = model.land_on_level_set(value, self.grad, x0, lo, hi,
                                             1e-9, 25)
@@ -418,15 +428,16 @@ class TestLanding:
         lo = np.zeros_like(x0)
         hi = np.array([[1, 1], [1, 1], [0.5, 0.5], [0.5, 0.5], [1, 0.5],
                        [0.5, 0.5]], dtype=float)
-        for steps in (0, 1, 2, 25):
+        for steps, patient in itertools.product((0, 1, 2, 25), (False, True)):
             x, landed = model.land_on_level_set(
-                self.value, self.grad, x0, lo, hi, 1e-9, steps)
+                self.value, self.grad, x0, lo, hi, 1e-9, steps, patient)
             for r in range(len(x0)):
                 want, want_landed = self.full_loop(x0[r], lo[r], hi[r], 1e-9,
-                                                   steps)
-                assert x[r].tobytes() == want.tobytes(), (steps, r)
-                assert landed[r] == want_landed, (steps, r)
-        assert landed.tolist() == [True, True, False, False, False, False]
+                                                   steps, patient)
+                assert x[r].tobytes() == want.tobytes(), (steps, patient, r)
+                assert landed[r] == want_landed, (steps, patient, r)
+            if steps == 25:
+                assert landed.tolist() == [True, True] + [False] * 4
 
     @pytest.mark.parametrize("g", [0.0, math.nan])
     def test_a_row_without_a_gradient_stops_at_its_point(self, g):
@@ -441,6 +452,53 @@ class TestLanding:
                 self.value, grad, x0, np.zeros(2), np.ones(2), 1e-9, 25)
         assert landed.tolist() == [True, False]
         assert x[1].tobytes() == x0[1].tobytes()
+
+    def test_a_row_that_stops_contracting_stops_unless_patient(self):
+        # pendulum-final's box [-10, 0] x [0, 10] holds no point of V = 0:
+        # from V = -3.91 at its midpoint the first step runs into V's
+        # minimum -1.0 at the origin, where grad V vanishes, and the second
+        # fails to halve |V|; a patient row creeps on for every step
+        prob = load_problem(benchmarks.corpus()["pendulum"])
+        path = (Path(__file__).parents[1] / "bench" / "data" / "certs"
+                / "pendulum-final.json")
+        barrier = json.loads(path.read_text())
+        tmpl, p = cli._barrier_from_doc(barrier, prob, "pendulum-final.json")
+        mc = Certificate(tmpl, p)[0]
+        lo, hi = np.array([[-10.0, 0.0]]), np.array([[0.0, 10.0]])
+        for patient, batches in ((False, 3), (True, model.LANDING_STEPS + 1)):
+            value, calls = self.counted(mc.value)
+            _, landed = model.land_on_level_set(
+                value, mc.grad, 0.5 * (lo + hi), lo, hi, 1e-9,
+                model.LANDING_STEPS, patient)
+            assert (len(calls), landed.tolist()) == (batches, [False])
+
+    def test_a_row_where_v_is_not_finite_stops_unless_patient(self):
+        # V is nan at the start: the row stops there, or, patient, steps
+        # to a nan point, whose next step returns it
+        value = lambda x: np.where(x[:, 0] > 0.6, math.nan, self.value(x))
+        x0 = np.array([[0.7, 0.1]])
+        for patient, batches in ((False, 1), (True, 2)):
+            counting, calls = self.counted(value)
+            x, landed = model.land_on_level_set(
+                counting, self.grad, x0, np.zeros(2), np.ones(2), 1e-9,
+                model.LANDING_STEPS, patient)
+            assert (len(calls), landed.tolist()) == (batches, [False])
+            assert np.isnan(x).all() == patient
+
+    def test_a_row_newton_lands_ends_where_the_patient_row_ends(self):
+        # V = x^2 - 1 from x = 10: every step more than halves |V|
+        value = lambda x: x[:, 0] ** 2 - 1.0
+        grad = lambda x: 2.0 * x
+        lo, hi, x0 = np.zeros(1), np.full(1, 20.0), np.array([[10.0]])
+        want = 10.0
+        while not abs(want * want - 1.0) <= 1e-9:
+            want = min(max(want - (want * want - 1.0) / (4 * want * want)
+                           * (2 * want), 0.0), 20.0)
+        for patient in (False, True):
+            x, landed = model.land_on_level_set(
+                value, grad, x0, lo, hi, 1e-9, model.LANDING_STEPS, patient)
+            assert landed.tolist() == [True]
+            assert x[0, 0].hex() == want.hex()
 
 
 class TestJsonNumber:

@@ -357,3 +357,22 @@ BENCH_WITNESS_ROWS = {
 def test_bench_witness_rows_are_pinned():
     assert {case["id"]: _bench_verdict(case).reports[3].witness_rows
             for case in _bench_cases()} == BENCH_WITNESS_ROWS
+
+
+def test_bench_landing_batches_are_pinned(monkeypatch):
+    # the value batches of the drift witness's Newton landing over the
+    # certificates: 1,461 when a row stepped on after a step that failed to
+    # halve |V|; the rows handed to it stay the 543 of BENCH_WITNESS_ROWS
+    batches = []
+    land = model.land_on_level_set
+
+    def counting(value, *args, **kwargs):
+        def counted(x):
+            batches.append(len(x))
+            return value(x)
+        return land(counted, *args, **kwargs)
+
+    monkeypatch.setattr(model, "land_on_level_set", counting)
+    rows = sum(_bench_verdict(case).reports[3].witness_rows
+               for case in _bench_cases())
+    assert (len(batches), rows) == (359, 543)
