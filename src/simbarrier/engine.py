@@ -157,7 +157,8 @@ def run(prob: Problem, tmpl: Template, cfg: RunConfig | None = None) -> RunRepor
             record.kind = ref.hit.kind
         elif cfg.verify:
             t0 = time.perf_counter()
-            verdict = rigor.verify(prob, tmpl, cand.p, cfg.min_width_frac)
+            verdict = rigor.verify(prob, tmpl, cand.p, cfg.min_width_frac,
+                                   cert=cert)
             timings["verification"] += time.perf_counter() - t0
             if verdict.status is rigor.VerdictStatus.REFUTED:
                 ref = falsify.refute(prob, cert, [verdict.hit],

@@ -23,9 +23,10 @@ the order a box-by-box cover takes them:
   only the rows whose midpoint drift does not clearly fall, and every row
   of a box too narrow to split (a witness only serves a refutation, and a
   skipped box is split, so its children get their own tries);
-- the certificate's code, point and box, is one ``model.Certificate``
-  built per call, and the flows and reset maps are compiled on the
-  problem's modes and rules; only the drift enclosure is compiled here;
+- the certificate's code, point and box, is one ``model.Certificate``,
+  the caller's (the engine passes the candidate's) or one built per call,
+  and the flows and reset maps are compiled on the problem's modes and
+  rules; only the drift enclosure is compiled here;
 - a level that refutes stops at its first refuting row; the report counts
   only the boxes before it, and the witness rows up to it, and adds up
   their volumes in box order, so every verdict, witness and
@@ -215,15 +216,21 @@ def _cover(region: Box, min_widths: Sequence[float], n_state: int, check,
 
 
 def verify(prob: Problem, tmpl: Template, p: np.ndarray,
-           min_width_frac: float = 1e-4) -> Verdict:
+           min_width_frac: float = 1e-4, *,
+           cert: Certificate | None = None) -> Verdict:
     """Prove all four certificate conditions, refute one with a checkable
     witness ``Hit``, or give up with the unresolved boxes.  A box is split
     no finer than ``min_width_frac`` of its region's width in each
-    dimension."""
+    dimension.  ``cert`` is the caller's ``Certificate`` of ``tmpl`` and
+    ``p``, whose compiled code the cover then shares; without it, one is
+    built."""
     p = np.asarray(p, dtype=float)
     if not np.all(np.isfinite(p)):
         raise ValueError("certificate parameters must be finite")
-    cert = Certificate(tmpl, p)
+    if cert is None:
+        cert = Certificate(tmpl, p)
+    elif cert.template is not tmpl or not np.array_equal(cert.p, p):
+        raise ValueError("cert is not the certificate of tmpl and p")
     reports = {i: ConditionReport() for i in (1, 2, 3, 4)}
     verdict = Verdict(VerdictStatus.VERIFIED, reports=reports)
     with np.errstate(all="ignore"):

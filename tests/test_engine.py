@@ -244,29 +244,34 @@ THERMOSTAT = Path(__file__).parents[1] / "bench" / "data" / "thermostat.json"
 # step's dense output instead of by fresh steps: the endpoints of event-
 # stopped rides move in their last bits, and with them p, delta and the
 # values and margins (the thermostat keeps its p and delta).  Rounds,
-# kinds and box counts stay.
+# kinds and box counts stay.  Pendulum and log-dynamics were re-recorded
+# when a falsifier start below the goal began to stop once its pace
+# projected less than falsify._DEPTH of its depth: a drift hit ends a
+# little less deep, so p, delta and the values and margins move (not
+# pendulum's first round, whose worst hit is the bound -1).  Rounds, kinds
+# and box counts stay.
 GOLDEN_RUNS = {
     "log-dynamics": (
-        ["0x1.f929bd8bc7240p-5", "-0x1.7ca0a690bdc56p-2",
-         "0x1.16c9aab871251p-2", "-0x1.0000000000000p+0",
-         "-0x1.c299feec5eb38p-4", "-0x1.b57a62e50adb3p-1"],
-        "0x1.3f71797a86e1cp-4",
-        [("transversality", "-0x1.1fb7daf01cff7p-1", "-0x1.cdf4970289af0p-3"),
-         ("transversality", "-0x1.0000000000001p+0", "-0x1.9b85b44cdf682p-5"),
-         ("transversality", "-0x1.1d217220c6bd3p-2", "-0x1.074c5c82bd718p-4"),
-         ("transversality", "-0x1.640c52d1c9215p-3", "-0x1.f87af434c0170p-6"),
-         ("transversality", "-0x1.bbd99727ed11ep-6", "-0x1.69df04ec9a500p-9"),
-         ("transversality", "-0x1.3154d89c7cd8ep-7", "-0x1.faa3d41afc000p-15"),
-         ("transversality", "-0x1.374f705b61fdfp-5", "-0x1.da8577dbdbcc0p-10"),
+        ["0x1.f929ce20f4f5cp-5", "-0x1.7ca0a43cf5bcap-2",
+         "0x1.16c9a6853424ap-2", "-0x1.0000000000000p+0",
+         "-0x1.c299e5d64b8f0p-4", "-0x1.b57a62ae92156p-1"],
+        "0x1.3f717d3e65cf0p-4",
+        [("transversality", "-0x1.1fb7daf01cfe9p-1", "-0x1.cdf497a9d1c90p-3"),
+         ("transversality", "-0x1.0000000000001p+0", "-0x1.9b859b785cdb3p-5"),
+         ("transversality", "-0x1.1d21729c4194dp-2", "-0x1.074c4d13c76fep-4"),
+         ("transversality", "-0x1.640c3eee92354p-3", "-0x1.f87d446e905f0p-6"),
+         ("transversality", "-0x1.bbd9e1835a2c3p-6", "-0x1.69df5360ac300p-9"),
+         ("transversality", "-0x1.3155434629008p-7", "-0x1.faa5529a4f800p-15"),
+         ("transversality", "-0x1.374ee26d6c921p-5", "-0x1.da84bcfe383c0p-10"),
          (None, None, None)],
         {1: (10, 9, 0), 2: (3, 2, 0), 3: (327, 326, 0), 4: (0, 0, 0)}),
     "pendulum": (
-        ["-0x1.67346515c3e68p-6", "-0x1.8997f116456a8p-10",
-         "0x1.29d2ea2252a36p-4", "-0x1.ebfded5bd6c40p-8",
-         "-0x1.d17013f3c2cbfp-1", "-0x1.0000000000000p+0"],
-        "0x1.c347318cedd81p-6",
+        ["-0x1.673467c0bc85cp-6", "-0x1.8998566a0c650p-10",
+         "0x1.29d2e9acf1c31p-4", "-0x1.ebfe6c048f7e0p-8",
+         "-0x1.d170144e6214cp-1", "-0x1.0000000000000p+0"],
+        "0x1.c3472f539d84cp-6",
         [("transversality", "-0x1.0000000000000p+0", "-0x1.de6b88c772d37p-6"),
-         ("transversality", "-0x1.5ee0032761707p-4", "-0x1.c7cf02d142884p-8"),
+         ("transversality", "-0x1.5edfff479198ep-4", "-0x1.c7cefbd56e08dp-8"),
          (None, None, None)],
         {1: (1, 0, 0), 2: (1, 0, 0), 3: (405, 404, 0), 4: (0, 0, 0)}),
     "scalable-l3": (
@@ -307,9 +312,10 @@ def test_whole_run_golden(name):
 
 def test_each_candidate_is_compiled_once(monkeypatch):
     """One engine.run on pendulum builds each candidate's trees once, and
-    verify builds its own once.  Before the candidate was shared, the
-    same run built the value and gradient trees 24 times and the Hessian
-    trees 15 times."""
+    verify shares the final candidate's.  Before the candidate was shared,
+    the same run built the value and gradient trees 24 times and the
+    Hessian trees 15 times, and before verify took the engine's
+    certificate, it built the final candidate's trees a second time."""
     calls = {"certificate_exprs": 0, "hessian_exprs": 0}
     for name in calls:
         def counted(*args, _inner=getattr(model, name), _name=name):
@@ -318,7 +324,7 @@ def test_each_candidate_is_compiled_once(monkeypatch):
         monkeypatch.setattr(model, name, counted)
     report = engine.run(*_doc_run(benchmarks.pendulum()))
     assert report.iterations == 3  # candidates, of one mode each
-    assert calls["certificate_exprs"] <= report.iterations + 1  # + verify
+    assert calls["certificate_exprs"] <= report.iterations
     assert calls["hessian_exprs"] <= report.iterations
 
 

@@ -269,6 +269,50 @@ class TestGoal:
         assert zg.tobytes() == zc.tobytes() and fg.tobytes() == fc.tobytes()
         assert fz[0] <= fg[0]
 
+    def test_creeping_row_below_the_goal_stops(self):
+        # the valley shifted down by 5.35 and capped at 2000 iterations: the
+        # row gets below the goal by iteration 200 and creeps on towards
+        # -5.35; it stops once its pace projects less than _DEPTH of its
+        # depth, which the rest of the run does not gain either
+        f = lambda z: _valley(z) - 5.35
+        cap = 2000
+        z, fz, calls = self.run(f, _valley_grad, self.LO, self.HI, self.START,
+                                max_iters=cap)
+        zg, fg, calls_g = self.run(f, _valley_grad, self.LO, self.HI,
+                                   self.START, max_iters=cap,
+                                   goal=-falsify._EPS_CE)
+        assert calls["grad"] == cap
+        iters = calls_g["grad"]
+        assert iters < 0.9 * cap and iters % falsify._WINDOW == 0
+        zc, fc = minimize_box(f, _valley_grad, self.LO, self.HI, self.START,
+                              max_iters=iters)
+        assert zg.tobytes() == zc.tobytes() and fg.tobytes() == fc.tobytes()
+        depth = -falsify._EPS_CE - fg[0]
+        assert depth > 5.0
+        assert 0.0 < fg[0] - fz[0] <= falsify._DEPTH * depth
+
+    def test_row_below_the_goal_that_speeds_up_keeps_its_bits(self):
+        # -tanh(z - 6) - 2 from z = 0 starts at depth 1 below the goal, on
+        # the plateau of test_plateau_then_drop_is_not_stopped: at the
+        # checks of iterations 10 and 20 its pace projects less than _DEPTH
+        # of its depth, but it gains more than over the window before
+        f = lambda z: -np.tanh(z[:, 0] - 6.0) - 2.0
+        grad = lambda z: np.tanh(z - 6.0) ** 2 - 1.0
+        lo, hi, z0 = np.zeros(1), np.full(1, 20.0), np.zeros((1, 1))
+        at = [float(minimize_box(f, grad, lo, hi, z0, max_iters=k)[1][0])
+              for k in range(0, 3 * falsify._WINDOW, falsify._WINDOW)]
+        assert at[0] < -1.0
+        gains = -np.diff(at)
+        assert gains[1] > gains[0] > 0.0
+        for k, gain in enumerate(gains, 1):
+            left = 200 - k * falsify._WINDOW
+            ahead = gain * left / falsify._WINDOW
+            assert ahead <= falsify._DEPTH * (-falsify._EPS_CE - at[k])
+        z, fz = minimize_box(f, grad, lo, hi, z0)
+        zg, fg = minimize_box(f, grad, lo, hi, z0, goal=-falsify._EPS_CE)
+        assert fg[0] == -math.tanh(14.0) - 2.0
+        assert zg.tobytes() == z.tobytes() and fg.tobytes() == fz.tobytes()
+
 
 def _point_drift(prob, tmpl, p, z):
     """The drift objective at one point, evaluated point-wise with the

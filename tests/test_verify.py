@@ -34,6 +34,17 @@ class TestVerified:
         assert verdict.status is VerdictStatus.VERIFIED
         assert not verdict.unresolved
 
+    def test_callers_certificate_is_used_and_checked(self, monkeypatch):
+        prob, tmpl, p = composition_with_published_barrier()
+        cert = model.Certificate(tmpl, p)
+        built = []
+        monkeypatch.setattr(verify_module, "Certificate",
+                            lambda *args: built.append(args))
+        verdict = verify(prob, tmpl, p, cert=cert)
+        assert verdict.status is VerdictStatus.VERIFIED and built == []
+        with pytest.raises(ValueError, match="not the certificate"):
+            verify(prob, tmpl, p + 1.0, cert=cert)
+
     def test_statistical_cross_check(self, rng):
         # 1e5 samples per condition find no violation of a verified result
         prob, tmpl, p = composition_with_published_barrier()
