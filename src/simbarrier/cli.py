@@ -39,9 +39,15 @@ class UserError(Exception):
 
 def _load_json(path: str) -> dict:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as err:
         raise UserError(f"{path}: {err.strerror or err}") from None
+    try:
+        # JSON is UTF-8 (RFC 8259), whatever the locale's encoding
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise UserError(f"{path}: not UTF-8 at byte {err.start}: "
+                        f"{err.reason}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as err:

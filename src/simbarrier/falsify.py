@@ -45,14 +45,26 @@ A search only has to tell whether a start gets below -``_EPS_CE``, so
 each search hands ``minimize_box`` that goal, and a row stops once its
 pace says that going on would not change the answer.  Every ``_WINDOW``
 iterations, a row whose gain over the last window is no larger than over
-the window before stops when, at that gain, the iterations left would
-not take it below the goal, or, once it is below the goal, would take it
-further down by at most ``_DEPTH`` of its depth there.  The rule is per
-row, so a start still ends where a run of its own would end.  Like the
+the window before stops when the gain it projects for the iterations
+left would not take it below the goal, or, once it is below the goal,
+would take it further down by at most ``_DEPTH`` of its depth there.
+The projection is the last window's gain for each window left, and,
+where the last two window gains each shrank to at most half the one
+before, the smaller geometric tail gain * r / (1 - r), r the larger of
+the two ratios: the rest of a linearly contracting iteration (Ortega &
+Rheinboldt, *Iterative Solution of Nonlinear Equations in Several
+Variables*, 1970).  A pace that counts the last gain once per window
+left projects a descent that has all but settled far ahead of itself;
+the tail stops it windows earlier.  On pendulum (seed 0) it cuts the
+run's drift batches from 364 to 272 with the same outcome, bit for bit.
+One ratio is not enough: a tail projected from one window's ratio
+stops the creeping valley row of ``tests/test_falsify.py`` above a goal
+it reaches.  The rule is per row, so a start still ends where a run of
+its own would end.  Like the
 search itself it is a heuristic, whose misses the rigorous verifier
-catches: a row whose gain dips and then recovers slowly can stop above a
-goal it would have reached, or below the goal short of a much deeper
-end.  Above the goal, the rule stops starts that have settled: without
+catches: a row whose gain dips and then recovers slowly, or whose gains
+halve twice before it reaches a cliff, can stop above a goal it would
+have reached, or below the goal short of a much deeper end.  Above the goal, the rule stops starts that have settled: without
 it, a search that finds nothing runs most of its starts to the
 iteration cap (on scalable-l4, 10 of the 16 drift starts, each within
 1e-6 of its end value by iteration 37).  Below it, the rule stops hits
@@ -114,6 +126,8 @@ _MAX_HALVINGS = 60
 _WINDOW = 10             # iterations between two checks of a row's pace
 _DEPTH = 1e-3            # a stalling row below the goal stops once its pace
                          # projects at most this share of its depth
+_CONTRACTION = 0.5       # window gains that shrink by this ratio, twice,
+                         # project a geometric tail
 
 
 class RefutationError(RuntimeError):
@@ -177,7 +191,16 @@ def minimize_box(f: Batch, grad: Batch, lo: np.ndarray, hi: np.ndarray,
     than its gain over the window before, and the gain that pace projects,
     ``ahead = gain * (iterations left) / _WINDOW``, either cannot take it
     to the goal (``fz - ahead > goal``) or, with the row below the goal,
-    is at most ``_DEPTH * (goal - fz)``.  The first condition keeps a row
+    is at most ``_DEPTH * (goal - fz)``.  Where the gains of the last two
+    windows each shrank to at most ``_CONTRACTION`` (1/2) of the gain
+    before, ``ahead`` is at most the geometric tail ``gain * r / (1 - r)``,
+    with r the larger of the two ratios: what the row still gains if it
+    goes on contracting at that rate.  A linearly converging row then
+    stops at its third check instead of creeping on until its pace
+    projects too little (the floor 0.01 + z0^2 + 50 z1^2 of
+    ``tests/test_falsify.py``: iteration 30 instead of 100).  The guard
+    is written as products, so a zero gain divides nothing.  The first
+    condition keeps a row
     that is speeding up: lorenz has drift rows that gain 1.4e-4 in their
     first window (0.51661 -> 0.51647) and fall to -0.0928 by iteration
     30, and extrapolating one window alone would stop them.  The last
@@ -204,6 +227,7 @@ def minimize_box(f: Batch, grad: Batch, lo: np.ndarray, hi: np.ndarray,
     if goal is not None:
         mark = fz.copy()                 # each row's value a window ago
         gained = np.full(len(z), math.nan)  # its gain over the window before
+        gained2 = gained.copy()          # and over the one before that
     while True:
         if fresh.size:
             fresh = fresh[iters.take(fresh) < max_iters]
@@ -214,12 +238,20 @@ def minimize_box(f: Batch, grad: Batch, lo: np.ndarray, hi: np.ndarray,
                 rows, left = fresh[due], max_iters - done[due]
                 fr = fz.take(rows)
                 gain = mark.take(rows) - fr
-                stop = due.copy()
+                g1, g2 = gained.take(rows), gained2.take(rows)
                 ahead = gain * left / _WINDOW  # the gain its pace projects
-                stop[due] = ((gain <= gained.take(rows))
+                # gains that shrink geometrically project their tail
+                shrinks = ((gain <= _CONTRACTION * g1)
+                           & (g1 <= _CONTRACTION * g2) & (g1 > 0.0))
+                if shrinks.any():
+                    s = shrinks.nonzero()[0]
+                    r = np.maximum(gain[s] / g1[s], g1[s] / g2[s])
+                    ahead[s] = np.minimum(ahead[s], gain[s] * r / (1.0 - r))
+                stop = due.copy()
+                stop[due] = ((gain <= g1)
                              & ((fr - ahead > goal)
                                 | (ahead <= _DEPTH * (goal - fr))))
-                mark[rows], gained[rows] = fr, gain
+                mark[rows], gained[rows], gained2[rows] = fr, gain, g1
                 fresh = fresh[~stop]
         if fresh.size:
             iters[fresh] += 1

@@ -7,16 +7,18 @@ Each run takes its document's settings, with the seed replaced, and
 prints one JSON line: the status, verdict, round and segment counts,
 ``p`` and delta as ``float.hex``, per round the counter-example kind and
 value, the segment margin, the branch-and-bound nodes and the LP pivots,
-the verifier's box counts per condition, and the falsifier's lockstep
-batches: the calls of ``falsify.minimize_box``'s ``f`` and ``grad``, in
-the drift search (``min_transversality``) and in the other three
-searches apart.  ``--compare FILE`` reads the lines of an earlier audit
-and prints, to stderr, each run that differs from its line there in
-more than its batch counts, with its status, verdict and round changes,
-and then the rounds and the batches of each kind summed over the runs
-in both, before -> after.  An earlier audit without batch counts (one
-taken before they were recorded) is compared on the rest; its batches
-print as "-".  The exit status is 1 when a run does not end in
+the verifier's box counts per condition, and under ``batches`` the
+work of the two inner loops: the falsifier's lockstep batches (the
+calls of ``falsify.minimize_box``'s ``f`` and ``grad``), in the drift
+search (``min_transversality``) and in the other three searches apart,
+and the rides' event-location trials (the calls of the event function
+inside ``sim._locate``).  ``--compare FILE`` reads the lines of an
+earlier audit and prints, to stderr, each run that differs from its
+line there in more than these counts, with its status, verdict and
+round changes, and then the rounds, the batches of each kind and the
+event trials summed over the runs in both, before -> after.  A count
+that an earlier audit lacks (one taken before it was recorded) prints
+as "-".  The exit status is 1 when a run does not end in
 BarrierFound/Verified, or when the summed rounds rise.
 """
 
@@ -26,9 +28,11 @@ import argparse
 import json
 import sys
 
-from simbarrier import benchmarks, engine, falsify, model
+from simbarrier import benchmarks, engine, falsify, model, sim
 
-BATCHES = ("drift", "other")     # the searches whose batches are counted
+# what is counted under "batches", and how --compare names its sum
+COUNTS = {"drift": "drift batches", "other": "other batches",
+          "events": "event trials"}
 
 
 def _hex(v) -> str | None:
@@ -38,19 +42,25 @@ def _hex(v) -> str | None:
 def _run_counting_batches(prob, tmpl, cfg) -> tuple[engine.RunReport, dict]:
     """``engine.run`` with every call of ``minimize_box``'s ``f`` and
     ``grad`` counted, under "drift" within ``min_transversality`` and
-    under "other" elsewhere; ``falsify`` is restored afterwards."""
-    counts = dict.fromkeys(BATCHES, 0)
+    under "other" elsewhere, and every call of ``sim._locate``'s event
+    function under "events"; ``falsify`` and ``sim`` are restored
+    afterwards."""
+    counts = dict.fromkeys(COUNTS, 0)
     search = ["other"]
     minimize, drift = falsify.minimize_box, falsify.min_transversality
+    locate = sim._locate
 
-    def counted(fn):
-        def call(z):
-            counts[search[0]] += 1
-            return fn(z)
+    def counted(fn, key=None):
+        def call(*args):
+            counts[key or search[0]] += 1
+            return fn(*args)
         return call
 
     def minimize_box(f, grad, *args, **kwargs):
         return minimize(counted(f), counted(grad), *args, **kwargs)
+
+    def _locate(g, *args):
+        return locate(counted(g, "events"), *args)
 
     def min_transversality(*args, **kwargs):
         search[0] = "drift"
@@ -61,14 +71,16 @@ def _run_counting_batches(prob, tmpl, cfg) -> tuple[engine.RunReport, dict]:
 
     falsify.minimize_box = minimize_box
     falsify.min_transversality = min_transversality
+    sim._locate = _locate
     try:
         return engine.run(prob, tmpl, cfg), counts
     finally:
         falsify.minimize_box, falsify.min_transversality = minimize, drift
+        sim._locate = locate
 
 
 def _outcome(entry: dict) -> dict:
-    """An audit line without its batch counts: what the run computed."""
+    """An audit line without its counts: what the run computed."""
     return {key: v for key, v in entry.items() if key != "batches"}
 
 
@@ -111,9 +123,9 @@ def main(argv=None) -> int:
                 before[entry["problem"], entry["seed"]] = entry
     failed = differ = 0
     rounds_before = rounds_after = 0
-    batches_before = dict.fromkeys(BATCHES, 0)
-    batches_after = dict.fromkeys(BATCHES, 0)
-    old_counted = True            # every compared earlier line has counts
+    counts_before = dict.fromkeys(COUNTS, 0)
+    counts_after = dict.fromkeys(COUNTS, 0)
+    old_counted = dict.fromkeys(COUNTS, True)  # in every compared old line
     for seed in args.seeds:
         for name, doc in benchmarks.corpus().items():
             entry = audit(name, doc, seed)
@@ -125,10 +137,11 @@ def main(argv=None) -> int:
             if old is not None:
                 rounds_before += old["rounds"]
                 rounds_after += entry["rounds"]
-                old_counted &= "batches" in old
-                for kind in BATCHES:
-                    batches_after[kind] += entry["batches"][kind]
-                    batches_before[kind] += old.get("batches", {}).get(kind, 0)
+                for kind in COUNTS:
+                    counts_after[kind] += entry["batches"][kind]
+                    was = old.get("batches", {}).get(kind)
+                    old_counted[kind] &= was is not None
+                    counts_before[kind] += was or 0
             if args.compare and (old is None
                                  or _outcome(old) != _outcome(entry)):
                 differ += 1
@@ -142,9 +155,9 @@ def main(argv=None) -> int:
               "runs differ", file=sys.stderr)
         print(f"summed rounds {rounds_before} -> {rounds_after}",
               file=sys.stderr)
-        for kind in BATCHES:
-            was = batches_before[kind] if old_counted else "-"
-            print(f"summed {kind} batches {was} -> {batches_after[kind]}",
+        for kind, name in COUNTS.items():
+            was = counts_before[kind] if old_counted[kind] else "-"
+            print(f"summed {name} {was} -> {counts_after[kind]}",
                   file=sys.stderr)
     print(f"{failed} runs not BarrierFound/Verified", file=sys.stderr)
     return 1 if failed or rounds_after > rounds_before else 0

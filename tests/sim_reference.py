@@ -89,27 +89,46 @@ def _crossed(direction: int, g0: float, g1: float) -> bool:
     return (g0 > 0.0 >= g1) or (g0 <= 0.0 < g1)
 
 
-def _bisect(x_left: np.ndarray, k: np.ndarray, h: float, x_right: np.ndarray,
-            g, g_left: float, direction: int) -> tuple[float, np.ndarray]:
+def _locate(x_left: np.ndarray, k: np.ndarray, h: float, x_right: np.ndarray,
+            g, g_left: float, g_right: float,
+            direction: int) -> tuple[float, np.ndarray]:
     """Localize the crossing inside (0, h] on the dense output of the step
-    from x_left to x_right with stages k; returns the endpoint on the
-    crossed side (so guard events land inside the guard)."""
-    lo, x_lo = 0.0, x_left
-    hi, x_hi = h, x_right
+    from x_left to x_right with stages k, where g is g_left and g_right:
+    Illinois regula falsi, each trial clipped EVENT_TIME_TOL / 4 inside the
+    bracket, a trial that is not a number and every trial after the 8th at
+    the midpoint; returns the endpoint on the crossed side (so guard
+    events land inside the guard)."""
+    lo, x_lo, g_lo = 0.0, x_left, float(g_left)
+    hi, x_hi, g_hi = h, x_right, float(g_right)
+    kept = 0                      # the end the last trial kept: -1 lo, 1 hi
+    edge = EVENT_TIME_TOL / 4
     q = np.dot(k.T, _DP_P)
     crossed_from_left = lambda gm: _crossed(direction, g_left, gm)
+    trials = 0
     while hi - lo > EVENT_TIME_TOL:
         mid = 0.5 * (lo + hi)
-        theta = mid / h
+        t = mid
+        if trials < 8:
+            den = g_lo - g_hi
+            secant = lo + (hi - lo) * (g_lo / den) if den else math.nan
+            if secant == secant:
+                t = min(max(secant, lo + edge), hi - edge)
+        trials += 1
+        theta = t / h
         powers = np.array([theta, theta * theta, theta * theta * theta,
                            theta * theta * theta * theta])
-        x_mid = x_left + h * np.dot(q, powers)
-        if not np.all(np.isfinite(x_mid)):
+        x_t = x_left + h * np.dot(q, powers)
+        if not np.all(np.isfinite(x_t)):
             raise _StepError("non-finite dense output")
-        if crossed_from_left(g(x_mid)):
-            hi, x_hi = mid, x_mid
+        g_t = g(x_t)
+        if crossed_from_left(g_t):
+            if kept == -1:
+                g_lo *= 0.5
+            hi, x_hi, g_hi, kept = t, x_t, float(g_t), -1
         else:
-            lo, x_lo = mid, x_mid
+            if kept == 1:
+                g_hi *= 0.5
+            lo, x_lo, g_lo, kept = t, x_t, float(g_t), 1
     if direction > 0:
         # exit events report the last point still inside
         return lo, x_lo
@@ -196,8 +215,8 @@ def integrate(mode: ModeDef, x0: Sequence[float],
         for idx, (g, direction) in enumerate(table):
             g_new = g(x_new, d)
             if _crossed(direction, g_prev[idx], g_new):
-                tau, x_loc = _bisect(x, k, h, x_new, lambda z, _g=g: _g(z, d),
-                                     g_prev[idx], direction)
+                tau, x_loc = _locate(x, k, h, x_new, lambda z, _g=g: _g(z, d),
+                                     g_prev[idx], g_new, direction)
                 if earliest is None or tau < earliest[0]:
                     earliest = (tau, idx, x_loc)
         if earliest is not None:

@@ -221,12 +221,14 @@ class TestSolveProperties:
 # p and delta were re-recorded when ride events began to be located on
 # the step's dense output, which moves the bootstrap endpoints that leave
 # the bloated box in their last bits; the row counts, nodes and pivots
-# stay.  Recorded on x86-64 Linux with glibc's libm and OpenBLAS.
+# stay.  They were re-recorded again, for the same reason, when the
+# locator became a secant (Illinois regula falsi) instead of bisection.
+# Recorded on x86-64 Linux with glibc's libm and OpenBLAS.
 GOLDEN_SCALABLE_L2 = (
-    ["0x1.2e38f7b34c450p-3", "-0x1.0000000000000p+0",
-     "0x1.1f2b753ff7780p-10", "0x1.be9e4eec96800p-11",
-     "0x1.1ef44f33274c2p-10", "0x1.be31caa3396a3p-11"],
-    "0x1.923485c157827p-2", 15, 154)
+    ["0x1.2e38f7fd71f10p-3", "-0x1.0000000000000p+0",
+     "0x1.1f2b7541ec680p-10", "0x1.be9e4ee908a00p-11",
+     "0x1.1ef44ec5c368bp-10", "0x1.be31cb981158ap-11"],
+    "0x1.923485bfb71ecp-2", 15, 154)
 
 
 def test_golden_scalable_l2():

@@ -569,6 +569,41 @@ class TestErrors:
         err = capsys.readouterr().err
         assert f"{path}: invalid JSON: " in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["synth", "verify", "bench"])
+    def test_document_not_in_utf8_is_diagnosed(self, tmp_path, capsys,
+                                               composition_path, command):
+        # a UTF-16 byte order mark: JSON is UTF-8, so the bytes do not
+        # decode, and the error names the file and the byte
+        bad = tmp_path / "docs" / "utf16.json"
+        bad.parent.mkdir()
+        bad.write_bytes(b"\xff\xfe{\x00}\x00")
+        args = {"synth": ["synth", str(bad)],
+                "verify": ["verify", composition_path, "--barrier", str(bad)],
+                "bench": ["bench", str(bad.parent)]}[command]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: not UTF-8 at byte 0: invalid start byte" in err
+        assert "Traceback" not in err
+
+    def test_utf8_document_is_read_whatever_the_locale(self, tmp_path):
+        # a non-ASCII name under the C locale without UTF-8 mode, where
+        # the locale's encoding is ASCII
+        doc = benchmarks.composition()
+        doc["name"] = "compositión"
+        path = tmp_path / "named.json"
+        path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONPATH=os.pathsep.join(
+                       [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        done = subprocess.run(
+            [sys.executable, "-m", "simbarrier.cli", "synth", str(path),
+             "--no-verify", "--report", str(tmp_path / "report.json")],
+            env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        report = json.loads((tmp_path / "report.json").read_text("utf-8"))
+        assert report["problem"] == "compositión"
+
     def test_missing_file(self, capsys):
         assert cli.main(["synth", "/nonexistent/problem.json"]) == 2
 

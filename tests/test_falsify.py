@@ -291,6 +291,28 @@ class TestGoal:
         assert depth > 5.0
         assert 0.0 < fg[0] - fz[0] <= falsify._DEPTH * depth
 
+    def test_row_whose_gains_halve_stops_at_its_tail(self, monkeypatch):
+        # 0.01 + z0^2 + 50 z1^2 from (-1.5, 1.9) converges linearly to a
+        # floor 0.01 above the goal: after its first window each window
+        # gains ~0.41 of the one before (0.68, 0.28, 0.11, ...).  The tail
+        # those gains project stops it at the check of iteration 30, two
+        # halvings in; their pace projects a crossing of the goal until
+        # iteration 100, where the rule without the tail stops it
+        f = lambda z: 0.01 + z[:, 0] ** 2 + 50.0 * z[:, 1] ** 2
+        grad = lambda z: np.stack([2.0 * z[:, 0], 100.0 * z[:, 1]], 1)
+        z0 = np.array([[-1.5, 1.9]])
+        goal = -falsify._EPS_CE
+        zg, fg, calls = self.run(f, grad, self.LO, self.HI, z0, goal=goal)
+        iters = calls["grad"]
+        assert iters == 3 * falsify._WINDOW
+        zc, fc = minimize_box(f, grad, self.LO, self.HI, z0, max_iters=iters)
+        assert zg.tobytes() == zc.tobytes() and fg.tobytes() == fc.tobytes()
+        _, fz = minimize_box(f, grad, self.LO, self.HI, z0)
+        assert goal < fz[0] <= fg[0]
+        monkeypatch.setattr(falsify, "_CONTRACTION", 0.0)  # no tail
+        _, _, paced = self.run(f, grad, self.LO, self.HI, z0, goal=goal)
+        assert paced["grad"] == 10 * falsify._WINDOW
+
     def test_row_below_the_goal_that_speeds_up_keeps_its_bits(self):
         # -tanh(z - 6) - 2 from z = 0 starts at depth 1 below the goal, on
         # the plateau of test_plateau_then_drop_is_not_stopped: at the
@@ -675,7 +697,9 @@ def _hex(values):
 # positive, so the searches stop short of them, and they rise by at most
 # 9.4e-4 relative.  The round-1 hit is unchanged.  Its segment was
 # re-recorded when ride events began to be located on the step's dense
-# output: the drift rides' endpoints move by at most 2.1e-7.
+# output: the drift rides' endpoints move by at most 2.1e-7.  It was
+# re-recorded again when the locator became a secant (Illinois regula
+# falsi) instead of bisection: the endpoints move by at most 1.2e-9.
 GOLDEN_SEARCHES = {
     "pendulum-round-1": (
         "pendulum",
@@ -689,8 +713,8 @@ GOLDEN_SEARCHES = {
          "min_reset": "inf"},
         ("transversality", "-0x1.0000000000000p+0",
          ["-0x1.04ac2af0c9767p+2", "-0x1.0f592a4ae3fcdp-3"],
-         (0, ["-0x1.5fffffff372cfp+3", "0x1.0080eedc7515ap+3"],
-          0, ["-0x1.6abf851978ccep+2", "-0x1.93154a3b5f036p-1"],
+         (0, ["-0x1.5fffffffc5084p+3", "0x1.0080eedd14a35p+3"],
+          0, ["-0x1.6abf8518e3785p+2", "-0x1.93154a3c9dd8fp-1"],
           False, False, False, False)),
     ),
     "pendulum-final": (

@@ -207,7 +207,7 @@ class TestEventLocation:
             calls["flow_locating"] += locating[0]
             return flow(z)
 
-        def counted_bisect(*args, _inner=sim._bisect):
+        def counted_locate(*args, _inner=sim._locate):
             calls["located"] += 1
             locating[0] = True
             try:
@@ -216,11 +216,108 @@ class TestEventLocation:
                 locating[0] = False
 
         prob.modes[0].__dict__["flow_rows"] = counted_flow
-        monkeypatch.setattr(sim, "_bisect", counted_bisect)
+        monkeypatch.setattr(sim, "_locate", counted_locate)
         traj = _ride(prob, (0, [1.0, 0.0]), 10.0, bloat_factor=1.0)
         assert traj.reason is StopReason.LEFT_BLOAT
         assert calls["located"] == 1 and calls["flow"] >= 8
         assert calls["flow_locating"] == 0
+
+    @staticmethod
+    def locate(flow, x0, h, g, direction):
+        """One Dormand-Prince step of size h of x' = flow(x) from x0, and
+        ``sim._locate`` of g's crossing on it: the time, the point, whether
+        the row failed, and the trials (calls of g)."""
+        x, d, h = np.array([x0], dtype=float), np.empty((1, 0)), np.array([h])
+        x_new, k = sim._rk_step(lambda z, _d: flow(z), x, d, h)
+        trials = [0]
+
+        def counted(z, _d):
+            trials[0] += 1
+            return g(z)
+
+        t, at, failed = sim._locate(counted, direction, x, k, d, h, g(x),
+                                    x_new, g(x_new))
+        return t[0], at[0], failed[0], trials[0]
+
+    def test_a_linear_event_takes_at_most_three_trials(self):
+        # x - 0.3 on x' = 1: the first secant lands on the crossing, and
+        # the next, clipped a quarter tolerance inside, closes the bracket
+        t, at, failed, trials = self.locate(np.ones_like, [0.0], 1.0,
+                                            lambda z: z[:, 0] - 0.3, 0)
+        assert not failed and trials <= 3
+        assert abs(t - 0.3) <= sim.EVENT_TIME_TOL and at[0] - 0.3 >= 0.0
+
+    def test_a_smooth_drift_zero_takes_at_most_eight_trials(self,
+                                                            monkeypatch):
+        # the drift x of V = y on x = cos t, y = sin t from t = 1.4 falls
+        # to zero at t = pi/2 - 1.4; the secant finds the crossing of the
+        # step's interpolant that bisection finds, in fewer trials
+        rotate = lambda z: np.stack([-z[:, 1], z[:, 0]], 1)
+        args = (rotate, [math.cos(1.4), math.sin(1.4)], 0.25,
+                lambda z: z[:, 0], -1)
+        t, at, failed, trials = self.locate(*args)
+        assert not failed and trials <= 8
+        assert abs(t - (math.pi / 2 - 1.4)) <= 1e-6 and at[0] <= 0.0
+        monkeypatch.setattr(sim, "_SECANT_TRIALS", 0)
+        t_bisect, _, _, bisected = self.locate(*args)
+        assert abs(t - t_bisect) <= sim.EVENT_TIME_TOL
+        assert bisected == math.ceil(math.log2(0.25 / sim.EVENT_TIME_TOL))
+
+    @pytest.mark.parametrize("g", [
+        lambda z: -(z[:, 0] - 0.3) ** 9,
+        lambda z: np.maximum(0.3 - z[:, 0], 1e-3 * (0.3 - z[:, 0])),
+        lambda z: np.minimum(0.3 - z[:, 0], 40.0 * (0.2 - z[:, 0]) + 4.0),
+    ], ids=["flat", "kinked-at-the-crossing", "kinked-before-it"])
+    def test_flat_and_kinked_events_close_within_the_bound(self, g):
+        t, _, failed, trials = self.locate(np.ones_like, [0.0], 1.0, g, -1)
+        bisection = math.ceil(math.log2(1.0 / sim.EVENT_TIME_TOL))
+        assert not failed and trials <= sim._SECANT_TRIALS + bisection
+        assert 0.3 <= t <= 0.3 + sim.EVENT_TIME_TOL
+
+    def test_an_exit_event_returns_a_point_inside(self):
+        gap = sim._box_gap(Box((-1.0, -1.0), (0.3, 1.0)))
+        t, at, failed, trials = self.locate(
+            lambda z: np.stack([np.ones(len(z)), z[:, 0]], 1), [0.0, 0.0],
+            0.8, gap, 1)
+        assert not failed and trials <= 3
+        assert gap(at[None])[0] <= 0.0 and abs(t - 0.3) <= sim.EVENT_TIME_TOL
+
+    BALL = {
+        "variables": ["x", "v"],
+        "modes": [{"name": "fall", "omega": [[-1, 2], [-20, 20]],
+                   "flow": ["v", "-9.81"]}],
+        "resets": [{"source": "fall", "target": "fall",
+                    "guard": [[-1, 0], [-20, 0]], "map": ["x", "-0.8*v"]}],
+        "init": [{"mode": "fall", "box": [[0.5, 1], [0, 0]]}],
+        "unsafe": [{"mode": "fall", "box": [[1.5, 2], [-20, 20]]}],
+    }
+
+    def test_a_bouncing_ball_bounces_at_the_analytic_times(self):
+        # a reset that moves points: the ball falls from x0 at rest and
+        # each bounce keeps 0.8 of its speed, so it lands at t1 =
+        # sqrt(2 x0 / g) and then after flights of 2 (0.8^j) g t1 / g
+        prob = model.load_problem(self.BALL)
+        starts = [(0, (x0, 0.0)) for x0 in (1.0, 0.7, 0.5)]
+        rows = sim.flow_hybrid(prob, starts, None, 3.0)
+        for start, got in zip(starts, rows):
+            assert _bits(got) == _bits(ref.flow_hybrid(prob, start, None,
+                                                       3.0)), start
+            assert got.resets >= 5
+        for x0 in (1.0, 0.7):
+            t1 = math.sqrt(2.0 * x0 / 9.81)
+            landings = [t1 + sum(2.0 * 0.8 ** j * t1 for j in range(1, k))
+                        for k in range(1, 6)]
+            for k, t_k in enumerate(landings, 1):
+                jumps = []
+
+                def refuse_kth(_rule, x, _y):
+                    jumps.append(x)
+                    return np.full(len(x), len(jumps) == k)
+
+                traj = _ride(prob, (0, (x0, 0.0)), 3.0,
+                             jump_stop=refuse_kth)
+                assert traj.reason is StopReason.JUMP and traj.resets == k - 1
+                assert abs(traj.time - t_k) <= 1e-8, (x0, k)
 
     def test_an_overflowing_dense_output_fails_the_row(self):
         # the stages of x' = 1e308 are finite and so is the step, but
