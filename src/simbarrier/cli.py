@@ -335,7 +335,10 @@ def _cmd_bench(args) -> int:
     header = (f"{'problem':<16} {'dim':>3} {'iter':>4} {'simulation':>10} "
               f"{'candidate':>10} {'counterex':>10} {'verif':>8}  status")
     print(header)
+    # a name that stdout's encoding cannot encode prints with escapes
+    encoding = sys.stdout.encoding or "utf-8"
     for name, dim, report in rows:
+        name = str(name).encode(encoding, "backslashreplace").decode(encoding)
         if isinstance(report, Exception):
             print(f"{name:<16} {dim:>3} {'-':>4} {'-':>10} {'-':>10} "
                   f"{'-':>10} {'-':>8}  Error/{type(report).__name__}")

@@ -412,14 +412,16 @@ def _codegen(e: Expr, flavour: str = "point") -> str:
     numpy versions round as libm does; powers, exp and log run per entry
     on Python floats (``_pow``, ``_each_exp``, ``_each_log``), because
     numpy's vector ``power``, ``exp`` and ``log`` round differently from
-    libm; division by a non-constant goes through ``_div``; and subtrees
-    without variables are point code.  Where the point code raises on an
-    entry, ``_pow``, ``_each_*`` and ``_div`` give nan there and add its
-    row to the list ``_bad`` of the call, their first argument.  Box code
-    reads interval rows ``_v[i]`` (``interval.Rows``, one interval per
-    box): the same operators, constants as point intervals ``_I(c)``,
-    never folded in floats, and ``_div``, ``_log`` and ``_sqrt``, which
-    give nan bounds on the rows where the box leaves their domain.
+    libm; division by anything but a non-zero constant goes through
+    ``_div``; and a subtree without variables is its value, folded here
+    (``_fold``), or point code where that raises or is not finite.  Where
+    the point code raises on an entry, ``_pow``, ``_each_*`` and ``_div``
+    give nan there and add its row to the list ``_bad`` of the call, their
+    first argument.  Box code reads interval rows ``_v[i]``
+    (``interval.Rows``, one interval per box): the same operators,
+    constants as point intervals ``_I(c)``, never folded in floats, and
+    ``_div``, ``_log`` and ``_sqrt``, which give nan bounds on the rows
+    where the box leaves their domain.
 
     A chain of sums and differences is emitted flat, as Python groups it,
     by a loop down its left operands, and added up left to right in chunks
@@ -429,6 +431,9 @@ def _codegen(e: Expr, flavour: str = "point") -> str:
     chain.
     """
     if flavour == "batch" and not variables_of(e):
+        value = _fold(e)
+        if value is not None and math.isfinite(value):
+            return f"({value!r})"
         flavour = "point"
     gen = lambda a: _codegen(a, flavour)
     match e:
@@ -457,8 +462,8 @@ def _codegen(e: Expr, flavour: str = "point") -> str:
         case Mul(a, b):
             return f"({gen(a)} * {gen(b)})"
         case Div(a, b):
-            if flavour == "box" or (flavour == "batch" and not (
-                    isinstance(b, Const) and b.value != 0.0)):
+            if flavour == "box" or (flavour == "batch" and (
+                    variables_of(b) or _fold(b) in (None, 0.0))):
                 bad = "_bad, " if flavour == "batch" else ""
                 return f"_div({bad}{gen(a)}, {gen(b)})"
             return f"({gen(a)} / {gen(b)})"
@@ -507,14 +512,16 @@ def _each(fn):
 def _array_call(fn, raises):
     """``fn`` over the column in one numpy call, for a function whose numpy
     version rounds as libm does; entries where ``raises`` (where the point
-    code raises) are nan and their rows are added to ``bad``."""
+    code raises) are nan and their rows are added to ``bad``.  A column
+    with no such entry is one plain call, which warns of nothing."""
     def call(bad, col):
+        undefined = raises(col)
+        if not undefined.any():
+            return fn(col)
         with np.errstate(invalid="ignore"):
             out = fn(col)
-        undefined = raises(col)
-        if undefined.any():
-            out[undefined] = math.nan
-            bad += np.flatnonzero(undefined).tolist()
+        out[undefined] = math.nan
+        bad += np.flatnonzero(undefined).tolist()
         return out
     return call
 
@@ -554,6 +561,17 @@ _BOX = dict(_I=iv.point, _Rows=iv.Rows, _sin=iv.sin, _cos=iv.cos,
 
 def _compile(src: str):
     return eval(src, dict(_MATH))  # noqa: S307 - source is generated locally
+
+
+def _fold(e: Expr) -> float | None:
+    """The value the point code gives for ``e``, an expression without
+    variables, or None where it raises."""
+    if isinstance(e, Const):
+        return e.value
+    try:
+        return _compile(_codegen(e))
+    except MATH_ERRORS:
+        return None
 
 
 def compile_vector(es: Sequence[Expr]):
@@ -617,20 +635,14 @@ def _batch_code(es: Sequence[Expr]):
     failure (``ln(x) ^ 0`` is 1.0 at nan).  A subtree or an entry without
     variables that raises makes every row nan.  Entries without variables
     are evaluated once, here, into a row that each call repeats, unless
-    they raise.
+    they raise: a constant entry is its value.
     """
     base, lines = [], []
     for i, e in enumerate(es):
-        code = _codegen(e, "batch")
-        value = None
-        if not variables_of(e):
-            try:
-                value = _compile(code)
-            except MATH_ERRORS:
-                pass  # every call makes every row nan
+        value = None if variables_of(e) else _fold(e)
         base.append(0.0 if value is None else value)
         if value is None:
-            lines.append(f"        _out[:, {i}] = {code}\n")
+            lines.append(f"        _out[:, {i}] = {_codegen(e, 'batch')}\n")
     src = ("def _f(_z):\n    _v = _z.T\n"
            "    _bad = []\n"
            "    _out = _base.repeat(len(_z), 0)\n"

@@ -60,21 +60,23 @@ run's drift batches from 364 to 272 with the same outcome, bit for bit.
 One ratio is not enough: a tail projected from one window's ratio
 stops the creeping valley row of ``tests/test_falsify.py`` above a goal
 it reaches.  The rule is per row, so a start still ends where a run of
-its own would end.  Like the
-search itself it is a heuristic, whose misses the rigorous verifier
-catches: a row whose gain dips and then recovers slowly, or whose gains
-halve twice before it reaches a cliff, can stop above a goal it would
-have reached, or below the goal short of a much deeper end.  Above the goal, the rule stops starts that have settled: without
-it, a search that finds nothing runs most of its starts to the
-iteration cap (on scalable-l4, 10 of the 16 drift starts, each within
-1e-6 of its end value by iteration 37).  Below it, the rule stops hits
-that creep: any point below the goal refutes, yet on pendulum (seed 0)
-the first round's drift search took 124 gradient batches, ~40 of them
-with 7 rows creeping at -0.5257.  With the rule it takes 55, and the
-run's drift searches take 364 lockstep batches (``f`` and ``grad``
-calls) instead of 552.  On the bundled problems (seeds 0-7) it keeps
-every round count, while a hit stops a little less deep: of the 2,237
-rows that end below the goal, none by more than 1.0e-4 of its depth.
+its own would end.  Like the search itself it is a heuristic, whose
+misses the rigorous verifier catches: a row whose gain dips and then
+recovers slowly, or whose gains halve twice before it reaches a cliff,
+can stop above a goal it would have reached, or below the goal short of
+a much deeper end.
+
+Above the goal, the rule stops starts that have settled: without it, a
+search that finds nothing runs most of its starts to the iteration cap
+(on scalable-l4, 10 of the 16 drift starts, each within 1e-6 of its end
+value by iteration 37).  Below it, the rule stops hits that creep: any
+point below the goal refutes, yet on pendulum (seed 0) the first round's
+drift search took 124 gradient batches, ~40 of them with 7 rows creeping
+at -0.5257.  With the rule it takes 55, and the run's drift searches take
+364 lockstep batches (``f`` and ``grad`` calls) instead of 552.  On the
+bundled problems (seeds 0-7) it keeps every round count, while a hit
+stops a little less deep: of the 2,237 rows that end below the goal,
+none by more than 1.0e-4 of its depth.
 
 The objectives are batched: one code generator, ``expr.compile_batch``,
 evaluates the certificate, its gradient and its Hessian (the candidate's
@@ -157,10 +159,9 @@ def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (m @ v[:, :, None])[:, :, 0]
 
 
-Batch = Callable[[np.ndarray], np.ndarray]
-
-
-Projection = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# ``f(points, rows)``: a map of the (j, n) points of a descent's rows
+Batch = Callable[[np.ndarray, np.ndarray], np.ndarray]
+Projection = Batch
 
 
 def minimize_box(f: Batch, grad: Batch, lo: np.ndarray, hi: np.ndarray,
@@ -170,16 +171,24 @@ def minimize_box(f: Batch, grad: Batch, lo: np.ndarray, hi: np.ndarray,
     """Projected gradient descent with Armijo backtracking, from the k
     starts in the rows of ``z0`` at once.
 
-    ``f`` maps (j, n) points to their (j,) values and ``grad`` to their
-    (j, n) gradients.  ``project(points, rows)`` maps the (j, n) points of
-    the rows ``rows`` (indices into ``z0``) into the feasible set and
-    returns them as a new array; by default it clips them to the box
-    ``lo``, ``hi`` of shape (n,) or (k, n).  A point it maps to a
-    non-finite row is infeasible.  Each row is an independent descent:
-    the start is projected, a step ``z - alpha * g`` is projected and
-    accepted when its value is finite and ``fn <= fz + 1e-4 * g.dz``, it
-    is halved up to 60 times per iteration, and the next iteration starts
-    from ``min(2 * alpha, 1e3)``, so the values of a row never increase.
+    Each of ``f(points, rows)``, ``grad(points, rows)`` and
+    ``project(points, rows)`` is handed the (j, n) points of the rows
+    ``rows`` (indices into ``z0``, in no particular order).  ``f`` returns
+    their (j,) values and ``grad`` their (j, n) gradients.  ``project``
+    maps them into the feasible set and returns them as a new array; by
+    default it clips them to the box ``lo``, ``hi`` of shape (n,) or
+    (k, n).  A point it maps to a non-finite row is infeasible.  ``f`` is
+    first called on every row, and a row's ``grad`` call is always at the
+    point of its last ``f`` call: a row starts an iteration only at its
+    start or right after its trial point was accepted, and a rejected
+    trial is followed by another trial, not by a gradient.  So ``f`` may
+    keep, per row, what ``grad`` needs at the same point.
+
+    Each row is an independent descent: the start is projected, a step
+    ``z - alpha * g`` is projected and accepted when its value is finite
+    and ``fn <= fz + 1e-4 * g.dz``, it is halved up to 60 times per
+    iteration, and the next iteration starts from ``min(2 * alpha, 1e3)``,
+    so the values of a row never increase.
     A row stops on a non-finite gradient, a projected gradient
     ``z - clip(z - g)`` of norm <= tol (clipped to the row's box, also
     where ``project`` does more: the drift search's retraction would cost
@@ -215,8 +224,9 @@ def minimize_box(f: Batch, grad: Batch, lo: np.ndarray, hi: np.ndarray,
     lo, hi = (np.broadcast_to(b, np.shape(z0)) for b in (lo, hi))
     if project is None:
         project = lambda z, rows: z.clip(lo.take(rows, 0), hi.take(rows, 0))
-    z = project(np.asarray(z0, dtype=float), np.arange(len(z0)))
-    fz = np.array(f(z), dtype=float)
+    every = np.arange(len(z0))
+    z = project(np.asarray(z0, dtype=float), every)
+    fz = np.array(f(z, every), dtype=float)
     g = np.empty_like(z)
     step = np.ones(len(z))
     alpha = np.empty(len(z))
@@ -256,7 +266,7 @@ def minimize_box(f: Batch, grad: Batch, lo: np.ndarray, hi: np.ndarray,
         if fresh.size:
             iters[fresh] += 1
             zf = z.take(fresh, 0)
-            gf = grad(zf)
+            gf = grad(zf, fresh)
             v = zf - (zf - gf).clip(lo.take(fresh, 0), hi.take(fresh, 0))
             go = (np.isfinite(gf).all(1)
                   & ~(np.sqrt(_dot(v, v)) <= tol)).nonzero()[0]
@@ -278,7 +288,7 @@ def minimize_box(f: Batch, grad: Batch, lo: np.ndarray, hi: np.ndarray,
                                      a.take(keep))
             if not search.size:
                 return z, fz
-        fn = f(zn)
+        fn = f(zn, search)
         ok = np.isfinite(fn) & (fn <= fz.take(search) + 1e-4 * _dot(gs, dz))
         accepted, rejected = ok.nonzero()[0], (~ok).nonzero()[0]
         fresh = search.take(accepted)
@@ -332,8 +342,8 @@ def _min_sign(cert: Certificate, regions, sign: float, starts: int,
               seed: int, kind: str) -> list[Hit]:
     def descend(mode, lo, hi, z0):
         mc = cert[mode]
-        z, values = minimize_box(lambda z: sign * mc.value(z),
-                                 lambda z: sign * mc.grad(z), lo, hi, z0,
+        z, values = minimize_box(lambda z, _: sign * mc.value(z),
+                                 lambda z, _: sign * mc.grad(z), lo, hi, z0,
                                  goal=-_EPS_CE)
         return z, values, range(len(z))
 
@@ -362,32 +372,41 @@ def _drift_objective(prob: Problem, mode: int, mc: ModeCertificate):
     removed from the x columns, which is the steepest descent direction
     within the level set of V through the point.  Points where the norm of
     grad V or of the flow is not finite or vanishes are treated as +inf,
-    with a zero gradient."""
-    n, flow = prob.dim, prob.modes[mode].flow_rows
+    with a zero gradient.
 
-    def parts(z):
-        x = z[:, :n]
-        gv, fv = mc.grad(x), flow(z)
+    Both are ``minimize_box`` objectives, called with the rows of a
+    descent.  ``value`` keeps each row's grad V, flow, their norms and its
+    flat mask, and ``gradient`` takes them from the row's last ``value``
+    call, which ``minimize_box`` makes at the same point; it adds only the
+    Hessian and the flow Jacobian terms.  What is kept is sized by the
+    largest ``value`` call so far, so a descent's first ``value`` call is
+    on every row, as in ``minimize_box``."""
+    n, flow = prob.dim, prob.modes[mode].flow_rows
+    kept = []        # grad V, flow, norms and flat mask, row by row
+
+    def value(z, rows):
+        gv, fv = mc.grad(z[:, :n]), flow(z)
         ng, nf = np.sqrt(_dot(gv, gv)), np.sqrt(_dot(fv, fv))
         flat = (~(np.isfinite(ng) & np.isfinite(nf))
                 | (ng < _NORM_FLOOR) | (nf < _NORM_FLOOR))
-        return x, gv, fv, ng, nf, flat
-
-    def value(z):
-        x, gv, fv, ng, nf, flat = parts(z)
+        parts = (gv, fv, ng, nf, flat)
+        if not kept or len(rows) > len(kept[0]):
+            kept[:] = map(np.empty_like, parts)
+        for into, part in zip(kept, parts):
+            into[rows] = part
         out = -_dot(gv, fv) / (ng * nf)
         out[flat] = math.inf
         return out
 
-    def gradient(z):
-        x, gv, fv, ng, nf, flat = parts(z)
+    def gradient(z, rows):
+        gv, fv, ng, nf, flat = (part.take(rows, 0) for part in kept)
         u = gv / ng[:, None]
         w = fv / nf[:, None]
         uw = _dot(u, w)[:, None]         # w . u rounds the same: same products
         pu_w = w - u * uw
         pw_u = u - w * uw
         jac = prob.flow_jacobians[mode](z).transpose(0, 2, 1)
-        out = -(_matvec(mc.hess(x), pu_w) / ng[:, None]
+        out = -(_matvec(mc.hess(z[:, :n]), pu_w) / ng[:, None]
                 + _matvec(jac[:, :n], pw_u) / nf[:, None])
         out -= u * _dot(out, u)[:, None]
         if prob.n_dist:
@@ -461,7 +480,8 @@ def min_transversality(prob: Problem, cert: Certificate, starts: int = 16,
 def _reset_objective(rule: model.ResetRule, cert: Certificate):
     """max(V_source(x), -V_target(r(x))) and its gradient over the rows of
     a batch; points where the map or a certificate value is not finite are
-    treated as +inf, with a zero gradient."""
+    treated as +inf, with a zero gradient.  Both are ``minimize_box``
+    objectives and ignore the rows they are handed."""
     source, target = cert[rule.source], cert[rule.target]
 
     def parts(x):
@@ -470,13 +490,13 @@ def _reset_objective(rule: model.ResetRule, cert: Certificate):
         defined = np.isfinite(rx).all(1) & np.isfinite(v_s) & np.isfinite(v_t)
         return rx, v_s, v_t, ~defined
 
-    def value(x):
+    def value(x, _):
         _, v_s, v_t, undefined = parts(x)
         out = np.where(v_t > v_s, v_t, v_s)  # max(v_s, v_t) as Python's max
         out[undefined] = math.inf
         return out
 
-    def gradient(x):
+    def gradient(x, _):
         rx, v_s, v_t, undefined = parts(x)
         out = source.grad(x)
         back = ~(v_s >= v_t) & ~undefined

@@ -521,16 +521,31 @@ def flow_hybrid(prob: Problem, starts: Sequence[tuple[int, Sequence[float]]],
 
 def _select_vertices(box: Box, cap: int,
                      rng: np.random.Generator) -> list[tuple[float, ...]]:
+    """Up to ``cap`` distinct vertices of ``box``: all of them, when there
+    are no more, or else the distinct vertices of up to 20 * cap attempts,
+    in the order drawn, until there are ``cap``.  An attempt draws one bit
+    per dimension, ``rng.integers(0, 2, size=n)``, and takes the upper
+    bound where it is 1.  The attempts are drawn in blocks, and ``rng`` is
+    then left where drawing them one at a time leaves it.  Vertices are
+    told apart by value, not by bits: a box can have a zero-width
+    dimension."""
     n = box.dim
     if n <= 30 and 2 ** n <= cap:
         return model.vertices(box)
+    corners, cols = np.array([box.lo, box.hi], dtype=object), np.arange(n)
+    state = rng.bit_generator.state
     chosen: dict[tuple[float, ...], None] = {}
     attempts = 0
     while len(chosen) < cap and attempts < 20 * cap:
-        bits = rng.integers(0, 2, size=n)
-        v = tuple(box.hi[i] if bits[i] else box.lo[i] for i in range(n))
-        chosen[v] = None
-        attempts += 1
+        bits = rng.integers(0, 2, size=(min(cap, 20 * cap - attempts), n))
+        for v in map(tuple, corners[bits, cols].tolist()):
+            chosen[v] = None
+            attempts += 1
+            if len(chosen) == cap:
+                break
+    # the attempts drawn past the last one taken go back to the stream
+    rng.bit_generator.state = state
+    rng.integers(0, 2, size=(attempts, n))
     return list(chosen)
 
 

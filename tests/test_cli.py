@@ -585,24 +585,42 @@ class TestErrors:
         assert f"error: {bad}: not UTF-8 at byte 0: invalid start byte" in err
         assert "Traceback" not in err
 
-    def test_utf8_document_is_read_whatever_the_locale(self, tmp_path):
-        # a non-ASCII name under the C locale without UTF-8 mode, where
-        # the locale's encoding is ASCII
+    @staticmethod
+    def _named_document(tmp_path) -> Path:
+        """A document named "compositión", alone in its directory."""
         doc = benchmarks.composition()
         doc["name"] = "compositión"
-        path = tmp_path / "named.json"
+        path = tmp_path / "named" / "named.json"
+        path.parent.mkdir()
         path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        return path
+
+    @staticmethod
+    def _run_in_c_locale(*args):
+        """``simbarrier.cli *args`` under the C locale without UTF-8 mode,
+        where the locale's encoding is ASCII."""
         src = str(Path(cli.__file__).parents[1])
         env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
                    PYTHONPATH=os.pathsep.join(
                        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        done = subprocess.run(
-            [sys.executable, "-m", "simbarrier.cli", "synth", str(path),
-             "--no-verify", "--report", str(tmp_path / "report.json")],
-            env=env, capture_output=True, text=True)
+        return subprocess.run([sys.executable, "-m", "simbarrier.cli", *args],
+                              env=env, capture_output=True, text=True)
+
+    def test_utf8_document_is_read_whatever_the_locale(self, tmp_path):
+        path = self._named_document(tmp_path)
+        done = self._run_in_c_locale("synth", str(path), "--no-verify",
+                                     "--report", str(tmp_path / "report.json"))
         assert (done.returncode, done.stderr) == (0, "")
         report = json.loads((tmp_path / "report.json").read_text("utf-8"))
         assert report["problem"] == "compositión"
+
+    def test_bench_prints_a_name_the_locale_cannot_encode(self, tmp_path):
+        path = self._named_document(tmp_path)
+        done = self._run_in_c_locale("bench", str(path.parent), "--no-verify")
+        assert (done.returncode, done.stderr) == (0, "")
+        row = done.stdout.splitlines()[1]
+        assert row.startswith("compositi\\xf3n ")
+        assert row.endswith("BarrierFound/-")
 
     def test_missing_file(self, capsys):
         assert cli.main(["synth", "/nonexistent/problem.json"]) == 2

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,46 @@ class TestCompileBatch:
             for texts in (["x/0"], ["x + 1/(1 - 1)"], ["x", "1/(1 - 1)"]):
                 batch_c = ex.compile_batch([ex.parse(t, ["x"]) for t in texts])
                 assert np.isnan(batch_c(np.array([[1.0], [2.0]] * copies))).all()
+
+    def test_sin_cos_sqrt_columns_warn_of_nothing(self):
+        # outside np.errstate: an infinite angle, a negative square root
+        # and a nan give nan rows as the point code does, and no
+        # RuntimeWarning gets out
+        es = [ex.parse(t, ["x", "y"])
+              for t in ("sin(x) * y", "cos(x) + y", "sqrt(x) - y")]
+        points = np.array([[0.5, 1.0], [math.inf, 1.0], [-math.inf, 2.0],
+                           [-2.0, 1.0], [math.nan, 1.0], [-0.0, 3.0],
+                           [1e300, -1.0], [3.0, math.nan], [2.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.check(es, points)
+            got = ex.compile_batch(es)(np.concatenate([points, points]))
+        assert np.isnan(got[[1, 2, 3, 4]]).all()
+
+    def test_finite_columns_are_numpy_calls(self, rng):
+        x = rng.uniform(-50.0, 50.0, 3 * ex._FEW_ROWS)
+        got = ex.compile_batch([ex.parse(t, ["x"]) for t in
+                                ("sin(x)", "cos(x)", "sqrt(x^2)")])(x[:, None])
+        assert got[:, 0].tobytes() == np.sin(x).tobytes()
+        assert got[:, 1].tobytes() == np.cos(x).tobytes()
+        assert got[:, 2].tobytes() == np.sqrt(x ** 2).tobytes()
+
+    def test_constant_subtrees_fold_to_the_point_values(self):
+        # subtrees without variables are folded once, at compile time, to
+        # the float the point code gives; one that raises, overflows to
+        # inf or gives nan is left to the point code
+        texts = ["x / 8^2", "(0.1 + 0.2) * x - sqrt(2)", "x * ln(3) / exp(2)",
+                 "sin(1) * cos(-0.5) + x", "-(0.0 * 1) * x",
+                 "x + 1e308 * 10 - 1e308 * 10", "x * 10^400",
+                 "(1 - 1) / (2 - 2) + x"]
+        es = [ex.parse(t, ["x"]) for t in texts]
+        assert ex._codegen(es[0], "batch") == "(_v[0] / (64.0))"
+        assert ex._codegen(es[2], "batch") == (
+            f"((_v[0] * ({math.log(3)!r})) / ({math.exp(2)!r}))")
+        points = np.array([[0.25], [-3.0], [1e10], [-0.0], [7.5]])
+        with np.errstate(all="ignore"):
+            for e in es:
+                self.check([e], points)
 
 
 class TestDifferentiate:

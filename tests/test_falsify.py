@@ -31,8 +31,8 @@ class TestMinimizeBox:
         lo = np.array([-2.0, -2.0])
         hi = np.array([2.0, 2.0])
         target = np.array([0.7, -0.3])
-        f = lambda z: np.sum((z - target) ** 2, axis=1)
-        g = lambda z: 2.0 * (z - target)
+        f = lambda z, rows: np.sum((z - target) ** 2, axis=1)
+        g = lambda z, rows: 2.0 * (z - target)
         z, fz = minimize_box(f, g, lo, hi, np.array([[-1.5, 1.5]]))
         assert np.allclose(z[0], target, atol=1e-6)
         assert fz[0] <= 1e-10
@@ -42,20 +42,21 @@ class TestMinimizeBox:
         for _ in range(25):
             a = rng.uniform(0.5, 3.0, 3)
             b = rng.uniform(-1, 1, 3)
-            f = lambda z: ((z - b) ** 2) @ a + np.sin(z[:, 0])
-            g = lambda z: 2 * a * (z - b) + np.outer(np.cos(z[:, 0]), [1, 0, 0])
+            f = lambda z, rows: ((z - b) ** 2) @ a + np.sin(z[:, 0])
+            g = lambda z, rows: (2 * a * (z - b)
+                                 + np.outer(np.cos(z[:, 0]), [1, 0, 0]))
             z0 = rng.uniform(-1, 1, (4, 3))
             lo = np.full(3, -1.5)
             hi = np.full(3, 1.5)
             z, fz = minimize_box(f, g, lo, hi, z0)
-            assert np.all(fz <= f(np.clip(z0, lo, hi)) + 1e-12)
+            assert np.all(fz <= f(np.clip(z0, lo, hi), None) + 1e-12)
 
     def test_multistart_coverage(self, rng):
         # a known global minimum inside the box is reached by at least one
         # of 16 seeded starts
         target = np.array([0.9, -0.9])
-        f = lambda z: np.sum((z - target) ** 2, axis=1)
-        g = lambda z: 2.0 * (z - target)
+        f = lambda z, rows: np.sum((z - target) ** 2, axis=1)
+        g = lambda z, rows: 2.0 * (z - target)
         lo = np.full(2, -1.0)
         hi = np.full(2, 1.0)
         z, fz = minimize_box(f, g, lo, hi, rng.uniform(-1, 1, (16, 2)))
@@ -63,16 +64,17 @@ class TestMinimizeBox:
         assert hits >= 1
 
 
-def _rugged(z):
+def _rugged(z, rows=None):
     """A nonconvex objective on [-2, 2]^2, +inf on the strip z1 > 1.5,
-    z0 < 1.9, towards which its linear term pulls."""
+    z0 < 1.9, towards which its linear term pulls; the rows of a
+    ``minimize_box`` call are ignored."""
     out = (np.sum((z - [3.0, -3.0]) ** 2, axis=1) + 4.0 * np.sin(5.0 * z[:, 0])
            - 100.0 * z[:, 1])
     out[(z[:, 1] > 1.5) & (z[:, 0] < 1.9)] = math.inf
     return out
 
 
-def _rugged_grad(z):
+def _rugged_grad(z, rows=None):
     """Its gradient, with nan entries left of z0 = -1.5."""
     out = 2.0 * (z - [3.0, -3.0]) - [0.0, 100.0]
     out[:, 0] += 20.0 * np.cos(5.0 * z[:, 0])
@@ -100,7 +102,7 @@ class TestLockstep:
         rounds, ends = [], []
         for r in range(len(z0)):
             calls = []
-            f = lambda z: calls.append(len(z)) or _rugged(z)
+            f = lambda z, rows: calls.append(len(z)) or _rugged(z, rows)
             bounds = (lo[r:r + 1], hi[r:r + 1]) if lo.ndim == 2 else (lo, hi)
             ends.append(minimize_box(f, _rugged_grad, *bounds, z0[r:r + 1], **kw))
             rounds.append(len(calls))
@@ -186,7 +188,7 @@ class TestLockstep:
 
     def test_only_live_rows_are_evaluated(self, rng):
         sizes = []
-        f = lambda z: sizes.append(len(z)) or _rugged(z)
+        f = lambda z, rows: sizes.append(len(z)) or _rugged(z, rows)
         minimize_box(f, _rugged_grad, self.LO, self.HI, self.starts(rng))
         assert sizes[0] == 14 and min(sizes) >= 1 and sizes[-1] < 14
 
@@ -199,7 +201,7 @@ def _valley(z):
     return (1.0 - z[:, 0]) ** 2 + 100.0 * (z[:, 1] - z[:, 0] ** 2) ** 2
 
 
-def _valley_grad(z):
+def _valley_grad(z, rows=None):
     bend = z[:, 1] - z[:, 0] ** 2
     return np.stack([-2.0 * (1.0 - z[:, 0]) - 400.0 * z[:, 0] * bend,
                      200.0 * bend], 1)
@@ -214,9 +216,9 @@ class TestGoal:
         calls = {"f": 0, "grad": 0}
 
         def counted(name, inner):
-            def call(z):
+            def call(z, rows):
                 calls[name] += 1
-                return inner(z)
+                return inner(z, rows)
             return call
 
         z, fz = minimize_box(counted("f", f), counted("grad", grad), lo, hi,
@@ -227,7 +229,7 @@ class TestGoal:
         # the valley shifted down so that the row ends near -0.3: it is
         # above the goal at its first 12 checks, and at three of them its
         # gain is less than over the window before
-        f = lambda z: _valley(z) - 5.35
+        f = lambda z, rows: _valley(z) - 5.35
         z, fz, calls = self.run(f, _valley_grad, self.LO, self.HI, self.START)
         zg, fg, calls_g = self.run(f, _valley_grad, self.LO, self.HI,
                                    self.START, goal=-falsify._EPS_CE)
@@ -241,8 +243,8 @@ class TestGoal:
         # first window gains 6.4e-7 and the second 1.3e-5, and the row
         # crosses zero between iterations 30 and 40.  Extrapolating the
         # first window alone would stop it near 1.
-        f = lambda z: -np.tanh(z[:, 0] - 6.0)
-        grad = lambda z: np.tanh(z - 6.0) ** 2 - 1.0
+        f = lambda z, rows: -np.tanh(z[:, 0] - 6.0)
+        grad = lambda z, rows: np.tanh(z - 6.0) ** 2 - 1.0
         lo, hi, z0 = np.zeros(1), np.full(1, 20.0), np.zeros((1, 1))
         at = [float(minimize_box(f, grad, lo, hi, z0, max_iters=k)[1][0])
               for k in (0, falsify._WINDOW, 2 * falsify._WINDOW)]
@@ -255,7 +257,7 @@ class TestGoal:
         assert zg.tobytes() == z.tobytes() and fg.tobytes() == fz.tobytes()
 
     def test_creeping_row_above_the_goal_stops(self):
-        f = lambda z: 1.0 + _valley(z)   # its minimum is 1
+        f = lambda z, rows: 1.0 + _valley(z)   # its minimum is 1
         z, fz, calls = self.run(f, _valley_grad, self.LO, self.HI, self.START)
         zg, fg, calls_g = self.run(f, _valley_grad, self.LO, self.HI,
                                    self.START, goal=-falsify._EPS_CE)
@@ -274,7 +276,7 @@ class TestGoal:
         # row gets below the goal by iteration 200 and creeps on towards
         # -5.35; it stops once its pace projects less than _DEPTH of its
         # depth, which the rest of the run does not gain either
-        f = lambda z: _valley(z) - 5.35
+        f = lambda z, rows: _valley(z) - 5.35
         cap = 2000
         z, fz, calls = self.run(f, _valley_grad, self.LO, self.HI, self.START,
                                 max_iters=cap)
@@ -298,8 +300,8 @@ class TestGoal:
         # those gains project stops it at the check of iteration 30, two
         # halvings in; their pace projects a crossing of the goal until
         # iteration 100, where the rule without the tail stops it
-        f = lambda z: 0.01 + z[:, 0] ** 2 + 50.0 * z[:, 1] ** 2
-        grad = lambda z: np.stack([2.0 * z[:, 0], 100.0 * z[:, 1]], 1)
+        f = lambda z, rows: 0.01 + z[:, 0] ** 2 + 50.0 * z[:, 1] ** 2
+        grad = lambda z, rows: np.stack([2.0 * z[:, 0], 100.0 * z[:, 1]], 1)
         z0 = np.array([[-1.5, 1.9]])
         goal = -falsify._EPS_CE
         zg, fg, calls = self.run(f, grad, self.LO, self.HI, z0, goal=goal)
@@ -318,8 +320,8 @@ class TestGoal:
         # the plateau of test_plateau_then_drop_is_not_stopped: at the
         # checks of iterations 10 and 20 its pace projects less than _DEPTH
         # of its depth, but it gains more than over the window before
-        f = lambda z: -np.tanh(z[:, 0] - 6.0) - 2.0
-        grad = lambda z: np.tanh(z - 6.0) ** 2 - 1.0
+        f = lambda z, rows: -np.tanh(z[:, 0] - 6.0) - 2.0
+        grad = lambda z, rows: np.tanh(z - 6.0) ** 2 - 1.0
         lo, hi, z0 = np.zeros(1), np.full(1, 20.0), np.zeros((1, 1))
         at = [float(minimize_box(f, grad, lo, hi, z0, max_iters=k)[1][0])
               for k in range(0, 3 * falsify._WINDOW, falsify._WINDOW)]
@@ -368,7 +370,7 @@ def _point_drift(prob, tmpl, p, z):
     return value, grad
 
 
-def test_drift_objective_rows_match_point_evaluation():
+def _drift_with_undefined_rows():
     # flows with a division and a logarithm: at x = 0 and at y = 0 the
     # point code raises and the batch gives a row of nan; both rows are
     # undefined, +inf with a zero gradient
@@ -380,24 +382,72 @@ def test_drift_objective_rows_match_point_evaluation():
         "unsafe": [{"mode": "m", "box": [[1.5, 2], [1.5, 2]]}]})
     tmpl = model.make_template("quadratic-2d", 2, 1)
     p = np.array([1.0, 0.0, 1.0, -2.0, -2.0, 2.0])  # (x - 1)^2 + (y - 1)^2
-    mc = Certificate(tmpl, p)[0]
     rng = np.random.default_rng(5)
     z = np.vstack([rng.uniform(-2, 2, (5, 2)),
                    [[1.0, 1.0], [0.0, 0.5], [0.5, 0.0], [-0.0, 2.0]]])
+    return prob, tmpl, p, z
+
+
+def test_drift_objective_rows_match_point_evaluation():
+    prob, tmpl, p, z = _drift_with_undefined_rows()
+    mc = Certificate(tmpl, p)[0]
     value, gradient = falsify._drift_objective(prob, 0, mc)
+    every = lambda z: np.arange(len(z))
     with np.errstate(all="ignore"):
         for batch in (z, z[:5]):
-            got_v, got_g = value(batch), gradient(batch)
+            got_v = value(batch, every(batch))
+            got_g = gradient(batch, every(batch))
             for r, row in enumerate(batch):
                 want_v, want_g = _point_drift(prob, tmpl, p, row)
                 assert float(got_v[r]).hex() == float(want_v).hex()
                 assert got_g[r].tobytes() == want_g.tobytes()
         # x = 0 and y = 0 divide by zero and take ln(0.0); so does x = -0.0
-        assert list(np.isinf(value(z[-3:]))) == [True, True, True]
-        assert not gradient(z[-3:]).any()
+        assert list(np.isinf(value(z[-3:], every(z[-3:])))) == [True] * 3
+        assert not gradient(z[-3:], every(z[-3:])).any()
         # the gradient is tangent to the level set through each point
         gv = model.template_grad_x(tmpl, p, 0, z[0])
-        assert abs(gradient(z[:1])[0] @ gv) <= 1e-12 * np.linalg.norm(gv)
+        value(z[:1], every(z[:1]))
+        tangent = gradient(z[:1], every(z[:1]))[0]
+        assert abs(tangent @ gv) <= 1e-12 * np.linalg.norm(gv)
+
+
+@pytest.mark.parametrize("case", ["undefined rows", "disturbance"])
+def test_drift_gradient_after_value_is_a_fresh_evaluation(case):
+    # the order of minimize_box: a value batch on every row, then value
+    # batches on some rows at trial points, then gradients of rows at
+    # their last value batch's point, in any order.  Each equals what a
+    # new objective gives on those points alone, flat rows (+inf, a zero
+    # gradient) too
+    if case == "disturbance":
+        prob, tmpl, p = circle_problem(0.0, 0.2, dist=(-0.5, 0.5))
+        rng = np.random.default_rng(7)
+        z = np.hstack([rng.uniform(-1.5, 1.5, (9, 2)),
+                       rng.uniform(-0.5, 0.5, (9, 1))])
+        z[4] = 0.0                       # grad V and the flow vanish
+    else:
+        prob, tmpl, p, z = _drift_with_undefined_rows()
+    mc = Certificate(tmpl, p)[0]
+
+    def fresh(points):
+        value, gradient = falsify._drift_objective(prob, 0, mc)
+        rows = np.arange(len(points))
+        return value(points, rows), gradient(points, rows)
+
+    value, gradient = falsify._drift_objective(prob, 0, mc)
+    k = len(z)
+    with np.errstate(all="ignore"):
+        value(z, np.arange(k))
+        tried = np.array([6, 1, 4, 8, 3])
+        trial = z[tried] * 0.75
+        value(trial, tried)
+        at = z.copy()
+        at[tried] = trial
+        for rows in (np.array([4, 6, 1]), np.array([0, 8, 5, 2]),
+                     np.arange(k)[::-1]):
+            _, want = fresh(at[rows])
+            assert gradient(at[rows], rows).tobytes() == want.tobytes()
+        flat = np.isinf(fresh(at)[0])
+        assert flat.any() and not gradient(at, np.arange(k))[flat].any()
 
 
 class TestSignSearches:
@@ -608,11 +658,11 @@ class TestReset:
         x = np.array([[0.5], [0.0], [10.0], [-0.75], [-0.0], [1.5]])
         bad = np.array([False, True, True, False, True, False])
         with np.errstate(all="ignore"):
-            v, g = value(x), gradient(x)
+            v, g = value(x, None), gradient(x, None)   # the rows are ignored
             assert v[bad].tolist() == [math.inf] * 3
             assert not g[bad].any()
-            assert v[~bad].tobytes() == value(x[~bad]).tobytes()
-            assert g[~bad].tobytes() == gradient(x[~bad]).tobytes()
+            assert v[~bad].tobytes() == value(x[~bad], None).tobytes()
+            assert g[~bad].tobytes() == gradient(x[~bad], None).tobytes()
         # at x = 0.5: -V(r(x)) = 2 - 0.5 = 1.5 > V(x) = 0, and its slope is
         # r'(0.5) = -4 + 400 * 0.5^399
         assert v[0] == 1.5 and g[0, 0] == pytest.approx(-4.0)

@@ -398,6 +398,44 @@ class TestInitSegments:
         assert len(a) == 512
         assert a == b
 
+    @staticmethod
+    def _select_one_at_a_time(box, cap, rng):
+        """The vertex choice as one draw per attempt: the reference that
+        ``sim._select_vertices`` reproduces."""
+        n = box.dim
+        if n <= 30 and 2 ** n <= cap:
+            return model.vertices(box)
+        chosen = {}
+        attempts = 0
+        while len(chosen) < cap and attempts < 20 * cap:
+            bits = rng.integers(0, 2, size=n)
+            chosen[tuple(box.hi[i] if bits[i] else box.lo[i]
+                         for i in range(n))] = None
+            attempts += 1
+        return list(chosen)
+
+    @pytest.mark.parametrize("cap", [1, 7, 64, 256, 1024])
+    def test_vertices_and_stream_match_one_draw_per_attempt(self, cap):
+        # scalable-l4's boxes (dimension 9), and a box with zero-width
+        # dimensions, one of them [-0.0, 0.0], where draws that differ only
+        # there give one vertex: 32 distinct vertices for 256 bit patterns,
+        # so cap 64 and up exhausts the 20 * cap attempts
+        prob = model.load_problem(benchmarks.scalable(4))
+        flat = Box((0.0, 1.0, -2.0, -0.0, 0.5, -1.0, 0.0, 4.0),
+                   (1.0, 1.0, -1.0, 0.0, 0.5, 1.0, 3.0, 5.0))
+        for box in [b for _, b in prob.initial + prob.unsafe] + [flat]:
+            for seed in range(3):
+                got_rng, want_rng = (np.random.default_rng(seed)
+                                     for _ in range(2))
+                got = sim._select_vertices(box, cap, got_rng)
+                want = self._select_one_at_a_time(box, cap, want_rng)
+                assert repr(got) == repr(want)
+                assert (got_rng.bit_generator.state
+                        == want_rng.bit_generator.state)
+                assert got_rng.random() == want_rng.random()
+        rng = np.random.default_rng(0)
+        assert len(sim._select_vertices(flat, 64, rng)) == 32
+
     def test_flags_recomputable(self):
         # build's hard rows are those of the endpoints' memberships
         doc = benchmarks.composition()
