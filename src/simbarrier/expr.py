@@ -119,8 +119,8 @@ _FUNCTIONS = {"sin": Sin, "cos": Cos, "ln": Ln, "sqrt": Sqrt, "exp": Exp}
 _IDENT = r"[A-Za-z_][A-Za-z_0-9]*"
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
-    r"|\d+(?:[eE][+-]?\d+)?)"
+    r"\s*(?:(?P<num>[0-9]+\.[0-9]*(?:[eE][+-]?[0-9]+)?"
+    r"|\.[0-9]+(?:[eE][+-]?[0-9]+)?|[0-9]+(?:[eE][+-]?[0-9]+)?)"
     rf"|(?P<ident>{_IDENT})"
     r"|(?P<op>[-+*/^()]))"
 )
@@ -599,11 +599,16 @@ def compile_batch(es: Sequence[Expr]):
     raises no math error.  A call with at most ``_FEW_ROWS`` points runs
     that point code on each row, which is faster there than numpy's
     per-call overhead; a larger call runs the batch code (``_batch_code``).
-    Each is compiled at its first call with points.
+    Each is compiled at its first call with points.  A tuple without
+    variables compiles nothing: each row is its ``_fold``ed values.
     """
     es = tuple(es)
     point = batch = None
     undefined = [math.nan] * len(es)
+    if not any(map(variables_of, es)):
+        values = [_fold(e) for e in es]
+        row = np.array([undefined if None in values else values])
+        return lambda z: row.repeat(len(z), 0)
 
     def f(z):
         nonlocal point, batch
@@ -646,7 +651,7 @@ def _batch_code(es: Sequence[Expr]):
     src = ("def _f(_z):\n    _v = _z.T\n"
            "    _bad = []\n"
            "    _out = _base.repeat(len(_z), 0)\n"
-           "    try:\n" + ("".join(lines) or "        pass\n") +
+           "    try:\n" + "".join(lines) +
            "    except _errors:\n        _out[:] = nan\n"
            "    if _bad:\n        _out[_bad] = nan\n"
            "    return _out\n")

@@ -1,105 +1,19 @@
 """Counter-example point search and segment construction.
 
-Four objectives are minimized by multi-start projected gradient descent
-with analytic gradients: certificate sign on the initial boxes, on the
-unsafe boxes, the normalized drift on the certificate's zero level set,
-and the reset condition on guard boxes.  Each search returns a ``Hit`` for
-every start that ended somewhere, least value first.  A hit below
--``_EPS_CE`` is a counter-example point, and ``refute`` is the one path
-from such points to simulation segments, for the falsifier's hits and the
-verifier's witness alike: it extends each point through the
-forward/backward drift rides, one ``sim.omega`` and one ``sim.alpha``
-batch for all of them, and checks that each segment refutes the
-candidate.  The first hit's segment must refute; any other segment that
-does not refute is dropped and counted.
+Four searches minimize four objectives by multi-start projected gradient
+descent: the certificate's sign on the initial and on the unsafe boxes,
+the normalized drift on its zero level set, and the reset condition on
+the guards.  Each returns a ``Hit`` per start that ended, least value
+first; one below -``_EPS_CE`` is a counter-example point, which
+``refute`` extends to a segment.  The searches share one driver,
+``_multistart``, and one descent, ``minimize_box``, which runs the starts
+of a mode or a rule as the rows of one array.
 
-``find_counterexample`` hands ``refute`` the worst hit and, least value
-first, up to ``_EXTRAS`` other hits, skipping a point within
-``_DISTINCT`` (relative, max norm) of one already taken in its search and
-mode.  Each row of a ride batch ends where a ride of its own would end,
-so the worst segment is the one a round of one segment builds.  Adding
-several counter-examples per round is common in counter-example-guided
-certificate synthesis (Abate et al., *FOSSIL*, HSCC 2021; Ravanbakhsh &
-Sankaranarayanan, Autonomous Robots, 2019).
-
-The three box searches project onto their boxes.  The drift search keeps
-its points on the level set itself: each start is landed on the band
-|V| <= band by Newton steps along grad V, each step goes along the
-drift's tangent gradient (its component along grad V removed), and each
-trial point is retracted to the box and back onto the band by a few
-Newton steps.  A trial that does not reach the band is rejected, so the
-line search halves the step.  See Nocedal & Wright, *Numerical
-Optimization*, ch. 17-18, on gradient projection and feasible descent.
-
-The four searches are four objectives over one multi-start driver,
-``_multistart``, and their starts run in lockstep.  The driver draws
-every start's region (an initial or unsafe box, a mode's box of (state,
-disturbance) points, a guard) and its point, in the order of the random
-stream, hands the starts of each key (one mode or one rule) to the
-search's descent as the rows of one array, and reduces the results in
-start order.  ``minimize_box`` advances each row by exactly the rules of
-a single descent and evaluates only the rows that start an iteration or
-try a step, so every start ends where a run of its own would end.
-
-A search only has to tell whether a start gets below -``_EPS_CE``, so
-each search hands ``minimize_box`` that goal, and a row stops once its
-pace says that going on would not change the answer.  Every ``_WINDOW``
-iterations, a row whose gain over the last window is no larger than over
-the window before stops when the gain it projects for the iterations
-left would not take it below the goal, or, once it is below the goal,
-would take it further down by at most ``_DEPTH`` of its depth there.
-The projection is the last window's gain for each window left, and,
-where the last two window gains each shrank to at most half the one
-before, the smaller geometric tail gain * r / (1 - r), r the larger of
-the two ratios: the rest of a linearly contracting iteration (Ortega &
-Rheinboldt, *Iterative Solution of Nonlinear Equations in Several
-Variables*, 1970).  A pace that counts the last gain once per window
-left projects a descent that has all but settled far ahead of itself;
-the tail stops it windows earlier.  On pendulum (seed 0) it cuts the
-run's drift batches from 364 to 272 with the same outcome, bit for bit.
-One ratio is not enough: a tail projected from one window's ratio
-stops the creeping valley row of ``tests/test_falsify.py`` above a goal
-it reaches.  The rule is per row, so a start still ends where a run of
-its own would end.  Like the search itself it is a heuristic, whose
-misses the rigorous verifier catches: a row whose gain dips and then
-recovers slowly, or whose gains halve twice before it reaches a cliff,
-can stop above a goal it would have reached, or below the goal short of
-a much deeper end.
-
-Above the goal, the rule stops starts that have settled: without it, a
-search that finds nothing runs most of its starts to the iteration cap
-(on scalable-l4, 10 of the 16 drift starts, each within 1e-6 of its end
-value by iteration 37).  Below it, the rule stops hits that creep: any
-point below the goal refutes, yet on pendulum (seed 0) the first round's
-drift search took 124 gradient batches, ~40 of them with 7 rows creeping
-at -0.5257.  With the rule it takes 55, and the run's drift searches take
-364 lockstep batches (``f`` and ``grad`` calls) instead of 552.  On the
-bundled problems (seeds 0-7) it keeps every round count, while a hit
-stops a little less deep: of the 2,237 rows that end below the goal,
-none by more than 1.0e-4 of its depth.
-
-The objectives are batched: one code generator, ``expr.compile_batch``,
-evaluates the certificate, its gradient and its Hessian (the candidate's
-``model.Certificate``, which the caller builds once per candidate), and
-the flows, the reset maps and their Jacobians, which the problem owns
-(``ModeDef.flow_rows``, ``Problem.flow_jacobians``,
-``ResetRule.map_rows``, ``ResetRule.map_jacobian``), column by column
-over the rows.  The batched code performs the float operations of the
-scalar reference (the monomial loops of ``model`` and
-``expr.compile_vector``), so the results are bit-identical wherever the
-reference is finite:
-- elementwise numpy arithmetic rounds as Python floats do;
-- ``**`` and the ``math`` functions run entry by entry on Python floats,
-  because numpy's vector power, exp and log round differently from libm;
-- every dot product and matrix-vector product is a stacked ``np.matmul``
-  (``_dot``, ``_matvec``), which calls per row the BLAS kernel that
-  ``ndarray.dot`` and 2-D ``@`` call, whereas ``(a * b).sum(1)`` and
-  ``einsum`` round differently.
-A batch never raises: a row outside the domain of a division, ln or sqrt,
-or where a power or exp overflows, is a row of nan.  So every objective
-has one rule for points where it is undefined: a row where the flow, the
-reset map or the certificate is not finite has the value +inf and a zero
-gradient.
+Each row of a batch is bit for bit what one point gives, by the rules of
+``expr.compile_batch`` and ``model.row_dot``.  A batch never raises: a
+row outside an operation's domain is a row of nan.  So every objective
+has one rule where it is undefined: where the flow, the reset map or the
+certificate is not finite, the value is +inf and the gradient zero.
 """
 
 from __future__ import annotations
@@ -133,11 +47,8 @@ _CONTRACTION = 0.5       # window gains that shrink by this ratio, twice,
 
 
 class RefutationError(RuntimeError):
-    """A constructed segment failed to refute the candidate it came from.
-
-    Indicates an event-localization or level-set landing fault; the caller
-    should abort rather than loop on a non-progressing constraint system.
-    """
+    """A constructed segment failed to refute its candidate: an event or
+    landing fault; the caller aborts, as a new round would not progress."""
 
 
 @dataclass
@@ -168,59 +79,41 @@ def minimize_box(f: Batch, grad: Batch, lo: np.ndarray, hi: np.ndarray,
                  z0: np.ndarray, max_iters: int = 200, tol: float = 1e-8,
                  project: Projection | None = None, goal: float | None = None
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Projected gradient descent with Armijo backtracking, from the k
-    starts in the rows of ``z0`` at once.
+    """Projected gradient descent with Armijo backtracking from the k
+    starts in the rows of ``z0`` at once; returns the (k, n) end points
+    and their (k,) values.
 
-    Each of ``f(points, rows)``, ``grad(points, rows)`` and
-    ``project(points, rows)`` is handed the (j, n) points of the rows
-    ``rows`` (indices into ``z0``, in no particular order).  ``f`` returns
-    their (j,) values and ``grad`` their (j, n) gradients.  ``project``
-    maps them into the feasible set and returns them as a new array; by
-    default it clips them to the box ``lo``, ``hi`` of shape (n,) or
-    (k, n).  A point it maps to a non-finite row is infeasible.  ``f`` is
-    first called on every row, and a row's ``grad`` call is always at the
-    point of its last ``f`` call: a row starts an iteration only at its
-    start or right after its trial point was accepted, and a rejected
-    trial is followed by another trial, not by a gradient.  So ``f`` may
-    keep, per row, what ``grad`` needs at the same point.
+    ``f``, ``grad`` and ``project`` are handed the (j, n) points of the
+    rows ``rows`` (indices into ``z0``, in any order): ``f`` gives their
+    values, on the rows that try a step, ``grad`` their gradients, on the
+    rows that start an iteration, and ``project`` maps them into the
+    feasible set (by default the box ``lo``, ``hi``, (n,) or (k, n)); a
+    non-finite projected row is infeasible.  ``f`` is first called on
+    every row, and a row's ``grad`` call is at the point of its last
+    ``f`` call, so ``f`` may keep per row what ``grad`` needs.
 
-    Each row is an independent descent: the start is projected, a step
-    ``z - alpha * g`` is projected and accepted when its value is finite
-    and ``fn <= fz + 1e-4 * g.dz``, it is halved up to 60 times per
-    iteration, and the next iteration starts from ``min(2 * alpha, 1e3)``,
-    so the values of a row never increase.
-    A row stops on a non-finite gradient, a projected gradient
-    ``z - clip(z - g)`` of norm <= tol (clipped to the row's box, also
-    where ``project`` does more: the drift search's retraction would cost
-    Newton steps on every row that starts an iteration), a trial step that
-    does not move, a line search without an accepted step, or after
-    max_iters iterations.  With a ``goal``, a row also stops when, after a
-    multiple of ``_WINDOW`` iterations, its pace says that going on would
-    not change the answer: its gain over the last window is no larger
-    than its gain over the window before, and the gain that pace projects,
-    ``ahead = gain * (iterations left) / _WINDOW``, either cannot take it
-    to the goal (``fz - ahead > goal``) or, with the row below the goal,
-    is at most ``_DEPTH * (goal - fz)``.  Where the gains of the last two
-    windows each shrank to at most ``_CONTRACTION`` (1/2) of the gain
-    before, ``ahead`` is at most the geometric tail ``gain * r / (1 - r)``,
-    with r the larger of the two ratios: what the row still gains if it
-    goes on contracting at that rate.  A linearly converging row then
-    stops at its third check instead of creeping on until its pace
-    projects too little (the floor 0.01 + z0^2 + 50 z1^2 of
-    ``tests/test_falsify.py``: iteration 30 instead of 100).  The guard
-    is written as products, so a zero gain divides nothing.  The first
-    condition keeps a row
-    that is speeding up: lorenz has drift rows that gain 1.4e-4 in their
-    first window (0.51661 -> 0.51647) and fall to -0.0928 by iteration
-    30, and extrapolating one window alone would stop them.  The last
-    stops a hit that creeps towards a minimum that a counter-example does
-    not need: pendulum's first drift search (seed 0) ran 7 rows at
-    -0.5257 for ~40 of its 124 gradient batches, and takes 55 with it.
-    Each round evaluates ``grad`` on the rows that start an iteration and
-    ``f`` on the rows that try a step, and no other row.
+    Each row is its own descent, ending where a run of its own would.  A
+    step ``z - alpha * g`` is projected and accepted when finite and
+    ``fn <= fz + 1e-4 * g.dz``, else halved, at most ``_MAX_HALVINGS``
+    times; the next iteration tries ``min(2 * alpha, 1e3)``.  A row stops
+    on a non-finite gradient, a box-clipped projected gradient of norm
+    <= tol (a retraction would cost Newton steps), a step that does not
+    move, a failed line search, or after ``max_iters`` iterations.
 
-    Returns the (k, n) end points and their (k,) values.
-    """
+    With a ``goal``, a row also stops once its pace says that going on
+    would not change whether it gets below the goal, all that a search
+    needs to tell.  Every ``_WINDOW`` iterations, a row that gained no
+    more over the last window than over the one before (one that speeds
+    up goes on) projects the rest of its run: the last gain once per
+    window left, or, where the last two gains each shrank to at most
+    ``_CONTRACTION`` of the one before, the smaller geometric tail
+    ``gain * r / (1 - r)``, r the larger ratio: what a linear contraction
+    still gains (Ortega & Rheinboldt, 1970), where the repeated gain would
+    overstate a settling row.  It stops when that cannot take it below the
+    goal or, below it, would deepen it by at most ``_DEPTH`` of its depth.
+    A tail from one ratio would stop the valley row of
+    ``tests/test_falsify.py`` above a goal it reaches.  Like the search,
+    the rule is a heuristic whose misses the verifier catches."""
     lo, hi = (np.broadcast_to(b, np.shape(z0)) for b in (lo, hi))
     if project is None:
         project = lambda z, rows: z.clip(lo.take(rows, 0), hi.take(rows, 0))
@@ -304,18 +197,14 @@ def minimize_box(f: Batch, grad: Batch, lo: np.ndarray, hi: np.ndarray,
 
 def _multistart(regions: Sequence[tuple[object, Box]], starts: int,
                 seed: int, descend):
-    """The multi-start driver of the four searches.
-
-    Draws ``starts`` starts from ``regions``, a list of (key, box) pairs:
-    each start's region (``rng.integers(len(regions))``), then its point
-    (``box.sample``).  The starts of each key, keys in first-occurrence
-    order, go to ``descend(key, lo, hi, z0)`` as the rows of one batch,
-    with the bounds of their regions in the rows of ``lo`` and ``hi``; it
-    returns the end points and values of the rows that gave a result, and
-    the indices of those rows.  Returns the (value, key, point) of every
-    start that gave a result, sorted by value, then by start index, so the
-    first is the least value, the first start among equals.
-    """
+    """The multi-start driver of the four searches: draws ``starts``
+    starts from ``regions``, (key, box) pairs, each start's region, then
+    its point, in that order of the random stream.  The starts of each
+    key, keys in first-occurrence order, go to ``descend(key, lo, hi,
+    z0)`` as the rows of one batch, with their regions' bounds in ``lo``
+    and ``hi``; it returns the end points, the values and the indices of
+    the rows that gave a result.  Returns the (value, key, point) of those
+    starts by value, then by start index."""
     rng = np.random.default_rng(seed)
     picks = []
     for _ in range(starts):
@@ -366,21 +255,13 @@ def min_unsafe(prob: Problem, cert: Certificate, starts: int = 16,
 
 
 def _drift_objective(prob: Problem, mode: int, mc: ModeCertificate):
-    """Normalized drift -(grad V / |grad V|) . (f / |f|) of mode ``mode``
-    with its certificate ``mc``, and its tangent gradient in (x, d), over
-    the rows of a batch: the gradient with its component along grad V
-    removed from the x columns, which is the steepest descent direction
-    within the level set of V through the point.  Points where the norm of
-    grad V or of the flow is not finite or vanishes are treated as +inf,
-    with a zero gradient.
-
-    Both are ``minimize_box`` objectives, called with the rows of a
-    descent.  ``value`` keeps each row's grad V, flow, their norms and its
-    flat mask, and ``gradient`` takes them from the row's last ``value``
-    call, which ``minimize_box`` makes at the same point; it adds only the
-    Hessian and the flow Jacobian terms.  What is kept is sized by the
-    largest ``value`` call so far, so a descent's first ``value`` call is
-    on every row, as in ``minimize_box``."""
+    """The normalized drift -(grad V / |grad V|) . (f / |f|) of mode
+    ``mode`` under ``mc``, and its tangent gradient in (x, d): the x
+    columns lose their component along grad V, which leaves the steepest
+    descent within the level set.  A vanishing norm is undefined too.
+    ``value`` keeps each row's grad V, flow, norms and flat mask, sized by
+    its largest call, for ``gradient`` to reuse, as ``minimize_box``
+    allows; ``gradient`` adds only the Hessian and flow Jacobian terms."""
     n, flow = prob.dim, prob.modes[mode].flow_rows
     kept = []        # grad V, flow, norms and flat mask, row by row
 
@@ -420,10 +301,9 @@ def _drift_objective(prob: Problem, mode: int, mc: ModeCertificate):
 
 def _retraction(prob: Problem, mc: ModeCertificate, lo: np.ndarray,
                 hi: np.ndarray, band: float) -> Projection:
-    """The projection of the drift search: clip the (x, d) points to the
-    box, then take up to ``_RETRACTION_STEPS`` Newton steps along grad V
-    towards |V| <= band; a point that does not reach the band becomes a
-    row of nan, which ``minimize_box`` rejects."""
+    """The drift search's projection: clip the (x, d) points to the box,
+    then up to ``_RETRACTION_STEPS`` Newton steps along grad V towards
+    |V| <= band; a point that does not land is nan, so its step halves."""
     n = prob.dim
 
     def project(z, rows):
@@ -440,19 +320,13 @@ def _retraction(prob: Problem, mc: ModeCertificate, lo: np.ndarray,
 def min_transversality(prob: Problem, cert: Certificate, starts: int = 16,
                        seed: int = 0) -> list[Hit]:
     """Minimize the normalized drift over the certificate's zero level set
-    and the disturbance box.
-
-    Each start is drawn from its mode's box of (state, disturbance)
-    points and landed on the band |V| <= band by Newton steps along
-    grad V; a start that does not land gives no result.  The landed
-    starts of one mode then descend together in ``minimize_box`` along
-    the drift's tangent gradient, with ``_retraction`` as the projection,
-    so every accepted point stays in the band, in omega and in the
-    disturbance box.
-
-    Returns the ``Hit`` of every landed start, least first: none when no
-    start reaches the level set.
-    """
+    and the disturbance box; returns the ``Hit`` of every landed start,
+    least first.  Each start is drawn from its mode's box of (state,
+    disturbance) points and landed on the band |V| <= band by Newton steps
+    along grad V.  The landed starts descend along the tangent gradient
+    with ``_retraction`` as the projection, so every accepted point stays
+    in the band and the box (Nocedal & Wright, *Numerical Optimization*,
+    ch. 17-18, on gradient projection and feasible descent)."""
     band = _LEVEL_BAND * (1.0 + float(np.linalg.norm(cert.p)))
     n = prob.dim
 
@@ -478,10 +352,8 @@ def min_transversality(prob: Problem, cert: Certificate, starts: int = 16,
 
 
 def _reset_objective(rule: model.ResetRule, cert: Certificate):
-    """max(V_source(x), -V_target(r(x))) and its gradient over the rows of
-    a batch; points where the map or a certificate value is not finite are
-    treated as +inf, with a zero gradient.  Both are ``minimize_box``
-    objectives and ignore the rows they are handed."""
+    """max(V_source(x), -V_target(r(x))) and its gradient over the rows
+    of a batch; both ignore the rows they are handed."""
     source, target = cert[rule.source], cert[rule.target]
 
     def parts(x):
@@ -512,7 +384,7 @@ def _reset_objective(rule: model.ResetRule, cert: Certificate):
 def min_reset(prob: Problem, cert: Certificate, starts: int = 16,
               seed: int = 0) -> list[Hit]:
     """Minimize max(V(x), -V(r(x))) over guard boxes; returns every start's
-    ``Hit``, least first, and none when the problem has no resets."""
+    ``Hit``, least first, and none without resets."""
     if not prob.resets:
         return []
 
@@ -537,16 +409,15 @@ def segment_margin(prob: Problem, cert: Certificate, seg: Segment) -> float:
 def refute(prob: Problem, cert: Certificate, hits: Sequence[Hit], *,
            bloat_factor: float, t_max: float) -> Refutation:
     """Extend each counter-example ``Hit`` of ``hits``, worst first, to a
-    simulation segment and keep those that refute the candidate.
-
-    Initial points ride forward, unsafe points backward, drift points both
-    ways; a reset point rides backward in its source mode and forward from
-    its image under its rule in the target mode.  The forward rides are
-    one ``sim.omega`` batch and the backward rides one ``sim.alpha``
-    batch; each row ends where a ride of its own ends.  The first hit's
+    segment and keep those that refute the candidate: the one path from
+    points to segments, for the falsifier's hits and the verifier's
+    witness alike.  Initial points ride forward, unsafe points backward,
+    drift points both ways; a reset point rides backward in its source
+    mode and forward from its image in the target mode.  The forward rides
+    are one ``sim.omega`` batch and the backward ones one ``sim.alpha``
+    batch, each row ending where a ride of its own ends.  The first
     segment must have a ``segment_margin`` <= 0, or RefutationError is
-    raised; any other segment that does not refute is dropped and counted.
-    """
+    raised; any other that does not refute is dropped and counted."""
     t0 = time.perf_counter()
     ride = dict(bloat_factor=bloat_factor, t_max=t_max)
     forward, backward = [], []
@@ -590,12 +461,11 @@ def find_counterexample(prob: Problem, cert: Certificate, *, starts: int = 16,
                         seed: int = 0, bloat_factor: float = 1.1,
                         t_max: float = 100.0) -> Refutation | None:
     """Run the four searches from ``starts`` starts each and ``refute`` the
-    candidate with the worst violation, or return None when every minimum
-    is >= -_EPS_CE.
-
-    The other starts' violations, least first, add up to ``_EXTRAS``
-    extra hits: a hit near one already taken (``_near``) is skipped.
-    """
+    candidate with the worst hit and, least first, up to ``_EXTRAS``
+    others, each not ``_near`` one already taken; None when every minimum
+    is >= -_EPS_CE.  Several counter-examples per round are common in
+    counter-example-guided synthesis (Abate et al., *FOSSIL*, HSCC 2021;
+    Ravanbakhsh & Sankaranarayanan, Autonomous Robots, 2019)."""
     rng = np.random.default_rng(seed)
     seeds = [int(rng.integers(2 ** 63)) for _ in range(4)]
 

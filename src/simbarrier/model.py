@@ -151,7 +151,7 @@ class ResetRule:
 class Problem:
     state_vars: tuple[str, ...]
     dist_vars: tuple[str, ...]
-    dist_box: Box | None
+    dist_box: Box              # Box((), ()) without disturbances
     modes: tuple[ModeDef, ...]
     resets: tuple[ResetRule, ...]
     initial: tuple[tuple[int, Box], ...]
@@ -177,16 +177,15 @@ class Problem:
     def flow_boxes(self) -> tuple[Box, ...]:
         """Per mode, the box of (state, disturbance) points: omega, then
         the disturbance box."""
-        d = self.dist_box or Box((), ())
-        return tuple(Box(m.omega.lo + d.lo, m.omega.hi + d.hi)
-                     for m in self.modes)
+        return tuple(Box(m.omega.lo + self.dist_box.lo,
+                         m.omega.hi + self.dist_box.hi) for m in self.modes)
 
     @functools.cached_property
     def dist_vertices(self) -> tuple[np.ndarray, ...]:
-        """The disturbance box's corners (``vertices``); without a box, one
-        empty disturbance."""
+        """The disturbance box's corners (``vertices``); without
+        disturbances, one empty disturbance."""
         return tuple(np.asarray(v, dtype=float)
-                     for v in vertices(self.dist_box or Box((), ())))
+                     for v in vertices(self.dist_box))
 
     @functools.cached_property
     def reversed(self) -> "Problem":
@@ -738,10 +737,9 @@ def load_problem(doc: dict) -> Problem:
     n = len(state_vars)
 
     dist_vars = tuple(raw_dist)
-    dist_box = None
-    if dist_vars:
-        dist_box = _load_box(_require(doc, "disturbance_box", "disturbance_box"),
-                             len(dist_vars), "disturbance_box")
+    dist_box = (_load_box(_require(doc, "disturbance_box", "disturbance_box"),
+                          len(dist_vars), "disturbance_box")
+                if dist_vars else Box((), ()))
     all_vars = state_vars + dist_vars
 
     raw_modes = _require(doc, "modes", "modes")
@@ -823,13 +821,15 @@ def load_problem(doc: dict) -> Problem:
     )
 
 
-def _spot_check_inverse(rule: ResetRule, index: int, samples: int = 8):
+_SPOT_CHECKS = 8  # points at which a declared inverse is checked
+
+
+def _spot_check_inverse(rule: ResetRule, index: int):
     # inverse(map(x)) must reproduce x on the guard; checked at the guard
     # midpoint and a few corners, in that order, with the rule's compiled
     # code (the inverse's is the reversed rule's): a value that is not
     # finite is undefined at its point
-    points = [rule.guard.midpoint()]
-    points.extend(vertices(rule.guard)[: samples - 1])
+    points = [rule.guard.midpoint(), *vertices(rule.guard)[:_SPOT_CHECKS - 1]]
     with np.errstate(all="ignore"):
         ys = rule.map_rows(np.array(points))
         backs = rule.reversed.map_rows(ys)

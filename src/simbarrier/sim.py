@@ -143,8 +143,11 @@ def _box_gap(box: Box) -> Rows:
                                                 axis=1)
 
 
-def _contains_tol(box: Box, x: np.ndarray, tol: float = 1e-7) -> np.ndarray:
-    slack = tol * (1.0 + np.abs(x))
+_GUARD_TOL = 1e-7  # relative slack of a guard's bounds
+
+
+def _contains_tol(box: Box, x: np.ndarray) -> np.ndarray:
+    slack = _GUARD_TOL * (1.0 + np.abs(x))
     return ((np.array(box.lo) - slack <= x)
             & (x <= np.array(box.hi) + slack)).all(axis=1)
 
@@ -549,27 +552,22 @@ def _select_vertices(box: Box, cap: int,
     return list(chosen)
 
 
-def _midpoint_policy(prob: Problem):
-    if prob.dist_box is None:
-        return None
-    d_mid = np.asarray(prob.dist_box.midpoint())
-    return lambda _m, x: np.broadcast_to(d_mid, (len(x), len(d_mid)))
-
-
 def init_segments(prob: Problem, sigma: float, vertex_cap: int = 256,
                   seed: int = 0, *, bloat_factor: float = 1.1) -> list[Segment]:
     """Bootstrap segments: fixed-length forward runs from initial-box
     vertices and backward runs from unsafe-box vertices, each direction
     as one batch of rides."""
     rng = np.random.default_rng(seed)
+    d_mid = np.asarray(prob.dist_box.midpoint())  # rev has the same box
+    midpoint = lambda _m, x: np.broadcast_to(d_mid, (len(x), len(d_mid)))
     starts = [(mode, v) for mode, box in prob.initial
               for v in _select_vertices(box, vertex_cap, rng)]
-    forward = flow_hybrid(prob, starts, _midpoint_policy(prob), sigma,
+    forward = flow_hybrid(prob, starts, midpoint, sigma,
                           bloat_factor=bloat_factor)
     rev = prob.reversed
     ends = [(mode, v) for mode, box in prob.unsafe
             for v in _select_vertices(box, vertex_cap, rng)]
-    backward = flow_hybrid(rev, ends, _midpoint_policy(rev), sigma,
+    backward = flow_hybrid(rev, ends, midpoint, sigma,
                            bloat_factor=bloat_factor)
     return ([Segment(mode, v, traj.end_mode, traj.end)
              for (mode, v), traj in zip(starts, forward)]

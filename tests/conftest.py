@@ -51,7 +51,7 @@ def line_problem(flow: str = "1", omega=(-1.0, 1.0), init=(-0.9, -0.8),
     return Problem(
         state_vars=("x",),
         dist_vars=(),
-        dist_box=None,
+        dist_box=Box((), ()),
         modes=(ModeDef("m", Box((omega[0],), (omega[1],)),
                        (ex.parse(flow, ["x"]),)),),
         resets=(),
@@ -66,7 +66,7 @@ def sawtooth_problem(reset_to: float = 0.0, init=(-1.0, -0.5),
     return Problem(
         state_vars=("x",),
         dist_vars=(),
-        dist_box=None,
+        dist_box=Box((), ()),
         modes=(ModeDef("m", Box((-2.0,), (2.0,)), (ex.parse("1", ["x"]),)),),
         resets=(ResetRule(
             source=0, guard=Box((1.0,), (1.0,)), target=0,

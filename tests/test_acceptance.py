@@ -269,7 +269,7 @@ def test_criterion_10_numerics_suite():
 
     # integrator endpoint error on exponential decay
     box = model.Box((-5.0,), (5.0,))
-    decay = model.Problem(("x",), (), None, (model.ModeDef(
+    decay = model.Problem(("x",), (), model.Box((), ()), (model.ModeDef(
         "m", box, (ex.parse("-x", ["x"]),)),), (), ((0, box),), ((0, box),))
     traj, = sim.flow_hybrid(decay, [(0, [1.0])], None, 1.0, bloat_factor=1.0)
     decay_err = abs(traj.end[0] - math.exp(-1.0))

@@ -451,6 +451,17 @@ class TestErrors:
         assert f"{path}: modes[0].flow[0]: " in err and "'1e400'" in err
         assert "Traceback" not in err
 
+    def test_non_ascii_numeral_is_diagnosed(self, tmp_path, capsys):
+        # an Arabic-Indic three is no number, as in a barrier's monomials
+        doc = benchmarks.pendulum()
+        doc["modes"][0]["flow"][0] = "\u0663*x"
+        path = _write(tmp_path, "numeral.json", doc)
+        assert cli.main(["synth", path]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: modes[0].flow[0]: " in err
+        assert "unexpected character '\u0663'" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("fwd,inv,location,point", [
         ("1/x", "1/x", "resets[0].map", "(0.0,)"),
         ("x - 1", "(x + 1)^2 / (x + 1)", "resets[0].inverse", "(-1.0,)"),

@@ -41,6 +41,16 @@ class TestParse:
         assert ex.evaluate(ex.parse("2*3 - 4/2", vars_), [0, 0]) == 4
         assert ex.evaluate(ex.parse("1.5e2 + 1", vars_), [0, 0]) == 151.0
 
+    @pytest.mark.parametrize("text,position", [
+        ("\u0663*x", 0),             # Arabic-Indic three
+        ("\uff13.\uff15 + x", 0),    # fullwidth 3.5
+        ("x^\u0663", 2),
+    ])
+    def test_numerals_are_ascii_digits(self, text, position):
+        with pytest.raises(ex.ParseError) as err:
+            ex.parse(text, ["x"])
+        assert err.value.position == position
+
     @pytest.mark.parametrize("text", ["y + 0*1e400", "1" + "0" * 400])
     def test_literal_outside_float_range_rejected(self, text):
         with pytest.raises(ex.ParseError, match="outside the float range"):
@@ -168,6 +178,34 @@ class TestCompileBatch:
             assert out.shape == (2 * copies, 2)
             assert out[:, 0].tolist() == [2.0 / 3.0] * 2 * copies
             assert out[:, 1].tolist() == [0.1 ** 2, 9.0] * copies
+
+    @pytest.mark.parametrize("rows", [0, 1, 8, 9, 16])
+    def test_constant_tuples_compile_nothing(self, monkeypatch, rows):
+        # a tuple without variables (a linear template's gradient, its
+        # Hessian of zeros) repeats its folded row, nan throughout where
+        # an entry raises, bit for bit what compile_vector gives
+        texts = [["2/3", "-0.0", "1e308*10", "sqrt(2)"], ["0", "ln(0)"]]
+        tuples = [[ex.parse(t, ["x"]) for t in ts] for ts in texts]
+        tuples[0].append(ex.Const(math.nan))
+        tuples[1].append(ex.Const(math.inf))
+        with np.errstate(all="ignore"):
+            want = [_per_row(ex.compile_vector(es), np.zeros((1, 1)))[0]
+                    for es in tuples]
+        assert want[1] is ValueError           # ln(0) raises
+
+        def compiles(*_):
+            raise AssertionError("a constant tuple compiled code")
+        monkeypatch.setattr(ex, "compile_vector", compiles)
+        monkeypatch.setattr(ex, "_batch_code", compiles)
+        points = np.linspace(-1.0, 1.0, rows)[:, None]
+        for es, expected in zip(tuples, want):
+            got = ex.compile_batch(es)(points)
+            assert got.shape == (rows, len(es))
+            for row in got:
+                if isinstance(expected, type):
+                    assert np.isnan(row).all()
+                else:
+                    assert _same_bits_or_nan(row, expected)
 
     def test_zero_divisor_gives_nan_rows(self):
         batch = ex.compile_batch([ex.parse("1/x", ["x"]), ex.parse("x", ["x"])])

@@ -334,8 +334,8 @@ class TestCertificateEnclosures:
         modes = tuple(ModeDef(f"m{i}", Box((-1e4,) * n, (1e4,) * n), flow)
                       for i in range(len(tmpl.monomials)))
         region = ((0, modes[0].omega),)
-        prob = Problem(tuple(f"x{i}" for i in range(n)), (), None, modes, (),
-                       region, region)
+        prob = Problem(tuple(f"x{i}" for i in range(n)), (), Box((), ()),
+                       modes, (), region, region)
         cert = Certificate(tmpl, p)
         grad = cert[mode].exprs[1]
         # every box at once, as the verifier encloses a level of boxes
@@ -524,6 +524,14 @@ class TestLoadProblem:
         assert prob.modes[0].omega == Box((-10.0, -10.0), (10.0, 10.0))
         assert prob.initial[0][1] == Box((-10.0, 8.0), (10.0, 10.0))
         assert prob.unsafe[0][1] == Box((-10.0, -10.0), (10.0, -5.0))
+
+    def test_no_disturbances_give_the_empty_box(self):
+        # without disturbances: the empty box, one empty vertex, and each
+        # mode's (state, disturbance) box is its omega
+        prob = load_problem(benchmarks.pendulum())
+        assert prob.dist_box == Box((), ())
+        assert [v.shape for v in prob.dist_vertices] == [(0,)]
+        assert prob.flow_boxes == (prob.modes[0].omega,)
 
     def test_composition_flow(self):
         prob = load_problem(benchmarks.composition())

@@ -22,8 +22,9 @@ def _mode(flow_texts, names, omega):
 
 def _one_mode(flow_texts, names, omega: Box) -> Problem:
     """A single-mode system whose state space is ``omega``."""
-    return Problem(tuple(names), (), None, (_mode(flow_texts, names, omega),),
-                   (), ((0, omega),), ((0, omega),))
+    return Problem(tuple(names), (), Box((), ()),
+                   (_mode(flow_texts, names, omega),), (), ((0, omega),),
+                   ((0, omega),))
 
 
 def _ride(prob, start, horizon, **kw) -> sim.Trajectory:
@@ -139,7 +140,7 @@ class TestFlowHybrid:
         broken = model.ResetRule(rule.source, rule.guard, rule.target,
                                  (ex.parse("ln(1 - x)", ["x"]),), rule.inv,
                                  rule.image)
-        prob = Problem(prob.state_vars, (), None, prob.modes, (broken,),
+        prob = Problem(prob.state_vars, (), Box((), ()), prob.modes, (broken,),
                        prob.initial, prob.unsafe)
         failed, clear = sim.flow_hybrid(prob, [(0, (0.5,)), (0, (-1.5,))],
                                         None, 1.0)
@@ -458,7 +459,7 @@ class TestDriftRides:
 
     def test_omega_parabola_event(self):
         prob = model.Problem(
-            ("x", "y"), (), None,
+            ("x", "y"), (), Box((), ()),
             (_mode(["y", "-1"], ["x", "y"], Box((-10.0, -10.0), (10.0, 10.0))),),
             (), ((0, Box((-1.0, 0.5), (1.0, 1.5))),),
             ((0, Box((5.0, 5.0), (6.0, 6.0))),))
@@ -494,7 +495,7 @@ class TestDriftRides:
     def test_alpha_reverse_of_parabola(self):
         # no bloating: the backward ride exits the state space at x = 0
         prob = model.Problem(
-            ("x", "y"), (), None,
+            ("x", "y"), (), Box((), ()),
             (_mode(["y", "-1"], ["x", "y"], Box((0.0, -2.0), (2.0, 2.0))),),
             (), ((0, Box((0.1, 0.5), (0.2, 1.5))),),
             ((0, Box((1.5, 1.5), (1.9, 1.9))),))
@@ -536,8 +537,6 @@ def _bits(traj: sim.Trajectory):
 
 def _midpoint(prob):
     """The bootstrap's disturbance policy: per ride and over rows."""
-    if prob.dist_box is None:
-        return None, None
     d = np.asarray(prob.dist_box.midpoint())
     return (lambda _m, _x: d), (lambda _m, x: np.tile(d, (len(x), 1)))
 

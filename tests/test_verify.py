@@ -197,7 +197,7 @@ class TestUnknown:
         # ln(x) is undefined on part of the state space; the certificate
         # cannot be proved there even though it looks fine numerically
         prob = Problem(
-            ("x",), (), None,
+            ("x",), (), Box((), ()),
             (ModeDef("m", Box((-1.0,), (1.0,)),
                      (ex.parse("ln(x^2)", ["x"]),)),),
             (), ((0, Box((-0.9,), (-0.8,))),), ((0, Box((0.8,), (0.9,))),))
