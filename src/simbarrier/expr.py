@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -400,7 +400,8 @@ def differentiate(e: Expr, var: int) -> Expr:
 _CHUNK = 500  # terms of a sum per flat expression
 
 
-def _codegen(e: Expr, flavour: str = "point") -> str:
+def _codegen(e: Expr, flavour: str = "point",
+             names: _BoxNames | None = None) -> str:
     """Python source computing ``e`` from the values ``_v``; ``flavour`` is
     "point", "batch" or "box".
 
@@ -417,11 +418,16 @@ def _codegen(e: Expr, flavour: str = "point") -> str:
     (``_fold``), or point code where that raises or is not finite.  Where
     the point code raises on an entry, ``_pow``, ``_each_*`` and ``_div``
     give nan there and add its row to the list ``_bad`` of the call, their
-    first argument.  Box code reads interval rows ``_v[i]``
-    (``interval.Rows``, one interval per box): the same operators,
-    constants as point intervals ``_I(c)``, never folded in floats, and
-    ``_div``, ``_log`` and ``_sqrt``, which give nan bounds on the rows
-    where the box leaves their domain.
+    first argument.
+
+    Box code reads interval rows ``_v0``, ``_v1``, ... (``interval.Rows``,
+    one interval per box), with the rounding of each primitive (see
+    ``interval``): the same operators, constants as point intervals,
+    never folded in floats, and ``_div``, ``_log`` and ``_sqrt``, which
+    give nan bounds on the rows where the box leaves their domain.  A
+    product with a finite non-zero constant ``c`` is ``_scale(c, ...)``.
+    Each subtree without variables is a name, bound once before the code
+    runs (``_box_source``); ``names`` collects them.
 
     A chain of sums and differences is emitted flat, as Python groups it,
     by a loop down its left operands, and added up left to right in chunks
@@ -435,48 +441,77 @@ def _codegen(e: Expr, flavour: str = "point") -> str:
         if value is not None and math.isfinite(value):
             return f"({value!r})"
         flavour = "point"
-    gen = lambda a: _codegen(a, flavour)
+    gen = lambda a: _codegen(a, flavour, names)
     match e:
         case Const(v):
             if flavour == "box":
-                return f"_I({v!r})"
+                points = names.points
+                return points.setdefault(repr(v), f"_k{len(points)}")
             return f"({v!r})"  # unparenthesized negatives bind wrongly with **
         case Var(i):
+            if flavour == "box":
+                names.variables = max(names.variables, i + 1)
+                return f"_v{i}"
             return f"_v[{i}]"
         case Neg(a):
-            return f"(-{gen(a)})"
+            code = f"(-{gen(a)})"
         case Add() | Sub():
             first, chain = _sum_chain(e)
             terms = [gen(first)] + [
                 f"{'+' if isinstance(node, Add) else '-'} {gen(node.b)}"
                 for node in chain]
             if len(terms) <= _CHUNK:
-                return f"({' '.join(terms)})"
-            # each chunk reads the partial sum _s before its terms run, so
-            # a term's own chunked sum cannot overwrite it
-            parts = [" ".join(terms[i:i + _CHUNK])
-                     for i in range(0, len(terms), _CHUNK)]
-            steps = [f"(_s := ({parts[0]}))"]
-            steps += [f"(_s := (_s {part}))" for part in parts[1:]]
-            return f"({', '.join(steps)})[-1]"
+                code = f"({' '.join(terms)})"
+            else:
+                # each chunk reads the partial sum _s before its terms run,
+                # so a term's own chunked sum cannot overwrite it
+                parts = [" ".join(terms[i:i + _CHUNK])
+                         for i in range(0, len(terms), _CHUNK)]
+                steps = [f"(_s := ({parts[0]}))"]
+                steps += [f"(_s := (_s {part}))" for part in parts[1:]]
+                code = f"({', '.join(steps)})[-1]"
         case Mul(a, b):
-            return f"({gen(a)} * {gen(b)})"
+            c, x = (a, b) if isinstance(a, Const) else (b, a)
+            if (flavour == "box" and isinstance(c, Const) and c.value != 0.0
+                    and math.isfinite(c.value)):
+                code = f"_scale({c.value!r}, {gen(x)})"
+            else:
+                code = f"({gen(a)} * {gen(b)})"
         case Div(a, b):
             if flavour == "box" or (flavour == "batch" and (
                     variables_of(b) or _fold(b) in (None, 0.0))):
                 bad = "_bad, " if flavour == "batch" else ""
-                return f"_div({bad}{gen(a)}, {gen(b)})"
-            return f"({gen(a)} / {gen(b)})"
+                code = f"_div({bad}{gen(a)}, {gen(b)})"
+            else:
+                code = f"({gen(a)} / {gen(b)})"
         case Pow(base, n):
             if flavour == "batch":
-                return f"_pow(_bad, {gen(base)}, {n})"
-            return f"({gen(base)} ** {n})"
+                code = f"_pow(_bad, {gen(base)}, {n})"
+            else:
+                code = f"({gen(base)} ** {n})"
         case Sin(a) | Cos(a) | Exp(a) | Ln(a) | Sqrt(a):
             name = _MATH_NAMES[type(e)]
             if flavour == "batch":
-                return f"_each_{name}(_bad, {gen(a)})"
-            return f"_{name}({gen(a)})"
-    raise TypeError(f"not an expression: {e!r}")
+                code = f"_each_{name}(_bad, {gen(a)})"
+            else:
+                code = f"_{name}({gen(a)})"
+        case _:
+            raise TypeError(f"not an expression: {e!r}")
+    # in box code, only a subtree with variables reads a name _v0, _v1, ...
+    if flavour != "box" or "_v" in code:
+        return code
+    return names.subtrees.setdefault(code, f"_c{len(names.subtrees)}")
+
+
+@dataclass
+class _BoxNames:
+    """The names that box code reads: the variables ``_v0``, ``_v1``, ...
+    up to ``variables``; the point interval of each constant, by the
+    constant's repr; and each other subtree without variables, by its
+    code, in the order they are first met."""
+    variables: int = 0
+    points: dict[str, str] = field(default_factory=dict)
+    subtrees: dict[str, str] = field(default_factory=dict)
 
 
 _MATH_NAMES = {Sin: "sin", Cos: "cos", Exp: "exp", Ln: "log", Sqrt: "sqrt"}
@@ -509,12 +544,16 @@ def _each(fn):
     return each
 
 
-def _array_call(fn, raises):
+def _array_call(fn, clear, raises):
     """``fn`` over the column in one numpy call, for a function whose numpy
     version rounds as libm does; entries where ``raises`` (where the point
     code raises) are nan and their rows are added to ``bad``.  A column
-    with no such entry is one plain call, which warns of nothing."""
+    that ``clear``, one reduction over it, finds free of such entries is
+    one plain call, as is one where ``raises`` finds none; either warns of
+    nothing."""
     def call(bad, col):
+        if clear(col):
+            return fn(col)
         undefined = raises(col)
         if not undefined.any():
             return fn(col)
@@ -548,15 +587,19 @@ _BATCHED = dict(_MATH, _pow=_pow_entries, _div=_div_entries,
 _BATCHED.update((f"_each_{name}", _each(getattr(math, name)))
                 for name in ("exp", "log"))
 # numpy's sin, cos and sqrt round as libm does; math raises on an infinite
-# angle and on a negative square root
-_BATCHED.update(_each_sin=_array_call(np.sin, np.isinf),
-                _each_cos=_array_call(np.cos, np.isinf),
-                _each_sqrt=_array_call(np.sqrt, lambda col: col < 0.0))
+# angle and on a negative square root.  A column whose sum of squares is
+# finite has no infinite entry (``np.vdot`` warns of no overflow; a sum
+# that overflows only costs the per-entry mask), and one whose least entry
+# is not negative has no negative entry; a nan entry fails either test.
+_finite = lambda col: math.isfinite(np.vdot(col, col))
+_BATCHED.update(_each_sin=_array_call(np.sin, _finite, np.isinf),
+                _each_cos=_array_call(np.cos, _finite, np.isinf),
+                _each_sqrt=_array_call(np.sqrt, lambda col: col.min() >= 0.0,
+                                       lambda col: col < 0.0))
 
 
-_BOX = dict(_I=iv.point, _Rows=iv.Rows, _sin=iv.sin, _cos=iv.cos,
-            _exp=iv.exp, _log=iv.log, _sqrt=iv.sqrt, _div=iv.div,
-            inf=math.inf, nan=math.nan)
+_BOX = dict(_sin=iv.sin, _cos=iv.cos, _exp=iv.exp, _log=iv.log,
+            _sqrt=iv.sqrt, _div=iv.div, _scale=iv.scale)
 
 
 def _compile(src: str):
@@ -660,6 +703,23 @@ def _batch_code(es: Sequence[Expr]):
     return namespace["_f"]
 
 
+def _box_source(es: Sequence[Expr]) -> tuple[dict[str, float], str]:
+    """The box code of ``es`` (``_codegen``) as the source of a function
+    ``_f(_v0, _v1, ..., *_)`` of one interval value per variable, which
+    returns the list of their enclosures, after a prelude that sets the
+    name of each subtree without variables but a constant; and the names
+    of the point constants it reads, with their values.  The caller binds
+    those: the compiler takes longer over a call with a literal than numpy
+    takes to build the interval."""
+    names = _BoxNames()
+    codes = [_codegen(e, "box", names) for e in es]
+    prelude = [f"{name} = {code}\n" for code, name in names.subtrees.items()]
+    params = "".join(f"_v{i}, " for i in range(names.variables))
+    return ({name: float(c) for c, name in names.points.items()},
+            "".join(prelude)
+            + f"def _f({params}*_):\n    return [{', '.join(codes)}]\n")
+
+
 def compile_interval(es: Sequence[Expr]):
     """Compile a tuple of expressions to one ``f(lo, hi) -> (lo, hi)``:
     their natural interval extensions over a batch of boxes.
@@ -671,12 +731,14 @@ def compile_interval(es: Sequence[Expr]):
     ``interval``).  An entry is nan where the box touches a domain
     boundary of some sub-expression; the call raises no math error.
     """
-    src = ("def _f(_b):\n"
-           "    _v = [_Rows(_b[:, i]) for i in range(_b.shape[1])]\n"
-           f"    return [{', '.join(_codegen(e, 'box') for e in es)}]\n")
+    points, src = _box_source(es)
     namespace = dict(_BOX)
-    exec(src, namespace)  # noqa: S102 - source is generated locally
-    rows = namespace["_f"]
+    namespace.update(zip(points, iv.points(list(points.values()))))
+    with np.errstate(all="ignore"):
+        exec(src, namespace)  # noqa: S102 - source is generated locally
+    # popped, so that the function and its namespace form no cycle and go
+    # with the last reference, not at the next full garbage collection
+    rows = namespace.pop("_f")
 
     def f(lo, hi):
         out_lo = np.empty((len(lo), len(es)))
@@ -684,7 +746,8 @@ def compile_interval(es: Sequence[Expr]):
         if not len(lo):
             return out_lo, out_hi
         with np.errstate(all="ignore"):
-            for i, enc in enumerate(rows(np.array([lo.T, hi.T]))):
+            b = np.array([lo.T, hi.T]).swapaxes(0, 1)
+            for i, enc in enumerate(rows(*map(iv.Rows, b))):
                 out_lo[:, i], out_hi[:, i] = enc.lo, enc.hi
         return out_lo, out_hi
     return f

@@ -3,9 +3,15 @@
 A ``Rows`` value holds one interval per row, ``[lo[r], hi[r]]``, in one
 float array ``[lo, hi]``; the box code of ``expr.compile_interval`` runs
 on them, so one call encloses an expression over a whole batch of boxes.
-Every primitive widens each result bound by ``_WIDEN_STEPS`` ulps
-(``np.nextafter``), so enclosures stay sound without depending on the
-platform's rounding mode.
+Every primitive rounds each result bound outward (``np.nextafter``), so
+enclosures stay sound without depending on the platform's rounding mode:
+- sums, differences, products, quotients, squares and square roots by
+  ``_ROUND_STEPS`` ulp: each of their bounds is one IEEE operation,
+  correctly rounded, so it is off by less than one ulp in any rounding
+  mode (Rump, BIT 39, 1999);
+- integer powers from the cube up, ``exp``, ``log``, ``sin`` and ``cos``,
+  and the borderline test of ``sin`` and ``cos``, by ``_WIDEN_STEPS``
+  ulps, which cover the worst-case error of every libm call used.
 
 Each row gets the bits that the same primitive gives on that row's
 interval alone, by the rules the batch code of ``expr`` follows:
@@ -13,12 +19,12 @@ interval alone, by the rules the batch code of ``expr`` follows:
   numpy operations, which round as Python floats do; ``np.fmin`` and
   ``np.fmax`` pick a product's or quotient's bounds and drop the nan
   candidates of ``0 * inf`` and ``inf / inf``; the sign of a zero they
-  pick does not matter, since widening moves it off zero;
-- integer powers, ``exp`` and ``log`` run entry by entry on Python floats
-  (libm), because numpy's vector ``power``, ``exp`` and ``log`` round
-  differently; ``np.sin`` and ``np.cos`` round as libm's do, and
-  ``np.sqrt`` is correctly rounded, as ``math.sqrt`` is;
-- 4 ulps per bound covers the worst-case error of every libm call used.
+  pick does not matter, since rounding moves it off zero;
+- a square is the product ``b * b``; higher integer powers, ``exp`` and
+  ``log`` run entry by entry on Python floats (libm), because numpy's
+  vector ``power``, ``exp`` and ``log`` round differently; ``np.sin`` and
+  ``np.cos`` round as libm's do, and ``np.sqrt`` is correctly rounded, as
+  ``math.sqrt`` is.
 
 A row where an operation is undefined (a divisor interval through zero,
 ``log`` at or below zero, ``sqrt`` of a negative) gets nan bounds, and
@@ -32,9 +38,12 @@ undefined, never as proved.  No primitive raises.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
+# a correctly rounded operation (+ - * / sqrt) is off by less than one ulp
+_ROUND_STEPS = 1
 # 4 ulps per bound covers the worst-case error of every libm call we use.
 _WIDEN_STEPS = 4
 
@@ -81,12 +90,22 @@ _NON_NEGATIVE = np.array([[0.0], [-_INF]])
 _UNIT = np.array([[-1.0], [1.0]])
 
 
-def _widened(b: np.ndarray) -> Rows:
+def _outward(b: np.ndarray, steps: int) -> Rows:
     # -inf stays; +inf (an overflowed bound) steps down to finite floats:
     # the exact value it stands for is a real number above the largest float
-    for _ in range(_WIDEN_STEPS):
+    for _ in range(steps):
         b = np.nextafter(b, _OUTWARD)
     return Rows(b)
+
+
+def _rounded(b: np.ndarray) -> Rows:
+    """The bounds of one correctly rounded operation, rounded outward."""
+    return _outward(b, _ROUND_STEPS)
+
+
+def _widened(b: np.ndarray) -> Rows:
+    """The bounds of a libm call, widened outward."""
+    return _outward(b, _WIDEN_STEPS)
 
 
 def _each(fn, b: np.ndarray, fallback) -> np.ndarray:
@@ -133,16 +152,16 @@ class Rows:
         return self.b[1]
 
     def __add__(x, y: Rows) -> Rows:
-        return _widened(x.b + y.b)
+        return _rounded(x.b + y.b)
 
     def __sub__(x, y: Rows) -> Rows:
-        return _widened(x.b - y.b[::-1])
+        return _rounded(x.b - y.b[::-1])
 
     def __neg__(x) -> Rows:
         return Rows(-x.b[::-1])
 
     def __mul__(x, y: Rows) -> Rows:
-        return _widened(_hull(x.b[:, None] * y.b[None, :]))
+        return _rounded(_hull(x.b[:, None] * y.b[None, :]))
 
     def __pow__(x, n: int) -> Rows:
         """x**n for integer n >= 0, using the monotone/even-power rule."""
@@ -152,14 +171,17 @@ class Rows:
             return Rows(np.where(np.isnan(x.b), _NAN, 1.0))
         if n == 1:
             return x
-        p = _power(x.b, n)
+        if n == 2:  # one correctly rounded product, not libm's pow
+            p, outward = x.b * x.b, _rounded
+        else:
+            p, outward = _power(x.b, n), _widened
         if n % 2 == 1:
-            return _widened(p)
+            return outward(p)
         above, below = x.b[0] >= 0.0, x.b[1] <= 0.0
         # a row through zero: [0, max]; an undefined row stays nan
         through = np.array([np.where(np.isnan(x.b[0]), _NAN, 0.0),
                             np.maximum(p[0], p[1])])
-        return _widened(np.where(above, p, np.where(below, p[::-1], through)))
+        return outward(np.where(above, p, np.where(below, p[::-1], through)))
 
 
 def _hull(c: np.ndarray) -> np.ndarray:
@@ -184,15 +206,25 @@ def _power(b: np.ndarray, n: int) -> np.ndarray:
     return _each(pow_n, b, overflowed)
 
 
-def point(c: float) -> Rows:
-    """The point interval [c, c], broadcast over every row."""
-    return Rows(np.array([[c], [c]]))
+def points(values: Sequence[float]) -> list[Rows]:
+    """The point interval [c, c] of each of ``values``, broadcast over
+    every row."""
+    b = np.array([values, values], dtype=float)
+    return list(map(Rows, b.T[:, :, None]))
+
+
+def scale(c: float, x: Rows) -> Rows:
+    """c * x for a finite non-zero float c: two products, not the four of
+    the product with the point interval [c, c], and its bits on every row
+    whose bounds are numbers."""
+    b = c * x.b
+    return _rounded(b if c > 0.0 else b[::-1])
 
 
 def div(x: Rows, y: Rows) -> Rows:
     """x / y; nan on rows where y contains zero."""
     through_zero = (y.b[0] <= 0.0) & (0.0 <= y.b[1])
-    out = _widened(_hull(x.b[:, None] / y.b[None, :]))
+    out = _rounded(_hull(x.b[:, None] / y.b[None, :]))
     return Rows(np.where(through_zero, _NAN, out.b))
 
 
@@ -210,7 +242,7 @@ def log(x: Rows) -> Rows:
 
 def sqrt(x: Rows) -> Rows:
     """sqrt x; nan on rows that reach below zero."""
-    out = _widened(np.sqrt(x.b))
+    out = _rounded(np.sqrt(x.b))
     return Rows(np.where(x.b[0] < 0.0, _NAN, np.maximum(_NON_NEGATIVE, out.b)))
 
 

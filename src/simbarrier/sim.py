@@ -284,7 +284,7 @@ class _Rides:
         self.mode = np.array([m for m, _ in starts], dtype=int)
         self.x = np.array([x0 for _, x0 in starts],
                           dtype=float).reshape(k, prob.dim)
-        self.d = np.empty((k, len(prob.dist_vars) if dpolicy else 0))
+        self.d = np.empty((k, len(prob.dist_vars)))
         self.g_prev = np.empty((k, max(len(p.events) for p in self.phases)))
         # time before the current phase, time in it, the step
         self.t_out, self.t, self.h = np.zeros(k), np.zeros(k), np.zeros(k)
@@ -504,7 +504,8 @@ def flow_hybrid(prob: Problem, starts: Sequence[tuple[int, Sequence[float]]],
     Resets fire as early as possible, including at time zero when the
     start point already sits on a guard.  Disturbance inputs are piecewise
     constant: ``dpolicy(mode, x)`` gives one disturbance row per state row
-    of ``x`` and is re-evaluated at each accepted step.
+    of ``x`` and is re-evaluated at each accepted step; it may be None
+    only on a problem without disturbances (ValueError otherwise).
     ``extra_event(mode, x, d)`` is the stop function over rows, evaluated
     in the current mode: a row stops with reason EVENT where it crosses
     down to zero, or at the start of a continuous phase, the first or one
@@ -516,6 +517,9 @@ def flow_hybrid(prob: Problem, starts: Sequence[tuple[int, Sequence[float]]],
     a row still riding after ``MAX_STEPS`` trial steps, accepted or
     rejected, ends where it is with reason STEP_LIMIT.
     """
+    if dpolicy is None and prob.dist_vars:
+        raise ValueError("a problem with disturbances "
+                         f"({', '.join(prob.dist_vars)}) needs a dpolicy")
     rides = _Rides(prob, starts, dpolicy, horizon, bloat_factor, extra_event,
                    jump_stop)
     with np.errstate(all="ignore"):

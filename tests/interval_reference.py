@@ -3,8 +3,11 @@ on one ``Interval`` at a time, that the row primitives replaced.
 
 Row r of an ``expr.compile_interval`` enclosure must be bit for bit what
 the box code gives here on box r alone (``tests/test_interval.py``).  The
-scalar primitives are kept as they were, so the reference does not share
-code with what it checks; only the value class is ``interval.Interval``.
+scalar primitives are kept in their own code, so the reference does not
+share code with what it checks; only the value class is
+``interval.Interval``.  Like the row primitives, they round sums,
+differences, products, quotients, squares and square roots outward by one
+ulp, and widen the libm calls by four.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ from typing import Sequence
 from simbarrier import expr as ex
 from simbarrier import interval
 
+# a correctly rounded operation (+ - * / sqrt, a square as one product) is
+# off by less than one ulp in any rounding mode
+_ROUND_STEPS = 1
 # 4 ulps per bound covers the worst-case error of every libm call we use.
 _WIDEN_STEPS = 4
 
@@ -23,20 +29,20 @@ _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
 
 
-def _down(x: float) -> float:
+def _down(x: float, steps: int = _WIDEN_STEPS) -> float:
     # +inf (an overflowed bound) steps down to finite floats: the exact
     # value it stands for is a real number above the largest float
     if x == -_INF:
         return x
-    for _ in range(_WIDEN_STEPS):
+    for _ in range(steps):
         x = math.nextafter(x, -_INF)
     return x
 
 
-def _up(x: float) -> float:
+def _up(x: float, steps: int = _WIDEN_STEPS) -> float:
     if x == _INF:
         return x
-    for _ in range(_WIDEN_STEPS):
+    for _ in range(steps):
         x = math.nextafter(x, _INF)
     return x
 
@@ -52,12 +58,16 @@ def _widened(lo: float, hi: float) -> Interval:
     return Interval(_down(lo), _up(hi))
 
 
+def _rounded(lo: float, hi: float) -> Interval:
+    return Interval(_down(lo, _ROUND_STEPS), _up(hi, _ROUND_STEPS))
+
+
 def add(x: Interval, y: Interval) -> Interval:
-    return _widened(x.lo + y.lo, x.hi + y.hi)
+    return _rounded(x.lo + y.lo, x.hi + y.hi)
 
 
 def sub(x: Interval, y: Interval) -> Interval:
-    return _widened(x.lo - y.hi, x.hi - y.lo)
+    return _rounded(x.lo - y.hi, x.hi - y.lo)
 
 
 def neg(x: Interval) -> Interval:
@@ -69,7 +79,7 @@ def mul(x: Interval, y: Interval) -> Interval:
     # no information and are dropped.
     cands = [x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi]
     cands = [c for c in cands if not math.isnan(c)]
-    return _widened(min(cands), max(cands))
+    return _rounded(min(cands), max(cands))
 
 
 def div(x: Interval, y: Interval) -> Interval | None:
@@ -77,7 +87,7 @@ def div(x: Interval, y: Interval) -> Interval | None:
         return None
     cands = [x.lo / y.lo, x.lo / y.hi, x.hi / y.lo, x.hi / y.hi]
     cands = [c for c in cands if not math.isnan(c)]
-    return _widened(min(cands), max(cands))
+    return _rounded(min(cands), max(cands))
 
 
 def _pow(v: float, n: int) -> float:
@@ -88,22 +98,25 @@ def _pow(v: float, n: int) -> float:
 
 
 def power(x: Interval, n: int) -> Interval:
-    """x**n for integer n >= 0, using the monotone/even-power rule."""
+    """x**n for integer n >= 0, using the monotone/even-power rule; a
+    square is the product x * x."""
     if n < 0:
         raise ValueError("negative integer exponent")
     if n == 0:
         return Interval(1.0, 1.0)
     if n == 1:
         return Interval(x.lo, x.hi)
-    lo_n = _pow(x.lo, n)
-    hi_n = _pow(x.hi, n)
+    if n == 2:
+        lo_n, hi_n, outward = x.lo * x.lo, x.hi * x.hi, _rounded
+    else:
+        lo_n, hi_n, outward = _pow(x.lo, n), _pow(x.hi, n), _widened
     if n % 2 == 1:
-        return _widened(lo_n, hi_n)
+        return outward(lo_n, hi_n)
     if x.lo >= 0.0:
-        return _widened(lo_n, hi_n)
+        return outward(lo_n, hi_n)
     if x.hi <= 0.0:
-        return _widened(hi_n, lo_n)
-    return _widened(0.0, max(lo_n, hi_n))
+        return outward(hi_n, lo_n)
+    return outward(0.0, max(lo_n, hi_n))
 
 
 def exp(x: Interval) -> Interval:
@@ -127,7 +140,8 @@ def log(x: Interval) -> Interval | None:
 def sqrt(x: Interval) -> Interval | None:
     if x.lo < 0.0:
         return None
-    return Interval(max(0.0, _down(math.sqrt(x.lo))), _up(math.sqrt(x.hi)))
+    return Interval(max(0.0, _down(math.sqrt(x.lo), _ROUND_STEPS)),
+                    _up(math.sqrt(x.hi), _ROUND_STEPS))
 
 
 def _contains_critical(lo: float, hi: float, offset: float) -> bool:
@@ -191,18 +205,32 @@ def _defined(fn):
     return checked
 
 
-_BOX = dict(_I=Interval, _sin=sin, _cos=cos, _exp=exp, _log=_defined(log),
+_BOX = dict(_sin=sin, _cos=cos, _exp=exp, _log=_defined(log),
             _sqrt=_defined(sqrt), _div=_defined(div),
-            DomainError=ex.DomainError, inf=math.inf, nan=math.nan)
+            _scale=lambda c, x: mul(Interval(c), x))
 
 
 def box_code(es: Sequence[ex.Expr]):
     """One ``f(box) -> Interval | None`` per expression: the box code of
-    ``expr._codegen`` on a sequence of intervals, one per variable, or
-    None where the box touches a domain boundary of a sub-expression."""
-    src = "".join(f"def _f{i}(_v):\n    try:\n        return {ex._codegen(e, 'box')}\n"
-                  "    except DomainError:\n        return None\n"
-                  for i, e in enumerate(es))
-    namespace = dict(_BOX)
-    exec(src, namespace)  # noqa: S102 - source is generated locally
-    return [namespace[f"_f{i}"] for i in range(len(es))]
+    ``expr._codegen``, its prelude included, on a sequence of intervals,
+    one per variable, or None where the box touches a domain boundary of
+    a sub-expression, or where a subtree without variables is undefined.
+    A product with a constant is the product with its point interval."""
+    fns = []
+    for e in es:
+        points, src = ex._box_source([e])
+        namespace = dict(_BOX)
+        namespace.update((name, Interval(c)) for name, c in points.items())
+        try:
+            exec(src, namespace)  # noqa: S102 - source is generated locally
+        except ex.DomainError:
+            fns.append(lambda box: None)
+            continue
+
+        def f(box, _f=namespace["_f"]):
+            try:
+                return _f(*box)[0]
+            except ex.DomainError:
+                return None
+        fns.append(f)
+    return fns

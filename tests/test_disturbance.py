@@ -38,6 +38,12 @@ def test_integrate_with_constant_policy():
     assert traj.end[0] == pytest.approx(0.5 - 0.75, abs=1e-8)
 
 
+def test_ride_without_a_policy_is_refused():
+    # the flow reads its disturbance column, which no policy would fill
+    with pytest.raises(ValueError, match=r"\(d\) needs a dpolicy"):
+        sim.flow_hybrid(disturbed_line(0.5), [(0, (0.0,))], None, 1.0)
+
+
 def test_omega_picks_drift_maximizing_vertex():
     prob = disturbed_line(1.5)  # drift of V = x is -1 + d, max at d = 1.5
     (_, end), = sim.omega(prob, Certificate(TMPL, P), [(0, (0.0,))],

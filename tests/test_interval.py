@@ -238,15 +238,16 @@ def _misses(out: rows_iv.Rows, r: int, lo, hi) -> bool:
 
 
 def _arithmetic_misses(xs, ys, n: int) -> list[str]:
-    """The rows where the row primitives' +, -, *, / and ** n miss the
-    exact range of the rationals, with a nan quotient required where the
-    divisor reaches zero."""
+    """The rows where the row primitives' +, -, *, /, ** n and ** 2 miss
+    the exact range of the rationals, with a nan quotient required where
+    the divisor reaches zero."""
     x, y = _rows(xs), _rows(ys)
     misses = []
     with np.errstate(all="ignore"):
         outs = {"add": (x + y, lambda p, q: p + q), "sub": (x - y, lambda p, q: p - q),
                 "mul": (x * y, lambda p, q: p * q)}
-        quotient, power = rows_iv.div(x, y), x ** n
+        quotient = rows_iv.div(x, y)
+        powers = {k: x ** k for k in (n, 2)}
     for r in range(len(xs)):
         xr, yr = _row(x, r), _row(y, r)
         for name, (out, exact) in outs.items():
@@ -257,17 +258,18 @@ def _arithmetic_misses(xs, ys, n: int) -> list[str]:
                 misses.append(f"div row {r} is defined")
         elif _misses(quotient, r, *_exact_range(lambda p, q: p / q, xr, yr)):
             misses.append(f"div row {r}")
-        lo_n, hi_n = Fraction(xr.lo) ** n, Fraction(xr.hi) ** n
-        if n == 0:
-            exact = (1, 1)
-        elif n % 2 == 1 or xr.lo >= 0.0:
-            exact = (lo_n, hi_n)
-        elif xr.hi <= 0.0:
-            exact = (hi_n, lo_n)
-        else:
-            exact = (0, max(lo_n, hi_n))
-        if _misses(power, r, *exact):
-            misses.append(f"pow {n} row {r}")
+        for k, power in powers.items():
+            lo_k, hi_k = Fraction(xr.lo) ** k, Fraction(xr.hi) ** k
+            if k == 0:
+                exact = (1, 1)
+            elif k % 2 == 1 or xr.lo >= 0.0:
+                exact = (lo_k, hi_k)
+            elif xr.hi <= 0.0:
+                exact = (hi_k, lo_k)
+            else:
+                exact = (0, max(lo_k, hi_k))
+            if _misses(power, r, *exact):
+                misses.append(f"pow {k} row {r}")
     return misses
 
 
@@ -280,6 +282,16 @@ def test_row_arithmetic_encloses_exact_result(quads, n):
     xs = [(a, b) for a, b, _, _ in quads]
     ys = [(c, d) for _, _, c, d in quads]
     assert _arithmetic_misses(xs, ys, n) == []
+
+
+@given(st.lists(st.tuples(_bound, _bound), min_size=1, max_size=12),
+       _finite.filter(bool))
+def test_scale_is_the_product_with_the_point(pairs, c):
+    # two products and one rounding, bit for bit the four-candidate hull
+    x = _rows(pairs)
+    with np.errstate(all="ignore"):
+        want = rows_iv.Rows(np.array([[c], [c]])) * x
+        assert rows_iv.scale(c, x).b.tobytes() == want.b.tobytes()
 
 
 def _libm_cases(rng, count: int):
@@ -338,10 +350,17 @@ def test_row_libm_functions_enclose_mpmath_values():
 
 def test_unwidened_primitives_fail_the_oracles(monkeypatch):
     """The oracles catch a primitive that rounds to nearest: with the
-    widening switched off, both report bounds that fail to enclose."""
+    outward rounding switched off, the one-ulp step of the correctly
+    rounded operations and the widening of the libm calls, both report
+    bounds that fail to enclose, the exact-rational one for each of
+    +, -, * and / and for the square."""
     mpmath = pytest.importorskip("mpmath")
+    monkeypatch.setattr(rows_iv, "_ROUND_STEPS", 0)
     monkeypatch.setattr(rows_iv, "_WIDEN_STEPS", 0)
-    assert _arithmetic_misses([(0.1, 0.1), (1.0, 3.0)], [(0.2, 0.2), (3.0, 7.0)], 3)
+    misses = _arithmetic_misses([(0.1, 0.1), (1.0, 3.0), (1.0, 1.0)],
+                                [(0.2, 0.2), (3.0, 7.0), (0.1, 0.1)], 3)
+    ops = {miss.split(" row")[0] for miss in misses}
+    assert {"add", "sub", "mul", "div", "pow 2", "pow 3"} <= ops, misses
     with mpmath.workdps(50):
         cases = _libm_cases(np.random.default_rng(7), 200)
         assert _libm_misses(mpmath.mp, *cases)
