@@ -395,7 +395,7 @@ class TestIntervalEval:
 def test_5000_term_sum_in_every_flavour():
     """A linear value tree of 5000 terms compiles in every flavour: the
     point and batch code equal a left fold bit for bit, and the box code
-    encloses it."""
+    encloses it, as it does a sum of 5000 constants."""
     n = 5000
     coeffs = np.linspace(-1.0, 1.0, n).tolist()
     tree = ex.Const(0.0)
@@ -422,6 +422,11 @@ def test_5000_term_sum_in_every_flavour():
         assert total in ex.interval_eval(tree, [Interval(x) for x in row])
         wide = ex.interval_eval(tree, [Interval(x - 0.25, x + 0.25) for x in row])
         assert wide.lo < total < wide.hi
+    # without variables, the box code's chunked sum is a prelude line
+    constant, fold = ex.Const(0.0), 0.0
+    for c in coeffs:
+        constant, fold = ex.Add(constant, ex.Const(c)), fold + c
+    assert fold in ex.interval_eval(constant, [])
 
 
 def test_1500_term_flow_differentiates_and_evaluates():
