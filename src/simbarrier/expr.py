@@ -507,8 +507,7 @@ class _BoxNames:
     """The names that box code reads: the variables ``_v0``, ``_v1``, ...
     up to ``variables``; the point interval of each constant, by the
     constant's repr; and each other subtree without variables, by its
-    code, in the order they are first met.  (A plain class: a dataclass
-    takes ~0.5 ms to build at each import.)"""
+    code, in the order they are first met."""
 
     __slots__ = ("variables", "points", "subtrees")
 
