@@ -424,8 +424,12 @@ def _codegen(e: Expr, flavour: str = "point",
     one interval per box), with the rounding of each primitive (see
     ``interval``): the same operators, constants as point intervals,
     never folded in floats, and ``_div``, ``_log`` and ``_sqrt``, which
-    give nan bounds on the rows where the box leaves their domain.  A
-    product with a finite non-zero constant ``c`` is ``_scale(c, ...)``.
+    give nan bounds on the rows where the box leaves their domain.  A sum
+    that starts from ``Const(0.0)`` (as the certificate's trees do) starts
+    from its first term instead, which is exact; so ``(0.0 + c) * x``, a
+    linear template's gradient entry times a flow entry, is a product with
+    ``c``.  A product with a finite non-zero constant ``c`` is
+    ``_scale(c, ...)``.
     Each subtree without variables is a name, bound once before the code
     runs (``_box_source``); ``names`` collects them.
 
@@ -457,6 +461,10 @@ def _codegen(e: Expr, flavour: str = "point",
             code = f"(-{gen(a)})"
         case Add() | Sub():
             first, chain = _sum_chain(e)
+            if flavour == "box" and _without_zero_start(chain[0]) is not chain[0]:
+                first, chain = chain[0].b, chain[1:]
+                if not chain:
+                    return gen(first)
             terms = [gen(first)] + [
                 f"{'+' if isinstance(node, Add) else '-'} {gen(node.b)}"
                 for node in chain]
@@ -471,6 +479,8 @@ def _codegen(e: Expr, flavour: str = "point",
                 steps += [f"(_s := (_s {part}))" for part in parts[1:]]
                 code = f"({', '.join(steps)})[-1]"
         case Mul(a, b):
+            if flavour == "box":
+                a, b = _without_zero_start(a), _without_zero_start(b)
             c, x = (a, b) if isinstance(a, Const) else (b, a)
             if (flavour == "box" and isinstance(c, Const) and c.value != 0.0
                     and math.isfinite(c.value)):
@@ -501,6 +511,14 @@ def _codegen(e: Expr, flavour: str = "point",
     if flavour != "box" or "_v" in code:
         return code
     return names.subtrees.setdefault(code, f"_c{len(names.subtrees)}")
+
+
+def _without_zero_start(e: Expr) -> Expr:
+    """``t`` where ``e`` is ``0.0 + t``, else ``e``: box code's sum, since
+    0.0 + t is exactly t."""
+    if isinstance(e, Add) and isinstance(e.a, Const) and e.a.value == 0.0:
+        return e.b
+    return e
 
 
 class _BoxNames:

@@ -211,15 +211,27 @@ class Problem:
         """The drift ``g . f`` and ``|g| * |f|`` at each row of ``x`` for
         each disturbance vertex (``dist_vertices``): two (k, vertices)
         arrays, ``g`` being grad V at ``x`` and ``f`` mode ``mode``'s flow
-        at the row and the vertex."""
-        flow = self.modes[mode].flow_rows
+        at the row and the vertex.
+
+        The flow is evaluated once, on one stacked batch of every row at
+        every vertex (row r at vertex v is batch row ``r * vertices + v``);
+        without disturbances that batch is ``x`` itself.  Rows are
+        independent under ``compile_batch`` and ``row_dot``, so each entry
+        is bit for bit the drift of its row and vertex alone."""
+        k, n_vert = len(x), len(self.dist_vertices)
         g_norm = np.sqrt(row_dot(g, g))
-        drifts, scales = [], []
-        for d in self.dist_vertices:
-            f = flow(np.hstack([x, np.broadcast_to(d, (len(x), len(d)))]))
-            drifts.append(row_dot(g, f))
-            scales.append(g_norm * np.sqrt(row_dot(f, f)))
-        return np.stack(drifts, 1), np.stack(scales, 1)
+        if self.n_dist:
+            cols = x.shape[1] + self.n_dist
+            z = np.empty((k, n_vert, cols))
+            z[:, :, :x.shape[1]] = x[:, None]
+            z[:, :, x.shape[1]:] = self.dist_vertices
+            z = z.reshape(k * n_vert, cols)
+            g = g.repeat(n_vert, 0)
+        else:
+            z = x
+        f = self.modes[mode].flow_rows(z)
+        f_norm = np.sqrt(row_dot(f, f)).reshape(k, n_vert)
+        return row_dot(g, f).reshape(k, n_vert), g_norm[:, None] * f_norm
 
 
 @dataclass(frozen=True)

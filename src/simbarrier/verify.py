@@ -17,12 +17,18 @@ at once and decides them as the rows of ``lo``/``hi`` arrays, in exactly
 the order a box-by-box cover takes them:
 - the enclosures are ``expr.compile_interval``'s box code on the rows,
   each row bit for bit its box's enclosure alone (see ``interval``);
+- the split choice (``_split_dims``) is made once per level, on all of
+  its boxes, before the check, and handed to the check; a box's choice
+  depends on its widths alone, so the check's rows too narrow to split
+  and the boxes the level bisects come from that one choice;
 - the midpoint checks evaluate ``expr.compile_batch`` on the rows' mid
   points, and the drift witness lands them on the zero level set with
   ``model.land_on_level_set``, the falsifier's Newton landing; it lands
   only the rows whose midpoint drift does not clearly fall, and every row
   of a box too narrow to split (a witness only serves a refutation, and a
-  skipped box is split, so its children get their own tries);
+  skipped box is split, so its children get their own tries); the drifts
+  at the disturbance vertices are one flow batch
+  (``Problem.vertex_drifts``);
 - the certificate's code, point and box, is one ``model.Certificate``,
   the caller's (the engine passes the candidate's) or one built per call,
   and the flows and reset maps are compiled on the problem's modes and
@@ -63,6 +69,7 @@ class ConditionReport:
     volume_covered: float = 0.0
     region_volume: float = 0.0
     witness_rows: int = 0  # midpoints handed to the drift witness's landing
+    levels: int = 0        # cover levels: the calls of the condition's check
 
 
 @dataclass
@@ -123,31 +130,17 @@ def _split_dims(widths: np.ndarray, min_widths: np.ndarray,
     _DIST_DEFER of its minimum width.  Among candidates, the relatively
     widest, the first of equals."""
     positive = min_widths > 0
-    rel = np.where(positive, widths / np.where(positive, min_widths, 1.0), 0.0)
-    ok = rel > 1.0
-
-    def widest(cols: slice):
-        part = rel[:, cols]
-        if not part.shape[1]:
-            return np.zeros(len(rel), dtype=bool), np.zeros(len(rel), dtype=int)
-        mask = ok[:, cols]
-        return mask.any(1), np.argmax(np.where(mask, part, -np.inf), 1)
-
-    state_any, state_best = widest(slice(0, n_state))
-    dist_any, dist_best = widest(slice(n_state, None))
-    urgent = (ok[:, :n_state] & (rel[:, :n_state] > _DIST_DEFER)).any(1)
-    return np.where(urgent, state_best,
-                    np.where(dist_any, dist_best + n_state,
-                             np.where(state_any, state_best, -1)))
-
-
-def _volumes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``Box.volume`` of each row: the product of the widths, left to right."""
-    widths = hi - lo
-    vol = np.ones(len(lo))
-    for j in range(widths.shape[1]):
-        vol = vol * widths[:, j]
-    return vol
+    rel = widths / np.where(positive, min_widths, 1.0)
+    # a candidate's relative width, -inf for the rest
+    key = np.where(positive & (rel > 1.0), rel, -np.inf)
+    state = key[:, :n_state]
+    state_top, state_best = state.max(1), state.argmax(1)
+    if n_state == key.shape[1]:
+        return np.where(state_top > 1.0, state_best, -1)
+    dist = key[:, n_state:]
+    return np.where(state_top > _DIST_DEFER, state_best,
+                    np.where(dist.max(1) > 1.0, dist.argmax(1) + n_state,
+                             np.where(state_top > 1.0, state_best, -1)))
 
 
 def _boxes(lo: np.ndarray, hi: np.ndarray) -> list[Box]:
@@ -159,59 +152,74 @@ def _cover(region: Box, min_widths: Sequence[float], n_state: int, check,
     """Decide a region level by level; returns (witness, unresolved,
     min_width).
 
-    ``check(lo, hi)`` decides a level's boxes, the rows of ``lo`` and
-    ``hi``: it returns an outcome per row and the witness ``Hit`` of each
-    row it refutes, by row.  Pending boxes are kept in the order they were
-    made, with their widths ``top`` in the widest dimension."""
+    Each level's split choice (``_split_dims``) is made once, on all of
+    its boxes, before the check, and handed to it: ``check(lo, hi, dims)``
+    decides a level's boxes, the rows of ``lo`` and ``hi``, with ``dims``
+    the dimension each would be bisected along (-1: too narrow to split).
+    It returns an outcome per row and the witness ``Hit`` of each row it
+    refutes, by row.  Pending boxes are kept in the order they were made."""
     lo, hi = np.array([region.lo], dtype=float), np.array([region.hi], dtype=float)
-    top = (hi - lo).max(1, initial=0.0)
     min_widths = np.asarray(min_widths, dtype=float)
     unresolved: list[Box] = []
-    min_width = float(top[0])
+    min_width = max(region.widths(), default=0.0)
     budget = _MAX_BOXES
     while len(lo):
+        widths = hi - lo
         if not budget:  # every pending box is unresolved
-            for vol in _volumes(lo, hi).tolist():
-                report.volume_covered += vol
+            for row in widths.tolist():
+                report.volume_covered += math.prod(row)
             report.boxes_unresolved += len(lo)
             unresolved += _boxes(lo, hi)
             break
-        level = top == top.max()
-        rows = np.flatnonzero(level)[:budget]
-        budget -= len(rows)
-        taken = np.zeros(len(lo), dtype=bool)
-        taken[rows] = True
-        blo, bhi = lo[rows], hi[rows]
-        min_width = min(min_width, float(top[rows[0]]))
-        outcome, witnesses = check(blo, bhi)
-        refuted = np.flatnonzero(outcome == _REFUTED)
-        stop = int(refuted[0]) if len(refuted) else len(rows)
-        outcome, blo, bhi = outcome[:stop], blo[:stop], bhi[:stop]
-        dims = np.full(stop, -1)
-        split = outcome == _SPLIT
-        dims[split] = _split_dims(bhi[split] - blo[split], min_widths,
-                                  n_state)
-        stuck = split & (dims < 0)
-        covered = (outcome == _PROVED) | stuck
-        for vol in _volumes(blo, bhi)[covered].tolist():
-            report.volume_covered += vol
-        halve = split & (dims >= 0)
-        report.boxes_verified += int((outcome == _PROVED).sum())
-        report.boxes_split += int(halve.sum())
-        report.boxes_unresolved += int(stuck.sum())
-        unresolved += _boxes(blo[stuck], bhi[stuck])
+        top = widths.max(1, initial=0.0)
+        width = top.max()
+        min_width = min(min_width, float(width))
+        level = top == width
+        if len(lo) <= budget and level.all():  # the level is every box
+            blo, bhi, kept = lo, hi, None
+        else:
+            rows = level.nonzero()[0][:budget]
+            kept = np.ones(len(lo), dtype=bool)
+            kept[rows] = False
+            blo, bhi, widths = lo[rows], hi[rows], widths[rows]
+        budget -= len(blo)
+        dims = _split_dims(widths, min_widths, n_state)
+        report.levels += 1
+        outcome, witnesses = check(blo, bhi, dims)
+        refuted = (outcome == _REFUTED).nonzero()[0]
+        if len(refuted):
+            stop = int(refuted[0])
+            outcome, blo, bhi = outcome[:stop], blo[:stop], bhi[:stop]
+            widths, dims = widths[:stop], dims[:stop]
+        proved = outcome == _PROVED
+        halve = ~proved & (dims >= 0)
+        n_proved = int(np.count_nonzero(proved))
+        n_halve = int(np.count_nonzero(halve))
+        n_stuck = len(proved) - n_proved - n_halve
+        volume = report.volume_covered  # summed in box order
+        for row in (widths[~halve] if n_halve else widths).tolist():
+            volume += math.prod(row)
+        report.volume_covered = volume
+        report.boxes_verified += n_proved
+        report.boxes_split += n_halve
+        if n_stuck:
+            stuck = ~(proved | halve)
+            report.boxes_unresolved += n_stuck
+            unresolved += _boxes(blo[stuck], bhi[stuck])
         if len(refuted):
             return witnesses[stop], unresolved, min_width
         # the two halves of each box, in box order, lower half first
-        plo, phi, dim = blo[halve], bhi[halve], dims[halve]
-        at = np.arange(len(dim))
-        mid = 0.5 * (plo[at, dim] + phi[at, dim])
-        clo, chi = plo.repeat(2, 0), phi.repeat(2, 0)
-        chi[2 * at, dim] = mid
-        clo[2 * at + 1, dim] = mid
-        lo = np.concatenate([lo[~taken], clo])
-        hi = np.concatenate([hi[~taken], chi])
-        top = np.concatenate([top[~taken], (chi - clo).max(1)])
+        dim = dims[halve]
+        clo, chi = blo[halve].repeat(2, 0), bhi[halve].repeat(2, 0)
+        lower = np.arange(0, 2 * n_halve, 2)
+        mid = 0.5 * (clo[lower, dim] + chi[lower, dim])
+        chi[lower, dim] = mid
+        clo[lower + 1, dim] = mid
+        if kept is None:
+            lo, hi = clo, chi
+        else:
+            lo = np.concatenate([lo[kept], clo])
+            hi = np.concatenate([hi[kept], chi])
     return None, unresolved, min_width
 
 
@@ -271,12 +279,12 @@ def _tasks(prob: Problem, cert: Certificate, min_width_frac: float,
     # enclosure, is beyond the tolerance on the wrong side
     for cond, regions in ((1, prob.initial), (2, prob.unsafe)):
         for mode, box in regions:
-            def check(lo, hi, _mc=cert[mode], _neg=cond == 1, _m=mode,
-                      _kind=model.KINDS[cond - 1]):
+            def check(lo, hi, _dims, _mc=cert[mode], _neg=cond == 1,
+                      _m=mode, _kind=model.KINDS[cond - 1]):
                 v_lo, v_hi = _mc.value_box(lo, hi)
                 proved = v_hi < 0.0 if _neg else v_lo > 0.0
                 outcome = np.where(proved, _PROVED, _SPLIT)
-                rest = np.flatnonzero(~proved)
+                rest = (~proved).nonzero()[0]
                 mid = 0.5 * (lo[rest] + hi[rest])
                 v_mid = _mc.value(mid)
                 if _neg:
@@ -294,20 +302,18 @@ def _tasks(prob: Problem, cert: Certificate, min_width_frac: float,
     for mode, region in enumerate(prob.flow_boxes):
         widths = min_widths(region)
 
-        def check3(lo, hi, _m=mode, _drift=_drift_box(prob, cert, mode),
-                   _widths=np.array(widths)):
+        def check3(lo, hi, dims, _m=mode, _drift=_drift_box(prob, cert, mode)):
             v_lo, v_hi = cert[_m].value_box(lo, hi)
             proved = (v_lo > 0.0) | (v_hi < 0.0)
-            rest = np.flatnonzero(~proved)
+            rest = (~proved).nonzero()[0]
             _, drift_hi = _drift(lo[rest], hi[rest])
             falls = drift_hi[:, 0] < 0.0
             proved[rest[falls]] = True
             rest = rest[~falls]
             outcome = np.where(proved, _PROVED, _SPLIT)
             # a box too narrow to split gets its only try here
-            stuck = _split_dims(hi[rest] - lo[rest], _widths, prob.dim) < 0
             tried, found = _drift_witnesses(prob, cert, _m, lo[rest],
-                                            hi[rest], p_scale, stuck)
+                                            hi[rest], p_scale, dims[rest] < 0)
             hits = {int(rest[i]): hit for i, hit in found.items()}
             outcome[list(hits)] = _REFUTED
             # the rows a box-by-box cover tries: up to its first refutation
@@ -319,11 +325,11 @@ def _tasks(prob: Problem, cert: Certificate, min_width_frac: float,
 
     # condition 4: non-positive certificate must map to negative under resets
     for rule in prob.resets:
-        def check4(lo, hi, _src=cert[rule.source], _rule=rule,
+        def check4(lo, hi, _dims, _src=cert[rule.source], _rule=rule,
                    _tgt=cert[rule.target]):
             v_lo, _ = _src.value_box(lo, hi)
             proved = v_lo > 0.0
-            rest = np.flatnonzero(~proved)
+            rest = (~proved).nonzero()[0]
             image_lo, image_hi = _rule.map_box(lo[rest], hi[rest])
             _, after_hi = _tgt.value_box(image_lo, image_hi)
             # an image with an undefined coordinate proves nothing
@@ -362,7 +368,7 @@ def _drift_witnesses(prob: Problem, cert: Certificate, mode: int,
     mid = 0.5 * (lo + hi)
     drift, scale = prob.vertex_drifts(mode, mid, mc.grad(mid))
     tried = always | ~(drift < _WITNESS_SKIP * scale).all(1)
-    rows = np.flatnonzero(tried)
+    rows = tried.nonzero()[0]
     x, landed = model.land_on_level_set(
         mc.value, mc.grad, mid[rows], lo[rows], hi[rows],
         _WITNESS_BAND * p_scale, model.LANDING_STEPS)
@@ -372,4 +378,4 @@ def _drift_witnesses(prob: Problem, cert: Certificate, mode: int,
     best = np.argmax(np.where(ok, drift, -np.inf), 1)
     return tried, {int(rows[i]): Hit(None, "transversality", mode, x[i],
                                      prob.dist_vertices[best[i]])
-                   for i in np.flatnonzero(ok.any(1))}
+                   for i in ok.any(1).nonzero()[0]}

@@ -108,3 +108,65 @@ def test_find_counterexample_on_disturbed_system():
     assert falsify.segment_margin(prob, Certificate(TMPL, P), res.segment) <= 0.0
     # the forward endpoint rode the drift-maximizing disturbance upward
     assert res.segment.sp[0] > res.segment.s[0]
+
+
+def _per_vertex_drifts(prob: Problem, mode: int, x: np.ndarray,
+                       g: np.ndarray):
+    """``Problem.vertex_drifts`` one disturbance vertex at a time: a flow
+    batch of the rows at each vertex."""
+    flow = prob.modes[mode].flow_rows
+    g_norm = np.sqrt(model.row_dot(g, g))
+    drifts, scales = [], []
+    for d in prob.dist_vertices:
+        f = flow(np.hstack([x, np.broadcast_to(d, (len(x), len(d)))]))
+        drifts.append(model.row_dot(g, f))
+        scales.append(g_norm * np.sqrt(model.row_dot(f, f)))
+    return np.stack(drifts, 1), np.stack(scales, 1)
+
+
+def _two_disturbances() -> Problem:
+    # ln(d0) is undefined at the vertices with d0 = 0
+    return model.load_problem({
+        "variables": ["x", "y"], "disturbances": ["d0", "d1"],
+        "disturbance_box": [[0, 1], [-0.5, 0.25]],
+        "modes": [{"name": "m", "omega": [[-2, 2], [-2, 2]],
+                   "flow": ["y + ln(d0) * x", "sin(x) * d1 - y"]}],
+        "init": [{"mode": "m", "box": [[-1.5, -1], [-1.5, -1]]}],
+        "unsafe": [{"mode": "m", "box": [[1, 1.5], [1, 1.5]]}]})
+
+
+def _undisturbed() -> Problem:
+    # ln(x) is undefined where x <= 0
+    return model.load_problem({
+        "variables": ["x", "y"],
+        "modes": [{"name": "m", "omega": [[-2, 2], [-2, 2]],
+                   "flow": ["y - ln(x)", "sqrt(x) * y"]}],
+        "init": [{"mode": "m", "box": [[-1.5, -1], [-1.5, -1]]}],
+        "unsafe": [{"mode": "m", "box": [[1, 1.5], [1, 1.5]]}]})
+
+
+@pytest.mark.parametrize("rows", [1, 3, 20])
+@pytest.mark.parametrize("prob", [disturbed_line(1.5), _two_disturbances(),
+                                  _undisturbed()],
+                         ids=["disturbed-line", "two-disturbances",
+                              "undisturbed"])
+def test_vertex_drifts_are_the_per_vertex_drifts(prob, rows):
+    # one stacked flow batch gives each row and vertex the bits of its
+    # own batch; the batch of 20 rows runs the batch code where a vertex's
+    # own batch of 3 runs the point code
+    rng = np.random.default_rng(rows)
+    x = rng.uniform(-2.0, 2.0, (rows, prob.dim))
+    g = rng.uniform(-1.0, 1.0, (rows, prob.dim))
+    with np.errstate(all="ignore"):
+        got = prob.vertex_drifts(0, x, g)
+        want = _per_vertex_drifts(prob, 0, x, g)
+    for a, b in zip(got, want):
+        assert a.shape == (rows, len(prob.dist_vertices))
+        nan = np.isnan(b)
+        assert np.array_equal(np.isnan(a), nan)
+        assert a[~nan].tobytes() == b[~nan].tobytes()
+    if prob.dist_vars == ("d0", "d1"):  # d0 = 0 at vertices 0 and 1
+        assert np.isnan(got[0][:, :2]).all()
+        assert not np.isnan(got[0][:, 2:]).any()
+    if not prob.dist_vars:
+        assert np.isnan(got[0][:, 0]).tolist() == (x[:, 0] <= 0).tolist()

@@ -359,6 +359,32 @@ class TestIntervalEval:
             assert float.fromhex(lo) <= enc.lo and enc.hi <= float.fromhex(hi)
             assert (enc.lo.hex(), enc.hi.hex()) == _ONE_ULP[text]
 
+    def test_box_sums_start_from_their_first_term(self):
+        # the certificate trees start each sum at 0.0; box code drops it,
+        # so a gradient entry 0.0 + p is the point p and its product with
+        # a flow entry a scaling; point and batch code keep the 0.0
+        x, y, zero = ex.Var(0), ex.Var(1), ex.Const(0.0)
+        entry = ex.Add(zero, ex.Const(0.3))
+        drift = ex.Add(ex.Add(zero, ex.Mul(entry, ex.Sin(x))),
+                       ex.Mul(ex.Add(zero, ex.Const(-2.0)), y))
+        _, src = ex._box_source([drift])
+        assert "_scale(0.3, " in src and "_scale(-2.0, " in src
+        assert "_k" not in src  # no point interval, not even 0.0
+        box = [Interval(-0.5, 1.25), Interval(2.0, 4.0)]
+        bare = ex.Add(ex.Mul(ex.Const(0.3), ex.Sin(x)),
+                      ex.Mul(ex.Const(-2.0), y))
+        assert ex.interval_eval(drift, box) == ex.interval_eval(bare, box)
+        # 0.0 + x over a box is the box itself, and 0.0 + x + y is x + y
+        assert ex.interval_eval(ex.Add(zero, x), box) == box[0]
+        assert ex.interval_eval(ex.Add(ex.Add(zero, x), y), box) == \
+            ex.interval_eval(ex.Add(x, y), box)
+        # point and batch code keep the 0.0: 0.0 + -0.0 is +0.0
+        sums = [ex.Add(zero, x), ex.Add(ex.Add(zero, x), y)]
+        assert [math.copysign(1.0, v)
+                for v in ex.compile_vector(sums)([-0.0, -0.0])] == [1.0, 1.0]
+        rows = np.full((9, 2), -0.0)
+        assert not np.signbit(ex.compile_batch(sums)(rows)).any()
+
     @pytest.mark.parametrize("e", [ex.Mul(ex.Const(0.1), ex.Const(3.0)),
                                    ex.Div(ex.Const(1.0), ex.Const(3.0))])
     def test_constants_are_not_folded(self, e):

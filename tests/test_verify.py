@@ -298,6 +298,64 @@ class TestDriftWitness:
                               if kept[r]}
 
 
+
+class TestLevels:
+    def test_split_choice_is_made_once_per_level(self, monkeypatch):
+        # the splitting instance: 11 boxes of condition 3 over its levels;
+        # each level's check gets the choice made on exactly its rows
+        calls, checked = [], []
+        split_dims = verify_module._split_dims
+
+        def counting(widths, *args):
+            calls.append(len(widths))
+            return split_dims(widths, *args)
+
+        cover = verify_module._cover
+
+        def spying(region, min_widths, n_state, check, report):
+            def spied(lo, hi, dims):
+                checked.append(len(lo))
+                assert len(dims) == len(lo) == calls[-1]
+                return check(lo, hi, dims)
+            return cover(region, min_widths, n_state, spied, report)
+
+        monkeypatch.setattr(verify_module, "_split_dims", counting)
+        monkeypatch.setattr(verify_module, "_cover", spying)
+        prob = line_problem("-x", omega=(-1.0, 1.0), init=(-0.1, 0.1),
+                            unsafe=(0.8, 0.9))
+        verdict = verify(prob, Template((((0,), (2,)),)),
+                         np.array([-0.25, 1.0]))
+        assert verdict.status is VerdictStatus.VERIFIED
+        levels = {c: r.levels for c, r in verdict.reports.items()}
+        assert levels[3] > 1 and levels[4] == 0
+        assert calls == checked and len(calls) == sum(levels.values())
+        assert sum(calls) == sum(sum(counts)
+                                 for counts in box_counts(verdict).values())
+
+    def test_box_too_narrow_to_split_gets_its_witness_try(self, monkeypatch):
+        # the stuck box of TestDriftWitness, whose midpoint drift clearly
+        # falls: the level's one choice marks it, and the witness lands it
+        calls = []
+        split_dims = verify_module._split_dims
+
+        def counting(widths, *args):
+            dims = split_dims(widths, *args)
+            calls.append(dims.tolist())
+            return dims
+
+        monkeypatch.setattr(verify_module, "_split_dims", counting)
+        prob = line_problem("0.1 - x", omega=(-0.2, 1.0), init=(-0.15, -0.1),
+                            unsafe=(0.8, 0.9))
+        verdict = verify(prob, linear_template_1d(), np.array([0.0, 1.0]),
+                         1.0)
+        assert verdict.witness == (0, (0.0,), ())
+        rep3 = verdict.reports[3]
+        assert (rep3.levels, rep3.witness_rows) == (1, 1)
+        # conditions 1 and 2 prove their boxes at one level each; condition
+        # 3's one box cannot be split
+        assert calls == [[-1], [-1], [-1]]
+
+
 BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
 
 # verify() on the benchmark's certificates, recorded before the cover ran
@@ -368,6 +426,26 @@ BENCH_WITNESS_ROWS = {
 def test_bench_witness_rows_are_pinned():
     assert {case["id"]: _bench_verdict(case).reports[3].witness_rows
             for case in _bench_cases()} == BENCH_WITNESS_ROWS
+
+
+# cover levels (check calls) per certificate and condition
+BENCH_LEVELS = {
+    "pendulum-final": (1, 1, 16, 0), "log-dynamics-final": (6, 1, 18, 0),
+    "lorenz-final": (1, 1, 29, 0), "lorenz-iter1": (1, 1, 14, 0),
+    "lorenz-iter4": (1, 1, 15, 0), "lorenz-iter7": (1, 1, 10, 0),
+    "lorenz-iter10": (1, 1, 13, 0), "lorenz-iter13": (1, 1, 15, 0),
+    "composition-published": (1, 1, 1, 0), "thermostat-c14": (1, 1, 2, 2),
+    "thermostat-c16.5": (1, 1, 2, 1),
+}
+
+
+def test_bench_levels_are_pinned():
+    levels = {case["id"]: tuple(r.levels for r in
+                                _bench_verdict(case).reports.values())
+              for case in _bench_cases()}
+    assert levels == BENCH_LEVELS
+    assert sum(levels["pendulum-final"]) == 18
+    assert sum(map(sum, levels.values())) == 165
 
 
 def test_bench_landing_batches_are_pinned(monkeypatch):

@@ -1,15 +1,20 @@
-"""Micro-timing of the verifier's two interval enclosures.
+"""Micro-timing of the verifier: its two interval enclosures, and its cost
+per cover level.
 
     PYTHONPATH=src python tests/time_enclosures.py
 
 For each committed certificate of ``bench/data/certs`` (with its problem
-from ``bench/data/expected.json``), prints the µs per call of the value
-enclosure (``Certificate.value_box``) and the drift enclosure
-(``verify._drift_box``) of its first mode, on 1, 16 and 128 boxes, as a
-markdown table.  The boxes are drawn with a fixed seed inside the region
-each condition covers, each 1/64 of its width per dimension, as in the
-cover's deeper levels.  Each figure is the least of 5 repeats, after one
-call that compiles the code.  The script only reads those files.
+from ``bench/data/expected.json``), prints two markdown tables.  The
+first gives the µs per call of the value enclosure
+(``Certificate.value_box``) and the drift enclosure (``verify._drift_box``)
+of its first mode, on 1, 16 and 128 boxes.  The boxes are drawn with a
+fixed seed inside the region each condition covers, each 1/64 of its
+width per dimension, as in the cover's deeper levels.  Each figure is the
+least of 5 repeats, after one call that compiles the code.  The second
+gives the ms per ``verify.verify`` call, as the benchmark makes it (a new
+``Certificate`` per call), the least of 5 after one warm call; the cover
+levels (``ConditionReport.levels``) and boxes over the four conditions;
+and the µs per level.  The script only reads those files.
 """
 
 from __future__ import annotations
@@ -42,12 +47,10 @@ def _us_per_call(enclose, lo, hi) -> float:
     return best / number * 1e6
 
 
-def main() -> None:
+def _certificates():
+    """(id, problem, template, coefficients) of each committed certificate."""
     bundled = benchmarks.corpus()
     cases = json.loads((DATA / "expected.json").read_text())["cases"]
-    cols = [f"{kind} {k}" for kind in ("value", "drift") for k in ROWS]
-    print("| certificate (µs per call) | " + " | ".join(cols) + " |")
-    print("|---" * (len(cols) + 1) + "|")
     for case in cases:
         name = case["problem"]
         doc = (bundled.get(name)
@@ -56,6 +59,19 @@ def main() -> None:
         tmpl, p = cli._barrier_from_doc(
             json.loads((DATA / case["barrier"]).read_text()), prob,
             case["barrier"])
+        yield case["id"], prob, tmpl, p
+
+
+def _table(cols) -> None:
+    print("| " + " | ".join(cols) + " |")
+    print("|---" * len(cols) + "|")
+
+
+def main() -> None:
+    certificates = list(_certificates())
+    _table(["certificate (µs per call)"]
+           + [f"{kind} {k}" for kind in ("value", "drift") for k in ROWS])
+    for name, prob, tmpl, p in certificates:
         cert = model.Certificate(tmpl, p)
         rng = np.random.default_rng(0)
         cells = []
@@ -65,8 +81,20 @@ def main() -> None:
             with np.errstate(all="ignore"):
                 cells += [_us_per_call(enclose, *_boxes(region, k, rng))
                           for k in ROWS]
-        print(f"| {case['id']} | " + " | ".join(f"{c:.1f}" for c in cells)
-              + " |")
+        print(f"| {name} | " + " | ".join(f"{c:.1f}" for c in cells) + " |")
+    print()
+    _table(["certificate", "ms per verify", "levels", "boxes",
+            "µs per level"])
+    for name, prob, tmpl, p in certificates:
+        verdict = verify.verify(prob, tmpl, p)
+        best = min(timeit.repeat(lambda: verify.verify(prob, tmpl, p),
+                                 number=1, repeat=5))
+        reports = verdict.reports.values()
+        levels = sum(r.levels for r in reports)
+        boxes = sum(r.boxes_verified + r.boxes_split + r.boxes_unresolved
+                    for r in reports)
+        print(f"| {name} | {best * 1e3:.2f} | {levels} | {boxes} | "
+              f"{best / levels * 1e6:.0f} |")
 
 
 if __name__ == "__main__":
