@@ -1,15 +1,17 @@
 """Counter-example-guided refinement loop.
 
 Bootstrap segments seed the sampled constraint; the loop alternates
-max-margin candidate computation and counter-example search, growing the
+max-margin candidate computation and the candidate's test, growing the
 segment set by the refuting segments of each round (the worst
 counter-example's and those of up to ``falsify._EXTRAS`` other distinct
-ones), and optionally hands the surviving candidate to the rigorous
-verifier.  A refuted verification's witness, a ``model.Hit`` like the
-falsifier's and naming its reset, becomes a refuting segment through
-``falsify.refute``, the path the falsifier's hits take.
-Each candidate is one ``model.Certificate``, shared by the falsifier's
-searches, the rides and the refuting segments.
+ones).  With verification on, the rigorous verifier tests each candidate
+first: a proved one ends the loop, and the falsifier searches only one
+that is not proved.  A refuted verdict's witness, a ``model.Hit`` like
+the falsifier's and naming its reset, becomes the refuting segment
+through ``falsify.refute``, the path the falsifier's hits take, when the
+search misses.  Without verification the falsifier is the only test.
+Each candidate is one ``model.Certificate``, shared by the verifier, the
+falsifier's searches, the rides and the refuting segments.
 """
 
 from __future__ import annotations
@@ -86,7 +88,9 @@ class IterationRecord:
     p: np.ndarray | None
     kind: str | None = None          # counter-example kind, if one was found
     value: float | None = None       # the falsifier's counter-example value
-    search_time: float = 0.0         # the falsifier's four searches, seconds
+    # the falsifier's four searches, seconds; 0.0 in a round whose
+    # candidate the verifier proved, which is not searched
+    search_time: float = 0.0
     segment: Segment | None = None   # the worst counter-example's segment
     segment_margin: float | None = None
     extras: list[Segment] = field(default_factory=list)  # other refuting ones
@@ -114,7 +118,15 @@ class RunReport:
 
 
 def run(prob: Problem, tmpl: Template, cfg: RunConfig | None = None) -> RunReport:
-    """Synthesize a certificate, refining on counter-examples."""
+    """Synthesize a certificate, refining on counter-examples.
+
+    Each round's candidate is verified (``cfg.verify``) before it is
+    searched.  Verified ends the run BarrierFound without a search.
+    Otherwise the falsifier searches it: a hit refutes it; a miss refutes
+    it with a Refuted verdict's witness, or ends the run BarrierFound with
+    an Unknown verdict, or, without verification, with no verdict.  The
+    falsifier's seed is drawn in every round, searched or not, so a
+    round's seed does not depend on how earlier rounds were tested."""
     cfg = cfg or RunConfig()
     timings = {"simulation": 0.0, "candidate": 0.0,
                "counterexample": 0.0, "verification": 0.0}
@@ -144,23 +156,27 @@ def run(prob: Problem, tmpl: Template, cfg: RunConfig | None = None) -> RunRepor
         report.log.append(record)
 
         cert = Certificate(tmpl, cand.p)
-        t0 = time.perf_counter()
-        ref = falsify.find_counterexample(
-            prob, cert, starts=cfg.starts, seed=int(rng.integers(2 ** 63)),
-            bloat_factor=cfg.bloat_factor, t_max=cfg.ride_horizon)
-        record.search_time = time.perf_counter() - t0 - (
-            ref.sim_time if ref is not None else 0.0)
-        timings["counterexample"] += record.search_time
-
+        seed = int(rng.integers(2 ** 63))
         verdict = None
-        if ref is not None:
-            record.kind = ref.hit.kind
-        elif cfg.verify:
+        if cfg.verify:
             t0 = time.perf_counter()
             verdict = rigor.verify(prob, tmpl, cand.p, cfg.min_width_frac,
                                    cert=cert)
             timings["verification"] += time.perf_counter() - t0
-            if verdict.status is rigor.VerdictStatus.REFUTED:
+        status = verdict.status if verdict is not None else None
+
+        ref = None
+        if status is not rigor.VerdictStatus.VERIFIED:
+            t0 = time.perf_counter()
+            ref = falsify.find_counterexample(
+                prob, cert, starts=cfg.starts, seed=seed,
+                bloat_factor=cfg.bloat_factor, t_max=cfg.ride_horizon)
+            record.search_time = time.perf_counter() - t0 - (
+                ref.sim_time if ref is not None else 0.0)
+            timings["counterexample"] += record.search_time
+            if ref is not None:
+                record.kind = ref.hit.kind
+            elif status is rigor.VerdictStatus.REFUTED:
                 ref = falsify.refute(prob, cert, [verdict.hit],
                                      bloat_factor=cfg.bloat_factor,
                                      t_max=cfg.ride_horizon)
@@ -175,7 +191,7 @@ def run(prob: Problem, tmpl: Template, cfg: RunConfig | None = None) -> RunRepor
             continue
         if verdict is not None:
             report.verdict = verdict
-            if verdict.status is rigor.VerdictStatus.UNKNOWN:
+            if status is rigor.VerdictStatus.UNKNOWN:
                 report.notes.append(
                     "verification gave up on some boxes; certificate kept")
         report.status = RunStatus.BARRIER_FOUND

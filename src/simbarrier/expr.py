@@ -428,8 +428,8 @@ def _codegen(e: Expr, flavour: str = "point",
     that starts from ``Const(0.0)`` (as the certificate's trees do) starts
     from its first term instead, which is exact; so ``(0.0 + c) * x``, a
     linear template's gradient entry times a flow entry, is a product with
-    ``c``.  A product with a finite non-zero constant ``c`` is
-    ``_scale(c, ...)``.
+    ``c``.  A product with a finite non-zero constant ``c``, or with its
+    negation ``-c``, is ``_scale(c, ...)`` or ``_scale(-c, ...)``.
     Each subtree without variables is a name, bound once before the code
     runs (``_box_source``); ``names`` collects them.
 
@@ -481,10 +481,9 @@ def _codegen(e: Expr, flavour: str = "point",
         case Mul(a, b):
             if flavour == "box":
                 a, b = _without_zero_start(a), _without_zero_start(b)
-            c, x = (a, b) if isinstance(a, Const) else (b, a)
-            if (flavour == "box" and isinstance(c, Const) and c.value != 0.0
-                    and math.isfinite(c.value)):
-                code = f"_scale({c.value!r}, {gen(x)})"
+            c, x = (a, b) if _scale_factor(a) is not None else (b, a)
+            if flavour == "box" and (k := _scale_factor(c)) is not None:
+                code = f"_scale({k!r}, {gen(x)})"
             else:
                 code = f"({gen(a)} * {gen(b)})"
         case Div(a, b):
@@ -511,6 +510,20 @@ def _codegen(e: Expr, flavour: str = "point",
     if flavour != "box" or "_v" in code:
         return code
     return names.subtrees.setdefault(code, f"_c{len(names.subtrees)}")
+
+
+def _scale_factor(e: Expr) -> float | None:
+    """The value of ``e`` where it is a finite non-zero constant or the
+    negation of one (negation is exact), else None: the factor of box
+    code's ``_scale``."""
+    match e:
+        case Const(v):
+            pass
+        case Neg(Const(v)):
+            v = -v
+        case _:
+            return None
+    return v if v != 0.0 and math.isfinite(v) else None
 
 
 def _without_zero_start(e: Expr) -> Expr:

@@ -7,10 +7,10 @@ import audit_runs
 
 def test_compare_sums_batches_and_accepts_an_audit_without_them(
         monkeypatch, tmp_path, capsys):
-    # composition alone: one round, every search misses, and the bootstrap
-    # locates the bloat exits of its rides
+    # the thermostat alone: its refuted rounds are searched, and its rides
+    # locate guard and bloat-exit events
     monkeypatch.setattr(benchmarks, "corpus", lambda: {
-        "composition": benchmarks.composition()})
+        "thermostat": benchmarks.thermostat()})
     assert audit_runs.main(["0"]) == 0
     line = json.loads(capsys.readouterr().out)
     batches = dict(line["batches"])

@@ -132,14 +132,15 @@ class TestRunInvariants:
         monkeypatch.setattr(falsify, "find_counterexample", recorded)
         report = engine.run(prob, tmpl, RunConfig(sigma=0.5, seed=0,
                                                   max_iterations=3))
-        assert len(report.log) == len(seen) == 3
+        # the third candidate is proved, so only the first two are searched
+        assert (len(report.log), len(seen)) == (3, 2)
+        assert all(ce is not None for ce in seen)
         for rec, ce in zip(report.log, seen):
-            if ce is None:
-                assert rec.value is None and rec.search_time > 0.0
-            else:
-                assert (rec.kind, rec.value) == (ce.hit.kind, ce.hit.value)
-                assert rec.value < 0.0 < rec.search_time
-        assert any(ce is not None for ce in seen)
+            assert (rec.kind, rec.value) == (ce.hit.kind, ce.hit.value)
+            assert rec.value < 0.0 < rec.search_time
+        last = report.log[-1]
+        assert (last.kind, last.value, last.search_time) == (None, None, 0.0)
+        assert report.verdict.status is VerdictStatus.VERIFIED
         assert sum(r.search_time for r in report.log) == \
             report.timings["counterexample"]
 
@@ -443,3 +444,97 @@ def test_verifier_refutes_through_the_reset_it_names(monkeypatch):
     assert report.status is RunStatus.BARRIER_FOUND
     assert report.verdict.status is VerdictStatus.VERIFIED
     assert report.iterations == 3
+
+
+def _counting_searches(monkeypatch, miss: bool = False) -> list:
+    """Patch ``falsify.find_counterexample`` to record what each call
+    returns; with ``miss``, every call returns None without a search."""
+    seen = []
+    inner = falsify.find_counterexample
+
+    def recorded(*args, **kwargs):
+        seen.append(None if miss else inner(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(falsify, "find_counterexample", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("name, searched", [
+    ("composition", 0), ("scalable-l1", 0), ("pendulum", 2)])
+def test_a_proved_candidate_is_not_searched(monkeypatch, name, searched):
+    """Each candidate is verified first, and only one the verifier does not
+    prove is searched: composition and scalable-l1 end in their first
+    round with no search, pendulum's two refuted rounds are searched and
+    its third, proved, is not."""
+    seen = _counting_searches(monkeypatch)
+    report = engine.run(*_doc_run(benchmarks.corpus()[name]))
+    assert report.status is RunStatus.BARRIER_FOUND
+    assert report.verdict.status is VerdictStatus.VERIFIED
+    assert len(seen) == report.iterations - 1 == searched
+    assert all(ce is not None for ce in seen)
+    assert report.log[-1].search_time == 0.0
+    assert report.timings["counterexample"] == sum(
+        r.search_time for r in report.log)
+
+
+def test_without_verify_every_candidate_is_searched(monkeypatch):
+    """With ``verify=False`` the falsifier is the only test: it searches
+    every round, the last, which it misses, included, and the report has
+    no verdict."""
+    seen = _counting_searches(monkeypatch)
+    prob, tmpl, cfg = _doc_run(benchmarks.pendulum())
+    report = engine.run(prob, tmpl, dataclasses.replace(cfg, verify=False))
+    assert report.status is RunStatus.BARRIER_FOUND
+    assert report.verdict is None and report.timings["verification"] == 0.0
+    assert len(seen) == report.iterations == 3
+    assert seen[-1] is None and all(ce is not None for ce in seen[:-1])
+    assert report.log[-1].kind is None and report.log[-1].search_time > 0.0
+
+
+def test_an_unknown_verdict_is_still_searched(monkeypatch):
+    """A candidate the verifier gives up on is searched; a miss then ends
+    the run BarrierFound with that verdict and a note."""
+    seen = _counting_searches(monkeypatch)
+    inner = verify.verify
+
+    def gives_up(*args, **kwargs):
+        return dataclasses.replace(inner(*args, **kwargs),
+                                   status=VerdictStatus.UNKNOWN)
+
+    monkeypatch.setattr(verify, "verify", gives_up)
+    report = engine.run(*_doc_run(benchmarks.composition()))
+    assert len(seen) == report.iterations == 1 and seen == [None]
+    assert report.status is RunStatus.BARRIER_FOUND
+    assert report.verdict.status is VerdictStatus.UNKNOWN
+    assert report.notes == [
+        "verification gave up on some boxes; certificate kept"]
+    assert report.log[0].kind is None and report.log[0].search_time > 0.0
+
+
+def test_a_refuted_verdict_the_search_misses_is_refuted_by_its_witness(
+        monkeypatch):
+    """With every search made to miss, each refuted round is refuted by
+    the verifier's witness: kind ``verify-refuted-<condition>``, no
+    falsifier value, one segment that refutes its candidate."""
+    seen = _counting_searches(monkeypatch, miss=True)
+    verdicts = []
+    inner = verify.verify
+
+    def recorded(*args, **kwargs):
+        verdicts.append(inner(*args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(verify, "verify", recorded)
+    prob, tmpl, cfg = _doc_run(benchmarks.pendulum())
+    report = engine.run(prob, tmpl, cfg)
+    assert report.status is RunStatus.BARRIER_FOUND
+    assert report.verdict.status is VerdictStatus.VERIFIED
+    assert len(verdicts) == report.iterations == len(seen) + 1
+    for rec, verdict in zip(report.log[:-1], verdicts):
+        assert verdict.status is VerdictStatus.REFUTED
+        assert (rec.kind, rec.value) == (
+            f"verify-refuted-{verdict.condition}", None)
+        assert rec.segments_added == 1 and rec.segment_margin < 0.0
+        assert falsify.segment_margin(prob, Certificate(tmpl, rec.p),
+                                      rec.segment) == rec.segment_margin

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from simbarrier import benchmarks, model, verify
 from simbarrier import expr as ex
 from simbarrier.interval import Interval
 
@@ -384,6 +385,30 @@ class TestIntervalEval:
                 for v in ex.compile_vector(sums)([-0.0, -0.0])] == [1.0, 1.0]
         rows = np.full((9, 2), -0.0)
         assert not np.signbit(ex.compile_batch(sums)(rows)).any()
+
+    def test_negated_constant_factor_is_a_scaling(self, monkeypatch):
+        # scalable-l3's flow has -10 * sin(x1): box code scales by -10.0
+        # instead of binding -10 as a subtree and taking a four-candidate
+        # product with it
+        prob = model.load_problem(benchmarks.scalable(3))
+        tmpl = model.make_template("linear", prob.dim, 1)
+        cert = model.Certificate(tmpl, np.linspace(-1.0, 1.0, prob.dim + 1))
+        trees = []
+        monkeypatch.setattr(ex, "compile_interval", trees.append)
+        verify._drift_box(prob, cert, 0)
+        monkeypatch.undo()
+        points, src = ex._box_source(trees[0])
+        assert src.count("_scale(-10.0, _sin(_v") == 3
+        assert src.startswith("def _f(") and 10.0 not in points.values()
+        # -c * x encloses as -(c * x) does, bit for bit
+        x = ex.Sin(ex.Var(0))
+        lo = np.array([[-0.5], [2.0], [-3.0]])
+        hi = np.array([[1.25], [2.5], [0.1]])
+        scaled = ex.Mul(ex.Neg(ex.Const(10.0)), x)
+        assert "_scale(-10.0, " in ex._box_source([scaled])[1]
+        got = ex.compile_interval([scaled])(lo, hi)
+        want = ex.compile_interval([ex.Neg(ex.Mul(ex.Const(10.0), x))])(lo, hi)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("e", [ex.Mul(ex.Const(0.1), ex.Const(3.0)),
                                    ex.Div(ex.Const(1.0), ex.Const(3.0))])
