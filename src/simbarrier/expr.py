@@ -429,7 +429,8 @@ def _codegen(e: Expr, flavour: str = "point",
     from its first term instead, which is exact; so ``(0.0 + c) * x``, a
     linear template's gradient entry times a flow entry, is a product with
     ``c``.  A product with a finite non-zero constant ``c``, or with its
-    negation ``-c``, is ``_scale(c, ...)`` or ``_scale(-c, ...)``.
+    negation ``-c``, is ``_scale(c, ...)`` or ``_scale(-c, ...)``, and a
+    quotient by one is ``_quotient(..., c)`` or ``_quotient(..., -c)``.
     Each subtree without variables is a name, bound once before the code
     runs (``_box_source``); ``names`` collects them.
 
@@ -487,7 +488,9 @@ def _codegen(e: Expr, flavour: str = "point",
             else:
                 code = f"({gen(a)} * {gen(b)})"
         case Div(a, b):
-            if flavour == "box" or (flavour == "batch" and (
+            if flavour == "box" and (k := _scale_factor(b)) is not None:
+                code = f"_quotient({gen(a)}, {k!r})"
+            elif flavour == "box" or (flavour == "batch" and (
                     variables_of(b) or _fold(b) in (None, 0.0))):
                 bad = "_bad, " if flavour == "batch" else ""
                 code = f"_div({bad}{gen(a)}, {gen(b)})"
@@ -515,7 +518,7 @@ def _codegen(e: Expr, flavour: str = "point",
 def _scale_factor(e: Expr) -> float | None:
     """The value of ``e`` where it is a finite non-zero constant or the
     negation of one (negation is exact), else None: the factor of box
-    code's ``_scale``."""
+    code's ``_scale`` and the divisor of its ``_quotient``."""
     match e:
         case Const(v):
             pass
@@ -633,7 +636,8 @@ _BATCHED.update(_each_sin=_array_call(np.sin, _finite, np.isinf),
 
 
 _BOX = dict(_sin=iv.sin, _cos=iv.cos, _exp=iv.exp, _log=iv.log,
-            _sqrt=iv.sqrt, _div=iv.div, _scale=iv.scale)
+            _sqrt=iv.sqrt, _div=iv.div, _scale=iv.scale,
+            _quotient=iv.quotient)
 
 
 def _compile(src: str):

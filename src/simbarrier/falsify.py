@@ -309,8 +309,7 @@ def _retraction(prob: Problem, mc: ModeCertificate, lo: np.ndarray,
     def project(z, rows):
         z = z.clip(lo, hi)
         z[:, :n], landed = model.land_on_level_set(
-            mc.value, mc.grad, z[:, :n], lo[:n], hi[:n], band,
-            _RETRACTION_STEPS)
+            mc.value_grad, z[:, :n], lo[:n], hi[:n], band, _RETRACTION_STEPS)
         z[~landed] = math.nan
         return z
 
@@ -335,7 +334,7 @@ def min_transversality(prob: Problem, cert: Certificate, starts: int = 16,
         mc = cert[mode]
         # patient: a start that stops landing is a start lost to the search
         z[:, :n], landed = model.land_on_level_set(
-            mc.value, mc.grad, z[:, :n], lo[:n], hi[:n], band,
+            mc.value_grad, z[:, :n], lo[:n], hi[:n], band,
             model.LANDING_STEPS, patient=True)
         rows = landed.nonzero()[0]
         if not rows.size:

@@ -221,6 +221,14 @@ def scale(c: float, x: Rows) -> Rows:
     return _rounded(b if c > 0.0 else b[::-1])
 
 
+def quotient(x: Rows, c: float) -> Rows:
+    """x / c for a finite non-zero float c: two quotients, not the four of
+    the quotient by the point interval [c, c] (``div``), and its bits on
+    every row whose bounds are numbers."""
+    b = x.b / c
+    return _rounded(b if c > 0.0 else b[::-1])
+
+
 def div(x: Rows, y: Rows) -> Rows:
     """x / y; nan on rows where y contains zero."""
     through_zero = (y.b[0] <= 0.0) & (0.0 <= y.b[1])

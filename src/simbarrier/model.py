@@ -15,6 +15,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import struct
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -454,7 +456,8 @@ class ModeCertificate:
     """One mode's certificate over rows: ``value``, ``grad`` and ``hess``
     take points as the rows of a float array of shape (k, n) and return
     arrays of shape (k,), (k, n) and (k, n, n); ``value_box`` takes rows
-    of boxes ``lo``, ``hi`` and returns the (k,) bounds of the value.
+    of boxes ``lo``, ``hi`` and returns the (k,) bounds of the value;
+    ``value_grad`` takes one point and returns V and grad V as one list.
 
     The point code is ``expr.compile_batch`` of ``certificate_exprs`` and
     ``hessian_exprs``.  Where ``template_value``, ``template_grad_x`` and
@@ -482,6 +485,26 @@ class ModeCertificate:
     @functools.cached_property
     def grad(self):
         return ex.compile_batch(self.exprs[1])
+
+    @functools.cached_property
+    def value_grad(self):
+        """V and grad V at one point, a list of floats, as the list
+        [V, dV/dx_1, ...]: ``expr.compile_vector`` of the value and
+        gradient trees, compiled at the first call.  Where that code
+        raises, V and grad V are each the row that ``value`` and ``grad``
+        give at the point, nan where their own code raises, so the call
+        raises no math error."""
+        def value_grad(x):
+            try:
+                return self._value_grad_code(x)
+            except ex.MATH_ERRORS:
+                row = np.array([x])
+                return [*self.value(row).tolist(), *self.grad(row)[0].tolist()]
+        return value_grad
+
+    @functools.cached_property
+    def _value_grad_code(self):
+        return ex.compile_vector((self.exprs[0], *self.exprs[1]))
 
     @functools.cached_property
     def hess(self):
@@ -513,7 +536,7 @@ LANDING_STEPS = 25
 _CONTRACTION = 0.5
 
 
-def land_on_level_set(value, grad, x: np.ndarray, lo: np.ndarray,
+def land_on_level_set(value_grad, x: np.ndarray, lo: np.ndarray,
                       hi: np.ndarray, band: float, max_steps: int,
                       patient: bool = False
                       ) -> tuple[np.ndarray, np.ndarray]:
@@ -522,10 +545,11 @@ def land_on_level_set(value, grad, x: np.ndarray, lo: np.ndarray,
     shape, or one box for all rows); returns the end points and the mask
     of rows that reached the band.
 
-    ``value`` and ``grad`` are V and grad V over the rows of a batch.  A
-    row stops without landing where |grad V|^2 is not positive (zero or
-    nan) or where its step returns its point.  It also stops without
-    landing where V is not finite, or where a step fails to halve |V|
+    ``value_grad`` maps one point, a list of floats, to the list
+    [V, dV/dx_1, ...] (``ModeCertificate.value_grad``).  A row stops
+    without landing where |grad V|^2 is not positive (zero or nan) or
+    where its step returns its point.  It also stops without landing
+    where V is not finite, or where a step fails to halve |V|
     (|V_new| > 0.5 * |V_old|): Newton's iterates contract near a root, so
     a row that does not has left that region and would creep towards a
     point where grad V vanishes and V does not (Deuflhard, *Newton Methods
@@ -533,56 +557,55 @@ def land_on_level_set(value, grad, x: np.ndarray, lo: np.ndarray,
     skips these two rules and steps on; where V is not finite it then
     never lands.  A row is tested at most ``max_steps + 1`` times: before
     each step, and once after the last.
+
+    The rows are few (at most a cover level's undecided boxes or a
+    search's starts), so each steps alone in Python floats, one
+    ``value_grad`` call per step, and gives what a lockstep loop over
+    numpy rows gives bit for bit: |grad V|^2 is ``np.dot`` of the row's
+    gradient, the BLAS kernel that ``row_dot`` reaches (a Python sum of
+    squares rounds differently where that kernel fuses multiply-adds),
+    and the clip is ``np.clip``'s, which keeps a nan and picks a bound
+    where a coordinate is not strictly inside it.
     """
-    x = x.copy()
-    landed = np.zeros(len(x), dtype=bool)
     if not len(x):
-        return x, landed
-    # the rows still stepping: their indices, points and boxes; a row's
-    # point goes back to x when it leaves them
-    rows, xa = np.arange(len(x)), x
-    per_row = lo.ndim == 2
-    limit = math.inf                     # each row's bound on |V|
-    for _ in range(max_steps):
-        v = value(xa)
-        near = np.abs(v) <= band
-        on = ~near
-        if not patient:
-            on &= np.isfinite(v) & (np.abs(v) <= limit)
-        if not on.all():
-            landed[rows[near]] = True
-            x[rows[~on]] = xa[~on]
-            if not on.any():
-                return x, landed
-            rows, xa, v = rows[on], xa[on], v[on]
-            if per_row:
-                lo, hi = lo[on], hi[on]
-        g = grad(xa)
-        n2 = row_dot(g, g)
-        go = n2 > 0.0
-        if not go.all():
-            x[rows[~go]] = xa[~go]
-            if not go.any():
-                return x, landed
-            rows, xa, v, g, n2 = rows[go], xa[go], v[go], g[go], n2[go]
-            if per_row:
-                lo, hi = lo[go], hi[go]
-        step = np.clip(xa - (v / n2)[:, None] * g, lo, hi)
-        # a row whose step returns its own point, bit for bit, would repeat
-        # it at every later step and never land: it stops there
-        moves = (step.view(np.int64) != xa.view(np.int64)).any(axis=1)
-        if not moves.all():
-            x[rows[~moves]] = xa[~moves]
-            if not moves.any():
-                return x, landed
-            rows, step, v = rows[moves], step[moves], v[moves]
-            if per_row:
-                lo, hi = lo[moves], hi[moves]
-        xa = step
-        limit = _CONTRACTION * np.abs(v)
-    landed[rows] = np.abs(value(xa)) <= band
-    x[rows] = xa
-    return x, landed
+        return x.copy(), np.zeros(0, dtype=bool)
+    pack = struct.Struct(f"{x.shape[1]}d").pack
+    boxes = (zip(lo.tolist(), hi.tolist()) if lo.ndim == 2
+             else itertools.repeat((lo.tolist(), hi.tolist())))
+    ends, landed = [], []
+    for xs, (lo_r, hi_r) in zip(x.tolist(), boxes):
+        bits = pack(*xs)
+        # the row's bound on |V|; the largest float tests that V is finite
+        limit = sys.float_info.max
+        for _ in range(max_steps):
+            v, *g = value_grad(xs)
+            if abs(v) <= band or not (patient or abs(v) <= limit):
+                break
+            g_row = np.array(g)
+            n2 = float(g_row.dot(g_row))
+            if not n2 > 0.0:
+                break
+            q = v / n2
+            step = []
+            for s, d, l, h in zip(xs, g, lo_r, hi_r):
+                # np.clip: the greater of c and l, then the lesser of that
+                # and h, each keeping a nan c
+                c = s - q * d
+                if c <= l:
+                    c = l
+                step.append(h if c >= h else c)
+            # a row whose step returns its own point, bit for bit, would
+            # repeat it at every later step and never land: it stops there
+            step_bits = pack(*step)
+            if step_bits == bits:
+                break
+            xs, bits, limit = step, step_bits, _CONTRACTION * abs(v)
+        else:
+            v = value_grad(xs)[0]
+        # v is V at the row's end, where every path above stops
+        ends.append(xs)
+        landed.append(abs(v) <= band)
+    return np.array(ends), np.array(landed)
 
 
 def template_linear(n: int, modes: int = 1) -> Template:

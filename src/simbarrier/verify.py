@@ -23,11 +23,12 @@ the order a box-by-box cover takes them:
   and the boxes the level bisects come from that one choice;
 - the midpoint checks evaluate ``expr.compile_batch`` on the rows' mid
   points, and the drift witness lands them on the zero level set with
-  ``model.land_on_level_set``, the falsifier's Newton landing; it lands
-  only the rows whose midpoint drift does not clearly fall, and every row
-  of a box too narrow to split (a witness only serves a refutation, and a
-  skipped box is split, so its children get their own tries); the drifts
-  at the disturbance vertices are one flow batch
+  ``model.land_on_level_set``, the falsifier's Newton landing, which steps
+  each row alone on the certificate's point code (``value_grad``); it
+  lands only the rows whose midpoint drift does not clearly fall, and
+  every row of a box too narrow to split (a witness only serves a
+  refutation, and a skipped box is split, so its children get their own
+  tries); the drifts at the disturbance vertices are one flow batch
   (``Problem.vertex_drifts``);
 - the certificate's code, point and box, is one ``model.Certificate``,
   the caller's (the engine passes the candidate's) or one built per call,
@@ -370,8 +371,10 @@ def _drift_witnesses(prob: Problem, cert: Certificate, mode: int,
     tried = always | ~(drift < _WITNESS_SKIP * scale).all(1)
     rows = tried.nonzero()[0]
     x, landed = model.land_on_level_set(
-        mc.value, mc.grad, mid[rows], lo[rows], hi[rows],
-        _WITNESS_BAND * p_scale, model.LANDING_STEPS)
+        mc.value_grad, mid[rows], lo[rows], hi[rows], _WITNESS_BAND * p_scale,
+        model.LANDING_STEPS)
+    if not landed.any():      # about half the calls: no flow batch to make
+        return tried, {}
     rows, x = rows[landed], x[landed]
     drift, scale = prob.vertex_drifts(mode, x, mc.grad(x))
     ok = drift > 1e-7 * (1.0 + scale)

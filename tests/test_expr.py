@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from simbarrier import benchmarks, model, verify
 from simbarrier import expr as ex
+from simbarrier import interval as iv
 from simbarrier.interval import Interval
 
 from conftest import rand_expr
@@ -409,6 +410,33 @@ class TestIntervalEval:
         got = ex.compile_interval([scaled])(lo, hi)
         want = ex.compile_interval([ex.Neg(ex.Mul(ex.Const(10.0), x))])(lo, hi)
         assert np.array_equal(got, want)
+
+    def test_constant_divisor_is_a_quotient(self, monkeypatch):
+        # scalable-l3's flow has (sin(..) + sin(..) + sin(..)) / 6: box
+        # code divides by 6.0 with two quotients instead of the general
+        # division by the point interval [6, 6]
+        prob = model.load_problem(benchmarks.scalable(3))
+        tmpl = model.make_template("linear", prob.dim, 1)
+        cert = model.Certificate(tmpl, np.linspace(-1.0, 1.0, prob.dim + 1))
+        trees = []
+        monkeypatch.setattr(ex, "compile_interval", trees.append)
+        verify._drift_box(prob, cert, 0)
+        monkeypatch.undo()
+        points, src = ex._box_source(trees[0])
+        assert src.count("_quotient(") == 1 and "_div(" not in src
+        assert "_sin((_v5 + _v6))), 6.0)" in src and 6.0 not in points.values()
+        # a / c and a / -c enclose as the division by [c, c] and [-c, -c]
+        x = ex.Sin(ex.Var(0))
+        lo = np.array([[-0.5], [2.0], [-3.0]])
+        hi = np.array([[1.25], [2.5], [0.1]])
+        for c, k in ((ex.Const(6.0), 6.0), (ex.Neg(ex.Const(6.0)), -6.0),
+                     (ex.Const(-0.1), -0.1)):
+            source = ex._box_source([ex.Div(x, c)])[1]
+            assert f"_quotient(_sin(_v0), {k!r})" in source
+            got = ex.compile_interval([ex.Div(x, c)])(lo, hi)
+            want = iv.div(iv.sin(iv.Rows(np.array([lo[:, 0], hi[:, 0]]))),
+                          iv.points([k])[0]).b
+            assert np.array_equal(np.hstack(got), want.T)
 
     @pytest.mark.parametrize("e", [ex.Mul(ex.Const(0.1), ex.Const(3.0)),
                                    ex.Div(ex.Const(1.0), ex.Const(3.0))])

@@ -555,7 +555,7 @@ class TestTransversality:
         band = _band(p)
         with np.errstate(all="ignore"):
             x, landed = model.land_on_level_set(
-                mc.value, mc.grad, rng.uniform(lo[:2], hi[:2], (12, 2)),
+                mc.value_grad, rng.uniform(lo[:2], hi[:2], (12, 2)),
                 lo[:2], hi[:2], band, model.LANDING_STEPS)
             z0 = np.hstack([x, rng.uniform(-0.5, 0.5, (12, 1))])[landed]
             f, g = falsify._drift_objective(prob, 0, mc)

@@ -294,6 +294,26 @@ def test_scale_is_the_product_with_the_point(pairs, c):
         assert rows_iv.scale(c, x).b.tobytes() == want.b.tobytes()
 
 
+_unbounded = st.one_of(_bound, st.sampled_from([math.inf, -math.inf]))
+
+
+@given(st.lists(st.tuples(_unbounded, _unbounded), min_size=1, max_size=12),
+       _finite.filter(bool))
+@example([(-math.inf, math.inf), (math.inf, math.inf), (-0.0, 0.0),
+          (-math.inf, -1e308)], -3.0)
+@example([(1e308, math.inf), (-5e-324, 5e-324)], 1e-300)
+def test_quotient_is_the_division_by_the_point(pairs, c):
+    # two quotients and one rounding: bit for bit the four-candidate hull
+    # of div by [c, c] on every row whose bounds are numbers, infinite
+    # ones included; a last row of nan bounds stays nan
+    x = rows_iv.Rows(np.hstack([_rows(pairs).b, [[math.nan], [math.nan]]]))
+    with np.errstate(all="ignore"):
+        got = rows_iv.quotient(x, c).b
+        want = rows_iv.div(x, rows_iv.Rows(np.array([[c], [c]]))).b
+    assert got[:, :-1].tobytes() == want[:, :-1].tobytes()
+    assert np.isnan(got[:, -1]).all() and np.isnan(want[:, -1]).all()
+
+
 def _libm_cases(rng, count: int):
     """Rows for sin/cos (centres up to 1e15), exp (underflow to 0 and
     overflow to inf), and log/sqrt (positive rows, rows from +-0, rows

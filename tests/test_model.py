@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from simbarrier import benchmarks, cli, expr as ex, model, sim, verify
 from simbarrier.interval import Interval
+import landing_reference
 from rows_reference import coeff_row
 from simbarrier.model import (
     Box,
@@ -380,42 +381,40 @@ class TestMonomialNames:
 class TestLanding:
     """``land_on_level_set`` towards V = x + y - 1.5 = 0."""
 
-    value = staticmethod(lambda x: x[:, 0] + x[:, 1] - 1.5)
-    grad = staticmethod(lambda x: np.ones_like(x))
+    value_grad = staticmethod(lambda x: [x[0] + x[1] - 1.5, 1.0, 1.0])
 
     def full_loop(self, x, lo, hi, band, max_steps, patient=False):
         """One row through every step of the loop; unless ``patient``, it
         stops where V is not finite or a step fails to halve |V|."""
         limit = math.inf
         for _ in range(max_steps):
-            v = self.value(x[None])[0]
+            v, *g = self.value_grad(x.tolist())
             if abs(v) <= band:
                 return x, True
             if not patient and not (math.isfinite(v) and abs(v) <= limit):
                 return x, False
-            g = self.grad(x[None])[0]
+            g = np.array(g)
             x = np.clip(x - v / g.dot(g) * g, lo, hi)
             limit = 0.5 * abs(v)
-        return x, abs(self.value(x[None])[0]) <= band
+        return x, abs(self.value_grad(x.tolist())[0]) <= band
 
     @staticmethod
-    def counted(value):
-        """``value`` and the list of the batch sizes it is called with."""
+    def counted(value_grad):
+        """``value_grad`` and the list of the points it is called at."""
         calls = []
 
         def counting(x):
-            calls.append(len(x))
-            return value(x)
+            calls.append(x)
+            return value_grad(x)
         return counting, calls
 
     def test_a_row_clipped_back_to_itself_stops(self):
         # in [0, 0.5]^2 the first step reaches the corner (0.5, 0.5),
         # where V = -0.5, and the second is clipped back to it
-        value, calls = self.counted(self.value)
+        value_grad, calls = self.counted(self.value_grad)
         x0, lo, hi = np.array([[0.1, 0.1]]), np.zeros(2), np.full(2, 0.5)
-        x, landed = model.land_on_level_set(value, self.grad, x0, lo, hi,
-                                            1e-9, 25)
-        assert calls == [1, 1]
+        x, landed = model.land_on_level_set(value_grad, x0, lo, hi, 1e-9, 25)
+        assert calls == [[0.1, 0.1], [0.5, 0.5]]
         want, want_landed = self.full_loop(x0[0], lo, hi, 1e-9, 25)
         assert x[0].tobytes() == want.tobytes() and landed[0] == want_landed
 
@@ -430,7 +429,7 @@ class TestLanding:
                        [0.5, 0.5]], dtype=float)
         for steps, patient in itertools.product((0, 1, 2, 25), (False, True)):
             x, landed = model.land_on_level_set(
-                self.value, self.grad, x0, lo, hi, 1e-9, steps, patient)
+                self.value_grad, x0, lo, hi, 1e-9, steps, patient)
             for r in range(len(x0)):
                 want, want_landed = self.full_loop(x0[r], lo[r], hi[r], 1e-9,
                                                    steps, patient)
@@ -444,12 +443,14 @@ class TestLanding:
         # |grad V|^2 is 0 or nan on the second row: no Newton step is
         # defined there, so it stops where it starts, unlanded, while the
         # first row lands
-        grad = lambda x: np.where(x[:, :1] > 0.6, g, 1.0) * np.ones_like(x)
+        def value_grad(x):
+            d = g if x[0] > 0.6 else 1.0
+            return [x[0] + x[1] - 1.5, d, d]
         x0 = np.array([[0.2, 0.2], [0.7, 0.1]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             x, landed = model.land_on_level_set(
-                self.value, grad, x0, np.zeros(2), np.ones(2), 1e-9, 25)
+                value_grad, x0, np.zeros(2), np.ones(2), 1e-9, 25)
         assert landed.tolist() == [True, False]
         assert x[1].tobytes() == x0[1].tobytes()
 
@@ -458,37 +459,33 @@ class TestLanding:
         # from V = -3.91 at its midpoint the first step runs into V's
         # minimum -1.0 at the origin, where grad V vanishes, and the second
         # fails to halve |V|; a patient row creeps on for every step
-        prob = load_problem(benchmarks.corpus()["pendulum"])
-        path = (Path(__file__).parents[1] / "bench" / "data" / "certs"
-                / "pendulum-final.json")
-        barrier = json.loads(path.read_text())
-        tmpl, p = cli._barrier_from_doc(barrier, prob, "pendulum-final.json")
-        mc = Certificate(tmpl, p)[0]
+        mc = _bench_certificate("pendulum-final")[0]
         lo, hi = np.array([[-10.0, 0.0]]), np.array([[0.0, 10.0]])
-        for patient, batches in ((False, 3), (True, model.LANDING_STEPS + 1)):
-            value, calls = self.counted(mc.value)
+        for patient, points in ((False, 3), (True, model.LANDING_STEPS + 1)):
+            value_grad, calls = self.counted(mc.value_grad)
             _, landed = model.land_on_level_set(
-                value, mc.grad, 0.5 * (lo + hi), lo, hi, 1e-9,
+                value_grad, 0.5 * (lo + hi), lo, hi, 1e-9,
                 model.LANDING_STEPS, patient)
-            assert (len(calls), landed.tolist()) == (batches, [False])
+            assert (len(calls), landed.tolist()) == (points, [False])
 
     def test_a_row_where_v_is_not_finite_stops_unless_patient(self):
         # V is nan at the start: the row stops there, or, patient, steps
         # to a nan point, whose next step returns it
-        value = lambda x: np.where(x[:, 0] > 0.6, math.nan, self.value(x))
+        def value_grad(x):
+            v = math.nan if x[0] > 0.6 else x[0] + x[1] - 1.5
+            return [v, 1.0, 1.0]
         x0 = np.array([[0.7, 0.1]])
-        for patient, batches in ((False, 1), (True, 2)):
-            counting, calls = self.counted(value)
+        for patient, points in ((False, 1), (True, 2)):
+            counting, calls = self.counted(value_grad)
             x, landed = model.land_on_level_set(
-                counting, self.grad, x0, np.zeros(2), np.ones(2), 1e-9,
+                counting, x0, np.zeros(2), np.ones(2), 1e-9,
                 model.LANDING_STEPS, patient)
-            assert (len(calls), landed.tolist()) == (batches, [False])
+            assert (len(calls), landed.tolist()) == (points, [False])
             assert np.isnan(x).all() == patient
 
     def test_a_row_newton_lands_ends_where_the_patient_row_ends(self):
         # V = x^2 - 1 from x = 10: every step more than halves |V|
-        value = lambda x: x[:, 0] ** 2 - 1.0
-        grad = lambda x: 2.0 * x
+        value_grad = lambda x: [x[0] ** 2 - 1.0, 2.0 * x[0]]
         lo, hi, x0 = np.zeros(1), np.full(1, 20.0), np.array([[10.0]])
         want = 10.0
         while not abs(want * want - 1.0) <= 1e-9:
@@ -496,9 +493,133 @@ class TestLanding:
                            * (2 * want), 0.0), 20.0)
         for patient in (False, True):
             x, landed = model.land_on_level_set(
-                value, grad, x0, lo, hi, 1e-9, model.LANDING_STEPS, patient)
+                value_grad, x0, lo, hi, 1e-9, model.LANDING_STEPS, patient)
             assert landed.tolist() == [True]
             assert x[0, 0].hex() == want.hex()
+
+
+def _bench_certificate(case: str) -> Certificate:
+    """The committed certificate ``bench/data/certs/<case>.json`` of its
+    corpus problem."""
+    name = case.rsplit("-", 1)[0]
+    prob = load_problem(benchmarks.corpus()[name])
+    path = (Path(__file__).parents[1] / "bench" / "data" / "certs"
+            / f"{case}.json")
+    tmpl, p = cli._barrier_from_doc(json.loads(path.read_text()), prob,
+                                    path.name)
+    return Certificate(tmpl, p)
+
+
+class TestLandingReference:
+    """``land_on_level_set`` on certificate point code against the lockstep
+    loop it replaced (``landing_reference``) on the certificate's batch
+    code: each end point bit for bit, and the mask."""
+
+    @staticmethod
+    def same_as_reference(mc, x, lo, hi, band, steps, patient):
+        """The reference's end points and mask, after checking that
+        ``land_on_level_set`` gives them."""
+        x_got, got = model.land_on_level_set(mc.value_grad, x, lo, hi, band,
+                                             steps, patient)
+        x_want, want = landing_reference.land_on_level_set(
+            mc.value, mc.grad, x, lo, hi, band, steps, patient)
+        assert x_got.tobytes() == x_want.tobytes(), (steps, patient)
+        assert got.tolist() == want.tolist(), (steps, patient)
+        return x_want, want
+
+    @pytest.mark.parametrize("patient", [False, True])
+    @pytest.mark.parametrize("name", ["pendulum", "log-dynamics", "lorenz",
+                                      "scalable-l4"])
+    def test_drawn_rows_land_as_the_reference_lands(self, name, patient):
+        # 24 drawn points of the mode's box, each in a drawn box of its
+        # own around it and all in the mode's box; the witness's and the
+        # drift search's bands, and 0, 4 and 25 steps
+        prob = load_problem(benchmarks.corpus()[name])
+        rng = np.random.default_rng(3100 + len(name))
+        if name == "scalable-l4":     # a 9-D linear certificate
+            cert = Certificate(model.template_linear(prob.dim),
+                               rng.uniform(-1.0, 1.0, prob.dim + 1))
+        else:
+            cert = _bench_certificate(f"{name}-final")
+        mc, omega = cert[0], prob.modes[0].omega
+        lo, hi = np.array(omega.lo), np.array(omega.hi)
+        x = rng.uniform(lo, hi, (24, prob.dim))
+        reach = rng.uniform(0.0, 0.5, x.shape) * (hi - lo)
+        lo_rows, hi_rows = np.maximum(x - reach, lo), np.minimum(x + reach, hi)
+        p_scale = 1.0 + float(np.linalg.norm(cert.p))
+        landed = []
+        with np.errstate(all="ignore"):
+            for band, steps in itertools.product((1e-9, 1e-6), (0, 4, 25)):
+                for box in ((lo_rows, hi_rows), (lo, hi)):
+                    landed += self.same_as_reference(
+                        mc, x, *box, band * p_scale, steps, patient)[1].tolist()
+        assert any(landed) and not all(landed)
+
+    @pytest.mark.parametrize("patient", [False, True])
+    def test_edge_rows_end_as_the_reference_ends(self, patient):
+        # each certificate's rows in one call, each row in its own box
+        quadratic = Certificate(model.template_quadratic_2d(),
+                                np.array([1.0, 0.0, 1.0, 0.0, 0.0, -1.0]))[0]
+        linear = Certificate(model.template_linear(2),
+                             np.array([-1.5, 1.0, 1.0]))[0]
+        above = Certificate(model.template_linear(2),
+                            np.array([1.0, 1.0, 1.0]))[0]
+        pendulum = _bench_certificate("pendulum-final")[0]
+        huge = 1e300
+        rows = {
+            # V = x^2 + y^2 - 1: x^2 overflows, so V is not finite (nan);
+            # grad V is zero at the origin
+            quadratic: [((1e200, 0.0), (-huge, -huge), (huge, huge)),
+                        ((0.0, -0.0), (-1.0, -1.0), (1.0, 1.0))],
+            # V = x + y - 1.5: the step from (3, 1) is clipped onto y's
+            # bound -0.0, or 0.0, and the next ones too; the step from
+            # (1, -0.5) onto y's upper bound -0.0; from (0.1, 0.1) in
+            # [0, 0.5]^2 the second step returns its point
+            linear: [((3.0, 1.0), (0.0, -0.0), (3.0, 2.0)),
+                     ((3.0, 1.0), (0.0, 0.0), (3.0, 2.0)),
+                     ((1.0, -0.5), (0.0, -2.0), (5.0, -0.0)),
+                     ((0.1, 0.1), (0.0, 0.0), (0.5, 0.5))],
+            # V = x + y + 1 > 0 on [0, 0.5]^2: from (-0.0, 0.0) the first
+            # step is clipped to (0.0, -0.0), bits that differ from its
+            # start, and the second returns that point
+            above: [((-0.0, 0.0), (0.0, -0.0), (0.5, 0.5))],
+            # the first step runs into V's minimum, the second fails to
+            # halve |V|
+            pendulum: [((-5.0, 5.0), (-10.0, 0.0), (0.0, 10.0))],
+        }
+        ends = {}
+        with np.errstate(all="ignore"):
+            for mc, edge in rows.items():
+                x, lo, hi = map(np.array, zip(*edge))
+                ends[mc] = self.same_as_reference(
+                    mc, x, lo, hi, 1e-9, model.LANDING_STEPS, patient)
+                for r in range(len(x)):  # and each row alone
+                    self.same_as_reference(mc, x[r:r + 1], lo[r:r + 1],
+                                           hi[r:r + 1], 1e-9,
+                                           model.LANDING_STEPS, patient)
+        # the rows meet their edges
+        x, landed = ends[quadratic]
+        assert not landed.any()
+        assert np.isnan(x[0]).all() if patient else x[0].tolist() == [1e200, 0.0]
+        assert x[1].tobytes() == np.array([0.0, -0.0]).tobytes()
+        x, landed = ends[linear]
+        assert [math.copysign(1.0, y) for y in x[:3, 1]] == [-1.0, 1.0, -1.0]
+        assert landed[2] and x[3].tolist() == [0.5, 0.5] and not landed[3]
+        x, landed = ends[above]
+        assert x[0].tobytes() == np.array([0.0, -0.0]).tobytes()
+        assert not landed.any() and not ends[pendulum][1].any()
+
+    def test_point_code_that_raises_gives_the_batch_rows(self):
+        # x^2 overflows at x = 1e200, while grad V = 2x does not
+        mc = Certificate(model.template_quadratic_2d(),
+                         np.array([1.0, 0.0, 1.0, 0.0, 0.0, -1.0]))[0]
+        point = [1e200, 0.0]
+        with pytest.raises(OverflowError):
+            ex.compile_vector((mc.exprs[0], *mc.exprs[1]))(point)
+        got = mc.value_grad(point)
+        assert math.isnan(got[0])
+        assert np.array(got[1:]).tobytes() == \
+            mc.grad(np.array([point]))[0].tobytes()
 
 
 class TestJsonNumber:

@@ -449,19 +449,20 @@ def test_bench_levels_are_pinned():
 
 
 def test_bench_landing_batches_are_pinned(monkeypatch):
-    # the value batches of the drift witness's Newton landing over the
-    # certificates: 1,461 when a row stepped on after a step that failed to
-    # halve |V|; the rows handed to it stay the 543 of BENCH_WITNESS_ROWS
-    batches = []
+    # the point evaluations (V and grad V at one point) of the drift
+    # witness's Newton landing over the certificates: 4,695 when a row
+    # steps on after a step that fails to halve |V|; the rows handed to it
+    # stay the 543 of BENCH_WITNESS_ROWS
+    points = []
     land = model.land_on_level_set
 
-    def counting(value, *args, **kwargs):
+    def counting(value_grad, *args, **kwargs):
         def counted(x):
-            batches.append(len(x))
-            return value(x)
+            points.append(x)
+            return value_grad(x)
         return land(counted, *args, **kwargs)
 
     monkeypatch.setattr(model, "land_on_level_set", counting)
     rows = sum(_bench_verdict(case).reports[3].witness_rows
                for case in _bench_cases())
-    assert (len(batches), rows) == (359, 543)
+    assert (len(points), rows) == (1659, 543)

@@ -1,10 +1,10 @@
-"""Micro-timing of the verifier: its two interval enclosures, and its cost
-per cover level.
+"""Micro-timing of the verifier: its two interval enclosures, its cost per
+cover level, and its drift witness's Newton landing.
 
     PYTHONPATH=src python tests/time_enclosures.py
 
 For each committed certificate of ``bench/data/certs`` (with its problem
-from ``bench/data/expected.json``), prints two markdown tables.  The
+from ``bench/data/expected.json``), prints three markdown tables.  The
 first gives the µs per call of the value enclosure
 (``Certificate.value_box``) and the drift enclosure (``verify._drift_box``)
 of its first mode, on 1, 16 and 128 boxes.  The boxes are drawn with a
@@ -14,7 +14,12 @@ least of 5 repeats, after one call that compiles the code.  The second
 gives the ms per ``verify.verify`` call, as the benchmark makes it (a new
 ``Certificate`` per call), the least of 5 after one warm call; the cover
 levels (``ConditionReport.levels``) and boxes over the four conditions;
-and the µs per level.  The script only reads those files.
+and the µs per level.  The third gives the µs per row of the drift
+witness's landing (``model.land_on_level_set`` with the first mode's
+``value_grad``, the witness's band and ``model.LANDING_STEPS``) from the
+midpoints of 1 and 16 boxes drawn as for the first table in the mode's
+box, each row in its own box, the least of 5 repeats; and how many of the
+16 rows reach the band.  The script only reads those files.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from simbarrier import benchmarks, cli, model, verify
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "bench" / "data"
 ROWS = (1, 16, 128)
+LANDED_ROWS = (1, 16)
 
 
 def _boxes(region: model.Box, k: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -95,6 +101,23 @@ def main() -> None:
                     for r in reports)
         print(f"| {name} | {best * 1e3:.2f} | {levels} | {boxes} | "
               f"{best / levels * 1e6:.0f} |")
+    print()
+    _table(["certificate (µs per landed row)"]
+           + [f"landing {k}" for k in LANDED_ROWS] + ["reach the band of 16"])
+    for name, prob, tmpl, p in certificates:
+        value_grad = model.Certificate(tmpl, p)[0].value_grad
+        band = verify._WITNESS_BAND * (1.0 + float(np.linalg.norm(p)))
+        rng = np.random.default_rng(0)
+
+        def land(lo, hi):
+            return model.land_on_level_set(value_grad, 0.5 * (lo + hi), lo,
+                                           hi, band, model.LANDING_STEPS)
+        cells = []
+        for k in LANDED_ROWS:
+            lo, hi = _boxes(prob.modes[0].omega, k, rng)
+            cells.append(f"{_us_per_call(land, lo, hi) / k:.1f}")
+        cells.append(str(int(land(lo, hi)[1].sum())))
+        print(f"| {name} | " + " | ".join(cells) + " |")
 
 
 if __name__ == "__main__":
