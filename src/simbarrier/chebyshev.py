@@ -8,7 +8,15 @@ candidate is the parameter vector of max-norm at most one that maximizes
 the worst normalized margin, i.e. the Chebyshev center of the row
 system.  Disjunctions are resolved exactly by best-first branch-and-bound
 over per-segment disjunct choices, with the node relaxation dropping
-unresolved disjunctions (a valid upper bound).
+unresolved disjunctions (a valid upper bound).  A side that contradicts
+a hard row of the same endpoint is never branched on: the start's side
+``V(s) >= delta`` where the start is initial (its hard row is
+``V(s) <= -delta``), the end's side ``V(s') <= -delta`` where the end is
+unsafe.  Such a child's relaxation holds ``r.p >= delta`` and
+``-r.p >= delta``, so its bound is at most 0, no more than the incumbent,
+and it would be pruned once solved; skipping it leaves every other node,
+its bound, heap order, rows and start basis as they were, and so every
+candidate bit for bit.
 Each relaxation is one ``lp.lp_max`` over rows ``r.p - delta >= 0``;
 with ``|r| = 1`` every such row holds at the lower corner ``p = -1``,
 ``delta = -(sqrt(k) + 1)``, where the simplex starts.
@@ -50,6 +58,7 @@ class SampledConstraint:
     dim: int
     hard: np.ndarray          # (H, k): rows r requiring r.p >= delta
     disjunctive: np.ndarray   # (D, 2, k): at least one of the pair >= delta
+    blocked: np.ndarray       # (D, 2) bool: the side contradicts a hard row
 
     @property
     def n_rows(self) -> int:
@@ -98,10 +107,13 @@ def build(segments: Sequence[Segment], tmpl: Template,
                                 & (points <= box.hi).all(1))
     # per segment, the hard rows -a_s, a_s, -a_sp, a_sp where the start
     # or end is initial or unsafe, in that order
+    flags = inside.reshape(-1, 4)
     signed = np.stack([-units[:, 0], units[:, 0], -units[:, 1], units[:, 1]],
                       axis=1)
     disj = np.stack([units[:, 0], -units[:, 1]], axis=1)
-    return SampledConstraint(tmpl.size, signed[inside.reshape(-1, 4)], disj)
+    # side 1, a_s, meets the initial start's row -a_s; side 2, -a_sp, the
+    # unsafe end's row a_sp
+    return SampledConstraint(tmpl.size, signed[flags], disj, flags[:, [0, 3]])
 
 
 def margin(c: SampledConstraint, p: np.ndarray) -> float:
@@ -144,6 +156,12 @@ def solve(c: SampledConstraint, delta_min: float = 1e-6) -> Candidate | None:
 
     A node is an array of per-disjunction choices (0 undecided, 1 or 2 the
     side imposed) and the basis its parent's relaxation handed on, or None.
+    A node gets a child for each side of its branching disjunction that
+    ``c.blocked`` leaves open, so none when both are blocked: a blocked
+    child's relaxation bound is at most 0 <= ``best_delta``, so once solved
+    it would be pruned with no incumbent, and dropping it keeps the other
+    nodes and their order (see the module docstring).  Only ``nodes`` and
+    ``pivots`` see it.
     """
     best_p = np.zeros(c.dim)
     best_delta = margin(c, best_p) if c.n_rows else 0.0
@@ -177,6 +195,8 @@ def solve(c: SampledConstraint, delta_min: float = 1e-6) -> Candidate | None:
             rows = basis.rows
             basis = dataclasses.replace(basis, rows=rows + (rows >= at))
         for choice in (1, 2):
+            if c.blocked[worst, choice - 1]:
+                continue
             child = assign.copy()
             child[worst] = choice
             counter += 1

@@ -155,10 +155,7 @@ def lp_max(c, A, b, lo, hi, start: Basis | None = None) -> LPResult:
     taken[active] = True
     for _ in range(b.size):
         x = work.x[:n]
-        viol = b - A @ x
-        order = np.argsort(-viol, kind="stable")
-        new = order[viol[order] > 1e-9]
-        new = new[~taken[new]][:_ROW_BATCH]
+        new = _most_violated(b - A @ x, taken)
         if not new.size:
             return LPResult(x.copy(), value, pivots, work.binding(active))
         work.add_rows(A[new], b[new])
@@ -168,6 +165,15 @@ def lp_max(c, A, b, lo, hi, start: Basis | None = None) -> LPResult:
         value, more = work.primal()
         pivots += more
     raise LPError("row generation failed to converge")
+
+
+def _most_violated(viol, taken) -> np.ndarray:
+    """The indices of at most ``_ROW_BATCH`` rows not yet ``taken`` whose
+    violation ``viol`` exceeds 1e-9, most violated first, ties in index
+    order.  Only those rows are sorted, which gives the rows, in the same
+    order, of a stable sort of all of ``-viol`` filtered afterwards."""
+    rows = np.flatnonzero((viol > 1e-9) & ~taken)
+    return rows[np.argsort(-viol[rows], kind="stable")][:_ROW_BATCH]
 
 
 class _Working:

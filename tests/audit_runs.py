@@ -14,12 +14,13 @@ search (``min_transversality``) and in the other three searches apart,
 and the rides' event-location trials (the calls of the event function
 inside ``sim._locate``).  ``--compare FILE`` reads the lines of an
 earlier audit and prints, to stderr, each run that differs from its
-line there in more than these counts, with its status, verdict and
-round changes, and then the rounds, the batches of each kind and the
-event trials summed over the runs in both, before -> after.  A count
-that an earlier audit lacks (one taken before it was recorded) prints
-as "-".  The exit status is 1 when a run does not end in
-BarrierFound/Verified, or when the summed rounds rise.
+line there in more than its counts (the rounds' nodes and pivots and
+the batches), with its status, verdict and round changes, and then the
+rounds, the nodes, the pivots, the batches of each kind and the event
+trials summed over the runs in both, before -> after.  A count that an
+earlier audit lacks (one taken before it was recorded) prints as "-".
+The exit status is 1 when a run does not end in BarrierFound/Verified,
+or when the summed rounds rise.
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ import sys
 
 from simbarrier import benchmarks, engine, falsify, model, sim
 
-# what is counted under "batches", and how --compare names its sum
-COUNTS = {"drift": "drift batches", "other": "other batches",
+# what is counted, and how --compare names its sum: per round the
+# branch-and-bound nodes and LP pivots, and per run the work under "batches"
+COUNTS = {"nodes": "B&B nodes", "pivots": "LP pivots",
+          "drift": "drift batches", "other": "other batches",
           "events": "event trials"}
 
 
@@ -45,7 +48,7 @@ def _run_counting_batches(prob, tmpl, cfg) -> tuple[engine.RunReport, dict]:
     under "other" elsewhere, and every call of ``sim._locate``'s event
     function under "events"; ``falsify`` and ``sim`` are restored
     afterwards."""
-    counts = dict.fromkeys(COUNTS, 0)
+    counts = dict.fromkeys(("drift", "other", "events"), 0)
     search = ["other"]
     minimize, drift = falsify.minimize_box, falsify.min_transversality
     locate = sim._locate
@@ -81,7 +84,17 @@ def _run_counting_batches(prob, tmpl, cfg) -> tuple[engine.RunReport, dict]:
 
 def _outcome(entry: dict) -> dict:
     """An audit line without its counts: what the run computed."""
-    return {key: v for key, v in entry.items() if key != "batches"}
+    out = {key: v for key, v in entry.items() if key != "batches"}
+    out["log"] = [rec[:3] for rec in entry["log"]]
+    return out
+
+
+def _counts(entry: dict) -> dict:
+    """An audit line's counts by ``COUNTS`` key, the nodes and pivots
+    summed over its rounds; a count the line lacks is missing."""
+    log = entry["log"]
+    return {"nodes": sum(rec[3] for rec in log),
+            "pivots": sum(rec[4] for rec in log), **entry.get("batches", {})}
 
 
 def audit(name: str, doc: dict, seed: int) -> dict:
@@ -137,9 +150,10 @@ def main(argv=None) -> int:
             if old is not None:
                 rounds_before += old["rounds"]
                 rounds_after += entry["rounds"]
+                now, then = _counts(entry), _counts(old)
                 for kind in COUNTS:
-                    counts_after[kind] += entry["batches"][kind]
-                    was = old.get("batches", {}).get(kind)
+                    counts_after[kind] += now[kind]
+                    was = then.get(kind)
                     old_counted[kind] &= was is not None
                     counts_before[kind] += was or 0
             if args.compare and (old is None

@@ -3,9 +3,9 @@ point at a time and the per-segment loop that the template's compiled
 monomial rows (``model.Template.monomial_rows``) replaced.
 
 ``build`` must give bit for bit the rows of ``build`` here, hard-row order
-included (``tests/test_chebyshev.py``), and a mode's compiled monomials at
-a point must be bit for bit that mode's block of ``coeff_row``
-(``tests/test_model.py``).  The loops are kept as they were, and an
+included, and the same blocked sides (``tests/test_chebyshev.py``), and a
+mode's compiled monomials at a point must be bit for bit that mode's block
+of ``coeff_row`` (``tests/test_model.py``).  The loops are kept as they were, and an
 endpoint's membership in the initial and unsafe boxes is decided here,
 point by point with ``Box.contains``, so the reference does not share
 code with what it checks.
@@ -53,6 +53,7 @@ def build(segments: Sequence[Segment], tmpl: Template,
     k = tmpl.size
     hard: list[np.ndarray] = []
     disj: list[np.ndarray] = []
+    blocked: list[list[bool]] = []
     for seg in segments:
         a_s = _unit(coeff_row(tmpl, seg.s_mode, seg.s))
         a_sp = _unit(coeff_row(tmpl, seg.sp_mode, seg.sp))
@@ -66,6 +67,10 @@ def build(segments: Sequence[Segment], tmpl: Template,
         if sp_unsafe:
             hard.append(a_sp)
         disj.append(np.stack([a_s, -a_sp]))
+        # a_s >= delta contradicts the initial start's -a_s >= delta, and
+        # -a_sp >= delta the unsafe end's a_sp >= delta
+        blocked.append([s_initial, sp_unsafe])
     hard_arr = np.array(hard) if hard else np.empty((0, k))
     disj_arr = np.array(disj) if disj else np.empty((0, 2, k))
-    return SampledConstraint(k, hard_arr, disj_arr)
+    return SampledConstraint(k, hard_arr, disj_arr,
+                             np.array(blocked, dtype=bool).reshape(-1, 2))

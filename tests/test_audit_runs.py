@@ -46,3 +46,35 @@ def test_compare_sums_batches_and_accepts_an_audit_without_them(
     assert "0 of 1 runs differ" in err
     assert f"summed drift batches - -> {batches['drift']}" in err
     assert f"summed event trials - -> {batches['events']}" in err
+
+
+def test_compare_counts_nodes_and_pivots(monkeypatch, tmp_path, capsys):
+    # a run that differs from the earlier audit only in its rounds' nodes
+    # and pivots is not listed; one that differs in a logged value is
+    monkeypatch.setattr(benchmarks, "corpus", lambda: {
+        "thermostat": benchmarks.thermostat()})
+    assert audit_runs.main(["0"]) == 0
+    line = json.loads(capsys.readouterr().out)
+    nodes = sum(rec[3] for rec in line["log"])
+    pivots = sum(rec[4] for rec in line["log"])
+    assert nodes >= len(line["log"]) >= 2 and pivots >= 1
+    for rec in line["log"]:
+        rec[3] += 1
+        rec[4] += 2
+    recounted = tmp_path / "recounted.jsonl"
+    recounted.write_text(json.dumps(line) + "\n")
+    line["log"][0][2] = "0x1.0p-99"
+    moved = tmp_path / "moved.jsonl"
+    moved.write_text(json.dumps(line) + "\n")
+    rounds = len(line["log"])
+
+    assert audit_runs.main(["0", "--compare", str(recounted)]) == 0
+    err = capsys.readouterr().err
+    assert "0 of 1 runs differ" in err and "bits only" not in err
+    assert f"summed B&B nodes {nodes + rounds} -> {nodes}" in err
+    assert f"summed LP pivots {pivots + 2 * rounds} -> {pivots}" in err
+
+    assert audit_runs.main(["0", "--compare", str(moved)]) == 0
+    err = capsys.readouterr().err
+    assert "thermostat seed 0 differs: bits only" in err
+    assert "1 of 1 runs differ" in err

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -130,7 +131,8 @@ def test_build_equals_per_segment_loop(case, prob, tmpl, rng):
         segs = [_seg(s, sp) for s in ends for sp in ends]
     got, want = build(segs, tmpl, prob), ref.build(segs, tmpl, prob)
     assert got.n_rows > len(segs)
-    for name in ("hard", "disjunctive"):
+    assert got.blocked.dtype == bool and got.blocked.any()
+    for name in ("hard", "disjunctive", "blocked"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
@@ -223,12 +225,15 @@ class TestSolveProperties:
 # the bloated box in their last bits; the row counts, nodes and pivots
 # stay.  They were re-recorded again, for the same reason, when the
 # locator became a secant (Illinois regula falsi) instead of bisection.
+# The nodes and pivots were re-recorded (15 -> 8, 154 -> 88) when the
+# search stopped pushing the children that a hard row of the same endpoint
+# rules out: their relaxations were always pruned, so p and delta stay.
 # Recorded on x86-64 Linux with glibc's libm and OpenBLAS.
 GOLDEN_SCALABLE_L2 = (
     ["0x1.2e38f7fd71f10p-3", "-0x1.0000000000000p+0",
      "0x1.1f2b7541ec680p-10", "0x1.be9e4ee908a00p-11",
      "0x1.1ef44ec5c368bp-10", "0x1.be31cb981158ap-11"],
-    "0x1.923485bfb71ecp-2", 15, 154)
+    "0x1.923485bfb71ecp-2", 8, 88)
 
 
 def test_golden_scalable_l2():
@@ -240,6 +245,71 @@ def test_golden_scalable_l2():
     cand = solve(c)
     assert ([float(v).hex() for v in cand.p], float(cand.delta).hex(),
             cand.nodes, cand.pivots) == GOLDEN_SCALABLE_L2
+
+
+def _unblocked(c):
+    return dataclasses.replace(c, blocked=np.zeros_like(c.blocked))
+
+
+def _same_candidate(c):
+    """Solve ``c`` with its blocked sides and with none blocked: the two
+    give p and delta bit for bit, and the first no more nodes or pivots.
+    Returns both candidates."""
+    pruned, full = solve(c), solve(_unblocked(c))
+    assert (pruned is None) == (full is None)
+    if pruned is not None:
+        assert pruned.p.tobytes() == full.p.tobytes()
+        assert float(pruned.delta).hex() == float(full.delta).hex()
+        assert pruned.nodes <= full.nodes and pruned.pivots <= full.pivots
+    return pruned, full
+
+
+class TestBlockedSides:
+    def test_sides_of_the_initial_start_and_the_unsafe_end(self, prob,
+                                                           tmpl):
+        segs = [_seg(-1.0, 0.0), _seg(0.0, 1.0), _seg(1.0, -1.0),
+                _seg(0.0, 0.5)]
+        assert build(segs, tmpl, prob).blocked.tolist() == [
+            [True, False], [False, True], [False, False], [False, False]]
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_scalable_bootstrap_keeps_its_candidate(self, dims):
+        prob = model.load_problem(benchmarks.scalable(dims))
+        tmpl = model.make_template("linear", prob.dim, 1)
+        segs = sim.init_segments(prob, 0.1, 256, 0, bloat_factor=1.1)
+        pruned, full = _same_candidate(build(segs, tmpl, prob))
+        assert pruned is not None and pruned.nodes < full.nodes
+
+    def test_pendulum_rounds_keep_their_candidates(self, monkeypatch):
+        constraints = []
+
+        def recorded(c, delta_min):
+            constraints.append(c)
+            return solve(c, delta_min)
+
+        monkeypatch.setattr(chebyshev, "solve", recorded)
+        doc = benchmarks.pendulum()
+        prob = model.load_problem(doc)
+        tmpl = model.make_template(doc["template"], prob.dim, len(prob.modes))
+        run = doc["run"]
+        report = engine.run(prob, tmpl, engine.RunConfig(
+            sigma=run["sigma"], bloat_factor=run["bloat"],
+            starts=run["starts"], max_iterations=run["max_iter"],
+            seed=run["seed"]))
+        assert report.status is engine.RunStatus.BARRIER_FOUND
+        assert len(constraints) == report.iterations >= 2
+        for c, rec in zip(constraints, report.log):
+            pruned, _ = _same_candidate(c)
+            assert (pruned.nodes, pruned.pivots) == (rec.bb_nodes,
+                                                     rec.lp_pivots)
+
+    def test_initial_start_to_unsafe_end_gives_none(self, prob, tmpl):
+        # both sides of the disjunction are blocked: the root has no child
+        for segs in ([_seg(-1.0, 1.0)], [_seg(-1.0, 1.0), _seg(0.0, 0.5)]):
+            c = build(segs, tmpl, prob)
+            assert c.blocked[0].all()
+            assert solve(c) is None
+            assert solve(_unblocked(c)) is None
 
 
 def test_margin_lps_run_phase_two_only(monkeypatch):
@@ -344,7 +414,8 @@ class TestOracleEquivalence:
             disj = np.array([[_unit(rng.uniform(-1, 1, k), rng),
                               _unit(rng.uniform(-1, 1, k), rng)]
                              for _ in range(n_disj)])
-            c = chebyshev.SampledConstraint(k, hard, disj)
+            c = chebyshev.SampledConstraint(
+                k, hard, disj, np.zeros((n_disj, 2), dtype=bool))
             cand = solve(c, delta_min=-math.inf)
             got = cand.delta
             if k <= 2:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from simbarrier import lp
@@ -237,6 +238,27 @@ def test_row_generation_takes_several_rounds(monkeypatch):
     assert len(rows) == len(basic) and np.all(basic < len(c))
     assert np.all(np.abs(A[rows] @ res.x - b[rows]) <= 1e-9)
     assert res.basis.at_hi.shape == (len(c) + len(rows),)
+
+
+# violations with ties, both zeros, the 1e-9 threshold, infinities and nan
+_VIOL = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-9, 2e-9, 0.5, 1.0, -1.0, 3.0, np.inf,
+                     -np.inf, np.nan]),
+    st.floats(-4.0, 4.0))
+
+
+@given(st.lists(st.tuples(_VIOL, st.booleans()), max_size=3 * lp._ROW_BATCH))
+@settings(max_examples=500)
+def test_row_pick_is_a_stable_sort_of_every_row(rows):
+    # the rows row generation adds: the same as a stable sort of every
+    # row by -viol, filtered to the untaken rows above 1e-9, cut at the batch
+    viol = np.array([v for v, _ in rows], dtype=float)
+    taken = np.array([t for _, t in rows], dtype=bool)
+    order = np.argsort(-viol, kind="stable")
+    want = order[viol[order] > 1e-9]
+    want = want[~taken[want]][:lp._ROW_BATCH]
+    got = lp._most_violated(viol, taken)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 def _grown_programs(rng, trials):
