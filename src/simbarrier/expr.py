@@ -10,7 +10,9 @@ enclosures.  Expression trees are immutable and safe to share.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -410,15 +412,15 @@ def _codegen(e: Expr, flavour: str = "point",
     the float operations the point code performs: sums, differences,
     products and negation are numpy elementwise operations, which round as
     Python floats do; so are sin, cos and sqrt (``_each_sin``, ...), whose
-    numpy versions round as libm does; powers, exp and log run per entry
-    on Python floats (``_pow``, ``_each_exp``, ``_each_log``), because
-    numpy's vector ``power``, ``exp`` and ``log`` round differently from
-    libm; division by anything but a non-zero constant goes through
-    ``_div``; and a subtree without variables is its value, folded here
-    (``_fold``), or point code where that raises or is not finite.  Where
-    the point code raises on an entry, ``_pow``, ``_each_*`` and ``_div``
-    give nan there and add its row to the list ``_bad`` of the call, their
-    first argument.
+    numpy versions round as libm does, and division by anything but a
+    non-zero constant (``_div``); powers, exp and log (``_pow``,
+    ``_each_exp``, ``_each_log``) follow the per-entry rule of
+    ``interval.each``, because numpy's vector ``power``, ``exp`` and
+    ``log`` round differently from libm; and a subtree without variables
+    is its value, folded here (``_fold``), or point code where that raises
+    or is not finite.  Where the point code raises on an entry, ``_pow``,
+    ``_each_*`` and ``_div`` give nan there and add its row to the list
+    ``_bad`` of the call, their first argument.
 
     Box code reads interval rows ``_v0``, ``_v1``, ... (``interval.Rows``,
     one interval per box), with the rounding of each primitive (see
@@ -554,85 +556,58 @@ class _BoxNames:
 _MATH_NAMES = {Sin: "sin", Cos: "cos", Exp: "exp", Ln: "log", Sqrt: "sqrt"}
 _MATH = {f"_{name}": getattr(math, name) for name in _MATH_NAMES.values()}
 _MATH.update(inf=math.inf, nan=math.nan)  # the reprs of non-finite constants
-# what compiled point code raises where a point is outside a domain
-MATH_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
+MATH_ERRORS = iv.MATH_ERRORS  # what compiled point code raises
+_nan = lambda _: math.nan
 
 
-def _one_by_one(fn, values: list, bad: list) -> np.ndarray:
-    """``fn`` on each value; where it raises, the entry is nan and its row
-    is added to ``bad``."""
-    out = np.empty(len(values))
-    for r, v in enumerate(values):
-        try:
-            out[r] = fn(v)
-        except MATH_ERRORS:
-            out[r] = math.nan
-            bad.append(r)
-    return out
-
-
-def _each(fn):
-    def each(bad, col):
-        values = col.tolist()
-        try:
-            return np.array([fn(v) for v in values])
-        except MATH_ERRORS:
-            return _one_by_one(fn, values, bad)
-    return each
+def _per_entry(fn, bad, col):
+    """``fn`` on each entry of the column (``interval.each``); entries
+    where it raises are nan and their rows are added to ``bad``."""
+    out, failed = iv.each(fn, col.tolist(), _nan)
+    bad += failed
+    return np.array(out, dtype=float)
 
 
 def _array_call(fn, clear, raises):
-    """``fn`` over the column in one numpy call, for a function whose numpy
-    version rounds as libm does; entries where ``raises`` (where the point
-    code raises) are nan and their rows are added to ``bad``.  A column
-    that ``clear``, one reduction over it, finds free of such entries is
-    one plain call, as is one where ``raises`` finds none; either warns of
-    nothing."""
-    def call(bad, col):
-        if clear(col):
-            return fn(col)
-        undefined = raises(col)
+    """``fn`` over the columns in one numpy call, for a function whose
+    numpy version rounds as the point code's operation does; entries where
+    ``raises`` (where the point code raises) are nan and their rows are
+    added to ``bad``.  Columns that ``clear``, one reduction over them,
+    finds free of such entries are one plain call, as are those where
+    ``raises`` finds none; either warns of nothing."""
+    def call(bad, *cols):
+        if clear(*cols):
+            return fn(*cols)
+        undefined = raises(*cols)
         if not undefined.any():
-            return fn(col)
-        with np.errstate(invalid="ignore"):
-            out = fn(col)
+            return fn(*cols)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out = fn(*cols)
+        undefined = np.broadcast_to(undefined, out.shape)
         out[undefined] = math.nan
         bad += np.flatnonzero(undefined).tolist()
         return out
     return call
 
 
-def _pow_entries(bad, col, n):
-    values = col.tolist()
-    try:
-        return np.array([v ** n for v in values])
-    except OverflowError:
-        return _one_by_one(lambda v: v ** n, values, bad)
-
-
-def _div_entries(bad, a, b):
-    if np.all(b):
-        return a / b
-    zero = b == 0.0  # where a Python float division raises
-    out = a / np.where(zero, 1.0, b)
-    bad += np.flatnonzero(np.broadcast_to(zero, out.shape)).tolist()
-    return out
-
-
-_BATCHED = dict(_MATH, _pow=_pow_entries, _div=_div_entries,
-                _errors=MATH_ERRORS)
-_BATCHED.update((f"_each_{name}", _each(getattr(math, name)))
-                for name in ("exp", "log"))
-# numpy's sin, cos and sqrt round as libm does; math raises on an infinite
-# angle and on a negative square root.  A column whose sum of squares is
-# finite has no infinite entry (``np.vdot`` warns of no overflow; a sum
-# that overflows only costs the per-entry mask), and one whose least entry
-# is not negative has no negative entry; a nan entry fails either test.
+_BATCHED = dict(_MATH, _errors=MATH_ERRORS,
+                _pow=lambda bad, col, n: _per_entry(lambda v: v ** n, bad, col),
+                _each_exp=functools.partial(_per_entry, math.exp),
+                _each_log=functools.partial(_per_entry, math.log))
+# numpy's sin, cos and sqrt round as libm does, and its division as Python
+# floats do; math raises on an infinite angle and on a negative square
+# root, and Python on a division by zero.  A column whose sum of squares
+# is finite has no infinite entry (``np.vdot`` warns of no overflow; a
+# sum that overflows only costs the per-entry mask), one whose least entry
+# is not negative has no negative entry, and a nan entry fails either
+# test; a divisor column that ``np.all`` finds true has no zero entry.
 _finite = lambda col: math.isfinite(np.vdot(col, col))
 _BATCHED.update(_each_sin=_array_call(np.sin, _finite, np.isinf),
                 _each_cos=_array_call(np.cos, _finite, np.isinf),
                 _each_sqrt=_array_call(np.sqrt, lambda col: col.min() >= 0.0,
-                                       lambda col: col < 0.0))
+                                       lambda col: col < 0.0),
+                _div=_array_call(operator.truediv, lambda a, b: np.all(b),
+                                 lambda a, b: np.equal(b, 0.0)))
 
 
 _BOX = dict(_sin=iv.sin, _cos=iv.cos, _exp=iv.exp, _log=iv.log,
@@ -701,12 +676,7 @@ def compile_batch(es: Sequence[Expr]):
             return batch(z)
         if point is None:
             point = compile_vector(es)
-        out = []
-        for row in z.tolist():
-            try:
-                out.append(point(row))
-            except MATH_ERRORS:
-                out.append(undefined)
+        out, _ = iv.each(point, z.tolist(), lambda _: undefined)
         return np.array(out, dtype=float).reshape(len(z), len(es))
     return f
 

@@ -308,7 +308,7 @@ def _retraction(prob: Problem, mc: ModeCertificate, lo: np.ndarray,
 
     def project(z, rows):
         z = z.clip(lo, hi)
-        z[:, :n], landed = model.land_on_level_set(
+        z[:, :n], landed, _ = model.land_on_level_set(
             mc.value_grad, z[:, :n], lo[:n], hi[:n], band, _RETRACTION_STEPS)
         z[~landed] = math.nan
         return z
@@ -333,7 +333,7 @@ def min_transversality(prob: Problem, cert: Certificate, starts: int = 16,
         lo, hi = lo[0], hi[0]            # one box per mode
         mc = cert[mode]
         # patient: a start that stops landing is a start lost to the search
-        z[:, :n], landed = model.land_on_level_set(
+        z[:, :n], landed, _ = model.land_on_level_set(
             mc.value_grad, z[:, :n], lo[:n], hi[:n], band,
             model.LANDING_STEPS, patient=True)
         rows = landed.nonzero()[0]

@@ -21,8 +21,8 @@ interval alone, by the rules the batch code of ``expr`` follows:
   candidates of ``0 * inf`` and ``inf / inf``; the sign of a zero they
   pick does not matter, since rounding moves it off zero;
 - a square is the product ``b * b``; higher integer powers, ``exp`` and
-  ``log`` run entry by entry on Python floats (libm), because numpy's
-  vector ``power``, ``exp`` and ``log`` round differently; ``np.sin`` and
+  ``log`` run by the per-entry rule of ``each``, because numpy's vector
+  ``power``, ``exp`` and ``log`` round differently; ``np.sin`` and
   ``np.cos`` round as libm's do, and ``np.sqrt`` is correctly rounded, as
   ``math.sqrt`` is.
 
@@ -51,6 +51,37 @@ _INF = math.inf
 _NAN = math.nan
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
+
+# what a libm call or a float operation raises where its argument is
+# outside its domain or its result overflows
+MATH_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
+
+
+def each(fn, values: list, fallback) -> tuple[list, list[int]]:
+    """``fn`` on each of ``values``, and the indices where it raises one
+    of ``MATH_ERRORS``, where the result is ``fallback`` of the value.
+
+    This is the rule under which batch and box code keep the bits of
+    point code: a libm call (``math.exp``, ``math.log``, ``v ** n``), or a
+    whole row of point code, runs entry by entry on Python floats, and an
+    entry where it raises gets a substitute chosen by the caller (nan, an
+    infinity, an undefined row) instead of ending the call.  Where nothing
+    raises this is one pass; only after a raise does it go item by item,
+    calling ``fn`` again from the first item and ``fallback`` only on the
+    items that raise.
+    """
+    try:
+        return [fn(v) for v in values], []
+    except MATH_ERRORS:
+        pass
+    out, failed = [], []
+    for i, v in enumerate(values):
+        try:
+            out.append(fn(v))
+        except MATH_ERRORS:
+            out.append(fallback(v))
+            failed.append(i)
+    return out, failed
 
 
 class Interval:
@@ -108,29 +139,10 @@ def _widened(b: np.ndarray) -> Rows:
     return _outward(b, _WIDEN_STEPS)
 
 
-def _each(fn, b: np.ndarray, fallback) -> np.ndarray:
-    """``fn`` on each entry as a Python float; ``fallback`` of the entries
-    where it raises."""
-    values = b.ravel().tolist()
-    try:
-        out = [fn(v) for v in values]
-    except (ValueError, OverflowError):
-        out = [fallback(fn, v) for v in values]
+def _entries(fn, b: np.ndarray, fallback) -> np.ndarray:
+    """``each`` over the entries of the float array ``b``."""
+    out, _ = each(fn, b.ravel().tolist(), fallback)
     return np.array(out, dtype=float).reshape(b.shape)
-
-
-def _nan_if_raises(fn, v: float) -> float:
-    try:
-        return fn(v)
-    except (ValueError, OverflowError):
-        return _NAN
-
-
-def _inf_if_overflows(fn, v: float) -> float:
-    try:
-        return fn(v)
-    except OverflowError:
-        return _INF
 
 
 class Rows:
@@ -194,16 +206,9 @@ def _hull(c: np.ndarray) -> np.ndarray:
 
 
 def _power(b: np.ndarray, n: int) -> np.ndarray:
-    def pow_n(v: float) -> float:
-        return v ** n
-
-    def overflowed(_fn, v: float) -> float:
-        try:
-            return v ** n
-        except OverflowError:
-            return -_INF if v < 0.0 and n % 2 else _INF
-
-    return _each(pow_n, b, overflowed)
+    # where v ** n overflows, the infinity of its sign
+    return _entries(lambda v: v ** n, b,
+                    lambda v: -_INF if v < 0.0 and n % 2 else _INF)
 
 
 def points(values: Sequence[float]) -> list[Rows]:
@@ -237,14 +242,15 @@ def div(x: Rows, y: Rows) -> Rows:
 
 
 def exp(x: Rows) -> Rows:
-    out = _widened(_each(math.exp, x.b, _inf_if_overflows))
+    out = _widened(_entries(math.exp, x.b, lambda _: _INF))
     return Rows(np.maximum(_NON_NEGATIVE, out.b))
 
 
 def log(x: Rows) -> Rows:
     """log x; nan on rows that reach zero or below."""
     undefined = ~(x.b[0] > 0.0)
-    out = _widened(_each(math.log, np.where(undefined, 1.0, x.b), _nan_if_raises))
+    out = _widened(_entries(math.log, np.where(undefined, 1.0, x.b),
+                           lambda _: _NAN))
     return Rows(np.where(undefined, _NAN, out.b))
 
 

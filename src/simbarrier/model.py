@@ -539,11 +539,12 @@ _CONTRACTION = 0.5
 def land_on_level_set(value_grad, x: np.ndarray, lo: np.ndarray,
                       hi: np.ndarray, band: float, max_steps: int,
                       patient: bool = False
-                      ) -> tuple[np.ndarray, np.ndarray]:
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Newton steps along grad V towards |V| <= band from each row of
     ``x``, each step clipped to the row's box [lo, hi] (arrays of x's
-    shape, or one box for all rows); returns the end points and the mask
-    of rows that reached the band.
+    shape, or one box for all rows); returns the end points, the mask
+    of rows that reached the band, and grad V at the end points, from the
+    last ``value_grad`` call of each row, which is at its end point.
 
     ``value_grad`` maps one point, a list of floats, to the list
     [V, dV/dx_1, ...] (``ModeCertificate.value_grad``).  A row stops
@@ -568,11 +569,11 @@ def land_on_level_set(value_grad, x: np.ndarray, lo: np.ndarray,
     where a coordinate is not strictly inside it.
     """
     if not len(x):
-        return x.copy(), np.zeros(0, dtype=bool)
+        return x.copy(), np.zeros(0, dtype=bool), x.copy()
     pack = struct.Struct(f"{x.shape[1]}d").pack
     boxes = (zip(lo.tolist(), hi.tolist()) if lo.ndim == 2
              else itertools.repeat((lo.tolist(), hi.tolist())))
-    ends, landed = [], []
+    ends, landed, grads = [], [], []
     for xs, (lo_r, hi_r) in zip(x.tolist(), boxes):
         bits = pack(*xs)
         # the row's bound on |V|; the largest float tests that V is finite
@@ -601,11 +602,12 @@ def land_on_level_set(value_grad, x: np.ndarray, lo: np.ndarray,
                 break
             xs, bits, limit = step, step_bits, _CONTRACTION * abs(v)
         else:
-            v = value_grad(xs)[0]
-        # v is V at the row's end, where every path above stops
+            v, *g = value_grad(xs)
+        # v and g are at the row's end, where every path above stops
         ends.append(xs)
         landed.append(abs(v) <= band)
-    return np.array(ends), np.array(landed)
+        grads.append(g)
+    return np.array(ends), np.array(landed), np.array(grads)
 
 
 def template_linear(n: int, modes: int = 1) -> Template:

@@ -370,13 +370,13 @@ def _drift_witnesses(prob: Problem, cert: Certificate, mode: int,
     drift, scale = prob.vertex_drifts(mode, mid, mc.grad(mid))
     tried = always | ~(drift < _WITNESS_SKIP * scale).all(1)
     rows = tried.nonzero()[0]
-    x, landed = model.land_on_level_set(
+    x, landed, g = model.land_on_level_set(
         mc.value_grad, mid[rows], lo[rows], hi[rows], _WITNESS_BAND * p_scale,
         model.LANDING_STEPS)
     if not landed.any():      # about half the calls: no flow batch to make
         return tried, {}
     rows, x = rows[landed], x[landed]
-    drift, scale = prob.vertex_drifts(mode, x, mc.grad(x))
+    drift, scale = prob.vertex_drifts(mode, x, g[landed])
     ok = drift > 1e-7 * (1.0 + scale)
     best = np.argmax(np.where(ok, drift, -np.inf), 1)
     return tried, {int(rows[i]): Hit(None, "transversality", mode, x[i],

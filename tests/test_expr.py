@@ -210,10 +210,13 @@ class TestCompileBatch:
                     assert _same_bits_or_nan(row, expected)
 
     def test_zero_divisor_gives_nan_rows(self):
-        batch = ex.compile_batch([ex.parse("1/x", ["x"]), ex.parse("x", ["x"])])
+        # a zero divisor, and a power that overflows in a middle row
+        batch = ex.compile_batch([ex.parse(t, ["x"]) for t in ("1/x", "x", "x^3")])
         for copies in self.COPIES:
-            out = batch(np.array([[2.0], [-0.0]] * copies))
-            assert out[0].tolist() == [0.5, 2.0] and np.isnan(out[1]).all()
+            out = batch(np.array([[2.0], [-0.0], [1e200], [0.5]] * copies))
+            assert out[0].tolist() == [0.5, 2.0, 8.0]
+            assert out[3].tolist() == [2.0, 0.5, 0.125]
+            assert np.isnan(out[1:3]).all()
             # a zero constant divisor, and a subtree or an entry without
             # variables that raises, make every row nan
             for texts in (["x/0"], ["x + 1/(1 - 1)"], ["x", "1/(1 - 1)"]):

@@ -554,7 +554,7 @@ class TestTransversality:
         hi = np.array([3.5, 1.5, 0.5])
         band = _band(p)
         with np.errstate(all="ignore"):
-            x, landed = model.land_on_level_set(
+            x, landed, _ = model.land_on_level_set(
                 mc.value_grad, rng.uniform(lo[:2], hi[:2], (12, 2)),
                 lo[:2], hi[:2], band, model.LANDING_STEPS)
             z0 = np.hstack([x, rng.uniform(-0.5, 0.5, (12, 1))])[landed]

@@ -1,4 +1,5 @@
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -417,14 +418,75 @@ def test_rows_equal_scalar_reference(seed):
     lo, hi = centre - half, centre + half
     lo[0], hi[0] = (-0.0, 0.0), (0.0, 0.0)          # signed zeros
     lo[1], hi[1] = (-1.0, -0.5), (1.0, 0.5)          # through zero
+    # magnitudes where powers and exp overflow, in a middle row
+    lo[5], hi[5] = (-1e200, 700.0), (1e150, 1e250)
     enc_lo, enc_hi = ex.compile_interval(es)(lo, hi)
     reference = iv.box_code(es)
     for r in range(len(lo)):
         box = [Interval(a, b) for a, b in zip(lo[r], hi[r])]
         for i, f in enumerate(reference):
-            want = f(box)
+            with np.errstate(all="ignore"):  # row 5 overflows to inf
+                want = f(box)
             if want is None:
                 assert np.isnan(enc_lo[r, i]) and np.isnan(enc_hi[r, i])
             else:
                 assert (enc_lo[r, i].hex(), enc_hi[r, i].hex()) == \
                     (want.lo.hex(), want.hi.hex())
+
+
+# ---------------------------------------------------------------------------
+# interval.each, the per-entry rule under batch, box and few-row code,
+# against a plain per-item loop
+
+def _item_loop(fn, values, fallback):
+    out, failed = [], []
+    for i, v in enumerate(values):
+        try:
+            out.append(fn(v))
+        except rows_iv.MATH_ERRORS:
+            out.append(fallback(v))
+            failed.append(i)
+    return out, failed
+
+
+def _raise_or_add_one(v):
+    """v + 1 for a float; an item that is one of ``MATH_ERRORS`` raises it."""
+    if isinstance(v, type):
+        raise v("raised by the item")
+    return v + 1.0
+
+
+def _bits(results) -> list:
+    return [struct.pack("<d", r) if isinstance(r, float) else r for r in results]
+
+
+_items = st.lists(st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0]),
+    st.sampled_from(rows_iv.MATH_ERRORS)), max_size=12)
+
+
+@given(_items)
+@example([ValueError, 1.0, 2.0])                       # raises first
+@example([1.0, ZeroDivisionError, math.nan, 2.0])      # raises in the middle
+@example([math.inf, -math.inf, 2.0, OverflowError])    # raises last
+@example([OverflowError, ValueError, ZeroDivisionError])
+@example([])
+def test_each_is_the_per_item_loop(values):
+    substituted = []
+
+    def fallback(v):
+        substituted.append(v)
+        return ("substitute", v)
+    want, want_failed = _item_loop(_raise_or_add_one, values,
+                                   lambda v: ("substitute", v))
+    got, failed = rows_iv.each(_raise_or_add_one, values, fallback)
+    assert _bits(got) == _bits(want)
+    assert failed == want_failed
+    assert substituted == [values[i] for i in failed]
+
+
+def test_each_lets_other_errors_through():
+    # only the math errors are an entry's failure; anything else is a bug
+    with pytest.raises(TypeError):
+        rows_iv.each(lambda v: v + 1.0, [1.0, None], lambda v: 0.0)

@@ -413,7 +413,8 @@ class TestLanding:
         # where V = -0.5, and the second is clipped back to it
         value_grad, calls = self.counted(self.value_grad)
         x0, lo, hi = np.array([[0.1, 0.1]]), np.zeros(2), np.full(2, 0.5)
-        x, landed = model.land_on_level_set(value_grad, x0, lo, hi, 1e-9, 25)
+        x, landed, _ = model.land_on_level_set(value_grad, x0, lo, hi, 1e-9,
+                                               25)
         assert calls == [[0.1, 0.1], [0.5, 0.5]]
         want, want_landed = self.full_loop(x0[0], lo, hi, 1e-9, 25)
         assert x[0].tobytes() == want.tobytes() and landed[0] == want_landed
@@ -428,7 +429,7 @@ class TestLanding:
         hi = np.array([[1, 1], [1, 1], [0.5, 0.5], [0.5, 0.5], [1, 0.5],
                        [0.5, 0.5]], dtype=float)
         for steps, patient in itertools.product((0, 1, 2, 25), (False, True)):
-            x, landed = model.land_on_level_set(
+            x, landed, _ = model.land_on_level_set(
                 self.value_grad, x0, lo, hi, 1e-9, steps, patient)
             for r in range(len(x0)):
                 want, want_landed = self.full_loop(x0[r], lo[r], hi[r], 1e-9,
@@ -449,7 +450,7 @@ class TestLanding:
         x0 = np.array([[0.2, 0.2], [0.7, 0.1]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, landed = model.land_on_level_set(
+            x, landed, _ = model.land_on_level_set(
                 value_grad, x0, np.zeros(2), np.ones(2), 1e-9, 25)
         assert landed.tolist() == [True, False]
         assert x[1].tobytes() == x0[1].tobytes()
@@ -463,7 +464,7 @@ class TestLanding:
         lo, hi = np.array([[-10.0, 0.0]]), np.array([[0.0, 10.0]])
         for patient, points in ((False, 3), (True, model.LANDING_STEPS + 1)):
             value_grad, calls = self.counted(mc.value_grad)
-            _, landed = model.land_on_level_set(
+            _, landed, _ = model.land_on_level_set(
                 value_grad, 0.5 * (lo + hi), lo, hi, 1e-9,
                 model.LANDING_STEPS, patient)
             assert (len(calls), landed.tolist()) == (points, [False])
@@ -477,7 +478,7 @@ class TestLanding:
         x0 = np.array([[0.7, 0.1]])
         for patient, points in ((False, 1), (True, 2)):
             counting, calls = self.counted(value_grad)
-            x, landed = model.land_on_level_set(
+            x, landed, _ = model.land_on_level_set(
                 counting, x0, np.zeros(2), np.ones(2), 1e-9,
                 model.LANDING_STEPS, patient)
             assert (len(calls), landed.tolist()) == (points, [False])
@@ -492,7 +493,7 @@ class TestLanding:
             want = min(max(want - (want * want - 1.0) / (4 * want * want)
                            * (2 * want), 0.0), 20.0)
         for patient in (False, True):
-            x, landed = model.land_on_level_set(
+            x, landed, _ = model.land_on_level_set(
                 value_grad, x0, lo, hi, 1e-9, model.LANDING_STEPS, patient)
             assert landed.tolist() == [True]
             assert x[0, 0].hex() == want.hex()
@@ -513,18 +514,25 @@ def _bench_certificate(case: str) -> Certificate:
 class TestLandingReference:
     """``land_on_level_set`` on certificate point code against the lockstep
     loop it replaced (``landing_reference``) on the certificate's batch
-    code: each end point bit for bit, and the mask."""
+    code: each end point bit for bit, and the mask; and the gradients it
+    returns against the certificate's ``grad`` at the end points."""
 
     @staticmethod
     def same_as_reference(mc, x, lo, hi, band, steps, patient):
         """The reference's end points and mask, after checking that
-        ``land_on_level_set`` gives them."""
-        x_got, got = model.land_on_level_set(mc.value_grad, x, lo, hi, band,
-                                             steps, patient)
+        ``land_on_level_set`` gives them, and that its gradients are bit
+        for bit ``grad``'s at its end points (a nan for a nan, of either
+        sign)."""
+        x_got, got, g_got = model.land_on_level_set(
+            mc.value_grad, x, lo, hi, band, steps, patient)
         x_want, want = landing_reference.land_on_level_set(
             mc.value, mc.grad, x, lo, hi, band, steps, patient)
         assert x_got.tobytes() == x_want.tobytes(), (steps, patient)
         assert got.tolist() == want.tolist(), (steps, patient)
+        g_want = mc.grad(x_got)
+        same = ((g_got.view(np.int64) == g_want.view(np.int64))
+                | (np.isnan(g_got) & np.isnan(g_want)))
+        assert g_got.shape == g_want.shape and same.all(), (steps, patient)
         return x_want, want
 
     @pytest.mark.parametrize("patient", [False, True])
