@@ -6,12 +6,16 @@ segment set by the refuting segments of each round (the worst
 counter-example's and those of up to ``falsify._EXTRAS`` other distinct
 ones).  With verification on, the rigorous verifier tests each candidate
 first: a proved one ends the loop, and the falsifier searches only one
-that is not proved.  A refuted verdict's witness, a ``model.Hit`` like
-the falsifier's and naming its reset, becomes the refuting segment
-through ``falsify.refute``, the path the falsifier's hits take, when the
-search misses.  Without verification the falsifier is the only test.
-Each candidate is one ``model.Certificate``, shared by the verifier, the
-falsifier's searches, the rides and the refuting segments.
+that is not proved, and in it only the conditions the verdict left open
+(``Verdict.proved``; on a refuted round, the refuted condition and those
+after it, and any before it whose cover left a box unresolved).  A
+refuted verdict's witness, a ``model.Hit`` like the falsifier's and
+naming its reset, becomes the refuting segment through
+``falsify.refute``, the path the falsifier's hits take, when the search
+misses.  Without verification the falsifier is the only test and runs
+all four searches.  Each candidate is one ``model.Certificate``, shared
+by the verifier, the falsifier's searches, the rides and the refuting
+segments.
 """
 
 from __future__ import annotations
@@ -122,11 +126,13 @@ def run(prob: Problem, tmpl: Template, cfg: RunConfig | None = None) -> RunRepor
 
     Each round's candidate is verified (``cfg.verify``) before it is
     searched.  Verified ends the run BarrierFound without a search.
-    Otherwise the falsifier searches it: a hit refutes it; a miss refutes
-    it with a Refuted verdict's witness, or ends the run BarrierFound with
-    an Unknown verdict, or, without verification, with no verdict.  The
-    falsifier's seed is drawn in every round, searched or not, so a
-    round's seed does not depend on how earlier rounds were tested."""
+    Otherwise the falsifier searches the conditions the verdict did not
+    prove (all four without verification): a hit refutes it; a miss
+    refutes it with a Refuted verdict's witness, or ends the run
+    BarrierFound with an Unknown verdict, or, without verification, with
+    no verdict.  The falsifier's seed is drawn in every round, searched or
+    not, so a round's seed does not depend on how earlier rounds were
+    tested."""
     cfg = cfg or RunConfig()
     timings = {"simulation": 0.0, "candidate": 0.0,
                "counterexample": 0.0, "verification": 0.0}
@@ -170,7 +176,8 @@ def run(prob: Problem, tmpl: Template, cfg: RunConfig | None = None) -> RunRepor
             t0 = time.perf_counter()
             ref = falsify.find_counterexample(
                 prob, cert, starts=cfg.starts, seed=seed,
-                bloat_factor=cfg.bloat_factor, t_max=cfg.ride_horizon)
+                bloat_factor=cfg.bloat_factor, t_max=cfg.ride_horizon,
+                proved=verdict.proved if verdict is not None else ())
             record.search_time = time.perf_counter() - t0 - (
                 ref.sim_time if ref is not None else 0.0)
             timings["counterexample"] += record.search_time

@@ -431,8 +431,10 @@ def _codegen(e: Expr, flavour: str = "point",
     from its first term instead, which is exact; so ``(0.0 + c) * x``, a
     linear template's gradient entry times a flow entry, is a product with
     ``c``.  A product with a finite non-zero constant ``c``, or with its
-    negation ``-c``, is ``_scale(c, ...)`` or ``_scale(-c, ...)``, and a
-    quotient by one is ``_quotient(..., c)`` or ``_quotient(..., -c)``.
+    negation ``-c``, is ``_scale(c, ...)`` or ``_scale(-c, ...)``, but a
+    factor of 1.0 is the other operand and one of -1.0 its negation, both
+    exact; a quotient by a constant is ``_quotient(..., c)`` or
+    ``_quotient(..., -c)``.
     Each subtree without variables is a name, bound once before the code
     runs (``_box_source``); ``names`` collects them.
 
@@ -485,7 +487,12 @@ def _codegen(e: Expr, flavour: str = "point",
             if flavour == "box":
                 a, b = _without_zero_start(a), _without_zero_start(b)
             c, x = (a, b) if _scale_factor(a) is not None else (b, a)
-            if flavour == "box" and (k := _scale_factor(c)) is not None:
+            k = _scale_factor(c) if flavour == "box" else None
+            if k == 1.0:
+                return gen(x)
+            if k == -1.0:
+                code = f"(-{gen(x)})"
+            elif k is not None:
                 code = f"_scale({k!r}, {gen(x)})"
             else:
                 code = f"({gen(a)} * {gen(b)})"

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
 import numpy as np
 
@@ -458,20 +458,30 @@ def _near(hit: Hit, taken: Hit) -> bool:
 
 def find_counterexample(prob: Problem, cert: Certificate, *, starts: int = 16,
                         seed: int = 0, bloat_factor: float = 1.1,
-                        t_max: float = 100.0) -> Refutation | None:
-    """Run the four searches from ``starts`` starts each and ``refute`` the
-    candidate with the worst hit and, least first, up to ``_EXTRAS``
-    others, each not ``_near`` one already taken; None when every minimum
-    is >= -_EPS_CE.  Several counter-examples per round are common in
-    counter-example-guided synthesis (Abate et al., *FOSSIL*, HSCC 2021;
-    Ravanbakhsh & Sankaranarayanan, Autonomous Robots, 2019)."""
+                        t_max: float = 100.0,
+                        proved: Collection[int] = ()) -> Refutation | None:
+    """Run the searches of the four conditions from ``starts`` starts each
+    and ``refute`` the candidate with the worst hit and, least first, up
+    to ``_EXTRAS`` others, each not ``_near`` one already taken; None when
+    every minimum is >= -_EPS_CE.  Several counter-examples per round are
+    common in counter-example-guided synthesis (Abate et al., *FOSSIL*,
+    HSCC 2021; Ravanbakhsh & Sankaranarayanan, Autonomous Robots, 2019).
+
+    The search of each condition in ``proved`` (1 to 4, in the order of
+    ``model.KINDS``), one that a verifier's cover proved, is skipped.  A
+    proof of condition 1, 2 or 4 bounds that search's objective above 0
+    wherever it can go, so it could only return hits that are dropped
+    here.  Condition 3's search goes over a band |V| <= band around the
+    zero level set, so it could still meet a rising drift off V = 0, a
+    point where no condition fails.  The four seeds are drawn first, so a
+    search that runs keeps its seed."""
     rng = np.random.default_rng(seed)
     seeds = [int(rng.integers(2 ** 63)) for _ in range(4)]
 
-    hits = [*min_initial(prob, cert, starts, seeds[0]),
-            *min_unsafe(prob, cert, starts, seeds[1]),
-            *min_transversality(prob, cert, starts, seeds[2]),
-            *min_reset(prob, cert, starts, seeds[3])]
+    searches = (min_initial, min_unsafe, min_transversality, min_reset)
+    hits = [hit for cond, (search, s) in enumerate(zip(searches, seeds), 1)
+            if cond not in proved
+            for hit in search(prob, cert, starts, s)]
 
     # a stable sort: ties keep the order of KINDS, then of the starts
     hits = sorted((h for h in hits if h.value < -_EPS_CE),

@@ -90,6 +90,16 @@ class Verdict:
         return h and (h.mode, tuple(h.x.tolist()),
                       () if h.d is None else tuple(h.d.tolist()))
 
+    @property
+    def proved(self) -> frozenset[int]:
+        """The conditions whose cover ran to the end with no unresolved
+        box: on a refuted verdict only conditions before ``condition``,
+        whose covers alone ran; a condition without a report is not."""
+        last = self.condition if self.status is VerdictStatus.REFUTED else 5
+        return frozenset(c for c in range(1, last)
+                         if c in self.reports
+                         and not self.reports[c].boxes_unresolved)
+
 
 # disturbance dimensions only split once state dimensions are within this
 # multiple of their minimum width

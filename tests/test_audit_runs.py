@@ -7,10 +7,11 @@ import audit_runs
 
 def test_compare_sums_batches_and_accepts_an_audit_without_them(
         monkeypatch, tmp_path, capsys):
-    # the thermostat alone: its refuted rounds are searched, and its rides
-    # locate guard and bloat-exit events
+    # the relay alone: its refuted rounds run the drift search and others,
+    # and its rides locate guard and bloat-exit events (the thermostat's
+    # rounds, refuted at condition 4, run only the reset search)
     monkeypatch.setattr(benchmarks, "corpus", lambda: {
-        "thermostat": benchmarks.thermostat()})
+        "relay": benchmarks.relay()})
     assert audit_runs.main(["0"]) == 0
     line = json.loads(capsys.readouterr().out)
     batches = dict(line["batches"])

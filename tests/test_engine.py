@@ -16,6 +16,9 @@ from simbarrier.verify import VerdictStatus
 
 from conftest import SHARED_GUARD_P, line_problem, shared_guard_doc
 
+# the falsifier's searches, by the condition they search (1 to 4)
+SEARCHES = ("min_initial", "min_unsafe", "min_transversality", "min_reset")
+
 
 @pytest.fixture(scope="module")
 def composition_run():
@@ -222,6 +225,12 @@ def _doc_run(doc: dict) -> tuple:
 
 THERMOSTAT = Path(__file__).parents[1] / "bench" / "data" / "thermostat.json"
 
+
+def _synth_doc(name: str) -> dict:
+    """A corpus problem's document, or the benchmark's thermostat."""
+    return (json.loads(THERMOSTAT.read_text()) if name == "thermostat"
+            else benchmarks.corpus()[name])
+
 # engine.run with each document's own settings: p, delta, per round (kind,
 # falsifier value, segment margin of the worst counter-example) and the
 # verdict's box counts (verified, split, unresolved) per condition.  The
@@ -302,9 +311,7 @@ GOLDEN_RUNS = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_whole_run_golden(name):
-    doc = (json.loads(THERMOSTAT.read_text()) if name == "thermostat"
-           else benchmarks.corpus()[name])
-    report = engine.run(*_doc_run(doc))
+    report = engine.run(*_doc_run(_synth_doc(name)))
     p, delta, rounds, boxes = GOLDEN_RUNS[name]
     hexed = lambda v: None if v is None else float(v).hex()
     assert report.status is RunStatus.BARRIER_FOUND
@@ -363,12 +370,15 @@ def test_second_run_compiles_only_certificates(monkeypatch, name):
 
 def test_thermostat_compiles_each_batch_once(monkeypatch):
     """The thermostat's load and first engine.run compile, outside the
-    candidates' certificates, 14 batches: the flows of its 2 modes forward
-    and reversed, their 2 Jacobians, per reset rule the map, its Jacobian
-    and the inverse map, and the template's monomial rows of its 2 modes
-    (``Template.monomial_rows``, for ``chebyshev.build``).  Before the
-    reversed rule was built on the rule, an inverse compiled at load for
-    the spot check and again for the backward rides: one batch more."""
+    candidates' certificates, 12 batches: the flows of its 2 modes forward
+    and reversed, per reset rule the map, its Jacobian and the inverse
+    map, and the template's monomial rows of its 2 modes
+    (``Template.monomial_rows``, for ``chebyshev.build``).  The flows' 2
+    Jacobians compile only for the drift search, which no round runs: each
+    refuted round is refuted at condition 4 with conditions 1-3 proved.
+    While every refuted round ran all four searches, they made 14.  Before
+    the reversed rule was built on the rule, an inverse compiled at load
+    for the spot check and again for the backward rides: one batch more."""
     compiled = []
     inner = expr.compile_batch
 
@@ -383,7 +393,7 @@ def test_thermostat_compiles_each_batch_once(monkeypatch):
     report = engine.run(prob, tmpl, cfg)
     assert report.status is RunStatus.BARRIER_FOUND
     assert len(prob.modes) == len(prob.resets) == 2
-    assert len(compiled) == 14
+    assert len(compiled) == 12
 
 
 def test_verifier_refutation_adds_the_witness_segment(monkeypatch):
@@ -446,6 +456,41 @@ def test_verifier_refutes_through_the_reset_it_names(monkeypatch):
     assert report.iterations == 3
 
 
+def _recording_schedule(monkeypatch) -> list[dict[int, list[model.Hit]]]:
+    """Patch the falsifier so that each ``find_counterexample`` call adds
+    to the returned list a dict: for each condition (1 to 4,
+    ``model.KINDS``) whose search it ran, the hits that search returned.
+    Patch ``find_counterexample`` itself before."""
+    ran = []
+    inner = falsify.find_counterexample
+
+    def recorded(*args, **kwargs):
+        ran.append({})
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(falsify, "find_counterexample", recorded)
+    for cond, name in enumerate(SEARCHES, 1):
+        def search(*args, _inner=getattr(falsify, name), _cond=cond,
+                   **kwargs):
+            ran[-1][_cond] = _inner(*args, **kwargs)
+            return ran[-1][_cond]
+        monkeypatch.setattr(falsify, name, search)
+    return ran
+
+
+def _recording_verdicts(monkeypatch) -> list[verify.Verdict]:
+    """Patch ``verify.verify`` to record each verdict it returns."""
+    verdicts = []
+    inner = verify.verify
+
+    def recorded(*args, **kwargs):
+        verdicts.append(inner(*args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(verify, "verify", recorded)
+    return verdicts
+
+
 def _counting_searches(monkeypatch, miss: bool = False) -> list:
     """Patch ``falsify.find_counterexample`` to record what each call
     returns; with ``miss``, every call returns None without a search."""
@@ -493,18 +538,25 @@ def test_without_verify_every_candidate_is_searched(monkeypatch):
 
 
 def test_an_unknown_verdict_is_still_searched(monkeypatch):
-    """A candidate the verifier gives up on is searched; a miss then ends
-    the run BarrierFound with that verdict and a note."""
+    """A candidate the verifier gives up on is searched, on the conditions
+    it left open; a miss then ends the run BarrierFound with that verdict
+    and a note.  Composition's proved candidate is made Unknown with one
+    unresolved condition-3 box, so only the drift search runs."""
     seen = _counting_searches(monkeypatch)
+    ran = _recording_schedule(monkeypatch)
     inner = verify.verify
 
-    def gives_up(*args, **kwargs):
-        return dataclasses.replace(inner(*args, **kwargs),
-                                   status=VerdictStatus.UNKNOWN)
+    def gives_up(prob, *args, **kwargs):
+        verdict = inner(prob, *args, **kwargs)
+        verdict.reports[3].boxes_unresolved += 1
+        return dataclasses.replace(verdict, status=VerdictStatus.UNKNOWN,
+                                   condition=3,
+                                   unresolved=[prob.flow_boxes[0]])
 
     monkeypatch.setattr(verify, "verify", gives_up)
     report = engine.run(*_doc_run(benchmarks.composition()))
     assert len(seen) == report.iterations == 1 and seen == [None]
+    assert [set(r) for r in ran] == [{3}]
     assert report.status is RunStatus.BARRIER_FOUND
     assert report.verdict.status is VerdictStatus.UNKNOWN
     assert report.notes == [
@@ -518,14 +570,7 @@ def test_a_refuted_verdict_the_search_misses_is_refuted_by_its_witness(
     the verifier's witness: kind ``verify-refuted-<condition>``, no
     falsifier value, one segment that refutes its candidate."""
     seen = _counting_searches(monkeypatch, miss=True)
-    verdicts = []
-    inner = verify.verify
-
-    def recorded(*args, **kwargs):
-        verdicts.append(inner(*args, **kwargs))
-        return verdicts[-1]
-
-    monkeypatch.setattr(verify, "verify", recorded)
+    verdicts = _recording_verdicts(monkeypatch)
     prob, tmpl, cfg = _doc_run(benchmarks.pendulum())
     report = engine.run(prob, tmpl, cfg)
     assert report.status is RunStatus.BARRIER_FOUND
@@ -538,3 +583,93 @@ def test_a_refuted_verdict_the_search_misses_is_refuted_by_its_witness(
         assert rec.segments_added == 1 and rec.segment_margin < 0.0
         assert falsify.segment_margin(prob, Certificate(tmpl, rec.p),
                                       rec.segment) == rec.segment_margin
+
+
+def test_pendulum_searches_only_the_drift_condition(monkeypatch):
+    """Pendulum's refuted rounds are refuted at condition 3 with conditions
+    1 and 2 proved: ``min_initial`` and ``min_unsafe`` never run, and
+    ``min_transversality`` runs on each refuted round (``min_reset``
+    runs too, and finds nothing without resets)."""
+    ran = _recording_schedule(monkeypatch)
+    verdicts = _recording_verdicts(monkeypatch)
+    report = engine.run(*_doc_run(benchmarks.pendulum()))
+    assert report.verdict.status is VerdictStatus.VERIFIED
+    refuted = [v for v in verdicts if v.status is VerdictStatus.REFUTED]
+    assert len(ran) == len(refuted) == report.iterations - 1 == 2
+    assert [v.proved for v in refuted] == [{1, 2}] * 2
+    assert [set(r) for r in ran] == [{3, 4}] * 2
+
+
+def test_thermostat_condition_4_rounds_search_only_resets(monkeypatch):
+    """The thermostat's rounds refuted at condition 4, with conditions 1-3
+    proved, run ``min_reset`` alone."""
+    ran = _recording_schedule(monkeypatch)
+    verdicts = _recording_verdicts(monkeypatch)
+    report = engine.run(*_doc_run(_synth_doc("thermostat")))
+    assert report.verdict.status is VerdictStatus.VERIFIED
+    searched = [v for v in verdicts if v.status is not VerdictStatus.VERIFIED]
+    assert len(searched) == len(ran) == report.iterations - 1
+    fours = [set(r) for v, r in zip(searched, ran) if v.condition == 4]
+    assert fours and fours == [{4}] * len(fours)
+
+
+def test_without_verify_every_search_runs_every_round(monkeypatch):
+    """With ``verify=False`` nothing is proved, so all four searches run in
+    every round, the last, which misses, included."""
+    ran = _recording_schedule(monkeypatch)
+    prob, tmpl, cfg = _doc_run(benchmarks.pendulum())
+    report = engine.run(prob, tmpl, dataclasses.replace(cfg, verify=False))
+    assert report.status is RunStatus.BARRIER_FOUND
+    assert [set(r) for r in ran] == [{1, 2, 3, 4}] * report.iterations
+
+
+def _refutation_key(ref: falsify.Refutation) -> str:
+    """Every bit of a refutation but its ride time, as a string."""
+    hit = ref.hit
+    return repr((hit.value, hit.kind, hit.mode, hit.x.tolist(),
+                 None if hit.d is None else hit.d.tolist(), hit.rule,
+                 ref.segment, ref.margin, ref.extras, ref.dropped))
+
+
+def test_skipping_proved_searches_keeps_the_refutation():
+    """Pendulum's first candidate, refuted at condition 3, gives the same
+    refutation, bit for bit, with its proved conditions 1 and 2 skipped as
+    with every search run: each search keeps its seed."""
+    prob, tmpl, cfg = _doc_run(benchmarks.pendulum())
+    first = engine.run(prob, tmpl, dataclasses.replace(
+        cfg, max_iterations=1)).log[0]
+    cert = Certificate(tmpl, first.p)
+    verdict = verify.verify(prob, tmpl, first.p, cert=cert)
+    assert (verdict.status, verdict.proved) == (VerdictStatus.REFUTED, {1, 2})
+    kw = dict(starts=cfg.starts, seed=12345, bloat_factor=cfg.bloat_factor,
+              t_max=cfg.ride_horizon)
+    every = falsify.find_counterexample(prob, cert, **kw)
+    skipped = falsify.find_counterexample(prob, cert, proved={1, 2}, **kw)
+    assert every is not None and skipped is not None
+    assert _refutation_key(skipped) == _refutation_key(every)
+
+
+@pytest.mark.parametrize("name", ["pendulum", "thermostat", "relay"])
+def test_skipped_searches_would_find_nothing(monkeypatch, name):
+    """Soundness cross-check of the schedule: on every refuted round of
+    each document's run, the searches of the conditions the verdict
+    proved, run anyway from their own seeds, return no hit below
+    -``falsify._EPS_CE``, and the round's refutation is the one every
+    search gives."""
+    ran = _recording_schedule(monkeypatch)
+    inner = falsify.find_counterexample
+    skipped = []
+
+    def cross_checked(*args, proved=(), **kwargs):
+        every = inner(*args, **kwargs)
+        skipped.extend(h.value for c in proved for h in ran[-1][c])
+        ref = inner(*args, proved=proved, **kwargs)
+        assert (ref is None) == (every is None)
+        assert ref is None or _refutation_key(ref) == _refutation_key(every)
+        return ref
+
+    monkeypatch.setattr(falsify, "find_counterexample", cross_checked)
+    report = engine.run(*_doc_run(_synth_doc(name)))
+    assert report.verdict.status is VerdictStatus.VERIFIED
+    assert skipped, "no round skipped a search"
+    assert all(value >= -falsify._EPS_CE for value in skipped)

@@ -414,6 +414,31 @@ class TestIntervalEval:
         want = ex.compile_interval([ex.Neg(ex.Mul(ex.Const(10.0), x))])(lo, hi)
         assert np.array_equal(got, want)
 
+    def test_unit_factor_is_the_operand(self, monkeypatch):
+        # every candidate has a coefficient of 1.0 or -1.0, as |p|inf = 1:
+        # box code takes the other operand, or its negation, both exact,
+        # where a scaling would widen each bound by an ulp; scalable-l3's
+        # linear certificate below ends in 1.0
+        prob = model.load_problem(benchmarks.scalable(3))
+        tmpl = model.make_template("linear", prob.dim, 1)
+        cert = model.Certificate(tmpl, np.linspace(-1.0, 1.0, prob.dim + 1))
+        trees = []
+        monkeypatch.setattr(ex, "compile_interval", trees.append)
+        verify._drift_box(prob, cert, 0)
+        monkeypatch.undo()
+        _, src = ex._box_source(trees[0])
+        assert "_scale(1.0, " not in src and "_scale(-1.0, " not in src
+        x = ex.Sin(ex.Var(0))
+        lo = np.array([[-0.5], [2.0], [-3.0]])
+        hi = np.array([[1.25], [2.5], [0.1]])
+        bare = ex.compile_interval([x])(lo, hi)
+        negated = ex.compile_interval([ex.Neg(x)])(lo, hi)
+        for c, want in ((ex.Const(1.0), bare), (ex.Const(-1.0), negated),
+                        (ex.Neg(ex.Const(1.0)), negated)):
+            for e in (ex.Mul(c, x), ex.Mul(x, c)):
+                assert "_scale" not in ex._box_source([e])[1]
+                assert np.array_equal(ex.compile_interval([e])(lo, hi), want)
+
     def test_constant_divisor_is_a_quotient(self, monkeypatch):
         # scalable-l3's flow has (sin(..) + sin(..) + sin(..)) / 6: box
         # code divides by 6.0 with two quotients instead of the general

@@ -208,6 +208,43 @@ class TestUnknown:
 
 
 
+class TestProved:
+    """``Verdict.proved``: the conditions whose covers ran to the end with
+    no unresolved box, which the falsifier then does not search."""
+
+    def test_verified_proves_every_condition(self):
+        verdict = verify(*composition_with_published_barrier())
+        assert verdict.proved == {1, 2, 3, 4}
+
+    def test_refuted_proves_only_conditions_before_it(self):
+        prob = model.load_problem(benchmarks.pendulum())
+        verdict = verify(prob, Template((((0, 0),),)), np.array([-1.0]))
+        assert (verdict.condition, verdict.proved) == (2, {1})
+        # sawtooth: conditions 1-3 proved, the reset refuted
+        prob = sawtooth_problem(init=(0.6, 0.7), unsafe=(-1.8, -1.5))
+        verdict = verify(prob, linear_template_1d(), np.array([0.5, -1.0]))
+        assert (verdict.condition, verdict.proved) == (4, {1, 2, 3})
+
+    def test_unknown_proves_the_conditions_without_unresolved_boxes(self):
+        # the tangent zero set of TestUnknown leaves condition-3 boxes; the
+        # problem has no resets, so condition 4 holds with no box
+        prob = line_problem("-x", omega=(-1.0, 1.0), init=(-0.9, -0.8),
+                            unsafe=(0.8, 0.9))
+        verdict = verify(prob, Template((((0,), (3,)),)),
+                         np.array([0.0, 1.0]))
+        assert verdict.status is VerdictStatus.UNKNOWN
+        assert verdict.proved == {1, 2, 4}
+
+    def test_an_unresolved_box_before_a_refutation_is_not_proved(self):
+        reports = {c: verify_module.ConditionReport() for c in (1, 2, 3, 4)}
+        reports[1].boxes_unresolved = 1
+        verdict = verify_module.Verdict(VerdictStatus.REFUTED, condition=3,
+                                        reports=reports)
+        assert verdict.proved == {2}
+        # without reports no cover is known to have run
+        assert verify_module.Verdict(VerdictStatus.UNKNOWN).proved == set()
+
+
 class TestMonotoneEffort:
     def test_finer_width_never_flips_verified_to_refuted(self):
         prob, tmpl, p = composition_with_published_barrier()
