@@ -3,33 +3,28 @@
 Each segment, two endpoints, contributes normalized linear rows in the
 template parameters: a hard row for each endpoint in a closed initial or
 unsafe box of its mode, and one two-way disjunctive row per segment
-(certificate positive at the start or negative at the end).  The
-candidate is the parameter vector of max-norm at most one that maximizes
-the worst normalized margin, i.e. the Chebyshev center of the row
-system.  Disjunctions are resolved exactly by best-first branch-and-bound
+(certificate positive at the start or negative at the end).  A side that
+contradicts a hard row of the same endpoint forces the other one: where
+the start is initial (hard row ``V(s) <= -delta``) the end's side
+``V(s') <= -delta`` is a hard row, and where the end is unsafe the
+start's side ``V(s) >= delta`` is; such a disjunction is not kept.  A
+segment from an initial start to an unsafe end so gives the rows ``r``
+and ``-r`` for each endpoint, which hold together only for
+``delta <= 0``: no candidate.  The candidate is the parameter vector of
+max-norm at most one that maximizes the worst normalized margin, i.e.
+the Chebyshev center of the row system.  Disjunctions are resolved exactly by best-first branch-and-bound
 over per-segment disjunct choices, with the node relaxation dropping
-unresolved disjunctions (a valid upper bound).  A side that contradicts
-a hard row of the same endpoint is never branched on: the start's side
-``V(s) >= delta`` where the start is initial (its hard row is
-``V(s) <= -delta``), the end's side ``V(s') <= -delta`` where the end is
-unsafe.  Such a child's relaxation holds ``r.p >= delta`` and
-``-r.p >= delta``, so its bound is at most 0, no more than the incumbent,
-and it would be pruned once solved; skipping it leaves every other node,
-its bound, heap order, rows and start basis as they were, and so every
-candidate bit for bit.
+unresolved disjunctions (a valid upper bound).
 Each relaxation is one ``lp.lp_max`` over rows ``r.p - delta >= 0``;
 with ``|r| = 1`` every such row holds at the lower corner ``p = -1``,
 ``delta = -(sqrt(k) + 1)``, where the simplex starts.
 
-A relaxation of more than ``lp._DIRECT_ROW_LIMIT`` rows is solved by row
-generation, which hands its final basis on.  The node keeps it once, for
-both children: a child's rows are its parent's with one decided
-disjunction inserted in index order, so the child's relaxation starts from
-the parent's working rows and basis, renumbered around the new row, and
-needs a few dual simplex pivots instead of a fresh row generation.  A
-smaller relaxation is one cold simplex run from the slack basis and hands
-nothing on: these optima are often not unique, and a start from the
-parent's basis would move the vertex the search ends on.
+Every relaxation is solved by row generation, which hands its final basis
+on.  The node keeps it once, for both children: a child's rows are its
+parent's with one decided disjunction inserted in index order, so the
+child's relaxation starts from the parent's working rows and basis,
+renumbered around the new row, and needs a few dual simplex pivots
+instead of a fresh row generation.
 """
 
 from __future__ import annotations
@@ -58,7 +53,6 @@ class SampledConstraint:
     dim: int
     hard: np.ndarray          # (H, k): rows r requiring r.p >= delta
     disjunctive: np.ndarray   # (D, 2, k): at least one of the pair >= delta
-    blocked: np.ndarray       # (D, 2) bool: the side contradicts a hard row
 
     @property
     def n_rows(self) -> int:
@@ -111,9 +105,11 @@ def build(segments: Sequence[Segment], tmpl: Template,
     signed = np.stack([-units[:, 0], units[:, 0], -units[:, 1], units[:, 1]],
                       axis=1)
     disj = np.stack([units[:, 0], -units[:, 1]], axis=1)
-    # side 1, a_s, meets the initial start's row -a_s; side 2, -a_sp, the
-    # unsafe end's row a_sp
-    return SampledConstraint(tmpl.size, signed[flags], disj, flags[:, [0, 3]])
+    # side 1, a_s, meets the initial start's row -a_s, so the start forces
+    # side 2, -a_sp; side 2 meets the unsafe end's row a_sp and forces a_s
+    forced = flags[:, [0, 3]]
+    hard = np.concatenate([signed[flags], disj[:, ::-1][forced]])
+    return SampledConstraint(tmpl.size, hard, disj[~forced.any(1)])
 
 
 def margin(c: SampledConstraint, p: np.ndarray) -> float:
@@ -133,8 +129,8 @@ def _relaxation(c: SampledConstraint, assign: np.ndarray,
     """LP over (p, delta) with unresolved disjunctions dropped: the hard
     rows, then the chosen side of each decided disjunction in index order.
     ``start`` is a basis over these rows (``lp.lp_max``).  Returns the
-    optimal p, the bound, the simplex pivot count and the LP's final basis
-    (None when the LP was solved cold)."""
+    optimal p, the bound, the simplex pivot count and the LP's final
+    basis."""
     k = c.dim
     decided = np.flatnonzero(assign)
     n_hard = len(c.hard)
@@ -155,13 +151,8 @@ def solve(c: SampledConstraint, delta_min: float = 1e-6) -> Candidate | None:
     clear delta_min.
 
     A node is an array of per-disjunction choices (0 undecided, 1 or 2 the
-    side imposed) and the basis its parent's relaxation handed on, or None.
-    A node gets a child for each side of its branching disjunction that
-    ``c.blocked`` leaves open, so none when both are blocked: a blocked
-    child's relaxation bound is at most 0 <= ``best_delta``, so once solved
-    it would be pruned with no incumbent, and dropping it keeps the other
-    nodes and their order (see the module docstring).  Only ``nodes`` and
-    ``pivots`` see it.
+    side imposed) and the basis its parent's relaxation handed on (None at
+    the root).
     """
     best_p = np.zeros(c.dim)
     best_delta = margin(c, best_p) if c.n_rows else 0.0
@@ -188,15 +179,12 @@ def solve(c: SampledConstraint, delta_min: float = 1e-6) -> Candidate | None:
                 best_p, best_delta = p_star, d
             continue
         worst = undecided[gaps.argmin()]
-        if basis is not None:
-            # both children share this node's basis, its rows renumbered
-            # around the child's decided row, which comes in at ``at``
-            at = len(c.hard) + np.count_nonzero(assign[:worst])
-            rows = basis.rows
-            basis = dataclasses.replace(basis, rows=rows + (rows >= at))
+        # both children share this node's basis, its rows renumbered around
+        # the child's decided row, which comes in at ``at``
+        at = len(c.hard) + np.count_nonzero(assign[:worst])
+        rows = basis.rows
+        basis = dataclasses.replace(basis, rows=rows + (rows >= at))
         for choice in (1, 2):
-            if c.blocked[worst, choice - 1]:
-                continue
             child = assign.copy()
             child[worst] = choice
             counter += 1

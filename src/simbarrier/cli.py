@@ -250,12 +250,21 @@ def _record_json(rec: engine.IterationRecord) -> dict:
     }
 
 
-def _write_report(doc: dict, path: str | None):
+def _os_error(path, err: OSError) -> UserError:
+    """An output path the system refused, as the path and its reason."""
+    return UserError(f"{err.filename or path}: {err.strerror or err}")
+
+
+def _write_json(doc: dict, path: str | None):
+    """``doc`` as indented JSON into the file ``path``, or to stdout."""
     text = json.dumps(doc, indent=2)
-    if path:
-        Path(path).write_text(text + "\n")
-    else:
+    if not path:
         print(text)
+        return
+    try:
+        Path(path).write_text(text + "\n")
+    except OSError as err:
+        raise _os_error(path, err) from None
 
 
 def _synthesize(path: str, args):
@@ -279,7 +288,7 @@ def _cmd_synth(args) -> int:
     _, _, report, out = _synthesize(args.problem, args)
     if out is None:
         return 1
-    _write_report(out, args.report)
+    _write_json(out, args.report)
     return 0 if _found(report) else 1
 
 
@@ -308,7 +317,7 @@ def _cmd_verify(args) -> int:
         "boxes": _boxes_json(verdict),
         "tool": f"simbarrier {__version__}",
     }
-    _write_report(out, args.report)
+    _write_json(out, args.report)
     return 0 if verdict.status is rigor.VerdictStatus.VERIFIED else 1
 
 
@@ -319,6 +328,11 @@ def _cmd_bench(args) -> int:
     paths = sorted(directory.glob("*.json"))
     if not paths:
         raise UserError(f"{args.corpus}: no problem documents found")
+    if args.report_dir:
+        try:
+            Path(args.report_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise _os_error(args.report_dir, err) from None
     rows = []
     all_ok = True
     for path in paths:
@@ -330,8 +344,7 @@ def _cmd_bench(args) -> int:
             continue
         all_ok = all_ok and _found(report)
         if args.report_dir:
-            Path(args.report_dir).mkdir(parents=True, exist_ok=True)
-            _write_report(out, str(Path(args.report_dir) / f"{path.stem}-report.json"))
+            _write_json(out, str(Path(args.report_dir) / f"{path.stem}-report.json"))
     header = (f"{'problem':<16} {'dim':>3} {'iter':>4} {'simulation':>10} "
               f"{'candidate':>10} {'counterex':>10} {'verif':>8}  status")
     print(header)
@@ -354,7 +367,10 @@ def _cmd_bench(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.corpus_dir:
-        written = benchmarks.write_corpus(args.corpus_dir)
+        try:
+            written = benchmarks.write_corpus(args.corpus_dir)
+        except OSError as err:
+            raise _os_error(args.corpus_dir, err) from None
         for path in written:
             print(path)
         return 0
@@ -363,12 +379,7 @@ def _cmd_gen(args) -> int:
     if args.scalable < 1:
         raise UserError("gen: --scalable: expected an integer >= 1, "
                         f"got {args.scalable}")
-    doc = benchmarks.scalable(args.scalable)
-    text = json.dumps(doc, indent=2)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-    else:
-        print(text)
+    _write_json(benchmarks.scalable(args.scalable), args.output)
     return 0
 
 

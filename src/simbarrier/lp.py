@@ -7,27 +7,23 @@ search, with ``|u| = 1`` and ``p`` in ``[-1, 1]^k``, hold there with room
 to spare: at ``p = -1`` and ``delta = -(sqrt(k) + 1)`` a row's left side
 is ``-sum(u) + sqrt(k) + 1 >= 1``, since ``|sum(u)| <= sqrt(k)``.
 
-A system of at most ``_DIRECT_ROW_LIMIT`` rows is solved cold: one primal
-simplex run from the all-slack basis at the lower corner, which is
-feasible.  A larger system is solved by exact row generation: a working
-subset, first its leading ``_ROW_BATCH`` rows solved cold, grows by the
-most violated rows until its optimum satisfies every row, which certifies
-global optimality (the subset optimum is an upper bound).  Each round
-after the first keeps the previous round's basis: the new rows' slacks
-enter it as basic, which leaves it dual feasible, and the basis inverse
-grows by the block formula ``[[B^-1, 0], [-R_B B^-1, I]]``.  Dual simplex
-pivots then restore primal feasibility, and the primal simplex, started
-from that basis, confirms optimality.  Such a solve returns its final
-basis on its binding rows (``Basis``: those rows, the basic columns and
-the nonbasic columns at their upper bound, as small integer arrays; a row
-whose slack is basic is dropped with its slack, which keeps the basis
-optimal).  Given back with a system that has the same rows and some more,
-it is the next solve's working subset and basis, so a program that
-differs from an earlier one by a few rows needs a few dual pivots instead
-of a fresh run.  The fork by size is measured: sending systems of at most
-80 rows through row generation too moved pendulum's synthesis (seed 0)
-from 3 to 5 rounds, since those optima are often not unique and the
-rounds that keep a basis end on another vertex.
+Every system is solved by exact row generation: a working subset, first
+its leading ``_ROW_BATCH`` rows (all of them in a smaller system) solved
+by one primal simplex run from the all-slack basis at the lower corner,
+which is feasible, grows by the most violated rows until its optimum
+satisfies every row, which certifies global optimality (the subset
+optimum is an upper bound).  Each round after the first keeps the
+previous round's basis: the new rows' slacks enter it as basic, which
+leaves it dual feasible, and the basis inverse grows by the block formula
+``[[B^-1, 0], [-R_B B^-1, I]]``.  Dual simplex pivots then restore primal
+feasibility, and the primal simplex, started from that basis, confirms
+optimality.  A solve returns its final basis on its binding rows
+(``Basis``: those rows, the basic columns and the nonbasic columns at
+their upper bound, as small integer arrays; a row whose slack is basic is
+dropped with its slack, which keeps the basis optimal).  Given back with
+a system that has the same rows and some more, it is the next solve's
+working subset and basis, so a program that differs from an earlier one
+by a few rows needs a few dual pivots instead of a fresh run.
 
 Pivot rules.  The primal entering variable follows Bland's
 smallest-index rule; the leaving row takes the min ratio with a
@@ -55,13 +51,14 @@ tie-break runs in Python, over the rows that can block: its outcome
 depends on the order in which rows are visited, so no single ``argmin``
 can replace it.
 
-Bit-identity contract: in the cold solve, and in the first round of a
-row generation that starts without a basis, every array operation rounds
-each element exactly as the scalar formula it stands for (the same
-operands, in the same order), so the pivot sequence, the iterates and the
-results are fixed to the last bit by the input.  Golden values in
-``tests/test_lp.py`` and ``tests/test_chebyshev.py`` pin this; a change
-that moves one bit there is a change of algorithm, not of implementation.
+Bit-identity contract: in the first round of a solve that starts without
+a basis, the whole solve of a system of at most ``_ROW_BATCH`` rows,
+every array operation rounds each element exactly as the scalar formula
+it stands for (the same operands, in the same order), so the pivot
+sequence, the iterates and the results are fixed to the last bit by the
+input.  Golden values in ``tests/test_lp.py`` and
+``tests/test_chebyshev.py`` pin this; a change that moves one bit there
+is a change of algorithm, not of implementation.
 The later rounds are deterministic too, but their pivots are another
 algorithm's: they update ``x_B`` and the reduced costs incrementally, and
 their optimum may be another vertex of the same optimal face.
@@ -76,7 +73,6 @@ import numpy as np
 
 _TOL = 1e-9
 _REFACTOR_EVERY = 40
-_DIRECT_ROW_LIMIT = 80
 _ROW_BATCH = 40
 
 _AT_LO = 0
@@ -90,7 +86,7 @@ class LPError(RuntimeError):
 
 @dataclass(frozen=True)
 class Basis:
-    """The final basis of a row-generation solve, on its binding rows.
+    """The final basis of a solve, on its binding rows.
 
     The working program has the columns ``x`` (n structural) and one slack
     per working row, the slack of ``rows[i]`` being column ``n + i``.
@@ -108,21 +104,19 @@ class Basis:
 class LPResult:
     x: np.ndarray
     value: float
-    pivots: int = 0  # basis exchanges over every simplex run of the solve
-    basis: Basis | None = None  # row generation's final basis, else None
+    pivots: int  # basis exchanges over every simplex run of the solve
+    basis: Basis  # the final basis
 
 
 def lp_max(c, A, b, lo, hi, start: Basis | None = None) -> LPResult:
     """Maximize c.x subject to A x >= b and lo <= x <= hi, for a (m, n)
     array ``A`` and finite bounds whose lower corner satisfies every row.
 
-    More than ``_DIRECT_ROW_LIMIT`` rows are solved by row generation
-    (see the module docstring), which returns its final ``Basis``.
-    ``start`` is such a basis of an earlier solve over rows of this ``A``
-    (``start.rows`` index this ``A``): row generation then starts from it,
-    with the rows outside its working set as the candidates to add.  A
-    system of at most ``_DIRECT_ROW_LIMIT`` rows is solved cold whatever
-    ``start`` says, and returns no basis.
+    The system is solved by row generation (see the module docstring),
+    which returns its final ``Basis``.  ``start`` is such a basis of an
+    earlier solve over rows of this ``A`` (``start.rows`` index this
+    ``A``): row generation then starts from it, with the rows outside its
+    working set as the candidates to add.
     """
     c, A, b, lo, hi = (np.asarray(v, dtype=float) for v in (c, A, b, lo, hi))
     n = c.size
@@ -138,13 +132,8 @@ def lp_max(c, A, b, lo, hi, start: Basis | None = None) -> LPResult:
     if violated.any():
         raise LPError(f"row {int(violated.argmax())} is violated at the "
                       "lower corner of the bounds")
-    if b.size <= _DIRECT_ROW_LIMIT:
-        work = _Working(c, A, b, lo, hi)
-        value, pivots = work.primal()
-        return LPResult(work.x[:n].copy(), value, pivots)
-
     if start is None:
-        active = np.arange(_ROW_BATCH)
+        active = np.arange(min(_ROW_BATCH, b.size))
         work = _Working(c, A[active], b[active], lo, hi)
         value, pivots = work.primal()
     else:
@@ -153,7 +142,8 @@ def lp_max(c, A, b, lo, hi, start: Basis | None = None) -> LPResult:
         value, pivots = float(work.obj @ work.x), 0
     taken = np.zeros(b.size, dtype=bool)
     taken[active] = True
-    for _ in range(b.size):
+    # each round adds a row, so the last of these finds none to add
+    for _ in range(b.size + 1):
         x = work.x[:n]
         new = _most_violated(b - A @ x, taken)
         if not new.size:

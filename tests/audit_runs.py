@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python tests/audit_runs.py 0 1 2 3 4 5 6 7 > runs.jsonl
     PYTHONPATH=src python tests/audit_runs.py 0 1 2 --compare runs.jsonl
+    PYTHONPATH=src python tests/audit_runs.py 0 1 2 --no-verify
 
 Each run takes its document's settings, with the seed replaced, and
 prints one JSON line: the status, verdict, round and segment counts,
@@ -20,7 +21,10 @@ rounds, the nodes, the pivots, the batches of each kind and the event
 trials summed over the runs in both, before -> after.  A count that an
 earlier audit lacks (one taken before it was recorded) prints as "-".
 The exit status is 1 when a run does not end in BarrierFound/Verified,
-or when the summed rounds rise.
+or when the summed rounds rise.  ``--no-verify`` audits the heuristic
+mode: each run has ``verify=False``, so the falsifier alone accepts a
+candidate, and the final certificate is verified afterwards with
+``verify.verify``; that verdict, and its box counts, are the line's.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import argparse
 import json
 import sys
 
-from simbarrier import benchmarks, engine, falsify, model, sim
+from simbarrier import benchmarks, engine, falsify, model, sim, verify
 
 # what is counted, and how --compare names its sum: per round the
 # branch-and-bound nodes and LP pivots, and per run the work under "batches"
@@ -97,14 +101,17 @@ def _counts(entry: dict) -> dict:
             "pivots": sum(rec[4] for rec in log), **entry.get("batches", {})}
 
 
-def audit(name: str, doc: dict, seed: int) -> dict:
+def audit(name: str, doc: dict, seed: int, verified: bool = True) -> dict:
     prob = model.load_problem(doc)
     tmpl = model.make_template(doc["template"], prob.dim, len(prob.modes))
     run = doc["run"]
-    report, batches = _run_counting_batches(prob, tmpl, engine.RunConfig(
+    cfg = engine.RunConfig(
         sigma=run["sigma"], bloat_factor=run["bloat"], starts=run["starts"],
-        max_iterations=run["max_iter"], seed=seed))
+        max_iterations=run["max_iter"], seed=seed, verify=verified)
+    report, batches = _run_counting_batches(prob, tmpl, cfg)
     verdict = report.verdict
+    if not verified and report.p is not None:
+        verdict = verify.verify(prob, tmpl, report.p, cfg.min_width_frac)
     return {
         "problem": name, "seed": seed,
         "status": report.status.value,
@@ -127,6 +134,9 @@ def main(argv=None) -> int:
     parser.add_argument("seeds", type=int, nargs="+")
     parser.add_argument("--compare", metavar="FILE",
                         help="an earlier audit's output")
+    parser.add_argument("--no-verify", action="store_true",
+                        help="run with verification off and verify each "
+                             "final certificate afterwards")
     args = parser.parse_args(argv)
     before = {}
     if args.compare:
@@ -141,7 +151,7 @@ def main(argv=None) -> int:
     old_counted = dict.fromkeys(COUNTS, True)  # in every compared old line
     for seed in args.seeds:
         for name, doc in benchmarks.corpus().items():
-            entry = audit(name, doc, seed)
+            entry = audit(name, doc, seed, not args.no_verify)
             print(json.dumps(entry), flush=True)
             if (entry["status"], entry["verdict"]) != ("BarrierFound",
                                                        "Verified"):

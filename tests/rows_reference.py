@@ -3,12 +3,13 @@ point at a time and the per-segment loop that the template's compiled
 monomial rows (``model.Template.monomial_rows``) replaced.
 
 ``build`` must give bit for bit the rows of ``build`` here, hard-row order
-included, and the same blocked sides (``tests/test_chebyshev.py``), and a
-mode's compiled monomials at a point must be bit for bit that mode's block
-of ``coeff_row`` (``tests/test_model.py``).  The loops are kept as they were, and an
-endpoint's membership in the initial and unsafe boxes is decided here,
-point by point with ``Box.contains``, so the reference does not share
-code with what it checks.
+included (``tests/test_chebyshev.py``), and a mode's compiled monomials at
+a point must be bit for bit that mode's block of ``coeff_row``
+(``tests/test_model.py``).  The loops are kept as they were, with the
+disjunction sides that an initial start or an unsafe end forces as a loop
+of their own, and an endpoint's membership in the initial and unsafe
+boxes is decided here, point by point with ``Box.contains``, so the
+reference does not share code with what it checks.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ def build(segments: Sequence[Segment], tmpl: Template,
     k = tmpl.size
     hard: list[np.ndarray] = []
     disj: list[np.ndarray] = []
-    blocked: list[list[bool]] = []
     for seg in segments:
         a_s = _unit(coeff_row(tmpl, seg.s_mode, seg.s))
         a_sp = _unit(coeff_row(tmpl, seg.sp_mode, seg.sp))
@@ -66,11 +66,17 @@ def build(segments: Sequence[Segment], tmpl: Template,
             hard.append(-a_sp)
         if sp_unsafe:
             hard.append(a_sp)
-        disj.append(np.stack([a_s, -a_sp]))
-        # a_s >= delta contradicts the initial start's -a_s >= delta, and
-        # -a_sp >= delta the unsafe end's a_sp >= delta
-        blocked.append([s_initial, sp_unsafe])
+        if not (s_initial or sp_unsafe):
+            disj.append(np.stack([a_s, -a_sp]))
+    # a_s >= delta contradicts the initial start's -a_s >= delta, which
+    # leaves -a_sp; -a_sp >= delta the unsafe end's a_sp >= delta, which
+    # leaves a_s.  These rows come after every endpoint's.
+    for seg in segments:
+        s_initial, _, _, sp_unsafe = flags(prob, seg)
+        if s_initial:
+            hard.append(-_unit(coeff_row(tmpl, seg.sp_mode, seg.sp)))
+        if sp_unsafe:
+            hard.append(_unit(coeff_row(tmpl, seg.s_mode, seg.s)))
     hard_arr = np.array(hard) if hard else np.empty((0, k))
     disj_arr = np.array(disj) if disj else np.empty((0, 2, k))
-    return SampledConstraint(k, hard_arr, disj_arr,
-                             np.array(blocked, dtype=bool).reshape(-1, 2))
+    return SampledConstraint(k, hard_arr, disj_arr)

@@ -182,8 +182,7 @@ def test_criterion_7_chebyshev_oracle_equivalence():
         disj = np.array([[unit(rng.uniform(-1, 1, k)),
                           unit(rng.uniform(-1, 1, k))]
                          for _ in range(n_disj)])
-        c = chebyshev.SampledConstraint(k, hard, disj,
-                                        np.zeros((n_disj, 2), dtype=bool))
+        c = chebyshev.SampledConstraint(k, hard, disj)
         got = chebyshev.solve(c, delta_min=-math.inf).delta
         if k <= 2:
             want = grid_max_margin(hard, disj, k, res=1e-3)

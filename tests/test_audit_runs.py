@@ -1,6 +1,7 @@
+import dataclasses
 import json
 
-from simbarrier import benchmarks
+from simbarrier import benchmarks, verify
 
 import audit_runs
 
@@ -79,3 +80,32 @@ def test_compare_counts_nodes_and_pivots(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "thermostat seed 0 differs: bits only" in err
     assert "1 of 1 runs differ" in err
+
+
+def test_no_verify_proves_the_final_certificate_afterwards(monkeypatch,
+                                                           capsys):
+    # the run has verification off; the one verify.verify call comes after
+    # it, on its final certificate, and its verdict is the line's.  A
+    # verdict that does not prove the certificate fails the audit.
+    monkeypatch.setattr(benchmarks, "corpus", lambda: {
+        "thermostat": benchmarks.thermostat()})
+    calls = []
+    inner = verify.verify
+
+    def recorded(prob, tmpl, p, *args, **kwargs):
+        calls.append(([float(v).hex() for v in p],
+                      inner(prob, tmpl, p, *args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(verify, "verify", recorded)
+    assert audit_runs.main(["0", "--no-verify"]) == 0
+    line = json.loads(capsys.readouterr().out)
+    assert (line["status"], line["verdict"]) == ("BarrierFound", "Verified")
+    assert [p for p, _ in calls] == [line["p"]]
+    assert line["boxes"]["4"][0] >= 1
+
+    unknown = dataclasses.replace(calls[0][1],
+                                  status=verify.VerdictStatus.UNKNOWN)
+    monkeypatch.setattr(verify, "verify", lambda *args, **kwargs: unknown)
+    assert audit_runs.main(["0", "--no-verify"]) == 1
+    assert "1 runs not BarrierFound/Verified" in capsys.readouterr().err

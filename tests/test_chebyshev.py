@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 from pathlib import Path
@@ -18,6 +17,14 @@ def _seg(s, sp):
     return Segment(0, (s,), 0, (sp,))
 
 
+def _units(tmpl, seg):
+    """The unit rows a_s and a_sp of a segment's endpoints, as
+    ``rows_reference`` gives them."""
+    rows = (ref.coeff_row(tmpl, mode, x)
+            for mode, x in ((seg.s_mode, seg.s), (seg.sp_mode, seg.sp)))
+    return [row / np.linalg.norm(row) for row in rows]
+
+
 THERMOSTAT = Path(__file__).parents[1] / "bench" / "data" / "thermostat.json"
 
 
@@ -35,13 +42,14 @@ def tmpl():
 
 class TestBuild:
     def test_classification_counts(self, prob, tmpl):
+        # an initial start or an unsafe end forces one disjunction side
         inside = _seg(-1.0, 0.0)       # start in initial only
         c = build([inside], tmpl, prob)
-        assert len(c.hard) == 1 and len(c.disjunctive) == 1
+        assert len(c.hard) == 2 and len(c.disjunctive) == 0
 
         crossing = _seg(-1.0, 1.0)     # initial to unsafe
         c = build([crossing], tmpl, prob)
-        assert len(c.hard) == 2 and len(c.disjunctive) == 1
+        assert len(c.hard) == 4 and len(c.disjunctive) == 0
 
         free = _seg(-0.5, 0.5)         # unclassified endpoints
         c = build([free], tmpl, prob)
@@ -73,8 +81,11 @@ class TestBuild:
         on = Segment(0, (0.0, 8.0), 0, (0.0, -5.0))
         off = Segment(0, (0.0, 7.9), 0, (0.0, -4.99))
         rows = build([on, off], tmpl, prob)
-        a_s, a_sp = ref.build([on], tmpl, prob).disjunctive[0]
-        assert rows.hard.tobytes() == np.stack([-a_s, -a_sp]).tobytes()
+        a_s, a_sp = _units(tmpl, on)
+        # the endpoints' rows, then the sides they force
+        assert rows.hard.tobytes() == np.stack(
+            [-a_s, a_sp, -a_sp, a_s]).tobytes()
+        assert len(rows.disjunctive) == 1
         assert ref.flags(prob, on) == [True, False, False, True]
         assert ref.flags(prob, off) == [False] * 4
 
@@ -85,8 +96,9 @@ class TestBuild:
         tmpl = model.template_linear(1, 2)
         swapped = Segment(1, (19.0,), 0, (11.0,))
         assert len(build([swapped], tmpl, prob).hard) == 0
+        # the two endpoints' rows and the two sides they force
         assert len(build([Segment(0, (19.0,), 1, (11.0,))], tmpl,
-                         prob).hard) == 2
+                         prob).hard) == 4
 
     def test_empty_rejected(self, prob, tmpl):
         with pytest.raises(chebyshev.ConstraintError):
@@ -116,9 +128,10 @@ def _bootstrap(doc):
                                   "line"])
 def test_build_equals_per_segment_loop(case, prob, tmpl, rng):
     """``build`` gives bit for bit the rows of the per-segment loop it
-    replaced (``rows_reference.build``), hard-row order included: on
-    bootstrap segments of a linear, a quadratic and a two-mode template,
-    and on line segments whose endpoints take every initial/unsafe flag."""
+    replaced (``rows_reference.build``), hard-row order included, forced
+    sides among them: on bootstrap segments of a linear, a quadratic and a
+    two-mode template, and on line segments whose endpoints take every
+    initial/unsafe flag."""
     if case == "scalable-l2":
         prob, tmpl, segs = _bootstrap(benchmarks.scalable(2))
     elif case == "pendulum":
@@ -130,9 +143,8 @@ def test_build_equals_per_segment_loop(case, prob, tmpl, rng):
         ends = [-1.0, 1.0, 0.5, float(rng.uniform(-2, 2))]
         segs = [_seg(s, sp) for s in ends for sp in ends]
     got, want = build(segs, tmpl, prob), ref.build(segs, tmpl, prob)
-    assert got.n_rows > len(segs)
-    assert got.blocked.dtype == bool and got.blocked.any()
-    for name in ("hard", "disjunctive", "blocked"):
+    assert got.n_rows > len(segs) > len(got.disjunctive)
+    for name in ("hard", "disjunctive"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
@@ -216,24 +228,24 @@ class TestSolveProperties:
         assert cold.delta == again.delta
 
 
-# chebyshev.solve on the bootstrap segments of scalable-l2 (64 segments,
-# 68 hard and 64 disjunctive rows): p, delta, and the node and pivot counts
-# of this search, recorded when the simplex began to start from the slack
-# basis.  Every relaxation has at most 80 rows and is one cold simplex run.
-# p and delta were re-recorded when ride events began to be located on
-# the step's dense output, which moves the bootstrap endpoints that leave
-# the bloated box in their last bits; the row counts, nodes and pivots
-# stay.  They were re-recorded again, for the same reason, when the
-# locator became a secant (Illinois regula falsi) instead of bisection.
-# The nodes and pivots were re-recorded (15 -> 8, 154 -> 88) when the
-# search stopped pushing the children that a hard row of the same endpoint
-# rules out: their relaxations were always pruned, so p and delta stay.
+# chebyshev.solve on the bootstrap segments of scalable-l2 (64 segments):
+# p, delta, and the node and pivot counts of this search.  The golden was
+# recorded when the simplex began to start from the slack basis, and
+# re-recorded when ride events began to be located on the step's dense
+# output and when the locator became a secant (Illinois regula falsi),
+# each of which moves the bootstrap endpoints that leave the bloated box
+# in their last bits.  It was re-recorded again when each disjunction
+# side forced by an initial start or an unsafe end became a hard row:
+# every bootstrap segment starts initial, so the 68 hard and 64
+# disjunctive rows became 132 hard rows, solved in one node by row
+# generation (8 nodes and 88 pivots before).  delta moved in its last
+# bits, and p to another point of the same optimal face.
 # Recorded on x86-64 Linux with glibc's libm and OpenBLAS.
 GOLDEN_SCALABLE_L2 = (
-    ["0x1.2e38f7fd71f10p-3", "-0x1.0000000000000p+0",
-     "0x1.1f2b7541ec680p-10", "0x1.be9e4ee908a00p-11",
-     "0x1.1ef44ec5c368bp-10", "0x1.be31cb981158ap-11"],
-    "0x1.923485bfb71ecp-2", 8, 88)
+    ["0x1.2e38f7fd718e0p-3", "-0x1.0000000000000p+0",
+     "0x1.1ef44ec5c0080p-10", "0x1.be31cb9816900p-11",
+     "0x1.1f2b7541eee00p-10", "0x1.be9e4ee907418p-11"],
+    "0x1.923485bfb7212p-2", 1, 21)
 
 
 def test_golden_scalable_l2():
@@ -241,154 +253,162 @@ def test_golden_scalable_l2():
     tmpl = model.make_template("linear", prob.dim, 1)
     segs = sim.init_segments(prob, 0.1, 256, 0, bloat_factor=1.1)
     c = build(segs, tmpl, prob)
-    assert (len(c.hard), len(c.disjunctive)) == (68, 64)
+    assert (len(c.hard), len(c.disjunctive)) == (132, 0)
     cand = solve(c)
     assert ([float(v).hex() for v in cand.p], float(cand.delta).hex(),
             cand.nodes, cand.pivots) == GOLDEN_SCALABLE_L2
 
 
-def _unblocked(c):
-    return dataclasses.replace(c, blocked=np.zeros_like(c.blocked))
+class TestForcedSides:
+    def test_initial_start_forces_the_end_side(self, prob, tmpl):
+        seg = _seg(-1.0, 0.0)
+        a_s, a_sp = _units(tmpl, seg)
+        c = build([seg], tmpl, prob)
+        assert c.hard.tobytes() == np.stack([-a_s, -a_sp]).tobytes()
+        assert c.disjunctive.shape == (0, 2, 2)
 
+    def test_unsafe_end_forces_the_start_side(self, prob, tmpl):
+        seg = _seg(0.0, 1.0)
+        a_s, a_sp = _units(tmpl, seg)
+        c = build([seg], tmpl, prob)
+        assert c.hard.tobytes() == np.stack([a_sp, a_s]).tobytes()
+        assert c.disjunctive.shape == (0, 2, 2)
 
-def _same_candidate(c):
-    """Solve ``c`` with its blocked sides and with none blocked: the two
-    give p and delta bit for bit, and the first no more nodes or pivots.
-    Returns both candidates."""
-    pruned, full = solve(c), solve(_unblocked(c))
-    assert (pruned is None) == (full is None)
-    if pruned is not None:
-        assert pruned.p.tobytes() == full.p.tobytes()
-        assert float(pruned.delta).hex() == float(full.delta).hex()
-        assert pruned.nodes <= full.nodes and pruned.pivots <= full.pivots
-    return pruned, full
+    def test_forced_rows_follow_every_endpoint_row(self, prob, tmpl):
+        # in segment order, after the endpoints' rows; the free segment
+        # keeps its disjunction
+        segs = [_seg(-1.0, 0.0), _seg(0.0, 0.5), _seg(0.5, 1.0)]
+        (a0, b0), (a1, b1), (a2, b2) = (_units(tmpl, seg) for seg in segs)
+        c = build(segs, tmpl, prob)
+        assert c.hard.tobytes() == np.stack([-a0, b2, -b0, a2]).tobytes()
+        assert c.disjunctive.tobytes() == np.stack([[a1, -b1]]).tobytes()
 
-
-class TestBlockedSides:
-    def test_sides_of_the_initial_start_and_the_unsafe_end(self, prob,
-                                                           tmpl):
-        segs = [_seg(-1.0, 0.0), _seg(0.0, 1.0), _seg(1.0, -1.0),
-                _seg(0.0, 0.5)]
-        assert build(segs, tmpl, prob).blocked.tolist() == [
-            [True, False], [False, True], [False, False], [False, False]]
+    def test_both_sides_forced_give_none(self, prob, tmpl):
+        # an initial start and an unsafe end: the rows a_s and -a_s, and
+        # a_sp and -a_sp, hold together only for delta <= 0
+        for segs in ([_seg(-1.0, 1.0)], [_seg(-1.0, 1.0), _seg(0.0, 0.5)]):
+            c = build(segs, tmpl, prob)
+            assert len(c.disjunctive) == len(segs) - 1
+            assert solve(c) is None
 
     @pytest.mark.parametrize("dims", [2, 3])
-    def test_scalable_bootstrap_keeps_its_candidate(self, dims):
+    def test_scalable_bootstrap_solves_in_one_node(self, dims):
+        # every bootstrap segment starts initial
         prob = model.load_problem(benchmarks.scalable(dims))
         tmpl = model.make_template("linear", prob.dim, 1)
         segs = sim.init_segments(prob, 0.1, 256, 0, bloat_factor=1.1)
-        pruned, full = _same_candidate(build(segs, tmpl, prob))
-        assert pruned is not None and pruned.nodes < full.nodes
+        c = build(segs, tmpl, prob)
+        assert len(c.disjunctive) == 0
+        cand = solve(c)
+        assert cand is not None and cand.nodes == 1
 
-    def test_pendulum_rounds_keep_their_candidates(self, monkeypatch):
-        constraints = []
-
-        def recorded(c, delta_min):
-            constraints.append(c)
-            return solve(c, delta_min)
-
-        monkeypatch.setattr(chebyshev, "solve", recorded)
-        doc = benchmarks.pendulum()
-        prob = model.load_problem(doc)
-        tmpl = model.make_template(doc["template"], prob.dim, len(prob.modes))
-        run = doc["run"]
-        report = engine.run(prob, tmpl, engine.RunConfig(
-            sigma=run["sigma"], bloat_factor=run["bloat"],
-            starts=run["starts"], max_iterations=run["max_iter"],
-            seed=run["seed"]))
-        assert report.status is engine.RunStatus.BARRIER_FOUND
-        assert len(constraints) == report.iterations >= 2
-        for c, rec in zip(constraints, report.log):
-            pruned, _ = _same_candidate(c)
-            assert (pruned.nodes, pruned.pivots) == (rec.bb_nodes,
-                                                     rec.lp_pivots)
-
-    def test_initial_start_to_unsafe_end_gives_none(self, prob, tmpl):
-        # both sides of the disjunction are blocked: the root has no child
-        for segs in ([_seg(-1.0, 1.0)], [_seg(-1.0, 1.0), _seg(0.0, 0.5)]):
-            c = build(segs, tmpl, prob)
-            assert c.blocked[0].all()
-            assert solve(c) is None
-            assert solve(_unblocked(c)) is None
+    def test_forced_rows_keep_the_optimum(self, prob, tmpl, rng):
+        """A forced side and its disjunction, kept both, give the same
+        optimum: the side that contradicts a hard row holds only for
+        delta <= 0.  The segments run down the line, from the unsafe
+        point towards the initial one, so a barrier exists."""
+        ends = [-1.0, 1.0, 0.5, -0.25, float(rng.uniform(-2, 2))]
+        segs = [_seg(s, sp) for s in ends for sp in ends if s >= sp]
+        c = build(segs, tmpl, prob)
+        units = [_units(tmpl, seg) for seg in segs]
+        hard = [row for (a_s, a_sp), seg in zip(units, segs)
+                for row, flag in zip((-a_s, a_s, -a_sp, a_sp),
+                                     ref.flags(prob, seg)) if flag]
+        kept = chebyshev.SampledConstraint(
+            c.dim, np.array(hard),
+            np.array([[a_s, -a_sp] for a_s, a_sp in units]))
+        assert len(c.disjunctive) < len(kept.disjunctive) == len(segs)
+        forced, both = solve(c), solve(kept)
+        assert forced is not None and both is not None
+        assert forced.delta == pytest.approx(both.delta, abs=1e-9)
 
 
 def test_margin_lps_run_phase_two_only(monkeypatch):
     # every row r.p - delta >= 0 with |r| = 1 holds at the lower corner
-    # p = -1, delta = -(sqrt(k) + 1), so each LP of at most 80 rows runs
-    # one primal simplex from the slack basis
-    runs, sizes = [], []
+    # p = -1, delta = -(sqrt(k) + 1), so the root's first working set runs
+    # one primal simplex from the slack basis; every other node starts
+    # from its parent's basis.  Recorded per LP: its start, and per primal
+    # run whether it began at the slack basis.
+    solves = []
     lp_max, primal = lp.lp_max, lp._Working.primal
 
-    def counted_lp_max(*args):
-        sizes.append(len(args[2]))
-        runs.append(0)
+    def recorded_lp_max(*args):
+        solves.append((args[5], []))
         return lp_max(*args)
 
-    def counted_primal(work):
+    def recorded_primal(work):
         m, N = work.T.shape
-        assert np.array_equal(work.basis, np.arange(N - m, N))
-        assert np.array_equal(work.Binv, np.eye(m))
-        runs[-1] += 1
+        solves[-1][1].append(np.array_equal(work.basis, np.arange(N - m, N))
+                             and np.array_equal(work.Binv, np.eye(m)))
         return primal(work)
 
-    monkeypatch.setattr(lp, "lp_max", counted_lp_max)
-    monkeypatch.setattr(lp._Working, "primal", counted_primal)
-    prob = model.load_problem(benchmarks.scalable(2))
-    tmpl = model.make_template("linear", prob.dim, 1)
-    segs = sim.init_segments(prob, 0.1, 256, 0, bloat_factor=1.1)
-    cand = solve(build(segs, tmpl, prob))
-    assert cand is not None and cand.nodes > 1
-    assert len(runs) >= cand.nodes and set(runs) == {1}
-    assert max(sizes) <= lp._DIRECT_ROW_LIMIT
+    monkeypatch.setattr(lp, "lp_max", recorded_lp_max)
+    monkeypatch.setattr(lp._Working, "primal", recorded_primal)
+    cand = solve(build(*_branching_scalable_l3(4)))
+    assert cand is not None and len(solves) == cand.nodes > 1
+    (root_start, root_runs), *children = solves
+    assert root_start is None and root_runs[0]
+    assert all(isinstance(start, lp.Basis) for start, _ in children)
 
 
-# the pivots of chebyshev.solve on scalable-l3's bootstrap below when each
-# relaxation ran row generation from scratch, every round from the slack
-# basis (x86-64 Linux, OpenBLAS)
-COLD_PIVOTS_SCALABLE_L3 = 914
-
-
-def test_children_start_from_their_parents_basis(monkeypatch):
-    """On scalable-l3's bootstrap (264 hard rows, 256 disjunctions) every
-    relaxation runs row generation, and each child restarts from its
-    parent's basis: the optimum of one cold simplex run over all rows, at
-    least 4x fewer pivots than cold row generation."""
+def _branching_scalable_l3(free):
+    """scalable-l3's bootstrap segments and ``free`` segments between
+    points drawn in its domain, away from the initial and the unsafe box;
+    each free segment keeps its disjunction, so the search branches.
+    Returns the arguments of ``build``."""
     prob = model.load_problem(benchmarks.scalable(3))
     tmpl = model.make_template("linear", prob.dim, 1)
     segs = sim.init_segments(prob, 0.1, 256, 0, bloat_factor=1.1)
-    c = build(segs, tmpl, prob)
-    assert len(c.hard) > lp._DIRECT_ROW_LIMIT
-    starts = []
+    rng = np.random.default_rng(0)
+    segs += [Segment(0, tuple(rng.uniform(-8, 8, 7)), 0,
+                     tuple(rng.uniform(-8, 8, 7))) for _ in range(free)]
+    return segs, tmpl, prob
+
+
+def test_children_start_from_their_parents_basis(monkeypatch):
+    """On scalable-l3's bootstrap and 16 free segments (520 hard rows, 16
+    disjunctions), each child restarts row generation from its parent's
+    basis and reaches the optimum of one cold simplex run over all its
+    rows, with at least 2x fewer pivots over the search."""
+    c = build(*_branching_scalable_l3(16))
+    assert (len(c.hard), len(c.disjunctive)) == (520, 16)
+    solves = []
     lp_max = lp.lp_max
 
-    def recorded(*args):
-        starts.append(args[5] is not None)
-        return lp_max(*args)
+    def recorded(obj, A, b, lo, hi, start):
+        res = lp_max(obj, A, b, lo, hi, start)
+        value, pivots = lp._Working(obj, A, b, lo, hi).primal()
+        solves.append((start is not None, res.value, value, res.pivots,
+                       pivots))
+        return res
 
     monkeypatch.setattr(lp, "lp_max", recorded)
     warm = solve(c)
-    assert starts[0] is False and all(starts[1:]) and len(starts) > 10
-    monkeypatch.setattr(lp, "_DIRECT_ROW_LIMIT", 10 ** 9)
-    cold = solve(c)
-    assert warm.delta == pytest.approx(cold.delta, abs=1e-9)
-    assert warm.pivots * 4 <= COLD_PIVOTS_SCALABLE_L3
+    assert warm.nodes == len(solves) > 10
+    started, values, cold_values, pivots, cold_pivots = zip(*solves)
+    assert started[0] is False and all(started[1:])
+    assert values == pytest.approx(cold_values, abs=1e-8)
+    assert sum(pivots) == warm.pivots
+    assert warm.pivots * 2 <= sum(cold_pivots)
 
 
-def test_pendulum_runs_no_dual_pivot(monkeypatch):
-    # every pendulum relaxation has at most 80 rows: one cold run each
-    duals, sizes = [], []
-    dual, lp_max = lp._Working.dual, lp.lp_max
+def test_pendulum_children_start_from_their_parents_basis(monkeypatch):
+    # in every round, the root starts row generation from the slack basis
+    # and each other node from its parent's basis; some children need dual
+    # pivots to restore feasibility
+    relaxations, duals = [], []
+    relaxation, dual = chebyshev._relaxation, lp._Working.dual
+
+    def recorded(c, assign, start=None):
+        relaxations.append((not assign.any(), start))
+        return relaxation(c, assign, start)
 
     def counted(work):
-        duals.append(len(work.b))
-        return dual(work)
+        duals.append(dual(work))
+        return duals[-1]
 
-    def solved(*args):
-        sizes.append(len(args[2]))
-        return lp_max(*args)
-
+    monkeypatch.setattr(chebyshev, "_relaxation", recorded)
     monkeypatch.setattr(lp._Working, "dual", counted)
-    monkeypatch.setattr(lp, "lp_max", solved)
     doc = benchmarks.pendulum()
     prob = model.load_problem(doc)
     tmpl = model.make_template(doc["template"], prob.dim, len(prob.modes))
@@ -397,8 +417,12 @@ def test_pendulum_runs_no_dual_pivot(monkeypatch):
         sigma=run["sigma"], bloat_factor=run["bloat"], starts=run["starts"],
         max_iterations=run["max_iter"], seed=run["seed"]))
     assert report.status is engine.RunStatus.BARRIER_FOUND
-    assert sizes and max(sizes) <= lp._DIRECT_ROW_LIMIT
-    assert duals == []
+    assert len(relaxations) == sum(rec.bb_nodes for rec in report.log)
+    roots = [start is None for root, start in relaxations if root]
+    assert len(roots) == report.iterations and all(roots)
+    assert all(isinstance(start, lp.Basis)
+               for root, start in relaxations if not root)
+    assert len(relaxations) > report.iterations and sum(duals) > 0
 
 
 class TestOracleEquivalence:
@@ -414,8 +438,7 @@ class TestOracleEquivalence:
             disj = np.array([[_unit(rng.uniform(-1, 1, k), rng),
                               _unit(rng.uniform(-1, 1, k), rng)]
                              for _ in range(n_disj)])
-            c = chebyshev.SampledConstraint(
-                k, hard, disj, np.zeros((n_disj, 2), dtype=bool))
+            c = chebyshev.SampledConstraint(k, hard, disj)
             cand = solve(c, delta_min=-math.inf)
             got = cand.delta
             if k <= 2:

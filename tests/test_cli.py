@@ -660,6 +660,49 @@ class TestErrors:
         assert f"error: {path}: run.min_box_width: expected " in err
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written ends in one ``error:`` line
+    naming it, and exit 2: exit 1 means only no certificate, refuted or
+    unknown."""
+
+    def _refused(self, capsys, argv, path, reason):
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.err == f"error: {path}: {reason}\n"
+
+    def test_synth_report(self, composition_path, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "r.json")
+        self._refused(capsys, ["synth", composition_path, "--no-verify",
+                               "--report", path],
+                      path, "No such file or directory")
+
+    def test_verify_report(self, composition_path, paper_barrier_path,
+                           tmp_path, capsys):
+        path = str(tmp_path / "missing" / "v.json")
+        self._refused(capsys, ["verify", composition_path, "--barrier",
+                               paper_barrier_path, "--report", path],
+                      path, "No such file or directory")
+
+    def test_bench_report_dir(self, composition_path, tmp_path, capsys,
+                              monkeypatch):
+        # refused before any problem runs
+        monkeypatch.setattr(engine, "run", None)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        self._refused(capsys, ["bench", str(Path(composition_path).parent),
+                               "--report-dir", str(taken)],
+                      taken, "File exists")
+
+    def test_gen_output_and_corpus(self, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "x.json")
+        self._refused(capsys, ["gen", "--scalable", "1", "--output", path],
+                      path, "No such file or directory")
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        self._refused(capsys, ["gen", "--corpus", str(taken)], taken,
+                      "File exists")
+
+
 class TestGenAndBench:
     def test_gen_scalable_loads(self, tmp_path):
         out = tmp_path / "s3.json"

@@ -265,45 +265,50 @@ def _synth_doc(name: str) -> dict:
 # instead of bisection: every event-stopped ride moves in its last bits,
 # and with them p, delta and the values and margins (the thermostat keeps
 # its p and delta, and scalable-l3's near-equal pair coefficients trade
-# places).  Rounds, kinds and box counts stay.
+# places).  Rounds, kinds and box counts stay.  All four were re-recorded
+# when each disjunction side forced by an initial start or an unsafe end
+# became a hard row and every relaxation began to run row generation from
+# its parent's basis: the candidates move to other points of their optimal
+# faces, in their last bits, and with them p, delta and the values and
+# margins.  Rounds, kinds and box counts stay.
 GOLDEN_RUNS = {
     "log-dynamics": (
-        ["0x1.f929f56b4d438p-5", "-0x1.7ca09e2adc400p-2",
-         "0x1.16c99c534a7bap-2", "-0x1.0000000000000p+0",
-         "-0x1.c299ac96ca8b0p-4", "-0x1.b57a6187ebadbp-1"],
-        "0x1.3f7186824641ap-4",
-        [("transversality", "-0x1.1fb7daf3452c7p-1", "-0x1.cdf497b7225e6p-3"),
-         ("transversality", "-0x1.0000000000000p+0", "-0x1.9b8599894f312p-5"),
-         ("transversality", "-0x1.1d21720ebfa31p-2", "-0x1.074c4db155444p-4"),
-         ("transversality", "-0x1.640c3f93a07f2p-3", "-0x1.f87d4585e11b0p-6"),
-         ("transversality", "-0x1.bbda54e667e45p-6", "-0x1.69dfd16013200p-9"),
-         ("transversality", "-0x1.3155a7c924f0dp-7", "-0x1.faa6d40b25000p-15"),
-         ("transversality", "-0x1.374ee35b5c5e6p-5", "-0x1.da84c05c63cc0p-10"),
+        ["0x1.f929f56b4d3e0p-5", "-0x1.7ca09e2adc3fap-2",
+         "0x1.16c99c534a7b0p-2", "-0x1.0000000000000p+0",
+         "-0x1.c299ac96ca920p-4", "-0x1.b57a6187ebac3p-1"],
+        "0x1.3f71868246424p-4",
+        [("transversality", "-0x1.1fb7daf3452bep-1", "-0x1.cdf497b7225eap-3"),
+         ("transversality", "-0x1.0000000000000p+0", "-0x1.9b8599894f18ap-5"),
+         ("transversality", "-0x1.1d21720ebfa1dp-2", "-0x1.074c4db1554a4p-4"),
+         ("transversality", "-0x1.640c3f93a0869p-3", "-0x1.f87d4585e1300p-6"),
+         ("transversality", "-0x1.bbda54e667c8fp-6", "-0x1.69dfd16014200p-9"),
+         ("transversality", "-0x1.3155a7c925850p-7", "-0x1.faa6d40b28000p-15"),
+         ("transversality", "-0x1.374ee840c7f24p-5", "-0x1.da84e8a3717c0p-10"),
          (None, None, None)],
         {1: (10, 9, 0), 2: (3, 2, 0), 3: (327, 326, 0), 4: (0, 0, 0)}),
     "pendulum": (
-        ["-0x1.673468b401869p-6", "-0x1.899838ae36290p-10",
-         "0x1.29d2ea9bc37cap-4", "-0x1.ebfe46d9c3ac0p-8",
-         "-0x1.d1701443c6d06p-1", "-0x1.0000000000000p+0"],
-        "0x1.c3472f4101c32p-6",
-        [("transversality", "-0x1.0000000000000p+0", "-0x1.de6b8b3d99fccp-6"),
-         ("transversality", "-0x1.5ee00169ae6e9p-4", "-0x1.c7ceff9a11dcep-8"),
+        ["-0x1.673467bfe19cap-6", "-0x1.8998550aaf8a8p-10",
+         "0x1.29d2e9b22eeb6p-4", "-0x1.ebfe6a4d5b6d8p-8",
+         "-0x1.d170144bec6fap-1", "-0x1.0000000000000p+0"],
+        "0x1.c3472f557d9b3p-6",
+        [("transversality", "-0x1.0000000000001p+0", "-0x1.de6b88fc8fd22p-6"),
+         ("transversality", "-0x1.5edfff5bc93a7p-4", "-0x1.c7cefba3db231p-8"),
          (None, None, None)],
         {1: (1, 0, 0), 2: (1, 0, 0), 3: (405, 404, 0), 4: (0, 0, 0)}),
     "scalable-l3": (
-        ["0x1.3ecbdee17194cp-3", "-0x1.0000000000000p+0",
-         "0x1.93e8259bc231cp-11", "0x1.3a336f8fbd89cp-11",
-         "0x1.93c3ae860f0ddp-11", "0x1.3a0f90f7b4b3cp-11",
-         "0x1.939e203a68d27p-11", "0x1.39ed012a0adeep-11"],
-        "0x1.514c0a137a193p-2",
+        ["0x1.3ecbdee1718dap-3", "-0x1.0000000000000p+0",
+         "0x1.93e8867072400p-11", "0x1.3a3303935af90p-11",
+         "0x1.939e810c75000p-11", "0x1.39ec953099f00p-11",
+         "0x1.93c2ecdf53500p-11", "0x1.3a1068ed88200p-11"],
+        "0x1.514c0a137a190p-2",
         [(None, None, None)],
         {1: (1, 0, 0), 2: (1, 0, 0), 3: (1, 0, 0), 4: (0, 0, 0)}),
     "thermostat": (
         ["-0x1.0000000000000p+0", "-0x1.0000000000000p+0",
-         "0x1.0000000000000p+0", "-0x1.332dc503b3b83p-4"],
-        "0x1.104ae41215570p-7",
-        [("reset", "-0x1.0a0be01f63b7ap+4", "-0x1.07b52aa656d42p+0"),
-         ("reset", "-0x1.21e70926ba000p-12", "-0x1.348b5f34fc000p-16"),
+         "0x1.0000000000000p+0", "-0x1.332dc503b3b7ap-4"],
+        "0x1.104ae412155b0p-7",
+        [("reset", "-0x1.0a0be01f623bdp+4", "-0x1.07b52aa655a4ap+0"),
+         ("reset", "-0x1.21e70926b5000p-12", "-0x1.348b5f34f7000p-16"),
          (None, None, None)],
         {1: (1, 0, 0), 2: (1, 0, 0), 3: (2, 0, 0), 4: (2, 0, 0)}),
 }
@@ -413,7 +418,7 @@ def test_verifier_refutation_adds_the_witness_segment(monkeypatch):
     report = engine.run(prob, tmpl, cfg)
     first = report.log[0]
     assert (first.kind, first.value, float(first.segment_margin).hex()) == \
-        ("verify-refuted-3", None, "-0x1.85d047841590fp-6")
+        ("verify-refuted-3", None, "-0x1.85d0478415950p-6")
     assert first.segments_added == 1 and first.segments_dropped == 0
     assert falsify.segment_margin(prob, Certificate(tmpl, first.p),
                                   first.segment) == first.segment_margin
@@ -453,7 +458,7 @@ def test_verifier_refutes_through_the_reset_it_names(monkeypatch):
     assert first.segments_added == 1
     assert report.status is RunStatus.BARRIER_FOUND
     assert report.verdict.status is VerdictStatus.VERIFIED
-    assert report.iterations == 3
+    assert report.iterations == 4
 
 
 def _recording_schedule(monkeypatch) -> list[dict[int, list[model.Hit]]]:

@@ -701,7 +701,8 @@ class TestFindCounterexample:
                                           res.segment.s)
         assert v_at_start >= 0.0
         assert rows_ref.flags(prob, res.segment) == [True, False, False, False]
-        assert len(chebyshev.build([res.segment], tmpl, prob).hard) == 1
+        # the initial start's row, and the end's side it forces
+        assert len(chebyshev.build([res.segment], tmpl, prob).hard) == 2
         assert segment_margin(prob, Certificate(tmpl, p), res.segment) <= 0.0
 
     def test_reset_violation(self):

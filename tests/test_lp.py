@@ -20,9 +20,14 @@ class TestExamples:
         assert res.value == pytest.approx(1.0)
 
     def test_no_rows_hits_bounds(self):
+        # no row to generate: the first round is the whole solve, and it
+        # ends with each variable at the bound its cost points to
         res = lp_max([2.0, -1.0], np.empty((0, 2)), [], [-3.0, -5.0],
                      [4.0, 6.0])
         assert res.value == pytest.approx(2 * 4 + 5)
+        assert res.x.tolist() == [4.0, -5.0]
+        assert res.basis.rows.size == 0 and res.basis.basic.size == 0
+        assert res.basis.at_hi.tolist() == [True, False]
 
     def test_unbounded_impossible_with_bad_bounds(self):
         with pytest.raises(LPError):
@@ -97,10 +102,10 @@ def _check_against_scipy(c, A, b, lo, hi, mine, label):
 
 class TestRowGeneration:
     def test_random_programs_against_scipy(self, rng):
-        # more rows than the direct limit: solved on a growing subset
+        # more rows than the first batch: solved on a growing subset
         for trial in range(30):
             n = int(rng.integers(2, 7))
-            m = int(rng.integers(lp._DIRECT_ROW_LIMIT + 1, 260))
+            m = int(rng.integers(lp._ROW_BATCH + 1, 260))
             c = rng.uniform(-2, 2, n)
             lo, hi = np.full(n, -2.0), np.full(n, 2.0)
             A, b = _corner_feasible_rows(rng, m, lo, rng.uniform(-1, 1, n))
@@ -109,8 +114,8 @@ class TestRowGeneration:
 
 
 def _row_generation_program(m=240, n=6):
-    """Exact rational data with duplicate rows, more rows than the direct
-    limit; every row holds at the lower corner x = -2 with a gap of 3 to
+    """Exact rational data with duplicate rows, more rows than the first
+    batch; every row holds at the lower corner x = -2 with a gap of 3 to
     6.25."""
     i = np.arange(m)
     A = ((7 * i[:, None] + 13 * np.arange(n)) % 17 - 8) / 8.0
@@ -262,11 +267,11 @@ def test_row_pick_is_a_stable_sort_of_every_row(rows):
 
 
 def _grown_programs(rng, trials):
-    """Random programs above the direct limit, each as a parent system and
+    """Random programs above the first batch, each as a parent system and
     the rows a child adds to it; every row holds at the lower corner."""
     for trial in range(trials):
         n = int(rng.integers(2, 7))
-        m = int(rng.integers(lp._DIRECT_ROW_LIMIT + 1, 200))
+        m = int(rng.integers(lp._ROW_BATCH + 1, 200))
         extra = int(rng.integers(1, 6))
         c = rng.uniform(-2, 2, n)
         lo, hi = np.full(n, -2.0), np.full(n, 2.0)
@@ -350,12 +355,18 @@ class TestWarmStart:
         monkeypatch.setattr(lp._Working, "_cap", lambda work: 1)
         assert work.dual() == 0 and work.primal()[1] == 0
 
-    def test_small_systems_hand_no_basis_on(self):
-        # at most _DIRECT_ROW_LIMIT rows: one cold run, no basis handed on
+    @pytest.mark.parametrize("m", [0, 1, lp._ROW_BATCH, lp._ROW_BATCH + 1,
+                                   240])
+    def test_every_solve_hands_a_basis_on(self, m):
+        # whatever the row count, the solve hands its final basis on, and
+        # that basis given back with the same rows is optimal: no pivot
         c, A, b, lo, hi = DEGENERATE["row-generation"]
-        m = lp._DIRECT_ROW_LIMIT
-        assert lp_max(c, A[:m], b[:m], lo, hi).basis is None
-        assert lp_max(c, A[:m + 1], b[:m + 1], lo, hi).basis is not None
+        A, b = A[:m], b[:m]
+        res = lp_max(c, A, b, lo, hi)
+        assert isinstance(res.basis, lp.Basis)
+        again = lp_max(c, A, b, lo, hi, res.basis)
+        assert again.pivots == 0
+        assert again.value == pytest.approx(res.value, abs=1e-9)
 
 
 def test_pivot_count():

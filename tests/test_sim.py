@@ -438,7 +438,8 @@ class TestInitSegments:
         assert len(sim._select_vertices(flat, 64, rng)) == 32
 
     def test_flags_recomputable(self):
-        # build's hard rows are those of the endpoints' memberships
+        # build's hard rows are those of the endpoints' memberships and
+        # of the disjunction sides these force
         doc = benchmarks.composition()
         prob = model.load_problem(doc)
         tmpl = model.make_template(doc["template"], prob.dim, len(prob.modes))
